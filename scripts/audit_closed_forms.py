@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from pstwalk import analyze, linear_energy_display_audit
+from pstwalk import analyze, linear_energy_display_audit, orbital_spectrum
 from pstwalk.cayley import FAMILY_TAGS
 
 
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             disagreements += print_table(f"{tag}(2,{q}) standard connection set", audit)
         if q % 4 == 3:
-            checks = linear_energy_display_audit(q)
+            checks = linear_energy_display_audit(q, orbital_spectrum(q))
             disagreements += print_table(f"orbital q={q} linear-row energies", checks)
 
     print(f"\n{disagreements} disagreeing row(s); certificates use the exact column only")

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from pstwalk import analyze, build_coset_space, build_gamma, certify_orbital
+from pstwalk import analyze, build_coset_space, build_gamma, certify_orbital, orbital_spectrum
 from pstwalk.cayley import FAMILY_TAGS, STANDARD, explicit_graph, transfer_pairs
 from pstwalk.orbital import EXPLICIT_LIMIT
 
@@ -36,7 +36,7 @@ def build_target(args) -> tuple[np.ndarray, tuple[int, int], float, str]:
                 f"q = {args.q} runs in character-sum-only mode (limit q <= {EXPLICIT_LIMIT}); "
                 "no explicit graph to trace"
             )
-        cert = certify_orbital(args.q)
+        cert = certify_orbital(orbital_spectrum(args.q))
         graph = build_gamma(space)
         pair = (graph.h_vertex, graph.z_vertex)
         label = f"orbital q={args.q}, cosets H and zH (vertices {pair[0]}, {pair[1]})"

@@ -19,7 +19,14 @@ import math
 import sys
 import time
 
-from pstwalk import analyze, build_coset_space, certify_orbital, pst_scan, variants_for
+from pstwalk import (
+    analyze,
+    build_coset_space,
+    certify_orbital,
+    orbital_spectrum,
+    pst_scan,
+    variants_for,
+)
 from pstwalk.cayley import FAMILY_TAGS, explicit_graph, transfer_pairs
 from pstwalk.orbital import EXPLICIT_LIMIT, build_gamma
 
@@ -97,11 +104,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(fmt_row(f"{tag}(2,{q}) {variant}", family.order, cert, simulation, time.perf_counter() - t0))
         if q % 4 == 3:
             t0 = time.perf_counter()
-            cert = certify_orbital(q)
+            cert = certify_orbital(orbital_spectrum(q))
             simulation = simulate_orbital(q, cert, args.simulate_bound)
             failures += (not cert.ok) + simulation.startswith("DISAGREES")
-            n = build_coset_space(q).n_cosets
-            print(fmt_row(f"orbital q={q} ({cert.mode})", n, cert, simulation, time.perf_counter() - t0))
+            space = build_coset_space(q)
+            mode = "explicit" if space.explicit else "character-sum"
+            print(fmt_row(f"orbital q={q} ({mode})", space.n_cosets, cert, simulation, time.perf_counter() - t0))
     if failures:
         print(f"\n{failures} target(s) failed certification or disagreed with simulation")
     return 1 if failures else 0

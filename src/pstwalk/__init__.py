@@ -12,8 +12,9 @@ continuous-time quantum walk on them admits perfect state transfer:
   and ``(z r)H`` for a fixed order-4 scalar ``z`` (:mod:`pstwalk.orbital`).
 
 Eigenvalues come from character sums over hand-built character tables
-(:mod:`pstwalk.groups`, :mod:`pstwalk.chars`), the transfer criterion is
-a mod-4 congruence on the integral spectrum (:mod:`pstwalk.scheme`), and
+(:mod:`pstwalk.groups`, :mod:`pstwalk.chars`), both families share one
+transfer certificate, a mod-4 congruence on the integral spectrum
+(:mod:`pstwalk.scheme`), and
 every certificate can be cross-checked against a numeric walk simulation
 at small sizes (:mod:`pstwalk.ctqw`).  The ``pstwalk`` command-line tool
 (:mod:`pstwalk.cli`) wraps the whole pipeline and exports reproducible
@@ -25,7 +26,6 @@ from pstwalk.cayley import (
     SMALL_ORDERS,
     STANDARD,
     CayleyAnalysis,
-    CayleyCertificate,
     ConnectionSet,
     SpectrumRow,
     analyze,
@@ -46,7 +46,6 @@ from pstwalk.groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
 from pstwalk.orbital import (
     CosetSpace,
     GammaGraph,
-    OrbitalCertificate,
     OrbitalRow,
     build_coset_space,
     build_gamma,
@@ -54,7 +53,14 @@ from pstwalk.orbital import (
     linear_energy_display_audit,
     orbital_spectrum,
 )
-from pstwalk.scheme import ConjugacyScheme, EigenRow, PSTCertificate, pst_test
+from pstwalk.scheme import (
+    ConjugacyScheme,
+    EigenRow,
+    PSTCertificate,
+    TransferCertificate,
+    pst_test,
+    transfer_certificate,
+)
 
 __version__ = "0.1.0"
 
@@ -85,7 +91,6 @@ __all__ = [
     "build_connection_set",
     "SpectrumRow",
     "spectrum",
-    "CayleyCertificate",
     "certify",
     "closed_form_audit",
     "CayleyAnalysis",
@@ -97,7 +102,6 @@ __all__ = [
     "CosetSpace",
     "GammaGraph",
     "OrbitalRow",
-    "OrbitalCertificate",
     "build_coset_space",
     "build_gamma",
     "orbital_spectrum",
@@ -108,6 +112,8 @@ __all__ = [
     "EigenRow",
     "PSTCertificate",
     "pst_test",
+    "TransferCertificate",
+    "transfer_certificate",
     "TransferReport",
     "integer_rows_with_signs",
     "pst_scan",

@@ -20,7 +20,8 @@ lives in the group's conjugacy-class association scheme: each
 irreducible character contributes one exact integer eigenvalue (a
 character sum, multiplicity the squared degree).  Perfect state
 transfer between every vertex ``x`` and its antipode ``-x`` at time
-``pi/g`` is certified by a mod-4 congruence on that spectrum, split by
+``pi/g`` is certified by the mod-4 congruence of
+:func:`~pstwalk.scheme.transfer_certificate` on that spectrum, split by
 the character's sign on ``-I``.
 
 Closed-form eigenvalue expressions that were derived by hand while
@@ -32,7 +33,6 @@ either side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -41,7 +41,13 @@ import numpy as np
 
 from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
-from .scheme import ConjugacyScheme, class_sum_eigenvalue
+from .scheme import (
+    ConjugacyScheme,
+    TransferCertificate,
+    class_sum_eigenvalue,
+    render_irr,
+    transfer_certificate,
+)
 
 __all__ = [
     "FAMILY_TAGS",
@@ -53,8 +59,6 @@ __all__ = [
     "build_connection_set",
     "SpectrumRow",
     "spectrum",
-    "spectrum_trace",
-    "CayleyCertificate",
     "certify",
     "FormulaCheck",
     "closed_form_audit",
@@ -216,7 +220,7 @@ def spectrum(family, conn: ConnectionSet) -> list[SpectrumRow]:
             theta = class_sum_eigenvalue(family, irr, conn.labels)
         except NonIntegralError as exc:
             raise NonIntegralError(
-                f"character {_render_irr(irr)} of {family.family}(2,{family.q}): {exc}"
+                f"character {render_irr(irr)} of {family.family}(2,{family.q}): {exc}"
             ) from exc
         rows.append(
             SpectrumRow(irr, theta, family.involution_sign(irr), family.degree(irr) ** 2)
@@ -224,93 +228,13 @@ def spectrum(family, conn: ConnectionSet) -> list[SpectrumRow]:
     return rows
 
 
-def spectrum_trace(rows: Sequence[SpectrumRow]) -> int:
-    """Sum of eigenvalues weighted by multiplicity (zero for a loopless graph)."""
-    return sum(r.theta * r.multiplicity for r in rows)
-
-
-def _render_irr(irr: IrrLabel | None) -> str:
-    if irr is None:
-        return "unlabeled character"
-    return f"{irr.kind}({', '.join(map(str, irr.params))})"
-
-
 # ---------------------------------------------------------------------------
 # certification
 
 
-@dataclass(frozen=True)
-class CayleyCertificate:
-    """Spectral certificate for antipodal state transfer on a Cayley graph.
-
-    ``ok`` records whether every eigenvalue is congruent mod 4 to
-    ``residue`` on the +1 side and ``residue + 2`` on the -1 side; when
-    it holds, the continuous-time walk has perfect state transfer
-    between ``x`` and ``-x`` for every vertex ``x`` at ``time = pi/gap``.
-    ``connected`` reports whether the top eigenvalue is simple.
-    ``fidelity_deviation`` is filled in later by a numeric walk check,
-    when one is run.
-    """
-
-    family: str
-    q: int
-    variant: str
-    degree: int
-    ok: bool
-    reason: str
-    integral: bool = True
-    residue: int | None = None
-    gap: int | None = None
-    time: float | None = None
-    connected: bool | None = None
-    transfer_rule: str = "x <-> -x for every vertex x"
-    fidelity_deviation: float | None = None
-
-
-def certify(conn: ConnectionSet, rows: Sequence[SpectrumRow]) -> CayleyCertificate:
-    """Run the mod-4 transfer test on an exact spectrum."""
-    base = dict(family=conn.family, q=conn.q, variant=conn.variant, degree=conn.degree)
-    theta0 = max(r.theta for r in rows)
-    top_mult = sum(r.multiplicity for r in rows if r.theta == theta0)
-    connected = top_mult == 1
-    gap = math.gcd(*(theta0 - r.theta for r in rows))
-    if gap == 0:
-        return CayleyCertificate(
-            ok=False,
-            reason="all eigenvalues are equal; there is no walk",
-            connected=connected,
-            **base,
-        )
-    time = math.pi / gap
-    a = theta0 % 4
-    for r in rows:
-        want = a if r.sign == 1 else (a + 2) % 4
-        if r.theta % 4 != want:
-            side = "+1" if r.sign == 1 else "-1"
-            return CayleyCertificate(
-                ok=False,
-                reason=(
-                    f"eigenvalue {r.theta} of {_render_irr(r.irr)} on the {side} side "
-                    f"is {r.theta % 4} mod 4, expected {want}"
-                ),
-                residue=a,
-                gap=gap,
-                time=time,
-                connected=connected,
-                **base,
-            )
-    return CayleyCertificate(
-        ok=True,
-        reason=(
-            f"all eigenvalues are congruent to {a} mod 4 on the +1 side and "
-            f"{(a + 2) % 4} on the -1 side; transfer time pi/{gap}"
-        ),
-        residue=a,
-        gap=gap,
-        time=time,
-        connected=connected,
-        **base,
-    )
+def certify(rows: Sequence[SpectrumRow]) -> TransferCertificate:
+    """Run the mod-4 transfer test for the antipodal pairing ``x <-> -x``."""
+    return transfer_certificate(rows, "x <-> -x for every vertex x")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +352,7 @@ def _sl_ratio_value(family: SLGroup, irr: IrrLabel) -> int:
     num = (q * q - 1) * r_int
     if num % (2 * d):
         raise NonIntegralError(
-            f"Jordan character sum of {_render_irr(irr)} is not divisible by 2*degree"
+            f"Jordan character sum of {render_irr(irr)} is not divisible by 2*degree"
         )
     return ratio + num // (2 * d)
 
@@ -457,7 +381,7 @@ def closed_form_audit(family, conn: ConnectionSet, rows: Sequence[SpectrumRow]) 
             formula = "involution-ratio"
         out.append(
             FormulaCheck(
-                tag, q, formula, _render_irr(row.irr), hand, row.theta, hand == row.theta
+                tag, q, formula, render_irr(row.irr), hand, row.theta, hand == row.theta
             )
         )
     return out
@@ -471,7 +395,7 @@ class CayleyAnalysis(NamedTuple):
     family: object
     connection: ConnectionSet
     rows: list[SpectrumRow]
-    certificate: CayleyCertificate
+    certificate: TransferCertificate
     audit: list[FormulaCheck]
 
 
@@ -480,7 +404,7 @@ def analyze(tag: str, q: int, variant: str = STANDARD) -> CayleyAnalysis:
     family = make_family(tag, q)
     conn = build_connection_set(family, variant)
     rows = spectrum(family, conn)
-    cert = certify(conn, rows)
+    cert = certify(rows)
     audit = closed_form_audit(family, conn, rows)
     return CayleyAnalysis(family, conn, rows, cert, audit)
 

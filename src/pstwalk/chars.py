@@ -21,6 +21,7 @@ __all__ = [
     "CycSum",
     "MultChar",
     "NonIntegralError",
+    "InexactDivisionError",
     "char_sum",
     "integer_part",
     "cyclotomic_polynomial",
@@ -31,6 +32,10 @@ __all__ = [
 
 class NonIntegralError(ValueError):
     """Raised when a cyclotomic sum expected to be an integer is not."""
+
+
+class InexactDivisionError(ArithmeticError):
+    """Raised when a polynomial division expected to be exact leaves a remainder."""
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +56,14 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
-    assert all(c == 0 for c in num), "inexact polynomial division"
+    if any(num):
+        remainder = num[: len(den) - 1]
+        while remainder and remainder[-1] == 0:
+            remainder.pop()
+        raise InexactDivisionError(
+            f"division by a degree-{len(den) - 1} polynomial leaves the nonzero "
+            f"remainder {remainder}"
+        )
     return out
 
 
@@ -223,13 +235,16 @@ class CycSum:
 def integer_part(v: CycSum) -> int:
     """The integer a cyclotomic sum equals, established exactly.
 
-    A float evaluation prefilters (tolerance 1e-6), then the claim
-    v == c is checked by exact reduction modulo the cyclotomic
-    polynomial.  Raises :class:`NonIntegralError` otherwise.
+    A float evaluation prefilters, with a tolerance of 1e-6 plus 1e-12
+    times the coefficient L1 norm (the float drift grows with the size
+    of the coefficients), then the claim v == c is checked by exact
+    reduction modulo the cyclotomic polynomial.  Raises
+    :class:`NonIntegralError` otherwise.
     """
     z = v.evaluate()
     c = round(z.real)
-    if abs(z.real - c) > 1e-6 or abs(z.imag) > 1e-6:
+    tol = 1e-6 + 1e-12 * sum(abs(x) for x in v.c.values())
+    if abs(z.real - c) > tol or abs(z.imag) > tol:
         raise NonIntegralError(f"sum evaluates to {z}, not an integer")
     if not (v - c).is_zero():
         raise NonIntegralError("float value near an integer but reduction is nonzero")

@@ -10,6 +10,12 @@ Subcommands
              cosets of GL(2, q).
 ``export``   run a target's pipeline and write its artifacts to disk.
 
+Both graph families go through one pipeline: spectrum, certificate,
+cross-checks, report.  A small per-family target supplies the exact
+spectrum rows, the shared mod-4 certificate, the closed-form audit, the
+provenance, and either the explicit graph or the reason it is skipped;
+one cross-check routine and one report assembly serve both families.
+
 Artifacts (written when an output directory is given): ``report.json`` with
 a versioned schema and full provenance, ``spectrum.csv`` with one row per
 irreducible character, and ``graph.edges`` with one ``u v`` line per edge
@@ -31,7 +37,7 @@ import json
 import sys
 from importlib import metadata
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,10 +52,11 @@ from .cayley import (
     transfer_pairs,
 )
 from .ctqw import pst_scan
+from .scheme import TransferCertificate
 
 __all__ = ["main", "build_parser", "SCHEMA", "SIMULATION_BOUND", "ENUMERATION_BOUND"]
 
-SCHEMA = "pstwalk-report/1"
+SCHEMA = "pstwalk-report/2"
 SIMULATION_BOUND = 150
 ENUMERATION_BOUND = 10_000
 SPECTRUM_TOL = 1e-8
@@ -86,6 +93,18 @@ def _fmt(x: float) -> str:
     return "%.12e" % x
 
 
+def _bound(text: str) -> int:
+    """A non-negative integer, for ``--brute-force-bound``."""
+    error = argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
+    if value < 0:
+        raise error
+    return value
+
+
 def _bounds(args) -> tuple[int, int]:
     if args.brute_force_bound is not None:
         return args.brute_force_bound, args.brute_force_bound
@@ -106,11 +125,10 @@ def _field_provenance(field) -> dict:
     }
 
 
-def _certificate_json(cert) -> dict:
-    out = dataclasses.asdict(cert)
-    for key in ("time", "fidelity_deviation"):
-        if out.get(key) is not None:
-            out[key] = _fmt(out[key])
+def _certificate_json(cert, keys: dict) -> dict:
+    out = {**keys, **dataclasses.asdict(cert)}
+    if out["time"] is not None:
+        out["time"] = _fmt(out["time"])
     return out
 
 
@@ -280,26 +298,117 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# the Cayley pipeline
+# the pipeline: spectrum -> certificate -> cross-checks -> report
 
 
-def _cayley_cross_checks(
-    family, conn, rows, cert, sim_bound: int, enum_bound: int
+class _Graph(NamedTuple):
+    """An explicitly built graph and what the cross-checks need from it."""
+
+    adjacency: np.ndarray
+    degree: int
+    pairs: list[tuple[int, int]]  # the vertex pairs the walk must exchange
+    checks: dict[str, bool]  # structural checks only this family has
+
+
+class _Target(NamedTuple):
+    """What one graph family hands to the shared pipeline."""
+
+    label: dict  # the report's "target": kind, family, q and any variant
+    group: object  # the group family: field provenance and character degrees
+    construction: dict
+    certificate_keys: dict  # family-specific keys of the report's certificate
+    rows: list
+    certificate: TransferCertificate
+    audit: list
+    graph: Callable[[int], _Graph | str]  # enumeration bound -> graph, or why skipped
+
+
+def _cayley_target(args) -> _Target:
+    if args.q % 2 == 0:
+        raise ValueError("q must be an odd prime power")
+    family, conn, rows, cert, audit = analyze(args.family, args.q, args.variant)
+
+    def graph(bound: int) -> _Graph | str:
+        if family.order > bound:
+            return f"group order {family.order} exceeds the enumeration bound {bound}"
+        adjacency, sch = explicit_graph(family, conn, bound=bound)
+        return _Graph(adjacency, conn.degree, transfer_pairs(sch), {})
+
+    keys = {"family": conn.family, "q": conn.q, "variant": conn.variant}
+    return _Target(
+        label={"kind": "cayley", **keys},
+        group=family,
+        construction={
+            "group_order": family.order,
+            "degree": conn.degree,
+            "classes": [f"{lab.kind}({_params_text(lab.params)})" for lab in conn.labels],
+        },
+        certificate_keys=keys,
+        rows=rows,
+        certificate=cert,
+        audit=audit,
+        graph=graph,
+    )
+
+
+def _orbital_target(args) -> _Target:
+    space = orb.build_coset_space(args.q)
+    rows = orb.orbital_spectrum(args.q)
+    cert = orb.certify_orbital(rows)
+    audit = orb.linear_energy_display_audit(args.q, rows)
+    mode = "explicit" if space.explicit else "character-sum"
+
+    def graph(bound: int) -> _Graph | str:
+        if not space.explicit:
+            return f"q = {space.q} runs in character-sum-only mode"
+        if space.n_cosets > bound:
+            return f"coset count {space.n_cosets} exceeds the enumeration bound {bound}"
+        gamma = orb.build_gamma(space)
+        matching = bool(
+            (gamma.involution.sum(axis=1) == 1).all() and np.trace(gamma.involution) == 0
+        )
+        return _Graph(
+            gamma.adjacency,
+            gamma.degree,
+            gamma.transfer_pairs(),
+            {"involution_is_perfect_matching": matching},
+        )
+
+    return _Target(
+        label={"kind": "orbital", "family": "orbital", "q": space.q},
+        group=space.group,
+        construction={
+            "cosets": space.n_cosets,
+            "subgroup_order": space.hsize,
+            "degree": cert.degree,
+            "transversal": list(space.rep_set),
+            "z_scalar": space.zeta,
+            "mode": mode,
+        },
+        certificate_keys={"q": space.q, "mode": mode},
+        rows=rows,
+        certificate=cert,
+        audit=audit,
+        graph=graph,
+    )
+
+
+def _cross_checks(
+    target: _Target, sim_bound: int, enum_bound: int
 ) -> tuple[dict, list[str], np.ndarray | None, bool]:
     checks: dict = {}
     notes: list[str] = []
-    n = family.order
-    if n > enum_bound:
-        checks["explicit_graph"] = (
-            f"skipped: group order {n} exceeds the enumeration bound {enum_bound}"
-        )
+    graph = target.graph(enum_bound)
+    if isinstance(graph, str):
+        checks["explicit_graph"] = f"skipped: {graph}"
         return checks, notes, None, True
-    adjacency, sch = explicit_graph(family, conn, bound=enum_bound)
-    ok = True
+    adjacency, cert = graph.adjacency, target.certificate
+    n = adjacency.shape[0]
     checks["vertices"] = n
-    degree_ok = bool((adjacency.sum(axis=1) == conn.degree).all())
+    degree_ok = bool((adjacency.sum(axis=1) == graph.degree).all())
     checks["degree_row_sums_match"] = degree_ok
-    ok &= degree_ok
+    checks.update(graph.checks)
+    ok = degree_ok and all(graph.checks.values())
     components = component_count(adjacency)
     checks["components"] = components
     if cert.connected is not None:
@@ -315,14 +424,14 @@ def _cayley_cross_checks(
         )
         return checks, notes, adjacency, ok
     deviation = _spectrum_check(
-        adjacency, [r.theta for r in rows for _ in range(r.multiplicity)]
+        adjacency, [r.theta for r in target.rows for _ in range(r.multiplicity)]
     )
     checks["spectrum_deviation"] = _fmt(deviation)
     spectrum_ok = deviation <= SPECTRUM_TOL
     checks["spectrum_matches"] = bool(spectrum_ok)
     ok &= spectrum_ok
     if cert.ok:
-        scan = pst_scan(adjacency, transfer_pairs(sch))
+        scan = pst_scan(adjacency, graph.pairs)
         checks["walk_pairs"] = scan.pairs_checked
         checks["walk_min_fidelity"] = _fmt(scan.min_fidelity)
         checks["walk_ok"] = scan.ok
@@ -335,52 +444,41 @@ def _cayley_cross_checks(
     return checks, notes, adjacency, ok
 
 
-def cmd_verify(args) -> int:
-    if args.q % 2 == 0:
-        print("error: q must be an odd prime power", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_run(args) -> int:
+    """Run one target through the pipeline and report on it."""
+    build = _orbital_target if args.family == "orbital" else _cayley_target
     try:
-        family, conn, rows, cert, audit = analyze(args.family, args.q, args.variant)
+        target = build(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sim_bound, enum_bound = _bounds(args)
-    checks, notes, adjacency, cross_ok = _cayley_cross_checks(
-        family, conn, rows, cert, sim_bound, enum_bound
-    )
+    checks, notes, adjacency, cross_ok = _cross_checks(target, sim_bound, enum_bound)
+    cert = target.certificate
     csv_entries = [
         {
-            "family": conn.family,
-            "q": conn.q,
+            "family": target.label["family"],
+            "q": target.label["q"],
             "kind": r.irr.kind,
             "params": r.irr.params,
-            "degree": family.degree(r.irr),
+            "degree": target.group.degree(r.irr),
             "theta": r.theta,
             "multiplicity": r.multiplicity,
             "sign": r.sign,
         }
-        for r in rows
+        for r in target.rows
     ]
     report = {
         "schema": SCHEMA,
         "artifact": {"name": "pstwalk", "version": _version()},
-        "target": {
-            "kind": "cayley",
-            "family": conn.family,
-            "q": conn.q,
-            "variant": conn.variant,
-        },
-        "field": _field_provenance(family.field),
-        "construction": {
-            "group_order": family.order,
-            "degree": conn.degree,
-            "classes": [f"{lab.kind}({_params_text(lab.params)})" for lab in conn.labels],
-        },
+        "target": target.label,
+        "field": _field_provenance(target.group.field),
+        "construction": target.construction,
         "spectrum": csv_entries,
-        "certificate": _certificate_json(cert),
+        "certificate": _certificate_json(cert, target.certificate_keys),
         "cross_checks": checks,
         "notes": notes,
-        "notices": _notices(audit),
+        "notices": _notices(target.audit),
     }
     if not cert.ok:
         code = EXIT_CERTIFICATE
@@ -389,137 +487,12 @@ def cmd_verify(args) -> int:
     else:
         code = EXIT_OK
     return _finish(report, csv_entries, adjacency, args, code)
-
-
-# ---------------------------------------------------------------------------
-# the orbital pipeline
-
-
-def _orbital_cross_checks(
-    space, rows, cert, sim_bound: int, enum_bound: int
-) -> tuple[dict, list[str], np.ndarray | None, bool]:
-    checks: dict = {}
-    notes: list[str] = []
-    n = space.n_cosets
-    if not space.explicit or n > enum_bound:
-        why = (
-            f"coset count {n} exceeds the enumeration bound {enum_bound}"
-            if space.explicit
-            else f"q = {space.q} runs in character-sum-only mode"
-        )
-        checks["explicit_graph"] = f"skipped: {why}"
-        return checks, notes, None, True
-    graph = orb.build_gamma(space)
-    ok = True
-    checks["vertices"] = n
-    degree_ok = bool((graph.adjacency.sum(axis=1) == graph.degree).all())
-    checks["degree_row_sums_match"] = degree_ok
-    ok &= degree_ok
-    matching_ok = bool(
-        (graph.involution.sum(axis=1) == 1).all() and np.trace(graph.involution) == 0
-    )
-    checks["involution_is_perfect_matching"] = matching_ok
-    ok &= matching_ok
-    components = component_count(graph.adjacency)
-    checks["components"] = components
-    if cert.connected is not None:
-        agrees = (components == 1) == cert.connected
-        checks["connectivity_agrees"] = bool(agrees)
-        ok &= agrees
-    note = _complement_matching_note(graph.adjacency)
-    if note:
-        notes.append(note)
-    if n > sim_bound:
-        checks["simulation"] = (
-            f"skipped: {n} vertices exceed the simulation bound {sim_bound}"
-        )
-        return checks, notes, graph.adjacency, ok
-    deviation = _spectrum_check(
-        graph.adjacency, [r.theta for r in rows for _ in range(r.multiplicity)]
-    )
-    checks["spectrum_deviation"] = _fmt(deviation)
-    spectrum_ok = deviation <= SPECTRUM_TOL
-    checks["spectrum_matches"] = bool(spectrum_ok)
-    ok &= spectrum_ok
-    if cert.ok:
-        scan = pst_scan(graph.adjacency, graph.transfer_pairs())
-        checks["walk_pairs"] = scan.pairs_checked
-        checks["walk_min_fidelity"] = _fmt(scan.min_fidelity)
-        checks["walk_ok"] = scan.ok
-        if not scan.ok:
-            checks["walk_reason"] = scan.reason
-        ok &= scan.ok
-        if scan.ok and abs(scan.time - cert.time) > 1e-12:
-            checks["walk_time_agrees"] = False
-            ok = False
-    return checks, notes, graph.adjacency, ok
-
-
-def cmd_orbital(args) -> int:
-    try:
-        space = orb.build_coset_space(args.q)
-        rows = orb.orbital_spectrum(args.q)
-        cert = orb.certify_orbital(args.q)
-        audit = orb.linear_energy_display_audit(args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    sim_bound, enum_bound = _bounds(args)
-    checks, notes, adjacency, cross_ok = _orbital_cross_checks(
-        space, rows, cert, sim_bound, enum_bound
-    )
-    group = space.group
-    csv_entries = [
-        {
-            "family": "orbital",
-            "q": space.q,
-            "kind": r.irr.kind,
-            "params": r.irr.params,
-            "degree": group.degree(r.irr),
-            "theta": r.theta,
-            "multiplicity": r.multiplicity,
-            "sign": r.sign,
-        }
-        for r in rows
-    ]
-    report = {
-        "schema": SCHEMA,
-        "artifact": {"name": "pstwalk", "version": _version()},
-        "target": {"kind": "orbital", "family": "orbital", "q": space.q},
-        "field": _field_provenance(group.field),
-        "construction": {
-            "cosets": space.n_cosets,
-            "subgroup_order": space.hsize,
-            "degree": cert.degree,
-            "transversal": list(space.rep_set),
-            "z_scalar": space.zeta,
-            "mode": cert.mode,
-        },
-        "spectrum": csv_entries,
-        "certificate": _certificate_json(cert),
-        "cross_checks": checks,
-        "notes": notes,
-        "notices": _notices(audit),
-    }
-    if not cert.ok:
-        code = EXIT_CERTIFICATE
-    elif not cross_ok:
-        code = EXIT_CROSS_CHECK
-    else:
-        code = EXIT_OK
-    return _finish(report, csv_entries, adjacency, args, code)
-
-
-# ---------------------------------------------------------------------------
-# export
 
 
 def cmd_export(args) -> int:
     if args.out_dir is None:
         args.out_dir = Path(".")
-    if args.family == "orbital":
-        return cmd_orbital(args)
-    return cmd_verify(args)
+    return cmd_run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +503,7 @@ def _add_common(parser) -> None:
     parser.add_argument("--q", type=int, required=True, help="field size (odd prime power)")
     parser.add_argument(
         "--brute-force-bound",
-        type=int,
+        type=_bound,
         default=None,
         metavar="N",
         help=(
@@ -576,13 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="connection-set variant (the small-orders set exists for gl at q = 3)",
     )
     _add_common(verify)
-    verify.set_defaults(run=cmd_verify)
+    verify.set_defaults(run=cmd_run)
 
     orbital_p = sub.add_parser(
         "orbital", help="certify the double-coset graph on GL(2, q^2) cosets"
     )
     _add_common(orbital_p)
-    orbital_p.set_defaults(run=cmd_orbital)
+    orbital_p.set_defaults(run=cmd_run, family="orbital")
 
     export = sub.add_parser("export", help="run a target and write its artifacts")
     export.add_argument("--family", required=True, choices=FAMILY_TAGS + ("orbital",))

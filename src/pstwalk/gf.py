@@ -22,18 +22,14 @@ subgroup -- the data every construction downstream consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 __all__ = [
     "FiniteField",
-    "FieldElement",
     "FieldTower",
     "make_field",
     "make_tower",
-    "is_square",
-    "norm_fiber",
 ]
 
 
@@ -302,36 +298,13 @@ class FiniteField:
             return self.exp[(d * ((self.q) // 2)) % (self.q - 1)]
         return self.exp[d // 2]
 
-    # -- element views -----------------------------------------------------
+    # -- coefficient views -------------------------------------------------
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return _digits(a, self.p, self.k)
 
     def from_coeffs(self, c: list[int] | tuple[int, ...]) -> int:
         return _encode([x % self.p for x in c], self.p)
-
-    def element(self, i: int) -> "FieldElement":
-        if not 0 <= i < self.q:
-            raise ValueError(f"encoding {i} out of range for F_{self.q}")
-        return FieldElement(self, i)
-
-    def elements(self) -> list["FieldElement"]:
-        return [FieldElement(self, i) for i in range(self.q)]
-
-    def units(self) -> list["FieldElement"]:
-        return [FieldElement(self, i) for i in range(1, self.q)]
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        return FieldElement(self, self.generator)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FiniteField(p={self.p}, k={self.k})"
@@ -341,53 +314,6 @@ class FiniteField:
 
     def __hash__(self) -> int:
         return hash(("FiniteField", self.p, self.k))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element: owning field + canonical integer encoding."""
-
-    field: FiniteField
-    i: int
-
-    def _coerce(self, other: "FieldElement | int") -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
-            return other.i
-        return other % self.field.p if self.field.k == 1 else other
-
-    def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.add(self.i, self._coerce(other)))
-
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.sub(self.i, self._coerce(other)))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.i))
-
-    def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.i, self._coerce(other)))
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.div(self.i, self._coerce(other)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.i, e))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.i == 0
-
-    @property
-    def dlog(self) -> int:
-        return self.field.dlog(self.i)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.i))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"F{self.field.q}({self.i})"
 
 
 @lru_cache(maxsize=None)
@@ -503,18 +429,3 @@ class FieldTower:
 def make_tower(p: int, k: int) -> FieldTower:
     """The tower F_{p^k} < F_{p^(2k)} (cached)."""
     return FieldTower(p, k)
-
-
-# ---------------------------------------------------------------------------
-# module-level conveniences in element terms
-
-
-def is_square(x: FieldElement) -> bool:
-    """True iff x is a square in its field (0 counts as a square)."""
-    return x.field.is_square(x.i)
-
-
-def norm_fiber(tower: FieldTower, x: FieldElement | int) -> list[FieldElement]:
-    """The q+1 elements of F_{q^2} with norm x (x in the base field)."""
-    xi = x.i if isinstance(x, FieldElement) else x
-    return [FieldElement(tower.ext, z) for z in tower.norm_fiber(xi)]

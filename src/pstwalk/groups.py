@@ -76,7 +76,6 @@ __all__ = [
     "mat_mul",
     "mat_det",
     "mat_trace",
-    "mat_neg",
     "mat_inv",
 ]
 
@@ -139,10 +138,6 @@ def mat_det(F: FiniteField, m: Mat2) -> int:
 
 def mat_trace(F: FiniteField, m: Mat2) -> int:
     return F.add(m.a, m.d)
-
-
-def mat_neg(F: FiniteField, m: Mat2) -> Mat2:
-    return Mat2(F.neg(m.a), F.neg(m.b), F.neg(m.c), F.neg(m.d))
 
 
 def mat_inv(F: FiniteField, m: Mat2) -> Mat2:

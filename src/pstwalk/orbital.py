@@ -16,8 +16,9 @@ appearing in it contributes one eigenvalue ``theta = sign + energy``: the
 ``z`` relation is a fixed-point-free involution acting as ``sign = +-1`` on
 the chi-component, and the diagonal relations contribute an integer
 ``energy`` obtained from coset character sums.  Every energy is divisible
-by 4, which certifies perfect state transfer between ``rH`` and ``(z r)H``
-for every coset at time pi/2.
+by 4, so the mod-4 congruence of :func:`~pstwalk.scheme.transfer_certificate`
+certifies perfect state transfer between ``rH`` and ``(z r)H`` for every
+coset at time pi/2.
 
 Double cosets themselves are classified by a Frobenius invariant: ``HxH``
 is determined by the conjugacy class of ``x^(-1) F(x)`` where ``F`` raises
@@ -33,7 +34,6 @@ values by a normalization factor and is reported, never trusted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -42,15 +42,14 @@ import numpy as np
 
 from .cayley import FormulaCheck, make_family
 from .chars import CycSum, MultChar, NonIntegralError, char_sum, integer_part
-from .ctqw import pst_scan
 from .groups import ClassLabel, IrrLabel, Mat2
+from .scheme import TransferCertificate, transfer_certificate
 
 __all__ = [
     "EXPLICIT_LIMIT",
     "CosetSpace",
     "GammaGraph",
     "OrbitalRow",
-    "OrbitalCertificate",
     "build_coset_space",
     "double_coset_of",
     "build_gamma",
@@ -60,7 +59,6 @@ __all__ = [
     "p_theta_trace",
     "coset_char_sum",
     "orbital_spectrum",
-    "spectrum_trace",
     "certify_orbital",
     "linear_energy_display_audit",
 ]
@@ -192,28 +190,6 @@ def build_coset_space(q: int) -> CosetSpace:
         h_vertex=coset_index[group.identity()],
         z_vertex=coset_index[z],
         **base,
-    )
-
-
-@lru_cache(maxsize=None)
-def _light_space(q: int) -> CosetSpace:
-    """A character-sum-only view of the coset space (never enumerates G)."""
-    if q % 4 != 3:
-        raise ValueError(
-            f"the double-coset construction needs q = 3 (mod 4); got q = {q}"
-        )
-    group = make_family("gl", q * q)
-    field = group.field
-    n = q * q - 1
-    return CosetSpace(
-        q=q,
-        group=group,
-        frobenius_power=group.k // 2,
-        hsize=(q * q - 1) * (q * q - q),
-        zeta=field.exp[n // 4],
-        z=Mat2(field.exp[n // 4], 0, 0, field.exp[n // 4]),
-        rep_set=tuple(field.exp[i] for i in range(q + 1)),
-        explicit=False,
     )
 
 
@@ -510,7 +486,7 @@ def orbital_spectrum(q: int) -> list[OrbitalRow]:
     and each energy is checked to be divisible by 4 downstream by the
     certificate.
     """
-    space = _light_space(q)
+    space = build_coset_space(q)
     field = space.group.field
     denom = 2 * (q - 1) ** 2
     rows = []
@@ -541,11 +517,6 @@ def orbital_spectrum(q: int) -> list[OrbitalRow]:
     return rows
 
 
-def spectrum_trace(rows: Sequence[OrbitalRow]) -> int:
-    """Sum of eigenvalues with multiplicity; zero for a loopless graph."""
-    return sum(r.theta * r.multiplicity for r in rows)
-
-
 # -- closed-form cross-checks (kernel conditions collapse the double sum) ---
 
 
@@ -556,7 +527,7 @@ def _transversal_power_sum(space: CosetSpace, index: int) -> CycSum:
 
 def _induced_energy_closed(q: int, theta: tuple[int, int]) -> int:
     """Energy of I[theta] via the kernel-condition form of the double sum."""
-    space = _light_space(q)
+    space = build_coset_space(q)
     n = q * q - 1
     i, j = theta
     prefactor = 0
@@ -576,33 +547,34 @@ def _induced_energy_closed(q: int, theta: tuple[int, int]) -> int:
 
 def _linear_energy_closed(q: int, j: int) -> int:
     """Energy of the linear character lambda_j via the pair-sum identity."""
-    space = _light_space(q)
+    space = build_coset_space(q)
     t1 = _transversal_power_sum(space, j)
     t2 = _transversal_power_sum(space, 2 * j)
     return (q * (q + 1) // 2) * integer_part(t1 * t1 - t2)
 
 
-def linear_energy_display_audit(q: int) -> list[FormulaCheck]:
+def linear_energy_display_audit(q: int, rows: Sequence[OrbitalRow]) -> list[FormulaCheck]:
     """Compare the printed linear-energy closed form against exact values.
 
     The printed form replaces the transversal pair sum by a full-group
     pair sum without the compensating normalization, so it overshoots the
     true energies whenever the sums do not vanish (at q = 3: 336 vs 72 for
     the trivial character).  Retained as an audit oracle only; the
-    divisibility-by-4 conclusion holds either way.
+    divisibility-by-4 conclusion holds either way.  ``rows`` is the exact
+    spectrum from :func:`orbital_spectrum`.
     """
-    space = _light_space(q)
+    space = build_coset_space(q)
     n = q * q - 1
     root = space.group.root_order
     out = []
-    rows = {r.irr: r for r in orbital_spectrum(q)}
+    energies = {r.irr: r.energy for r in rows}
     for a in range(q + 1):
         j = (q - 1) * a
         lam = MultChar(n, j)
         full = char_sum(lam, range(n), root)
         squares = char_sum(lam, [2 * u for u in range(n // 2)], root)
         printed = (q * (q + 1) // 2) * integer_part(full * full - 2 * squares)
-        exact = rows[IrrLabel("gl", "linear", (j,))].energy
+        exact = energies[IrrLabel("gl", "linear", (j,))]
         out.append(
             FormulaCheck(
                 family="orbital",
@@ -716,127 +688,6 @@ def build_gamma(space: CosetSpace) -> GammaGraph:
 # the certificate
 
 
-@dataclass(frozen=True)
-class OrbitalCertificate:
-    """Outcome of the congruence test on a coset-graph spectrum."""
-
-    q: int
-    mode: str  # "explicit" or "character-sum"
-    degree: int
-    ok: bool
-    reason: str
-    integral: bool = True
-    residue: int | None = None
-    gap: int | None = None
-    time: float | None = None
-    connected: bool | None = None
-    transfer_rule: str = "rH <-> (z r)H for every coset rH"
-    fidelity_deviation: float | None = None
-
-
-def certify_orbital(q: int, *, include_involution: bool = True) -> OrbitalCertificate:
-    """Certify perfect state transfer on the coset graph at time pi/gap.
-
-    For q <= EXPLICIT_LIMIT the certificate is additionally validated by a
-    numeric walk on the explicit graph: the fidelity between the cosets H
-    and zH at the derived time must reach 1 to within 1e-9.  Larger q are
-    certified from character sums alone.  With ``include_involution``
-    False, the graph formed by the diagonal double cosets alone has no
-    order-2 relation to pair the cosets, and certification is refused.
-    """
-    rows = orbital_spectrum(q)
-    mode = "explicit" if q <= EXPLICIT_LIMIT else "character-sum"
-    if not include_involution:
-        return OrbitalCertificate(
-            q=q,
-            mode=mode,
-            degree=max(r.energy for r in rows),
-            ok=False,
-            reason=(
-                "the involution double coset was excluded: no qualifying "
-                "order-2 relation pairs the cosets, so the congruence test "
-                "does not apply"
-            ),
-        )
-    theta0 = max(r.theta for r in rows)
-    top_mult = sum(r.multiplicity for r in rows if r.theta == theta0)
-    connected = top_mult == 1
-    gap = math.gcd(*(theta0 - r.theta for r in rows))
-    if gap == 0:
-        return OrbitalCertificate(
-            q=q,
-            mode=mode,
-            degree=theta0,
-            ok=False,
-            reason="all eigenvalues are equal; there is no walk",
-            connected=connected,
-        )
-    time = math.pi / gap
-    residue = theta0 % 4
-    for r in rows:
-        want = residue if r.sign == 1 else (residue + 2) % 4
-        if r.theta % 4 != want:
-            side = "+1" if r.sign == 1 else "-1"
-            return OrbitalCertificate(
-                q=q,
-                mode=mode,
-                degree=theta0,
-                ok=False,
-                reason=(
-                    f"eigenvalue {r.theta} of {r.irr.kind}{r.irr.params} on the "
-                    f"{side} side is {r.theta % 4} mod 4, expected {want}"
-                ),
-                residue=residue,
-                gap=gap,
-                time=time,
-                connected=connected,
-            )
-    deviation = None
-    if mode == "explicit":
-        graph = build_gamma(build_coset_space(q))
-        report = pst_scan(graph.adjacency, [(graph.h_vertex, graph.z_vertex)])
-        deviation = 1.0 - report.min_fidelity
-        if not report.ok:
-            return OrbitalCertificate(
-                q=q,
-                mode=mode,
-                degree=theta0,
-                ok=False,
-                reason=f"numeric walk failed the certificate: {report.reason}",
-                residue=residue,
-                gap=gap,
-                time=time,
-                connected=connected,
-                fidelity_deviation=deviation,
-            )
-        if abs(report.time - time) > 1e-12:
-            return OrbitalCertificate(
-                q=q,
-                mode=mode,
-                degree=theta0,
-                ok=False,
-                reason=(
-                    f"numeric transfer time {report.time!r} disagrees with "
-                    f"pi/{gap}"
-                ),
-                residue=residue,
-                gap=gap,
-                time=time,
-                connected=connected,
-                fidelity_deviation=deviation,
-            )
-    return OrbitalCertificate(
-        q=q,
-        mode=mode,
-        degree=theta0,
-        ok=True,
-        reason=(
-            f"all eigenvalues are congruent to {residue} mod 4 on the +1 side "
-            f"and {(residue + 2) % 4} on the -1 side; transfer time pi/{gap}"
-        ),
-        residue=residue,
-        gap=gap,
-        time=time,
-        connected=connected,
-        fidelity_deviation=deviation,
-    )
+def certify_orbital(rows: Sequence[OrbitalRow]) -> TransferCertificate:
+    """Run the mod-4 transfer test for the pairing ``rH <-> (z r)H``."""
+    return transfer_certificate(rows, "rH <-> (z r)H for every coset rH")

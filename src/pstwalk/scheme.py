@@ -13,18 +13,21 @@ integer eigenvalues theta and the sign with which T acts on each
 eigenspace: with g the gcd of all differences from the top eigenvalue,
 transfer happens at time pi/g exactly when (theta0 - theta)/g is even
 on every +1 eigenspace and odd on every -1 eigenspace
-(:func:`pst_test`).  A second phrasing of the same criterion in terms
-of 2-adic valuations is kept as :func:`pst_test_valuation_variant`; it
-disagrees with the parity form (already on the single edge K2, where
-the +1 side contains theta0 itself and v2(0) is infinite), and reports
-downstream surface that discrepancy rather than silently reconciling
-it.  The parity form is the one validated against direct simulation.
+(:func:`pst_test`, the reference criterion validated against direct
+simulation).
+
+Both graph families are certified by :func:`transfer_certificate`, the
+mod-4 form of that criterion: every eigenvalue is congruent to theta0
+mod 4 on the +1 side and to theta0 + 2 on the -1 side.  On spectra with
+a nonempty -1 side it accepts exactly what :func:`pst_test` accepts
+with g = 2 (mod 4); it rejects the odd-gap transfers the parity form
+also certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf, pi
+from math import gcd, pi
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,10 +39,12 @@ __all__ = [
     "EigenRow",
     "PSTCertificate",
     "pst_test",
-    "pst_test_valuation_variant",
+    "TransferCertificate",
+    "transfer_certificate",
+    "render_irr",
+    "spectrum_trace",
     "scheme_axiom_witness",
     "class_sum_eigenvalue",
-    "class_sum_rows",
     "ConjugacyScheme",
 ]
 
@@ -124,48 +129,77 @@ def pst_test(rows: Iterable) -> PSTCertificate:
     return PSTCertificate(True, "", g=g, time=pi / g, residue=residue)
 
 
-def _v2(n: int) -> float:
-    if n == 0:
-        return inf
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+def render_irr(irr: IrrLabel | None) -> str:
+    """``kind(p1, p2, ...)`` for a character label."""
+    if irr is None:
+        return "unlabeled character"
+    return f"{irr.kind}({', '.join(map(str, irr.params))})"
 
 
-def pst_test_valuation_variant(rows: Iterable) -> PSTCertificate:
-    """2-adic-valuation phrasing of the transfer criterion.
+def spectrum_trace(rows: Sequence) -> int:
+    """Sum of eigenvalues weighted by multiplicity (zero for a loopless graph)."""
+    return sum(r.theta * r.multiplicity for r in rows)
 
-    Requires v2(theta0 - theta) = v2(g) on the +1 side and
-    v2(theta0 - theta) > v2(g) on the -1 side.  Because the +1 side
-    always contains theta0 itself (difference 0, valuation infinite),
-    this phrasing rejects graphs the parity form certifies -- K2 is the
-    smallest example.  It is retained verbatim so that reports can
-    surface the disagreement; :func:`pst_test` is the criterion checked
-    against simulation.
+
+@dataclass(frozen=True)
+class TransferCertificate:
+    """Spectral certificate for perfect state transfer between paired vertices.
+
+    ``ok`` records whether every eigenvalue is congruent mod 4 to
+    ``residue`` on the +1 side of the pairing involution and to
+    ``residue + 2`` on the -1 side; when it holds, the walk moves every
+    vertex to its partner under ``transfer_rule`` at ``time = pi/gap``.
+    ``degree`` is the top eigenvalue, which is the valency of a regular
+    graph, and ``connected`` reports whether that eigenvalue is simple.
     """
-    rows = _clean_rows(rows)
-    gap = _common_gap(rows)
-    if isinstance(gap, PSTCertificate):
-        return gap
-    theta0, g = gap
-    vg = _v2(g)
+
+    degree: int
+    ok: bool
+    reason: str
+    transfer_rule: str
+    integral: bool = True
+    residue: int | None = None
+    gap: int | None = None
+    time: float | None = None
+    connected: bool | None = None
+
+
+def transfer_certificate(rows: Sequence, transfer_rule: str) -> TransferCertificate:
+    """Run the mod-4 transfer test on an exact spectrum.
+
+    ``rows`` carry ``irr``, ``theta``, ``sign`` (the involution's sign on
+    the eigenspace) and ``multiplicity``, one row per eigenspace part.
+    """
+    theta0 = max(r.theta for r in rows)
+    top_mult = sum(r.multiplicity for r in rows if r.theta == theta0)
+    base = dict(degree=theta0, transfer_rule=transfer_rule, connected=top_mult == 1)
+    gap = gcd(*(theta0 - r.theta for r in rows))
+    if gap == 0:
+        return TransferCertificate(
+            ok=False, reason="all eigenvalues are equal; there is no walk", **base
+        )
+    a = theta0 % 4
+    base.update(residue=a, gap=gap, time=pi / gap)
     for r in rows:
-        vd = _v2(theta0 - r.theta)
-        if r.sign == 1 and vd != vg:
-            return PSTCertificate(
-                False,
-                f"eigenvalue {r.theta} on the +1 side has v2 {vd} != v2(g) = {vg}",
-                g=g,
+        want = a if r.sign == 1 else (a + 2) % 4
+        if r.theta % 4 != want:
+            side = "+1" if r.sign == 1 else "-1"
+            return TransferCertificate(
+                ok=False,
+                reason=(
+                    f"eigenvalue {r.theta} of {render_irr(r.irr)} on the {side} side "
+                    f"is {r.theta % 4} mod 4, expected {want}"
+                ),
+                **base,
             )
-        if r.sign == -1 and not vd > vg:
-            return PSTCertificate(
-                False,
-                f"eigenvalue {r.theta} on the -1 side has v2 {vd} <= v2(g) = {vg}",
-                g=g,
-            )
-    return PSTCertificate(True, "", g=g, time=pi / g, residue=theta0 % 4 if g % 4 == 2 else None)
+    return TransferCertificate(
+        ok=True,
+        reason=(
+            f"all eigenvalues are congruent to {a} mod 4 on the +1 side and "
+            f"{(a + 2) % 4} on the -1 side; transfer time pi/{gap}"
+        ),
+        **base,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,30 +278,14 @@ def class_sum_eigenvalue(family, irr: IrrLabel, labels: Sequence[ClassLabel]) ->
     return total // d
 
 
-def class_sum_rows(family, labels: Sequence[ClassLabel]) -> list[EigenRow]:
-    """One (theta, sign, multiplicity) row per irreducible character.
-
-    The sign is the character's value on the distinguished central
-    involution divided by its degree; the multiplicity is the squared
-    degree, i.e. the rank of the corresponding eigenprojector.
-    """
-    return [
-        EigenRow(
-            class_sum_eigenvalue(family, irr, labels),
-            family.involution_sign(irr),
-            family.degree(irr) ** 2,
-        )
-        for irr in family.irreducibles()
-    ]
-
-
 class ConjugacyScheme:
     """The conjugacy-class scheme of a matrix-group family.
 
     Vertices are the group elements in enumeration order; the relation
-    of class C holds from g to h when h g^{-1} is in C.  Eigenvalues of
-    class-union graphs are exact character sums; idempotents are
-    returned numerically for operator-level checks.
+    of class C, ``adjacency([C])``, holds from g to h when h g^{-1} is in
+    C.  Eigenvalues of class-union graphs are exact character sums
+    (:func:`class_sum_eigenvalue`); idempotents are returned numerically
+    for operator-level checks.
     """
 
     def __init__(self, family):
@@ -287,17 +305,9 @@ class ConjugacyScheme:
             }
         return self._label_of[element]
 
-    def relation_matrix(self, label: ClassLabel) -> np.ndarray:
-        fam = self.family
-        out = np.zeros((self.n, self.n), dtype=np.int64)
-        members = fam.class_elements(label)
-        for gi, g in enumerate(self.elements):
-            for x in members:
-                out[gi, self.index[fam.mul(x, g)]] = 1
-        return out
-
     def relation_matrices(self) -> list[np.ndarray]:
-        return [self.relation_matrix(c) for c in self.family.classes()]
+        """One relation per conjugacy class, in class order."""
+        return [self.adjacency([c]) for c in self.family.classes()]
 
     def adjacency(self, labels: Sequence[ClassLabel]) -> np.ndarray:
         """Adjacency matrix of the Cayley graph on the class union."""
@@ -322,15 +332,3 @@ class ConjugacyScheme:
             for hi, h in enumerate(self.elements):
                 out[gi, hi] = scale * values[self.label_of(fam.mul(h, ginv))]
         return out
-
-    def eigenvalue(self, irr: IrrLabel, labels: Sequence[ClassLabel]) -> int:
-        """Exact integer eigenvalue of the class-union graph on chi's idempotent.
-
-        Raises :class:`~pstwalk.chars.NonIntegralError` if the character
-        sum is not a rational integer.
-        """
-        return class_sum_eigenvalue(self.family, irr, labels)
-
-    def eigen_rows(self, labels: Sequence[ClassLabel]) -> list[EigenRow]:
-        """One (theta, sign, multiplicity) row per irreducible character."""
-        return class_sum_rows(self.family, labels)

@@ -9,6 +9,7 @@ from pstwalk.chars import (
     MultChar,
     NonIntegralError,
     char_sum,
+    _exact_div,
     cyclotomic_polynomial,
     integer_part,
     quadratic_gauss_sum,
@@ -93,6 +94,24 @@ def test_integer_part_rejects_non_integers():
     # zeta_8 + zeta_8^7 = sqrt(2): near no integer but must still fail
     with pytest.raises(NonIntegralError):
         integer_part(CycSum(8, {1: 1, 7: 1}))
+
+
+def test_integer_part_tolerance_scales_with_coefficients():
+    # the zeta_12^k with 3 not dividing k sum to exactly 0; at coefficients
+    # of 10**10 the float evaluation drifts by about 6e-6
+    huge = {k: 10**10 for k in (1, 2, 4, 5, 7, 8, 10, 11)}
+    assert abs(CycSum(12, huge).evaluate()) > 1e-6
+    assert integer_part(CycSum(12, huge)) == 0
+    # one more zeta_12 + zeta_12^11 = sqrt(3) on top is still refused
+    with pytest.raises(NonIntegralError):
+        integer_part(CycSum(12, {**huge, 1: 10**10 + 1, 11: 10**10 + 1}))
+
+
+def test_exact_div_refuses_a_remainder():
+    assert _exact_div([-1, 0, 1], (-1, 1)) == [1, 1]
+    # x^2 + 1 = (x + 1)(x - 1) + 2: a plain exception, so it survives python -O
+    with pytest.raises(ArithmeticError, match=r"degree-1 .* remainder \[2\]"):
+        _exact_div([1, 0, 1], (-1, 1))
 
 
 @st.composite

@@ -54,6 +54,18 @@ def test_verify_gl5_skips_simulation_but_builds_graph(capsys):
     assert "cross-check degree_row_sums_match: True" in out
 
 
+def test_bound_must_be_non_negative(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "gl", "--q", "3", "--brute-force-bound", "-1"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert "--brute-force-bound: expected a non-negative integer, got '-1'" in captured.err
+    # zero stays legal: it skips every explicit check
+    assert main(["verify", "--family", "gl", "--q", "3", "--brute-force-bound", "0"]) == EXIT_OK
+    assert "cross-check explicit_graph: skipped: group order 48" in capsys.readouterr().out
+
+
 def test_verify_bound_flag_disables_enumeration(capsys):
     assert main(["verify", "--family", "gl", "--q", "3", "--brute-force-bound", "10"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -186,7 +198,7 @@ def test_export_orbital_q7_skips_edges(tmp_path):
     assert not (tmp_path / "graph.edges").exists()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["certificate"]["mode"] == "character-sum"
-    assert report["certificate"]["fidelity_deviation"] is None
+    assert "fidelity_deviation" not in report["certificate"]
     assert len(report["spectrum"]) == 64
 
 

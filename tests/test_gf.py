@@ -164,23 +164,6 @@ def test_norm_in_one_or_nonsquare_set(q, expected):
     assert len(direct) == expected == (q + 1) ** 2 // 2 - 2
 
 
-def test_element_wrapper_operations():
-    f = gf.make_field(5, 1)
-    a, b = f.element(2), f.element(4)
-    assert (a + b).i == 1
-    assert (a * b).i == 3
-    assert (a - b).i == 3
-    assert (-a).i == 3
-    assert (a / b).i == f.div(2, 4)
-    assert (a**-1).i == f.inv(2)
-    assert gf.is_square(f.element(4)) and not gf.is_square(f.element(2))
-    t = gf.make_tower(5, 1)
-    fib = gf.norm_fiber(t, f.element(2))
-    assert len(fib) == 6 and all(z.field == t.ext for z in fib)
-    with pytest.raises(ValueError):
-        f.element(2) + gf.make_field(3, 1).element(1)
-
-
 def test_field_cache_identity():
     assert gf.make_field(3, 2) is gf.make_field(3, 2)
     assert gf.make_tower(3, 1) is gf.make_tower(3, 1)

@@ -15,7 +15,9 @@ To rewrite the goldens after an intended change of the artifacts:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -48,7 +50,6 @@ TARGETS = [
 _VOLATILE = (
     ("cross_checks", "spectrum_deviation"),
     ("cross_checks", "walk_min_fidelity"),
-    ("certificate", "fidelity_deviation"),
 )
 
 
@@ -95,7 +96,7 @@ def record() -> None:
         target.mkdir(parents=True, exist_ok=True)
         for stale in target.iterdir():
             stale.unlink()
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
             files = export(args, Path(tmp))
         for key, text in files.items():
             (target / key).write_text(text)

@@ -32,8 +32,8 @@ from pstwalk.orbital import (
     m_theta,
     orbital_spectrum,
     p_theta_trace,
-    spectrum_trace,
 )
+from pstwalk.scheme import spectrum_trace
 
 # ---------------------------------------------------------------------------
 # frozen expectations
@@ -527,7 +527,7 @@ def test_trivial_energy_is_diagonal_part_degree():
 
 
 def test_linear_energy_display_audit_frozen_q3():
-    audit = linear_energy_display_audit(3)
+    audit = linear_energy_display_audit(3, rows_for(3))
     assert {fc.row: (fc.hand_value, fc.exact_value) for fc in audit} == Q3_DISPLAY_AUDIT
     assert all(fc.agrees == (fc.hand_value == fc.exact_value) for fc in audit)
     assert [fc.agrees for fc in audit] == [False, True, False, True]
@@ -540,7 +540,7 @@ def test_linear_energy_display_audit_frozen_q3():
 
 
 def test_linear_energy_display_disagrees_at_q7_too():
-    audit = {fc.row: fc for fc in linear_energy_display_audit(7)}
+    audit = {fc.row: fc for fc in linear_energy_display_audit(7, rows_for(7))}
     trivial = audit["linear(0)"]
     assert not trivial.agrees
     assert trivial.exact_value == 1568
@@ -610,38 +610,25 @@ def test_diagonal_part_row_sum_is_trivial_energy():
 
 
 def test_certificate_q3():
-    cert = certify_orbital(3)
+    cert = certify_orbital(rows_for(3))
     assert cert.ok
-    assert cert.mode == "explicit"
-    assert cert.q == 3
     assert cert.degree == Q3_DEGREE
     assert cert.residue == 1
     assert cert.gap == 2
     assert cert.connected is True
     assert math.isclose(cert.time, math.pi / 2)
     assert "pi/2" in cert.reason
-    assert cert.fidelity_deviation is not None
-    assert cert.fidelity_deviation <= 1e-9
     assert cert.transfer_rule == "rH <-> (z r)H for every coset rH"
 
 
 def test_certificate_q7_character_sum_mode():
-    cert = certify_orbital(7)
+    assert not build_coset_space(7).explicit
+    cert = certify_orbital(rows_for(7))
     assert cert.ok
-    assert cert.mode == "character-sum"
     assert cert.degree == Q7_DEGREE
     assert cert.residue == 1
     assert cert.gap == 2
     assert cert.connected is True
-    assert cert.fidelity_deviation is None
-
-
-def test_certificate_without_involution_refuses():
-    cert = certify_orbital(3, include_involution=False)
-    assert not cert.ok
-    assert "order-2 relation" in cert.reason
-    assert cert.degree == 72
-    assert cert.residue is None
 
 
 def test_walk_reaches_every_matched_pair():

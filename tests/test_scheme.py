@@ -7,18 +7,21 @@ from math import pi
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pstwalk import cayley
+from pstwalk.cayley import STANDARD, ConnectionSet, SpectrumRow
 from pstwalk.chars import CycSum, NonIntegralError
 from pstwalk.groups import GLGroup
 from pstwalk.scheme import (
     ConjugacyScheme,
     EigenRow,
     PSTCertificate,
+    class_sum_eigenvalue,
     pst_test,
-    pst_test_valuation_variant,
     scheme_axiom_witness,
+    transfer_certificate,
 )
 
 K2_ROWS = [(1, 1, 1), (-1, -1, 1)]
@@ -94,23 +97,9 @@ def test_pst_test_accepts_two_tuples():
     assert pst_test([(1, 1), (-1, -1)]).ok
 
 
-def test_valuation_variant_rejects_k2_and_c4():
-    # The +1 side always contains theta0 itself, whose difference 0 has
-    # infinite 2-adic valuation, so the valuation phrasing rejects graphs
-    # the parity form (and direct simulation) certify.
-    for rows in (K2_ROWS, C4_ROWS):
-        assert pst_test(rows).ok
-        variant = pst_test_valuation_variant(rows)
-        assert not variant.ok
-        assert "+1 side" in variant.reason
-
-
-def test_valuation_variant_disagrees_in_both_directions():
-    # ... and conversely accepts a row set whose top eigenvalue sits on the
-    # -1 side, which the parity form rightly rejects.
-    rows = [(2, -1, 1), (0, 1, 1)]
-    assert not pst_test(rows).ok
-    assert pst_test_valuation_variant(rows).ok
+def test_pst_test_rejects_top_eigenvalue_on_minus_side():
+    # theta0 on the -1 side has (theta0 - theta0)/g = 0, which is not odd
+    assert not pst_test([(2, -1, 1), (0, 1, 1)]).ok
 
 
 @settings(max_examples=80)
@@ -132,6 +121,43 @@ def test_pst_test_parity_property(theta0, gval, plus, minus):
     theta, sign, mult = flipped[1]
     flipped[1] = (theta, -sign, mult)
     assert not pst_test(flipped).ok
+
+
+@settings(max_examples=200)
+@given(
+    theta0=st.integers(-30, 30),
+    gval=st.sampled_from([1, 2, 3, 4, 6]),
+    parts=st.lists(
+        st.tuples(st.integers(0, 8), st.integers(1, 9), st.integers(0, 3)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_transfer_certificate_against_parity_test(theta0, gval, parts):
+    """The shared mod-4 certificate against the reference parity test.
+
+    Rows sit at theta0 - k * gval with the sign the parity test wants for
+    k, flipped on about a quarter of them.  Every row set keeps a -1 side,
+    as the spectrum of a fixed-point-free involution does.  A certificate
+    that holds implies the parity test with the same gap and time; the two
+    agree exactly when the gap is 2 mod 4, and the certificate rejects
+    every other gap, including the odd-gap transfers the parity test
+    accepts.
+    """
+    rows = [SpectrumRow(None, theta0, 1, 1)]
+    for k, mult, flip in parts:
+        sign = (1 if k % 2 == 0 else -1) * (-1 if flip == 0 else 1)
+        rows.append(SpectrumRow(None, theta0 - k * gval, sign, mult))
+    assume(any(r.sign == -1 for r in rows))
+    cert = transfer_certificate(rows, "test pairing")
+    ref = pst_test([(r.theta, r.sign, r.multiplicity) for r in rows])
+    if cert.ok:
+        assert ref.ok
+        assert (ref.g, ref.time, ref.residue) == (cert.gap, cert.time, cert.residue)
+    if cert.gap is not None and cert.gap % 4 == 2:
+        assert cert.ok == ref.ok
+    else:
+        assert not cert.ok
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +268,7 @@ def test_gl23_relations_satisfy_axioms():
 def test_gl23_relation_regularity():
     fam, sch = gl3(), gl3_scheme()
     for lab in fam.classes():
-        a = sch.relation_matrix(lab)
+        a = sch.adjacency([lab])
         size = fam.class_size(lab)
         assert (a.sum(axis=0) == size).all()
         assert (a.sum(axis=1) == size).all()
@@ -250,7 +276,7 @@ def test_gl23_relation_regularity():
 
 def test_gl23_involution_relation_is_perfect_matching():
     fam, sch = gl3(), gl3_scheme()
-    t = sch.relation_matrix(fam.central_involution_class())
+    t = sch.adjacency([fam.central_involution_class()])
     assert np.array_equal(t, t.T)
     assert np.array_equal(t @ t, np.eye(fam.order, dtype=np.int64))
     assert t.trace() == 0
@@ -308,10 +334,12 @@ def test_gl23_idempotents_diagonalize_every_relation():
 
 def test_gl23_eigen_rows_frozen():
     """The degree-46 graph: spectrum {46^1, 0^24, -2^23} and its signs."""
-    fam, sch = gl3(), gl3_scheme()
+    fam = gl3()
     labels = connection_labels(fam)
     assert sum(fam.class_size(l) for l in labels) == 46
-    rows = dict(zip(fam.irreducibles(), sch.eigen_rows(labels)))
+    conn = ConnectionSet("gl", 3, STANDARD, tuple(labels), 46)
+    rows = {r.irr: r for r in cayley.spectrum(fam, conn)}
+    assert all(r.theta == class_sum_eigenvalue(fam, irr, labels) for irr, r in rows.items())
     by_name = {
         (irr.kind, irr.params): (r.theta, r.sign, r.multiplicity)
         for irr, r in rows.items()
@@ -330,16 +358,15 @@ def test_gl23_eigen_rows_frozen():
     for r in rows.values():
         spectrum[r.theta] += r.multiplicity
     assert spectrum == {46: 1, 0: 24, -2: 23}
-    cert = pst_test(rows.values())
+    cert = pst_test([(r.theta, r.sign, r.multiplicity) for r in rows.values()])
     assert cert.ok and cert.g == 2 and cert.residue == 2
     assert cert.time == pytest.approx(pi / 2)
-    assert not pst_test_valuation_variant(rows.values()).ok
 
 
 def test_gl23_graph_is_complement_of_perfect_matching():
     fam, sch = gl3(), gl3_scheme()
     adj = sch.adjacency(connection_labels(fam))
-    t = sch.relation_matrix(fam.central_involution_class())
+    t = sch.adjacency([fam.central_involution_class()])
     n = fam.order
     assert np.array_equal(adj, np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64) - t)
 
@@ -347,7 +374,7 @@ def test_gl23_graph_is_complement_of_perfect_matching():
 def test_gl23_adjacency_matches_relation_sum():
     fam, sch = gl3(), gl3_scheme()
     labels = connection_labels(fam)
-    total = sum(sch.relation_matrix(l) for l in labels)
+    total = sum(sch.adjacency([l]) for l in labels)
     assert np.array_equal(sch.adjacency(labels), total)
 
 
@@ -360,7 +387,7 @@ def test_gl23_label_of_covers_group():
 def test_eigenvalue_rejects_irrational_sum():
     # a single nonsplit class is not closed under inversion, and the
     # matching cuspidal character sums to a non-rational cyclotomic
-    fam, sch = gl3(), gl3_scheme()
+    fam = gl3()
     gamma = fam.tower.ext.exp[1]
     lab = next(
         l for l in fam.classes() if l.kind == "nonsplit" and l.params[0] == gamma
@@ -369,7 +396,7 @@ def test_eigenvalue_rejects_irrational_sum():
         i for i in fam.irreducibles() if i.kind == "cuspidal" and i.params == (1,)
     )
     with pytest.raises(NonIntegralError):
-        sch.eigenvalue(irr, [lab])
+        class_sum_eigenvalue(fam, irr, [lab])
 
 
 def test_eigen_row_defaults():
