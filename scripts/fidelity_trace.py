@@ -3,7 +3,7 @@
 
 Builds one explicit graph, picks a certified transfer pair (a vertex and
 its antipode on a Cayley graph; the subgroup coset and its z-translate
-on the double-coset graph), and prints ``|exp(iAt)[a, b]|`` sampled on
+on the double-coset graph), and prints ``|exp(-iAt)[a, b]|`` sampled on
 ``[0, 2 tau]`` as an ASCII curve.  The peak at the certified time
 ``tau = pi/gap`` is the perfect-state-transfer event; the mirror peak at
 ``3 tau`` would follow by periodicity.
@@ -23,6 +23,7 @@ import numpy as np
 
 from pstwalk import analyze, build_coset_space, build_gamma, certify_orbital, orbital_spectrum
 from pstwalk.cayley import FAMILY_TAGS, STANDARD, explicit_graph, transfer_pairs
+from pstwalk.ctqw import WalkSystem
 from pstwalk.orbital import EXPLICIT_LIMIT
 
 WIDTH = 60
@@ -57,15 +58,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--variant", default=STANDARD)
     parser.add_argument("--samples", type=int, default=40, help="number of time samples (default 40)")
     args = parser.parse_args(argv)
+    if args.samples < 1:
+        parser.error(f"argument --samples: expected a positive integer, got {args.samples}")
 
     try:
-        adjacency, (a, b), tau, label = build_target(args)
+        adjacency, pair, tau, label = build_target(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    values, vectors = np.linalg.eigh(np.asarray(adjacency, dtype=float))
-    weights = vectors[a] * vectors[b]  # row a dot row b, per eigenvector
+    walk = WalkSystem.from_adjacency(adjacency)
 
     print(label)
     print(f"certified transfer time tau = pi/{round(math.pi / tau)} = {tau:.6f}\n")
@@ -73,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     peak_row = None
     for k in range(args.samples + 1):
         t = 2 * tau * k / args.samples
-        fidelity = abs(np.sum(weights * np.exp(1j * values * t)))
+        fidelity = walk.fidelities(t, [pair])[0]
         bar = "#" * round(fidelity * WIDTH)
         marker = "   <-- tau" if math.isclose(t, tau) else ""
         row = f"  {t / tau:>6.3f}  {fidelity:>10.6f}  {bar}{marker}"

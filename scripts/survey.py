@@ -86,6 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         help="simulate the walk when the graph has at most this many vertices (default 150; 0 disables)",
     )
     args = parser.parse_args(argv)
+    if args.simulate_bound < 0:
+        parser.error(f"argument --simulate-bound: expected a non-negative integer, got {args.simulate_bound}")
 
     print(HEADER)
     print("-" * len(HEADER))

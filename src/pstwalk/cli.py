@@ -51,7 +51,7 @@ from .cayley import (
     explicit_graph,
     transfer_pairs,
 )
-from .ctqw import pst_scan
+from .ctqw import WalkSystem, pst_scan
 from .scheme import TransferCertificate
 
 __all__ = ["main", "build_parser", "SCHEMA", "SIMULATION_BOUND", "ENUMERATION_BOUND"]
@@ -145,20 +145,6 @@ def _notices(audit) -> list[str]:
     ]
 
 
-def _complement_matching_note(adjacency: np.ndarray) -> str | None:
-    """Detect the complement-of-a-perfect-matching shape (degree n - 2)."""
-    n = adjacency.shape[0]
-    complement = np.ones_like(adjacency) - np.eye(n, dtype=adjacency.dtype) - adjacency
-    if (complement.sum(axis=1) == 1).all() and np.trace(complement) == 0:
-        return f"the graph is the complement of {n // 2} disjoint edges"
-    return None
-
-
-def _spectrum_check(adjacency: np.ndarray, thetas: list[int]) -> float:
-    numeric = np.linalg.eigvalsh(adjacency.astype(float))
-    return float(np.abs(numeric - np.array(sorted(thetas), dtype=float)).max())
-
-
 # ---------------------------------------------------------------------------
 # report assembly and artifact writing
 
@@ -203,14 +189,14 @@ def _edges_text(adjacency: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_formats(text: str) -> set[str] | None:
+def _formats(text: str) -> set[str] | None:
     """A comma-separated subset of json,csv,edges; 'all' means applicable ones."""
     parts = {p.strip() for p in text.split(",") if p.strip()}
     if not parts or parts == {"all"}:
         return None
     unknown = parts - set(_FORMATS)
     if unknown:
-        raise ValueError(
+        raise argparse.ArgumentTypeError(
             f"unknown format(s) {', '.join(sorted(unknown))}; expected a "
             f"comma-separated subset of {', '.join(_FORMATS)} or 'all'"
         )
@@ -288,8 +274,7 @@ def _finish(
     written = []
     if args.out_dir is not None:
         try:
-            formats = _parse_formats(args.format)
-            written = _write_outputs(args.out_dir, formats, report, csv_entries, adjacency)
+            written = _write_outputs(args.out_dir, args.format, report, csv_entries, adjacency)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -405,7 +390,8 @@ def _cross_checks(
     adjacency, cert = graph.adjacency, target.certificate
     n = adjacency.shape[0]
     checks["vertices"] = n
-    degree_ok = bool((adjacency.sum(axis=1) == graph.degree).all())
+    row_sums = adjacency.sum(axis=1)
+    degree_ok = bool((row_sums == graph.degree).all())
     checks["degree_row_sums_match"] = degree_ok
     checks.update(graph.checks)
     ok = degree_ok and all(graph.checks.values())
@@ -415,23 +401,23 @@ def _cross_checks(
         agrees = (components == 1) == cert.connected
         checks["connectivity_agrees"] = bool(agrees)
         ok &= agrees
-    note = _complement_matching_note(adjacency)
-    if note:
-        notes.append(note)
+    # the complement of a perfect matching: every row sums to n - 2, no loops
+    if (row_sums == n - 2).all() and np.trace(adjacency) == 0:
+        notes.append(f"the graph is the complement of {n // 2} disjoint edges")
     if n > sim_bound:
         checks["simulation"] = (
             f"skipped: {n} vertices exceed the simulation bound {sim_bound}"
         )
         return checks, notes, adjacency, ok
-    deviation = _spectrum_check(
-        adjacency, [r.theta for r in target.rows for _ in range(r.multiplicity)]
-    )
+    walk = WalkSystem.from_adjacency(adjacency)
+    thetas = sorted(r.theta for r in target.rows for _ in range(r.multiplicity))
+    deviation = float(np.abs(walk.eigenvalues - thetas).max())
     checks["spectrum_deviation"] = _fmt(deviation)
     spectrum_ok = deviation <= SPECTRUM_TOL
     checks["spectrum_matches"] = bool(spectrum_ok)
     ok &= spectrum_ok
     if cert.ok:
-        scan = pst_scan(adjacency, graph.pairs)
+        scan = pst_scan(walk, graph.pairs)
         checks["walk_pairs"] = scan.pairs_checked
         checks["walk_min_fidelity"] = _fmt(scan.min_fidelity)
         checks["walk_ok"] = scan.ok
@@ -521,6 +507,7 @@ def _add_common(parser) -> None:
     )
     parser.add_argument(
         "--format",
+        type=_formats,
         default="all",
         metavar="LIST",
         help="comma-separated subset of json,csv,edges (default: all that apply)",

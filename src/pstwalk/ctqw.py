@@ -3,12 +3,13 @@
 The walk on a graph with adjacency matrix A evolves by the unitary
 U(t) = exp(-i t A); perfect state transfer from vertex x to vertex y at
 time t means |U(t)[y, x]| = 1.  This module provides the dense-numpy
-machinery used to cross-check the exact eigenvalue certificates: full
-eigendecomposition, transfer fidelities, extraction of integer
-eigenvalues with the signs of an order-2 automorphism on each
-eigenspace, and a scan that derives the transfer time pi/g from an
-integer spectrum and verifies the transfer (including at the odd
-multiple 3 pi/g, and that it is *incomplete* at the half time).
+machinery used to cross-check the exact eigenvalue certificates: one
+eigendecomposition per graph, transfer fidelities read at the chosen
+vertex pairs only, extraction of integer eigenvalues with the signs of
+an order-2 automorphism on each eigenspace, and a scan that derives the
+transfer time pi/g from an integer spectrum and verifies the transfer
+(including at the odd multiple 3 pi/g, and that it is *incomplete* at
+the half time).
 
 Everything here is floating point and deliberately independent of the
 character-sum route, so agreement between the two is evidence rather
@@ -36,6 +37,12 @@ __all__ = [
 ]
 
 
+# symmetry, eigendecomposition drift and integrality tolerance
+TOL = 1e-8
+# how far short of 1 the half-time fidelity must fall
+MID_SLACK = 1e-3
+
+
 class NonIntegralSpectrumError(ValueError):
     """The numeric spectrum is not integral, so no time can be derived."""
 
@@ -49,33 +56,31 @@ class WalkSystem:
     eigenvectors: np.ndarray
 
     @classmethod
-    def from_adjacency(cls, adjacency, tol: float = 1e-8) -> "WalkSystem":
+    def from_adjacency(cls, adjacency) -> "WalkSystem":
         a = np.asarray(adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if np.abs(a - a.T).max() > tol:
+        if np.abs(a - a.T).max() > TOL:
             raise ValueError("adjacency must be symmetric")
         w, v = np.linalg.eigh(a)
         drift = np.abs((v * w) @ v.T - a).max()
-        if drift > tol:
-            raise ValueError(f"eigendecomposition drift {drift:.3e} exceeds {tol:.0e}")
+        if drift > TOL:
+            raise ValueError(f"eigendecomposition drift {drift:.3e} exceeds {TOL:.0e}")
         return cls(a, w, v)
 
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-    def unitary(self, t: float) -> np.ndarray:
-        """exp(-i t A) via the spectral decomposition."""
-        phases = np.exp(-1j * t * self.eigenvalues)
-        return (self.eigenvectors * phases) @ self.eigenvectors.T
-
-    def fidelity(self, t: float, source: int, target: int) -> float:
-        return abs(self.unitary(t)[target, source])
+    def __len__(self) -> int:
+        return len(self.eigenvalues)
 
     def fidelities(self, t: float, pairs: Sequence[tuple[int, int]]) -> list[float]:
-        u = self.unitary(t)
-        return [abs(u[y, x]) for x, y in pairs]
+        """|exp(-i t A)[y, x]| for each pair (x, y), read off the eigenvector rows.
+
+        The entry is sum_k v[y, k] v[x, k] exp(-i t lambda_k); its cosine and
+        sine parts are two real products, so no n x n unitary is formed.
+        """
+        xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+        weights = self.eigenvectors[ys] * self.eigenvectors[xs]
+        phases = t * self.eigenvalues
+        return np.hypot(weights @ np.cos(phases), weights @ np.sin(phases)).tolist()
 
 
 def _as_walk(adjacency) -> WalkSystem:
@@ -84,11 +89,11 @@ def _as_walk(adjacency) -> WalkSystem:
     return WalkSystem.from_adjacency(adjacency)
 
 
-def integer_eigenvalues(walk: WalkSystem, tol: float = 1e-8) -> np.ndarray:
-    """Rounded spectrum, or :class:`NonIntegralSpectrumError` if off by > tol."""
+def integer_eigenvalues(walk: WalkSystem) -> np.ndarray:
+    """Rounded spectrum, or :class:`NonIntegralSpectrumError` if off by > TOL."""
     rounded = np.rint(walk.eigenvalues)
     drift = np.abs(walk.eigenvalues - rounded).max()
-    if drift > tol:
+    if drift > TOL:
         raise NonIntegralSpectrumError(
             f"spectrum is not integral (largest deviation {drift:.3e}); "
             f"pass an explicit transfer time instead"
@@ -96,9 +101,9 @@ def integer_eigenvalues(walk: WalkSystem, tol: float = 1e-8) -> np.ndarray:
     return rounded.astype(int)
 
 
-def derive_transfer_time(walk: WalkSystem, tol: float = 1e-8) -> tuple[int, float]:
+def derive_transfer_time(walk: WalkSystem) -> tuple[int, float]:
     """(g, pi/g) for g the gcd of differences from the top eigenvalue."""
-    ints = integer_eigenvalues(walk, tol)
+    ints = integer_eigenvalues(walk)
     theta0 = int(ints.max())
     g = 0
     for theta in ints:
@@ -109,7 +114,7 @@ def derive_transfer_time(walk: WalkSystem, tol: float = 1e-8) -> tuple[int, floa
 
 
 def _check_involution(walk: WalkSystem, perm: np.ndarray) -> None:
-    n = walk.n
+    n = len(walk)
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("permutation must be a bijection on the vertices")
     if not np.array_equal(perm[perm], np.arange(n)):
@@ -119,9 +124,7 @@ def _check_involution(walk: WalkSystem, perm: np.ndarray) -> None:
         raise ValueError("permutation is not an automorphism of the graph")
 
 
-def integer_rows_with_signs(
-    adjacency, permutation: Sequence[int], tol: float = 1e-8
-) -> list[EigenRow]:
+def integer_rows_with_signs(adjacency, permutation: Sequence[int]) -> list[EigenRow]:
     """Numeric eigenvalue rows (theta, sign, multiplicity) for an involution.
 
     The permutation must be an order-2 automorphism T; on each
@@ -132,7 +135,7 @@ def integer_rows_with_signs(
     walk = _as_walk(adjacency)
     perm = np.asarray(permutation, dtype=int)
     _check_involution(walk, perm)
-    ints = integer_eigenvalues(walk, tol)
+    ints = integer_eigenvalues(walk)
     rows: list[EigenRow] = []
     for theta in sorted(set(ints.tolist()), reverse=True):
         cols = walk.eigenvectors[:, ints == theta]
@@ -170,14 +173,13 @@ def pst_scan(
     pairs: Sequence[tuple[int, int]],
     time: float | None = None,
     fidelity_tol: float = 1e-9,
-    mid_slack: float = 1e-3,
 ) -> TransferReport:
     """Simulate the walk and check perfect state transfer on ``pairs``.
 
     With ``time`` omitted the spectrum must be integral and the time is
     derived as pi/g; the transfer is then also required at the odd
     multiple 3 pi/g.  In both modes the fidelity at the *half* time must
-    fall short of 1 by at least ``mid_slack``, so that a trivial
+    fall short of 1 by at least ``MID_SLACK``, so that a trivial
     always-returning walk cannot pass.
     """
     if not pairs:
@@ -191,11 +193,11 @@ def pst_scan(
         times = (tau,)
     min_fid = float(min(f for t in times for f in walk.fidelities(t, pairs)))
     mid_fid = float(max(walk.fidelities(tau / 2, pairs)))
-    ok = bool(min_fid >= 1 - fidelity_tol and mid_fid < 1 - mid_slack)
+    ok = bool(min_fid >= 1 - fidelity_tol and mid_fid < 1 - MID_SLACK)
     reason = ""
     if min_fid < 1 - fidelity_tol:
         reason = f"fidelity {min_fid:.12f} below 1 - {fidelity_tol:.0e}"
-    elif mid_fid >= 1 - mid_slack:
+    elif mid_fid >= 1 - MID_SLACK:
         reason = f"half-time fidelity {mid_fid:.6f} already complete"
     return TransferReport(
         ok=ok,

@@ -267,9 +267,6 @@ class FiniteField:
             raise ValueError("dlog of 0")
         return self.log[a]
 
-    def from_dlog(self, d: int) -> int:
-        return self.exp[d % (self.q - 1)]
-
     def order(self, a: int) -> int:
         if a == 0:
             raise ValueError("order of 0")
@@ -302,9 +299,6 @@ class FiniteField:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return _digits(a, self.p, self.k)
-
-    def from_coeffs(self, c: list[int] | tuple[int, ...]) -> int:
-        return _encode([x % self.p for x in c], self.p)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FiniteField(p={self.p}, k={self.k})"

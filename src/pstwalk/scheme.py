@@ -18,10 +18,10 @@ simulation).
 
 Both graph families are certified by :func:`transfer_certificate`, the
 mod-4 form of that criterion: every eigenvalue is congruent to theta0
-mod 4 on the +1 side and to theta0 + 2 on the -1 side.  On spectra with
-a nonempty -1 side it accepts exactly what :func:`pst_test` accepts
-with g = 2 (mod 4); it rejects the odd-gap transfers the parity form
-also certifies.
+mod 4 on the +1 side and to theta0 + 2 on the -1 side, and the -1 side
+is not empty.  It accepts exactly what :func:`pst_test` accepts with
+g = 2 (mod 4); it rejects the odd-gap transfers the parity form also
+certifies.
 """
 
 from __future__ import annotations
@@ -147,8 +147,9 @@ class TransferCertificate:
 
     ``ok`` records whether every eigenvalue is congruent mod 4 to
     ``residue`` on the +1 side of the pairing involution and to
-    ``residue + 2`` on the -1 side; when it holds, the walk moves every
-    vertex to its partner under ``transfer_rule`` at ``time = pi/gap``.
+    ``residue + 2`` on the -1 side, which must not be empty; when it
+    holds, the walk moves every vertex to its partner under
+    ``transfer_rule`` at ``time = pi/gap``.
     ``degree`` is the top eigenvalue, which is the valency of a regular
     graph, and ``connected`` reports whether that eigenvalue is simple.
     """
@@ -180,6 +181,12 @@ def transfer_certificate(rows: Sequence, transfer_rule: str) -> TransferCertific
         )
     a = theta0 % 4
     base.update(residue=a, gap=gap, time=pi / gap)
+    if all(r.sign == 1 for r in rows):
+        return TransferCertificate(
+            ok=False,
+            reason="the pairing involution has no -1 eigenspace, so it fixes every vertex",
+            **base,
+        )
     for r in rows:
         want = a if r.sign == 1 else (a + 2) % 4
         if r.theta % 4 != want:

@@ -109,8 +109,30 @@ def test_unknown_format_is_usage_error(tmp_path, capsys):
         "verify", "--family", "gl", "--q", "3",
         "--out-dir", str(tmp_path), "--format", "edges,bogus",
     ]
-    assert main(argv) == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
     assert "unknown format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "gl", "--q", "3", "--format", "bogus"],
+        ["export", "--family", "gl", "--q", "23", "--format", "bogus"],
+    ],
+)
+def test_unknown_format_is_refused_before_any_work(argv, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("analyze ran before --format was checked")
+
+    monkeypatch.setattr(cli, "analyze", never)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--format: unknown format(s) bogus" in captured.err
+    assert captured.out == ""
 
 
 def test_edges_format_needs_explicit_graph(tmp_path, capsys):
@@ -242,10 +264,23 @@ def test_certificate_failure_exits_2(monkeypatch, capsys):
 
 
 def test_spectrum_mismatch_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_spectrum_check", lambda *a: 1.0)
+    real = cli.analyze
+
+    def doctored(tag, q, variant):
+        # one eigenvalue below the top moves by 4: the certificate, computed
+        # from the true rows, stays valid, but the numeric spectrum disagrees
+        analysis = real(tag, q, variant)
+        rows = list(analysis.rows)
+        rows[1] = rows[1]._replace(theta=rows[1].theta - 4)
+        return analysis._replace(rows=rows)
+
+    monkeypatch.setattr(cli, "analyze", doctored)
     assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
     out = capsys.readouterr().out
+    assert "certificate: valid" in out
+    assert "cross-check spectrum_deviation: 4.000000000000e+00" in out
     assert "cross-check spectrum_matches: False" in out
+    assert "cross-check walk_ok: True" in out
     assert "verdict: cross-check mismatch" in out
 
 

@@ -1,5 +1,6 @@
 """Numeric walk machinery on graphs with known closed-form behaviour."""
 
+import tracemalloc
 from math import cos, isclose, pi, sin, sqrt
 
 import numpy as np
@@ -44,30 +45,54 @@ def test_walk_system_validates_input():
 @given(st.floats(0, 12, allow_nan=False))
 def test_k2_matches_closed_form(t):
     walk = WalkSystem.from_adjacency(K2)
-    assert isclose(walk.fidelity(t, 0, 1), abs(sin(t)), abs_tol=1e-10)
-    assert isclose(walk.fidelity(t, 0, 0), abs(cos(t)), abs_tol=1e-10)
+    across, stay = walk.fidelities(t, [(0, 1), (0, 0)])
+    assert isclose(across, abs(sin(t)), abs_tol=1e-10)
+    assert isclose(stay, abs(cos(t)), abs_tol=1e-10)
 
 
 @settings(max_examples=40)
 @given(st.floats(0, 12, allow_nan=False))
 def test_c4_antipodal_matches_closed_form(t):
     walk = WalkSystem.from_adjacency(cycle(4))
-    assert isclose(walk.fidelity(t, 0, 2), sin(t) ** 2, abs_tol=1e-10)
+    assert isclose(walk.fidelities(t, [(0, 2)])[0], sin(t) ** 2, abs_tol=1e-10)
 
 
-@settings(max_examples=20)
-@given(st.floats(0, 8, allow_nan=False), st.floats(0, 8, allow_nan=False))
-def test_unitarity_and_group_law(t, s):
-    walk = WalkSystem.from_adjacency(P3)
-    u, v = walk.unitary(t), walk.unitary(s)
-    assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-10
-    assert np.abs(u @ v - walk.unitary(t + s)).max() < 1e-10
+def dense_unitary(a, t):
+    """exp(-i t A) by scaling and squaring a Taylor series, with no eigensolver."""
+    m = -1j * t * a
+    squarings = int(np.log2(np.abs(m).sum(axis=1).max() + 1)) + 1
+    m = m / 2**squarings
+    u = term = np.eye(len(a), dtype=complex)
+    for k in range(1, 30):
+        term = term @ m / k
+        u = u + term
+    for _ in range(squarings):
+        u = u @ u
+    return u
 
 
-def test_fidelities_match_fidelity():
-    walk = WalkSystem.from_adjacency(cycle(4))
-    pairs = [(0, 2), (1, 3), (0, 1)]
-    assert walk.fidelities(0.7, pairs) == [walk.fidelity(0.7, x, y) for x, y in pairs]
+def graphs(n):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def build(bits):
+        a = np.zeros((n, n))
+        for (i, j), bit in zip(edges, bits):
+            a[i, j] = a[j, i] = bit
+        return a
+
+    return st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)).map(build)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6).flatmap(graphs), st.floats(0, 8, allow_nan=False))
+def test_fidelities_match_dense_unitary(a, t):
+    n = len(a)
+    walk = WalkSystem.from_adjacency(a)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    fids = np.array(walk.fidelities(t, pairs)).reshape(n, n)
+    assert np.abs(fids - np.abs(dense_unitary(a, t)).T).max() < 1e-10
+    # every column of the unitary has unit norm: sum_y |U[y, x]|^2 = 1
+    assert np.abs((fids**2).sum(axis=1) - 1).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +215,34 @@ def test_scan_requires_pairs():
 def test_scan_accepts_walk_system():
     walk = WalkSystem.from_adjacency(K2)
     assert pst_scan(walk, [(0, 1)]).ok
+
+
+def hypercube(d):
+    n = 1 << d
+    a = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        for b in range(d):
+            a[x, x ^ (1 << b)] = 1
+    return a, [(x, x ^ (n - 1)) for x in range(n) if x < x ^ (n - 1)]
+
+
+def test_scan_memory_stays_below_five_dense_arrays():
+    """The 9-cube (n = 512): antipodal transfer at pi/2, read at the pairs only.
+
+    A full complex exp(-itA) alone is two n x n float arrays; the scan must
+    peak below five, counting its float copy of A and the eigenvectors.
+    """
+    a, pairs = hypercube(9)
+    n = len(a)
+    tracemalloc.start()
+    try:
+        report = pst_scan(a, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.time == pytest.approx(pi / 2)
+    assert report.pairs_checked == n // 2
+    assert peak < 5 * n * n * 8
 
 
 def test_report_is_frozen():

@@ -7,7 +7,7 @@ from math import pi
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pstwalk import cayley
@@ -137,18 +137,16 @@ def test_transfer_certificate_against_parity_test(theta0, gval, parts):
     """The shared mod-4 certificate against the reference parity test.
 
     Rows sit at theta0 - k * gval with the sign the parity test wants for
-    k, flipped on about a quarter of them.  Every row set keeps a -1 side,
-    as the spectrum of a fixed-point-free involution does.  A certificate
-    that holds implies the parity test with the same gap and time; the two
-    agree exactly when the gap is 2 mod 4, and the certificate rejects
-    every other gap, including the odd-gap transfers the parity test
-    accepts.
+    k, flipped on about a quarter of them, so some row sets have no -1
+    side.  A certificate that holds implies the parity test with the same
+    gap and time; the two agree exactly when the gap is 2 mod 4, and the
+    certificate rejects every other gap, including the odd-gap transfers
+    the parity test accepts.
     """
     rows = [SpectrumRow(None, theta0, 1, 1)]
     for k, mult, flip in parts:
         sign = (1 if k % 2 == 0 else -1) * (-1 if flip == 0 else 1)
         rows.append(SpectrumRow(None, theta0 - k * gval, sign, mult))
-    assume(any(r.sign == -1 for r in rows))
     cert = transfer_certificate(rows, "test pairing")
     ref = pst_test([(r.theta, r.sign, r.multiplicity) for r in rows])
     if cert.ok:
@@ -158,6 +156,15 @@ def test_transfer_certificate_against_parity_test(theta0, gval, parts):
         assert cert.ok == ref.ok
     else:
         assert not cert.ok
+
+
+def test_transfer_certificate_refuses_rows_without_a_minus_side():
+    # gap 4 and every row on the +1 side: the congruences alone would pass
+    rows = [SpectrumRow(None, 4, 1, 1), SpectrumRow(None, 0, 1, 1)]
+    cert = cayley.certify(rows)
+    assert not cert.ok
+    assert "no -1 eigenspace" in cert.reason
+    assert not pst_test([(r.theta, r.sign, r.multiplicity) for r in rows]).ok
 
 
 # ---------------------------------------------------------------------------

@@ -29,3 +29,18 @@ def load(name: str):
 def test_script_runs(name, argv, capsys):
     assert load(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name,argv,message",
+    [
+        ("fidelity_trace", ["--samples", "0"], "--samples: expected a positive integer"),
+        ("survey", ["--simulate-bound", "-1"], "--simulate-bound: expected a non-negative integer"),
+    ],
+    ids=["fidelity_trace", "survey"],
+)
+def test_script_refuses_bad_arguments(name, argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
