@@ -75,12 +75,15 @@ class WalkSystem:
         """|exp(-i t A)[y, x]| for each pair (x, y), read off the eigenvector rows.
 
         The entry is sum_k v[y, k] v[x, k] exp(-i t lambda_k); its cosine and
-        sine parts are two real products, so no n x n unitary is formed.
+        sine parts are two real sums, so no n x n unitary is formed. Each row is
+        summed on its own, so a pair reads the same value in any batch.
         """
         xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
         weights = self.eigenvectors[ys] * self.eigenvectors[xs]
         phases = t * self.eigenvalues
-        return np.hypot(weights @ np.cos(phases), weights @ np.sin(phases)).tolist()
+        re = (weights * np.cos(phases)).sum(axis=1)
+        im = (weights * np.sin(phases)).sum(axis=1)
+        return np.hypot(re, im).tolist()
 
 
 def _as_walk(adjacency) -> WalkSystem:

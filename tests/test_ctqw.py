@@ -57,6 +57,28 @@ def test_c4_antipodal_matches_closed_form(t):
     assert isclose(walk.fidelities(t, [(0, 2)])[0], sin(t) ** 2, abs_tol=1e-10)
 
 
+def eigen_unitary(walk, t):
+    """exp(-i t A) rebuilt from the eigendecomposition the walk stores."""
+    return (walk.eigenvectors * np.exp(-1j * t * walk.eigenvalues)) @ walk.eigenvectors.T
+
+
+@settings(max_examples=20)
+@given(st.floats(0, 8, allow_nan=False), st.floats(0, 8, allow_nan=False))
+def test_unitarity_and_group_law(t, s):
+    walk = WalkSystem.from_adjacency(P3)
+    u, v = eigen_unitary(walk, t), eigen_unitary(walk, s)
+    assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-10
+    assert np.abs(u @ v - eigen_unitary(walk, t + s)).max() < 1e-10
+    pairs = [(x, y) for x in range(3) for y in range(3)]
+    assert np.allclose(walk.fidelities(t, pairs), [abs(u[y, x]) for x, y in pairs], atol=1e-10)
+
+
+def test_fidelities_match_fidelity():
+    walk = WalkSystem.from_adjacency(cycle(4))
+    pairs = [(0, 2), (1, 3), (0, 1)]
+    assert walk.fidelities(0.7, pairs) == [walk.fidelities(0.7, [p])[0] for p in pairs]
+
+
 def dense_unitary(a, t):
     """exp(-i t A) by scaling and squaring a Taylor series, with no eigensolver."""
     m = -1j * t * a
