@@ -1,10 +1,12 @@
 """Multiplicative characters and exact sums of roots of unity.
 
 Spectra downstream are integer linear combinations of n-th roots of
-unity, and the certificates need them *exactly* -- floating point only
-serves as a fast prefilter.  :class:`CycSum` is a sparse element of
-Z[zeta_n] (exponent -> integer coefficient); recognizing integers is an
-exact polynomial reduction modulo the n-th cyclotomic polynomial.
+unity, and the certificates need them *exactly*.  :class:`CycSum` is a
+sparse element of Z[zeta_n] (exponent -> integer coefficient);
+:meth:`CycSum.reduced` rewrites it in a fixed basis, one prime of n at a
+time, so zero and integer sums are recognized exactly, with no floating
+point and no cyclotomic polynomial.  :func:`cyclotomic_polynomial` stays
+as the dense reference the tests compare that reduction against.
 
 :class:`MultChar` is a character of a cyclic group of order n presented
 through a fixed generator: callers hand it discrete logs, it hands back
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, gcd, lcm, pi, sin
+from math import cos, lcm, pi, sin
+
+from .gf import _prime_factors
 
 __all__ = [
     "CycSum",
@@ -191,29 +195,38 @@ class CycSum:
         im = sum(v * sin(2 * pi * e / n) for e, v in self.c.items())
         return complex(re, im)
 
-    def _dense(self) -> list[int]:
-        out = [0] * self.n
-        for e, v in self.c.items():
-            out[e] = v
-        return out
+    def reduced(self) -> dict[int, int]:
+        """Canonical sparse coefficients in a fixed basis of Z[zeta_n].
 
-    def reduced(self) -> tuple[int, ...]:
-        """Canonical coefficients modulo the n-th cyclotomic polynomial."""
-        phi = cyclotomic_polynomial(self.n)
-        deg = len(phi) - 1
-        a = self._dense()
-        for i in range(len(a) - 1, deg - 1, -1):
-            c = a[i]
-            if c:
-                a[i] = 0
-                for j in range(deg):
-                    a[i - deg + j] -= c * phi[j]
-        return tuple(a[:deg])
+        For each prime power p^a exactly dividing n, the digit of an
+        exponent e is (e mod p^a) // p^(a-1).  The p roots zeta^(e + k n/p)
+        sum to zero, run through every digit and keep every other residue,
+        so the term whose digit is p-1 is rewritten as minus the other p-1;
+        n/p is a multiple of every other prime power, so one pass per prime
+        leaves no digit p-1 behind.  The surviving exponents number phi(n)
+        and span Z[zeta_n], so they form a basis (in the spirit of the
+        Zumbroich basis, Breuer 1997) that contains zeta^0 = 1.
+        """
+        n = self.n
+        c = dict(self.c)
+        for p in _prime_factors(n):
+            pa = p
+            while n % (pa * p) == 0:
+                pa *= p
+            last, step = pa - pa // p, n // p
+            for e in [e for e in c if e % pa >= last]:
+                v = c.pop(e)
+                for k in range(1, p):
+                    f = (e + k * step) % n
+                    nv = c.get(f, 0) - v
+                    if nv:
+                        c[f] = nv
+                    else:
+                        del c[f]
+        return c
 
     def is_zero(self) -> bool:
-        if not self.c:
-            return True
-        return all(c == 0 for c in self.reduced())
+        return not self.reduced()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -233,22 +246,23 @@ class CycSum:
 
 
 def integer_part(v: CycSum) -> int:
-    """The integer a cyclotomic sum equals, established exactly.
+    """The integer a cyclotomic sum equals, read from its reduced form.
 
-    A float evaluation prefilters, with a tolerance of 1e-6 plus 1e-12
-    times the coefficient L1 norm (the float drift grows with the size
-    of the coefficients), then the claim v == c is checked by exact
-    reduction modulo the cyclotomic polynomial.  Raises
-    :class:`NonIntegralError` otherwise.
+    v is the integer c exactly when :meth:`CycSum.reduced` is empty
+    (c = 0) or ``{0: c}``.  Otherwise raises :class:`NonIntegralError`
+    naming the root order and up to three surviving basis terms.
     """
-    z = v.evaluate()
-    c = round(z.real)
-    tol = 1e-6 + 1e-12 * sum(abs(x) for x in v.c.values())
-    if abs(z.real - c) > tol or abs(z.imag) > tol:
-        raise NonIntegralError(f"sum evaluates to {z}, not an integer")
-    if not (v - c).is_zero():
-        raise NonIntegralError("float value near an integer but reduction is nonzero")
-    return c
+    r = v.reduced()
+    if not r:
+        return 0
+    if len(r) == 1 and 0 in r:
+        return r[0]
+    terms = " ".join(f"{c:+d}*z^{e}" for e, c in sorted(r.items())[:3])
+    more = f" and {len(r) - 3} more" if len(r) > 3 else ""
+    raise NonIntegralError(
+        f"sum over Z[zeta_{v.n}] is not an integer: its reduced form keeps "
+        f"{terms}{more}, value about {v.evaluate():.6g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +288,6 @@ class MultChar:
         if root_order % self.n:
             raise ValueError("root order must be a multiple of the character order group")
         return CycSum.monomial(root_order, self.j * a * (root_order // self.n))
-
-    @property
-    def order(self) -> int:
-        return self.n // gcd(self.n, self.j)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.j == 0
-
-    def inverse(self) -> "MultChar":
-        return MultChar(self.n, -self.j)
-
-    def is_trivial_on_power_subgroup(self, d: int) -> bool:
-        """True iff the character kills the subgroup generated by g^d."""
-        return (self.j * d) % self.n == 0
 
 
 def char_sum(chi: MultChar, exponents, root_order: int | None = None) -> CycSum:

@@ -399,19 +399,6 @@ class FieldTower:
         m = L // (self.q + 1)
         return [self.ext.exp[(m + (self.q - 1) * j) % n] for j in range(self.q + 1)]
 
-    def inverse_relative_norm_fiber(self, e: int) -> list[int]:
-        """All z in F_{q^2}^x with z^(1-q) = e (e an element of E)."""
-        if e not in self.E_log:
-            raise ValueError("target must lie in the norm-one subgroup")
-        n = self.ext.q - 1
-        i = self.E_log[e]
-        # dlog d solves d(1-q) = (q-1)i  (mod q^2-1)  <=>  d = -i (mod q+1)
-        return [self.ext.exp[((-i) % (self.q + 1) + (self.q + 1) * j) % n] for j in range(self.q - 1)]
-
-    def E_squares(self) -> list[int]:
-        """The index-2 subgroup of E (squares in E)."""
-        return [self.E[i] for i in range(0, self.q + 1, 2)]
-
     def E_nonsquares(self) -> list[int]:
         return [self.E[i] for i in range(1, self.q + 1, 2)]
 

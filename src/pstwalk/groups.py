@@ -232,7 +232,8 @@ class _Family:
         return mat_scalar(self.field, self.field.neg(1))
 
     def central_involution_class(self) -> ClassLabel:
-        return self.classify(self.central_involution())
+        """The class of -I, labelled directly (scalars are their own class)."""
+        return ClassLabel(self.family, "central", (self.field.neg(1),))
 
     def involution_sign(self, irr: IrrLabel) -> int:
         """chi(-I)/chi(1), always +1 or -1."""

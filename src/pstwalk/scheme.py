@@ -3,9 +3,10 @@
 A conjugacy-class scheme places one relation on a finite group per
 conjugacy class: vertices g, h are C-related when h g^{-1} lies in C.
 The relations commute, the primitive idempotents are indexed by the
-irreducible characters, and a union of classes yields a normal Cayley
-graph whose eigenvalue on the idempotent of chi is the exact character
-sum ``sum |C| chi(rep(C)^{-1}) / chi(1)``.
+irreducible characters, and an inverse-closed union of classes yields
+a normal Cayley graph whose eigenvalue on the idempotent of chi is the
+exact character sum ``sum |C| chi(C) / chi(1)``, with chi read at each
+class label.
 
 Perfect state transfer in such a graph, relative to a relation T that
 is a fixed-point-free permutation of order 2, is governed purely by the
@@ -265,17 +266,18 @@ def class_sum_eigenvalue(family, irr: IrrLabel, labels: Sequence[ClassLabel]) ->
 
     The graph whose connection set is a union of conjugacy classes has the
     primitive idempotent of each irreducible character as an eigenprojector;
-    the eigenvalue is ``sum_C |C| chi(rep(C)^{-1}) / chi(1)``.  Everything is
-    accumulated in exact cyclotomic arithmetic, so no group enumeration and
-    no floating point is involved.
+    the eigenvalue is ``sum_C |C| chi(C^{-1}) / chi(1)``, the complex
+    conjugate of ``sum_C |C| chi(C) / chi(1)``.  An integer is its own
+    conjugate, so the sum is taken with chi read at each label itself, for
+    any label set: no group element is built, and everything is accumulated
+    in exact cyclotomic arithmetic.
 
     Raises :class:`~pstwalk.chars.NonIntegralError` if the character sum is
     not a rational integer or is not divisible by the character degree.
     """
     acc = CycSum.zero(family.root_order)
     for lab in labels:
-        rep_inv = family.inv(family.class_rep(lab))
-        acc = acc + family.char_value(irr, family.classify(rep_inv)) * family.class_size(lab)
+        acc = acc + family.char_value(irr, lab) * family.class_size(lab)
     total = integer_part(acc)
     d = family.degree(irr)
     if total % d:

@@ -13,6 +13,8 @@ from itertools import product
 
 import numpy as np
 
+from pstwalk.chars import cyclotomic_polynomial
+
 
 # ---------------------------------------------------------------------------
 # naive polynomial-basis field (same encoding convention, independent ops)
@@ -218,3 +220,29 @@ def integer_spectrum(adj: np.ndarray) -> Counter:
         assert abs(v - r) < 1e-8, f"non-integral eigenvalue {v}"
         out[r] += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense cyclotomic reduction
+
+
+def dense_cyclotomic_reduction(n: int, coeffs: dict[int, int]) -> tuple[int, ...]:
+    """Coefficients of sum_e coeffs[e] x^e modulo the n-th cyclotomic polynomial.
+
+    Dense long division, O(n * phi(n)), in the power basis: the reference
+    for the sparse ``CycSum.reduced``.  Phi_n comes from the library's
+    ``cyclotomic_polynomial``, which test_chars pins by known values and
+    by the product over the divisors of n.
+    """
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    a = [0] * n
+    for e, v in coeffs.items():
+        a[e % n] += v
+    for i in range(n - 1, deg - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            for j in range(deg):
+                a[i - deg + j] -= c * phi[j]
+    return tuple(a[:deg])

@@ -339,8 +339,25 @@ def test_spectrum_diagnostic_names_the_character():
     fam = make_family("gl", 3)
     lone = next(lab for lab in fam.classes() if lab.kind == "nonsplit")
     bogus = ConnectionSet("gl", 3, STANDARD, (lone,), fam.class_size(lone))
-    with pytest.raises(NonIntegralError, match=r"cuspidal\(1\) of gl\(2,3\)"):
+    with pytest.raises(
+        NonIntegralError,
+        match=r"cuspidal\(1\) of gl\(2,3\): sum over Z\[zeta_8\] is not an integer",
+    ):
         spectrum(fam, bogus)
+
+
+@pytest.mark.parametrize("tag", ["gl", "gu", "sl"])
+def test_spectrum_builds_no_group_element(tag, monkeypatch):
+    fam = make_family(tag, 5)
+    conn = build_connection_set(fam)
+    want = spectrum(fam, conn)
+
+    def refuse(*args):
+        raise AssertionError("the exact spectrum touched group elements")
+
+    for name in ("class_rep", "inv", "classify"):
+        monkeypatch.setattr(fam, name, refuse)
+    assert spectrum(fam, conn) == want
 
 
 def test_analyze_is_deterministic():

@@ -1,5 +1,7 @@
 """Exact cyclotomic arithmetic and multiplicative characters."""
 
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from pstwalk.chars import (
     quadratic_gauss_sum,
     residue_periods,
 )
+
+from oracles import dense_cyclotomic_reduction
 
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),
@@ -86,8 +90,11 @@ def test_primitive_root_sums_equal_mobius(n):
 
 
 def test_integer_part_rejects_non_integers():
-    with pytest.raises(NonIntegralError):
+    with pytest.raises(NonIntegralError, match=r"Z\[zeta_5\] .* keeps \+1\*z\^1, value about"):
         integer_part(CycSum.monomial(5, 1))
+    # zeta_5^4 = -(1 + zeta_5 + zeta_5^2 + zeta_5^3): four terms, three named
+    with pytest.raises(NonIntegralError, match=r"keeps -1\*z\^0 -1\*z\^1 -1\*z\^2 and 1 more, value"):
+        integer_part(CycSum.monomial(5, 4))
     with pytest.raises(NonIntegralError):
         integer_part(CycSum(8, {1: 1, 2: 1}))
     assert integer_part(CycSum(8, {0: 3})) == 3
@@ -148,29 +155,52 @@ def test_is_zero_matches_evaluation(data):
         assert not a.is_zero()
 
 
+def _primes_dividing(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+# every root order the families reach at q <= 11: the orbital graph works
+# over q^4 - 1 and its divisors, SL over lcm(q^2 - 1, q)
+ROOT_ORDERS = sorted(
+    {d for q in (3, 5, 7, 11) for d in range(1, q**4) if (q**4 - 1) % d == 0}
+    | {lcm(q * q - 1, q) for q in (3, 5, 7, 11)}
+)
+
+
+@st.composite
+def sums_and_vanishing_parts(draw):
+    """A random sparse sum and a sum of rotated p-gons, which is exactly 0."""
+    n = draw(st.sampled_from(ROOT_ORDERS))
+    exponents = st.integers(0, n - 1)
+    x = CycSum(n, draw(st.dictionaries(exponents, st.integers(-9, 9), max_size=8)))
+    vanishing = CycSum(n)
+    primes = _primes_dividing(n)
+    for _ in range(draw(st.integers(0, 3)) if primes else 0):
+        p, e, c = draw(st.sampled_from(primes)), draw(exponents), draw(st.integers(-9, 9))
+        vanishing = vanishing + CycSum(n, {e + k * (n // p): c for k in range(p)})
+    return x, vanishing
+
+
+@given(sums=sums_and_vanishing_parts(), c=st.integers(-(10**6), 10**6))
+@settings(max_examples=150, deadline=None)
+def test_sparse_reduction_matches_dense_oracle(sums, c):
+    x, vanishing = sums
+    n = x.n
+    for s in (x, vanishing, x + vanishing):
+        assert s.is_zero() == (not any(dense_cyclotomic_reduction(n, s.c)))
+        assert len(s.reduced()) <= _euler_phi(n)
+    assert vanishing.is_zero()
+    assert (x + vanishing).reduced() == x.reduced()
+    assert integer_part(vanishing + c) == c
+
+
 def test_character_basics():
     chi = MultChar(8, 3)
-    assert chi.order == 8
-    assert MultChar(8, 2).order == 4
-    assert chi.inverse().j == 5
     v = chi(2)
     assert v.c == {6: 1}
     assert chi.at(2, root_order=24).c == {18: 1}
     with pytest.raises(ValueError):
         chi.at(1, root_order=12)
-
-
-@given(
-    n=st.integers(1, 40),
-    j=st.integers(0, 80),
-    d=st.integers(1, 80),
-)
-@settings(max_examples=250, deadline=None)
-def test_triviality_on_power_subgroups(n, j, d):
-    chi = MultChar(n, j)
-    subgroup = {(d * m) % n for m in range(n)}
-    brute = all((chi.j * a) % n == 0 for a in subgroup)
-    assert chi.is_trivial_on_power_subgroup(d) == brute
 
 
 def test_char_sum_quadratic_on_squares():

@@ -116,10 +116,9 @@ def test_norm_and_norm_one_subgroup(p, k):
     base_units = {t.embed(a) for a in range(1, t.base.q)}
     assert t.E_set & base_units == {t.embed(1), t.embed(t.base.neg(1))}
     # index-2 split of E
-    sq = t.E_squares()
+    sq = {ext.mul(e, e) for e in t.E}
     assert len(sq) == (q + 1) // 2
-    assert set(sq) == {ext.mul(e, e) for e in t.E}
-    assert set(t.E_nonsquares()) == t.E_set - set(sq)
+    assert set(t.E_nonsquares()) == t.E_set - sq
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -132,19 +131,6 @@ def test_norm_fibers(p, k):
         assert all(t.norm(z) == x for z in fiber)
         seen |= set(fiber)
     assert len(seen) == t.ext.q - 1  # fibers partition the units
-
-
-@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1)])
-def test_inverse_relative_norm_fibers(p, k):
-    t = gf.make_tower(p, k)
-    q, ext = t.q, t.ext
-    seen = set()
-    for e in t.E:
-        fiber = t.inverse_relative_norm_fiber(e)
-        assert len(fiber) == q - 1
-        assert all(ext.mul(z, ext.inv(ext.pow(z, q))) == e for z in fiber)
-        seen |= set(fiber)
-    assert len(seen) == ext.q - 1
 
 
 @pytest.mark.parametrize("q,expected", [(3, 6), (5, 16), (7, 30)])

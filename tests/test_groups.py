@@ -176,6 +176,7 @@ def test_central_involution():
         assert fam.element_order(t) == 2
         assert fam.mul(t, t) == fam.identity()
         label = fam.central_involution_class()
+        assert label == fam.classify(t)
         assert label.kind == "central"
         assert fam.class_size(label) == 1
 
