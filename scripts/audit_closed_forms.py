@@ -18,8 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from pstwalk import analyze, linear_energy_display_audit, orbital_spectrum
 from pstwalk.cayley import FAMILY_TAGS
+from pstwalk.cli import build_target
 
 
 def print_table(title: str, checks) -> int:
@@ -40,16 +40,19 @@ def main(argv: list[str] | None = None) -> int:
 
     disagreements = 0
     for q in args.q:
-        for tag in FAMILY_TAGS:
+        for tag in FAMILY_TAGS + ("orbital",):
+            if tag == "orbital" and q % 4 != 3:
+                continue
             try:
-                _, _, _, _, audit = analyze(tag, q)
+                target = build_target(tag, q)
             except ValueError as err:
                 print(f"\n{tag}(2,{q}): skipped ({err})")
                 continue
-            disagreements += print_table(f"{tag}(2,{q}) standard connection set", audit)
-        if q % 4 == 3:
-            checks = linear_energy_display_audit(q, orbital_spectrum(q))
-            disagreements += print_table(f"orbital q={q} linear-row energies", checks)
+            if tag == "orbital":
+                title = f"orbital q={q} linear-row energies"
+            else:
+                title = f"{tag}(2,{q}) standard connection set"
+            disagreements += print_table(title, target.audit)
 
     print(f"\n{disagreements} disagreeing row(s); certificates use the exact column only")
     return 0

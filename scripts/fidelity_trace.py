@@ -19,36 +19,28 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from pstwalk import analyze, build_coset_space, build_gamma, certify_orbital, orbital_spectrum
-from pstwalk.cayley import FAMILY_TAGS, STANDARD, explicit_graph, transfer_pairs
+from pstwalk.cayley import FAMILY_TAGS, STANDARD
+from pstwalk.cli import ENUMERATION_BOUND, build_target
 from pstwalk.ctqw import WalkSystem
-from pstwalk.orbital import EXPLICIT_LIMIT
 
 WIDTH = 60
 
 
-def build_target(args) -> tuple[np.ndarray, tuple[int, int], float, str]:
-    if args.family == "orbital":
-        space = build_coset_space(args.q)
-        if not space.explicit:
-            raise ValueError(
-                f"q = {args.q} runs in character-sum-only mode (limit q <= {EXPLICIT_LIMIT}); "
-                "no explicit graph to trace"
-            )
-        cert = certify_orbital(orbital_spectrum(args.q))
-        graph = build_gamma(space)
-        pair = (graph.h_vertex, graph.z_vertex)
-        label = f"orbital q={args.q}, cosets H and zH (vertices {pair[0]}, {pair[1]})"
-        return graph.adjacency, pair, cert.time, label
-    family, conn, _, cert, _ = analyze(args.family, args.q, args.variant)
+def traced_pair(family: str, q: int, variant: str):
+    """The explicit graph, its first certified pair, tau and a caption."""
+    target = build_target(family, q, variant)
+    cert = target.certificate
     if not cert.ok:
         raise ValueError(f"no certificate: {cert.reason}")
-    adjacency, sch = explicit_graph(family, conn)
-    pair = transfer_pairs(sch)[0]
-    label = f"{args.family}(2,{args.q}) {args.variant}, pair x, -x (vertices {pair[0]}, {pair[1]})"
-    return adjacency, pair, cert.time, label
+    graph = target.graph(ENUMERATION_BOUND)
+    if isinstance(graph, str):
+        raise ValueError(f"{graph}; no explicit graph to trace")
+    a, b = graph.pairs[0]
+    if family == "orbital":
+        caption = f"orbital q={q}, cosets H and zH (vertices {a}, {b})"
+    else:
+        caption = f"{family}(2,{q}) {variant}, pair x, -x (vertices {a}, {b})"
+    return graph.adjacency, (a, b), cert.time, caption
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --samples: expected a positive integer, got {args.samples}")
 
     try:
-        adjacency, pair, tau, label = build_target(args)
+        adjacency, pair, tau, label = traced_pair(args.family, args.q, args.variant)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

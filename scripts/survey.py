@@ -4,8 +4,9 @@
 Sweeps the class-union Cayley graphs on GL/GU/SL(2, q) over odd prime
 powers up to ``--max-q`` (every variant each family offers) and the
 double-coset graph for each ``q = 3 (mod 4)``, prints one row per
-target, and cross-checks each certificate against a numeric walk
-simulation whenever the explicit graph is small enough.
+target, and runs the cross-checks of ``pstwalk verify`` (degree,
+components, connectivity, numeric spectrum and walk) whenever the
+explicit graph has at most ``--simulate-bound`` vertices.
 
 Examples:
     python3 scripts/survey.py
@@ -19,16 +20,8 @@ import math
 import sys
 import time
 
-from pstwalk import (
-    analyze,
-    build_coset_space,
-    certify_orbital,
-    orbital_spectrum,
-    pst_scan,
-    variants_for,
-)
-from pstwalk.cayley import FAMILY_TAGS, explicit_graph, transfer_pairs
-from pstwalk.orbital import EXPLICIT_LIMIT, build_gamma
+from pstwalk.cayley import FAMILY_TAGS, STANDARD, variants_for
+from pstwalk.cli import build_target, cross_checks
 
 HEADER = f"{'target':28} {'vertices':>8} {'degree':>6} {'res':>3} {'gap':>3} {'tau':>8} {'certificate':11} {'simulation':24} {'secs':>6}"
 
@@ -44,34 +37,46 @@ def odd_prime_powers(limit: int) -> list[int]:
     return out
 
 
-def simulate_cayley(family, conn, cert, bound: int) -> str:
-    if family.order > bound:
-        return f"skipped (n={family.order})"
-    adjacency, sch = explicit_graph(family, conn)
-    report = pst_scan(adjacency, transfer_pairs(sch))
-    if report.ok != cert.ok:
-        return f"DISAGREES: {report.reason}"
-    return f"fidelity {report.min_fidelity:.12f}"
+def targets(max_q: int):
+    """(family, q, variant) for every surveyed target, in table order."""
+    for q in odd_prime_powers(max_q):
+        for tag in FAMILY_TAGS:
+            for variant in variants_for(tag, q):
+                yield tag, q, variant
+        if q % 4 == 3:
+            yield "orbital", q, STANDARD
 
 
-def simulate_orbital(q: int, cert, bound: int) -> str:
-    space = build_coset_space(q)
-    if not space.explicit or space.n_cosets > bound:
-        return f"skipped (n={space.n_cosets})"
-    graph = build_gamma(space)
-    report = pst_scan(graph.adjacency, graph.transfer_pairs())
-    if report.ok != cert.ok:
-        return f"DISAGREES: {report.reason}"
-    return f"fidelity {report.min_fidelity:.12f}"
+def row_name(target) -> str:
+    label = target.label
+    if label["kind"] == "orbital":
+        return f"orbital q={label['q']} ({target.construction['mode']})"
+    return f"{label['family']}(2,{label['q']}) {label['variant']}"
 
 
-def fmt_row(target: str, vertices: int, cert, simulation: str, secs: float) -> str:
+def vertices(target) -> int:
+    key = "cosets" if target.label["kind"] == "orbital" else "group_order"
+    return target.construction[key]
+
+
+def simulation_verdict(target, checks: dict, ok: bool) -> str:
+    if not ok:
+        failed = [key for key, value in checks.items() if value is False]
+        reason = checks.get("walk_reason")
+        return "DISAGREES: " + ", ".join(failed + ([reason] if reason else []))
+    if "walk_min_fidelity" in checks:
+        return f"fidelity {float(checks['walk_min_fidelity']):.12f}"
+    return f"skipped (n={vertices(target)})"
+
+
+def fmt_row(target, simulation: str, secs: float) -> str:
+    cert = target.certificate
     tau = "-" if cert.time is None else f"pi/{round(math.pi / cert.time)}"
     res = "-" if cert.residue is None else str(cert.residue)
     gap = "-" if cert.gap is None else str(cert.gap)
     verdict = "valid" if cert.ok else "FAILED"
     return (
-        f"{target:28} {vertices:>8} {cert.degree:>6} {res:>3} {gap:>3} {tau:>8} "
+        f"{row_name(target):28} {vertices(target):>8} {cert.degree:>6} {res:>3} {gap:>3} {tau:>8} "
         f"{verdict:11} {simulation:24} {secs:>6.2f}"
     )
 
@@ -83,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         "--simulate-bound",
         type=int,
         default=150,
-        help="simulate the walk when the graph has at most this many vertices (default 150; 0 disables)",
+        help="build, cross-check and simulate the graph when it has at most this many vertices (default 150; 0 disables)",
     )
     args = parser.parse_args(argv)
     if args.simulate_bound < 0:
@@ -92,28 +97,19 @@ def main(argv: list[str] | None = None) -> int:
     print(HEADER)
     print("-" * len(HEADER))
     failures = 0
-    for q in odd_prime_powers(args.max_q):
-        for tag in FAMILY_TAGS:
-            for variant in variants_for(tag, q):
-                t0 = time.perf_counter()
-                try:
-                    family, conn, rows, cert, _ = analyze(tag, q, variant)
-                except ValueError as err:
-                    print(f"{f'{tag}(2,{q}) {variant}':28} skipped: {err}")
-                    continue
-                simulation = simulate_cayley(family, conn, cert, args.simulate_bound)
-                failures += (not cert.ok) + simulation.startswith("DISAGREES")
-                print(fmt_row(f"{tag}(2,{q}) {variant}", family.order, cert, simulation, time.perf_counter() - t0))
-        if q % 4 == 3:
-            t0 = time.perf_counter()
-            cert = certify_orbital(orbital_spectrum(q))
-            simulation = simulate_orbital(q, cert, args.simulate_bound)
-            failures += (not cert.ok) + simulation.startswith("DISAGREES")
-            space = build_coset_space(q)
-            mode = "explicit" if space.explicit else "character-sum"
-            print(fmt_row(f"orbital q={q} ({mode})", space.n_cosets, cert, simulation, time.perf_counter() - t0))
+    for tag, q, variant in targets(args.max_q):
+        t0 = time.perf_counter()
+        try:
+            target = build_target(tag, q, variant)
+        except ValueError as err:
+            print(f"{f'{tag}(2,{q}) {variant}':28} skipped: {err}")
+            continue
+        checks, _, _, ok = cross_checks(target, args.simulate_bound, args.simulate_bound)
+        simulation = simulation_verdict(target, checks, ok)
+        failures += (not target.certificate.ok) + (not ok)
+        print(fmt_row(target, simulation, time.perf_counter() - t0))
     if failures:
-        print(f"\n{failures} target(s) failed certification or disagreed with simulation")
+        print(f"\n{failures} target(s) failed certification or disagreed with a cross-check")
     return 1 if failures else 0
 
 

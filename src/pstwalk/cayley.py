@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chars import CycSum, NonIntegralError, integer_part
+from .chars import NonIntegralError, _total, integer_part
 from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
 from .scheme import (
     ConjugacyScheme,
@@ -344,10 +344,8 @@ def _sl_ratio_value(family: SLGroup, irr: IrrLabel) -> int:
     q = family.q
     d = family.degree(irr)
     ratio = family.involution_sign(irr)
-    r = CycSum.zero(family.root_order)
-    for lab in family.classes():
-        if lab.kind == "jordan":
-            r = r + family.char_value_full(irr, lab)
+    jordan = [lab for lab in family.classes() if lab.kind == "jordan"]
+    r = _total(family.root_order, (family.char_value_full(irr, lab) for lab in jordan))
     r_int = integer_part(r)
     num = (q * q - 1) * r_int
     if num % (2 * d):

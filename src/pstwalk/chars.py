@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, lcm, pi, sin
+from typing import Iterable
 
 from .gf import _prime_factors
 
@@ -243,6 +244,23 @@ class CycSum:
             return f"CycSum({self.n}, 0)"
         terms = " + ".join(f"{v}*z{self.n}^{e}" for e, v in sorted(self.c.items()))
         return f"CycSum({self.n}, {terms})"
+
+
+def _total(n: int, values: Iterable[CycSum]) -> CycSum:
+    """The sum of ``values`` over Z[zeta_n], accumulated into one dict.
+
+    ``acc = acc + v`` would copy the running sum once per term.  The values
+    are only read: callers pass cached character values.
+    """
+    acc: dict[int, int] = {}
+    for value in values:
+        if value.n != n:
+            raise ValueError(f"mixed root orders {n} and {value.n}")
+        for e, v in value.c.items():
+            acc[e] = acc.get(e, 0) + v
+    out = CycSum(n)
+    out.c = {e: v for e, v in acc.items() if v}
+    return out
 
 
 def integer_part(v: CycSum) -> int:

@@ -11,10 +11,13 @@ Subcommands
 ``export``   run a target's pipeline and write its artifacts to disk.
 
 Both graph families go through one pipeline: spectrum, certificate,
-cross-checks, report.  A small per-family target supplies the exact
-spectrum rows, the shared mod-4 certificate, the closed-form audit, the
-provenance, and either the explicit graph or the reason it is skipped;
-one cross-check routine and one report assembly serve both families.
+cross-checks, report.  :func:`build_target` turns ``(family, q, variant)``
+into a :class:`Target`: the exact spectrum rows, the shared mod-4
+certificate, the closed-form audit, the provenance, and either the
+explicit graph or the reason it is skipped.  :func:`cross_checks` runs the
+explicit checks on any target, and one report assembly serves both
+families.  The pipeline is public: the scripts in ``scripts/`` build their
+rows, traces and audits through it rather than by hand.
 
 Artifacts (written when an output directory is given): ``report.json`` with
 a versioned schema and full provenance, ``spectrum.csv`` with one row per
@@ -54,7 +57,10 @@ from .cayley import (
 from .ctqw import WalkSystem, pst_scan
 from .scheme import TransferCertificate
 
-__all__ = ["main", "build_parser", "SCHEMA", "SIMULATION_BOUND", "ENUMERATION_BOUND"]
+__all__ = [
+    "main", "build_parser", "build_target", "cross_checks", "Graph", "Target",
+    "SCHEMA", "SIMULATION_BOUND", "ENUMERATION_BOUND",
+]
 
 SCHEMA = "pstwalk-report/2"
 SIMULATION_BOUND = 150
@@ -286,7 +292,7 @@ def _finish(
 # the pipeline: spectrum -> certificate -> cross-checks -> report
 
 
-class _Graph(NamedTuple):
+class Graph(NamedTuple):
     """An explicitly built graph and what the cross-checks need from it."""
 
     adjacency: np.ndarray
@@ -295,7 +301,7 @@ class _Graph(NamedTuple):
     checks: dict[str, bool]  # structural checks only this family has
 
 
-class _Target(NamedTuple):
+class Target(NamedTuple):
     """What one graph family hands to the shared pipeline."""
 
     label: dict  # the report's "target": kind, family, q and any variant
@@ -305,22 +311,34 @@ class _Target(NamedTuple):
     rows: list
     certificate: TransferCertificate
     audit: list
-    graph: Callable[[int], _Graph | str]  # enumeration bound -> graph, or why skipped
+    graph: Callable[[int], Graph | str]  # enumeration bound -> graph, or why skipped
 
 
-def _cayley_target(args) -> _Target:
-    if args.q % 2 == 0:
+def build_target(family: str, q: int, variant: str = STANDARD) -> Target:
+    """Spectrum, certificate and audit of one target, with its graph deferred.
+
+    ``family`` is one of the Cayley tags or ``"orbital"``; ``variant``
+    selects the Cayley connection set and is ignored by the orbital graph.
+    Raises ``ValueError`` for a target that cannot be built.
+    """
+    if family == "orbital":
+        return _orbital_target(q)
+    return _cayley_target(family, q, variant)
+
+
+def _cayley_target(tag: str, q: int, variant: str) -> Target:
+    if q % 2 == 0:
         raise ValueError("q must be an odd prime power")
-    family, conn, rows, cert, audit = analyze(args.family, args.q, args.variant)
+    family, conn, rows, cert, audit = analyze(tag, q, variant)
 
-    def graph(bound: int) -> _Graph | str:
+    def graph(bound: int) -> Graph | str:
         if family.order > bound:
             return f"group order {family.order} exceeds the enumeration bound {bound}"
         adjacency, sch = explicit_graph(family, conn, bound=bound)
-        return _Graph(adjacency, conn.degree, transfer_pairs(sch), {})
+        return Graph(adjacency, conn.degree, transfer_pairs(sch), {})
 
     keys = {"family": conn.family, "q": conn.q, "variant": conn.variant}
-    return _Target(
+    return Target(
         label={"kind": "cayley", **keys},
         group=family,
         construction={
@@ -336,14 +354,14 @@ def _cayley_target(args) -> _Target:
     )
 
 
-def _orbital_target(args) -> _Target:
-    space = orb.build_coset_space(args.q)
-    rows = orb.orbital_spectrum(args.q)
+def _orbital_target(q: int) -> Target:
+    space = orb.build_coset_space(q)
+    rows = orb.orbital_spectrum(q)
     cert = orb.certify_orbital(rows)
-    audit = orb.linear_energy_display_audit(args.q, rows)
+    audit = orb.linear_energy_display_audit(q, rows)
     mode = "explicit" if space.explicit else "character-sum"
 
-    def graph(bound: int) -> _Graph | str:
+    def graph(bound: int) -> Graph | str:
         if not space.explicit:
             return f"q = {space.q} runs in character-sum-only mode"
         if space.n_cosets > bound:
@@ -352,14 +370,14 @@ def _orbital_target(args) -> _Target:
         matching = bool(
             (gamma.involution.sum(axis=1) == 1).all() and np.trace(gamma.involution) == 0
         )
-        return _Graph(
+        return Graph(
             gamma.adjacency,
             gamma.degree,
             gamma.transfer_pairs(),
             {"involution_is_perfect_matching": matching},
         )
 
-    return _Target(
+    return Target(
         label={"kind": "orbital", "family": "orbital", "q": space.q},
         group=space.group,
         construction={
@@ -378,9 +396,16 @@ def _orbital_target(args) -> _Target:
     )
 
 
-def _cross_checks(
-    target: _Target, sim_bound: int, enum_bound: int
+def cross_checks(
+    target: Target, sim_bound: int, enum_bound: int
 ) -> tuple[dict, list[str], np.ndarray | None, bool]:
+    """Check a target against its explicit graph, within the two bounds.
+
+    Returns the report's cross-check entries, its notes, the adjacency
+    matrix (``None`` when the graph is skipped) and whether every check
+    passed.  A graph with more than ``enum_bound`` elements is not built;
+    one with more than ``sim_bound`` vertices is built but not simulated.
+    """
     checks: dict = {}
     notes: list[str] = []
     graph = target.graph(enum_bound)
@@ -432,14 +457,13 @@ def _cross_checks(
 
 def cmd_run(args) -> int:
     """Run one target through the pipeline and report on it."""
-    build = _orbital_target if args.family == "orbital" else _cayley_target
     try:
-        target = build(args)
+        target = build_target(args.family, args.q, args.variant)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sim_bound, enum_bound = _bounds(args)
-    checks, notes, adjacency, cross_ok = _cross_checks(target, sim_bound, enum_bound)
+    checks, notes, adjacency, cross_ok = cross_checks(target, sim_bound, enum_bound)
     cert = target.certificate
     csv_entries = [
         {
@@ -542,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         "orbital", help="certify the double-coset graph on GL(2, q^2) cosets"
     )
     _add_common(orbital_p)
-    orbital_p.set_defaults(run=cmd_run, family="orbital")
+    orbital_p.set_defaults(run=cmd_run, family="orbital", variant=STANDARD)
 
     export = sub.add_parser("export", help="run a target and write its artifacts")
     export.add_argument("--family", required=True, choices=FAMILY_TAGS + ("orbital",))

@@ -41,8 +41,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cayley import FormulaCheck, make_family
-from .chars import CycSum, MultChar, NonIntegralError, char_sum, integer_part
-from .groups import ClassLabel, IrrLabel, Mat2
+from .chars import CycSum, MultChar, NonIntegralError, _total, char_sum, integer_part
+from .groups import ClassLabel, IrrLabel, Mat2, _prime_power
 from .scheme import TransferCertificate, transfer_certificate
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "double_coset_of",
     "build_gamma",
     "coset_irreducibles",
-    "h_multiplicity",
     "m_theta",
     "p_theta_trace",
     "coset_char_sum",
@@ -133,18 +132,17 @@ def build_coset_space(q: int) -> CosetSpace:
     Explicit coset enumeration is performed for q <= EXPLICIT_LIMIT; larger
     admissible q get a character-sum-only space.  Values q != 3 (mod 4) are
     rejected: the order-4 scalar z with z^2 = -I in H needs 4 | q^2 - 1
-    with the eigenvalue congruences holding only in that residue class.
+    with the eigenvalue congruences holding only in that residue class.  So
+    is a q that is not a prime power, before it is squared.
     """
     if q % 4 != 3:
         raise ValueError(
             f"the double-coset construction needs q = 3 (mod 4); got q = {q}"
         )
+    _prime_power(q)
     group = make_family("gl", q * q)
     field = group.field
-    n = q * q - 1
-    if n % 4:  # unreachable for odd q; kept as an explicit guard
-        raise AssertionError("no scalar of multiplicative order 4 exists")
-    zeta = field.exp[n // 4]
+    zeta = field.exp[(q * q - 1) // 4]
     z = Mat2(zeta, 0, 0, zeta)
     rep_set = tuple(field.exp[i] for i in range(q + 1))
     frob_power = group.k // 2
@@ -234,26 +232,6 @@ def coset_irreducibles(q: int) -> tuple[IrrLabel, ...]:
     return tuple(out)
 
 
-def h_multiplicity(q: int, irr: IrrLabel) -> int:
-    """Multiplicity of the trivial character in the restriction to H.
-
-    Zero or one for every irreducible of GL(2, q^2) (the pair is
-    multiplicity free); the ones are exactly `coset_irreducibles`.
-    """
-    n = q * q - 1
-    kind, params = irr.kind, irr.params
-    if kind in ("linear", "steinberg"):
-        return 1 if params[0] % (q - 1) == 0 else 0
-    if kind == "principal":
-        i, j = params
-        if i % (q - 1) == 0 and j % (q - 1) == 0:
-            return 1
-        if (i + q * j) % n == 0 or (j + q * i) % n == 0:
-            return 1
-        return 0
-    return 0  # cuspidal characters never appear
-
-
 # ---------------------------------------------------------------------------
 # coset character sums
 #
@@ -306,13 +284,12 @@ def _cocycle_value(
 
 def p_theta_trace(space: CosetSpace, theta: tuple[int, int], g: Mat2) -> CycSum:
     """Character of the induced monomial representation at a single element."""
-    oo = space.group.field.q
-    acc = CycSum.zero(space.group.root_order)
-    for alpha in range(oo + 1):
+    fixed = []
+    for alpha in range(space.group.field.q + 1):
         sigma, t1, t2 = _coset_action(space, g, alpha)
         if sigma == alpha:
-            acc = acc + _cocycle_value(space, theta, t1, t2)
-    return acc
+            fixed.append(_cocycle_value(space, theta, t1, t2))
+    return _total(space.group.root_order, fixed)
 
 
 def m_theta(space: CosetSpace, theta: tuple[int, int]) -> list[list[CycSum]]:
@@ -393,36 +370,18 @@ def coset_char_sum(
 
     ``chi`` is either an irreducible label of GL(2, q^2) or a bare index
     pair (i, j) denoting the induced principal-series character I[theta].
-    Supported cosets: the central involution coset zH, and the diagonal
-    cosets m_{x,y} H with x, y in distinct cosets of F_q^x (the only ones
-    the eigenvalue computation needs).
+    Supported cosets: the diagonal cosets m_{x,y} H with x, y in distinct
+    cosets of F_q^x, the only ones the eigenvalue computation needs.  (The
+    central involution coset zH enters the spectrum through the central
+    character alone; see ``_involution_sign``.)
     """
     group = space.group
     root = group.root_order
     n = group.q - 1
-    if g == space.z:
-        dz = n // 4
-        if isinstance(chi, IrrLabel):
-            inner = h_multiplicity(space.q, chi)
-            if inner == 0:
-                return CycSum.zero(root)
-            central = integer_part(group.char_value(chi, group.classify(space.z)))
-            degree = group.degree(chi)
-            if central % degree:
-                raise NonIntegralError(
-                    f"central value {central} of {chi.kind}{chi.params} is not "
-                    f"an integer multiple of the degree {degree}"
-                )
-            return CycSum.from_int(root, (central // degree) * space.hsize * inner)
-        i, j = chi
-        omega = MultChar(n, (i + j) % n).at(dz, root)
-        inner = _induced_h_inner(space.q, chi)
-        return omega * (space.hsize * inner)
     if not _is_valid_diagonal(space, g):
         raise ValueError(
-            "coset character sums are tabulated only for the central involution "
-            "coset and for diagonal matrices with entries in distinct subfield "
-            f"cosets; got {g}"
+            "coset character sums are tabulated only for diagonal matrices "
+            f"with entries in distinct subfield cosets; got {g}"
         )
     if isinstance(chi, tuple):
         return _induced_coset_sum(space, chi, g)
@@ -440,15 +399,6 @@ def coset_char_sum(
     if kind == "principal":
         return _induced_coset_sum(space, params, g)
     raise ValueError(f"no closed-form coset sum for a {kind} character")
-
-
-def _induced_h_inner(q: int, theta: tuple[int, int]) -> int:
-    """Multiplicity of the trivial character in I[theta] restricted to H."""
-    n = q * q - 1
-    i, j = theta
-    b_part = 1 if i % (q - 1) == 0 and j % (q - 1) == 0 else 0
-    c_part = 1 if (i + q * j) % n == 0 else 0
-    return b_part + c_part
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +439,16 @@ def orbital_spectrum(q: int) -> list[OrbitalRow]:
     space = build_coset_space(q)
     field = space.group.field
     denom = 2 * (q - 1) ** 2
+    diagonals = [
+        Mat2(field.exp[ix], 0, 0, field.exp[iy])
+        for ix in range(q + 1)
+        for iy in range(q + 1)
+        if ix != iy
+    ]
     rows = []
     for irr in coset_irreducibles(q):
-        total = CycSum.zero(space.group.root_order)
-        for ix in range(q + 1):
-            for iy in range(q + 1):
-                if ix == iy:
-                    continue
-                m = Mat2(field.exp[ix], 0, 0, field.exp[iy])
-                total = total + coset_char_sum(space, irr, m)
+        sums = (coset_char_sum(space, irr, m) for m in diagonals)
+        total = _total(space.group.root_order, sums)
         try:
             whole = integer_part(total)
         except NonIntegralError as exc:

@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chars import CycSum, NonIntegralError, integer_part
+from .chars import NonIntegralError, _total, integer_part
 from .groups import ClassLabel, IrrLabel
 
 __all__ = [
@@ -275,10 +275,8 @@ def class_sum_eigenvalue(family, irr: IrrLabel, labels: Sequence[ClassLabel]) ->
     Raises :class:`~pstwalk.chars.NonIntegralError` if the character sum is
     not a rational integer or is not divisible by the character degree.
     """
-    acc = CycSum.zero(family.root_order)
-    for lab in labels:
-        acc = acc + family.char_value(irr, lab) * family.class_size(lab)
-    total = integer_part(acc)
+    terms = (family.char_value(irr, lab) * family.class_size(lab) for lab in labels)
+    total = integer_part(_total(family.root_order, terms))
     d = family.degree(irr)
     if total % d:
         raise NonIntegralError(

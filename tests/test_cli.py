@@ -104,6 +104,12 @@ def test_invalid_targets_are_usage_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["15", "-1"])
+def test_orbital_refusal_names_the_given_q(q, capsys):
+    assert main(["orbital", "--q", q]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {q} is not a prime power\n"
+
+
 def test_unknown_format_is_usage_error(tmp_path, capsys):
     argv = [
         "verify", "--family", "gl", "--q", "3",
