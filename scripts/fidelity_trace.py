@@ -35,7 +35,7 @@ def traced_pair(family: str, q: int, variant: str):
     graph = target.graph(ENUMERATION_BOUND)
     if isinstance(graph, str):
         raise ValueError(f"{graph}; no explicit graph to trace")
-    a, b = graph.pairs[0]
+    a, b = 0, int(graph.partner[0])
     if family == "orbital":
         caption = f"orbital q={q}, cosets H and zH (vertices {a}, {b})"
     else:

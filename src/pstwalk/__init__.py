@@ -36,7 +36,6 @@ from pstwalk.cayley import (
     explicit_graph,
     make_family,
     spectrum,
-    transfer_pairs,
     variants_for,
 )
 from pstwalk.chars import CycSum, MultChar, char_sum
@@ -45,7 +44,6 @@ from pstwalk.gf import FiniteField, FieldTower, make_field, make_tower
 from pstwalk.groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
 from pstwalk.orbital import (
     CosetSpace,
-    GammaGraph,
     OrbitalRow,
     build_coset_space,
     build_gamma,
@@ -56,6 +54,7 @@ from pstwalk.orbital import (
 from pstwalk.scheme import (
     ConjugacyScheme,
     EigenRow,
+    Graph,
     PSTCertificate,
     TransferCertificate,
     pst_test,
@@ -96,11 +95,9 @@ __all__ = [
     "CayleyAnalysis",
     "analyze",
     "explicit_graph",
-    "transfer_pairs",
     "component_count",
     # double-coset pipeline
     "CosetSpace",
-    "GammaGraph",
     "OrbitalRow",
     "build_coset_space",
     "build_gamma",
@@ -110,6 +107,7 @@ __all__ = [
     # scheme layer and walk checks
     "ConjugacyScheme",
     "EigenRow",
+    "Graph",
     "PSTCertificate",
     "pst_test",
     "TransferCertificate",

@@ -22,7 +22,9 @@ character sum, multiplicity the squared degree).  Perfect state
 transfer between every vertex ``x`` and its antipode ``-x`` at time
 ``pi/g`` is certified by the mod-4 congruence of
 :func:`~pstwalk.scheme.transfer_certificate` on that spectrum, split by
-the character's sign on ``-I``.
+the character's sign on ``-I``.  At small q, :func:`explicit_graph`
+enumerates the group and returns the graph as a
+:class:`~pstwalk.scheme.Graph` whose pairing is the permutation x -> -x.
 
 Closed-form eigenvalue expressions that were derived by hand while
 designing these sets are retained as audit oracles:
@@ -43,10 +45,12 @@ from .chars import NonIntegralError, _total, integer_part
 from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
 from .scheme import (
     ConjugacyScheme,
+    Graph,
     TransferCertificate,
     class_sum_eigenvalue,
     render_irr,
     transfer_certificate,
+    translation_partner,
 )
 
 __all__ = [
@@ -65,7 +69,6 @@ __all__ = [
     "CayleyAnalysis",
     "analyze",
     "explicit_graph",
-    "transfer_pairs",
     "component_count",
     "sl_order_based_elements",
 ]
@@ -411,32 +414,22 @@ def analyze(tag: str, q: int, variant: str = STANDARD) -> CayleyAnalysis:
 # explicit graphs (small q)
 
 
-def explicit_graph(
-    family, conn: ConnectionSet, bound: int = 10_000
-) -> tuple[np.ndarray, ConjugacyScheme]:
-    """Adjacency matrix over an explicit group enumeration.
+def explicit_graph(family, conn: ConnectionSet, bound: int = 10_000) -> Graph:
+    """The Cayley graph over an explicit group enumeration, paired x <-> -x.
 
-    Refuses groups larger than ``bound`` elements; the scheme object is
-    returned alongside so callers can map vertices back to elements.
+    Vertex i is the i-th element of ``family.enumerate_group()``, joined to
+    g x for every x in the connection set and paired with -g.  Refuses
+    groups larger than ``bound`` elements.
     """
     if family.order > bound:
         raise ValueError(
             f"group order {family.order} exceeds the enumeration bound {bound}"
         )
     sch = ConjugacyScheme(family)
-    return sch.adjacency(conn.labels), sch
-
-
-def transfer_pairs(sch: ConjugacyScheme) -> list[tuple[int, int]]:
-    """Vertex index pairs (x, -x), each unordered pair listed once."""
-    fam = sch.family
-    t = fam.central_involution()
-    pairs = []
-    for i, g in enumerate(sch.elements):
-        j = sch.index[fam.mul(t, g)]
-        if i < j:
-            pairs.append((i, j))
-    return pairs
+    partner = translation_partner(
+        sch.elements, sch.index, family.mul, family.central_involution()
+    )
+    return Graph(sch.adjacency(conn.labels), partner, {})
 
 
 def component_count(adjacency: np.ndarray) -> int:

@@ -71,12 +71,6 @@ __all__ = [
     "GLGroup",
     "GUGroup",
     "SLGroup",
-    "mat_identity",
-    "mat_scalar",
-    "mat_mul",
-    "mat_det",
-    "mat_trace",
-    "mat_inv",
 ]
 
 
@@ -111,45 +105,6 @@ class IrrLabel:
     params: tuple[int, ...]
 
 
-# ---------------------------------------------------------------------------
-# matrix arithmetic on integer encodings
-
-
-def mat_identity(F: FiniteField) -> Mat2:
-    return Mat2(1, 0, 0, 1)
-
-
-def mat_scalar(F: FiniteField, x: int) -> Mat2:
-    return Mat2(x, 0, 0, x)
-
-
-def mat_mul(F: FiniteField, m: Mat2, n: Mat2) -> Mat2:
-    return Mat2(
-        F.add(F.mul(m.a, n.a), F.mul(m.b, n.c)),
-        F.add(F.mul(m.a, n.b), F.mul(m.b, n.d)),
-        F.add(F.mul(m.c, n.a), F.mul(m.d, n.c)),
-        F.add(F.mul(m.c, n.b), F.mul(m.d, n.d)),
-    )
-
-
-def mat_det(F: FiniteField, m: Mat2) -> int:
-    return F.sub(F.mul(m.a, m.d), F.mul(m.b, m.c))
-
-
-def mat_trace(F: FiniteField, m: Mat2) -> int:
-    return F.add(m.a, m.d)
-
-
-def mat_inv(F: FiniteField, m: Mat2) -> Mat2:
-    di = F.inv(mat_det(F, m))
-    return Mat2(
-        F.mul(di, m.d),
-        F.mul(di, F.neg(m.b)),
-        F.mul(di, F.neg(m.c)),
-        F.mul(di, m.a),
-    )
-
-
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
@@ -178,22 +133,36 @@ class _Family:
     tower: FieldTower
     root_order: int
 
-    # -- matrix helpers bound to the family's coefficient field ------------
+    # -- matrix arithmetic on encodings in the family's coefficient field ----
 
     def identity(self) -> Mat2:
-        return mat_identity(self.field)
+        return Mat2(1, 0, 0, 1)
 
     def mul(self, m: Mat2, n: Mat2) -> Mat2:
-        return mat_mul(self.field, m, n)
+        F = self.field
+        return Mat2(
+            F.add(F.mul(m.a, n.a), F.mul(m.b, n.c)),
+            F.add(F.mul(m.a, n.b), F.mul(m.b, n.d)),
+            F.add(F.mul(m.c, n.a), F.mul(m.d, n.c)),
+            F.add(F.mul(m.c, n.b), F.mul(m.d, n.d)),
+        )
 
     def inv(self, m: Mat2) -> Mat2:
-        return mat_inv(self.field, m)
+        F = self.field
+        di = F.inv(self.det(m))
+        return Mat2(
+            F.mul(di, m.d),
+            F.mul(di, F.neg(m.b)),
+            F.mul(di, F.neg(m.c)),
+            F.mul(di, m.a),
+        )
 
     def det(self, m: Mat2) -> int:
-        return mat_det(self.field, m)
+        F = self.field
+        return F.sub(F.mul(m.a, m.d), F.mul(m.b, m.c))
 
     def trace(self, m: Mat2) -> int:
-        return mat_trace(self.field, m)
+        return self.field.add(m.a, m.d)
 
     def element_order(self, m: Mat2) -> int:
         ident = self.identity()
@@ -229,7 +198,8 @@ class _Family:
 
     def central_involution(self) -> Mat2:
         """The central order-2 element -I."""
-        return mat_scalar(self.field, self.field.neg(1))
+        minus_one = self.field.neg(1)
+        return Mat2(minus_one, 0, 0, minus_one)
 
     def central_involution_class(self) -> ClassLabel:
         """The class of -I, labelled directly (scalars are their own class)."""
@@ -323,7 +293,8 @@ class GLGroup(_Family):
         F, tw = self.field, self.tower
         kind, params = label.kind, label.params
         if kind == "central":
-            return mat_scalar(F, params[0])
+            x = params[0]
+            return Mat2(x, 0, 0, x)
         if kind == "jordan":
             x = params[0]
             return Mat2(x, 1, 0, x)
@@ -341,7 +312,7 @@ class GLGroup(_Family):
             if m.a == 0:
                 raise ValueError("matrix is singular")
             return ClassLabel("gl", "central", (m.a,))
-        t, d = mat_trace(F, m), mat_det(F, m)
+        t, d = self.trace(m), self.det(m)
         if d == 0:
             raise ValueError("matrix is singular")
         two = F.add(1, 1)
@@ -515,7 +486,8 @@ class GUGroup(_Family):
         F, tw = self.field, self.tower
         kind, params = label.kind, label.params
         if kind == "central":
-            return mat_scalar(F, params[0])
+            x = params[0]
+            return Mat2(x, 0, 0, x)
         if kind == "split":
             x, y = params
             return Mat2(x, 0, 0, y)
@@ -530,7 +502,7 @@ class GUGroup(_Family):
                 F.mul(c, tw.conj(a0)),
                 F.add(1, c),
             )
-            rep = self.mul(mat_scalar(F, x), u)
+            rep = self.mul(Mat2(x, 0, 0, x), u)
         else:
             # conjugate diag(z, z^(-q)) into the group via an isotropic basis
             z = params[0]
@@ -554,7 +526,7 @@ class GUGroup(_Family):
             if m.a not in E_log:
                 raise ValueError("scalar matrix with determinant outside the norm-one torus")
             return ClassLabel("gu", "central", (m.a,))
-        t, d = mat_trace(F, m), mat_det(F, m)
+        t, d = self.trace(m), self.det(m)
         two = F.add(1, 1)
         disc = F.sub(F.mul(t, t), F.mul(F.mul(two, two), d))
         if disc == 0:
@@ -740,7 +712,8 @@ class SLGroup(_Family):
         F, tw = self.field, self.tower
         kind, params = label.kind, label.params
         if kind == "central":
-            return mat_scalar(F, params[0])
+            x = params[0]
+            return Mat2(x, 0, 0, x)
         if kind == "jordan":
             eps, c = params
             return Mat2(eps, c, 0, eps)
@@ -757,12 +730,12 @@ class SLGroup(_Family):
 
     def classify(self, m: Mat2) -> ClassLabel:
         F, tw = self.field, self.tower
-        if mat_det(F, m) != 1:
+        if self.det(m) != 1:
             raise ValueError("determinant is not 1")
         minus = F.neg(1)
         if m.b == 0 and m.c == 0 and m.a == m.d:
             return ClassLabel("sl", "central", (m.a,))
-        t = mat_trace(F, m)
+        t = self.trace(m)
         two = F.add(1, 1)
         if t == two or t == F.neg(two):
             # the square class of b (or -c when b = 0) picks the Jordan class

@@ -27,6 +27,12 @@ group is small enough to enumerate, so the graph, the invariant, and the
 character sums can all be cross-validated literally; larger q run the
 character-sum path only.
 
+The explicit graph (:func:`build_gamma`) is built as the Cayley graphs
+are: the coset of representative r is joined to the cosets r d H for one
+element d of each left H-coset inside the edge double cosets, and the
+pairing is the permutation rH -> (z r)H, carried as a
+:class:`~pstwalk.scheme.Graph`.
+
 The module also retains the hand-derived closed form printed for the
 linear-character energies as an audit oracle; it disagrees with the exact
 values by a normalization factor and is reported, never trusted.
@@ -43,12 +49,17 @@ import numpy as np
 from .cayley import FormulaCheck, make_family
 from .chars import CycSum, MultChar, NonIntegralError, _total, char_sum, integer_part
 from .groups import ClassLabel, IrrLabel, Mat2, _prime_power
-from .scheme import TransferCertificate, transfer_certificate
+from .scheme import (
+    Graph,
+    TransferCertificate,
+    transfer_certificate,
+    translation_adjacency,
+    translation_partner,
+)
 
 __all__ = [
     "EXPLICIT_LIMIT",
     "CosetSpace",
-    "GammaGraph",
     "OrbitalRow",
     "build_coset_space",
     "double_coset_of",
@@ -93,8 +104,6 @@ class CosetSpace:
     h_elements: tuple[Mat2, ...] | None = None
     reps: tuple[Mat2, ...] | None = None
     coset_index: dict | None = None
-    h_vertex: int | None = None
-    z_vertex: int | None = None
 
     @property
     def n_cosets(self) -> int:
@@ -185,8 +194,6 @@ def build_coset_space(q: int) -> CosetSpace:
         h_elements=h_elements,
         reps=tuple(reps),
         coset_index=coset_index,
-        h_vertex=coset_index[group.identity()],
-        z_vertex=coset_index[z],
         **base,
     )
 
@@ -544,36 +551,38 @@ def linear_energy_display_audit(q: int, rows: Sequence[OrbitalRow]) -> list[Form
 # the explicit graph
 
 
-@dataclass(frozen=True, eq=False)
-class GammaGraph:
-    """Explicit adjacency data of the coset graph (small q only)."""
+def _connection(space: CosetSpace) -> list[Mat2]:
+    """One element of each left H-coset inside HzH and the diagonal HmH.
 
-    space: CosetSpace
-    adjacency: np.ndarray
-    involution: np.ndarray  # the z-relation alone: a perfect matching
-    degree: int
-    h_vertex: int
-    z_vertex: int
-
-    def transfer_pairs(self) -> list[tuple[int, int]]:
-        """All vertex pairs exchanged by the involution relation."""
-        rows, cols = np.nonzero(self.involution)
-        return [(int(r), int(c)) for r, c in zip(rows, cols) if r < c]
-
-
-def _double_coset(space: CosetSpace, g: Mat2) -> frozenset:
-    group = space.group
-    left = [group.mul(h, g) for h in space.h_elements]
-    return frozenset(group.mul(x, h) for x in left for h in space.h_elements)
+    A double coset HmH is the union of the left cosets hmH, so the |H|
+    products hm meet every one of them.
+    """
+    group, q = space.group, space.q
+    starts = [space.z] + [
+        Mat2(space.rep_set[a], 0, 0, space.rep_set[b])
+        for a in range(q + 1)
+        for b in range(a + 1, q + 1)
+    ]
+    out = []
+    for m in starts:
+        cosets = {}
+        for h in space.h_elements:
+            hm = group.mul(h, m)
+            cosets.setdefault(space.coset_index[hm], hm)
+        out += cosets.values()
+    return out
 
 
 @lru_cache(maxsize=None)
-def build_gamma(space: CosetSpace) -> GammaGraph:
+def build_gamma(space: CosetSpace) -> Graph:
     """The graph on G/H joining rH ~ sH iff r^(-1)s lies in the edge cosets.
 
     The edge cosets are HzH together with H m H for the C(q+1, 2) diagonal
-    double cosets; every containment below is computed literally from the
-    enumerated group, with no reliance on the Frobenius invariant.
+    double cosets, so the neighbours of rH are the cosets rdH for d in one
+    element per left coset of that union; the pairing sends rH to (z r)H.
+    Every coset is read literally off the enumerated group, with no reliance
+    on the Frobenius invariant.  The degree is left to the cross-checks,
+    which compare it with the top eigenvalue.
     """
     if not space.explicit:
         raise ValueError(
@@ -581,58 +590,20 @@ def build_gamma(space: CosetSpace) -> GammaGraph:
             f"q = {space.q} runs in character-sum-only mode (limit q <= {EXPLICIT_LIMIT})"
         )
     group = space.group
-    field = group.field
-    q = space.q
-    minus_one = field.neg(1)
+    minus_one = group.field.neg(1)
     if group.mul(space.z, space.z) != Mat2(minus_one, 0, 0, minus_one):
         raise AssertionError("the chosen scalar does not square to -I")
     if not space.in_h(group.mul(space.z, space.z)):
         raise AssertionError("z^2 must lie in the subfield subgroup")
-    z_coset = _double_coset(space, space.z)
-    m_cosets = []
-    for a in range(q + 1):
-        for b in range(a + 1, q + 1):
-            m = Mat2(space.rep_set[a], 0, 0, space.rep_set[b])
-            m_cosets.append(_double_coset(space, m))
-    edge_set = set(z_coset)
-    for dc in m_cosets:
-        edge_set |= dc
-    if len(edge_set) != len(z_coset) + sum(len(dc) for dc in m_cosets):
-        raise AssertionError("edge double cosets are not pairwise disjoint")
-    n_cosets = space.n_cosets
-    adjacency = np.zeros((n_cosets, n_cosets), dtype=np.int64)
-    involution = np.zeros((n_cosets, n_cosets), dtype=np.int64)
-    inverses = [group.inv(r) for r in space.reps]
-    for r_idx, r_inv in enumerate(inverses):
-        for s_idx, s in enumerate(space.reps):
-            if r_idx == s_idx:
-                continue
-            prod = group.mul(r_inv, s)
-            if prod in edge_set:
-                adjacency[r_idx, s_idx] = 1
-            if prod in z_coset:
-                involution[r_idx, s_idx] = 1
+    adjacency = translation_adjacency(
+        space.reps, space.coset_index, group.mul, _connection(space)
+    )
     if (adjacency != adjacency.T).any():
         raise AssertionError("adjacency is not symmetric")
-    degrees = adjacency.sum(axis=1)
-    expected = 1 + (q * (q + 1) ** 2) * q // 2
-    if not (degrees == expected).all():
-        raise AssertionError(
-            f"graph is not regular of degree {expected}: found {sorted(set(degrees))}"
-        )
-    row_sums = involution.sum(axis=1)
-    if not (row_sums == 1).all() or np.trace(involution) != 0:
-        raise AssertionError(
-            "the central-coset relation is not a fixed-point-free matching"
-        )
-    return GammaGraph(
-        space=space,
-        adjacency=adjacency,
-        involution=involution,
-        degree=int(expected),
-        h_vertex=space.h_vertex,
-        z_vertex=space.z_vertex,
-    )
+    partner = translation_partner(space.reps, space.coset_index, group.mul, space.z)
+    vertices = np.arange(len(partner))
+    matching = bool((partner[partner] == vertices).all() and (partner != vertices).all())
+    return Graph(adjacency, partner, {"involution_is_perfect_matching": matching})
 
 
 # ---------------------------------------------------------------------------

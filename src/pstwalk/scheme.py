@@ -47,6 +47,9 @@ __all__ = [
     "scheme_axiom_witness",
     "class_sum_eigenvalue",
     "ConjugacyScheme",
+    "Graph",
+    "translation_adjacency",
+    "translation_partner",
 ]
 
 
@@ -317,14 +320,14 @@ class ConjugacyScheme:
         return [self.adjacency([c]) for c in self.family.classes()]
 
     def adjacency(self, labels: Sequence[ClassLabel]) -> np.ndarray:
-        """Adjacency matrix of the Cayley graph on the class union."""
+        """Adjacency matrix of the Cayley graph on the class union.
+
+        Row g marks g x for x in the union, which is x' g for x' = g x g^{-1}
+        in the same union.
+        """
         fam = self.family
         members = [x for lab in labels for x in fam.class_elements(lab)]
-        out = np.zeros((self.n, self.n), dtype=np.int64)
-        for gi, g in enumerate(self.elements):
-            for x in members:
-                out[gi, self.index[fam.mul(x, g)]] = 1
-        return out
+        return translation_adjacency(self.elements, self.index, fam.mul, members)
 
     def idempotent(self, irr: IrrLabel) -> np.ndarray:
         """Numeric primitive idempotent: E(g, h) = chi(1)/|G| chi(h g^{-1})."""
@@ -339,3 +342,39 @@ class ConjugacyScheme:
             for hi, h in enumerate(self.elements):
                 out[gi, hi] = scale * values[self.label_of(fam.mul(h, ginv))]
         return out
+
+
+# ---------------------------------------------------------------------------
+# explicit graphs built from translates
+
+
+class Graph(NamedTuple):
+    """An explicitly built graph and the vertex pairing its walk must exchange.
+
+    ``partner[i]`` is the vertex paired with vertex i, so the transfer pairs
+    are (i, partner[i]); ``checks`` holds structural checks only one family
+    has.
+    """
+
+    adjacency: np.ndarray
+    partner: np.ndarray
+    checks: dict[str, bool]
+
+
+def translation_adjacency(reps: Sequence, vertex_of, mul, connection: Sequence) -> np.ndarray:
+    """0/1 matrix whose row i marks ``vertex_of[mul(reps[i], s)]`` for every s.
+
+    ``reps`` holds one group element per vertex and ``vertex_of`` maps every
+    group element to its vertex: an element to its own index on a Cayley
+    graph, to the index of its left coset on a coset graph.  A connection list that reaches one
+    vertex twice marks it once, so the row falls short of ``len(connection)``.
+    """
+    out = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    for i, r in enumerate(reps):
+        out[i, [vertex_of[mul(r, s)] for s in connection]] = 1
+    return out
+
+
+def translation_partner(reps: Sequence, vertex_of, mul, t) -> np.ndarray:
+    """The vertex permutation i -> ``vertex_of[mul(t, reps[i])]`` of a central t."""
+    return np.array([vertex_of[mul(t, r)] for r in reps], dtype=np.int64)

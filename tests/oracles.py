@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from pstwalk.chars import cyclotomic_polynomial
+from pstwalk.groups import Mat2
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +247,53 @@ def dense_cyclotomic_reduction(n: int, coeffs: dict[int, int]) -> tuple[int, ...
             for j in range(deg):
                 a[i - deg + j] -= c * phi[j]
     return tuple(a[:deg])
+
+
+# ---------------------------------------------------------------------------
+# literal explicit graphs, by membership over the enumerated group
+#
+# These take the matrix product from the library's group family, but none of
+# its graph construction: every edge is a membership test.
+
+
+def literal_double_coset(space, g) -> frozenset:
+    """HgH as the set of all |H|^2 products h g h'."""
+    group = space.group
+    left = [group.mul(h, g) for h in space.h_elements]
+    return frozenset(group.mul(x, h) for x in left for h in space.h_elements)
+
+
+def literal_cayley_adjacency(family, members) -> np.ndarray:
+    """g ~ h iff h g^(-1) lies in ``members``, vertices in enumeration order."""
+    elements = list(family.enumerate_group())
+    connection = frozenset(members)
+    out = np.zeros((len(elements), len(elements)), dtype=np.int64)
+    for i, g in enumerate(elements):
+        g_inv = family.inv(g)
+        out[i] = [family.mul(h, g_inv) in connection for h in elements]
+    return out
+
+
+def literal_orbital_adjacency(space) -> tuple[np.ndarray, np.ndarray]:
+    """rH ~ sH iff r^(-1) s lies in HzH or a diagonal HmH; and the HzH part.
+
+    The double cosets are built from all |H|^2 products; the second matrix
+    is the relation of HzH alone, the pairing of rH with (z r)H.
+    """
+    group, q = space.group, space.q
+    z_coset = literal_double_coset(space, space.z)
+    edge_set = set(z_coset)
+    for a in range(q + 1):
+        for b in range(a + 1, q + 1):
+            m = Mat2(space.rep_set[a], 0, 0, space.rep_set[b])
+            edge_set |= literal_double_coset(space, m)
+    n = len(space.reps)
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    involution = np.zeros((n, n), dtype=np.int64)
+    for i, r in enumerate(space.reps):
+        r_inv = group.inv(r)
+        for j, s in enumerate(space.reps):
+            prod = group.mul(r_inv, s)
+            adjacency[i, j] = i != j and prod in edge_set
+            involution[i, j] = i != j and prod in z_coset
+    return adjacency, involution

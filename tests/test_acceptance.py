@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from oracles import literal_double_coset
 from pstwalk import orbital
 from pstwalk.cayley import (
     SMALL_ORDERS,
@@ -21,7 +22,6 @@ from pstwalk.cayley import (
     explicit_graph,
     make_family,
     sl_order_based_elements,
-    transfer_pairs,
 )
 from pstwalk.chars import CycSum
 from pstwalk.ctqw import integer_rows_with_signs, pst_scan
@@ -40,6 +40,11 @@ def spectrum_deviation(adjacency, rows) -> float:
 
 def set_members(family, conn) -> set:
     return {x for lab in conn.labels for x in family.class_elements(lab)}
+
+
+def transfer_pairs(graph) -> list[tuple[int, int]]:
+    """The pairs (i, partner[i]) of an explicit graph, each listed once."""
+    return [(i, int(j)) for i, j in enumerate(graph.partner) if i < j]
 
 
 def run_walk(adjacency, pairs):
@@ -67,10 +72,11 @@ def test_criterion_1_gl3_standard():
     assert cert.residue == 2 and cert.gap == 2
     assert math.isclose(cert.time, math.pi / 2)
 
-    adjacency, sch = explicit_graph(family, conn)
+    graph = explicit_graph(family, conn)
+    adjacency = graph.adjacency
     assert spectrum_deviation(adjacency, [(r.theta, r.multiplicity) for r in rows]) <= SPECTRUM_TOL
 
-    pairs = transfer_pairs(sch)
+    pairs = transfer_pairs(graph)
     assert sorted(v for p in pairs for v in p) == list(range(48))
     scan = run_walk(adjacency, pairs)
     assert math.isclose(scan.time, math.pi / 2)
@@ -100,9 +106,9 @@ def test_criterion_2_gl3_small_orders():
         want = cert.residue if r.sign == 1 else (cert.residue + 2) % 4
         assert r.theta % 4 == want
 
-    adjacency, sch = explicit_graph(family, conn)
-    assert cert.connected and component_count(adjacency) == 1
-    run_walk(adjacency, transfer_pairs(sch))
+    graph = explicit_graph(family, conn)
+    assert cert.connected and component_count(graph.adjacency) == 1
+    run_walk(graph.adjacency, transfer_pairs(graph))
 
     assert time.perf_counter() - start < 5.0
 
@@ -111,8 +117,9 @@ def test_criterion_3_gl5():
     start = time.perf_counter()
     family, conn, rows, cert, audit = analyze("gl", 5)
 
-    adjacency, sch = explicit_graph(family, conn)
-    assert len(sch.elements) == 480
+    graph = explicit_graph(family, conn)
+    adjacency = graph.adjacency
+    assert len(adjacency) == 480
     members = set_members(family, conn)
     assert conn.degree == len(members) == 286
 
@@ -127,8 +134,8 @@ def test_criterion_3_gl5():
 
     assert spectrum_deviation(adjacency, [(r.theta, r.multiplicity) for r in rows]) <= SPECTRUM_TOL
 
-    all_pairs = transfer_pairs(sch)
-    identity_at = sch.index[family.identity()]
+    all_pairs = transfer_pairs(graph)
+    identity_at = family.enumerate_group().index(family.identity())
     sample = [p for p in all_pairs if min(p) < 16 or identity_at in p]
     assert sample
     run_walk(adjacency, sample)
@@ -154,8 +161,8 @@ def test_criterion_4_sl():
         assert audit and all(c.formula == "involution-ratio" for c in audit)
         assert all(c.agrees for c in audit)
 
-        adjacency, sch = explicit_graph(family, conn)
-        run_walk(adjacency, transfer_pairs(sch))
+        graph = explicit_graph(family, conn)
+        run_walk(graph.adjacency, transfer_pairs(graph))
 
     assert time.perf_counter() - start < 30.0
 
@@ -181,8 +188,8 @@ def test_criterion_5_gu():
             bad_linear = {c.row for c in audit if c.formula == "linear" and not c.agrees}
             assert bad_linear == {"linear(0)", "linear(2)"}
 
-            adjacency, sch = explicit_graph(family, conn)
-            run_walk(adjacency, transfer_pairs(sch))
+            graph = explicit_graph(family, conn)
+            run_walk(graph.adjacency, transfer_pairs(graph))
 
     assert time.perf_counter() - start < 60.0
 
@@ -197,13 +204,13 @@ def test_criterion_6_orbital_q3():
         fibers.setdefault(orbital.double_coset_of(space, x), []).append(x)
     assert sum(len(v) for v in fibers.values()) == 5760
     for group_members in fibers.values():
-        assert orbital._double_coset(space, group_members[0]) == frozenset(group_members)
+        assert literal_double_coset(space, group_members[0]) == frozenset(group_members)
 
     graph = orbital.build_gamma(space)
-    n = graph.involution.shape[0]
-    assert (graph.involution.sum(axis=1) == 1).all()
-    assert np.trace(graph.involution) == 0
-    assert np.array_equal(graph.involution @ graph.involution, np.eye(n, dtype=np.int64))
+    n = len(graph.partner)
+    involution = np.eye(n, dtype=np.int64)[graph.partner]
+    assert np.trace(involution) == 0
+    assert np.array_equal(involution @ involution, np.eye(n, dtype=np.int64))
 
     rows = orbital.orbital_spectrum(3)
     assert all(isinstance(r.energy, int) and r.energy % 4 == 0 for r in rows)
@@ -211,7 +218,9 @@ def test_criterion_6_orbital_q3():
     deviation = spectrum_deviation(graph.adjacency, [(r.theta, r.multiplicity) for r in rows])
     assert deviation <= SPECTRUM_TOL
 
-    run_walk(graph.adjacency, [(graph.h_vertex, graph.z_vertex)])
+    h_vertex = space.coset_index[space.group.identity()]
+    assert space.coset_index[space.z] == graph.partner[h_vertex]
+    run_walk(graph.adjacency, [(h_vertex, int(graph.partner[h_vertex]))])
 
     disagreeing = {c.row for c in orbital.linear_energy_display_audit(3, rows) if not c.agrees}
     assert disagreeing == {"linear(0)", "linear(4)"}
@@ -274,12 +283,10 @@ def test_criterion_8_scheme_core():
         ("gu", 3, STANDARD),
     ]:
         fam, conn, *_ = analyze(tag, q, variant)
-        adjacency, scheme = explicit_graph(fam, conn)
-        t = fam.central_involution()
-        perm = [scheme.index[fam.mul(t, g)] for g in scheme.elements]
-        cases.append((adjacency, perm))
+        graph = explicit_graph(fam, conn)
+        cases.append((graph.adjacency, graph.partner.tolist()))
     gamma = orbital.build_gamma(orbital.build_coset_space(3))
-    cases.append((gamma.adjacency, [int(v) for v in np.argmax(gamma.involution, axis=1)]))
+    cases.append((gamma.adjacency, gamma.partner.tolist()))
 
     for adjacency, perm in cases:
         assert len(adjacency) <= 150

@@ -24,12 +24,11 @@ from pstwalk.cayley import (
     make_family,
     sl_order_based_elements,
     spectrum,
-    transfer_pairs,
     variants_for,
 )
 from pstwalk.chars import NonIntegralError
 from pstwalk.ctqw import pst_scan
-from pstwalk.scheme import ConjugacyScheme, pst_test, spectrum_trace
+from pstwalk.scheme import pst_test, spectrum_trace
 
 
 @lru_cache(maxsize=None)
@@ -41,6 +40,11 @@ def run(tag, q, variant=STANDARD):
 def graph_of(tag, q, variant=STANDARD):
     fam, conn, _, _, _ = run(tag, q, variant)
     return explicit_graph(fam, conn)
+
+
+def transfer_pairs(graph):
+    """The pairs (i, partner[i]) of an explicit graph, each listed once."""
+    return [(i, int(j)) for i, j in enumerate(graph.partner) if i < j]
 
 
 def rows_by_label(rows):
@@ -326,7 +330,7 @@ def test_spectrum_invariants(tag, q, variant):
 @pytest.mark.parametrize("tag,q,variant", ALL_RUNS)
 def test_numeric_spectrum_matches_exact(tag, q, variant):
     _, conn, rows, _, _ = run(tag, q, variant)
-    adj, _ = graph_of(tag, q, variant)
+    adj = graph_of(tag, q, variant).adjacency
     numeric = np.sort(np.linalg.eigvalsh(adj.astype(float)))
     exact = np.sort(
         np.concatenate([np.full(r.multiplicity, r.theta, dtype=float) for r in rows])
@@ -398,7 +402,7 @@ def test_certify_agrees_with_parity_test(tag, q, variant):
 @pytest.mark.parametrize("tag,q", [(t, 3) for t in ("gl", "gu", "sl")] + [("sl", 5)])
 def test_connectivity_flag_matches_component_search(tag, q):
     _, _, _, cert, _ = run(tag, q)
-    adj, _ = graph_of(tag, q)
+    adj = graph_of(tag, q).adjacency
     assert component_count(adj) == 1
     assert cert.connected is True
 
@@ -409,9 +413,10 @@ def test_connectivity_flag_matches_component_search(tag, q):
 )
 def test_walk_simulation_confirms_certificate(tag, q, variant):
     _, _, _, cert, _ = run(tag, q, variant)
-    adj, sch = graph_of(tag, q, variant)
-    pairs = transfer_pairs(sch)
-    assert len(pairs) == sch.n // 2
+    graph = graph_of(tag, q, variant)
+    adj = graph.adjacency
+    pairs = transfer_pairs(graph)
+    assert len(pairs) == len(adj) // 2
     report = pst_scan(adj, pairs)
     assert report.ok
     assert report.time == pytest.approx(cert.time)
@@ -554,8 +559,9 @@ def test_explicit_graph_bound():
 @pytest.mark.parametrize("tag,q,variant", [("gl", 3, STANDARD), ("gu", 3, STANDARD), ("sl", 3, STANDARD)])
 def test_explicit_graph_shape(tag, q, variant):
     fam, conn, _, _, _ = run(tag, q, variant)
-    adj, sch = graph_of(tag, q, variant)
-    assert sch.n == fam.order
+    graph = graph_of(tag, q, variant)
+    adj = graph.adjacency
+    assert len(graph.partner) == fam.order
     assert adj.shape == (fam.order, fam.order)
     assert np.array_equal(adj, adj.T)
     assert np.all(np.diag(adj) == 0)
@@ -564,14 +570,14 @@ def test_explicit_graph_shape(tag, q, variant):
 
 def test_transfer_pairs_are_the_antipodal_matching():
     fam, _, _, _, _ = run("gl", 3)
-    adj, sch = graph_of("gl", 3)
-    pairs = transfer_pairs(sch)
+    pairs = transfer_pairs(graph_of("gl", 3))
+    elements = fam.enumerate_group()
     t = fam.central_involution()
     seen = set()
     for i, j in pairs:
-        assert sch.elements[j] == fam.mul(t, sch.elements[i])
+        assert elements[j] == fam.mul(t, elements[i])
         seen.update((i, j))
-    assert len(seen) == sch.n
+    assert len(seen) == fam.order
 
 
 def test_component_count_toy_graphs():
@@ -623,8 +629,8 @@ def test_random_class_union_spectrum_and_walk(data):
     assert spectrum_trace(rows) == 0
     assert max(r.theta for r in rows) == degree
 
-    sch = ConjugacyScheme(fam)
-    adj = sch.adjacency(labels)
+    graph = explicit_graph(fam, conn)
+    adj = graph.adjacency
     numeric = np.sort(np.linalg.eigvalsh(adj.astype(float)))
     exact = np.sort(
         np.concatenate([np.full(r.multiplicity, r.theta, dtype=float) for r in rows])
@@ -632,7 +638,7 @@ def test_random_class_union_spectrum_and_walk(data):
     assert np.max(np.abs(numeric - exact)) < 1e-8
 
     cert = certify(rows)
-    pairs = transfer_pairs(sch)
+    pairs = transfer_pairs(graph)
     if cert.ok:
         report = pst_scan(adj, pairs, time=cert.time)
         assert report.ok and report.min_fidelity >= 1 - 1e-9

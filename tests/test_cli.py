@@ -6,9 +6,10 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
-from pstwalk import cli
+from pstwalk import cli, orbital
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
 from pstwalk.ctqw import TransferReport
 
@@ -108,6 +109,17 @@ def test_invalid_targets_are_usage_errors(argv, capsys):
 def test_orbital_refusal_names_the_given_q(q, capsys):
     assert main(["orbital", "--q", q]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {q} is not a prime power\n"
+
+
+def test_orbital_variant_is_refused_before_any_file_is_written(tmp_path, capsys):
+    argv = ["export", "--family", "orbital", "--q", "3", "--variant", "small-orders"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unsupported variant 'small-orders' for the orbital graph; available: standard\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_format_is_usage_error(tmp_path, capsys):
@@ -267,6 +279,45 @@ def test_certificate_failure_exits_2(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "certificate: FAILED" in out
     assert "verdict: certificate failure" in out
+
+
+def test_certificate_failure_still_runs_the_walk(monkeypatch, capsys):
+    """The mod-4 certificate is sufficient, not necessary: the walk on a graph
+    it rejects is still simulated and reported, and the exit code stays 2."""
+    real = cli.analyze
+
+    def doctored(tag, q, variant):
+        analysis = real(tag, q, variant)
+        bad = dataclasses.replace(analysis.certificate, ok=False, reason="forced failure")
+        return analysis._replace(certificate=bad)
+
+    monkeypatch.setattr(cli, "analyze", doctored)
+    assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CERTIFICATE
+    out = capsys.readouterr().out
+    assert "cross-check walk_min_fidelity: " in out
+    assert "cross-check walk_ok: True" in out
+    assert "verdict: certificate failure" in out
+
+
+def test_orbital_structure_checks_can_fail(monkeypatch, capsys):
+    """A coset graph without its HzH edges, paired by a permutation that is
+    not an involution, reads false on the degree and matching checks."""
+    connection, partner = orbital._connection, orbital.translation_partner
+
+    def without_z(space):
+        z_vertex = space.coset_index[space.z]
+        return [d for d in connection(space) if space.coset_index[d] != z_vertex]
+
+    monkeypatch.setattr(orbital, "_connection", without_z)
+    monkeypatch.setattr(orbital, "translation_partner", lambda *a: np.roll(partner(*a), 1))
+    orbital.build_gamma.cache_clear()
+    try:
+        assert main(["orbital", "--q", "3"]) == EXIT_CROSS_CHECK
+    finally:
+        orbital.build_gamma.cache_clear()
+    out = capsys.readouterr().out
+    assert "cross-check degree_row_sums_match: False" in out
+    assert "cross-check involution_is_perfect_matching: False" in out
 
 
 def test_spectrum_mismatch_exits_3(monkeypatch, capsys):

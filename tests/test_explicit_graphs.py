@@ -1,0 +1,68 @@
+"""The explicit-graph builder against literal references.
+
+Both families build their graph the same way: row i marks the vertex of
+r_i s for every s in a connection list, and the transfer pairing is the
+permutation i -> vertex of t r_i for a central involution t (-I on the
+Cayley graphs, z on the coset graph).  Here every small graph is rebuilt
+literally -- from the membership of h g^(-1) in the connection set, or of
+r^(-1) s in double cosets built from all |H|^2 products -- and the pairing
+is checked to be a fixed-point-free automorphism of order two.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from oracles import literal_cayley_adjacency, literal_orbital_adjacency
+from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, explicit_graph
+from pstwalk.orbital import build_coset_space, build_gamma
+
+CAYLEY = [
+    ("gl", 3, STANDARD),
+    ("gl", 3, SMALL_ORDERS),
+    ("gl", 5, STANDARD),
+    ("gu", 3, STANDARD),
+    ("gu", 5, STANDARD),
+    ("sl", 3, STANDARD),
+    ("sl", 5, STANDARD),
+]
+TARGETS = CAYLEY + [("orbital", 3, STANDARD)]
+
+
+@lru_cache(maxsize=None)
+def graph_of(tag, q, variant):
+    if tag == "orbital":
+        return build_gamma(build_coset_space(q))
+    family, conn, *_ = analyze(tag, q, variant)
+    return explicit_graph(family, conn)
+
+
+@pytest.mark.parametrize("tag,q,variant", CAYLEY)
+def test_cayley_adjacency_matches_literal_reference(tag, q, variant):
+    family, conn, *_ = analyze(tag, q, variant)
+    members = [x for lab in conn.labels for x in family.class_elements(lab)]
+    literal = literal_cayley_adjacency(family, members)
+    assert np.array_equal(graph_of(tag, q, variant).adjacency, literal)
+
+
+def test_orbital_adjacency_and_pairing_match_literal_reference():
+    graph = graph_of("orbital", 3, STANDARD)
+    adjacency, involution = literal_orbital_adjacency(build_coset_space(3))
+    assert np.array_equal(graph.adjacency, adjacency)
+    n = len(graph.partner)
+    assert np.array_equal(np.eye(n, dtype=np.int64)[graph.partner], involution)
+
+
+@pytest.mark.parametrize("tag,q,variant", TARGETS)
+def test_partner_is_a_fixed_point_free_automorphism_of_order_two(tag, q, variant):
+    graph = graph_of(tag, q, variant)
+    a, partner = graph.adjacency, graph.partner
+    vertices = np.arange(len(a))
+    assert np.array_equal(np.sort(partner), vertices)
+    assert np.array_equal(partner[partner], vertices)
+    assert (partner != vertices).all()
+    assert np.array_equal(a[partner][:, partner], a)
+

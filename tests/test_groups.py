@@ -27,9 +27,6 @@ from pstwalk.groups import (
     Mat2,
     SLGroup,
     UntabulatedCharacterError,
-    mat_identity,
-    mat_inv,
-    mat_mul,
 )
 
 FAMILY_CLS = {"gl": GLGroup, "gu": GUGroup, "sl": SLGroup}

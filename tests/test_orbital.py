@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from oracles import literal_double_coset
 from pstwalk.chars import CycSum, integer_part
 from pstwalk.groups import IrrLabel, Mat2
 from pstwalk import orbital
@@ -85,6 +86,21 @@ def graph3():
     return build_gamma(space3())
 
 
+def matching(g):
+    """The pairing as a 0/1 matrix: row i marks partner[i]."""
+    return np.eye(len(g.partner), dtype=np.int64)[g.partner]
+
+
+def transfer_pairs(g):
+    """The pairs (i, partner[i]), each listed once."""
+    return [(i, int(j)) for i, j in enumerate(g.partner) if i < j]
+
+
+def anchors(sp):
+    """The vertices of the cosets H and zH."""
+    return sp.coset_index[sp.group.identity()], sp.coset_index[sp.z]
+
+
 @lru_cache(maxsize=None)
 def rows_for(q):
     return orbital_spectrum(q)
@@ -124,9 +140,12 @@ def test_coset_space_counts():
 
 def test_coset_space_vertex_anchors():
     sp = space3()
-    assert sp.coset_index[sp.group.identity()] == sp.h_vertex
-    assert sp.coset_index[sp.z] == sp.z_vertex
-    assert sp.h_vertex != sp.z_vertex
+    h_vertex, z_vertex = anchors(sp)
+    assert h_vertex == 0  # the identity is enumerated first
+    assert h_vertex != z_vertex
+    G = sp.group
+    assert sp.in_h(sp.reps[h_vertex])
+    assert sp.in_h(G.mul(G.inv(sp.z), sp.reps[z_vertex]))
 
 
 def test_zeta_is_smallest_order_four_scalar():
@@ -223,7 +242,7 @@ def test_invariant_partition_matches_literal_double_cosets():
     fibers = invariant_fibers()
     assert sum(len(v) for v in fibers.values()) == 5760
     for members in fibers.values():
-        assert orbital._double_coset(sp, members[0]) == frozenset(members)
+        assert literal_double_coset(sp, members[0]) == frozenset(members)
 
 
 def test_rank_equals_number_of_irreducibles():
@@ -550,7 +569,6 @@ def test_linear_energy_display_disagrees_at_q7_too():
 def test_graph_shape_and_degree():
     g = graph3()
     assert g.adjacency.shape == (Q3_COSETS, Q3_COSETS)
-    assert g.degree == Q3_DEGREE
     assert (g.adjacency.sum(axis=1) == Q3_DEGREE).all()
     assert g.adjacency.sum() // 2 == Q3_EDGES
     assert np.array_equal(g.adjacency, g.adjacency.T)
@@ -559,24 +577,26 @@ def test_graph_shape_and_degree():
 
 def test_graph_h_adjacent_to_zh():
     g = graph3()
-    assert g.adjacency[g.h_vertex, g.z_vertex] == 1
-    assert g.involution[g.h_vertex, g.z_vertex] == 1
+    h_vertex, z_vertex = anchors(space3())
+    assert g.adjacency[h_vertex, z_vertex] == 1
+    assert g.partner[h_vertex] == z_vertex
+    assert g.checks == {"involution_is_perfect_matching": True}
 
 
 def test_involution_part_is_fixed_point_free_matching():
     g = graph3()
-    n = g.involution.shape[0]
-    assert (g.involution.sum(axis=1) == 1).all()
-    assert np.trace(g.involution) == 0
-    assert np.array_equal(g.involution @ g.involution, np.eye(n, dtype=np.int64))
-    pairs = g.transfer_pairs()
+    involution = matching(g)
+    n = involution.shape[0]
+    assert np.trace(involution) == 0
+    assert np.array_equal(involution @ involution, np.eye(n, dtype=np.int64))
+    pairs = transfer_pairs(g)
     assert len(pairs) == n // 2
-    assert (g.h_vertex, g.z_vertex) in [tuple(sorted(p)) for p in pairs]
+    assert anchors(space3()) in pairs
 
 
 def test_involution_edges_are_inside_the_graph():
     g = graph3()
-    assert ((g.adjacency - g.involution) >= 0).all()
+    assert ((g.adjacency - matching(g)) >= 0).all()
 
 
 def test_numeric_spectrum_matches_character_rows():
@@ -590,13 +610,13 @@ def test_numeric_diagonal_part_matches_energies():
     """The graph minus its matching has the energies as its spectrum."""
     g = graph3()
     exact = sorted(r.energy for r in rows_for(3) for _ in range(r.multiplicity))
-    numeric = np.linalg.eigvalsh((g.adjacency - g.involution).astype(float))
+    numeric = np.linalg.eigvalsh((g.adjacency - matching(g)).astype(float))
     assert np.abs(numeric - np.array(exact, dtype=float)).max() < 1e-8
 
 
 def test_diagonal_part_row_sum_is_trivial_energy():
     g = graph3()
-    d = g.adjacency - g.involution
+    d = g.adjacency - matching(g)
     assert (d.sum(axis=1) == 72).all()
 
 
@@ -628,7 +648,7 @@ def test_certificate_q7_character_sum_mode():
 
 def test_walk_reaches_every_matched_pair():
     g = graph3()
-    report = pst_scan(g.adjacency, g.transfer_pairs())
+    report = pst_scan(g.adjacency, transfer_pairs(g))
     assert report.ok
     assert math.isclose(report.time, math.pi / 2)
     assert report.min_fidelity >= 1 - 1e-9
