@@ -7,11 +7,15 @@ conjugacy classes, closed under inversion and avoiding the identity:
 * ``gu`` -- the unitary group GU(2, q);
 * ``sl`` -- the special linear group SL(2, q), q an odd prime.
 
-The ``standard`` connection set takes the split class of ``diag(1, -1)``,
-every unipotent-type (Jordan) class, and the nonsplit classes whose
-eigenvalue norm is 1 or a non-square (GL: the norm to the base field;
-GU: the relative norm ``z^(q-1)`` landing in the norm-one torus).  For
-SL it is the central involution together with every Jordan class.
+The ``standard`` connection set of GL and GU is one rule: the split
+class of ``diag(1, -1)``, every unipotent-type (Jordan) class, and the
+nonsplit classes whose determinant is 1 or a non-square in the torus,
+that is, whose determinant's torus log
+(:meth:`~pstwalk.groups.GLGroup.det_log`) is 0 or odd.  For GL the
+determinant of the eigenvalue pair {z, z^q} is the norm z^(q+1) in
+F_q^x; for GU the determinant of {z, z^(-q)} is z^(1-q) in the norm-one
+torus.  For SL it is the central involution together with every Jordan
+class.
 GL(2, 3) additionally supports the ``small-orders`` variant: all
 non-central classes of elements of order 2, 3, 4 or 6.
 
@@ -116,32 +120,15 @@ class ConnectionSet:
     degree: int
 
 
-def _gl_standard_labels(fam: GLGroup) -> list[ClassLabel]:
-    F, tw = fam.field, fam.tower
-    labels = [fam.classify(Mat2(1, 0, 0, F.neg(1)))]
+def _standard_labels(fam) -> list[ClassLabel]:
+    labels = [fam.classify(Mat2(1, 0, 0, fam.field.neg(1)))]
     labels += [lab for lab in fam.classes() if lab.kind == "jordan"]
     for lab in fam.classes():
         if lab.kind != "nonsplit":
             continue
-        # keep z when Nm(z) = z^(q+1) is 1 or a non-square in F_q
-        nm = tw.norm(lab.params[0])
-        if nm == 1 or not F.is_square(nm):
-            labels.append(lab)
-    return labels
-
-
-def _gu_standard_labels(fam: GUGroup) -> list[ClassLabel]:
-    F, tw = fam.field, fam.tower
-    n = fam.root_order
-    labels = [fam.classify(Mat2(1, 0, 0, F.neg(1)))]
-    labels += [lab for lab in fam.classes() if lab.kind == "jordan"]
-    keep = frozenset(tw.E_nonsquares()) | {1}
-    for lab in fam.classes():
-        if lab.kind != "nonsplit":
-            continue
-        # keep z when the relative norm z^(q-1) is 1 or a non-square in E
-        dz = F.dlog(lab.params[0])
-        if F.exp[(dz * (fam.q - 1)) % n] in keep:
+        # keep z when det is 1 or a non-square of the torus (of even order q - eps)
+        d = fam.det_log(lab.params[0])
+        if d == 0 or d % 2:
             labels.append(lab)
     return labels
 
@@ -176,12 +163,10 @@ def build_connection_set(family, variant: str = STANDARD) -> ConnectionSet:
         )
     if variant == SMALL_ORDERS:
         labels = _small_order_labels(family)
-    elif tag == "gl":
-        labels = _gl_standard_labels(family)
-    elif tag == "gu":
-        labels = _gu_standard_labels(family)
-    else:
+    elif tag == "sl":
         labels = _sl_standard_labels(family)
+    else:
+        labels = _standard_labels(family)
 
     label_set = frozenset(labels)
     if len(label_set) != len(labels):
@@ -348,7 +333,7 @@ def _sl_ratio_value(family: SLGroup, irr: IrrLabel) -> int:
     d = family.degree(irr)
     ratio = family.involution_sign(irr)
     jordan = [lab for lab in family.classes() if lab.kind == "jordan"]
-    r = _total(family.root_order, (family.char_value_full(irr, lab) for lab in jordan))
+    r = _total(family.root_order, (family.char_value(irr, lab) for lab in jordan))
     r_int = integer_part(r)
     num = (q * q - 1) * r_int
     if num % (2 * d):

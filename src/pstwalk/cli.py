@@ -324,8 +324,6 @@ def build_target(family: str, q: int, variant: str = STANDARD) -> Target:
 
 
 def _cayley_target(tag: str, q: int, variant: str) -> Target:
-    if q % 2 == 0:
-        raise ValueError("q must be an odd prime power")
     family, conn, rows, cert, audit = analyze(tag, q, variant)
 
     def graph(bound: int) -> Graph | str:

@@ -1,4 +1,4 @@
-"""Finite fields F_{p^k} with deterministic tables, and quadratic towers.
+"""Finite fields F_{p^k}, p odd, with deterministic tables, and quadratic towers.
 
 Elements are encoded as integers in [0, q): the base-p digits of the
 encoding are the coefficients of the residue polynomial, least-significant
@@ -154,6 +154,8 @@ class FiniteField:
         for ell in _prime_factors(p):
             if ell != p:
                 raise ValueError(f"{p} is not prime")
+        if p == 2:
+            raise ValueError("only odd characteristic is supported")
         self.p = p
         self.k = k
         self.q = p**k
@@ -162,7 +164,7 @@ class FiniteField:
         self.exp: list[int] = []
         self.log: list[int] = [-1] * self.q
         self._build_tables()
-        self.generator: int = self.exp[1] if self.q > 2 else 1
+        self.generator: int = self.exp[1]
         self._add_table: list[list[int]] | None = None
         if self.k > 1 and self.q <= 256:
             self._add_table = [
@@ -278,21 +280,15 @@ class FiniteField:
         return self.pow(a, self.p**m) if a else 0
 
     def is_square(self, a: int) -> bool:
-        if a == 0:
-            return True
-        if self.p == 2:
-            return True
-        return self.log[a] % 2 == 0
+        return a == 0 or self.log[a] % 2 == 0
 
     def sqrt(self, a: int) -> int | None:
         """Square root with the smaller discrete log, or None."""
         if a == 0:
             return 0
         d = self.log[a]
-        if self.p != 2 and d % 2:
+        if d % 2:
             return None
-        if self.p == 2:
-            return self.exp[(d * ((self.q) // 2)) % (self.q - 1)]
         return self.exp[d // 2]
 
     # -- coefficient views -------------------------------------------------
@@ -398,9 +394,6 @@ class FieldTower:
             return []
         m = L // (self.q + 1)
         return [self.ext.exp[(m + (self.q - 1) * j) % n] for j in range(self.q + 1)]
-
-    def E_nonsquares(self) -> list[int]:
-        return [self.E[i] for i in range(1, self.q + 1, 2)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldTower(F_{self.q} < F_{self.q**2})"

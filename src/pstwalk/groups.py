@@ -46,19 +46,37 @@ from a split torus character pair; degree q+1 for GL/SL, q-1 for GU) and
 for GL/SL, q+1 for GU).  SL additionally has two half-degree pairs,
 ``principal_half`` of degree (q+1)/2 and ``cuspidal_half`` of degree
 (q-1)/2, with parameter +1 or -1.  Their values on central and jordan
-classes involve quadratic residue periods and are tabulated here; their
-values on split and nonsplit classes are pinned down by orthogonality
-and exposed only through :meth:`SLGroup.char_value_full` -- the plain
-:meth:`SLGroup.char_value` raises :class:`UntabulatedCharacterError`
-there.  Orthogonality of the resulting full table is checked in the
-test suite.
+classes involve quadratic residue periods; their values on split and
+nonsplit classes are pinned down by orthogonality.  Orthogonality of the
+full table is checked in the test suite.
+
+GL and GU: one table, q -> -q
+-----------------------------
+The class list, class sizes, irreducible list, degrees and character
+values of GU(2, q) are those of GL(2, q) with q replaced by -q (Ennola
+duality: V. Ennola, *On the characters of the finite unitary groups*,
+1963).  :class:`_LinearOrUnitary` writes them once with a sign ``eps``,
++1 for GL and -1 for GU; the torus has order q - eps.  Each family
+supplies only what really differs:
+
+* ``eps``, its field and its order;
+* ``torus``, the torus elements in discrete-log order (F_q^x for GL,
+  E for GU), with ``torus_log`` (element -> index) and ``torus_ext_log``
+  (element -> discrete log in F_{q^2});
+* :meth:`~_LinearOrUnitary.det_log`, the torus log of the determinant
+  of the nonsplit class of an eigenvalue z (Nm z = z^(q+1) for GL,
+  z^(1-q) for GU);
+* its matrix code: ``classify``, ``class_rep``, ``enumerate_group`` and,
+  for GU, ``is_member``.
+
+Every constructor refuses a q that is not an odd prime power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .chars import CycSum, MultChar, integer_part, residue_periods
 from .gf import FieldTower, FiniteField, make_tower
@@ -67,7 +85,6 @@ __all__ = [
     "Mat2",
     "ClassLabel",
     "IrrLabel",
-    "UntabulatedCharacterError",
     "GLGroup",
     "GUGroup",
     "SLGroup",
@@ -81,10 +98,6 @@ class Mat2(NamedTuple):
     b: int
     c: int
     d: int
-
-
-class UntabulatedCharacterError(LookupError):
-    """A character value that the tabulated data does not determine."""
 
 
 @dataclass(frozen=True, order=True)
@@ -117,6 +130,8 @@ def _prime_power(q: int) -> tuple[int, int]:
         k += 1
     if m != 1:
         raise ValueError(f"{q} is not a prime power")
+    if p == 2:
+        raise ValueError(f"{q} is even; only odd characteristic is supported")
     return p, k
 
 
@@ -242,52 +257,147 @@ class _Family:
 # ---------------------------------------------------------------------------
 
 
-class GLGroup(_Family):
-    """GL(2, q): all invertible 2x2 matrices over F_q (q an odd prime power)."""
+class _LinearOrUnitary(_Family):
+    """The class list and character table GL(2, q) and GU(2, q) share.
 
-    family = "gl"
+    ``eps`` is +1 for GL and -1 for GU, and the root order is q^2 - 1 for
+    both.  A family sets the hooks listed in the module docstring, then
+    calls :meth:`_build_tables`.
+    """
 
-    def __init__(self, q: int):
-        p, k = _prime_power(q)
-        if p == 2:
-            raise ValueError("only odd characteristic is supported")
-        self.q, self.p, self.k = q, p, k
-        self.tower = make_tower(p, k)
-        self.field = self.tower.base
-        self.root_order = q * q - 1
-        self.order = (q * q - 1) * (q * q - q)
-        self._classes = self._build_classes()
-        self._irreducibles = self._build_irreducibles()
+    eps: int
+    torus: Sequence[int]
+    torus_log: Mapping[int, int] | Sequence[int]
+    torus_ext_log: Mapping[int, int] | Sequence[int]
 
-    # -- classes ------------------------------------------------------------
+    def det_log(self, z: int) -> int:  # pragma: no cover - abstract
+        """Torus log of the determinant of the nonsplit class of z."""
+        raise NotImplementedError
 
-    def _build_classes(self) -> tuple[ClassLabel, ...]:
-        q, ext = self.q, self.tower.ext
-        n = q * q - 1
-        units = range(1, q)
-        out = [ClassLabel("gl", "central", (x,)) for x in units]
-        out += [ClassLabel("gl", "jordan", (x,)) for x in units]
-        out += [
-            ClassLabel("gl", "split", (x, y))
-            for x in units
-            for y in units
-            if x < y
+    def _build_tables(self) -> None:
+        q, eps, fam, T = self.q, self.eps, self.family, self.torus
+        n = self.root_order = q * q - 1
+        ext = self.tower.ext
+        classes = [ClassLabel(fam, "central", (x,)) for x in T]
+        classes += [ClassLabel(fam, "jordan", (x,)) for x in T]
+        classes += [
+            ClassLabel(fam, "split", tuple(sorted((T[i], T[j]))))
+            for i in range(q - eps)
+            for j in range(i + 1, q - eps)
         ]
-        for dz in range(n):
-            # z outside F_q: q+1 does not divide dlog; orbit {z, z^q}
-            if dz % (q + 1) == 0 or (dz * q) % n < dz:
-                continue
-            out.append(ClassLabel("gl", "nonsplit", (ext.exp[dz],)))
-        return tuple(out)
+        # z off the torus (q + eps does not divide dlog); orbit {z, z^(eps q)}
+        classes += [
+            ClassLabel(fam, "nonsplit", (ext.exp[dz],))
+            for dz in range(n)
+            if dz % (q + eps) and (eps * q * dz) % n >= dz
+        ]
+        self._classes = tuple(classes)
+        irr = [IrrLabel(fam, "linear", (j,)) for j in range(q - eps)]
+        irr += [IrrLabel(fam, "steinberg", (j,)) for j in range(q - eps)]
+        irr += [
+            IrrLabel(fam, "principal", (i, j))
+            for i in range(q - eps)
+            for j in range(i + 1, q - eps)
+        ]
+        irr += [
+            IrrLabel(fam, "cuspidal", (m,))
+            for m in range(1, n)
+            if m % (q + eps) and (eps * m * q) % n > m
+        ]
+        self._irreducibles = tuple(irr)
 
     def class_size(self, label: ClassLabel) -> int:
-        q = self.q
+        q, eps = self.q, self.eps
         return {
             "central": 1,
             "jordan": q * q - 1,
-            "split": q * (q + 1),
-            "nonsplit": q * (q - 1),
+            "split": q * (q + eps),
+            "nonsplit": q * (q - eps),
         }[label.kind]
+
+    def trivial_character(self) -> IrrLabel:
+        return IrrLabel(self.family, "linear", (0,))
+
+    def degree(self, irr: IrrLabel) -> int:
+        q, eps = self.q, self.eps
+        return {"linear": 1, "steinberg": q, "principal": q + eps, "cuspidal": q - eps}[
+            irr.kind
+        ]
+
+    def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:
+        q, n, eps = self.q, self.root_order, self.eps
+        kind, ck = irr.kind, cls.kind
+        tlog = self.torus_log
+
+        if kind in ("linear", "steinberg"):
+            # lambda(det), times the Steinberg value for steinberg
+            lam = MultChar(q - eps, irr.params[0])
+            if ck in ("central", "jordan"):
+                v = lam.at(2 * tlog[cls.params[0]], n)
+                if kind == "steinberg":
+                    return v * q if ck == "central" else CycSum.zero(n)
+                return v
+            if ck == "split":
+                x, y = cls.params
+                v = lam.at(tlog[x] + tlog[y], n)
+                return -v if kind == "steinberg" and eps < 0 else v
+            v = lam.at(self.det_log(cls.params[0]), n)
+            return -v if kind == "steinberg" and eps > 0 else v
+
+        if kind == "principal":
+            i, j = irr.params
+            if ck in ("central", "jordan"):
+                v = MultChar(q - eps, i + j).at(tlog[cls.params[0]], n)
+                if ck == "central":
+                    return v * (q + eps)
+                return v if eps > 0 else -v
+            if ck == "split":
+                dx, dy = tlog[cls.params[0]], tlog[cls.params[1]]
+                ci, cj = MultChar(q - eps, i), MultChar(q - eps, j)
+                v = ci.at(dx, n) * cj.at(dy, n) + ci.at(dy, n) * cj.at(dx, n)
+                return v if eps > 0 else -v
+            return CycSum.zero(n)
+
+        # cuspidal, indexed by a character of F_{q^2}^x
+        mu = MultChar(n, irr.params[0])
+        if ck in ("central", "jordan"):
+            v = mu(self.torus_ext_log[cls.params[0]])
+            if ck == "central":
+                return v * (q - eps)
+            return -v if eps > 0 else v
+        if ck == "split":
+            return CycSum.zero(n)
+        dz = self.tower.ext.log[cls.params[0]]
+        v = mu(dz) + mu(eps * q * dz)
+        return -v if eps > 0 else v
+
+
+# ---------------------------------------------------------------------------
+
+
+class GLGroup(_LinearOrUnitary):
+    """GL(2, q): all invertible 2x2 matrices over F_q (q an odd prime power)."""
+
+    family = "gl"
+    eps = 1
+
+    def __init__(self, q: int):
+        p, k = _prime_power(q)
+        self.q, self.p, self.k = q, p, k
+        tw = self.tower = make_tower(p, k)
+        self.field = tw.base
+        self.order = (q * q - 1) * (q * q - q)
+        self.torus = range(1, q)
+        self.torus_log = self.field.log
+        self.torus_ext_log = {x: tw.ext.log[tw.embed(x)] for x in self.torus}
+        self._build_tables()
+
+    # the tracer in perfbench/ wraps GLGroup.__dict__["char_value"]
+    char_value = _LinearOrUnitary.char_value
+
+    def det_log(self, z: int) -> int:
+        """dlog of Nm(z) = z^(q+1), the determinant of the eigenvalue pair {z, z^q}."""
+        return self.field.log[self.tower.norm(z)]
 
     def class_rep(self, label: ClassLabel) -> Mat2:
         F, tw = self.field, self.tower
@@ -342,79 +452,11 @@ class GLGroup(_Family):
                             out.append(Mat2(a, b, c, d))
         return out
 
-    # -- characters ----------------------------------------------------------
-
-    def _build_irreducibles(self) -> tuple[IrrLabel, ...]:
-        q = self.q
-        n = q * q - 1
-        out = [IrrLabel("gl", "linear", (j,)) for j in range(q - 1)]
-        out += [IrrLabel("gl", "steinberg", (j,)) for j in range(q - 1)]
-        out += [
-            IrrLabel("gl", "principal", (i, j))
-            for i in range(q - 1)
-            for j in range(i + 1, q - 1)
-        ]
-        out += [
-            IrrLabel("gl", "cuspidal", (m,))
-            for m in range(1, n)
-            if m % (q + 1) and (m * q) % n > m
-        ]
-        return tuple(out)
-
-    def trivial_character(self) -> IrrLabel:
-        return IrrLabel("gl", "linear", (0,))
-
-    def degree(self, irr: IrrLabel) -> int:
-        q = self.q
-        return {"linear": 1, "steinberg": q, "principal": q + 1, "cuspidal": q - 1}[
-            irr.kind
-        ]
-
-    def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:
-        q, n = self.q, self.root_order
-        F, tw = self.field, self.tower
-        kind, ck = irr.kind, cls.kind
-
-        if kind in ("linear", "steinberg"):
-            lam = MultChar(q - 1, irr.params[0])
-            if ck in ("central", "jordan"):
-                v = lam.at(2 * F.dlog(cls.params[0]), n)
-                if kind == "steinberg":
-                    return v * q if ck == "central" else CycSum.zero(n)
-                return v
-            if ck == "split":
-                x, y = cls.params
-                return lam.at(F.dlog(x) + F.dlog(y), n)
-            v = lam.at(F.dlog(tw.norm(cls.params[0])), n)
-            return -v if kind == "steinberg" else v
-
-        if kind == "principal":
-            i, j = irr.params
-            if ck in ("central", "jordan"):
-                v = MultChar(q - 1, i + j).at(F.dlog(cls.params[0]), n)
-                return v * (q + 1) if ck == "central" else v
-            if ck == "split":
-                dx, dy = F.dlog(cls.params[0]), F.dlog(cls.params[1])
-                ci, cj = MultChar(q - 1, i), MultChar(q - 1, j)
-                return ci.at(dx, n) * cj.at(dy, n) + ci.at(dy, n) * cj.at(dx, n)
-            return CycSum.zero(n)
-
-        # cuspidal, indexed by a character of F_{q^2}^x
-        mu = MultChar(n, irr.params[0])
-        ext = tw.ext
-        if ck in ("central", "jordan"):
-            v = mu(ext.dlog(tw.embed(cls.params[0])))
-            return v * (q - 1) if ck == "central" else -v
-        if ck == "split":
-            return CycSum.zero(n)
-        dz = ext.dlog(cls.params[0])
-        return -(mu(dz) + mu(dz * q))
-
 
 # ---------------------------------------------------------------------------
 
 
-class GUGroup(_Family):
+class GUGroup(_LinearOrUnitary):
     """GU(2, q): unitary 2x2 matrices over F_{q^2} (q an odd prime power).
 
     Membership means ``M* M = I`` for the conjugate transpose ``M*``
@@ -425,18 +467,26 @@ class GUGroup(_Family):
     """
 
     family = "gu"
+    eps = -1
 
     def __init__(self, q: int):
         p, k = _prime_power(q)
-        if p == 2:
-            raise ValueError("only odd characteristic is supported")
         self.q, self.p, self.k = q, p, k
-        self.tower = make_tower(p, k)
-        self.field = self.tower.ext
-        self.root_order = q * q - 1
+        tw = self.tower = make_tower(p, k)
+        self.field = tw.ext
         self.order = q * (q - 1) * (q + 1) ** 2
-        self._classes = self._build_classes()
-        self._irreducibles = self._build_irreducibles()
+        self.torus = tw.E
+        self.torus_log = tw.E_log
+        self.torus_ext_log = tw.ext.log
+        self._build_tables()
+
+    # the tracer in perfbench/ wraps GUGroup.__dict__["char_value"]
+    char_value = _LinearOrUnitary.char_value
+
+    def det_log(self, z: int) -> int:
+        """E-index of z^(1-q), the determinant of the eigenvalue pair {z, z^(-q)}."""
+        q = self.q
+        return (self.field.log[z] * (1 - q)) % self.root_order // (q - 1)
 
     # -- membership -----------------------------------------------------------
 
@@ -448,33 +498,6 @@ class GUGroup(_Family):
         return self.mul(self.conj_transpose(m), m) == self.identity()
 
     # -- classes ---------------------------------------------------------------
-
-    def _build_classes(self) -> tuple[ClassLabel, ...]:
-        q, tw = self.q, self.tower
-        ext, E = tw.ext, tw.E
-        n = q * q - 1
-        out = [ClassLabel("gu", "central", (x,)) for x in E]
-        out += [ClassLabel("gu", "jordan", (x,)) for x in E]
-        out += [
-            ClassLabel("gu", "split", tuple(sorted((E[i], E[j]))))
-            for i in range(q + 1)
-            for j in range(i + 1, q + 1)
-        ]
-        for dz in range(n):
-            # z outside E: q-1 does not divide dlog; orbit {z, z^(-q)}
-            if dz % (q - 1) == 0 or (-dz * q) % n < dz:
-                continue
-            out.append(ClassLabel("gu", "nonsplit", (ext.exp[dz],)))
-        return tuple(out)
-
-    def class_size(self, label: ClassLabel) -> int:
-        q = self.q
-        return {
-            "central": 1,
-            "jordan": q * q - 1,
-            "split": q * (q - 1),
-            "nonsplit": q * (q + 1),
-        }[label.kind]
 
     def _isotropic_params(self) -> list[int]:
         """Encodings a with Nm(a) = -1, smallest discrete logs first."""
@@ -568,82 +591,6 @@ class GUGroup(_Family):
                     )
         return out
 
-    # -- characters -------------------------------------------------------------
-
-    def _build_irreducibles(self) -> tuple[IrrLabel, ...]:
-        q = self.q
-        n = q * q - 1
-        out = [IrrLabel("gu", "linear", (j,)) for j in range(q + 1)]
-        out += [IrrLabel("gu", "steinberg", (j,)) for j in range(q + 1)]
-        out += [
-            IrrLabel("gu", "principal", (i, j))
-            for i in range(q + 1)
-            for j in range(i + 1, q + 1)
-        ]
-        out += [
-            IrrLabel("gu", "cuspidal", (m,))
-            for m in range(1, n)
-            if m % (q - 1) and (-m * q) % n > m
-        ]
-        return tuple(out)
-
-    def trivial_character(self) -> IrrLabel:
-        return IrrLabel("gu", "linear", (0,))
-
-    def degree(self, irr: IrrLabel) -> int:
-        q = self.q
-        return {"linear": 1, "steinberg": q, "principal": q - 1, "cuspidal": q + 1}[
-            irr.kind
-        ]
-
-    def _torus_log(self, x: int) -> int:
-        """Index of x in the norm-one subgroup E."""
-        return self.tower.E_log[x]
-
-    def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:
-        q, n = self.q, self.root_order
-        tw = self.tower
-        kind, ck = irr.kind, cls.kind
-        elog = self._torus_log
-
-        if kind in ("linear", "steinberg"):
-            lam = MultChar(q + 1, irr.params[0])
-            if ck in ("central", "jordan"):
-                v = lam.at(2 * elog(cls.params[0]), n)
-                if kind == "steinberg":
-                    return v * q if ck == "central" else CycSum.zero(n)
-                return v
-            if ck == "split":
-                x, y = cls.params
-                v = lam.at(elog(x) + elog(y), n)
-                return -v if kind == "steinberg" else v
-            # eigenvalue pair {z, z^(-q)} multiplies to z^(1-q) in E
-            dz = tw.ext.dlog(cls.params[0])
-            v = lam.at(-dz, n)
-            return v
-
-        if kind == "principal":
-            i, j = irr.params
-            if ck in ("central", "jordan"):
-                v = MultChar(q + 1, i + j).at(elog(cls.params[0]), n)
-                return v * (q - 1) if ck == "central" else -v
-            if ck == "split":
-                ex, ey = elog(cls.params[0]), elog(cls.params[1])
-                ci, cj = MultChar(q + 1, i), MultChar(q + 1, j)
-                return -(ci.at(ex, n) * cj.at(ey, n) + ci.at(ey, n) * cj.at(ex, n))
-            return CycSum.zero(n)
-
-        # cuspidal, indexed by a character of F_{q^2}^x
-        mu = MultChar(n, irr.params[0])
-        ext = tw.ext
-        if ck in ("central", "jordan"):
-            v = mu(ext.dlog(cls.params[0]))
-            return v * (q + 1) if ck == "central" else v
-        if ck == "split":
-            return CycSum.zero(n)
-        dz = ext.dlog(cls.params[0])
-        return mu(dz) + mu(-dz * q)
-
 
 # ---------------------------------------------------------------------------
 
@@ -659,8 +606,6 @@ class SLGroup(_Family):
 
     def __init__(self, q: int):
         p, k = _prime_power(q)
-        if p == 2:
-            raise ValueError("only odd characteristic is supported")
         if k != 1:
             raise ValueError(
                 "SL is supported for odd prime q only: the half-degree "
@@ -796,30 +741,16 @@ class SLGroup(_Family):
         }[irr.kind]
 
     def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:
-        """Tabulated character values.
-
-        For the half-degree characters only central and jordan classes
-        are tabulated; use :meth:`char_value_full` for the rest.
-        """
-        if irr.kind.endswith("_half") and cls.kind in ("split", "nonsplit"):
-            raise UntabulatedCharacterError(
-                f"{irr.kind} characters are tabulated on central and jordan "
-                f"classes only; char_value_full carries the derived values"
-            )
-        return self.char_value_full(irr, cls)
-
-    def char_value_full(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:
-        """Character values including the orthogonality-derived entries.
+        """Character values, including the orthogonality-derived entries.
 
         The half-degree values on split/nonsplit classes (zero, the
         quadratic character, or the order-2 torus character) are forced
-        by orthogonality against the tabulated rows; the test suite
-        verifies the resulting table is orthonormal.
+        by orthogonality against the other rows; the test suite verifies
+        that the resulting table is orthonormal.
         """
         q, n = self.q, self.root_order
         F, tw = self.field, self.tower
         kind, ck = irr.kind, cls.kind
-        minus = F.neg(1)
 
         if kind == "trivial":
             return CycSum.from_int(n, 1)

@@ -325,4 +325,4 @@ def test_criterion_9_character_tables():
     for q in (3, 5):
         family = make_family("sl", q)
         assert sum(family.degree(x) ** 2 for x in family.irreducibles()) == family.order
-        assert orthogonality_defect(family, family.char_value_full) == []
+        assert orthogonality_defect(family, family.char_value) == []

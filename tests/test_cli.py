@@ -12,6 +12,7 @@ import pytest
 from pstwalk import cli, orbital
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
 from pstwalk.ctqw import TransferReport
+from pstwalk.groups import GLGroup, GUGroup, SLGroup
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -109,6 +110,21 @@ def test_invalid_targets_are_usage_errors(argv, capsys):
 def test_orbital_refusal_names_the_given_q(q, capsys):
     assert main(["orbital", "--q", q]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {q} is not a prime power\n"
+
+
+@pytest.mark.parametrize("family", [GLGroup, GUGroup, SLGroup], ids=["gl", "gu", "sl"])
+@pytest.mark.parametrize("q", [0, 1, 2, 4, 6, 8])
+def test_q_outside_odd_prime_powers_is_refused_by_the_constructor(family, q, capsys):
+    """One guard: the group constructor refuses q, and verify exits 1 with its one line."""
+    if q in (2, 4, 8):
+        message = f"{q} is even; only odd characteristic is supported"
+    else:
+        message = f"{q} is not a prime power"
+    with pytest.raises(ValueError) as refused:
+        family(q)
+    assert str(refused.value) == message
+    assert main(["verify", "--family", family.family, "--q", str(q)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_orbital_variant_is_refused_before_any_file_is_written(tmp_path, capsys):

@@ -252,7 +252,8 @@ def test_scan_memory_stays_below_five_dense_arrays():
     """The 9-cube (n = 512): antipodal transfer at pi/2, read at the pairs only.
 
     A full complex exp(-itA) alone is two n x n float arrays; the scan must
-    peak below five, counting its float copy of A and the eigenvectors.
+    peak below 3.5, counting its float copy of A, the eigenvectors and the
+    blockwise drift check of the eigendecomposition.
     """
     a, pairs = hypercube(9)
     n = len(a)
@@ -264,7 +265,7 @@ def test_scan_memory_stays_below_five_dense_arrays():
         tracemalloc.stop()
     assert report.ok and report.time == pytest.approx(pi / 2)
     assert report.pairs_checked == n // 2
-    assert peak < 5 * n * n * 8
+    assert peak < 3.5 * n * n * 8
 
 
 def test_report_is_frozen():

@@ -26,7 +26,6 @@ from pstwalk.groups import (
     IrrLabel,
     Mat2,
     SLGroup,
-    UntabulatedCharacterError,
 )
 
 FAMILY_CLS = {"gl": GLGroup, "gu": GUGroup, "sl": SLGroup}
@@ -214,15 +213,17 @@ def test_sl_full_table_orthogonality_exact(q):
     fam = family("sl", q)
     irr = fam.irreducibles()
     pairs = [(x, y) for i, x in enumerate(irr) for y in irr[i:]]
-    assert _orthogonality_defect(fam, fam.char_value_full, pairs) == []
+    assert _orthogonality_defect(fam, fam.char_value, pairs) == []
 
 
-def test_gl9_table_sanity():
-    """The GL family also has to work over F_9 (used by the coset graphs)."""
-    fam = family("gl", 9)
+@pytest.mark.parametrize("tag", ["gl", "gu"])
+def test_gl9_table_sanity(tag):
+    """GL and GU over F_9: GL(2, 9) is used by the coset graphs, and the
+    shared GL/GU table has to hold over a field that is not prime."""
+    fam = family(tag, 9)
     irr = fam.irreducibles()
-    assert len(irr) == len(fam.classes()) == 80
-    assert sum(fam.degree(x) ** 2 for x in irr) == fam.order == 5760
+    assert len(irr) == len(fam.classes()) == EXPECTED_CLASS_COUNT[tag](9)
+    assert sum(fam.degree(x) ** 2 for x in irr) == fam.order == {"gl": 5760, "gu": 7200}[tag]
     triv = fam.trivial_character()
     pairs = [(triv, x) for x in irr]
     pairs += [(x, y) for i, x in enumerate(irr) for y in irr[i:]][::13]
@@ -246,29 +247,12 @@ def test_class_sums_of_characters_vanish_or_hit_order(tag, q):
     """Sum of |C| * chi(C) is |G| for the trivial character and 0 otherwise."""
     fam = family(tag, q)
     classes = fam.classes()
-    value = fam.char_value_full if tag == "sl" else fam.char_value
     for irr in fam.irreducibles():
         acc = CycSum.zero(fam.root_order)
         for c in classes:
-            acc = acc + value(irr, c) * fam.class_size(c)
+            acc = acc + fam.char_value(irr, c) * fam.class_size(c)
         want = fam.order if irr == fam.trivial_character() else 0
         assert (acc - want).is_zero()
-
-
-def test_sl_untabulated_values_raise():
-    sl3, sl5 = family("sl", 3), family("sl", 5)
-    half_kinds = [IrrLabel("sl", "principal_half", (1,)), IrrLabel("sl", "cuspidal_half", (-1,))]
-    nonsplit3 = [c for c in sl3.classes() if c.kind == "nonsplit"][0]
-    split5 = [c for c in sl5.classes() if c.kind == "split"][0]
-    for irr in half_kinds:
-        with pytest.raises(UntabulatedCharacterError):
-            sl3.char_value(irr, nonsplit3)
-        with pytest.raises(UntabulatedCharacterError):
-            sl5.char_value(irr, split5)
-        # tabulated classes still answer
-        for c in sl3.classes():
-            if c.kind in ("central", "jordan"):
-                sl3.char_value(irr, c)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -283,8 +267,8 @@ def test_sl_half_pairs_sum_to_induced_rows(q):
         plus = IrrLabel("sl", kind, (1,))
         minus = IrrLabel("sl", kind, (-1,))
         for c in sl.classes():
-            lhs = sl.char_value_full(plus, c) + sl.char_value_full(minus, c)
-            rhs = sl.char_value_full(induced, c)
+            lhs = sl.char_value(plus, c) + sl.char_value(minus, c)
+            rhs = sl.char_value(induced, c)
             assert (lhs - rhs).is_zero(), (kind, c)
 
 
