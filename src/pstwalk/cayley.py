@@ -412,29 +412,37 @@ def explicit_graph(family, conn: ConnectionSet, bound: int = 10_000) -> Graph:
         )
     sch = ConjugacyScheme(family)
     partner = translation_partner(
-        sch.elements, sch.index, family.mul, family.central_involution()
+        sch.elements, sch.index, family.field, family.central_involution()
     )
     return Graph(sch.adjacency(conn.labels), partner, {})
 
 
+# :func:`component_count` gathers at most this many frontier rows at once, so
+# its temporary stays a thin slice of the adjacency matrix.
+_FRONTIER_ROWS = 128
+
+
 def component_count(adjacency: np.ndarray) -> int:
-    """Number of connected components, by depth-first search."""
+    """Number of connected components, by breadth-first search one level at a time.
+
+    Each level marks every unseen vertex that a frontier vertex's row
+    reaches; a component ends with an empty level, and the next one starts
+    at the first unseen vertex.
+    """
     a = np.asarray(adjacency)
     n = a.shape[0]
     seen = np.zeros(n, dtype=bool)
     count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
+    while not seen.all():
         count += 1
-        seen[start] = True
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in np.flatnonzero(a[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
+        frontier = np.array([np.argmin(seen)])
+        seen[frontier] = True
+        while len(frontier):
+            reach = np.zeros(n, dtype=bool)
+            for start in range(0, len(frontier), _FRONTIER_ROWS):
+                reach |= a[frontier[start : start + _FRONTIER_ROWS]].any(axis=0)
+            frontier = np.flatnonzero(reach & ~seen)
+            seen[frontier] = True
     return count
 
 

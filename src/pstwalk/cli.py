@@ -192,9 +192,10 @@ def _spectrum_csv(entries: list[dict]) -> str:
 
 
 def _edges_text(adjacency: np.ndarray) -> str:
-    rows, cols = np.nonzero(np.triu(adjacency, k=1))
-    lines = [f"{u} {v}" for u, v in zip(rows.tolist(), cols.tolist())]
-    return "\n".join(lines) + "\n"
+    rows, cols = np.nonzero(adjacency)
+    upper = rows < cols
+    pairs = np.column_stack((rows[upper], cols[upper])).ravel().tolist()
+    return ("%d %d\n" * (len(pairs) // 2)) % tuple(pairs) or "\n"
 
 
 def _formats(text: str) -> set[str] | None:

@@ -25,6 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 __all__ = [
     "FiniteField",
     "FieldTower",
@@ -170,6 +172,7 @@ class FiniteField:
             self._add_table = [
                 [self._add_digits(a, b) for b in range(self.q)] for a in range(self.q)
             ]
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -290,6 +293,26 @@ class FiniteField:
         if d % 2:
             return None
         return self.exp[d // 2]
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The q x q int64 multiplication and addition tables of encodings.
+
+        Built on first use and cached: products from the exp/log tables,
+        sums digit by digit in base p.  Only array code that multiplies many
+        elements at once needs them, so a field that never meets such code
+        never pays for them.
+        """
+        if self._tables is None:
+            q, n = self.q, self.q - 1
+            exp = np.asarray(self.exp, dtype=np.int64)
+            log = np.asarray(self.log, dtype=np.int64)
+            mul = np.zeros((q, q), dtype=np.int64)
+            mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % n]
+            place = self.p ** np.arange(self.k, dtype=np.int64)
+            digits = np.arange(q, dtype=np.int64)[:, None] // place % self.p
+            add = (digits[:, None, :] + digits[None, :, :]) % self.p @ place
+            self._tables = (mul, add)
+        return self._tables
 
     # -- coefficient views -------------------------------------------------
 

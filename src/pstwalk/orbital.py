@@ -170,11 +170,15 @@ def build_coset_space(q: int) -> CosetSpace:
 
     sub = [x for x in range(q * q) if field.frobenius(x, frob_power) == x]
     if len(sub) != q:
-        raise AssertionError(f"subfield has {len(sub)} elements, expected {q}")
+        raise RuntimeError(
+            f"build_coset_space: the subfield of F_{q * q} fixed by x -> x^{q} "
+            f"has {len(sub)} elements, expected {q}"
+        )
     h_elements = _subfield_matrices(field, sub)
     if len(h_elements) != hsize:
-        raise AssertionError(
-            f"subfield subgroup has {len(h_elements)} elements, expected {hsize}"
+        raise RuntimeError(
+            f"build_coset_space: the subfield subgroup H = GL(2, {q}) has "
+            f"{len(h_elements)} elements, expected {hsize}"
         )
     elements = tuple(group.enumerate_group())
     coset_index: dict[Mat2, int] = {}
@@ -187,7 +191,10 @@ def build_coset_space(q: int) -> CosetSpace:
         for h in h_elements:
             coset_index[group.mul(g, h)] = idx
     if len(reps) * hsize != group.order:
-        raise AssertionError("coset labeling did not partition the group")
+        raise RuntimeError(
+            f"build_coset_space: {len(reps)} cosets of {hsize} elements hold "
+            f"{len(reps) * hsize} elements, but the group has {group.order}"
+        )
     return CosetSpace(
         explicit=True,
         elements=elements,
@@ -590,17 +597,27 @@ def build_gamma(space: CosetSpace) -> Graph:
             f"q = {space.q} runs in character-sum-only mode (limit q <= {EXPLICIT_LIMIT})"
         )
     group = space.group
-    minus_one = group.field.neg(1)
-    if group.mul(space.z, space.z) != Mat2(minus_one, 0, 0, minus_one):
-        raise AssertionError("the chosen scalar does not square to -I")
-    if not space.in_h(group.mul(space.z, space.z)):
-        raise AssertionError("z^2 must lie in the subfield subgroup")
+    minus_one = group.central_involution()
+    z_squared = group.mul(space.z, space.z)
+    if z_squared != minus_one:
+        raise RuntimeError(
+            f"build_gamma: z = {space.z} squares to {z_squared}, expected -I = {minus_one}"
+        )
+    if not space.in_h(z_squared):
+        raise RuntimeError(
+            f"build_gamma: z^2 = {z_squared} does not lie in H = GL(2, {space.q})"
+        )
     adjacency = translation_adjacency(
-        space.reps, space.coset_index, group.mul, _connection(space)
+        space.reps, space.coset_index, group.field, _connection(space)
     )
-    if (adjacency != adjacency.T).any():
-        raise AssertionError("adjacency is not symmetric")
-    partner = translation_partner(space.reps, space.coset_index, group.mul, space.z)
+    asymmetric = np.argwhere(adjacency != adjacency.T)
+    if len(asymmetric):
+        i, j = asymmetric[0]
+        raise RuntimeError(
+            f"build_gamma: adjacency is not symmetric: entry ({i}, {j}) is "
+            f"{adjacency[i, j]} but ({j}, {i}) is {adjacency[j, i]}"
+        )
+    partner = translation_partner(space.reps, space.coset_index, group.field, space.z)
     vertices = np.arange(len(partner))
     matching = bool((partner[partner] == vertices).all() and (partner != vertices).all())
     return Graph(adjacency, partner, {"involution_is_perfect_matching": matching})

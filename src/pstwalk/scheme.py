@@ -23,6 +23,16 @@ mod 4 on the +1 side and to theta0 + 2 on the -1 side, and the -1 side
 is not empty.  It accepts exactly what :func:`pst_test` accepts with
 g = 2 (mod 4); it rejects the odd-gap transfers the parity form also
 certifies.
+
+Where a group is small enough to enumerate, both families also build their
+graph explicitly through one builder, :func:`translation_adjacency`: row i
+marks the vertex of r_i s for every s in a connection list.  The products
+are array products: the matrices are (n, 4) int64 arrays of field
+encodings, every entry x u + y v is read through the field's q x q
+multiplication and addition tables, and each product's key
+((a q + b) q + c) q + d is found by binary search among the sorted keys of
+the vertex map.  :func:`translation_partner` takes the transfer pairing
+the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .chars import NonIntegralError, _total, integer_part
-from .groups import ClassLabel, IrrLabel
+from .groups import ClassLabel, IrrLabel, Mat2
 
 __all__ = [
     "EigenRow",
@@ -327,7 +337,7 @@ class ConjugacyScheme:
         """
         fam = self.family
         members = [x for lab in labels for x in fam.class_elements(lab)]
-        return translation_adjacency(self.elements, self.index, fam.mul, members)
+        return translation_adjacency(self.elements, self.index, fam.field, members)
 
     def idempotent(self, irr: IrrLabel) -> np.ndarray:
         """Numeric primitive idempotent: E(g, h) = chi(1)/|G| chi(h g^{-1})."""
@@ -361,20 +371,80 @@ class Graph(NamedTuple):
     checks: dict[str, bool]
 
 
-def translation_adjacency(reps: Sequence, vertex_of, mul, connection: Sequence) -> np.ndarray:
-    """0/1 matrix whose row i marks ``vertex_of[mul(reps[i], s)]`` for every s.
+# Products per row block: each of the block's temporaries is a (rows x |S|)
+# int64 array of at most this many entries, 1 MB.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _as_array(elements: Sequence) -> np.ndarray:
+    """Matrices as an (n, 4) int64 array of their entries a, b, c, d."""
+    return np.array(elements, dtype=np.int64).reshape(-1, 4)
+
+
+def _key(a, b, c, d, q: int):
+    """The key ((a q + b) q + c) q + d of a matrix, elementwise on arrays."""
+    return ((a * q + b) * q + c) * q + d
+
+
+def _product_keys(left: np.ndarray, right: np.ndarray, field) -> np.ndarray:
+    """Keys of the products l r, one row per l in ``left`` and one column per r in ``right``."""
+    mul, add = (t.ravel() for t in field.tables())
+    q = field.q
+    la, lb, lc, ld = (left[:, [i]] * q for i in range(4))
+    ra, rb, rc, rd = right.T
+
+    def dot(x, y, u, v):  # x u + y v, with x and y premultiplied by q
+        return add[mul[x + u] * q + mul[y + v]]
+
+    return _key(
+        dot(la, lb, ra, rc), dot(la, lb, rb, rd), dot(lc, ld, ra, rc), dot(lc, ld, rb, rd), q
+    )
+
+
+class _VertexLookup:
+    """``vertex_of`` as sorted matrix keys, searched a whole array at a time."""
+
+    def __init__(self, vertex_of, q: int):
+        keys = _key(*_as_array(list(vertex_of)).T, q)
+        values = np.fromiter(vertex_of.values(), dtype=np.int64, count=len(vertex_of))
+        order = np.argsort(keys)
+        self.q, self.keys, self.values = q, keys[order], values[order]
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        missing = self.keys[pos] != keys
+        if missing.any():
+            key, q = int(keys[missing][0]), self.q
+            entries = [key // q**3, key // q**2 % q, key // q % q, key % q]
+            raise KeyError(f"the product {Mat2(*entries)} is not a vertex of the graph")
+        return self.values[pos]
+
+
+def translation_adjacency(reps: Sequence, vertex_of, field, connection: Sequence) -> np.ndarray:
+    """0/1 matrix whose row i marks the vertex of ``reps[i] s`` for every s.
 
     ``reps`` holds one group element per vertex and ``vertex_of`` maps every
     group element to its vertex: an element to its own index on a Cayley
-    graph, to the index of its left coset on a coset graph.  A connection list that reaches one
-    vertex twice marks it once, so the row falls short of ``len(connection)``.
+    graph, to the index of its left coset on a coset graph.  The products
+    are taken a block of rows at a time on (n, 4) arrays of entries, through
+    the multiplication and addition tables of ``field``; each product is
+    keyed as ``((a q + b) q + c) q + d`` and found among the sorted keys of
+    ``vertex_of``.  A product that is no key raises ``KeyError``.  A
+    connection list that reaches one vertex twice marks it once, so the row
+    falls short of ``len(connection)``.
     """
-    out = np.zeros((len(reps), len(reps)), dtype=np.int64)
-    for i, r in enumerate(reps):
-        out[i, [vertex_of[mul(r, s)] for s in connection]] = 1
+    lookup = _VertexLookup(vertex_of, field.q)
+    left, right = _as_array(reps), _as_array(connection)
+    out = np.zeros((len(left), len(left)), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // max(1, len(right)))
+    for start in range(0, len(left), step):
+        block = left[start : start + step]
+        rows = np.arange(start, start + len(block))[:, None]
+        out[rows, lookup(_product_keys(block, right, field))] = 1
     return out
 
 
-def translation_partner(reps: Sequence, vertex_of, mul, t) -> np.ndarray:
-    """The vertex permutation i -> ``vertex_of[mul(t, reps[i])]`` of a central t."""
-    return np.array([vertex_of[mul(t, r)] for r in reps], dtype=np.int64)
+def translation_partner(reps: Sequence, vertex_of, field, t) -> np.ndarray:
+    """The vertex permutation i -> vertex of ``t reps[i]``, for a central t."""
+    lookup = _VertexLookup(vertex_of, field.q)
+    return lookup(_product_keys(_as_array([t]), _as_array(reps), field)[0])

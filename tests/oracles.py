@@ -297,3 +297,20 @@ def literal_orbital_adjacency(space) -> tuple[np.ndarray, np.ndarray]:
             adjacency[i, j] = i != j and prod in edge_set
             involution[i, j] = i != j and prod in z_coset
     return adjacency, involution
+
+
+# ---------------------------------------------------------------------------
+# explicit-graph builder, one Python product at a time
+
+
+def translation_adjacency_reference(reps, vertex_of, mul, connection) -> np.ndarray:
+    """Row i marks ``vertex_of[mul(reps[i], s)]`` for every s in ``connection``."""
+    out = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    for i, r in enumerate(reps):
+        out[i, [vertex_of[mul(r, s)] for s in connection]] = 1
+    return out
+
+
+def translation_partner_reference(reps, vertex_of, mul, t) -> np.ndarray:
+    """The vertex permutation i -> ``vertex_of[mul(t, reps[i])]``."""
+    return np.array([vertex_of[mul(t, r)] for r in reps], dtype=np.int64)

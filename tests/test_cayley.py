@@ -588,6 +588,25 @@ def test_component_count_toy_graphs():
     assert component_count(np.zeros((3, 3), dtype=int)) == 3
     path = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
     assert component_count(path) == 1
+    # isolated vertices between edges
+    sparse = np.zeros((5, 5), dtype=int)
+    sparse[1, 3] = sparse[3, 1] = 1
+    assert component_count(sparse) == 4
+    # a triangle and an edge, listed interleaved
+    unequal = np.zeros((5, 5), dtype=int)
+    for u, v in [(0, 2), (2, 4), (0, 4), (1, 3)]:
+        unequal[u, v] = unequal[v, u] = 1
+    assert component_count(unequal) == 2
+    # a long path, numbered out of order so that search levels cross the rows
+    order = np.random.default_rng(0).permutation(300)
+    long_path = np.zeros((300, 300), dtype=int)
+    long_path[order[:-1], order[1:]] = long_path[order[1:], order[:-1]] = 1
+    assert component_count(long_path) == 1
+    # the last vertex alone, after a component holding all the others
+    last_alone = np.ones((6, 6), dtype=int) - np.eye(6, dtype=int)
+    last_alone[5, :] = last_alone[:, 5] = 0
+    assert component_count(last_alone) == 2
+    assert component_count(np.zeros((0, 0), dtype=int)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Both families build their graph the same way: row i marks the vertex of
 r_i s for every s in a connection list, and the transfer pairing is the
 permutation i -> vertex of t r_i for a central involution t (-I on the
-Cayley graphs, z on the coset graph).  Here every small graph is rebuilt
-literally -- from the membership of h g^(-1) in the connection set, or of
+Cayley graphs, z on the coset graph).  The array builder is first held to
+the same products taken one at a time in Python; then every small graph is
+rebuilt literally -- from the membership of h g^(-1) in the connection set, or of
 r^(-1) s in double cosets built from all |H|^2 products -- and the pairing
 is checked to be a fixed-point-free automorphism of order two.
 """
@@ -16,9 +17,17 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import literal_cayley_adjacency, literal_orbital_adjacency
-from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, explicit_graph
+from oracles import (
+    literal_cayley_adjacency,
+    literal_orbital_adjacency,
+    translation_adjacency_reference,
+    translation_partner_reference,
+)
+from pstwalk import orbital
+from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, explicit_graph, make_family
+from pstwalk.groups import Mat2
 from pstwalk.orbital import build_coset_space, build_gamma
+from pstwalk.scheme import ConjugacyScheme, translation_adjacency, translation_partner
 
 CAYLEY = [
     ("gl", 3, STANDARD),
@@ -66,3 +75,35 @@ def test_partner_is_a_fixed_point_free_automorphism_of_order_two(tag, q, variant
     assert (partner != vertices).all()
     assert np.array_equal(a[partner][:, partner], a)
 
+
+
+def builder_inputs(tag, q):
+    """reps, vertex_of, family, connection list and central involution."""
+    if tag == "orbital":
+        space = build_coset_space(q)
+        return space.reps, space.coset_index, space.group, orbital._connection(space), space.z
+    family, conn, *_ = analyze(tag, q, STANDARD)
+    sch = ConjugacyScheme(family)
+    members = [x for lab in conn.labels for x in family.class_elements(lab)]
+    return sch.elements, sch.index, family, members, family.central_involution()
+
+
+@pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 5), ("sl", 7), ("sl", 11), ("orbital", 3)])
+def test_array_builder_matches_python_products(tag, q):
+    reps, vertex_of, family, connection, t = builder_inputs(tag, q)
+    expected = translation_adjacency_reference(reps, vertex_of, family.mul, connection)
+    got = translation_adjacency(reps, vertex_of, family.field, connection)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    expected = translation_partner_reference(reps, vertex_of, family.mul, t)
+    got = translation_partner(reps, vertex_of, family.field, t)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_array_builder_refuses_a_product_outside_the_group():
+    family = make_family("gl", 3)
+    sch = ConjugacyScheme(family)
+    singular = Mat2(1, 1, 1, 1)
+    with pytest.raises(KeyError, match=r"Mat2\(a=1, b=1, c=1, d=1\) is not a vertex"):
+        translation_adjacency(sch.elements, sch.index, family.field, [family.identity(), singular])
+    with pytest.raises(KeyError, match="is not a vertex"):
+        translation_partner(sch.elements, sch.index, family.field, singular)

@@ -43,6 +43,18 @@ def test_arithmetic_matches_brute_field(p, k):
         assert f.pow(a, 7) == bf.pow(a, 7)
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_tables_match_scalar_arithmetic(p, k):
+    assert gf.FiniteField(p, k)._tables is None  # built on first use only
+    f = gf.make_field(p, k)
+    mul, add = f.tables()
+    assert mul.shape == add.shape == (f.q, f.q)
+    for a in range(f.q):
+        assert mul[a].tolist() == [f.mul(a, b) for b in range(f.q)]
+        assert add[a].tolist() == [f.add(a, b) for b in range(f.q)]
+    assert f.tables()[0] is mul
+
+
 @given(
     pk=st.sampled_from([(3, 2), (5, 2), (7, 2)]),
     a=st.integers(min_value=0, max_value=48),

@@ -8,6 +8,7 @@ the hand-derived closed form exactly as printed.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from functools import lru_cache
@@ -162,6 +163,16 @@ def test_z_squared_lies_in_h():
     zz = sp.group.mul(sp.z, sp.z)
     assert sp.in_h(zz)
     assert not sp.in_h(sp.z)
+
+
+def test_gamma_names_a_z_that_does_not_square_to_minus_identity():
+    sp = dataclasses.replace(space3(), z=Mat2(1, 0, 0, 1))
+    with pytest.raises(RuntimeError) as err:
+        build_gamma(sp)
+    message = str(err.value)
+    assert message.startswith("build_gamma: ")
+    assert "z = Mat2(a=1, b=0, c=0, d=1) squares to Mat2(a=1, b=0, c=0, d=1)" in message
+    assert f"expected -I = {sp.group.central_involution()}" in message
 
 
 def test_z_normalizes_h():
