@@ -39,7 +39,7 @@ from pstwalk.cayley import (
     variants_for,
 )
 from pstwalk.chars import CycSum, MultChar, char_sum
-from pstwalk.ctqw import TransferReport, integer_rows_with_signs, pst_scan
+from pstwalk.ctqw import TransferReport, pst_scan
 from pstwalk.gf import FiniteField, FieldTower, make_field, make_tower
 from pstwalk.groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
 from pstwalk.orbital import (
@@ -51,15 +51,7 @@ from pstwalk.orbital import (
     linear_energy_display_audit,
     orbital_spectrum,
 )
-from pstwalk.scheme import (
-    ConjugacyScheme,
-    EigenRow,
-    Graph,
-    PSTCertificate,
-    TransferCertificate,
-    pst_test,
-    transfer_certificate,
-)
+from pstwalk.scheme import ConjugacyScheme, Graph, TransferCertificate, transfer_certificate
 
 __version__ = "0.1.0"
 
@@ -106,13 +98,9 @@ __all__ = [
     "linear_energy_display_audit",
     # scheme layer and walk checks
     "ConjugacyScheme",
-    "EigenRow",
     "Graph",
-    "PSTCertificate",
-    "pst_test",
     "TransferCertificate",
     "transfer_certificate",
     "TransferReport",
-    "integer_rows_with_signs",
     "pst_scan",
 ]

@@ -74,7 +74,6 @@ __all__ = [
     "analyze",
     "explicit_graph",
     "component_count",
-    "sl_order_based_elements",
 ]
 
 FAMILY_TAGS = ("gl", "gu", "sl")
@@ -202,6 +201,7 @@ class SpectrumRow(NamedTuple):
 
 def spectrum(family, conn: ConnectionSet) -> list[SpectrumRow]:
     """Exact integer spectrum, one row per irreducible character."""
+    minus_one = family.field.neg(1)
     rows = []
     for irr in family.irreducibles():
         try:
@@ -211,7 +211,7 @@ def spectrum(family, conn: ConnectionSet) -> list[SpectrumRow]:
                 f"character {render_irr(irr)} of {family.family}(2,{family.q}): {exc}"
             ) from exc
         rows.append(
-            SpectrumRow(irr, theta, family.involution_sign(irr), family.degree(irr) ** 2)
+            SpectrumRow(irr, theta, family.central_sign(irr, minus_one), family.degree(irr) ** 2)
         )
     return rows
 
@@ -241,84 +241,37 @@ class FormulaCheck(NamedTuple):
     agrees: bool
 
 
-def _gl_hand_value(q: int, irr: IrrLabel) -> int:
+def _hand_value(q: int, eps: int, irr: IrrLabel) -> int:
+    """The hand-derived eigenvalue of the standard set on GL (eps = 1) or GU (eps = -1).
+
+    One form for both families, GU being GL with q -> -q: t = q - eps is the
+    torus order and s = (-1)^j.  A linear or steinberg row is
+    c (q + eps) s + c t (q + eps - 2)/2, with c = q or 1; the trivial row adds
+    J + c t (q + eps)(q + eps - 2)/4 and the quadratic row (j = t/2) adds J
+    and subtracts that quarter, where J = (q^2 - 1) t for linear and 0 for
+    steinberg.  Every division is taken after the whole product.
+    """
+    t = q - eps
     kind = irr.kind
     if kind in ("linear", "steinberg"):
         j = irr.params[0]
-        sgn = -1 if j % 2 else 1
-        trivial = j == 0
-        quadratic = j == (q - 1) // 2
-        if kind == "linear":
-            if trivial:
-                return (
-                    q * (q + 1)
-                    + (q * q - 1) * (q - 1)
-                    + q * (q - 1) ** 2 // 2
-                    + q * (q + 1) * (q - 1) ** 2 // 4
-                )
-            if quadratic:
-                return (
-                    q * (q + 1) * sgn
-                    + (q * q - 1) * (q - 1)
-                    + q * (q - 1) ** 2 // 2
-                    - q * (q + 1) * (q - 1) ** 2 // 4
-                )
-            return q * (q + 1) * sgn + q * (q - 1) ** 2 // 2
-        if trivial:
-            return (q + 1) + (q - 1) ** 2 // 2 + (q + 1) * (q - 1) ** 2 // 4
-        if quadratic:
-            return (q + 1) * sgn + (q - 1) ** 2 // 2 - (q + 1) * (q - 1) ** 2 // 4
-        return (q + 1) * sgn + (q - 1) ** 2 // 2
+        c = q if kind == "linear" else 1
+        big = (q * q - 1) * t if kind == "linear" else 0
+        quarter = c * t * (q + eps) * (q + eps - 2) // 4
+        value = c * (q + eps) * (-1) ** j + c * t * (q + eps - 2) // 2
+        if j == 0:
+            return value + big + quarter
+        if j == t // 2:
+            return value + big - quarter
+        return value
     if kind == "cuspidal":
         m = irr.params[0]
         if m % 2:
             return 0
-        if m % (q - 1) == 0:
-            return -(q * q - 1) + 2 * q
-        return 2 * q
+        return eps * (2 * q - (q * q - 1)) if m % t == 0 else 2 * eps * q
     i, j = irr.params
-    base = q * ((-1) ** i + (-1) ** j)
-    return base + (q - 1) ** 2 if (i + j) % (q - 1) == 0 else base
-
-
-def _gu_hand_value(q: int, irr: IrrLabel) -> int:
-    kind = irr.kind
-    if kind in ("linear", "steinberg"):
-        j = irr.params[0]
-        sgn = -1 if j % 2 else 1
-        trivial = j == 0
-        quadratic = j == (q + 1) // 2
-        if kind == "linear":
-            if trivial:
-                return (
-                    q * (q - 1)
-                    + (q * q - 1) * (q + 1)
-                    + q * (q + 1) * (q - 3) // 2
-                    + q * (q + 1) * (q - 3) * (q - 1) // 4
-                )
-            if quadratic:
-                return (
-                    q * (q - 1) * sgn
-                    + (q * q - 1) * (q + 1)
-                    + q * (q + 1) * (q - 3) // 2
-                    - q * (q + 1) * (q - 3) * (q - 1) // 4
-                )
-            return q * (q - 1) * sgn + q * (q + 1) * (q - 3) // 2
-        if trivial:
-            return (q - 1) + (q + 1) * (q - 3) // 2 + (q + 1) * (q - 3) * (q - 1) // 4
-        if quadratic:
-            return (q - 1) * sgn + (q + 1) * (q - 3) // 2 - (q + 1) * (q - 3) * (q - 1) // 4
-        return (q - 1) * sgn + (q + 1) * (q - 3) // 2
-    if kind == "cuspidal":
-        m = irr.params[0]
-        if m % 2:
-            return 0
-        if m % (q + 1) == 0:
-            return (q * q - 1) - 2 * q
-        return -2 * q
-    i, j = irr.params
-    base = -q * ((-1) ** i + (-1) ** j)
-    return base - (q + 1) ** 2 if (i + j) % (q + 1) == 0 else base
+    base = eps * q * ((-1) ** i + (-1) ** j)
+    return base + eps * t * t if (i + j) % t == 0 else base
 
 
 def _sl_ratio_value(family: SLGroup, irr: IrrLabel) -> int:
@@ -331,7 +284,7 @@ def _sl_ratio_value(family: SLGroup, irr: IrrLabel) -> int:
     """
     q = family.q
     d = family.degree(irr)
-    ratio = family.involution_sign(irr)
+    ratio = family.central_sign(irr, family.field.neg(1))
     jordan = [lab for lab in family.classes() if lab.kind == "jordan"]
     r = _total(family.root_order, (family.char_value(irr, lab) for lab in jordan))
     r_int = integer_part(r)
@@ -356,15 +309,12 @@ def closed_form_audit(family, conn: ConnectionSet, rows: Sequence[SpectrumRow]) 
     tag, q = family.family, family.q
     out = []
     for row in rows:
-        if tag == "gl":
-            hand = _gl_hand_value(q, row.irr)
-            formula = row.irr.kind
-        elif tag == "gu":
-            hand = _gu_hand_value(q, row.irr)
-            formula = row.irr.kind
-        else:
+        if tag == "sl":
             hand = _sl_ratio_value(family, row.irr)
             formula = "involution-ratio"
+        else:
+            hand = _hand_value(q, family.eps, row.irr)
+            formula = row.irr.kind
         out.append(
             FormulaCheck(
                 tag, q, formula, render_irr(row.irr), hand, row.theta, hand == row.theta
@@ -444,24 +394,3 @@ def component_count(adjacency: np.ndarray) -> int:
             frontier = np.flatnonzero(reach & ~seen)
             seen[frontier] = True
     return count
-
-
-# ---------------------------------------------------------------------------
-# independent membership description for the SL set
-
-
-def sl_order_based_elements(family: SLGroup) -> frozenset:
-    """The SL connection set described by element orders alone.
-
-    The class-based set (central involution plus the four Jordan
-    classes) should coincide with "the central involution together with
-    every element of order p or 2p"; this enumerates the latter so the
-    coincidence can be checked rather than assumed.
-    """
-    p = family.p
-    out = {family.central_involution()}
-    for m in family.enumerate_group():
-        o = family.element_order(m)
-        if o == p or o == 2 * p:
-            out.add(m)
-    return frozenset(out)

@@ -30,7 +30,6 @@ __all__ = [
     "char_sum",
     "integer_part",
     "cyclotomic_polynomial",
-    "quadratic_gauss_sum",
     "residue_periods",
 ]
 
@@ -324,7 +323,7 @@ def char_sum(chi: MultChar, exponents, root_order: int | None = None) -> CycSum:
 
 
 # ---------------------------------------------------------------------------
-# quadratic Gauss sums (exact, used for the half-discrete-series values)
+# Gaussian periods (exact, used for the half-discrete-series values)
 
 
 @lru_cache(maxsize=None)
@@ -334,9 +333,3 @@ def residue_periods(p: int) -> tuple[CycSum, CycSum]:
     eta0 = CycSum(p, {e: 1 for e in squares})
     eta1 = CycSum(p, {e: 1 for e in range(1, p) if e not in squares})
     return eta0, eta1
-
-
-def quadratic_gauss_sum(p: int) -> CycSum:
-    """sum_a legendre(a) zeta_p^a; squares to (-1)^((p-1)/2) p."""
-    eta0, eta1 = residue_periods(p)
-    return eta0 - eta1

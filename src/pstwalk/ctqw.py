@@ -5,11 +5,9 @@ U(t) = exp(-i t A); perfect state transfer from vertex x to vertex y at
 time t means |U(t)[y, x]| = 1.  This module provides the dense-numpy
 machinery used to cross-check the exact eigenvalue certificates: one
 eigendecomposition per graph, transfer fidelities read at the chosen
-vertex pairs only, extraction of integer eigenvalues with the signs of
-an order-2 automorphism on each eigenspace, and a scan that derives the
-transfer time pi/g from an integer spectrum and verifies the transfer
-(including at the odd multiple 3 pi/g, and that it is *incomplete* at
-the half time).
+vertex pairs only, and a scan that derives the transfer time pi/g from
+an integer spectrum and verifies the transfer (including at the odd
+multiple 3 pi/g, and that it is *incomplete* at the half time).
 
 Everything here is floating point and deliberately independent of the
 character-sum route, so agreement between the two is evidence rather
@@ -24,14 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .scheme import EigenRow
-
 __all__ = [
     "NonIntegralSpectrumError",
     "WalkSystem",
     "integer_eigenvalues",
     "derive_transfer_time",
-    "integer_rows_with_signs",
     "TransferReport",
     "pst_scan",
 ]
@@ -39,6 +34,8 @@ __all__ = [
 
 # symmetry, eigendecomposition drift and integrality tolerance
 TOL = 1e-8
+# how far short of 1 the transfer fidelity may fall
+FIDELITY_TOL = 1e-9
 # how far short of 1 the half-time fidelity must fall
 MID_SLACK = 1e-3
 # rows per block of the exact eigendecomposition drift check, so that the
@@ -122,48 +119,6 @@ def derive_transfer_time(walk: WalkSystem) -> tuple[int, float]:
     return g, pi / g
 
 
-def _check_involution(walk: WalkSystem, perm: np.ndarray) -> None:
-    n = len(walk)
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("permutation must be a bijection on the vertices")
-    if not np.array_equal(perm[perm], np.arange(n)):
-        raise ValueError("permutation must have order at most 2")
-    a = walk.adjacency
-    if np.abs(a[np.ix_(perm, perm)] - a).max() > 1e-12:
-        raise ValueError("permutation is not an automorphism of the graph")
-
-
-def integer_rows_with_signs(adjacency, permutation: Sequence[int]) -> list[EigenRow]:
-    """Numeric eigenvalue rows (theta, sign, multiplicity) for an involution.
-
-    The permutation must be an order-2 automorphism T; on each
-    eigenspace it acts with eigenvalues +/-1 and the two multiplicities
-    are read off the trace of T restricted to the eigenprojector.  An
-    eigenvalue whose eigenspace carries both signs produces two rows.
-    """
-    walk = _as_walk(adjacency)
-    perm = np.asarray(permutation, dtype=int)
-    _check_involution(walk, perm)
-    ints = integer_eigenvalues(walk)
-    rows: list[EigenRow] = []
-    for theta in sorted(set(ints.tolist()), reverse=True):
-        cols = walk.eigenvectors[:, ints == theta]
-        mult = cols.shape[1]
-        # trace of T P for P the eigenprojector: sum_i P[perm(i), i]
-        t_trace = float(np.einsum("ij,ij->", cols[perm], cols))
-        m_plus = round((mult + t_trace) / 2)
-        if abs((mult + t_trace) / 2 - m_plus) > 1e-6:
-            raise ValueError(
-                f"involution trace {t_trace} on the eigenspace of {theta} "
-                f"is not consistent with a +/-1 splitting"
-            )
-        if m_plus:
-            rows.append(EigenRow(theta, 1, m_plus))
-        if mult - m_plus:
-            rows.append(EigenRow(theta, -1, mult - m_plus))
-    return rows
-
-
 @dataclass(frozen=True)
 class TransferReport:
     """Numeric verdict of a transfer scan."""
@@ -181,13 +136,13 @@ def pst_scan(
     adjacency,
     pairs: Sequence[tuple[int, int]],
     time: float | None = None,
-    fidelity_tol: float = 1e-9,
 ) -> TransferReport:
     """Simulate the walk and check perfect state transfer on ``pairs``.
 
     With ``time`` omitted the spectrum must be integral and the time is
     derived as pi/g; the transfer is then also required at the odd
-    multiple 3 pi/g.  In both modes the fidelity at the *half* time must
+    multiple 3 pi/g.  The fidelity must reach 1 - ``FIDELITY_TOL`` at
+    every checked time.  In both modes the fidelity at the *half* time must
     fall short of 1 by at least ``MID_SLACK``, so that a trivial
     always-returning walk cannot pass.
     """
@@ -202,10 +157,10 @@ def pst_scan(
         times = (tau,)
     min_fid = float(min(f for t in times for f in walk.fidelities(t, pairs)))
     mid_fid = float(max(walk.fidelities(tau / 2, pairs)))
-    ok = bool(min_fid >= 1 - fidelity_tol and mid_fid < 1 - MID_SLACK)
+    ok = bool(min_fid >= 1 - FIDELITY_TOL and mid_fid < 1 - MID_SLACK)
     reason = ""
-    if min_fid < 1 - fidelity_tol:
-        reason = f"fidelity {min_fid:.12f} below 1 - {fidelity_tol:.0e}"
+    if min_fid < 1 - FIDELITY_TOL:
+        reason = f"fidelity {min_fid:.12f} below 1 - {FIDELITY_TOL:.0e}"
     elif mid_fid >= 1 - MID_SLACK:
         reason = f"half-time fidelity {mid_fid:.6f} already complete"
     return TransferReport(

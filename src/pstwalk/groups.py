@@ -19,7 +19,7 @@ SL), so spectra assembled from them never leave exact arithmetic.
 Every family exposes the same surface: ``classes()``, ``class_size``,
 ``class_rep``, ``classify``, ``irreducibles()``, ``degree``,
 ``char_value``, ``enumerate_group``, ``class_partition``,
-``central_involution`` and ``involution_sign``.
+``central_involution`` and ``central_sign``.
 
 Class kinds
 -----------
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .chars import CycSum, MultChar, integer_part, residue_periods
+from .chars import CycSum, MultChar, NonIntegralError, integer_part, residue_periods
 from .gf import FieldTower, FiniteField, make_tower
 
 __all__ = [
@@ -220,15 +220,21 @@ class _Family:
         """The class of -I, labelled directly (scalars are their own class)."""
         return ClassLabel(self.family, "central", (self.field.neg(1),))
 
-    def involution_sign(self, irr: IrrLabel) -> int:
-        """chi(-I)/chi(1), always +1 or -1."""
-        v = integer_part(self.char_value(irr, self.central_involution_class()))
+    def central_sign(self, irr: IrrLabel, x: int) -> int:
+        """chi(x I)/chi(1) for the scalar matrix of field encoding x; +1 or -1.
+
+        The Cayley pairing g <-> -g reads it at x = -1, the coset graph's
+        pairing at the order-4 scalar zeta.  The scalar's class is labelled
+        directly, as in :meth:`central_involution_class`.
+        """
+        value = integer_part(self.char_value(irr, ClassLabel(self.family, "central", (x,))))
         d = self.degree(irr)
-        if v == d:
-            return 1
-        if v == -d:
-            return -1
-        raise ValueError(f"central character of {irr} is not a sign")  # pragma: no cover
+        if value not in (d, -d):
+            raise NonIntegralError(
+                f"character {irr.kind}{irr.params} of {self.family}(2,{self.q}) takes "
+                f"value {value} at the scalar {x}; expected +-{d}"
+            )
+        return value // d
 
     # -- family-specific ----------------------------------------------------
 

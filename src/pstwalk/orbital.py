@@ -20,12 +20,9 @@ by 4, so the mod-4 congruence of :func:`~pstwalk.scheme.transfer_certificate`
 certifies perfect state transfer between ``rH`` and ``(z r)H`` for every
 coset at time pi/2.
 
-Double cosets themselves are classified by a Frobenius invariant: ``HxH``
-is determined by the conjugacy class of ``x^(-1) F(x)`` where ``F`` raises
-every matrix entry to the q-th power.  At q = 3 the whole 5760-element
-group is small enough to enumerate, so the graph, the invariant, and the
-character sums can all be cross-validated literally; larger q run the
-character-sum path only.
+At q = 3 the whole 5760-element group is small enough to enumerate, so
+the graph and the character sums can be cross-validated literally; larger
+q run the character-sum path only.
 
 The explicit graph (:func:`build_gamma`) is built as the Cayley graphs
 are: the coset of representative r is joined to the cosets r d H for one
@@ -48,7 +45,7 @@ import numpy as np
 
 from .cayley import FormulaCheck, make_family
 from .chars import CycSum, MultChar, NonIntegralError, _total, char_sum, integer_part
-from .groups import ClassLabel, IrrLabel, Mat2, _prime_power
+from .groups import IrrLabel, Mat2, _prime_power
 from .scheme import (
     Graph,
     TransferCertificate,
@@ -62,11 +59,8 @@ __all__ = [
     "CosetSpace",
     "OrbitalRow",
     "build_coset_space",
-    "double_coset_of",
     "build_gamma",
     "coset_irreducibles",
-    "m_theta",
-    "p_theta_trace",
     "coset_char_sum",
     "orbital_spectrum",
     "certify_orbital",
@@ -94,7 +88,6 @@ class CosetSpace:
 
     q: int
     group: object  # the GL(2, q^2) family
-    frobenius_power: int  # m with q = p^m; entrywise x -> x^(p^m) generates Gal(F_{q^2}/F_q)
     hsize: int
     zeta: int  # encoding of the chosen order-4 scalar
     z: Mat2
@@ -108,19 +101,6 @@ class CosetSpace:
     @property
     def n_cosets(self) -> int:
         return self.group.order // self.hsize
-
-    def in_subfield(self, x: int) -> bool:
-        return self.group.field.frobenius(x, self.frobenius_power) == x
-
-    def in_h(self, m: Mat2) -> bool:
-        """Membership of an invertible matrix in the subfield subgroup."""
-        return all(self.in_subfield(e) for e in m)
-
-    def conjugate_entries(self, m: Mat2) -> Mat2:
-        """The entrywise field automorphism x -> x^q."""
-        frob = self.group.field.frobenius
-        k = self.frobenius_power
-        return Mat2(frob(m.a, k), frob(m.b, k), frob(m.c, k), frob(m.d, k))
 
 
 def _subfield_matrices(field, sub: Sequence[int]) -> tuple[Mat2, ...]:
@@ -154,12 +134,10 @@ def build_coset_space(q: int) -> CosetSpace:
     zeta = field.exp[(q * q - 1) // 4]
     z = Mat2(zeta, 0, 0, zeta)
     rep_set = tuple(field.exp[i] for i in range(q + 1))
-    frob_power = group.k // 2
     hsize = (q * q - 1) * (q * q - q)
     base = dict(
         q=q,
         group=group,
-        frobenius_power=frob_power,
         hsize=hsize,
         zeta=zeta,
         z=z,
@@ -168,7 +146,7 @@ def build_coset_space(q: int) -> CosetSpace:
     if q > EXPLICIT_LIMIT:
         return CosetSpace(explicit=False, **base)
 
-    sub = [x for x in range(q * q) if field.frobenius(x, frob_power) == x]
+    sub = [x for x in range(q * q) if field.frobenius(x, group.k // 2) == x]
     if len(sub) != q:
         raise RuntimeError(
             f"build_coset_space: the subfield of F_{q * q} fixed by x -> x^{q} "
@@ -203,12 +181,6 @@ def build_coset_space(q: int) -> CosetSpace:
         coset_index=coset_index,
         **base,
     )
-
-
-def double_coset_of(space: CosetSpace, g: Mat2) -> ClassLabel:
-    """The conjugacy class of g^(-1) F(g), constant on double cosets HgH."""
-    group = space.group
-    return group.classify(group.mul(group.inv(g), space.conjugate_entries(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,103 +222,10 @@ def coset_irreducibles(q: int) -> tuple[IrrLabel, ...]:
 # coset character sums
 #
 # The principal-series character I[theta] induced from the pair
-# theta = (theta1, theta2) of multiplicative characters of F_{q^2}^x acts on
-# the projective line PP = F_{q^2} + {oo} by a monomial matrix P_theta(g):
-# column alpha carries theta(t1, t2) in row sigma_g(alpha), where sigma is
-# the Moebius action of g and (t1, t2) the diagonal of its triangular part.
-# Summing P_theta over H gives a matrix M_theta with three-case entries, and
-# coset sums reduce to traces: I[theta](gH) = Tr(P_theta(g) M_theta).
-
-
-def _coset_action(space: CosetSpace, g: Mat2, alpha: int) -> tuple[int, int, int]:
-    """(sigma_g(alpha), t1, t2) for the projective action with its cocycle.
-
-    ``alpha`` is a PP index: a field encoding, or q^2 for the point oo.
-    The cocycle pair (t1, t2) is the diagonal of the upper-triangular part
-    of g relative to the coset representatives of the stabilizer of 0.
-    """
-    field = space.group.field
-    oo = field.q
-    a, b, c, d = g
-    if alpha != oo:
-        t = field.add(a, field.mul(b, alpha))
-        num = field.add(c, field.mul(d, alpha))
-        if t != 0:
-            sigma = field.div(num, t)
-            return sigma, t, field.sub(d, field.mul(sigma, b))
-        return oo, num, b
-    if b != 0:
-        sigma = field.div(d, b)
-        return sigma, b, field.sub(c, field.mul(sigma, a))
-    return oo, d, a
-
-
-def _theta_chars(space: CosetSpace, theta: tuple[int, int]) -> tuple[MultChar, MultChar]:
-    n = space.group.q - 1
-    i, j = theta
-    return MultChar(n, i), MultChar(n, j)
-
-
-def _cocycle_value(
-    space: CosetSpace, theta: tuple[int, int], t1: int, t2: int
-) -> CycSum:
-    chi1, chi2 = _theta_chars(space, theta)
-    field = space.group.field
-    root = space.group.root_order
-    return chi1.at(field.dlog(t1), root) * chi2.at(field.dlog(t2), root)
-
-
-def p_theta_trace(space: CosetSpace, theta: tuple[int, int], g: Mat2) -> CycSum:
-    """Character of the induced monomial representation at a single element."""
-    fixed = []
-    for alpha in range(space.group.field.q + 1):
-        sigma, t1, t2 = _coset_action(space, g, alpha)
-        if sigma == alpha:
-            fixed.append(_cocycle_value(space, theta, t1, t2))
-    return _total(space.group.root_order, fixed)
-
-
-def m_theta(space: CosetSpace, theta: tuple[int, int]) -> list[list[CycSum]]:
-    """The H-sum of the induced monomial representation, in closed form.
-
-    Rows and columns are indexed by the projective line: field encodings
-    0 .. q^2 - 1 followed by the point at infinity.  Entries vanish unless
-    both points lie in the same H-orbit; the orbit of the subfield line
-    carries the constant triangular-subgroup sum, and the outside orbit
-    carries torus sums twisted by the subfield coordinate d with
-    row = c + d * column.
-    """
-    group = space.group
-    field = group.field
-    q, n, root = space.q, group.q - 1, group.root_order
-    oo = field.q
-    chi1, chi2 = _theta_chars(space, theta)
-    fq_units = [(q + 1) * u for u in range(q - 1)]  # dlogs of F_q^x
-    triangular = q * char_sum(chi1, fq_units, root) * char_sum(chi2, fq_units, root)
-    torus = char_sum(MultChar(n, (theta[0] + q * theta[1]) % n), range(n), root)
-    zero = CycSum.zero(root)
-    size = oo + 1
-    out = [[zero] * size for _ in range(size)]
-    line1 = [x for x in range(oo) if space.in_subfield(x)] + [oo]
-    in_line1 = [False] * size
-    for x in line1:
-        in_line1[x] = True
-    for row in line1:
-        r = out[row]
-        for col in line1:
-            r[col] = triangular
-    k = space.frobenius_power
-    for row in range(oo):
-        if in_line1[row]:
-            continue
-        row_gap = field.sub(row, field.frobenius(row, k))
-        for col in range(oo):
-            if in_line1[col]:
-                continue
-            col_gap = field.sub(col, field.frobenius(col, k))
-            d = field.div(row_gap, col_gap)  # row = c + d*col with c, d in F_q
-            out[row][col] = chi2.at(field.dlog(d), root) * torus
-    return out
+# theta = (theta1, theta2) of multiplicative characters of F_{q^2}^x has a
+# closed-form sum over each diagonal coset; its reference, a trace through
+# the H-summed monomial representation on the projective line, is in
+# ``tests/oracles.py``.
 
 
 def _induced_coset_sum(space: CosetSpace, theta: tuple[int, int], g: Mat2) -> CycSum:
@@ -360,7 +239,7 @@ def _induced_coset_sum(space: CosetSpace, theta: tuple[int, int], g: Mat2) -> Cy
     field = space.group.field
     root = space.group.root_order
     i, j = theta
-    chi1, chi2 = _theta_chars(space, theta)
+    chi1, chi2 = MultChar(n, i), MultChar(n, j)
     dx, dy = field.dlog(g.a), field.dlog(g.d)
     t_sum = q * (q - 1) ** 2 if i % (q - 1) == 0 and j % (q - 1) == 0 else 0
     c_sum = n if (i + q * j) % n == 0 else 0
@@ -377,17 +256,14 @@ def _is_valid_diagonal(space: CosetSpace, g: Mat2) -> bool:
     return (field.dlog(g.d) - field.dlog(g.a)) % (space.q + 1) != 0
 
 
-def coset_char_sum(
-    space: CosetSpace, chi: IrrLabel | tuple[int, int], g: Mat2
-) -> CycSum:
+def coset_char_sum(space: CosetSpace, chi: IrrLabel, g: Mat2) -> CycSum:
     """The coset sum chi(gH) = sum over h in H of chi(g h), exactly.
 
-    ``chi`` is either an irreducible label of GL(2, q^2) or a bare index
-    pair (i, j) denoting the induced principal-series character I[theta].
-    Supported cosets: the diagonal cosets m_{x,y} H with x, y in distinct
-    cosets of F_q^x, the only ones the eigenvalue computation needs.  (The
-    central involution coset zH enters the spectrum through the central
-    character alone; see ``_involution_sign``.)
+    ``chi`` is an irreducible label of GL(2, q^2).  Supported cosets: the
+    diagonal cosets m_{x,y} H with x, y in distinct cosets of F_q^x, the
+    only ones the eigenvalue computation needs.  (The central involution
+    coset zH enters the spectrum through the central character alone; see
+    :meth:`~pstwalk.groups.GLGroup.central_sign`.)
     """
     group = space.group
     root = group.root_order
@@ -397,8 +273,6 @@ def coset_char_sum(
             "coset character sums are tabulated only for diagonal matrices "
             f"with entries in distinct subfield cosets; got {g}"
         )
-    if isinstance(chi, tuple):
-        return _induced_coset_sum(space, chi, g)
     field = group.field
     kind, params = chi.kind, chi.params
     if kind == "linear":
@@ -427,18 +301,6 @@ class OrbitalRow(NamedTuple):
     sign: int  # eigenvalue of the involution relation: +1 or -1
     theta: int  # sign + energy
     multiplicity: int  # dimension of the eigenspace (the character degree)
-
-
-def _involution_sign(space: CosetSpace, irr: IrrLabel) -> int:
-    group = space.group
-    value = integer_part(group.char_value(irr, group.classify(space.z)))
-    degree = group.degree(irr)
-    if value not in (degree, -degree):
-        raise NonIntegralError(
-            f"character {irr.kind}{irr.params} takes value {value} at the "
-            f"central involution coset; expected +-{degree}"
-        )
-    return value // degree
 
 
 def orbital_spectrum(q: int) -> list[OrbitalRow]:
@@ -475,47 +337,11 @@ def orbital_spectrum(q: int) -> list[OrbitalRow]:
                 f"{whole} is not divisible by {denom}"
             )
         energy = whole // denom
-        sign = _involution_sign(space, irr)
+        sign = space.group.central_sign(irr, space.zeta)
         rows.append(
             OrbitalRow(irr, energy, sign, sign + energy, space.group.degree(irr))
         )
     return rows
-
-
-# -- closed-form cross-checks (kernel conditions collapse the double sum) ---
-
-
-def _transversal_power_sum(space: CosetSpace, index: int) -> CycSum:
-    n = space.group.q - 1
-    return char_sum(MultChar(n, index % n), range(space.q + 1), space.group.root_order)
-
-
-def _induced_energy_closed(q: int, theta: tuple[int, int]) -> int:
-    """Energy of I[theta] via the kernel-condition form of the double sum."""
-    space = build_coset_space(q)
-    n = q * q - 1
-    i, j = theta
-    prefactor = 0
-    if i % (q - 1) == 0 and j % (q - 1) == 0:
-        prefactor += q
-    if (i + q * j) % n == 0 and j % (q - 1) == 0:
-        prefactor += n // 2
-    if prefactor == 0:
-        return 0
-    # a nonzero prefactor forces both characters trivial on F_q^x, making
-    # the transversal sums rational
-    s1 = _transversal_power_sum(space, i)
-    s2 = _transversal_power_sum(space, j)
-    s12 = _transversal_power_sum(space, i + j)
-    return prefactor * integer_part(s1 * s2 - s12)
-
-
-def _linear_energy_closed(q: int, j: int) -> int:
-    """Energy of the linear character lambda_j via the pair-sum identity."""
-    space = build_coset_space(q)
-    t1 = _transversal_power_sum(space, j)
-    t2 = _transversal_power_sum(space, 2 * j)
-    return (q * (q + 1) // 2) * integer_part(t1 * t1 - t2)
 
 
 def linear_energy_display_audit(q: int, rows: Sequence[OrbitalRow]) -> list[FormulaCheck]:
@@ -602,10 +428,6 @@ def build_gamma(space: CosetSpace) -> Graph:
     if z_squared != minus_one:
         raise RuntimeError(
             f"build_gamma: z = {space.z} squares to {z_squared}, expected -I = {minus_one}"
-        )
-    if not space.in_h(z_squared):
-        raise RuntimeError(
-            f"build_gamma: z^2 = {z_squared} does not lie in H = GL(2, {space.q})"
         )
     adjacency = translation_adjacency(
         space.reps, space.coset_index, group.field, _connection(space)

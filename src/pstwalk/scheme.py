@@ -1,10 +1,10 @@
-"""Commuting relation algebras and the eigenvalue-parity transfer test.
+"""Conjugacy-class schemes and the mod-4 transfer certificate.
 
 A conjugacy-class scheme places one relation on a finite group per
 conjugacy class: vertices g, h are C-related when h g^{-1} lies in C.
 The relations commute, the primitive idempotents are indexed by the
 irreducible characters, and an inverse-closed union of classes yields
-a normal Cayley graph whose eigenvalue on the idempotent of chi is the
+a normal Cayley graph whose eigenvalue on the chi-isotypic part is the
 exact character sum ``sum |C| chi(C) / chi(1)``, with chi read at each
 class label.
 
@@ -13,14 +13,14 @@ is a fixed-point-free permutation of order 2, is governed purely by the
 integer eigenvalues theta and the sign with which T acts on each
 eigenspace: with g the gcd of all differences from the top eigenvalue,
 transfer happens at time pi/g exactly when (theta0 - theta)/g is even
-on every +1 eigenspace and odd on every -1 eigenspace
-(:func:`pst_test`, the reference criterion validated against direct
-simulation).
+on every +1 eigenspace and odd on every -1 eigenspace.  That parity
+test, validated against direct simulation, is a reference in
+``tests/oracles.py``.
 
 Both graph families are certified by :func:`transfer_certificate`, the
 mod-4 form of that criterion: every eigenvalue is congruent to theta0
 mod 4 on the +1 side and to theta0 + 2 on the -1 side, and the -1 side
-is not empty.  It accepts exactly what :func:`pst_test` accepts with
+is not empty.  It accepts exactly what the parity test accepts with
 g = 2 (mod 4); it rejects the odd-gap transfers the parity form also
 certifies.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, pi
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,14 +47,9 @@ from .chars import NonIntegralError, _total, integer_part
 from .groups import ClassLabel, IrrLabel, Mat2
 
 __all__ = [
-    "EigenRow",
-    "PSTCertificate",
-    "pst_test",
     "TransferCertificate",
     "transfer_certificate",
     "render_irr",
-    "spectrum_trace",
-    "scheme_axiom_witness",
     "class_sum_eigenvalue",
     "ConjugacyScheme",
     "Graph",
@@ -63,96 +58,11 @@ __all__ = [
 ]
 
 
-class EigenRow(NamedTuple):
-    """An integer eigenvalue, the involution's sign on its eigenspace, and
-    the eigenspace dimension."""
-
-    theta: int
-    sign: int
-    multiplicity: int = 1
-
-
-@dataclass(frozen=True)
-class PSTCertificate:
-    """Outcome of an eigenvalue-parity test.
-
-    ``g`` is the gcd of the differences from the top eigenvalue, ``time``
-    the transfer time pi/g, and ``residue`` the common residue mod 4 of
-    the +1-side eigenvalues when that formulation applies (v2(g) = 1).
-    """
-
-    ok: bool
-    reason: str
-    g: int | None = None
-    time: float | None = None
-    residue: int | None = None
-
-
-def _clean_rows(rows: Iterable) -> list[EigenRow]:
-    out = []
-    for r in rows:
-        row = EigenRow(*r)
-        if row.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {row.sign}")
-        if row.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-        if row.theta != int(row.theta):
-            raise ValueError("eigenvalues must be integers")
-        out.append(EigenRow(int(row.theta), row.sign, int(row.multiplicity)))
-    if not out:
-        raise ValueError("no eigenvalue rows given")
-    return out
-
-
-def _common_gap(rows: list[EigenRow]) -> tuple[int, int] | PSTCertificate:
-    theta0 = max(r.theta for r in rows)
-    diffs = [theta0 - r.theta for r in rows if r.theta != theta0]
-    if not diffs:
-        return PSTCertificate(False, "all eigenvalues are equal; there is no walk")
-    g = 0
-    for d in diffs:
-        g = gcd(g, d)
-    return theta0, g
-
-
-def pst_test(rows: Iterable) -> PSTCertificate:
-    """Parity test for perfect state transfer at time pi/g.
-
-    ``rows`` are (theta, sign, multiplicity) triples (multiplicity
-    optional) for *all* eigenspaces, with sign the eigenvalue of the
-    order-2 relation T on that eigenspace.  Transfer holds iff
-    (theta0 - theta)/g is even exactly on the +1 side.
-    """
-    rows = _clean_rows(rows)
-    gap = _common_gap(rows)
-    if isinstance(gap, PSTCertificate):
-        return gap
-    theta0, g = gap
-    for r in rows:
-        ratio = (theta0 - r.theta) // g
-        if ratio % 2 != (0 if r.sign == 1 else 1):
-            side = "+1" if r.sign == 1 else "-1"
-            want = "even" if r.sign == 1 else "odd"
-            return PSTCertificate(
-                False,
-                f"eigenvalue {r.theta} on the {side} side has "
-                f"(theta0 - theta)/g = {ratio}, expected {want}",
-                g=g,
-            )
-    residue = theta0 % 4 if g % 4 == 2 else None
-    return PSTCertificate(True, "", g=g, time=pi / g, residue=residue)
-
-
 def render_irr(irr: IrrLabel | None) -> str:
     """``kind(p1, p2, ...)`` for a character label."""
     if irr is None:
         return "unlabeled character"
     return f"{irr.kind}({', '.join(map(str, irr.params))})"
-
-
-def spectrum_trace(rows: Sequence) -> int:
-    """Sum of eigenvalues weighted by multiplicity (zero for a loopless graph)."""
-    return sum(r.theta * r.multiplicity for r in rows)
 
 
 @dataclass(frozen=True)
@@ -224,53 +134,6 @@ def transfer_certificate(rows: Sequence, transfer_rule: str) -> TransferCertific
 
 
 # ---------------------------------------------------------------------------
-# association scheme axioms
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # float64 BLAS is exact here: entries stay far below 2**53
-    return (a.astype(np.float64) @ b.astype(np.float64)).round().astype(np.int64)
-
-
-def scheme_axiom_witness(matrices: Sequence[np.ndarray]) -> str | None:
-    """Check the axioms of a commutative association scheme.
-
-    Returns None if ``matrices`` (square 0/1 arrays) contain the
-    identity, sum to the all-ones matrix, are closed under transpose,
-    and have pairwise commuting products lying in their integer span;
-    otherwise returns a description of the first failure.
-    """
-    mats = [np.asarray(m, dtype=np.int64) for m in matrices]
-    if not mats:
-        return "no relations given"
-    n = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (n, n):
-            return f"relation {i} is not {n}x{n}"
-        if not np.isin(m, (0, 1)).all():
-            return f"relation {i} has entries outside 0/1"
-    ident = [i for i, m in enumerate(mats) if np.array_equal(m, np.eye(n, dtype=np.int64))]
-    if len(ident) != 1:
-        return f"expected exactly one identity relation, found {len(ident)}"
-    if not np.array_equal(sum(mats), np.ones((n, n), dtype=np.int64)):
-        return "relations do not partition the vertex pairs"
-    keys = {m.tobytes(): i for i, m in enumerate(mats)}
-    for i, m in enumerate(mats):
-        if m.T.copy().tobytes() not in keys:
-            return f"transpose of relation {i} is not a relation"
-    anchors = [tuple(np.argwhere(m)[0]) for m in mats]
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
-            prod = _exact_matmul(a, b)
-            if i < j and not np.array_equal(prod, _exact_matmul(b, a)):
-                return f"relations {i} and {j} do not commute"
-            recon = sum(int(prod[u, v]) * mk for (u, v), mk in zip(anchors, mats))
-            if not np.array_equal(prod, recon):
-                return f"product of relations {i} and {j} leaves the span"
-    return None
-
-
-# ---------------------------------------------------------------------------
 # conjugacy-class schemes
 
 
@@ -278,8 +141,8 @@ def class_sum_eigenvalue(family, irr: IrrLabel, labels: Sequence[ClassLabel]) ->
     """Exact integer eigenvalue of a class-union Cayley graph on one character.
 
     The graph whose connection set is a union of conjugacy classes has the
-    primitive idempotent of each irreducible character as an eigenprojector;
-    the eigenvalue is ``sum_C |C| chi(C^{-1}) / chi(1)``, the complex
+    projection onto the isotypic part of each irreducible character as an
+    eigenprojector; the eigenvalue is ``sum_C |C| chi(C^{-1}) / chi(1)``, the complex
     conjugate of ``sum_C |C| chi(C) / chi(1)``.  An integer is its own
     conjugate, so the sum is taken with chi read at each label itself, for
     any label set: no group element is built, and everything is accumulated
@@ -304,30 +167,15 @@ class ConjugacyScheme:
     Vertices are the group elements in enumeration order; the relation
     of class C, ``adjacency([C])``, holds from g to h when h g^{-1} is in
     C.  Eigenvalues of class-union graphs are exact character sums
-    (:func:`class_sum_eigenvalue`); idempotents are returned numerically
-    for operator-level checks.
+    (:func:`class_sum_eigenvalue`).  The per-class relations, class labels
+    and numeric idempotents that check the scheme axioms are references in
+    ``tests/oracles.py``.
     """
 
     def __init__(self, family):
         self.family = family
         self.elements: list = list(family.enumerate_group())
         self.index = {m: i for i, m in enumerate(self.elements)}
-        self.n = len(self.elements)
-        self._label_of: dict | None = None
-
-    def label_of(self, element) -> ClassLabel:
-        """Conjugacy class of an element, via the cached partition."""
-        if self._label_of is None:
-            self._label_of = {
-                m: lab
-                for lab, elems in self.family.class_partition().items()
-                for m in elems
-            }
-        return self._label_of[element]
-
-    def relation_matrices(self) -> list[np.ndarray]:
-        """One relation per conjugacy class, in class order."""
-        return [self.adjacency([c]) for c in self.family.classes()]
 
     def adjacency(self, labels: Sequence[ClassLabel]) -> np.ndarray:
         """Adjacency matrix of the Cayley graph on the class union.
@@ -338,20 +186,6 @@ class ConjugacyScheme:
         fam = self.family
         members = [x for lab in labels for x in fam.class_elements(lab)]
         return translation_adjacency(self.elements, self.index, fam.field, members)
-
-    def idempotent(self, irr: IrrLabel) -> np.ndarray:
-        """Numeric primitive idempotent: E(g, h) = chi(1)/|G| chi(h g^{-1})."""
-        fam = self.family
-        values = {
-            lab: complex(fam.char_value(irr, lab).evaluate()) for lab in fam.classes()
-        }
-        scale = fam.degree(irr) / fam.order
-        out = np.empty((self.n, self.n), dtype=complex)
-        for gi, g in enumerate(self.elements):
-            ginv = fam.inv(g)
-            for hi, h in enumerate(self.elements):
-                out[gi, hi] = scale * values[self.label_of(fam.mul(h, ginv))]
-        return out
 
 
 # ---------------------------------------------------------------------------

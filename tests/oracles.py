@@ -1,20 +1,35 @@
-"""Independent brute-force references used to pin library outputs.
+"""Independent references used to pin library outputs.
 
 Everything here is deliberately naive and self-contained: polynomial
 arithmetic written out directly (no shared tables with the library),
 exhaustive searches, dense numpy spectra.  Tests freeze values produced
-by these references and require the library to reproduce them.
+by these references and require the library to reproduce them.  It also
+holds the references no CLI run, script or benchmark reaches, so that
+``src/`` ships one transfer criterion and no test-only code.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import product
+from math import gcd, pi
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from pstwalk.chars import cyclotomic_polynomial
+from pstwalk.chars import (
+    CycSum,
+    MultChar,
+    _total,
+    char_sum,
+    cyclotomic_polynomial,
+    integer_part,
+    residue_periods,
+)
+from pstwalk.ctqw import WalkSystem, integer_eigenvalues
 from pstwalk.groups import Mat2
+from pstwalk.orbital import build_coset_space
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +329,375 @@ def translation_adjacency_reference(reps, vertex_of, mul, connection) -> np.ndar
 def translation_partner_reference(reps, vertex_of, mul, t) -> np.ndarray:
     """The vertex permutation i -> ``vertex_of[mul(t, reps[i])]``."""
     return np.array([vertex_of[mul(t, r)] for r in reps], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue-parity transfer test
+#
+# With g the gcd of all differences from the top eigenvalue theta0, transfer
+# happens at time pi/g exactly when (theta0 - theta)/g is even on every +1
+# eigenspace of the pairing involution and odd on every -1 eigenspace.  The
+# library's mod-4 certificate accepts exactly what this accepts with
+# g = 2 (mod 4).
+
+
+class EigenRow(NamedTuple):
+    """An integer eigenvalue, the involution's sign on its eigenspace, and
+    the eigenspace dimension."""
+
+    theta: int
+    sign: int
+    multiplicity: int = 1
+
+
+@dataclass(frozen=True)
+class PSTCertificate:
+    """Outcome of an eigenvalue-parity test.
+
+    ``g`` is the gcd of the differences from the top eigenvalue, ``time``
+    the transfer time pi/g, and ``residue`` the common residue mod 4 of
+    the +1-side eigenvalues when that formulation applies (v2(g) = 1).
+    """
+
+    ok: bool
+    reason: str
+    g: int | None = None
+    time: float | None = None
+    residue: int | None = None
+
+
+def _clean_rows(rows: Iterable) -> list[EigenRow]:
+    out = []
+    for r in rows:
+        row = EigenRow(*r)
+        if row.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {row.sign}")
+        if row.multiplicity < 1:
+            raise ValueError("multiplicity must be positive")
+        if row.theta != int(row.theta):
+            raise ValueError("eigenvalues must be integers")
+        out.append(EigenRow(int(row.theta), row.sign, int(row.multiplicity)))
+    if not out:
+        raise ValueError("no eigenvalue rows given")
+    return out
+
+
+def pst_test(rows: Iterable) -> PSTCertificate:
+    """Parity test for perfect state transfer at time pi/g.
+
+    ``rows`` are (theta, sign, multiplicity) triples (multiplicity
+    optional) for *all* eigenspaces, with sign the eigenvalue of the
+    order-2 relation T on that eigenspace.  Transfer holds iff
+    (theta0 - theta)/g is even exactly on the +1 side.
+    """
+    rows = _clean_rows(rows)
+    theta0 = max(r.theta for r in rows)
+    g = gcd(*(theta0 - r.theta for r in rows))
+    if g == 0:
+        return PSTCertificate(False, "all eigenvalues are equal; there is no walk")
+    for r in rows:
+        ratio = (theta0 - r.theta) // g
+        if ratio % 2 != (0 if r.sign == 1 else 1):
+            side = "+1" if r.sign == 1 else "-1"
+            want = "even" if r.sign == 1 else "odd"
+            return PSTCertificate(
+                False,
+                f"eigenvalue {r.theta} on the {side} side has "
+                f"(theta0 - theta)/g = {ratio}, expected {want}",
+                g=g,
+            )
+    residue = theta0 % 4 if g % 4 == 2 else None
+    return PSTCertificate(True, "", g=g, time=pi / g, residue=residue)
+
+
+def spectrum_trace(rows: Sequence) -> int:
+    """Sum of eigenvalues weighted by multiplicity (zero for a loopless graph)."""
+    return sum(r.theta * r.multiplicity for r in rows)
+
+
+def integer_rows_with_signs(adjacency, permutation: Sequence[int]) -> list[EigenRow]:
+    """Numeric eigenvalue rows (theta, sign, multiplicity) for an involution.
+
+    The permutation must be an order-2 automorphism T; on each
+    eigenspace it acts with eigenvalues +/-1 and the two multiplicities
+    are read off the trace of T restricted to the eigenprojector.  An
+    eigenvalue whose eigenspace carries both signs produces two rows.
+    """
+    walk = WalkSystem.from_adjacency(adjacency)
+    perm, a = np.asarray(permutation, dtype=int), walk.adjacency
+    if sorted(perm.tolist()) != list(range(len(walk))):
+        raise ValueError("permutation must be a bijection on the vertices")
+    if not np.array_equal(perm[perm], np.arange(len(walk))):
+        raise ValueError("permutation must have order at most 2")
+    if np.abs(a[np.ix_(perm, perm)] - a).max() > 1e-12:
+        raise ValueError("permutation is not an automorphism of the graph")
+    ints = integer_eigenvalues(walk)
+    rows: list[EigenRow] = []
+    for theta in sorted(set(ints.tolist()), reverse=True):
+        cols = walk.eigenvectors[:, ints == theta]
+        mult = cols.shape[1]
+        # trace of T P for P the eigenprojector: sum_i P[perm(i), i]
+        t_trace = float(np.einsum("ij,ij->", cols[perm], cols))
+        m_plus = round((mult + t_trace) / 2)
+        if abs((mult + t_trace) / 2 - m_plus) > 1e-6:
+            raise ValueError(
+                f"involution trace {t_trace} on the eigenspace of {theta} "
+                f"is not consistent with a +/-1 splitting"
+            )
+        if m_plus:
+            rows.append(EigenRow(theta, 1, m_plus))
+        if mult - m_plus:
+            rows.append(EigenRow(theta, -1, mult - m_plus))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# association scheme axioms, and the relations and idempotents of a
+# conjugacy scheme
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # float64 BLAS is exact here: entries stay far below 2**53
+    return (a.astype(np.float64) @ b.astype(np.float64)).round().astype(np.int64)
+
+
+def scheme_axiom_witness(matrices: Sequence[np.ndarray]) -> str | None:
+    """Check the axioms of a commutative association scheme.
+
+    Returns None if ``matrices`` (square 0/1 arrays) contain the
+    identity, sum to the all-ones matrix, are closed under transpose,
+    and have pairwise commuting products lying in their integer span;
+    otherwise returns a description of the first failure.
+    """
+    mats = [np.asarray(m, dtype=np.int64) for m in matrices]
+    if not mats:
+        return "no relations given"
+    n = mats[0].shape[0]
+    for i, m in enumerate(mats):
+        if m.shape != (n, n):
+            return f"relation {i} is not {n}x{n}"
+        if not np.isin(m, (0, 1)).all():
+            return f"relation {i} has entries outside 0/1"
+    ident = [i for i, m in enumerate(mats) if np.array_equal(m, np.eye(n, dtype=np.int64))]
+    if len(ident) != 1:
+        return f"expected exactly one identity relation, found {len(ident)}"
+    if not np.array_equal(sum(mats), np.ones((n, n), dtype=np.int64)):
+        return "relations do not partition the vertex pairs"
+    keys = {m.tobytes(): i for i, m in enumerate(mats)}
+    for i, m in enumerate(mats):
+        if m.T.copy().tobytes() not in keys:
+            return f"transpose of relation {i} is not a relation"
+    anchors = [tuple(np.argwhere(m)[0]) for m in mats]
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            prod = _exact_matmul(a, b)
+            if i < j and not np.array_equal(prod, _exact_matmul(b, a)):
+                return f"relations {i} and {j} do not commute"
+            recon = sum(int(prod[u, v]) * mk for (u, v), mk in zip(anchors, mats))
+            if not np.array_equal(prod, recon):
+                return f"product of relations {i} and {j} leaves the span"
+    return None
+
+
+def _class_of(family) -> dict:
+    """Every group element mapped to its conjugacy class, via the partition."""
+    return {m: lab for lab, elems in family.class_partition().items() for m in elems}
+
+
+def label_of(scheme, element):
+    """Conjugacy class of an element of a :class:`ConjugacyScheme`'s group."""
+    return _class_of(scheme.family)[element]
+
+
+def relation_matrices(scheme) -> list[np.ndarray]:
+    """One relation per conjugacy class, in class order."""
+    return [scheme.adjacency([c]) for c in scheme.family.classes()]
+
+
+def idempotent(scheme, irr) -> np.ndarray:
+    """Numeric primitive idempotent: E(g, h) = chi(1)/|G| chi(h g^{-1})."""
+    fam = scheme.family
+    class_of = _class_of(fam)
+    values = {lab: complex(fam.char_value(irr, lab).evaluate()) for lab in fam.classes()}
+    scale = fam.degree(irr) / fam.order
+    out = np.empty((fam.order, fam.order), dtype=complex)
+    for gi, g in enumerate(scheme.elements):
+        ginv = fam.inv(g)
+        for hi, h in enumerate(scheme.elements):
+            out[gi, hi] = scale * values[class_of[fam.mul(h, ginv)]]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the coset space of GL(2, q) inside GL(2, q^2): subfield, Frobenius
+# invariant, monomial representation and kernel-condition closed forms
+
+
+def in_subfield(space, x: int) -> bool:
+    """Whether a field encoding of F_{q^2} lies in F_q."""
+    return space.group.field.frobenius(x, space.group.k // 2) == x
+
+
+def in_h(space, m: Mat2) -> bool:
+    """Membership of an invertible matrix in the subfield subgroup H."""
+    return all(in_subfield(space, e) for e in m)
+
+
+def double_coset_of(space, g: Mat2):
+    """The conjugacy class of g^(-1) F(g), constant on double cosets HgH.
+
+    F raises every entry to the q-th power.
+    """
+    group, k = space.group, space.group.k // 2
+    image = Mat2(*(group.field.frobenius(x, k) for x in g))
+    return group.classify(group.mul(group.inv(g), image))
+
+
+# The principal-series character I[theta] induced from the pair
+# theta = (theta1, theta2) of multiplicative characters of F_{q^2}^x acts on
+# the projective line PP = F_{q^2} + {oo} by a monomial matrix P_theta(g):
+# column alpha carries theta(t1, t2) in row sigma_g(alpha), where sigma is
+# the Moebius action of g and (t1, t2) the diagonal of its triangular part.
+# Summing P_theta over H gives a matrix M_theta with three-case entries, and
+# coset sums reduce to traces: I[theta](gH) = Tr(P_theta(g) M_theta).
+
+
+def coset_action(space, g: Mat2, alpha: int) -> tuple[int, int, int]:
+    """(sigma_g(alpha), t1, t2) for the projective action with its cocycle.
+
+    ``alpha`` is a PP index: a field encoding, or q^2 for the point oo.
+    The cocycle pair (t1, t2) is the diagonal of the upper-triangular part
+    of g relative to the coset representatives of the stabilizer of 0.
+    """
+    field = space.group.field
+    oo = field.q
+    a, b, c, d = g
+    if alpha != oo:
+        t = field.add(a, field.mul(b, alpha))
+        num = field.add(c, field.mul(d, alpha))
+        if t != 0:
+            sigma = field.div(num, t)
+            return sigma, t, field.sub(d, field.mul(sigma, b))
+        return oo, num, b
+    if b != 0:
+        sigma = field.div(d, b)
+        return sigma, b, field.sub(c, field.mul(sigma, a))
+    return oo, d, a
+
+
+def cocycle_value(space, theta: tuple[int, int], t1: int, t2: int) -> CycSum:
+    """theta1(t1) theta2(t2) over the group's root order."""
+    group = space.group
+    n, root, dlog = group.q - 1, group.root_order, group.field.dlog
+    return MultChar(n, theta[0]).at(dlog(t1), root) * MultChar(n, theta[1]).at(dlog(t2), root)
+
+
+def p_theta_trace(space, theta: tuple[int, int], g: Mat2) -> CycSum:
+    """Character of the induced monomial representation at a single element."""
+    fixed = []
+    for alpha in range(space.group.field.q + 1):
+        sigma, t1, t2 = coset_action(space, g, alpha)
+        if sigma == alpha:
+            fixed.append(cocycle_value(space, theta, t1, t2))
+    return _total(space.group.root_order, fixed)
+
+
+def m_theta(space, theta: tuple[int, int]) -> list[list[CycSum]]:
+    """The H-sum of the induced monomial representation, in closed form.
+
+    Rows and columns are indexed by the projective line: field encodings
+    0 .. q^2 - 1 followed by the point at infinity.  Entries vanish unless
+    both points lie in the same H-orbit; the orbit of the subfield line
+    carries the constant triangular-subgroup sum, and the outside orbit
+    carries torus sums twisted by the subfield coordinate d with
+    row = c + d * column.
+    """
+    group = space.group
+    field = group.field
+    q, n, root = space.q, group.q - 1, group.root_order
+    oo = field.q
+    chi1, chi2 = MultChar(n, theta[0]), MultChar(n, theta[1])
+    fq_units = [(q + 1) * u for u in range(q - 1)]  # dlogs of F_q^x
+    triangular = q * char_sum(chi1, fq_units, root) * char_sum(chi2, fq_units, root)
+    torus = char_sum(MultChar(n, (theta[0] + q * theta[1]) % n), range(n), root)
+    zero = CycSum.zero(root)
+    size = oo + 1
+    out = [[zero] * size for _ in range(size)]
+    line1 = [x for x in range(oo) if in_subfield(space, x)] + [oo]
+    in_line1 = [x in line1 for x in range(size)]
+    for row in line1:
+        r = out[row]
+        for col in line1:
+            r[col] = triangular
+    k = group.k // 2
+    for row in range(oo):
+        if in_line1[row]:
+            continue
+        row_gap = field.sub(row, field.frobenius(row, k))
+        for col in range(oo):
+            if in_line1[col]:
+                continue
+            col_gap = field.sub(col, field.frobenius(col, k))
+            d = field.div(row_gap, col_gap)  # row = c + d*col with c, d in F_q
+            out[row][col] = chi2.at(field.dlog(d), root) * torus
+    return out
+
+
+def _transversal_power_sum(space, index: int) -> CycSum:
+    n = space.group.q - 1
+    return char_sum(MultChar(n, index % n), range(space.q + 1), space.group.root_order)
+
+
+def induced_energy_closed(q: int, theta: tuple[int, int]) -> int:
+    """Energy of I[theta] via the kernel-condition form of the double sum."""
+    space = build_coset_space(q)
+    n = q * q - 1
+    i, j = theta
+    prefactor = 0
+    if i % (q - 1) == 0 and j % (q - 1) == 0:
+        prefactor += q
+    if (i + q * j) % n == 0 and j % (q - 1) == 0:
+        prefactor += n // 2
+    if prefactor == 0:
+        return 0
+    # a nonzero prefactor forces both characters trivial on F_q^x, making
+    # the transversal sums rational
+    s1 = _transversal_power_sum(space, i)
+    s2 = _transversal_power_sum(space, j)
+    s12 = _transversal_power_sum(space, i + j)
+    return prefactor * integer_part(s1 * s2 - s12)
+
+
+def linear_energy_closed(q: int, j: int) -> int:
+    """Energy of the linear character lambda_j via the pair-sum identity."""
+    space = build_coset_space(q)
+    t1 = _transversal_power_sum(space, j)
+    t2 = _transversal_power_sum(space, 2 * j)
+    return (q * (q + 1) // 2) * integer_part(t1 * t1 - t2)
+
+
+# ---------------------------------------------------------------------------
+# the SL connection set by element orders, and the quadratic Gauss sum
+
+
+def sl_order_based_elements(family) -> frozenset:
+    """The SL connection set described by element orders alone.
+
+    The class-based set (central involution plus the four Jordan
+    classes) should coincide with "the central involution together with
+    every element of order p or 2p"; this enumerates the latter so the
+    coincidence can be checked rather than assumed.
+    """
+    p = family.p
+    out = {family.central_involution()}
+    for m in family.enumerate_group():
+        o = family.element_order(m)
+        if o == p or o == 2 * p:
+            out.add(m)
+    return frozenset(out)
+
+
+def quadratic_gauss_sum(p: int) -> CycSum:
+    """sum_a legendre(a) zeta_p^a; squares to (-1)^((p-1)/2) p."""
+    eta0, eta1 = residue_periods(p)
+    return eta0 - eta1

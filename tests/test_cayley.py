@@ -22,13 +22,12 @@ from pstwalk.cayley import (
     component_count,
     explicit_graph,
     make_family,
-    sl_order_based_elements,
     spectrum,
     variants_for,
 )
+from oracles import pst_test, sl_order_based_elements, spectrum_trace
 from pstwalk.chars import NonIntegralError
 from pstwalk.ctqw import pst_scan
-from pstwalk.scheme import pst_test, spectrum_trace
 
 
 @lru_cache(maxsize=None)

@@ -14,11 +14,10 @@ from pstwalk.chars import (
     _exact_div,
     cyclotomic_polynomial,
     integer_part,
-    quadratic_gauss_sum,
     residue_periods,
 )
 
-from oracles import dense_cyclotomic_reduction
+from oracles import dense_cyclotomic_reduction, quadratic_gauss_sum
 
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),

@@ -14,10 +14,9 @@ from pstwalk.ctqw import (
     WalkSystem,
     derive_transfer_time,
     integer_eigenvalues,
-    integer_rows_with_signs,
     pst_scan,
 )
-from pstwalk.scheme import EigenRow, pst_test
+from oracles import EigenRow, integer_rows_with_signs, pst_test
 
 K2 = np.array([[0, 1], [1, 0]], dtype=float)
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)

@@ -296,7 +296,8 @@ def test_sl_rows_restrict_from_gl(q):
 
 def test_involution_signs_frozen():
     gl3 = family("gl", 3)
-    signs = {(i.kind, i.params): gl3.involution_sign(i) for i in gl3.irreducibles()}
+    minus_one = gl3.field.neg(1)
+    signs = {(i.kind, i.params): gl3.central_sign(i, minus_one) for i in gl3.irreducibles()}
     assert signs == {
         ("linear", (0,)): 1,
         ("linear", (1,)): 1,
@@ -308,7 +309,8 @@ def test_involution_signs_frozen():
         ("cuspidal", (5,)): -1,
     }
     sl3 = family("sl", 3)
-    signs = {(i.kind, i.params): sl3.involution_sign(i) for i in sl3.irreducibles()}
+    minus_one = sl3.field.neg(1)
+    signs = {(i.kind, i.params): sl3.central_sign(i, minus_one) for i in sl3.irreducibles()}
     assert signs == {
         ("trivial", ()): 1,
         ("steinberg", ()): 1,
@@ -326,7 +328,7 @@ def test_involution_signs_frozen():
             "principal": (-1) ** sum(irr.params),
             "cuspidal": (-1) ** irr.params[0],
         }[irr.kind]
-        assert gu3.involution_sign(irr) == expect, irr
+        assert gu3.central_sign(irr, gu3.field.neg(1)) == expect, irr
 
 
 def test_gl3_class_inventory_frozen():

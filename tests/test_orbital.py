@@ -16,7 +16,19 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import literal_double_coset
+from oracles import (
+    cocycle_value,
+    coset_action,
+    double_coset_of,
+    in_h,
+    in_subfield,
+    induced_energy_closed,
+    linear_energy_closed,
+    literal_double_coset,
+    m_theta,
+    p_theta_trace,
+    spectrum_trace,
+)
 from pstwalk.chars import CycSum, integer_part
 from pstwalk.groups import IrrLabel, Mat2
 from pstwalk import orbital
@@ -28,13 +40,9 @@ from pstwalk.orbital import (
     certify_orbital,
     coset_char_sum,
     coset_irreducibles,
-    double_coset_of,
     linear_energy_display_audit,
-    m_theta,
     orbital_spectrum,
-    p_theta_trace,
 )
-from pstwalk.scheme import spectrum_trace
 
 # ---------------------------------------------------------------------------
 # frozen expectations
@@ -145,8 +153,8 @@ def test_coset_space_vertex_anchors():
     assert h_vertex == 0  # the identity is enumerated first
     assert h_vertex != z_vertex
     G = sp.group
-    assert sp.in_h(sp.reps[h_vertex])
-    assert sp.in_h(G.mul(G.inv(sp.z), sp.reps[z_vertex]))
+    assert in_h(sp, sp.reps[h_vertex])
+    assert in_h(sp, G.mul(G.inv(sp.z), sp.reps[z_vertex]))
 
 
 def test_zeta_is_smallest_order_four_scalar():
@@ -161,8 +169,8 @@ def test_zeta_is_smallest_order_four_scalar():
 def test_z_squared_lies_in_h():
     sp = space3()
     zz = sp.group.mul(sp.z, sp.z)
-    assert sp.in_h(zz)
-    assert not sp.in_h(sp.z)
+    assert in_h(sp, zz)
+    assert not in_h(sp, sp.z)
 
 
 def test_gamma_names_a_z_that_does_not_square_to_minus_identity():
@@ -189,7 +197,7 @@ def test_representatives_pairwise_distinct_cosets():
     inverses = [G.inv(r) for r in sp.reps]
     for i, r_inv in enumerate(inverses):
         for j in range(i + 1, len(sp.reps)):
-            assert not sp.in_h(G.mul(r_inv, sp.reps[j]))
+            assert not in_h(sp, G.mul(r_inv, sp.reps[j]))
 
 
 def test_rep_set_is_subfield_transversal():
@@ -334,7 +342,7 @@ def test_m_theta_trivial_entries():
     oo = sp.group.field.q
     assert integer_part(M[oo][0]) == 12
     # mixed pairs vanish
-    outside = [x for x in range(oo) if not sp.in_subfield(x)]
+    outside = [x for x in range(oo) if not in_subfield(sp, x)]
     assert integer_part(M[0][outside[0]]) == 0
     assert integer_part(M[outside[0]][oo]) == 0
     # both points outside: the torus order
@@ -385,8 +393,8 @@ def test_trace_identity_against_literal_monomial_sums():
         for g in samples_g:
             product = CycSum.zero(G.root_order)
             for alpha in range(oo + 1):
-                sigma, t1, t2 = orbital._coset_action(sp, g, alpha)
-                product = product + orbital._cocycle_value(sp, theta, t1, t2) * M[alpha][sigma]
+                sigma, t1, t2 = coset_action(sp, g, alpha)
+                product = product + cocycle_value(sp, theta, t1, t2) * M[alpha][sigma]
             literal = CycSum.zero(G.root_order)
             for h in sp.h_elements:
                 literal = literal + p_theta_trace(sp, theta, G.mul(g, h))
@@ -423,7 +431,7 @@ def test_coset_sums_match_literal_character_table_sums():
         if irr not in roster:
             assert central == 0, irr
             continue
-        assert central == orbital._involution_sign(sp, irr) * sp.hsize, irr
+        assert central == G.central_sign(irr, sp.zeta) * sp.hsize, irr
         for g in cosets:
             assert (coset_char_sum(sp, irr, g) - literal(irr, g)).is_zero(), (irr, g)
 
@@ -431,7 +439,7 @@ def test_coset_sums_match_literal_character_table_sums():
 def test_trivial_induced_sum_is_56():
     sp = space3()
     for a, b in itertools.combinations(range(4), 2):
-        assert integer_part(coset_char_sum(sp, (0, 0), diag(sp, a, b))) == 56
+        assert integer_part(orbital._induced_coset_sum(sp, (0, 0), diag(sp, a, b))) == 56
     assert 2 * 12 + 2 * 8 * 2 == 56
 
 
@@ -447,9 +455,9 @@ def test_induced_pair_matches_trace_path_everywhere():
             for g in ms:
                 product = CycSum.zero(G.root_order)
                 for alpha in range(oo + 1):
-                    sigma, t1, t2 = orbital._coset_action(sp, g, alpha)
-                    product = product + orbital._cocycle_value(sp, (i, j), t1, t2) * M[alpha][sigma]
-                assert (coset_char_sum(sp, (i, j), g) - product).is_zero(), (i, j, g)
+                    sigma, t1, t2 = coset_action(sp, g, alpha)
+                    product = product + cocycle_value(sp, (i, j), t1, t2) * M[alpha][sigma]
+                assert (orbital._induced_coset_sum(sp, (i, j), g) - product).is_zero(), (i, j, g)
 
 
 def test_linear_sum_is_determinant_value_times_group_order():
@@ -468,14 +476,15 @@ def test_linear_sum_is_determinant_value_times_group_order():
 def test_coset_sum_rejects_unsupported_cosets():
     sp = space3()
     F = sp.group.field
+    trivial = IrrLabel("gl", "linear", (0,))
     with pytest.raises(ValueError, match="tabulated only"):
-        coset_char_sum(sp, (0, 0), Mat2(1, 1, 0, 1))
+        coset_char_sum(sp, trivial, Mat2(1, 1, 0, 1))
     with pytest.raises(ValueError, match="tabulated only"):
-        coset_char_sum(sp, IrrLabel("gl", "linear", (0,)), sp.z)
+        coset_char_sum(sp, trivial, sp.z)
     # diagonal but both entries in one subfield coset
     same = Mat2(1, 0, 0, F.exp[4])
     with pytest.raises(ValueError, match="distinct subfield cosets"):
-        coset_char_sum(sp, (0, 0), same)
+        coset_char_sum(sp, trivial, same)
 
 
 def test_coset_sum_rejects_cuspidal_labels():
@@ -532,12 +541,12 @@ def test_energies_match_kernel_form_closed_expressions():
         for r in rows_for(q):
             kind, params = r.irr.kind, r.irr.params
             if kind == "linear":
-                value = orbital._linear_energy_closed(q, params[0])
+                value = linear_energy_closed(q, params[0])
             elif kind == "steinberg":
                 j = params[0]
-                value = orbital._induced_energy_closed(q, (j, j)) - orbital._linear_energy_closed(q, j)
+                value = induced_energy_closed(q, (j, j)) - linear_energy_closed(q, j)
             else:
-                value = orbital._induced_energy_closed(q, params)
+                value = induced_energy_closed(q, params)
             assert value == r.energy, r.irr
 
 
