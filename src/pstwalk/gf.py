@@ -2,7 +2,7 @@
 
 Elements are encoded as integers in [0, q): the base-p digits of the
 encoding are the coefficients of the residue polynomial, least-significant
-digit = constant term.  All arithmetic beyond addition goes through
+digit = constant term.  All arithmetic but sums in F_p goes through
 discrete-log tables built once per field, which keeps group enumeration
 and character evaluation fast and makes every representative choice
 reproducible:
@@ -15,6 +15,16 @@ reproducible:
 * the canonical non-square ``delta`` is the generator itself (smallest
   odd discrete log).
 
+The tables are built the same way for every k.  Multiplying by a candidate
+generator g is a k x k matrix M over F_p, so the digit rows of g^0 ... g^(q-2)
+double in number with each product by M^(2^m); the first candidate whose
+powers reach 1 only at q-1 is the generator, and ``exp``/``log`` are plain
+lists of Python ints.  A sum in F_p is one reduction mod p, cheaper than
+any table read.  In an extension field a digit loop would cost k
+divisions per sum, so a sum reads the Zech list,
+g^zech[d] = 1 + g^d (-1 where that is 0), made from ``exp`` by bumping the
+constant digit:  a + b = g^(log a + zech[log b - log a]).
+
 A :class:`FieldTower` packages a base field F_q together with F_{q^2},
 an embedding of the former into the latter, norms, and the norm-one
 subgroup -- the data every construction downstream consumes.
@@ -23,7 +33,6 @@ subgroup -- the data every construction downstream consumes.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -137,11 +146,33 @@ def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _encode(c: list[int] | tuple[int, ...], p: int) -> int:
-    n = 0
-    for d in reversed(list(c)):
-        n = n * p + d
-    return n
+def _powers(g: int, p: int, modulus: tuple[int, ...]) -> np.ndarray | None:
+    """Encodings of g^0 ... g^(q-2), or None if g^i = 1 for some 0 < i < q-1.
+
+    Multiplying by g is the k x k matrix M over F_p whose row i holds the
+    digits of x^i * g, so the digit rows of g^(2^m) ... g^(2^(m+1)-1) are
+    those of g^0 ... g^(2^m - 1) times M^(2^m): log2(q) array products.
+    """
+    k = len(modulus) - 1
+    n = p**k - 1
+    tail = np.array(modulus[:k], dtype=np.int64)
+    place = p ** np.arange(k, dtype=np.int64)
+    step = np.zeros((k, k), dtype=np.int64)
+    step[0] = _digits(g, p, k)
+    for i in range(1, k):
+        step[i, 1:] = step[i - 1, :-1]
+        step[i] = (step[i] - step[i - 1, -1] * tail) % p
+    rows = np.zeros((n, k), dtype=np.int64)
+    rows[0, 0] = 1
+    size = 1
+    while size < n:
+        m = min(size, n - size)
+        rows[size : size + m] = rows[:m] @ step % p
+        if (rows[size : size + m] @ place == 1).any():
+            return None
+        step = step @ step % p
+        size += m
+    return rows @ place
 
 
 # ---------------------------------------------------------------------------
@@ -162,85 +193,33 @@ class FiniteField:
         self.k = k
         self.q = p**k
         self.modulus: tuple[int, ...] = _lowest_modulus(p, k)
-        self._mod_list = list(self.modulus)
-        self.exp: list[int] = []
-        self.log: list[int] = [-1] * self.q
-        self._build_tables()
-        self.generator: int = self.exp[1]
-        self._add_table: list[list[int]] | None = None
-        if self.k > 1 and self.q <= 256:
-            self._add_table = [
-                [self._add_digits(a, b) for b in range(self.q)] for a in range(self.q)
-            ]
-        self._tables: tuple[np.ndarray, np.ndarray] | None = None
-
-    # -- construction -----------------------------------------------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        pa = list(_digits(a, self.p, self.k))
-        pb = list(_digits(b, self.p, self.k))
-        return _encode(_poly_mulmod(pa, pb, self._mod_list, self.p) + [0] * self.k, self.p)
-
-    def _order_raw(self, a: int) -> int:
-        n = self.q - 1
-        order = n
-        for ell in _prime_factors(n):
-            while order % ell == 0:
-                cand = order // ell
-                x, e, acc = a, cand, 1
-                while e:
-                    if e & 1:
-                        acc = self._mul_raw(acc, x)
-                    x = self._mul_raw(x, x)
-                    e >>= 1
-                if acc == 1:
-                    order = cand
-                else:
-                    break
-        return order
-
-    def _build_tables(self) -> None:
-        n = self.q - 1
-        gen = 1
-        for cand in range(2, self.q):
-            if self._order_raw(cand) == n:
-                gen = cand
+        for g in range(2, self.q):
+            exp = _powers(g, p, self.modulus)
+            if exp is not None:
                 break
-        self.exp = [1] * n
-        for i in range(1, n):
-            self.exp[i] = self._mul_raw(self.exp[i - 1], gen)
-        for i, v in enumerate(self.exp):
-            self.log[v] = i
-
-    def _add_digits(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        log = np.full(self.q, -1, dtype=np.int64)
+        log[exp] = np.arange(self.q - 1)
+        self.exp: list[int] = exp.tolist()
+        self.log: list[int] = log.tolist()
+        self.generator: int = g
+        # g^zech[d] = 1 + g^d, or -1 where that sum is 0 (read by add when
+        # k > 1); adding 1 bumps the constant digit, which wraps without a carry
+        self._zech: list[int] = log[exp + np.where(exp % p == p - 1, 1 - p, 1)].tolist()
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- arithmetic on integer encodings ----------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_digits(a, b)
+        if a == 0 or b == 0:
+            return a or b
+        la, n = self.log[a], self.q - 1
+        z = self._zech[(self.log[b] - la) % n]
+        return self.exp[(la + z) % n] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.exp[(self.log[a] + self.q // 2) % (self.q - 1)] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -271,12 +250,6 @@ class FiniteField:
         if a == 0:
             raise ValueError("dlog of 0")
         return self.log[a]
-
-    def order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("order of 0")
-        n = self.q - 1
-        return n // gcd(n, self.log[a])
 
     def frobenius(self, a: int, m: int = 1) -> int:
         """x -> x^(p^m)."""
@@ -358,25 +331,21 @@ class FieldTower:
         # norm-one subgroup E = ker(z -> z^(q+1)), listed by E-discrete-log
         n = self.ext.q - 1
         self.E: list[int] = [self.ext.exp[((self.q - 1) * i) % n] for i in range(self.q + 1)]
-        self.E_set = frozenset(self.E)
         self.E_log = {v: i for i, v in enumerate(self.E)}
 
     def _build_embedding(self) -> tuple[int, ...]:
         base, ext = self.base, self.ext
         if self.k == 1:
             return tuple(range(base.q))
-        # root of the base modulus in the extension with the smallest dlog
-        roots = []
-        for d in range(ext.q - 1):
-            r = ext.exp[d]
+        # root of the base modulus with the smallest dlog; every root lies in
+        # the copy of F_q, whose units are the powers of g^((Q-1)/(q-1))
+        step = (ext.q - 1) // (base.q - 1)
+        for root in (ext.exp[j * step] for j in range(base.q - 1)):
             acc = 0
             for c in reversed(base.modulus):
-                acc = ext.add(ext.mul(acc, r), c % ext.p)
+                acc = ext.add(ext.mul(acc, root), c % ext.p)
             if acc == 0:
-                roots.append(r)
-                if len(roots) == self.k:
-                    break
-        root = roots[0]
+                break
         out = []
         for a in range(base.q):
             acc = 0
@@ -388,9 +357,6 @@ class FieldTower:
     def embed(self, a: int) -> int:
         """Base-field encoding -> extension encoding."""
         return self.embed_map[a]
-
-    def in_base(self, z: int) -> bool:
-        return z in self.section
 
     def project(self, z: int) -> int:
         """Extension encoding -> base encoding (must lie in the image)."""

@@ -13,12 +13,10 @@ from pstwalk.cayley import (
     SMALL_ORDERS,
     STANDARD,
     ConnectionSet,
-    FormulaCheck,
     SpectrumRow,
     analyze,
     build_connection_set,
     certify,
-    closed_form_audit,
     component_count,
     explicit_graph,
     make_family,

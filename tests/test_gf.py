@@ -1,5 +1,7 @@
 """Field construction, determinism rules, and tower structure."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from pstwalk import gf
 from oracles import BruteField, all_monic_irreducibles
 
-FIELD_SHAPES = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 4)]
+FIELD_SHAPES = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 4), (17, 2)]
 
 
 @pytest.mark.parametrize("p,k", FIELD_SHAPES)
@@ -28,17 +30,19 @@ def test_generator_is_smallest_primitive(p, k):
         assert bf.order(smaller) < f.q - 1
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (17, 2), (3, 6)])
 def test_arithmetic_matches_brute_field(p, k):
     f = gf.make_field(p, k)
     bf = BruteField(p, f.modulus)
+    rng = random.Random(f.q)
     for a in range(f.q):
-        for b in range(f.q):
+        # every pair up to q = 25; above, a seeded sample of b plus b = -a
+        bs = range(f.q) if f.q <= 25 else rng.sample(range(f.q), 24) + [bf.neg(a)]
+        for b in bs:
             assert f.add(a, b) == bf.add(a, b)
             assert f.mul(a, b) == bf.mul(a, b)
         if a:
             assert f.inv(a) == bf.inv(a)
-            assert f.order(a) == bf.order(a)
         assert f.neg(a) == bf.neg(a)
         assert f.pow(a, 7) == bf.pow(a, 7)
 
@@ -99,7 +103,7 @@ def test_delta_is_generator_and_nonsquare(p, k):
     assert t.ext.dlog(t.sqrt_delta) < t.ext.dlog(other)
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
 def test_embedding_is_field_hom_onto_frobenius_fixed_points(p, k):
     t = gf.make_tower(p, k)
     base, ext = t.base, t.ext
@@ -120,13 +124,13 @@ def test_norm_and_norm_one_subgroup(p, k):
     q, ext = t.q, t.ext
     for z in range(1, ext.q):
         nm = ext.pow(z, q + 1)
-        assert t.in_base(nm)
+        assert nm in t.section
         assert t.norm(z) == t.project(nm)
     assert len(t.E) == q + 1
     assert set(t.E) == {z for z in range(1, ext.q) if ext.pow(z, q + 1) == 1}
     # E meets the embedded base-field units in exactly {1, -1}
     base_units = {t.embed(a) for a in range(1, t.base.q)}
-    assert t.E_set & base_units == {t.embed(1), t.embed(t.base.neg(1))}
+    assert set(t.E) & base_units == {t.embed(1), t.embed(t.base.neg(1))}
     # index-2 split of E
     sq = {ext.mul(e, e) for e in t.E}
     assert len(sq) == (q + 1) // 2
@@ -152,11 +156,11 @@ def test_norm_in_one_or_nonsquare_set(q, expected):
     direct = {
         z
         for z in range(1, t.ext.q)
-        if not t.in_base(z) and t.norm(z) in targets
+        if z not in t.section and t.norm(z) in targets
     }
     via_fibers = set()
     for x in targets:
-        via_fibers |= {z for z in t.norm_fiber(x) if not t.in_base(z)}
+        via_fibers |= {z for z in t.norm_fiber(x) if z not in t.section}
     assert direct == via_fibers
     assert len(direct) == expected == (q + 1) ** 2 // 2 - 2
 

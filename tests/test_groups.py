@@ -1,6 +1,5 @@
 """Conjugacy data and character tables, checked against brute-force oracles."""
 
-import itertools
 from collections import Counter
 from functools import lru_cache
 
@@ -20,7 +19,6 @@ from oracles import (
 from pstwalk.chars import CycSum, integer_part
 from pstwalk.gf import make_field
 from pstwalk.groups import (
-    ClassLabel,
     GLGroup,
     GUGroup,
     IrrLabel,

@@ -4,7 +4,9 @@ A name in a module's ``__all__`` must occur somewhere in ``src/``,
 ``scripts/`` or ``perfbench/`` other than its own ``def``/``class`` line,
 an ``__all__`` list or the package's ``__init__.py`` re-exports.  A name
 that only the tests reach is a reference, and references live in
-``tests/oracles.py``.  The files are read as text; nothing is imported.
+``tests/oracles.py``.  Every name a module of ``src/``, ``scripts/`` or
+``tests/`` imports is used in that module.  The files are read as text;
+nothing is imported.
 """
 
 from __future__ import annotations
@@ -59,3 +61,34 @@ def test_every_export_is_reached_outside_the_tests():
 def test_the_package_reexports_only_module_exports():
     exported = {name for path in PACKAGE.glob("*.py") for name in _exports(path)}
     assert set(_exports(PACKAGE / "__init__.py")) - {"__version__"} <= exported
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads (``__future__`` and ``__all__`` aside)."""
+    tree = ast.parse(path.read_text())
+    exported = set(_exports(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported and name != "*"
+    ]
+
+
+def test_every_import_is_used():
+    paths = [p for top in ("src", "scripts", "tests") for p in (ROOT / top).rglob("*.py")]
+    unused = [
+        entry
+        for path in sorted(paths)
+        if not (path.name == "__init__.py" and path.parent == PACKAGE)
+        for entry in _unused_imports(path)
+    ]
+    assert not unused, f"imported but never used: {', '.join(unused)}"
