@@ -3,7 +3,8 @@
 
 Each standard connection set ships with hand-derived closed forms for
 its eigenvalues, retained as audit oracles.  The exact values always
-come from direct class or coset character sums; this script prints
+come from class character sums (Cayley graphs) or integer period sums
+over the coset characters (the double-coset graph); this script prints
 both side by side and flags every row where the retained hand form
 disagrees.  Disagreements are expected on a few rows (they document
 derivation slips) and never affect certificates, which are computed

@@ -38,7 +38,7 @@ from pstwalk.cayley import (
     spectrum,
     variants_for,
 )
-from pstwalk.chars import CycSum, MultChar, char_sum
+from pstwalk.chars import CycSum, MultChar
 from pstwalk.ctqw import TransferReport, pst_scan
 from pstwalk.gf import FiniteField, FieldTower, make_field, make_tower
 from pstwalk.groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
@@ -64,7 +64,6 @@ __all__ = [
     "make_tower",
     "CycSum",
     "MultChar",
-    "char_sum",
     # groups and labels
     "Mat2",
     "ClassLabel",

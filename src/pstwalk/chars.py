@@ -27,7 +27,6 @@ __all__ = [
     "MultChar",
     "NonIntegralError",
     "InexactDivisionError",
-    "char_sum",
     "integer_part",
     "cyclotomic_polynomial",
     "residue_periods",
@@ -305,21 +304,6 @@ class MultChar:
         if root_order % self.n:
             raise ValueError("root order must be a multiple of the character order group")
         return CycSum.monomial(root_order, self.j * a * (root_order // self.n))
-
-
-def char_sum(chi: MultChar, exponents, root_order: int | None = None) -> CycSum:
-    """Sum of character values over a subset given by discrete logs."""
-    m = root_order or chi.n
-    f = m // chi.n
-    if m % chi.n:
-        raise ValueError("root order must be a multiple of the character group order")
-    out = CycSum(m)
-    acc: dict[int, int] = {}
-    for a in exponents:
-        e = (chi.j * a * f) % m
-        acc[e] = acc.get(e, 0) + 1
-    out.c = {e: v for e, v in acc.items() if v}
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,18 @@ class _Family:
 
     # -- class machinery ----------------------------------------------------
 
+    # GL and GU build these on first use (the coset space over GL(2, q^2)
+    # reads none); SL builds them in its constructor
+    _classes = _irreducibles = None
+
     def classes(self) -> tuple[ClassLabel, ...]:
+        if self._classes is None:
+            self._build_tables()
         return self._classes
 
     def irreducibles(self) -> tuple[IrrLabel, ...]:
+        if self._irreducibles is None:
+            self._build_tables()
         return self._irreducibles
 
     def class_partition(self) -> dict[ClassLabel, tuple[Mat2, ...]]:
@@ -267,8 +275,8 @@ class _LinearOrUnitary(_Family):
     """The class list and character table GL(2, q) and GU(2, q) share.
 
     ``eps`` is +1 for GL and -1 for GU, and the root order is q^2 - 1 for
-    both.  A family sets the hooks listed in the module docstring, then
-    calls :meth:`_build_tables`.
+    both.  A family sets the hooks listed in the module docstring and its
+    root order; :meth:`_build_tables` runs on first use.
     """
 
     eps: int
@@ -282,7 +290,7 @@ class _LinearOrUnitary(_Family):
 
     def _build_tables(self) -> None:
         q, eps, fam, T = self.q, self.eps, self.family, self.torus
-        n = self.root_order = q * q - 1
+        n = self.root_order
         ext = self.tower.ext
         classes = [ClassLabel(fam, "central", (x,)) for x in T]
         classes += [ClassLabel(fam, "jordan", (x,)) for x in T]
@@ -396,7 +404,7 @@ class GLGroup(_LinearOrUnitary):
         self.torus = range(1, q)
         self.torus_log = self.field.log
         self.torus_ext_log = {x: tw.ext.log[tw.embed(x)] for x in self.torus}
-        self._build_tables()
+        self.root_order = q * q - 1
 
     # the tracer in perfbench/ wraps GLGroup.__dict__["char_value"]
     char_value = _LinearOrUnitary.char_value
@@ -484,7 +492,7 @@ class GUGroup(_LinearOrUnitary):
         self.torus = tw.E
         self.torus_log = tw.E_log
         self.torus_ext_log = tw.ext.log
-        self._build_tables()
+        self.root_order = q * q - 1
 
     # the tracer in perfbench/ wraps GUGroup.__dict__["char_value"]
     char_value = _LinearOrUnitary.char_value

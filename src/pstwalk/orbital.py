@@ -15,14 +15,16 @@ Because the module is multiplicity free, every irreducible character chi
 appearing in it contributes one eigenvalue ``theta = sign + energy``: the
 ``z`` relation is a fixed-point-free involution acting as ``sign = +-1`` on
 the chi-component, and the diagonal relations contribute an integer
-``energy`` obtained from coset character sums.  Every energy is divisible
-by 4, so the mod-4 congruence of :func:`~pstwalk.scheme.transfer_certificate`
-certifies perfect state transfer between ``rH`` and ``(z r)H`` for every
-coset at time pi/2.
+``energy``.  It is a period sum S(u) S(v) - S(u + v), S(w) = (q+1) [(q+1) | w],
+over the cyclic group F_{q^2}^x / F_q^x (character orthogonality: Lidl and
+Niederreiter, *Finite Fields*, ch. 5), derived at :func:`orbital_spectrum`.
+Every energy is divisible by 4, so the mod-4 congruence of
+:func:`~pstwalk.scheme.transfer_certificate` certifies perfect state
+transfer between ``rH`` and ``(z r)H`` for every coset at time pi/2.
 
 At q = 3 the whole 5760-element group is small enough to enumerate, so
-the graph and the character sums can be cross-validated literally; larger
-q run the character-sum path only.
+the graph and the energies can be cross-validated literally; larger q
+run the period-sum path only.
 
 The explicit graph (:func:`build_gamma`) is built as the Cayley graphs
 are: the coset of representative r is joined to the cosets r d H for one
@@ -44,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cayley import FormulaCheck, make_family
-from .chars import CycSum, MultChar, NonIntegralError, _total, char_sum, integer_part
+from .chars import NonIntegralError
 from .groups import IrrLabel, Mat2, _prime_power
 from .scheme import (
     Graph,
@@ -61,7 +63,6 @@ __all__ = [
     "build_coset_space",
     "build_gamma",
     "coset_irreducibles",
-    "coset_char_sum",
     "orbital_spectrum",
     "certify_orbital",
     "linear_energy_display_audit",
@@ -82,8 +83,7 @@ class CosetSpace:
 
     In explicit mode (q <= EXPLICIT_LIMIT) every group element is labeled
     with the index of its left coset and one representative per coset is
-    recorded; otherwise only the field-level data needed for character
-    sums is kept.
+    recorded; otherwise only the field-level data of the spectrum is kept.
     """
 
     q: int
@@ -119,7 +119,7 @@ def build_coset_space(q: int) -> CosetSpace:
     """Assemble the coset space of GL(2, q) inside GL(2, q^2).
 
     Explicit coset enumeration is performed for q <= EXPLICIT_LIMIT; larger
-    admissible q get a character-sum-only space.  Values q != 3 (mod 4) are
+    admissible q get a spectrum-only space.  Values q != 3 (mod 4) are
     rejected: the order-4 scalar z with z^2 = -I in H needs 4 | q^2 - 1
     with the eigenvalue congruences holding only in that residue class.  So
     is a q that is not a prime power, before it is squared.
@@ -219,74 +219,45 @@ def coset_irreducibles(q: int) -> tuple[IrrLabel, ...]:
 
 
 # ---------------------------------------------------------------------------
-# coset character sums
+# period sums
 #
-# The principal-series character I[theta] induced from the pair
-# theta = (theta1, theta2) of multiplicative characters of F_{q^2}^x has a
-# closed-form sum over each diagonal coset; its reference, a trace through
-# the H-summed monomial representation on the projective line, is in
-# ``tests/oracles.py``.
+# I[zeta^i, zeta^j] sums over the diagonal coset m_{x,y} H to
+# (theta1(x) theta2(y) + theta1(y) theta2(x)) q (q-1)^2
+# + theta1(x) theta2(y) (q-1)^2 (q^2-1) [(q^2-1) | i + q j], and each term
+# needs (q-1) | i and (q-1) | j (the second because q = 1 mod q-1).
 
 
-def _induced_coset_sum(space: CosetSpace, theta: tuple[int, int], g: Mat2) -> CycSum:
-    """I[theta](gH) for diagonal g = m_{x,y} with x, y in distinct cosets.
+def _pair_period(q: int, u: int, v: int) -> int:
+    """S(u) S(v) - S(u+v): the sum of omega^(u a + v b) over a != b in 0..q."""
 
-    Closed form: (theta1(x) theta2(y) + theta1(y) theta2(x)) * T
-    + (q-1) * theta1(x) theta2(y) * C * theta2(F_q^x), where T is the
-    triangular-subgroup sum and C the torus sum.
+    def period(w: int) -> int:
+        return q + 1 if w % (q + 1) == 0 else 0
+
+    return period(u) * period(v) - period(u + v)
+
+
+def _energy_total(space: CosetSpace, irr: IrrLabel) -> int:
+    """The sum of chi(mH) over the (q+1) q ordered diagonal pairs, as an integer.
+
+    lambda(det) sums to lambda(xy) |H| over m_{x,y} H, and the Steinberg
+    character is I[lambda, lambda] minus lambda(det).
     """
-    q, n = space.q, space.group.q - 1
-    field = space.group.field
-    root = space.group.root_order
-    i, j = theta
-    chi1, chi2 = MultChar(n, i), MultChar(n, j)
-    dx, dy = field.dlog(g.a), field.dlog(g.d)
-    t_sum = q * (q - 1) ** 2 if i % (q - 1) == 0 and j % (q - 1) == 0 else 0
-    c_sum = n if (i + q * j) % n == 0 else 0
-    chi2_fq = (q - 1) if j % (q - 1) == 0 else 0
-    xy = chi1.at(dx, root) * chi2.at(dy, root)
-    yx = chi1.at(dy, root) * chi2.at(dx, root)
-    return (xy + yx) * t_sum + xy * ((q - 1) * c_sum * chi2_fq)
-
-
-def _is_valid_diagonal(space: CosetSpace, g: Mat2) -> bool:
-    if g.b != 0 or g.c != 0 or g.a == 0 or g.d == 0:
-        return False
-    field = space.group.field
-    return (field.dlog(g.d) - field.dlog(g.a)) % (space.q + 1) != 0
-
-
-def coset_char_sum(space: CosetSpace, chi: IrrLabel, g: Mat2) -> CycSum:
-    """The coset sum chi(gH) = sum over h in H of chi(g h), exactly.
-
-    ``chi`` is an irreducible label of GL(2, q^2).  Supported cosets: the
-    diagonal cosets m_{x,y} H with x, y in distinct cosets of F_q^x, the
-    only ones the eigenvalue computation needs.  (The central involution
-    coset zH enters the spectrum through the central character alone; see
-    :meth:`~pstwalk.groups.GLGroup.central_sign`.)
-    """
-    group = space.group
-    root = group.root_order
-    n = group.q - 1
-    if not _is_valid_diagonal(space, g):
-        raise ValueError(
-            "coset character sums are tabulated only for diagonal matrices "
-            f"with entries in distinct subfield cosets; got {g}"
+    q, n, kind = space.q, space.q**2 - 1, irr.kind
+    if kind not in ("linear", "steinberg", "principal"):
+        raise ValueError(f"no closed-form coset sum for a {kind} character")
+    i, j = irr.params if kind == "principal" else irr.params * 2
+    if i % (q - 1) or j % (q - 1):
+        if kind == "principal":
+            return 0
+        raise NonIntegralError(
+            f"character {kind}{irr.params} of gl(2,{q * q}): lambda = zeta^{j} is "
+            f"not trivial on F_{q}^x, so its coset sums are no period sums"
         )
-    field = group.field
-    kind, params = chi.kind, chi.params
-    if kind == "linear":
-        j = params[0]
-        d = (field.dlog(g.a) + field.dlog(g.d)) % n
-        return MultChar(n, j).at(d, root) * space.hsize
-    if kind == "steinberg":
-        j = params[0]
-        full = _induced_coset_sum(space, (j, j), g)
-        d = (field.dlog(g.a) + field.dlog(g.d)) % n
-        return full - MultChar(n, j).at(d, root) * space.hsize
-    if kind == "principal":
-        return _induced_coset_sum(space, params, g)
-    raise ValueError(f"no closed-form coset sum for a {kind} character")
+    u, v = i // (q - 1), j // (q - 1)
+    torus = (q - 1) ** 2 * n if (i + q * j) % n == 0 else 0
+    induced = _pair_period(q, u, v) * (2 * q * (q - 1) ** 2 + torus)
+    linear = _pair_period(q, u, u) * space.hsize
+    return {"principal": induced, "linear": linear, "steinberg": induced - linear}[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +277,21 @@ class OrbitalRow(NamedTuple):
 def orbital_spectrum(q: int) -> list[OrbitalRow]:
     """Exact eigenvalue rows of the coset graph, one per irreducible.
 
-    The energy of a row is the half-sum of coset character sums over
-    ordered pairs of distinct transversal elements, divided by the
-    intersection size (q-1)^2; integrality of every division is enforced
-    and each energy is checked to be divisible by 4 downstream by the
-    certificate.
+    The energy of a row is the half-sum of coset character sums chi(mH)
+    over ordered pairs of distinct transversal elements, divided by the
+    intersection size (q-1)^2.  A nonzero term needs characters trivial on
+    F_q^x; they factor through the cyclic group F_{q^2}^x / F_q^x of order
+    q + 1, which the transversal gen^0 .. gen^q meets once per coset.  By
+    orthogonality on that group (Lidl and Niederreiter, *Finite Fields*,
+    ch. 5) the sum over a != b of omega^(u a + v b), omega of order q + 1,
+    is S(u) S(v) - S(u + v) with S(w) = (q+1) [(q+1) | w]: an integer.  The
+    division must be exact; the certificate checks each energy mod 4.
     """
     space = build_coset_space(q)
-    field = space.group.field
     denom = 2 * (q - 1) ** 2
-    diagonals = [
-        Mat2(field.exp[ix], 0, 0, field.exp[iy])
-        for ix in range(q + 1)
-        for iy in range(q + 1)
-        if ix != iy
-    ]
     rows = []
     for irr in coset_irreducibles(q):
-        sums = (coset_char_sum(space, irr, m) for m in diagonals)
-        total = _total(space.group.root_order, sums)
-        try:
-            whole = integer_part(total)
-        except NonIntegralError as exc:
-            raise NonIntegralError(
-                f"character {irr.kind}{irr.params} of gl(2,{q * q}): {exc}"
-            ) from exc
+        whole = _energy_total(space, irr)
         if whole % denom:
             raise NonIntegralError(
                 f"character {irr.kind}{irr.params} of gl(2,{q * q}): energy sum "
@@ -352,19 +313,17 @@ def linear_energy_display_audit(q: int, rows: Sequence[OrbitalRow]) -> list[Form
     true energies whenever the sums do not vanish (at q = 3: 336 vs 72 for
     the trivial character).  Retained as an audit oracle only; the
     divisibility-by-4 conclusion holds either way.  ``rows`` is the exact
-    spectrum from :func:`orbital_spectrum`.
+    spectrum from :func:`orbital_spectrum`.  lambda = zeta_n^j (n = q^2 - 1)
+    sums to n [n | j] over F_{q^2}^x and to (n/2) [n | 2j] over its squares.
     """
-    space = build_coset_space(q)
     n = q * q - 1
-    root = space.group.root_order
     out = []
     energies = {r.irr: r.energy for r in rows}
     for a in range(q + 1):
         j = (q - 1) * a
-        lam = MultChar(n, j)
-        full = char_sum(lam, range(n), root)
-        squares = char_sum(lam, [2 * u for u in range(n // 2)], root)
-        printed = (q * (q + 1) // 2) * integer_part(full * full - 2 * squares)
+        full = n if j % n == 0 else 0
+        squares = n // 2 if (2 * j) % n == 0 else 0
+        printed = (q * (q + 1) // 2) * (full * full - 2 * squares)
         exact = energies[IrrLabel("gl", "linear", (j,))]
         out.append(
             FormulaCheck(

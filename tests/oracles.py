@@ -22,14 +22,13 @@ from pstwalk.chars import (
     CycSum,
     MultChar,
     _total,
-    char_sum,
     cyclotomic_polynomial,
     integer_part,
     residue_periods,
 )
 from pstwalk.ctqw import WalkSystem, integer_eigenvalues
-from pstwalk.groups import Mat2
-from pstwalk.orbital import build_coset_space
+from pstwalk.groups import IrrLabel, Mat2
+from pstwalk.orbital import CosetSpace, build_coset_space
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +528,25 @@ def idempotent(scheme, irr) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# character sums over a set of discrete logs
+
+
+def char_sum(chi: MultChar, exponents, root_order: int | None = None) -> CycSum:
+    """Sum of character values over a subset given by discrete logs."""
+    m = root_order or chi.n
+    f = m // chi.n
+    if m % chi.n:
+        raise ValueError("root order must be a multiple of the character group order")
+    out = CycSum(m)
+    acc: dict[int, int] = {}
+    for a in exponents:
+        e = (chi.j * a * f) % m
+        acc[e] = acc.get(e, 0) + 1
+    out.c = {e: v for e, v in acc.items() if v}
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the coset space of GL(2, q) inside GL(2, q^2): subfield, Frobenius
 # invariant, monomial representation and kernel-condition closed forms
 
@@ -641,6 +659,74 @@ def m_theta(space, theta: tuple[int, int]) -> list[list[CycSum]]:
             d = field.div(row_gap, col_gap)  # row = c + d*col with c, d in F_q
             out[row][col] = chi2.at(field.dlog(d), root) * torus
     return out
+
+
+# Closed-form coset character sums over the diagonal cosets, summed by
+# ``orbital`` as integer period sums.  The principal-series character
+# I[theta] induced from the pair theta = (theta1, theta2) of multiplicative
+# characters of F_{q^2}^x has a closed-form sum over each diagonal coset;
+# its reference is the trace through M_theta above.
+
+
+def _induced_coset_sum(space: CosetSpace, theta: tuple[int, int], g: Mat2) -> CycSum:
+    """I[theta](gH) for diagonal g = m_{x,y} with x, y in distinct cosets.
+
+    Closed form: (theta1(x) theta2(y) + theta1(y) theta2(x)) * T
+    + (q-1) * theta1(x) theta2(y) * C * theta2(F_q^x), where T is the
+    triangular-subgroup sum and C the torus sum.
+    """
+    q, n = space.q, space.group.q - 1
+    field = space.group.field
+    root = space.group.root_order
+    i, j = theta
+    chi1, chi2 = MultChar(n, i), MultChar(n, j)
+    dx, dy = field.dlog(g.a), field.dlog(g.d)
+    t_sum = q * (q - 1) ** 2 if i % (q - 1) == 0 and j % (q - 1) == 0 else 0
+    c_sum = n if (i + q * j) % n == 0 else 0
+    chi2_fq = (q - 1) if j % (q - 1) == 0 else 0
+    xy = chi1.at(dx, root) * chi2.at(dy, root)
+    yx = chi1.at(dy, root) * chi2.at(dx, root)
+    return (xy + yx) * t_sum + xy * ((q - 1) * c_sum * chi2_fq)
+
+
+def _is_valid_diagonal(space: CosetSpace, g: Mat2) -> bool:
+    if g.b != 0 or g.c != 0 or g.a == 0 or g.d == 0:
+        return False
+    field = space.group.field
+    return (field.dlog(g.d) - field.dlog(g.a)) % (space.q + 1) != 0
+
+
+def coset_char_sum(space: CosetSpace, chi: IrrLabel, g: Mat2) -> CycSum:
+    """The coset sum chi(gH) = sum over h in H of chi(g h), exactly.
+
+    ``chi`` is an irreducible label of GL(2, q^2).  Supported cosets: the
+    diagonal cosets m_{x,y} H with x, y in distinct cosets of F_q^x, the
+    only ones the eigenvalue computation needs.  (The central involution
+    coset zH enters the spectrum through the central character alone; see
+    :meth:`~pstwalk.groups.GLGroup.central_sign`.)
+    """
+    group = space.group
+    root = group.root_order
+    n = group.q - 1
+    if not _is_valid_diagonal(space, g):
+        raise ValueError(
+            "coset character sums are tabulated only for diagonal matrices "
+            f"with entries in distinct subfield cosets; got {g}"
+        )
+    field = group.field
+    kind, params = chi.kind, chi.params
+    if kind == "linear":
+        j = params[0]
+        d = (field.dlog(g.a) + field.dlog(g.d)) % n
+        return MultChar(n, j).at(d, root) * space.hsize
+    if kind == "steinberg":
+        j = params[0]
+        full = _induced_coset_sum(space, (j, j), g)
+        d = (field.dlog(g.a) + field.dlog(g.d)) % n
+        return full - MultChar(n, j).at(d, root) * space.hsize
+    if kind == "principal":
+        return _induced_coset_sum(space, params, g)
+    raise ValueError(f"no closed-form coset sum for a {kind} character")
 
 
 def _transversal_power_sum(space, index: int) -> CycSum:

@@ -10,14 +10,13 @@ from pstwalk.chars import (
     CycSum,
     MultChar,
     NonIntegralError,
-    char_sum,
     _exact_div,
     cyclotomic_polynomial,
     integer_part,
     residue_periods,
 )
 
-from oracles import dense_cyclotomic_reduction, quadratic_gauss_sum
+from oracles import char_sum, dense_cyclotomic_reduction, quadratic_gauss_sum
 
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),

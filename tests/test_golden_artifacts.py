@@ -11,6 +11,10 @@ placeholder, while a null stays null.
 To rewrite the goldens after an intended change of the artifacts:
 
     PYTHONPATH=src python tests/test_golden_artifacts.py
+
+Naming targets records only those, leaving the other goldens as they are:
+
+    PYTHONPATH=src python tests/test_golden_artifacts.py orbital-11 orbital-23
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -41,6 +46,9 @@ TARGETS = [
     ("gl-3-small-orders", ["--family", "gl", "--q", "3", "--variant", "small-orders"]),
     ("orbital-3", ["--family", "orbital", "--q", "3"]),
     ("orbital-7", ["--family", "orbital", "--q", "7"]),
+    # no explicit graph: the spectrum rests on the character-sum path alone
+    ("orbital-11", ["--family", "orbital", "--q", "11"]),
+    ("orbital-23", ["--family", "orbital", "--q", "23"]),
     # both "exceeds the enumeration bound" skip paths
     ("gl-5-bound-100", ["--family", "gl", "--q", "5", "--brute-force-bound", "100"]),
     ("orbital-3-bound-100", ["--family", "orbital", "--q", "3", "--brute-force-bound", "100"]),
@@ -90,8 +98,14 @@ def test_artifacts_match_golden(name, args, tmp_path, capsys):
         assert text == recorded[key], f"{name}/{key} differs from its golden"
 
 
-def record() -> None:
+def record(names: Sequence[str] = ()) -> None:
+    """Record the goldens of the named targets, or of every target."""
+    unknown = set(names) - {name for name, _ in TARGETS}
+    if unknown:
+        raise SystemExit(f"unknown golden targets: {', '.join(sorted(unknown))}")
     for name, args in TARGETS:
+        if names and name not in names:
+            continue
         target = GOLDEN / name
         target.mkdir(parents=True, exist_ok=True)
         for stale in target.iterdir():
@@ -104,4 +118,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

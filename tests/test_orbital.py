@@ -15,11 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     BruteField,
+    _induced_coset_sum,
     cocycle_value,
     coset_action,
+    coset_char_sum,
     double_coset_of,
     in_h,
     in_subfield,
@@ -30,15 +34,16 @@ from oracles import (
     p_theta_trace,
     spectrum_trace,
 )
-from pstwalk.chars import CycSum, integer_part
-from pstwalk.groups import IrrLabel, Mat2
 from pstwalk import orbital
+from pstwalk.cayley import make_family
+from pstwalk.chars import CycSum, NonIntegralError, _total, integer_part
 from pstwalk.ctqw import pst_scan
+from pstwalk.gf import make_field, make_tower
+from pstwalk.groups import GLGroup, IrrLabel, Mat2
 from pstwalk.orbital import (
     build_coset_space,
     build_gamma,
     certify_orbital,
-    coset_char_sum,
     coset_irreducibles,
     linear_energy_display_audit,
     orbital_spectrum,
@@ -84,6 +89,9 @@ Q7_DEGREE = 1569
 Q7_ROWS = 64
 Q7_COSETS = 2800
 
+# the prime powers q = 3 (mod 4) up to 31 (15 is no prime power)
+ADMISSIBLE_TO_31 = (3, 7, 11, 19, 23, 27, 31)
+
 
 @lru_cache(maxsize=None)
 def space3():
@@ -113,6 +121,17 @@ def anchors(sp):
 @lru_cache(maxsize=None)
 def rows_for(q):
     return orbital_spectrum(q)
+
+
+@pytest.fixture
+def release_tables():
+    """Drop the cached coset spaces, groups and fields a test leaves behind.
+
+    At q = 31 the cached F_{q^4} tables take over 100 MB.
+    """
+    yield
+    for cache in (build_coset_space, make_family, make_tower, make_field):
+        cache.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +458,7 @@ def test_coset_sums_match_literal_character_table_sums():
 def test_trivial_induced_sum_is_56():
     sp = space3()
     for a, b in itertools.combinations(range(4), 2):
-        assert integer_part(orbital._induced_coset_sum(sp, (0, 0), diag(sp, a, b))) == 56
+        assert integer_part(_induced_coset_sum(sp, (0, 0), diag(sp, a, b))) == 56
     assert 2 * 12 + 2 * 8 * 2 == 56
 
 
@@ -457,7 +476,7 @@ def test_induced_pair_matches_trace_path_everywhere():
                 for alpha in range(oo + 1):
                     sigma, t1, t2 = coset_action(sp, g, alpha)
                     product = product + cocycle_value(sp, (i, j), t1, t2) * M[alpha][sigma]
-                assert (orbital._induced_coset_sum(sp, (i, j), g) - product).is_zero(), (i, j, g)
+                assert (_induced_coset_sum(sp, (i, j), g) - product).is_zero(), (i, j, g)
 
 
 def test_linear_sum_is_determinant_value_times_group_order():
@@ -492,6 +511,69 @@ def test_coset_sum_rejects_cuspidal_labels():
     cuspidal = next(i for i in sp.group.irreducibles() if i.kind == "cuspidal")
     with pytest.raises(ValueError, match="no closed-form coset sum"):
         coset_char_sum(sp, cuspidal, diag(sp, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# period sums against the coset sums
+
+
+def coset_sum_total(sp, irr):
+    """The oracle's sum of chi(mH) over the (q+1) q ordered diagonal pairs."""
+    q = sp.q
+    pairs = [diag(sp, a, b) for a, b in itertools.permutations(range(q + 1), 2)]
+    return integer_part(_total(sp.group.root_order, (coset_char_sum(sp, irr, m) for m in pairs)))
+
+
+@pytest.mark.parametrize("q", [3, 7, 11])
+def test_period_totals_match_coset_sums_on_every_row(q):
+    sp = build_coset_space(q)
+    for irr in coset_irreducibles(q):
+        assert orbital._energy_total(sp, irr) == coset_sum_total(sp, irr), irr
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_period_totals_match_coset_sums(data):
+    """Module rows and arbitrary principal pairs, at q in {3, 7, 11, 19}.
+
+    An arbitrary pair (i, j) exercises the zero rows too: a pair not
+    trivial on F_q^x must sum to 0 over the diagonal cosets.
+    """
+    q = data.draw(st.sampled_from([3, 7, 11, 19]), label="q")
+    sp = build_coset_space(q)
+    n = q * q - 1
+    index = st.one_of(st.integers(0, n - 1), st.integers(0, q).map(lambda u: u * (q - 1)))
+    irr = data.draw(
+        st.one_of(
+            st.sampled_from(coset_irreducibles(q)),
+            st.builds(lambda i, j: IrrLabel("gl", "principal", (i, j)), index, index),
+        ),
+        label="irr",
+    )
+    assert orbital._energy_total(sp, irr) == coset_sum_total(sp, irr)
+
+
+def test_period_total_refuses_rows_without_a_period_sum():
+    sp = build_coset_space(7)
+    with pytest.raises(NonIntegralError, match=r"linear\(5,\) of gl\(2,49\)"):
+        orbital._energy_total(sp, IrrLabel("gl", "linear", (5,)))
+    with pytest.raises(ValueError, match="no closed-form coset sum for a cuspidal"):
+        orbital._energy_total(sp, IrrLabel("gl", "cuspidal", (1,)))
+
+
+def test_spectrum_builds_no_label_table(monkeypatch, release_tables):
+    """The orbital path reads no class or irreducible label of GL(2, q^2)."""
+
+    def refuse(self):
+        raise AssertionError(f"label tables of {self!r} were built")
+
+    monkeypatch.setattr(GLGroup, "_build_tables", refuse)
+    build_coset_space.cache_clear()
+    make_family.cache_clear()
+    rows = orbital_spectrum(11)
+    audit = linear_energy_display_audit(11, rows)
+    assert len(rows) == len(coset_irreducibles(11))
+    assert len(audit) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +736,21 @@ def test_certificate_q3():
     assert math.isclose(cert.time, math.pi / 2)
     assert "pi/2" in cert.reason
     assert cert.transfer_rule == "rH <-> (z r)H for every coset rH"
+
+
+@pytest.mark.parametrize("q", ADMISSIBLE_TO_31)
+def test_certificate_every_admissible_q_to_31(q, release_tables):
+    rows = orbital_spectrum(q)
+    assert all(r.energy % 4 == 0 for r in rows)
+    assert certify_orbital(rows).ok
+
+
+def test_admissible_list_is_complete():
+    for q in range(3, 32, 4):
+        if q in ADMISSIBLE_TO_31:
+            continue
+        with pytest.raises(ValueError):
+            build_coset_space(q)
 
 
 def test_certificate_q7_character_sum_mode():
