@@ -15,15 +15,16 @@ reproducible:
 * the canonical non-square ``delta`` is the generator itself (smallest
   odd discrete log).
 
-The tables are built the same way for every k.  Multiplying by a candidate
-generator g is a k x k matrix M over F_p, so the digit rows of g^0 ... g^(q-2)
-double in number with each product by M^(2^m); the first candidate whose
-powers reach 1 only at q-1 is the generator, and ``exp``/``log`` are plain
-lists of Python ints.  A sum in F_p is one reduction mod p, cheaper than
-any table read.  In an extension field a digit loop would cost k
-divisions per sum, so a sum reads the Zech list,
-g^zech[d] = 1 + g^d (-1 where that is 0), made from ``exp`` by bumping the
-constant digit:  a + b = g^(log a + zech[log b - log a]).
+The tables are built the same way for every k.  The generator is the
+first candidate g with g^((q-1)/l) != 1 for every prime l dividing q-1,
+each power taken by square-and-multiply mod the modulus, so no table is
+built for a rejected candidate.  Multiplying by g is a k x k matrix M over
+F_p, so the digit rows of g^0 ... g^(q-2) double in number with each
+product by M^(2^m), and ``exp``/``log`` are plain lists of Python ints.
+A sum in F_p is one reduction mod p, cheaper than any table read.  In an
+extension field a digit loop would cost k divisions per sum, so a sum
+reads the Zech list, g^zech[d] = 1 + g^d (-1 where that is 0), made from
+``exp`` by bumping the constant digit:  a + b = g^(log a + zech[log b - log a]).
 
 A :class:`FieldTower` packages a base field F_q together with F_{q^2},
 an embedding of the former into the latter, norms, and the norm-one
@@ -146,8 +147,8 @@ def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _powers(g: int, p: int, modulus: tuple[int, ...]) -> np.ndarray | None:
-    """Encodings of g^0 ... g^(q-2), or None if g^i = 1 for some 0 < i < q-1.
+def _powers(g: int, p: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """Encodings of g^0 ... g^(q-2).
 
     Multiplying by g is the k x k matrix M over F_p whose row i holds the
     digits of x^i * g, so the digit rows of g^(2^m) ... g^(2^(m+1)-1) are
@@ -168,8 +169,6 @@ def _powers(g: int, p: int, modulus: tuple[int, ...]) -> np.ndarray | None:
     while size < n:
         m = min(size, n - size)
         rows[size : size + m] = rows[:m] @ step % p
-        if (rows[size : size + m] @ place == 1).any():
-            return None
         step = step @ step % p
         size += m
     return rows @ place
@@ -193,12 +192,19 @@ class FiniteField:
         self.k = k
         self.q = p**k
         self.modulus: tuple[int, ...] = _lowest_modulus(p, k)
-        for g in range(2, self.q):
-            exp = _powers(g, p, self.modulus)
-            if exp is not None:
-                break
+        # g has order q - 1 iff g^((q-1)/l) != 1 for every prime l | q - 1
+        n, mod = self.q - 1, self.modulus
+        cofactors = [n // ell for ell in _prime_factors(n)]
+        g = next(
+            g
+            for g in range(2, self.q)
+            if all(_poly_trim(_poly_powmod(_digits(g, p, k), e, mod, p)) != [1] for e in cofactors)
+        )
+        exp = _powers(g, p, self.modulus)
         log = np.full(self.q, -1, dtype=np.int64)
-        log[exp] = np.arange(self.q - 1)
+        log[exp] = np.arange(n)
+        if (log[1:] < 0).any():  # pragma: no cover - g was tested primitive
+            raise RuntimeError(f"the powers of {g} miss a unit of F_{self.q}")
         self.exp: list[int] = exp.tolist()
         self.log: list[int] = log.tolist()
         self.generator: int = g

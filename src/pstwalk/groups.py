@@ -69,17 +69,26 @@ supplies only what really differs:
 * its matrix code: ``classify``, ``class_rep``, ``enumerate_group`` and,
   for GU, ``is_member``.
 
+Every family builds its class and irreducible labels on first use, when
+``classes()`` or ``irreducibles()`` is first read, and its class partition
+when ``class_partition()`` is.  GL reads only F_q at construction: it
+builds its tower F_q < F_{q^2} and ``torus_ext_log`` on first use, since
+only nonsplit classes and cuspidal characters read them, so the coset
+space over GL(2, q^2) never builds F_{q^4}.  GU's matrix entries already
+live in F_{q^2}, so it takes its tower up front.
+
 Every constructor refuses a q that is not an odd prime power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .chars import CycSum, MultChar, NonIntegralError, integer_part, residue_periods
-from .gf import FieldTower, FiniteField, make_tower
+from .gf import FieldTower, FiniteField, make_field, make_tower
 
 __all__ = [
     "Mat2",
@@ -191,30 +200,27 @@ class _Family:
 
     # -- class machinery ----------------------------------------------------
 
-    # GL and GU build these on first use (the coset space over GL(2, q^2)
-    # reads none); SL builds them in its constructor
-    _classes = _irreducibles = None
+    # built on first read: the coset space over GL(2, q^2) reads no label
+    @cached_property
+    def _tables(self) -> tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...]]:
+        return self._build_tables()
 
     def classes(self) -> tuple[ClassLabel, ...]:
-        if self._classes is None:
-            self._build_tables()
-        return self._classes
+        return self._tables[0]
 
     def irreducibles(self) -> tuple[IrrLabel, ...]:
-        if self._irreducibles is None:
-            self._build_tables()
-        return self._irreducibles
+        return self._tables[1]
+
+    @cached_property
+    def _partition(self) -> dict[ClassLabel, tuple[Mat2, ...]]:
+        part: dict[ClassLabel, list[Mat2]] = {c: [] for c in self.classes()}
+        for m in self.enumerate_group():
+            part[self.classify(m)].append(m)
+        return {c: tuple(v) for c, v in part.items()}
 
     def class_partition(self) -> dict[ClassLabel, tuple[Mat2, ...]]:
         """Group elements bucketed by conjugacy class (built once)."""
-        cached = getattr(self, "_partition", None)
-        if cached is None:
-            part: dict[ClassLabel, list[Mat2]] = {c: [] for c in self.classes()}
-            for m in self.enumerate_group():
-                part[self.classify(m)].append(m)
-            cached = {c: tuple(v) for c, v in part.items()}
-            self._partition = cached
-        return cached
+        return self._partition
 
     def class_elements(self, label: ClassLabel) -> tuple[Mat2, ...]:
         return self.class_partition()[label]
@@ -246,6 +252,10 @@ class _Family:
 
     # -- family-specific ----------------------------------------------------
 
+    def _build_tables(self):  # pragma: no cover - abstract
+        """The family's (classes, irreducibles) label tuples."""
+        raise NotImplementedError
+
     def enumerate_group(self) -> list[Mat2]:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -276,7 +286,7 @@ class _LinearOrUnitary(_Family):
 
     ``eps`` is +1 for GL and -1 for GU, and the root order is q^2 - 1 for
     both.  A family sets the hooks listed in the module docstring and its
-    root order; :meth:`_build_tables` runs on first use.
+    root order.
     """
 
     eps: int
@@ -288,7 +298,7 @@ class _LinearOrUnitary(_Family):
         """Torus log of the determinant of the nonsplit class of z."""
         raise NotImplementedError
 
-    def _build_tables(self) -> None:
+    def _build_tables(self) -> tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...]]:
         q, eps, fam, T = self.q, self.eps, self.family, self.torus
         n = self.root_order
         ext = self.tower.ext
@@ -305,7 +315,6 @@ class _LinearOrUnitary(_Family):
             for dz in range(n)
             if dz % (q + eps) and (eps * q * dz) % n >= dz
         ]
-        self._classes = tuple(classes)
         irr = [IrrLabel(fam, "linear", (j,)) for j in range(q - eps)]
         irr += [IrrLabel(fam, "steinberg", (j,)) for j in range(q - eps)]
         irr += [
@@ -318,7 +327,7 @@ class _LinearOrUnitary(_Family):
             for m in range(1, n)
             if m % (q + eps) and (eps * m * q) % n > m
         ]
-        self._irreducibles = tuple(irr)
+        return tuple(classes), tuple(irr)
 
     def class_size(self, label: ClassLabel) -> int:
         q, eps = self.q, self.eps
@@ -328,9 +337,6 @@ class _LinearOrUnitary(_Family):
             "split": q * (q + eps),
             "nonsplit": q * (q - eps),
         }[label.kind]
-
-    def trivial_character(self) -> IrrLabel:
-        return IrrLabel(self.family, "linear", (0,))
 
     def degree(self, irr: IrrLabel) -> int:
         q, eps = self.q, self.eps
@@ -398,13 +404,21 @@ class GLGroup(_LinearOrUnitary):
     def __init__(self, q: int):
         p, k = _prime_power(q)
         self.q, self.p, self.k = q, p, k
-        tw = self.tower = make_tower(p, k)
-        self.field = tw.base
+        self.field = make_field(p, k)
         self.order = (q * q - 1) * (q * q - q)
         self.torus = range(1, q)
         self.torus_log = self.field.log
-        self.torus_ext_log = {x: tw.ext.log[tw.embed(x)] for x in self.torus}
         self.root_order = q * q - 1
+
+    # only nonsplit classes and cuspidal characters read F_{q^2}
+    @cached_property
+    def tower(self) -> FieldTower:
+        return make_tower(self.p, self.k)
+
+    @cached_property
+    def torus_ext_log(self) -> dict[int, int]:
+        tw = self.tower
+        return {x: tw.ext.log[tw.embed(x)] for x in self.torus}
 
     # the tracer in perfbench/ wraps GLGroup.__dict__["char_value"]
     char_value = _LinearOrUnitary.char_value
@@ -414,7 +428,6 @@ class GLGroup(_LinearOrUnitary):
         return self.field.log[self.tower.norm(z)]
 
     def class_rep(self, label: ClassLabel) -> Mat2:
-        F, tw = self.field, self.tower
         kind, params = label.kind, label.params
         if kind == "central":
             x = params[0]
@@ -426,12 +439,13 @@ class GLGroup(_LinearOrUnitary):
             x, y = params
             return Mat2(x, 0, 0, y)
         # companion matrix of the eigenvalue pair's minimal polynomial
+        F, tw = self.field, self.tower
         z = params[0]
         tr = tw.project(tw.ext.add(z, tw.conj(z)))
         return Mat2(0, F.neg(tw.norm(z)), 1, tr)
 
     def classify(self, m: Mat2) -> ClassLabel:
-        F, tw = self.field, self.tower
+        F = self.field
         if m.b == 0 and m.c == 0 and m.a == m.d:
             if m.a == 0:
                 raise ValueError("matrix is singular")
@@ -448,6 +462,7 @@ class GLGroup(_LinearOrUnitary):
             x = F.div(F.add(t, s), two)
             y = F.div(F.sub(t, s), two)
             return ClassLabel("gl", "split", tuple(sorted((x, y))))
+        tw = self.tower
         ext = tw.ext
         se = ext.sqrt(tw.embed(disc))
         z = ext.div(ext.add(tw.embed(t), se), tw.embed(two))
@@ -635,28 +650,29 @@ class SLGroup(_Family):
         self._eta = (eta0.rescale_to(self.root_order), eta1.rescale_to(self.root_order))
         # the quadratic character of F_q^x evaluated at -1
         self._sign_m1 = 1 if ((q - 1) // 2) % 2 == 0 else -1
-        self._classes = self._build_classes()
-        self._irreducibles = self._build_irreducibles()
 
     # -- classes -----------------------------------------------------------------
 
-    def _build_classes(self) -> tuple[ClassLabel, ...]:
+    def _build_tables(self) -> tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...]]:
         q, F, tw = self.q, self.field, self.tower
         minus = F.neg(1)
-        out = [
+        classes = [
             ClassLabel("sl", "central", (1,)),
             ClassLabel("sl", "central", (minus,)),
         ]
-        out += [
+        classes += [
             ClassLabel("sl", "jordan", (eps, c))
             for eps in (1, minus)
             for c in (1, tw.delta)
         ]
-        for dx in range(1, (q - 1) // 2):
-            out.append(ClassLabel("sl", "split", (F.exp[dx],)))
-        for i in range(1, (q + 1) // 2):
-            out.append(ClassLabel("sl", "nonsplit", (tw.E[i],)))
-        return tuple(out)
+        classes += [ClassLabel("sl", "split", (F.exp[dx],)) for dx in range(1, (q - 1) // 2)]
+        classes += [ClassLabel("sl", "nonsplit", (tw.E[i],)) for i in range(1, (q + 1) // 2)]
+        irr = [IrrLabel("sl", "trivial", ()), IrrLabel("sl", "steinberg", ())]
+        irr += [IrrLabel("sl", "principal", (j,)) for j in range(1, (q - 1) // 2)]
+        irr += [IrrLabel("sl", "cuspidal", (m,)) for m in range(1, (q + 1) // 2)]
+        irr += [IrrLabel("sl", "principal_half", (s,)) for s in (1, -1)]
+        irr += [IrrLabel("sl", "cuspidal_half", (s,)) for s in (1, -1)]
+        return tuple(classes), tuple(irr)
 
     def class_size(self, label: ClassLabel) -> int:
         q = self.q
@@ -730,18 +746,6 @@ class SLGroup(_Family):
         return out
 
     # -- characters -----------------------------------------------------------------
-
-    def _build_irreducibles(self) -> tuple[IrrLabel, ...]:
-        q = self.q
-        out = [IrrLabel("sl", "trivial", ()), IrrLabel("sl", "steinberg", ())]
-        out += [IrrLabel("sl", "principal", (j,)) for j in range(1, (q - 1) // 2)]
-        out += [IrrLabel("sl", "cuspidal", (m,)) for m in range(1, (q + 1) // 2)]
-        out += [IrrLabel("sl", "principal_half", (s,)) for s in (1, -1)]
-        out += [IrrLabel("sl", "cuspidal_half", (s,)) for s in (1, -1)]
-        return tuple(out)
-
-    def trivial_character(self) -> IrrLabel:
-        return IrrLabel("sl", "trivial", ())
 
     def degree(self, irr: IrrLabel) -> int:
         q = self.q

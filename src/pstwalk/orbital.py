@@ -103,17 +103,6 @@ class CosetSpace:
         return self.group.order // self.hsize
 
 
-def _subfield_matrices(field, sub: Sequence[int]) -> tuple[Mat2, ...]:
-    out = []
-    for a in sub:
-        for b in sub:
-            for c in sub:
-                for d in sub:
-                    if field.sub(field.mul(a, d), field.mul(b, c)) != 0:
-                        out.append(Mat2(a, b, c, d))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def build_coset_space(q: int) -> CosetSpace:
     """Assemble the coset space of GL(2, q) inside GL(2, q^2).
@@ -146,13 +135,10 @@ def build_coset_space(q: int) -> CosetSpace:
     if q > EXPLICIT_LIMIT:
         return CosetSpace(explicit=False, **base)
 
-    sub = [x for x in range(q * q) if field.frobenius(x, group.k // 2) == x]
-    if len(sub) != q:
-        raise RuntimeError(
-            f"build_coset_space: the subfield of F_{q * q} fixed by x -> x^{q} "
-            f"has {len(sub)} elements, expected {q}"
-        )
-    h_elements = _subfield_matrices(field, sub)
+    # H is GL(2, q), carried into G by the embedding of F_q into F_{q^2}
+    sub = make_family("gl", q)
+    embed = sub.tower.embed
+    h_elements = tuple(Mat2(*map(embed, h)) for h in sub.enumerate_group())
     if len(h_elements) != hsize:
         raise RuntimeError(
             f"build_coset_space: the subfield subgroup H = GL(2, {q}) has "

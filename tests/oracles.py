@@ -216,6 +216,13 @@ def brute_conjugacy_classes(elements, mul, inv):
     return classes
 
 
+def trivial_character(family) -> IrrLabel:
+    """The trivial character: ``linear(0)`` for GL and GU, ``trivial`` for SL."""
+    if family.family == "sl":
+        return IrrLabel("sl", "trivial", ())
+    return IrrLabel(family.family, "linear", (0,))
+
+
 # ---------------------------------------------------------------------------
 # numeric spectra
 
@@ -559,6 +566,18 @@ def in_subfield(space, x: int) -> bool:
 def in_h(space, m: Mat2) -> bool:
     """Membership of an invertible matrix in the subfield subgroup H."""
     return all(in_subfield(space, e) for e in m)
+
+
+def subfield_matrices(space) -> frozenset:
+    """H found by scanning F_{q^2} for the Frobenius-fixed subfield F_q."""
+    field = space.group.field
+    sub = [x for x in range(field.q) if in_subfield(space, x)]
+    assert len(sub) == space.q
+    return frozenset(
+        Mat2(a, b, c, d)
+        for a, b, c, d in product(sub, repeat=4)
+        if field.sub(field.mul(a, d), field.mul(b, c)) != 0
+    )
 
 
 def double_coset_of(space, g: Mat2):

@@ -15,6 +15,7 @@ from oracles import (
     brute_gl2,
     brute_gu2,
     brute_sl2,
+    trivial_character,
 )
 from pstwalk.chars import CycSum, integer_part
 from pstwalk.gf import make_field
@@ -222,7 +223,7 @@ def test_gl9_table_sanity(tag):
     irr = fam.irreducibles()
     assert len(irr) == len(fam.classes()) == EXPECTED_CLASS_COUNT[tag](9)
     assert sum(fam.degree(x) ** 2 for x in irr) == fam.order == {"gl": 5760, "gu": 7200}[tag]
-    triv = fam.trivial_character()
+    triv = trivial_character(fam)
     pairs = [(triv, x) for x in irr]
     pairs += [(x, y) for i, x in enumerate(irr) for y in irr[i:]][::13]
     assert _orthogonality_defect(fam, fam.char_value, pairs) == []
@@ -249,7 +250,7 @@ def test_class_sums_of_characters_vanish_or_hit_order(tag, q):
         acc = CycSum.zero(fam.root_order)
         for c in classes:
             acc = acc + fam.char_value(irr, c) * fam.class_size(c)
-        want = fam.order if irr == fam.trivial_character() else 0
+        want = fam.order if irr == trivial_character(fam) else 0
         assert (acc - want).is_zero()
 
 
@@ -347,3 +348,15 @@ def test_gl3_class_inventory_frozen():
             ("nonsplit", 6, 4): 1,
         }
     )
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_gl_builds_its_tower_on_first_use(q):
+    """GL(2, q) reads only F_q until a nonsplit label needs F_{q^2}."""
+    gl = GLGroup(q)
+    assert gl.field is make_field(gl.p, gl.k)
+    assert not {"tower", "torus_ext_log", "_tables"} & set(vars(gl))
+    gl.central_sign(IrrLabel("gl", "linear", (1,)), gl.field.neg(1))
+    assert "tower" not in vars(gl)
+    gl.classes()
+    assert "tower" in vars(gl)

@@ -33,6 +33,7 @@ from oracles import (
     m_theta,
     p_theta_trace,
     spectrum_trace,
+    subfield_matrices,
 )
 from pstwalk import orbital
 from pstwalk.cayley import make_family
@@ -89,8 +90,9 @@ Q7_DEGREE = 1569
 Q7_ROWS = 64
 Q7_COSETS = 2800
 
-# the prime powers q = 3 (mod 4) up to 31 (15 is no prime power)
-ADMISSIBLE_TO_31 = (3, 7, 11, 19, 23, 27, 31)
+# the prime powers q = 3 (mod 4) up to 103 (the certificate test's name keeps
+# its older bound of 31)
+ADMISSIBLE = (3, 7, 11, 19, 23, 27, 31, 43, 47, 59, 67, 71, 79, 83, 103)
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +166,13 @@ def test_coset_space_counts():
     assert sp.hsize == 48
     assert len(sp.h_elements) == 48
     assert len(sp.elements) == 5760
+
+
+def test_h_is_the_subfield_subgroup():
+    """H, the embedded GL(2, 3), is every matrix over the Frobenius-fixed F_3."""
+    sp = space3()
+    assert set(sp.h_elements) == subfield_matrices(sp)
+    assert len(set(sp.h_elements)) == sp.hsize
 
 
 def test_coset_space_vertex_anchors():
@@ -562,7 +571,8 @@ def test_period_total_refuses_rows_without_a_period_sum():
 
 
 def test_spectrum_builds_no_label_table(monkeypatch, release_tables):
-    """The orbital path reads no class or irreducible label of GL(2, q^2)."""
+    """The orbital path reads no class or irreducible label of GL(2, q^2),
+    and builds no tower F_{q^2} < F_{q^4} for it."""
 
     def refuse(self):
         raise AssertionError(f"label tables of {self!r} were built")
@@ -574,6 +584,7 @@ def test_spectrum_builds_no_label_table(monkeypatch, release_tables):
     audit = linear_energy_display_audit(11, rows)
     assert len(rows) == len(coset_irreducibles(11))
     assert len(audit) == 12
+    assert "tower" not in vars(build_coset_space(11).group)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +749,7 @@ def test_certificate_q3():
     assert cert.transfer_rule == "rH <-> (z r)H for every coset rH"
 
 
-@pytest.mark.parametrize("q", ADMISSIBLE_TO_31)
+@pytest.mark.parametrize("q", ADMISSIBLE)
 def test_certificate_every_admissible_q_to_31(q, release_tables):
     rows = orbital_spectrum(q)
     assert all(r.energy % 4 == 0 for r in rows)
@@ -746,8 +757,8 @@ def test_certificate_every_admissible_q_to_31(q, release_tables):
 
 
 def test_admissible_list_is_complete():
-    for q in range(3, 32, 4):
-        if q in ADMISSIBLE_TO_31:
+    for q in range(3, ADMISSIBLE[-1] + 1, 4):
+        if q in ADMISSIBLE:
             continue
         with pytest.raises(ValueError):
             build_coset_space(q)
