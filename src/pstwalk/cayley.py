@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chars import NonIntegralError, _total, integer_part
+from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
 from .scheme import (
     ConjugacyScheme,
@@ -286,7 +286,7 @@ def _sl_ratio_value(family: SLGroup, irr: IrrLabel) -> int:
     d = family.degree(irr)
     ratio = family.central_sign(irr, family.field.neg(1))
     jordan = [lab for lab in family.classes() if lab.kind == "jordan"]
-    r = _total(family.root_order, (family.char_value(irr, lab) for lab in jordan))
+    r = sum((family.char_value(irr, lab) for lab in jordan), CycSum.zero(family.root_order))
     r_int = integer_part(r)
     num = (q * q - 1) * r_int
     if num % (2 * d):

@@ -5,8 +5,11 @@ unity, and the certificates need them *exactly*.  :class:`CycSum` is a
 sparse element of Z[zeta_n] (exponent -> integer coefficient);
 :meth:`CycSum.reduced` rewrites it in a fixed basis, one prime of n at a
 time, so zero and integer sums are recognized exactly, with no floating
-point and no cyclotomic polynomial.  :func:`cyclotomic_polynomial` stays
-as the dense reference the tests compare that reduction against.
+point and no cyclotomic polynomial.  :func:`reduced_rows` is the same
+rewrite on int64 arrays, many sums at once, each term keyed by its row and
+exponent; the Cayley spectra are reduced that way.  Both read the prime
+powers of n from one cache.  :func:`cyclotomic_polynomial` stays as the
+dense reference the tests compare the reduction against.
 
 :class:`MultChar` is a character of a cyclic group of order n presented
 through a fixed generator: callers hand it discrete logs, it hands back
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, lcm, pi, sin
-from typing import Iterable
+import numpy as np
 
 from .gf import _prime_factors
 
@@ -28,6 +31,7 @@ __all__ = [
     "NonIntegralError",
     "InexactDivisionError",
     "integer_part",
+    "reduced_rows",
     "cyclotomic_polynomial",
     "residue_periods",
 ]
@@ -77,6 +81,18 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in _divisors(n)[:-1]:
         poly = _exact_div(poly, cyclotomic_polynomial(d))
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, p^a), one per prime power p^a exactly dividing n."""
+    out = []
+    for p in _prime_factors(n):
+        pa = p
+        while n % (pa * p) == 0:
+            pa *= p
+        out.append((p, pa))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +224,7 @@ class CycSum:
         """
         n = self.n
         c = dict(self.c)
-        for p in _prime_factors(n):
-            pa = p
-            while n % (pa * p) == 0:
-                pa *= p
+        for p, pa in _prime_powers(n):
             last, step = pa - pa // p, n // p
             for e in [e for e in c if e % pa >= last]:
                 v = c.pop(e)
@@ -244,21 +257,42 @@ class CycSum:
         return f"CycSum({self.n}, {terms})"
 
 
-def _total(n: int, values: Iterable[CycSum]) -> CycSum:
-    """The sum of ``values`` over Z[zeta_n], accumulated into one dict.
+def _merged(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys, each with the sum of its coefficients; zero sums dropped."""
+    if not len(keys):
+        return keys, coeffs
+    order = np.argsort(keys, kind="stable")
+    keys, coeffs = keys[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(coeffs, starts)
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
 
-    ``acc = acc + v`` would copy the running sum once per term.  The values
-    are only read: callers pass cached character values.
+
+def reduced_rows(n: int, keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`CycSum.reduced` of many sums at once, on int64 arrays.
+
+    Term i adds ``coeffs[i] * zeta_n^e`` to row r, where ``keys[i] = r n + e``
+    and 0 <= e < n.  Returns the reduced terms of every row the same way,
+    keys sorted and distinct, coefficients nonzero: for each prime power
+    p^a exactly dividing n, the terms whose digit is p-1 become minus their
+    p-1 partners e + k n/p, and equal keys merge again.  A row is the
+    integer c exactly when its only surviving key is r n (c its
+    coefficient) or it has none (c = 0).  Coefficients stay int64 and must
+    fit in it.
     """
-    acc: dict[int, int] = {}
-    for value in values:
-        if value.n != n:
-            raise ValueError(f"mixed root orders {n} and {value.n}")
-        for e, v in value.c.items():
-            acc[e] = acc.get(e, 0) + v
-    out = CycSum(n)
-    out.c = {e: v for e, v in acc.items() if v}
-    return out
+    keys, coeffs = _merged(np.asarray(keys, dtype=np.int64), np.asarray(coeffs, dtype=np.int64))
+    for p, pa in _prime_powers(n):
+        e = keys % n
+        hit = e % pa >= pa - pa // p
+        if not hit.any():
+            continue
+        partners = keys[hit, None] - e[hit, None] + (e[hit, None] + np.arange(1, p) * (n // p)) % n
+        keys, coeffs = _merged(
+            np.concatenate((keys[~hit], partners.ravel())),
+            np.concatenate((coeffs[~hit], np.repeat(-coeffs[hit], p - 1))),
+        )
+    return keys, coeffs
 
 
 def integer_part(v: CycSum) -> int:

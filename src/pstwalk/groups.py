@@ -18,8 +18,12 @@ SL), so spectra assembled from them never leave exact arithmetic.
 
 Every family exposes the same surface: ``classes()``, ``class_size``,
 ``class_rep``, ``classify``, ``irreducibles()``, ``degree``,
-``char_value``, ``enumerate_group``, ``class_partition``,
-``central_involution`` and ``central_sign``.
+``char_value``, ``class_sum_blocks``, ``enumerate_group``,
+``class_partition``, ``central_involution`` and ``central_sign``.
+``class_sum_blocks`` hands the Cayley spectra the terms of the class sums
+``sum |C| chi(C)`` as int64 arrays, a block of characters at a time; GL and
+GU write them from the same affine exponents ``char_value`` reads, SL reads
+``char_value`` once per character and label.
 
 Class kinds
 -----------
@@ -85,7 +89,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .chars import CycSum, MultChar, NonIntegralError, integer_part, residue_periods
 from .gf import FieldTower, FiniteField, make_field, make_tower
@@ -156,6 +162,8 @@ class _Family:
     field: FiniteField
     tower: FieldTower
     root_order: int
+    # the class sums of the last label list, kept by scheme.class_sum_eigenvalue
+    _class_sums = None
 
     # -- matrix arithmetic on encodings in the family's coefficient field ----
 
@@ -274,6 +282,28 @@ class _Family:
     def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:  # pragma: no cover
         raise NotImplementedError
 
+    def class_sum_blocks(
+        self, blocks: Iterable[Sequence[IrrLabel]], labels: Sequence[ClassLabel]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The terms of ``sum_C |C| chi(C)`` over ``labels``, one block of characters at a time.
+
+        For each block of characters yields int64 arrays (row, exponent,
+        coefficient): each term adds coefficient * zeta^exponent, with
+        0 <= exponent < ``root_order``, to the sum of the character
+        ``block[row]``.  Equal (row, exponent) pairs may repeat.  This
+        default reads :meth:`char_value` once per character and label.
+        """
+        sizes = [self.class_size(lab) for lab in labels]
+        for block in blocks:
+            rows, exps, coeffs = [], [], []
+            for row, irr in enumerate(block):
+                for lab, size in zip(labels, sizes):
+                    for e, c in self.char_value(irr, lab).c.items():
+                        rows.append(row)
+                        exps.append(e)
+                        coeffs.append(c * size)
+            yield tuple(np.array(x, dtype=np.int64) for x in (rows, exps, coeffs))
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(q={self.q})"
 
@@ -390,6 +420,79 @@ class _LinearOrUnitary(_Family):
         dz = self.tower.ext.log[cls.params[0]]
         v = mu(dz) + mu(eps * q * dz)
         return -v if eps > 0 else v
+
+    def class_sum_blocks(
+        self, blocks: Iterable[Sequence[IrrLabel]], labels: Sequence[ClassLabel]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """:meth:`_Family.class_sum_blocks` on arrays, with no :meth:`char_value` call.
+
+        Every value :meth:`char_value` returns is a sum of terms
+        c * zeta^(p1 L1 + p2 L2) with the p the character's parameters, the L
+        read off the class label (a torus log times (q^2 - 1)/(q - eps), an
+        F_{q^2} log or a determinant log) and c, times |C|, fixed by the two
+        kinds.  Each such form becomes one (characters x labels) block of
+        exponents.
+        """
+        q, n, eps = self.q, self.root_order, self.eps
+        f = n // (q - eps)  # the torus character j reads torus log a as zeta^(j a f)
+        tlog, xlog, zlog = self.torus_log, self.torus_ext_log, self.tower.ext.log
+        kinds = ("central", "jordan", "split", "nonsplit")
+        of_kind = {k: [lab for lab in labels if lab.kind == k] for k in kinds}
+        sizes = {
+            k: np.array([self.class_size(lab) for lab in labs], dtype=np.int64)
+            for k, labs in of_kind.items()
+        }
+
+        def column(kind, value) -> np.ndarray:
+            return np.array([value(*lab.params) for lab in of_kind[kind]], dtype=np.int64) % n
+
+        ac, aj = (column(k, lambda x: tlog[x] * f) for k in ("central", "jordan"))
+        xc, xj = (column(k, lambda x: xlog[x]) for k in ("central", "jordan"))
+        dx = column("split", lambda x, y: tlog[x] * f)
+        dy = column("split", lambda x, y: tlog[y] * f)
+        dz = column("nonsplit", lambda z: zlog[z])
+        dzq = column("nonsplit", lambda z: eps * q * zlog[z])
+        det = column("nonsplit", lambda z: self.det_log(z) * f)
+        # character kind -> its forms (class kind, ((parameter index, L), ...), c)
+        forms = {
+            "linear": [
+                ("central", ((0, 2 * ac),), 1),
+                ("jordan", ((0, 2 * aj),), 1),
+                ("split", ((0, dx + dy),), 1),
+                ("nonsplit", ((0, det),), 1),
+            ],
+            "steinberg": [
+                ("central", ((0, 2 * ac),), q),
+                ("split", ((0, dx + dy),), eps),
+                ("nonsplit", ((0, det),), -eps),
+            ],
+            "principal": [
+                ("central", ((0, ac), (1, ac)), q + eps),
+                ("jordan", ((0, aj), (1, aj)), eps),
+                ("split", ((0, dx), (1, dy)), eps),
+                ("split", ((0, dy), (1, dx)), eps),
+            ],
+            "cuspidal": [
+                ("central", ((0, xc),), q - eps),
+                ("jordan", ((0, xj),), -eps),
+                ("nonsplit", ((0, dz),), -eps),
+                ("nonsplit", ((0, dzq),), -eps),
+            ],
+        }
+        for block in blocks:
+            pieces = [np.zeros((3, 0), dtype=np.int64)]
+            for kind, kind_forms in forms.items():
+                rows = [r for r, irr in enumerate(block) if irr.kind == kind]
+                if not rows:
+                    continue
+                p = np.array([block[r].params for r in rows], dtype=np.int64).T
+                for class_kind, parts, c in kind_forms:
+                    size = sizes[class_kind]
+                    exps = sum(p[i, :, None] * values for i, values in parts) % n
+                    pieces.append(np.stack((
+                        np.repeat(rows, len(size)), exps.ravel(), np.tile(c * size, len(rows))
+                    )))
+            yield tuple(np.concatenate(pieces, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from pstwalk.chars import (
     CycSum,
     MultChar,
-    _total,
+    NonIntegralError,
     cyclotomic_polynomial,
     integer_part,
     residue_periods,
@@ -551,6 +551,37 @@ def char_sum(chi: MultChar, exponents, root_order: int | None = None) -> CycSum:
         acc[e] = acc.get(e, 0) + 1
     out.c = {e: v for e, v in acc.items() if v}
     return out
+
+
+def _total(n: int, values: Iterable[CycSum]) -> CycSum:
+    """The sum of ``values`` over Z[zeta_n], accumulated into one dict.
+
+    ``acc = acc + v`` would copy the running sum once per term.
+    """
+    acc: dict[int, int] = {}
+    for value in values:
+        if value.n != n:
+            raise ValueError(f"mixed root orders {n} and {value.n}")
+        for e, v in value.c.items():
+            acc[e] = acc.get(e, 0) + v
+    out = CycSum(n)
+    out.c = {e: v for e, v in acc.items() if v}
+    return out
+
+
+def class_sum_eigenvalue_loop(family, irr: IrrLabel, labels) -> int:
+    """``scheme.class_sum_eigenvalue`` one (character, label) pair at a time.
+
+    Sums ``char_value(irr, C) * |C|`` over the labels as cyclotomic sums,
+    reads the total with ``integer_part`` and divides it by the degree,
+    raising what the batched path raises.
+    """
+    terms = (family.char_value(irr, lab) * family.class_size(lab) for lab in labels)
+    total = integer_part(_total(family.root_order, terms))
+    d = family.degree(irr)
+    if total % d:
+        raise NonIntegralError(f"character sum {total} is not divisible by the degree {d}")
+    return total // d
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,15 @@ from pstwalk.cayley import (
     spectrum,
     variants_for,
 )
-from oracles import pst_test, sl_order_based_elements, spectrum_trace, trivial_character
-from pstwalk.chars import NonIntegralError
+from oracles import (
+    class_sum_eigenvalue_loop,
+    pst_test,
+    sl_order_based_elements,
+    spectrum_trace,
+    trivial_character,
+)
+from pstwalk import groups, scheme
+from pstwalk.chars import NonIntegralError, reduced_rows
 from pstwalk.ctqw import pst_scan
 
 
@@ -662,3 +669,92 @@ def test_random_class_union_spectrum_and_walk(data):
         # no perfect transfer at the candidate time either
         report = pst_scan(adj, pairs, time=cert.time)
         assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# batched class sums against the per-pair loop
+
+BATCH_CASES = [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9, 11, 13)]
+BATCH_CASES += [("sl", q) for q in (3, 5, 7, 11, 13)]
+
+
+def eigenvalue_or_error(fn, fam, irr, labels):
+    """theta, or the error message split from the float value it ends with."""
+    try:
+        return fn(fam, irr, labels), None
+    except NonIntegralError as exc:
+        message, _, value = str(exc).partition(", value about ")
+        return message, complex(value) if value else None
+
+
+@pytest.mark.parametrize("tag,q", BATCH_CASES)
+def test_batched_spectrum_matches_the_pair_loop(tag, q):
+    fam = make_family(tag, q)
+    conn = build_connection_set(fam)
+    thetas = [r.theta for r in spectrum(fam, conn)]
+    assert thetas == [
+        class_sum_eigenvalue_loop(fam, irr, conn.labels) for irr in fam.irreducibles()
+    ]
+
+
+@pytest.mark.parametrize("tag,q", [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9)])
+def test_array_terms_match_the_char_value_terms(tag, q):
+    """GL/GU's array terms reduce to what the char_value loop of _Family reduces to."""
+    fam = make_family(tag, q)
+    irrs, labels, n = fam.irreducibles(), fam.classes(), fam.root_order
+    blocks = [irrs[s : s + 5] for s in range(0, len(irrs), 5)]
+    arrays = fam.class_sum_blocks(blocks, labels)
+    loops = groups._Family.class_sum_blocks(fam, blocks, labels)
+    for got, want in zip(arrays, loops, strict=True):
+        got, want = (reduced_rows(n, rows * n + exps, coeffs) for rows, exps, coeffs in (got, want))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_class_sums_match_the_pair_loop(data):
+    """Random label lists, inverse-closed or not, read in a random character order."""
+    tag, q = data.draw(st.sampled_from(BATCH_CASES))
+    fam = make_family(tag, q)
+    labels = tuple(
+        data.draw(st.lists(st.sampled_from(fam.classes()), min_size=1, max_size=12, unique=True))
+    )
+    irrs = fam.irreducibles()
+    picks = data.draw(st.lists(st.sampled_from(irrs), min_size=1, max_size=24))
+    for irr in picks:
+        got = eigenvalue_or_error(scheme.class_sum_eigenvalue, fam, irr, labels)
+        want = eigenvalue_or_error(class_sum_eigenvalue_loop, fam, irr, labels)
+        assert got[0] == want[0], irr
+        if want[1] is not None:  # printed to 6 significant digits
+            assert abs(got[1] - want[1]) <= 1e-4 * max(1.0, abs(want[1])), irr
+
+
+@pytest.mark.parametrize("tag", ["gl", "gu", "sl"])
+def test_spectrum_builds_each_block_once(tag, monkeypatch):
+    fam = make_family(tag, 13)
+    conn = build_connection_set(fam)
+    want = spectrum(fam, conn)
+    conn = build_connection_set(fam)  # a new label tuple: no batch of it is cached
+    blocks, reads = [], []
+    produce, value = fam.class_sum_blocks, fam.char_value
+
+    def counted_blocks(irr_blocks, labels):
+        def pulled():
+            for block in irr_blocks:
+                blocks.append(block)
+                yield block
+
+        return produce(pulled(), labels)
+
+    def counted_value(irr, cls):
+        reads.append(irr)
+        return value(irr, cls)
+
+    monkeypatch.setattr(fam, "class_sum_blocks", counted_blocks)
+    monkeypatch.setattr(fam, "char_value", counted_value)
+    assert spectrum(fam, conn) == want
+    size, irrs = scheme.CLASS_SUM_BLOCK_ROWS, fam.irreducibles()
+    assert blocks == [irrs[s : s + size] for s in range(0, len(irrs), size)]
+    # one central_sign read per character; SL also reads one value per label
+    per_character = 1 + (len(conn.labels) if tag == "sl" else 0)
+    assert len(reads) == per_character * len(irrs)

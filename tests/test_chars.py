@@ -2,6 +2,7 @@
 
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from pstwalk.chars import (
     _exact_div,
     cyclotomic_polynomial,
     integer_part,
+    reduced_rows,
     residue_periods,
 )
 
@@ -190,6 +192,40 @@ def test_sparse_reduction_matches_dense_oracle(sums, c):
     assert vanishing.is_zero()
     assert (x + vanishing).reduced() == x.reduced()
     assert integer_part(vanishing + c) == c
+
+
+@st.composite
+def sparse_rows(draw):
+    """Random terms of up to four sums over one root order, each with a vanishing part."""
+    n = draw(st.sampled_from(ROOT_ORDERS))
+    exponents = st.integers(0, n - 1)
+    primes = _primes_dividing(n)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = draw(st.lists(st.tuples(exponents, st.integers(-9, 9)), max_size=8))
+        for _ in range(draw(st.integers(0, 3)) if primes else 0):
+            p, e, c = draw(st.sampled_from(primes)), draw(exponents), draw(st.integers(-9, 9))
+            terms += [((e + k * (n // p)) % n, c) for k in range(p)]
+        rows.append(terms)
+    return n, rows
+
+
+@given(case=sparse_rows())
+@settings(max_examples=200, deadline=None)
+def test_array_reduction_matches_reduced(case):
+    n, rows = case
+    keys = np.array([r * n + e for r, terms in enumerate(rows) for e, _ in terms], dtype=np.int64)
+    coeffs = np.array([c for terms in rows for _, c in terms], dtype=np.int64)
+    got_keys, got_coeffs = reduced_rows(n, keys, coeffs)
+    assert (np.diff(got_keys) > 0).all() and (got_coeffs != 0).all()
+    got = {}
+    for key, c in zip(got_keys.tolist(), got_coeffs.tolist()):
+        got.setdefault(key // n, {})[key % n] = c
+    for r, terms in enumerate(rows):
+        want = CycSum(n)
+        for e, c in terms:
+            want = want + CycSum.monomial(n, e, c)
+        assert got.get(r, {}) == want.reduced()
 
 
 def test_character_basics():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from oracles import (
     BruteField,
     _induced_coset_sum,
+    _total,
     cocycle_value,
     coset_action,
     coset_char_sum,
@@ -37,7 +38,7 @@ from oracles import (
 )
 from pstwalk import orbital
 from pstwalk.cayley import make_family
-from pstwalk.chars import CycSum, NonIntegralError, _total, integer_part
+from pstwalk.chars import CycSum, NonIntegralError, integer_part
 from pstwalk.ctqw import pst_scan
 from pstwalk.gf import make_field, make_tower
 from pstwalk.groups import GLGroup, IrrLabel, Mat2
