@@ -21,9 +21,9 @@ Every family exposes the same surface: ``classes()``, ``class_size``,
 ``char_value``, ``class_sum_blocks``, ``enumerate_group``,
 ``class_partition``, ``central_involution`` and ``central_sign``.
 ``class_sum_blocks`` hands the Cayley spectra the terms of the class sums
-``sum |C| chi(C)`` as int64 arrays, a block of characters at a time; GL and
-GU write them from the same affine exponents ``char_value`` reads, SL reads
-``char_value`` once per character and label.
+``sum |C| chi(C)`` as int64 arrays, a block of characters at a time: GL and
+GU from the one table of affine forms that ``char_value`` also reads, SL
+through ``char_value`` once per character and label.
 
 Class kinds
 -----------
@@ -291,7 +291,7 @@ class _Family:
         coefficient): each term adds coefficient * zeta^exponent, with
         0 <= exponent < ``root_order``, to the sum of the character
         ``block[row]``.  Equal (row, exponent) pairs may repeat.  This
-        default reads :meth:`char_value` once per character and label.
+        default, SL's, reads :meth:`char_value` once per character and label.
         """
         sizes = [self.class_size(lab) for lab in labels]
         for block in blocks:
@@ -374,110 +374,84 @@ class _LinearOrUnitary(_Family):
             irr.kind
         ]
 
-    def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:
-        q, n, eps = self.q, self.root_order, self.eps
-        kind, ck = irr.kind, cls.kind
-        tlog = self.torus_log
+    @cached_property
+    def _forms(self) -> dict[str, tuple[tuple[str, tuple[tuple[int, str], ...], int], ...]]:
+        """The character table: kind -> forms (class kind, ((parameter index, log name), ...), c).
 
-        if kind in ("linear", "steinberg"):
+        On a class of a form's kind the character adds c * zeta^(sum p_i L_name), p its
+        parameters and L the class logs of :meth:`_label_log`; a kind with no form gives 0.
+        """
+        q, eps = self.q, self.eps
+        return {
             # lambda(det), times the Steinberg value for steinberg
-            lam = MultChar(q - eps, irr.params[0])
-            if ck in ("central", "jordan"):
-                v = lam.at(2 * tlog[cls.params[0]], n)
-                if kind == "steinberg":
-                    return v * q if ck == "central" else CycSum.zero(n)
-                return v
-            if ck == "split":
-                x, y = cls.params
-                v = lam.at(tlog[x] + tlog[y], n)
-                return -v if kind == "steinberg" and eps < 0 else v
-            v = lam.at(self.det_log(cls.params[0]), n)
-            return -v if kind == "steinberg" and eps > 0 else v
+            "linear": (
+                ("central", ((0, "t"), (0, "t")), 1),
+                ("jordan", ((0, "t"), (0, "t")), 1),
+                ("split", ((0, "dx"), (0, "dy")), 1),
+                ("nonsplit", ((0, "det"),), 1),
+            ),
+            "steinberg": (
+                ("central", ((0, "t"), (0, "t")), q),
+                ("split", ((0, "dx"), (0, "dy")), eps),
+                ("nonsplit", ((0, "det"),), -eps),
+            ),
+            "principal": (
+                ("central", ((0, "t"), (1, "t")), q + eps),
+                ("jordan", ((0, "t"), (1, "t")), eps),
+                ("split", ((0, "dx"), (1, "dy")), eps),
+                ("split", ((0, "dy"), (1, "dx")), eps),
+            ),
+            # indexed by a character of F_{q^2}^x
+            "cuspidal": (
+                ("central", ((0, "x"),), q - eps),
+                ("jordan", ((0, "x"),), -eps),
+                ("nonsplit", ((0, "z"),), -eps),
+                ("nonsplit", ((0, "zq"),), -eps),
+            ),
+        }
 
-        if kind == "principal":
-            i, j = irr.params
-            if ck in ("central", "jordan"):
-                v = MultChar(q - eps, i + j).at(tlog[cls.params[0]], n)
-                if ck == "central":
-                    return v * (q + eps)
-                return v if eps > 0 else -v
-            if ck == "split":
-                dx, dy = tlog[cls.params[0]], tlog[cls.params[1]]
-                ci, cj = MultChar(q - eps, i), MultChar(q - eps, j)
-                v = ci.at(dx, n) * cj.at(dy, n) + ci.at(dy, n) * cj.at(dx, n)
-                return v if eps > 0 else -v
-            return CycSum.zero(n)
+    def _label_log(self, name: str, params: tuple[int, ...]) -> int:
+        """The log ``name`` of a class with these parameters, as a power of zeta.
 
-        # cuspidal, indexed by a character of F_{q^2}^x
-        mu = MultChar(n, irr.params[0])
-        if ck in ("central", "jordan"):
-            v = mu(self.torus_ext_log[cls.params[0]])
-            if ck == "central":
-                return v * (q - eps)
-            return -v if eps > 0 else v
-        if ck == "split":
-            return CycSum.zero(n)
-        dz = self.tower.ext.log[cls.params[0]]
-        v = mu(dz) + mu(eps * q * dz)
-        return -v if eps > 0 else v
+        Torus logs times (q^2 - 1)/(q - eps): ``t``, ``dx``, ``dy`` (a split pair), ``det``.
+        F_{q^2} logs: ``x``, the nonsplit eigenvalue ``z`` and its conjugate ``zq`` = z^(eps q).
+        """
+        q, eps, n = self.q, self.eps, self.root_order
+        if name == "x":
+            return self.torus_ext_log[params[0]]
+        if name in ("z", "zq"):
+            dz = self.tower.ext.log[params[0]]
+            return dz if name == "z" else eps * q * dz
+        if name == "det":
+            return self.det_log(params[0]) * (n // (q - eps))
+        return self.torus_log[params[name == "dy"]] * (n // (q - eps))
+
+    def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:
+        n, value = self.root_order, {}
+        for kind, parts, c in self._forms[irr.kind]:
+            if kind == cls.kind:
+                e = sum(irr.params[i] * self._label_log(name, cls.params) for i, name in parts) % n
+                value[e] = value.get(e, 0) + c
+        return CycSum(n, value)
 
     def class_sum_blocks(
         self, blocks: Iterable[Sequence[IrrLabel]], labels: Sequence[ClassLabel]
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """:meth:`_Family.class_sum_blocks` on arrays, with no :meth:`char_value` call.
+        """:meth:`_Family.class_sum_blocks` on arrays, from the table :meth:`char_value` reads.
 
-        Every value :meth:`char_value` returns is a sum of terms
-        c * zeta^(p1 L1 + p2 L2) with the p the character's parameters, the L
-        read off the class label (a torus log times (q^2 - 1)/(q - eps), an
-        F_{q^2} log or a determinant log) and c, times |C|, fixed by the two
-        kinds.  Each such form becomes one (characters x labels) block of
-        exponents.
+        Each form of :attr:`_forms` becomes one (characters x labels) block of exponents,
+        with each class log read once per label, and coefficient c * |C|.
         """
-        q, n, eps = self.q, self.root_order, self.eps
-        f = n // (q - eps)  # the torus character j reads torus log a as zeta^(j a f)
-        tlog, xlog, zlog = self.torus_log, self.torus_ext_log, self.tower.ext.log
+        n, forms, log = self.root_order, self._forms, self._label_log
         kinds = ("central", "jordan", "split", "nonsplit")
         of_kind = {k: [lab for lab in labels if lab.kind == k] for k in kinds}
         sizes = {
             k: np.array([self.class_size(lab) for lab in labs], dtype=np.int64)
             for k, labs in of_kind.items()
         }
-
-        def column(kind, value) -> np.ndarray:
-            return np.array([value(*lab.params) for lab in of_kind[kind]], dtype=np.int64) % n
-
-        ac, aj = (column(k, lambda x: tlog[x] * f) for k in ("central", "jordan"))
-        xc, xj = (column(k, lambda x: xlog[x]) for k in ("central", "jordan"))
-        dx = column("split", lambda x, y: tlog[x] * f)
-        dy = column("split", lambda x, y: tlog[y] * f)
-        dz = column("nonsplit", lambda z: zlog[z])
-        dzq = column("nonsplit", lambda z: eps * q * zlog[z])
-        det = column("nonsplit", lambda z: self.det_log(z) * f)
-        # character kind -> its forms (class kind, ((parameter index, L), ...), c)
-        forms = {
-            "linear": [
-                ("central", ((0, 2 * ac),), 1),
-                ("jordan", ((0, 2 * aj),), 1),
-                ("split", ((0, dx + dy),), 1),
-                ("nonsplit", ((0, det),), 1),
-            ],
-            "steinberg": [
-                ("central", ((0, 2 * ac),), q),
-                ("split", ((0, dx + dy),), eps),
-                ("nonsplit", ((0, det),), -eps),
-            ],
-            "principal": [
-                ("central", ((0, ac), (1, ac)), q + eps),
-                ("jordan", ((0, aj), (1, aj)), eps),
-                ("split", ((0, dx), (1, dy)), eps),
-                ("split", ((0, dy), (1, dx)), eps),
-            ],
-            "cuspidal": [
-                ("central", ((0, xc),), q - eps),
-                ("jordan", ((0, xj),), -eps),
-                ("nonsplit", ((0, dz),), -eps),
-                ("nonsplit", ((0, dzq),), -eps),
-            ],
+        logs = {
+            (k, name): np.array([log(name, lab.params) for lab in of_kind[k]], dtype=np.int64) % n
+            for kind_forms in forms.values() for k, parts, _ in kind_forms for _, name in parts
         }
         for block in blocks:
             pieces = [np.zeros((3, 0), dtype=np.int64)]
@@ -488,7 +462,7 @@ class _LinearOrUnitary(_Family):
                 p = np.array([block[r].params for r in rows], dtype=np.int64).T
                 for class_kind, parts, c in kind_forms:
                     size = sizes[class_kind]
-                    exps = sum(p[i, :, None] * values for i, values in parts) % n
+                    exps = sum(p[i, :, None] * logs[class_kind, name] for i, name in parts) % n
                     pieces.append(np.stack((
                         np.repeat(rows, len(size)), exps.ravel(), np.tile(c * size, len(rows))
                     )))

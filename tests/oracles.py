@@ -27,7 +27,7 @@ from pstwalk.chars import (
     residue_periods,
 )
 from pstwalk.ctqw import WalkSystem, integer_eigenvalues
-from pstwalk.groups import IrrLabel, Mat2
+from pstwalk.groups import ClassLabel, IrrLabel, Mat2
 from pstwalk.orbital import CosetSpace, build_coset_space
 
 
@@ -532,6 +532,63 @@ def idempotent(scheme, irr) -> np.ndarray:
         for hi, h in enumerate(scheme.elements):
             out[gi, hi] = scale * values[class_of[fam.mul(h, ginv)]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the GL/GU character table, one branch per (character kind, class kind)
+
+
+def linear_or_unitary_char_value(fam, irr: IrrLabel, cls: ClassLabel) -> CycSum:
+    """GL/GU character values written kind by kind, one branch per value.
+
+    The reference for ``_LinearOrUnitary.char_value``, which reads the same
+    table as a list of affine forms; ``fam`` is a GL or GU family.
+    """
+    q, n, eps = fam.q, fam.root_order, fam.eps
+    kind, ck = irr.kind, cls.kind
+    tlog = fam.torus_log
+
+    if kind in ("linear", "steinberg"):
+        # lambda(det), times the Steinberg value for steinberg
+        lam = MultChar(q - eps, irr.params[0])
+        if ck in ("central", "jordan"):
+            v = lam.at(2 * tlog[cls.params[0]], n)
+            if kind == "steinberg":
+                return v * q if ck == "central" else CycSum.zero(n)
+            return v
+        if ck == "split":
+            x, y = cls.params
+            v = lam.at(tlog[x] + tlog[y], n)
+            return -v if kind == "steinberg" and eps < 0 else v
+        v = lam.at(fam.det_log(cls.params[0]), n)
+        return -v if kind == "steinberg" and eps > 0 else v
+
+    if kind == "principal":
+        i, j = irr.params
+        if ck in ("central", "jordan"):
+            v = MultChar(q - eps, i + j).at(tlog[cls.params[0]], n)
+            if ck == "central":
+                return v * (q + eps)
+            return v if eps > 0 else -v
+        if ck == "split":
+            dx, dy = tlog[cls.params[0]], tlog[cls.params[1]]
+            ci, cj = MultChar(q - eps, i), MultChar(q - eps, j)
+            v = ci.at(dx, n) * cj.at(dy, n) + ci.at(dy, n) * cj.at(dx, n)
+            return v if eps > 0 else -v
+        return CycSum.zero(n)
+
+    # cuspidal, indexed by a character of F_{q^2}^x
+    mu = MultChar(n, irr.params[0])
+    if ck in ("central", "jordan"):
+        v = mu(fam.torus_ext_log[cls.params[0]])
+        if ck == "central":
+            return v * (q - eps)
+        return -v if eps > 0 else v
+    if ck == "split":
+        return CycSum.zero(n)
+    dz = fam.tower.ext.log[cls.params[0]]
+    v = mu(dz) + mu(eps * q * dz)
+    return -v if eps > 0 else v
 
 
 # ---------------------------------------------------------------------------

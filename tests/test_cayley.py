@@ -699,7 +699,10 @@ def test_batched_spectrum_matches_the_pair_loop(tag, q):
 
 @pytest.mark.parametrize("tag,q", [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9)])
 def test_array_terms_match_the_char_value_terms(tag, q):
-    """GL/GU's array terms reduce to what the char_value loop of _Family reduces to."""
+    """Guards the array evaluation: GL/GU's array terms reduce as the char_value loop does.
+
+    Both read the one form table; test_groups compares the table itself with a branching copy.
+    """
     fam = make_family(tag, q)
     irrs, labels, n = fam.irreducibles(), fam.classes(), fam.root_order
     blocks = [irrs[s : s + 5] for s in range(0, len(irrs), 5)]

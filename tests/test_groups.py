@@ -15,6 +15,7 @@ from oracles import (
     brute_gl2,
     brute_gu2,
     brute_sl2,
+    linear_or_unitary_char_value,
     trivial_character,
 )
 from pstwalk.chars import CycSum, integer_part
@@ -252,6 +253,25 @@ def test_class_sums_of_characters_vanish_or_hit_order(tag, q):
             acc = acc + fam.char_value(irr, c) * fam.class_size(c)
         want = fam.order if irr == trivial_character(fam) else 0
         assert (acc - want).is_zero()
+
+
+@pytest.mark.parametrize("tag,q", [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9, 11, 13)])
+def test_char_value_matches_the_branching_table(tag, q):
+    """The form table against the same table written one branch per value."""
+    fam = family(tag, q)
+    for irr in fam.irreducibles():
+        for c in fam.classes():
+            assert fam.char_value(irr, c).c == linear_or_unitary_char_value(fam, irr, c).c, (irr, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_char_value_matches_the_branching_table_at_prime_powers(data):
+    """Where the torus-log scale q + eps and the tower embedding matter."""
+    fam = family(data.draw(st.sampled_from(["gl", "gu"])), data.draw(st.sampled_from([25, 27, 49])))
+    irr = data.draw(st.sampled_from(fam.irreducibles()))
+    c = data.draw(st.sampled_from(fam.classes()))
+    assert fam.char_value(irr, c).c == linear_or_unitary_char_value(fam, irr, c).c
 
 
 @pytest.mark.parametrize("q", [3, 5])
