@@ -38,7 +38,7 @@ from pstwalk.cayley import (
     spectrum,
     variants_for,
 )
-from pstwalk.chars import CycSum, MultChar
+from pstwalk.chars import CycSum
 from pstwalk.ctqw import TransferReport, pst_scan
 from pstwalk.gf import FiniteField, FieldTower, make_field, make_tower
 from pstwalk.groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
@@ -63,7 +63,6 @@ __all__ = [
     "make_field",
     "make_tower",
     "CycSum",
-    "MultChar",
     # groups and labels
     "Mat2",
     "ClassLabel",

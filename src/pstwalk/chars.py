@@ -1,4 +1,4 @@
-"""Multiplicative characters and exact sums of roots of unity.
+"""Exact sums of roots of unity.
 
 Spectra downstream are integer linear combinations of n-th roots of
 unity, and the certificates need them *exactly*.  :class:`CycSum` is a
@@ -10,15 +10,10 @@ rewrite on int64 arrays, many sums at once, each term keyed by its row and
 exponent; the Cayley spectra are reduced that way.  Both read the prime
 powers of n from one cache.  :func:`cyclotomic_polynomial` stays as the
 dense reference the tests compare the reduction against.
-
-:class:`MultChar` is a character of a cyclic group of order n presented
-through a fixed generator: callers hand it discrete logs, it hands back
-monomial :class:`CycSum` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, lcm, pi, sin
 import numpy as np
@@ -27,7 +22,6 @@ from .gf import _prime_factors
 
 __all__ = [
     "CycSum",
-    "MultChar",
     "NonIntegralError",
     "InexactDivisionError",
     "integer_part",
@@ -313,31 +307,6 @@ def integer_part(v: CycSum) -> int:
         f"sum over Z[zeta_{v.n}] is not an integer: its reduced form keeps "
         f"{terms}{more}, value about {v.evaluate():.6g}"
     )
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultChar:
-    """Character a -> zeta_n^(j a) of a cyclic group written in dlogs."""
-
-    n: int
-    j: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", self.j % self.n)
-
-    def __call__(self, a: int) -> CycSum:
-        return CycSum.monomial(self.n, self.j * a)
-
-    def at(self, a: int, root_order: int | None = None) -> CycSum:
-        """Value as a CycSum, optionally over a larger root order."""
-        if root_order is None or root_order == self.n:
-            return self(a)
-        if root_order % self.n:
-            raise ValueError("root order must be a multiple of the character order group")
-        return CycSum.monomial(root_order, self.j * a * (root_order // self.n))
 
 
 # ---------------------------------------------------------------------------

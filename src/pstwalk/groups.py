@@ -47,12 +47,24 @@ Character kinds
 ``linear`` (degree 1), ``steinberg`` (degree q), ``principal`` (induced
 from a split torus character pair; degree q+1 for GL/SL, q-1 for GU) and
 ``cuspidal`` (indexed by characters of the nonsplit torus; degree q-1
-for GL/SL, q+1 for GU).  SL additionally has two half-degree pairs,
-``principal_half`` of degree (q+1)/2 and ``cuspidal_half`` of degree
-(q-1)/2, with parameter +1 or -1.  Their values on central and jordan
-classes involve quadratic residue periods; their values on split and
-nonsplit classes are pinned down by orthogonality.  Orthogonality of the
-full table is checked in the test suite.
+for GL/SL, q+1 for GU).  SL's ``trivial`` is GL's ``linear`` (0,).  SL
+additionally has two half-degree pairs, ``principal_half`` of degree
+(q+1)/2 and ``cuspidal_half`` of degree (q-1)/2, with parameter +1 or -1.
+Orthogonality of the full table is checked in the test suite.
+
+SL: GL's table, restricted
+--------------------------
+Every SL(2, q) character is a constituent of a GL(2, q) character restricted
+to SL (Clifford theory), so :class:`SLGroup` lifts each character and class
+to GL(2, q) and reads GL's degree and value.  Trivial, steinberg, principal
+(j,) and cuspidal (m,) lift to linear (0,), steinberg (0,), principal (0, j)
+and cuspidal (m,); the half pairs to principal (0, (q-1)/2) and cuspidal
+((q+1)/2,).  A jordan class (eps, c) maps to jordan (eps,), a split class
+(x,) to split sorted (x, 1/x); central and nonsplit classes keep their
+parameters.  Conjugation by GL swaps the two halves of a pair and the two
+jordan classes of each eigenvalue and fixes every other SL class, so off
+the jordan classes each half is half the restricted value.  Only the eight
+half values on the jordan classes, Gauss periods, are SL's own.
 
 GL and GU: one table, q -> -q
 -----------------------------
@@ -79,7 +91,9 @@ when ``class_partition()`` is.  GL reads only F_q at construction: it
 builds its tower F_q < F_{q^2} and ``torus_ext_log`` on first use, since
 only nonsplit classes and cuspidal characters read them, so the coset
 space over GL(2, q^2) never builds F_{q^4}.  GU's matrix entries already
-live in F_{q^2}, so it takes its tower up front.
+live in F_{q^2}, so it takes its tower up front.  SL builds the GL(2, q)
+whose table it reads on first use; that GL builds no labels and gets SL's
+tower from the ``make_tower`` cache.
 
 Every constructor refuses a q that is not an odd prime power.
 """
@@ -93,7 +107,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .chars import CycSum, MultChar, NonIntegralError, integer_part, residue_periods
+from .chars import CycSum, NonIntegralError, integer_part, residue_periods
 from .gf import FieldTower, FiniteField, make_field, make_tower
 
 __all__ = [
@@ -704,8 +718,10 @@ class GUGroup(_LinearOrUnitary):
 class SLGroup(_Family):
     """SL(2, q): determinant-one matrices over F_q, q an odd prime.
 
-    The restriction to prime q keeps the half-degree character values
-    exact: they are built from the quadratic residue periods of F_p.
+    Its characters are read from GL(2, q)'s table by restriction (see the
+    module docstring).  The restriction to prime q keeps the half-degree
+    values on the jordan classes exact: they are built from the quadratic
+    residue periods of F_p.
     """
 
     family = "sl"
@@ -727,6 +743,11 @@ class SLGroup(_Family):
         self._eta = (eta0.rescale_to(self.root_order), eta1.rescale_to(self.root_order))
         # the quadratic character of F_q^x evaluated at -1
         self._sign_m1 = 1 if ((q - 1) // 2) % 2 == 0 else -1
+
+    # GL(2, q), whose table char_value restricts; make_tower hands it this group's tower
+    @cached_property
+    def _gl(self) -> GLGroup:
+        return GLGroup(self.q)
 
     # -- classes -----------------------------------------------------------------
 
@@ -824,97 +845,50 @@ class SLGroup(_Family):
 
     # -- characters -----------------------------------------------------------------
 
-    def degree(self, irr: IrrLabel) -> int:
+    def _lift(self, irr: IrrLabel) -> IrrLabel:
+        """The GL(2, q) character whose restriction is irr, or holds its half pair."""
         q = self.q
-        return {
-            "trivial": 1,
-            "steinberg": q,
-            "principal": q + 1,
-            "cuspidal": q - 1,
-            "principal_half": (q + 1) // 2,
-            "cuspidal_half": (q - 1) // 2,
+        kind, params = {
+            "trivial": ("linear", (0,)),
+            "steinberg": ("steinberg", (0,)),
+            "principal": ("principal", (0, *irr.params)),
+            "cuspidal": ("cuspidal", irr.params),
+            "principal_half": ("principal", (0, (q - 1) // 2)),
+            "cuspidal_half": ("cuspidal", ((q + 1) // 2,)),
         }[irr.kind]
+        return IrrLabel("gl", kind, params)
 
+    def degree(self, irr: IrrLabel) -> int:
+        d = self._gl.degree(self._lift(irr))
+        return d // 2 if irr.kind.endswith("_half") else d
+
+    # the tracer in perfbench/ wraps SLGroup.__dict__["char_value"]
     def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:
-        """Character values, including the orthogonality-derived entries.
+        """chi(C), read off the GL character chi lifts to at the GL class of C.
 
-        The half-degree values on split/nonsplit classes (zero, the
-        quadratic character, or the order-2 torus character) are forced
-        by orthogonality against the other rows; the test suite verifies
-        that the resulting table is orthonormal.
+        A half-degree value on a jordan class is (const + sgn*g)/2 for the
+        quadratic Gauss sum g: const = 1 (principal), -1 (cuspidal) at
+        eps = +1, and the quadratic character at -1 for eps = -1.
         """
-        q, n = self.q, self.root_order
-        F, tw = self.field, self.tower
-        kind, ck = irr.kind, cls.kind
-
-        if kind == "trivial":
-            return CycSum.from_int(n, 1)
-
-        if kind == "steinberg":
-            if ck == "central":
-                return CycSum.from_int(n, q)
-            if ck == "jordan":
-                return CycSum.zero(n)
-            return CycSum.from_int(n, 1 if ck == "split" else -1)
-
-        if kind == "principal":
-            j = irr.params[0]
-            lam = MultChar(q - 1, j)
-            if ck == "central":
-                return lam.at(F.dlog(cls.params[0]), n) * (q + 1)
-            if ck == "jordan":
-                return lam.at(F.dlog(cls.params[0]), n)
-            if ck == "split":
-                dx = F.dlog(cls.params[0])
-                return lam.at(dx, n) + lam.at(-dx, n)
-            return CycSum.zero(n)
-
-        if kind == "cuspidal":
-            m = irr.params[0]
-            mu = MultChar(q + 1, m)
-            if ck == "central":
-                e = tw.E_log[tw.embed(cls.params[0])]
-                return mu.at(e, n) * (q - 1)
-            if ck == "jordan":
-                e = tw.E_log[tw.embed(cls.params[0])]
-                return -mu.at(e, n)
-            if ck == "split":
-                return CycSum.zero(n)
-            e = tw.E_log[cls.params[0]]
-            return -(mu.at(e, n) + mu.at(-e, n))
-
-        # half-degree characters: values on the four jordan classes are
-        # (const +/- g)/2 for the quadratic Gauss sum g of F_q, with
-        # const = 1 (principal), -1 (cuspidal) at eps = +1, and the
-        # quadratic character at -1 for eps = -1.
-        s = irr.params[0]
-        if kind == "principal_half":
-            if ck == "central":
-                v = (q + 1) // 2
-                return CycSum.from_int(n, v if cls.params[0] == 1 else self._sign_m1 * v)
-            if ck == "jordan":
-                eps, c = cls.params
-                const = 1 if eps == 1 else self._sign_m1
-                return self._half(const, s if c == 1 else -s)
-            if ck == "split":
-                # derived: the quadratic character of the eigenvalue
-                return CycSum.from_int(n, 1 if F.dlog(cls.params[0]) % 2 == 0 else -1)
-            return CycSum.zero(n)
-
-        # cuspidal_half
-        if ck == "central":
-            v = (q - 1) // 2
-            return CycSum.from_int(n, v if cls.params[0] == 1 else -self._sign_m1 * v)
+        kind, ck, params = irr.kind, cls.kind, cls.params
+        half = kind.endswith("_half")
+        if half and ck == "jordan":
+            eps, c = params
+            s = irr.params[0] if c == 1 else -irr.params[0]
+            if kind == "principal_half":
+                return self._half(1 if eps == 1 else self._sign_m1, s)
+            return self._half(-1, s) if eps == 1 else self._half(self._sign_m1, -s)
         if ck == "jordan":
-            eps, c = cls.params
-            if eps == 1:
-                return self._half(-1, s if c == 1 else -s)
-            return self._half(self._sign_m1, -s if c == 1 else s)
-        if ck == "split":
-            return CycSum.zero(n)
-        # derived: minus the order-2 character of the norm-one torus
-        e = tw.E_log[cls.params[0]]
-        return CycSum.from_int(n, -1 if e % 2 == 0 else 1)
+            params = params[:1]
+        elif ck == "split":
+            params = tuple(sorted((params[0], self.field.inv(params[0]))))
+        lift = self._lift(irr)
+        value = self._gl.char_value(lift, ClassLabel("gl", ck, params)).rescale_to(self.root_order)
+        if not half:
+            return value
+        if any(v % 2 for v in value.c.values()):
+            raise RuntimeError(f"{lift.kind}{lift.params} of GL(2, {self.q}) is odd at {cls}")
+        return CycSum(self.root_order, {e: v // 2 for e, v in value.c.items()})
 
     def _half(self, const: int, sgn: int) -> CycSum:
         """(const + sgn*g)/2 for the quadratic Gauss sum g; both in {1, -1}."""

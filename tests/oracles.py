@@ -20,7 +20,6 @@ import numpy as np
 
 from pstwalk.chars import (
     CycSum,
-    MultChar,
     NonIntegralError,
     cyclotomic_polynomial,
     integer_part,
@@ -535,6 +534,32 @@ def idempotent(scheme, irr) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# multiplicative characters of cyclic groups
+
+
+@dataclass(frozen=True)
+class MultChar:
+    """Character a -> zeta_n^(j a) of a cyclic group written in dlogs."""
+
+    n: int
+    j: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "j", self.j % self.n)
+
+    def __call__(self, a: int) -> CycSum:
+        return CycSum.monomial(self.n, self.j * a)
+
+    def at(self, a: int, root_order: int | None = None) -> CycSum:
+        """Value as a CycSum, optionally over a larger root order."""
+        if root_order is None or root_order == self.n:
+            return self(a)
+        if root_order % self.n:
+            raise ValueError("root order must be a multiple of the character order group")
+        return CycSum.monomial(root_order, self.j * a * (root_order // self.n))
+
+
+# ---------------------------------------------------------------------------
 # the GL/GU character table, one branch per (character kind, class kind)
 
 
@@ -589,6 +614,93 @@ def linear_or_unitary_char_value(fam, irr: IrrLabel, cls: ClassLabel) -> CycSum:
     dz = fam.tower.ext.log[cls.params[0]]
     v = mu(dz) + mu(eps * q * dz)
     return -v if eps > 0 else v
+
+
+# ---------------------------------------------------------------------------
+# the SL character table, one branch per (character kind, class kind)
+
+
+def sl_char_value(fam, irr: IrrLabel, cls: ClassLabel) -> CycSum:
+    """SL(2, q) character values written kind by kind, one branch per value.
+
+    The reference for ``SLGroup.char_value``, which reads GL(2, q)'s table
+    by restriction; ``fam`` is an SL family.  The half-degree values on
+    split/nonsplit classes (zero, the quadratic character, or the order-2
+    torus character) are forced by orthogonality against the other rows;
+    the test suite verifies that the resulting table is orthonormal.
+    """
+    q, n = fam.q, fam.root_order
+    F, tw = fam.field, fam.tower
+    kind, ck = irr.kind, cls.kind
+
+    if kind == "trivial":
+        return CycSum.from_int(n, 1)
+
+    if kind == "steinberg":
+        if ck == "central":
+            return CycSum.from_int(n, q)
+        if ck == "jordan":
+            return CycSum.zero(n)
+        return CycSum.from_int(n, 1 if ck == "split" else -1)
+
+    if kind == "principal":
+        j = irr.params[0]
+        lam = MultChar(q - 1, j)
+        if ck == "central":
+            return lam.at(F.dlog(cls.params[0]), n) * (q + 1)
+        if ck == "jordan":
+            return lam.at(F.dlog(cls.params[0]), n)
+        if ck == "split":
+            dx = F.dlog(cls.params[0])
+            return lam.at(dx, n) + lam.at(-dx, n)
+        return CycSum.zero(n)
+
+    if kind == "cuspidal":
+        m = irr.params[0]
+        mu = MultChar(q + 1, m)
+        if ck == "central":
+            e = tw.E_log[tw.embed(cls.params[0])]
+            return mu.at(e, n) * (q - 1)
+        if ck == "jordan":
+            e = tw.E_log[tw.embed(cls.params[0])]
+            return -mu.at(e, n)
+        if ck == "split":
+            return CycSum.zero(n)
+        e = tw.E_log[cls.params[0]]
+        return -(mu.at(e, n) + mu.at(-e, n))
+
+    # half-degree characters: values on the four jordan classes are
+    # (const +/- g)/2 for the quadratic Gauss sum g of F_q, with
+    # const = 1 (principal), -1 (cuspidal) at eps = +1, and the
+    # quadratic character at -1 for eps = -1.
+    s = irr.params[0]
+    if kind == "principal_half":
+        if ck == "central":
+            v = (q + 1) // 2
+            return CycSum.from_int(n, v if cls.params[0] == 1 else fam._sign_m1 * v)
+        if ck == "jordan":
+            eps, c = cls.params
+            const = 1 if eps == 1 else fam._sign_m1
+            return fam._half(const, s if c == 1 else -s)
+        if ck == "split":
+            # derived: the quadratic character of the eigenvalue
+            return CycSum.from_int(n, 1 if F.dlog(cls.params[0]) % 2 == 0 else -1)
+        return CycSum.zero(n)
+
+    # cuspidal_half
+    if ck == "central":
+        v = (q - 1) // 2
+        return CycSum.from_int(n, v if cls.params[0] == 1 else -fam._sign_m1 * v)
+    if ck == "jordan":
+        eps, c = cls.params
+        if eps == 1:
+            return fam._half(-1, s if c == 1 else -s)
+        return fam._half(fam._sign_m1, -s if c == 1 else s)
+    if ck == "split":
+        return CycSum.zero(n)
+    # derived: minus the order-2 character of the norm-one torus
+    e = tw.E_log[cls.params[0]]
+    return CycSum.from_int(n, -1 if e % 2 == 0 else 1)
 
 
 # ---------------------------------------------------------------------------

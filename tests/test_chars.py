@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pstwalk.chars import (
     CycSum,
-    MultChar,
     NonIntegralError,
     _exact_div,
     cyclotomic_polynomial,
@@ -18,7 +17,7 @@ from pstwalk.chars import (
     residue_periods,
 )
 
-from oracles import char_sum, dense_cyclotomic_reduction, quadratic_gauss_sum
+from oracles import MultChar, char_sum, dense_cyclotomic_reduction, quadratic_gauss_sum
 
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),

@@ -16,8 +16,10 @@ from oracles import (
     brute_gu2,
     brute_sl2,
     linear_or_unitary_char_value,
+    sl_char_value,
     trivial_character,
 )
+from pstwalk.cayley import analyze
 from pstwalk.chars import CycSum, integer_part
 from pstwalk.gf import make_field
 from pstwalk.groups import (
@@ -291,26 +293,71 @@ def test_sl_half_pairs_sum_to_induced_rows(q):
             assert (lhs - rhs).is_zero(), (kind, c)
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 def test_sl_rows_restrict_from_gl(q):
-    """Steinberg/principal/cuspidal SL rows agree with GL rows on the same matrices."""
+    """SL rows agree with GL rows on the same matrices; half pairs with their sum."""
     sl, gl = family("sl", q), family("gl", q)
     n = sl.root_order
-    pairs = [(IrrLabel("sl", "steinberg", ()), IrrLabel("gl", "steinberg", (0,)))]
+    pairs = [
+        ((IrrLabel("sl", "trivial", ()),), IrrLabel("gl", "linear", (0,))),
+        ((IrrLabel("sl", "steinberg", ()),), IrrLabel("gl", "steinberg", (0,))),
+    ]
     pairs += [
-        (IrrLabel("sl", "principal", (j,)), IrrLabel("gl", "principal", (0, j)))
+        ((IrrLabel("sl", "principal", (j,)),), IrrLabel("gl", "principal", (0, j)))
         for j in range(1, (q - 1) // 2)
     ]
     pairs += [
-        (IrrLabel("sl", "cuspidal", (m,)), IrrLabel("gl", "cuspidal", (m,)))
+        ((IrrLabel("sl", "cuspidal", (m,)),), IrrLabel("gl", "cuspidal", (m,)))
         for m in range(1, (q + 1) // 2)
+    ]
+    pairs += [
+        (
+            (IrrLabel("sl", "principal_half", (1,)), IrrLabel("sl", "principal_half", (-1,))),
+            IrrLabel("gl", "principal", (0, (q - 1) // 2)),
+        ),
+        (
+            (IrrLabel("sl", "cuspidal_half", (1,)), IrrLabel("sl", "cuspidal_half", (-1,))),
+            IrrLabel("gl", "cuspidal", ((q + 1) // 2,)),
+        ),
     ]
     for sl_class in sl.classes():
         gl_class = gl.classify(sl.class_rep(sl_class))
-        for sl_irr, gl_irr in pairs:
-            lhs = sl.char_value(sl_irr, sl_class)
+        for sl_irrs, gl_irr in pairs:
+            lhs = sum((sl.char_value(x, sl_class) for x in sl_irrs), CycSum.zero(n))
             rhs = gl.char_value(gl_irr, gl_class).rescale_to(n)
-            assert (lhs - rhs).is_zero(), (sl_irr, sl_class)
+            assert (lhs - rhs).is_zero(), (sl_irrs, sl_class)
+
+
+@pytest.mark.parametrize("q", [3, 7, 23])
+def test_sl_reads_an_inner_gl_without_label_tables(q):
+    """The GL whose table SL restricts builds no labels and shares SL's tower."""
+    sl = analyze("sl", q).family
+    assert "_tables" not in sl._gl.__dict__
+    assert sl._gl.tower is sl.tower
+
+
+SL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.mark.parametrize("q", SL_PRIMES)
+def test_sl_char_value_matches_the_branching_table(q):
+    """The restricted GL table against SL's table written one branch per value.
+
+    Compared in Z[zeta_n]: a restricted half value may keep -1 as zeta^(n/2).
+    """
+    fam = family("sl", q)
+    for irr in fam.irreducibles():
+        for c in fam.classes():
+            assert (fam.char_value(irr, c) - sl_char_value(fam, irr, c)).is_zero(), (irr, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sl_char_value_matches_the_branching_table_at_larger_primes(data):
+    fam = family("sl", data.draw(st.sampled_from([61, 101, 211])))
+    irr = data.draw(st.sampled_from(fam.irreducibles()))
+    c = data.draw(st.sampled_from(fam.classes()))
+    assert (fam.char_value(irr, c) - sl_char_value(fam, irr, c)).is_zero()
 
 
 def test_involution_signs_frozen():

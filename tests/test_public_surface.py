@@ -1,60 +1,71 @@
 """Every name a ``pstwalk`` module exports is reached by shipped code.
 
-A name in a module's ``__all__`` must occur somewhere in ``src/``,
-``scripts/`` or ``perfbench/`` other than its own ``def``/``class`` line,
-an ``__all__`` list or the package's ``__init__.py`` re-exports.  A name
-that only the tests reach is a reference, and references live in
+A name in a module's ``__all__`` must be referenced by code somewhere in
+``src/``, ``scripts/`` or ``perfbench/``: read as a name or an attribute,
+imported, or named in the tracer's ``TARGETS``.  ``__all__`` lists, the
+package's ``__init__.py`` re-exports, docstrings and comments do not count.
+A name that only the tests reach is a reference, and references live in
 ``tests/oracles.py``.  Every name a module of ``src/``, ``scripts/`` or
-``tests/`` imports is used in that module.  The files are read as text;
-nothing is imported.
+``tests/`` imports is used in that module.  The files are parsed; nothing
+is imported.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pstwalk"
 
 
-def _is_all(node) -> bool:
+def _assigns(node, name: str) -> bool:
     return isinstance(node, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        isinstance(t, ast.Name) and t.id == name for t in node.targets
     )
 
 
-def _shipped_lines() -> list[str]:
-    """Every line of shipped code, less ``__all__`` lists and the package re-exports."""
-    lines = []
+def _shipped_references() -> set[str]:
+    """Every name shipped code reads, imports or traces, less the package re-exports."""
+    refs = set()
     paths = [p for top in ("src", "scripts", "perfbench") for p in (ROOT / top).rglob("*.py")]
-    for path in sorted(paths):
-        text = path.read_text()
-        skipped = {
-            i
-            for node in ast.parse(text).body
-            if _is_all(node) or (path.name == "__init__.py" and isinstance(node, ast.ImportFrom))
-            for i in range(node.lineno, node.end_lineno + 1)
-        }
-        lines += [line for i, line in enumerate(text.splitlines(), 1) if i not in skipped]
-    return lines
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if not (path == PACKAGE / "__init__.py" and isinstance(node, ast.ImportFrom)):
+                    refs.update(alias.name for alias in node.names)
+        if path.name == "tracer.py":
+            targets = next(n for n in tree.body if _assigns(n, "TARGETS"))
+            refs.update(
+                part
+                for node in ast.walk(targets.value)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                for part in node.value.split(".")
+            )
+    return refs
 
 
 def _exports(path: Path) -> list[str]:
     body = ast.parse(path.read_text()).body
-    return [ast.literal_eval(e) for node in body if _is_all(node) for e in node.value.elts]
+    return [
+        ast.literal_eval(e) for node in body if _assigns(node, "__all__") for e in node.value.elts
+    ]
 
 
 def test_every_export_is_reached_outside_the_tests():
-    lines = _shipped_lines()
-    unreached = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name in _exports(path) if path.name != "__init__.py" else []:
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-            if not any(word.search(line) and not definition.match(line) for line in lines):
-                unreached.append(f"{path.stem}.{name}")
+    refs = _shipped_references()
+    unreached = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _exports(path)
+        if name not in refs
+    ]
     assert not unreached, f"exported but reached only by the tests: {', '.join(unreached)}"
 
 
