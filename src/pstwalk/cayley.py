@@ -22,7 +22,8 @@ non-central classes of elements of order 2, 3, 4 or 6.
 Because the connection set is a union of classes, the adjacency matrix
 lives in the group's conjugacy-class association scheme: each
 irreducible character contributes one exact integer eigenvalue (a
-character sum, multiplicity the squared degree).  Perfect state
+character sum, multiplicity the squared degree; on the standard GL and GU
+sets a closed period sum of a cyclic group).  Perfect state
 transfer between every vertex ``x`` and its antipode ``-x`` at time
 ``pi/g`` is certified by the mod-4 congruence of
 :func:`~pstwalk.scheme.transfer_certificate` on that spectrum, split by
@@ -40,13 +41,13 @@ either side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .chars import CycSum, NonIntegralError, integer_part
-from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
+from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, SLGroup
 from .scheme import (
     ConjugacyScheme,
     Graph,
@@ -120,7 +121,7 @@ class ConnectionSet:
 
 
 def _standard_labels(fam) -> list[ClassLabel]:
-    labels = [fam.classify(Mat2(1, 0, 0, fam.field.neg(1)))]
+    labels = [ClassLabel(fam.family, "split", tuple(sorted((1, fam.field.neg(1)))))]
     labels += [lab for lab in fam.classes() if lab.kind == "jordan"]
     for lab in fam.classes():
         if lab.kind != "nonsplit":
@@ -200,18 +201,29 @@ class SpectrumRow(NamedTuple):
 
 
 def spectrum(family, conn: ConnectionSet) -> list[SpectrumRow]:
-    """Exact integer spectrum, one row per irreducible character."""
+    """Exact integer spectrum, one row per irreducible character.
+
+    GL/GU rows of the standard labels are period sums (``standard_theta``), the
+    trivial one checked against the degree; other rows are class sums.
+    """
     minus_one = family.field.neg(1)
+    periods = family.family != "sl" and conn.labels == tuple(_standard_labels(family))
+    class_sum = partial(class_sum_eigenvalue, family, labels=conn.labels)
     rows = []
     for irr in family.irreducibles():
         try:
-            theta = class_sum_eigenvalue(family, irr, conn.labels)
+            theta = family.standard_theta(irr) if periods else class_sum(irr)
         except NonIntegralError as exc:
             raise NonIntegralError(
                 f"character {render_irr(irr)} of {family.family}(2,{family.q}): {exc}"
             ) from exc
         rows.append(
             SpectrumRow(irr, theta, family.central_sign(irr, minus_one), family.degree(irr) ** 2)
+        )
+    if periods and rows[0].theta != conn.degree:
+        raise RuntimeError(
+            f"{family.family}(2,{family.q}): the period sums give the trivial row "
+            f"{rows[0].theta}, not the degree {conn.degree}"
         )
     return rows
 

@@ -41,12 +41,12 @@ import dataclasses
 import io
 import json
 import sys
-from importlib import metadata
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import __version__
 from . import orbital as orb
 from .cayley import (
     FAMILY_TAGS,
@@ -87,13 +87,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _version() -> str:
-    try:
-        return metadata.version("pstwalk")
-    except metadata.PackageNotFoundError:  # pragma: no cover - dev tree only
-        return "unknown"
 
 
 def _fmt(x: float) -> str:
@@ -470,7 +463,7 @@ def cmd_run(args) -> int:
     ]
     report = {
         "schema": SCHEMA,
-        "artifact": {"name": "pstwalk", "version": _version()},
+        "artifact": {"name": "pstwalk", "version": __version__},
         "target": target.label,
         "field": _field_provenance(target.group.field),
         "construction": target.construction,

@@ -20,10 +20,10 @@ Every family exposes the same surface: ``classes()``, ``class_size``,
 ``class_rep``, ``classify``, ``irreducibles()``, ``degree``,
 ``char_value``, ``class_sum_blocks``, ``enumerate_group``,
 ``class_partition``, ``central_involution`` and ``central_sign``.
-``class_sum_blocks`` hands the Cayley spectra the terms of the class sums
-``sum |C| chi(C)`` as int64 arrays, a block of characters at a time: GL and
-GU from the one table of affine forms that ``char_value`` also reads, SL
-through ``char_value`` once per character and label.
+``class_sum_blocks`` yields the terms of the class sums ``sum |C| chi(C)``
+as int64 arrays, through ``char_value``.  GL and GU add ``standard_theta``,
+each row of the standard set as closed period sums, and read
+``central_sign`` off one form of their table: neither builds a CycSum.
 
 Class kinds
 -----------
@@ -107,7 +107,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .chars import CycSum, NonIntegralError, integer_part, residue_periods
+from .chars import CycSum, NonIntegralError, residue_periods
 from .gf import FieldTower, FiniteField, make_field, make_tower
 
 __all__ = [
@@ -168,7 +168,12 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 class _Family:
-    """Shared machinery; subclasses fill in the family-specific pieces."""
+    """Shared machinery; subclasses fill in the family-specific pieces.
+
+    They are ``_build_tables`` (the (classes, irreducibles) label tuples),
+    ``enumerate_group``, ``classify``, ``class_size``, ``class_rep``,
+    ``degree``, ``char_value`` and ``central_sign``.
+    """
 
     family: str
     q: int
@@ -256,46 +261,6 @@ class _Family:
         """The class of -I, labelled directly (scalars are their own class)."""
         return ClassLabel(self.family, "central", (self.field.neg(1),))
 
-    def central_sign(self, irr: IrrLabel, x: int) -> int:
-        """chi(x I)/chi(1) for the scalar matrix of field encoding x; +1 or -1.
-
-        The Cayley pairing g <-> -g reads it at x = -1, the coset graph's
-        pairing at the order-4 scalar zeta.  The scalar's class is labelled
-        directly, as in :meth:`central_involution_class`.
-        """
-        value = integer_part(self.char_value(irr, ClassLabel(self.family, "central", (x,))))
-        d = self.degree(irr)
-        if value not in (d, -d):
-            raise NonIntegralError(
-                f"character {irr.kind}{irr.params} of {self.family}(2,{self.q}) takes "
-                f"value {value} at the scalar {x}; expected +-{d}"
-            )
-        return value // d
-
-    # -- family-specific ----------------------------------------------------
-
-    def _build_tables(self):  # pragma: no cover - abstract
-        """The family's (classes, irreducibles) label tuples."""
-        raise NotImplementedError
-
-    def enumerate_group(self) -> list[Mat2]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def classify(self, m: Mat2) -> ClassLabel:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def class_size(self, label: ClassLabel) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def class_rep(self, label: ClassLabel) -> Mat2:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def degree(self, irr: IrrLabel) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:  # pragma: no cover
-        raise NotImplementedError
-
     def class_sum_blocks(
         self, blocks: Iterable[Sequence[IrrLabel]], labels: Sequence[ClassLabel]
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -304,8 +269,8 @@ class _Family:
         For each block of characters yields int64 arrays (row, exponent,
         coefficient): each term adds coefficient * zeta^exponent, with
         0 <= exponent < ``root_order``, to the sum of the character
-        ``block[row]``.  Equal (row, exponent) pairs may repeat.  This
-        default, SL's, reads :meth:`char_value` once per character and label.
+        ``block[row]``.  Equal (row, exponent) pairs may repeat.  It reads
+        :meth:`char_value` once per character and label.
         """
         sizes = [self.class_size(lab) for lab in labels]
         for block in blocks:
@@ -448,39 +413,58 @@ class _LinearOrUnitary(_Family):
                 value[e] = value.get(e, 0) + c
         return CycSum(n, value)
 
-    def class_sum_blocks(
-        self, blocks: Iterable[Sequence[IrrLabel]], labels: Sequence[ClassLabel]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """:meth:`_Family.class_sum_blocks` on arrays, from the table :meth:`char_value` reads.
+    def central_sign(self, irr: IrrLabel, x: int) -> int:
+        """chi(x I)/chi(1) for the scalar of field encoding x; +1 or -1, else NonIntegralError.
 
-        Each form of :attr:`_forms` becomes one (characters x labels) block of exponents,
-        with each class log read once per label, and coefficient c * |C|.
+        The Cayley pairing g <-> -g reads it at x = -1, the coset graph's pairing at the
+        order-4 scalar zeta.  chi(x I) is c * zeta^e for the one central form of the kind.
         """
-        n, forms, log = self.root_order, self._forms, self._label_log
-        kinds = ("central", "jordan", "split", "nonsplit")
-        of_kind = {k: [lab for lab in labels if lab.kind == k] for k in kinds}
-        sizes = {
-            k: np.array([self.class_size(lab) for lab in labs], dtype=np.int64)
-            for k, labs in of_kind.items()
-        }
-        logs = {
-            (k, name): np.array([log(name, lab.params) for lab in of_kind[k]], dtype=np.int64) % n
-            for kind_forms in forms.values() for k, parts, _ in kind_forms for _, name in parts
-        }
-        for block in blocks:
-            pieces = [np.zeros((3, 0), dtype=np.int64)]
-            for kind, kind_forms in forms.items():
-                rows = [r for r, irr in enumerate(block) if irr.kind == kind]
-                if not rows:
-                    continue
-                p = np.array([block[r].params for r in rows], dtype=np.int64).T
-                for class_kind, parts, c in kind_forms:
-                    size = sizes[class_kind]
-                    exps = sum(p[i, :, None] * logs[class_kind, name] for i, name in parts) % n
-                    pieces.append(np.stack((
-                        np.repeat(rows, len(size)), exps.ravel(), np.tile(c * size, len(rows))
-                    )))
-            yield tuple(np.concatenate(pieces, axis=1))
+        n = self.root_order
+        _, parts, c = next(form for form in self._forms[irr.kind] if form[0] == "central")
+        e = sum(irr.params[i] * self._label_log(name, (x,)) for i, name in parts) % n
+        d = self.degree(irr)
+        if c != d or e not in (0, n // 2):
+            raise NonIntegralError(
+                f"character {irr.kind}{irr.params} of {self.family}(2,{self.q}) takes "
+                f"value {c}*zeta_{n}^{e} at the scalar {x}; expected +-{d}"
+            )
+        return 1 if e == 0 else -1
+
+    def standard_theta(self, irr: IrrLabel) -> int:
+        """The eigenvalue of ``irr`` on the standard connection set, as closed period sums.
+
+        With s = q - eps, r = q + eps and h = s/2, the set is the split class of diag(1, -1),
+        every jordan class, and the nonsplit classes of the F_{q^2} logs K = {k : k mod s is
+        0 or odd, r does not divide k}, one per pair {k, eps q k}.  Each form of :attr:`_forms`
+        sums to a period of a cyclic group (Lidl and Niederreiter, *Finite Fields*, ch. 5):
+        zeta_s^m over the torus to s [s | m]; zeta^(m k) over K to N(m) = r [r | m]
+        (1 + (-1)^(w/h) h [h | w]) - 1 - (-1)^m, w = (m/r) mod s, which linear and steinberg
+        rows read at m = a r once per pair and cuspidal rows whole (z and zq); and on
+        diag(1, -1), where dx = 0 and dy = n/2, to (-1)^a.  Raises
+        :class:`~pstwalk.chars.NonIntegralError` if the sum is not divisible by the degree.
+        """
+        q, eps, n, kind, p = self.q, self.eps, self.root_order, irr.kind, irr.params
+        s, r, h = q - eps, q + eps, (q - eps) // 2
+
+        def periods(m: int) -> int:  # N(m)
+            w = m // r % s
+            whole = r * (1 + (h if w == 0 else -h if w == h else 0)) if m % r == 0 else 0
+            return whole - (0 if m % 2 else 2)
+
+        # |C| times each sum: n s [s | m] on the jordan classes, q r (-1)^a on diag(1, -1)
+        a = p[0]
+        if kind == "linear":
+            total = n * s * (2 * a % s == 0) + q * r * (-1) ** a + q * h * periods(a * r)
+        elif kind == "steinberg":
+            total = eps * (q * r * (-1) ** a - q * h * periods(a * r))
+        elif kind == "principal":
+            total = eps * (n * s * ((a + p[1]) % s == 0) + q * r * ((-1) ** a + (-1) ** p[1]))
+        else:
+            total = -eps * (n * s * (a % s == 0) + q * s * periods(a))
+        d = self.degree(irr)
+        if total % d:
+            raise NonIntegralError(f"period sum {total} is not divisible by the degree {d}")
+        return total // d
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +845,10 @@ class SLGroup(_Family):
     def degree(self, irr: IrrLabel) -> int:
         d = self._gl.degree(self._lift(irr))
         return d // 2 if irr.kind.endswith("_half") else d
+
+    def central_sign(self, irr: IrrLabel, x: int) -> int:
+        """chi(x I)/chi(1), read off the GL character chi lifts to: a half is half its lift."""
+        return self._gl.central_sign(self._lift(irr), x)
 
     # the tracer in perfbench/ wraps SLGroup.__dict__["char_value"]
     def char_value(self, irr: IrrLabel, cls: ClassLabel) -> CycSum:

@@ -7,10 +7,10 @@ irreducible characters, and an inverse-closed union of classes yields
 a normal Cayley graph whose eigenvalue on the chi-isotypic part is the
 exact character sum ``sum |C| chi(C) / chi(1)``, with chi read at each
 class label.  :func:`class_sum_eigenvalue` builds those sums for every
-character of one connection set together: the family emits int64 terms
-``|C| c zeta^e`` a block of characters at a time, and
-:func:`~pstwalk.chars.reduced_rows` reduces each block exactly in
-Z[zeta_n], so no per-class cyclotomic object is built.
+character of one label set together (SL's, GL(2, 3)'s small-orders set,
+any set but the standard GL/GU one, whose rows are closed period sums):
+the family emits int64 terms ``|C| c zeta^e`` a block of characters at a
+time, and :func:`~pstwalk.chars.reduced_rows` reduces each block exactly.
 
 Perfect state transfer in such a graph, relative to a relation T that
 is a fixed-point-free permutation of order 2, is governed purely by the
@@ -141,9 +141,8 @@ def transfer_certificate(rows: Sequence, transfer_rule: str) -> TransferCertific
 # conjugacy-class schemes
 
 
-# Characters per block of a batched class sum.  One block's terms are a few
-# arrays of (rows x connection labels) int64 entries, about 0.4 MB each at
-# gl/gu q = 81, so the peak stays flat as q grows.
+# Characters per block of a batched class sum: one block's terms are a few
+# arrays of (rows x labels) int64 entries, so the peak stays flat as q grows.
 CLASS_SUM_BLOCK_ROWS = 16
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, pi
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -751,6 +751,61 @@ def class_sum_eigenvalue_loop(family, irr: IrrLabel, labels) -> int:
     if total % d:
         raise NonIntegralError(f"character sum {total} is not divisible by the degree {d}")
     return total // d
+
+
+def linear_or_unitary_class_sum_blocks(
+    fam, blocks: Iterable[Sequence[IrrLabel]], labels: Sequence[ClassLabel]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """GL/GU ``class_sum_blocks`` on arrays, from the form table ``char_value`` reads.
+
+    The terms of ``sum_C |C| chi(C)`` that ``_Family.class_sum_blocks`` yields,
+    one block of characters at a time: each form of ``fam._forms`` becomes one
+    (characters x labels) block of exponents, with each class log read once per
+    label, and coefficient c * |C|.  Reduced by ``chars.reduced_rows``, it is the
+    batch reference for the period sums of ``standard_theta``.
+    """
+    n, forms, log = fam.root_order, fam._forms, fam._label_log
+    kinds = ("central", "jordan", "split", "nonsplit")
+    of_kind = {k: [lab for lab in labels if lab.kind == k] for k in kinds}
+    sizes = {
+        k: np.array([fam.class_size(lab) for lab in labs], dtype=np.int64)
+        for k, labs in of_kind.items()
+    }
+    logs = {
+        (k, name): np.array([log(name, lab.params) for lab in of_kind[k]], dtype=np.int64) % n
+        for kind_forms in forms.values() for k, parts, _ in kind_forms for _, name in parts
+    }
+    for block in blocks:
+        pieces = [np.zeros((3, 0), dtype=np.int64)]
+        for kind, kind_forms in forms.items():
+            rows = [r for r, irr in enumerate(block) if irr.kind == kind]
+            if not rows:
+                continue
+            p = np.array([block[r].params for r in rows], dtype=np.int64).T
+            for class_kind, parts, c in kind_forms:
+                size = sizes[class_kind]
+                exps = sum(p[i, :, None] * logs[class_kind, name] for i, name in parts) % n
+                pieces.append(np.stack((
+                    np.repeat(rows, len(size)), exps.ravel(), np.tile(c * size, len(rows))
+                )))
+        yield tuple(np.concatenate(pieces, axis=1))
+
+
+def central_sign_via_char_value(family, irr: IrrLabel, x: int) -> int:
+    """chi(x I)/chi(1) through ``char_value`` and ``integer_part``: the checked CycSum route.
+
+    The reference for ``central_sign``, which reads the exponent of one central
+    form instead.  Raises :class:`NonIntegralError` where the value is no integer
+    or not +-chi(1).
+    """
+    value = integer_part(family.char_value(irr, ClassLabel(family.family, "central", (x,))))
+    d = family.degree(irr)
+    if value not in (d, -d):
+        raise NonIntegralError(
+            f"character {irr.kind}{irr.params} of {family.family}(2,{family.q}) takes "
+            f"value {value} at the scalar {x}; expected +-{d}"
+        )
+    return value // d
 
 
 # ---------------------------------------------------------------------------

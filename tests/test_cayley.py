@@ -25,12 +25,13 @@ from pstwalk.cayley import (
 )
 from oracles import (
     class_sum_eigenvalue_loop,
+    linear_or_unitary_class_sum_blocks,
     pst_test,
     sl_order_based_elements,
     spectrum_trace,
     trivial_character,
 )
-from pstwalk import groups, scheme
+from pstwalk import scheme
 from pstwalk.chars import NonIntegralError, reduced_rows
 from pstwalk.ctqw import pst_scan
 
@@ -699,15 +700,15 @@ def test_batched_spectrum_matches_the_pair_loop(tag, q):
 
 @pytest.mark.parametrize("tag,q", [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9)])
 def test_array_terms_match_the_char_value_terms(tag, q):
-    """Guards the array evaluation: GL/GU's array terms reduce as the char_value loop does.
+    """Guards the batch oracle: its GL/GU array terms reduce as the char_value loop does.
 
     Both read the one form table; test_groups compares the table itself with a branching copy.
     """
     fam = make_family(tag, q)
     irrs, labels, n = fam.irreducibles(), fam.classes(), fam.root_order
     blocks = [irrs[s : s + 5] for s in range(0, len(irrs), 5)]
-    arrays = fam.class_sum_blocks(blocks, labels)
-    loops = groups._Family.class_sum_blocks(fam, blocks, labels)
+    arrays = linear_or_unitary_class_sum_blocks(fam, blocks, labels)
+    loops = fam.class_sum_blocks(blocks, labels)
     for got, want in zip(arrays, loops, strict=True):
         got, want = (reduced_rows(n, rows * n + exps, coeffs) for rows, exps, coeffs in (got, want))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -732,12 +733,50 @@ def test_batched_class_sums_match_the_pair_loop(data):
             assert abs(got[1] - want[1]) <= 1e-4 * max(1.0, abs(want[1])), irr
 
 
-@pytest.mark.parametrize("tag", ["gl", "gu", "sl"])
-def test_spectrum_builds_each_block_once(tag, monkeypatch):
-    fam = make_family(tag, 13)
+@settings(max_examples=3, deadline=None)
+@given(size=st.integers(1, 64))
+@pytest.mark.parametrize("tag,q", [(tag, q) for tag in ("gl", "gu") for q in (25, 27, 49)])
+def test_period_rows_match_the_batched_class_sums(tag, q, size):
+    """Every standard GL/GU row against the array terms reduced in Z[zeta_n], size rows a block."""
+    fam = make_family(tag, q)
     conn = build_connection_set(fam)
+    irrs, n = fam.irreducibles(), fam.root_order
+    blocks = [irrs[s : s + size] for s in range(0, len(irrs), size)]
+    totals = [0] * len(irrs)  # a row whose sum vanishes keeps no term
+    terms = linear_or_unitary_class_sum_blocks(fam, blocks, conn.labels)
+    for start, (rows, exps, coeffs) in zip(range(0, len(irrs), size), terms, strict=True):
+        keys, values = reduced_rows(n, rows * n + exps, coeffs)
+        assert not (keys % n).any(), "a class sum keeps a root of unity"
+        for row, value in zip((keys // n).tolist(), values.tolist()):
+            totals[start + row] = value
+    assert [r.theta * fam.degree(r.irr) for r in spectrum(fam, conn)] == totals
+
+
+@pytest.mark.parametrize("tag,q", [(tag, q) for tag in ("gl", "gu") for q in (3, 13, 25)])
+def test_standard_spectrum_sums_no_character_values(tag, q, monkeypatch):
+    """Standard GL/GU rows are period sums: they read no class-sum term and no character value."""
+    fam = make_family(tag, q)
+    want = spectrum(fam, build_connection_set(fam))
+
+    def refuse(*args):
+        raise AssertionError("the standard GL/GU spectrum read a character value")
+
+    monkeypatch.setattr(fam, "class_sum_blocks", refuse)
+    monkeypatch.setattr(fam, "char_value", refuse)
+    assert spectrum(fam, build_connection_set(fam)) == want
+
+
+@pytest.mark.parametrize(
+    "tag,q,variant",
+    [("sl", 13, STANDARD), ("gl", 3, SMALL_ORDERS)],
+    ids=["sl", "gl-3-small-orders"],
+)
+def test_spectrum_builds_each_block_once(tag, q, variant, monkeypatch):
+    """The callers of the batched class sums: SL, and GL(2, 3)'s small-orders set."""
+    fam = make_family(tag, q)
+    conn = build_connection_set(fam, variant)
     want = spectrum(fam, conn)
-    conn = build_connection_set(fam)  # a new label tuple: no batch of it is cached
+    conn = build_connection_set(fam, variant)  # a new label tuple: no batch of it is cached
     blocks, reads = [], []
     produce, value = fam.class_sum_blocks, fam.char_value
 
@@ -758,6 +797,5 @@ def test_spectrum_builds_each_block_once(tag, monkeypatch):
     assert spectrum(fam, conn) == want
     size, irrs = scheme.CLASS_SUM_BLOCK_ROWS, fam.irreducibles()
     assert blocks == [irrs[s : s + size] for s in range(0, len(irrs), size)]
-    # one central_sign read per character; SL also reads one value per label
-    per_character = 1 + (len(conn.labels) if tag == "sl" else 0)
-    assert len(reads) == per_character * len(irrs)
+    # one value per character and label; central_sign reads the form table, not char_value
+    assert len(reads) == len(conn.labels) * len(irrs)

@@ -15,12 +15,13 @@ from oracles import (
     brute_gl2,
     brute_gu2,
     brute_sl2,
+    central_sign_via_char_value,
     linear_or_unitary_char_value,
     sl_char_value,
     trivial_character,
 )
 from pstwalk.cayley import analyze
-from pstwalk.chars import CycSum, integer_part
+from pstwalk.chars import CycSum, NonIntegralError, integer_part
 from pstwalk.gf import make_field
 from pstwalk.groups import (
     GLGroup,
@@ -395,6 +396,32 @@ def test_involution_signs_frozen():
             "cuspidal": (-1) ** irr.params[0],
         }[irr.kind]
         assert gu3.central_sign(irr, gu3.field.neg(1)) == expect, irr
+
+
+
+def sign_or_raise(fn, *args):
+    try:
+        return fn(*args)
+    except NonIntegralError:
+        return "raises"
+
+
+CENTRAL_SIGN_CASES = [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9, 25, 27)]
+CENTRAL_SIGN_CASES += [("sl", q) for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 61)]
+
+
+@pytest.mark.parametrize("tag,q", CENTRAL_SIGN_CASES)
+def test_central_sign_matches_the_char_value_route(tag, q):
+    """The central form's exponent against chi(x I) built as a CycSum, at every torus scalar x.
+
+    Both raise NonIntegralError where chi(x I) is not +-chi(1); SL reads GL's form via its lift.
+    """
+    fam = family(tag, q)
+    scalars = range(1, q) if tag == "sl" else fam.torus
+    for irr in fam.irreducibles():
+        for x in scalars:
+            got = sign_or_raise(fam.central_sign, irr, x)
+            assert got == sign_or_raise(central_sign_via_char_value, fam, irr, x), (irr, x)
 
 
 def test_gl3_class_inventory_frozen():

@@ -22,6 +22,7 @@ from oracles import (
     BruteField,
     _induced_coset_sum,
     _total,
+    central_sign_via_char_value,
     cocycle_value,
     coset_action,
     coset_char_sum,
@@ -463,6 +464,17 @@ def test_coset_sums_match_literal_character_table_sums():
         assert central == G.central_sign(irr, sp.zeta) * sp.hsize, irr
         for g in cosets:
             assert (coset_char_sum(sp, irr, g) - literal(irr, g)).is_zero(), (irr, g)
+
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23])
+def test_orbital_signs_match_the_char_value_route(q):
+    """The sign at the order-4 scalar from the central form, against chi(zeta I) as a CycSum."""
+    sp = build_coset_space(q)
+    for irr in coset_irreducibles(q):
+        assert sp.group.central_sign(irr, sp.zeta) == central_sign_via_char_value(
+            sp.group, irr, sp.zeta
+        ), irr
 
 
 def test_trivial_induced_sum_is_56():
