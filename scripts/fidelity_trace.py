@@ -20,14 +20,13 @@ import math
 import sys
 
 from pstwalk.cayley import FAMILY_TAGS, STANDARD
-from pstwalk.cli import ENUMERATION_BOUND, build_target
-from pstwalk.ctqw import WalkSystem
+from pstwalk.cli import ENUMERATION_BOUND, build_target, graph_walk
 
 WIDTH = 60
 
 
 def traced_pair(family: str, q: int, variant: str):
-    """The explicit graph, its first certified pair, tau and a caption."""
+    """The walk on the explicit graph, its first certified pair, tau and a caption."""
     target = build_target(family, q, variant)
     cert = target.certificate
     if not cert.ok:
@@ -40,7 +39,7 @@ def traced_pair(family: str, q: int, variant: str):
         caption = f"orbital q={q}, cosets H and zH (vertices {a}, {b})"
     else:
         caption = f"{family}(2,{q}) {variant}, pair x, -x (vertices {a}, {b})"
-    return graph.adjacency, (a, b), cert.time, caption
+    return graph_walk(graph), (a, b), cert.time, caption
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,11 +53,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --samples: expected a positive integer, got {args.samples}")
 
     try:
-        adjacency, pair, tau, label = traced_pair(args.family, args.q, args.variant)
+        walk, pair, tau, label = traced_pair(args.family, args.q, args.variant)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    walk = WalkSystem.from_adjacency(adjacency)
 
     print(label)
     print(f"certified transfer time tau = pi/{round(math.pi / tau)} = {tau:.6f}\n")

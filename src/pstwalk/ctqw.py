@@ -4,10 +4,20 @@ The walk on a graph with adjacency matrix A evolves by the unitary
 U(t) = exp(-i t A); perfect state transfer from vertex x to vertex y at
 time t means |U(t)[y, x]| = 1.  This module provides the dense-numpy
 machinery used to cross-check the exact eigenvalue certificates: one
-eigendecomposition per graph, transfer fidelities read at the chosen
-vertex pairs only, and a scan that derives the transfer time pi/g from
-an integer spectrum and verifies the transfer (including at the odd
+``eigh`` call per graph, transfer fidelities read at the chosen vertex
+pairs only, and a scan that derives the transfer time pi/g from an
+integer spectrum and verifies the transfer (including at the odd
 multiple 3 pi/g, and that it is *incomplete* at the half time).
+
+Every graph the certificates cover carries a pairing P: a fixed-point-free
+involutive automorphism (x -> -x on the Cayley graphs, rH -> zrH on the
+double-coset graph).  Given P, :meth:`WalkSystem.from_adjacency` writes A
+in the basis (e_x + e_Px)/sqrt 2, (e_x - e_Px)/sqrt 2 over the pairs x < Px,
+where it splits into the blocks A+ = A[lo, lo] + A[lo, P lo] and
+A- = A[lo, lo] - A[lo, P lo] on P's +1 and -1 eigenspaces.  One stacked
+``eigh`` diagonalises both half-size blocks, a quarter of the cubic work of
+the n x n matrix, and each side's eigenvalues can be compared with the
+exact rows of that sign.  Without a pairing the single block is A.
 
 Everything here is floating point and deliberately independent of the
 character-sum route, so agreement between the two is evidence rather
@@ -24,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "NonIntegralSpectrumError",
+    "PairingError",
     "WalkSystem",
     "integer_eigenvalues",
     "derive_transfer_time",
@@ -38,38 +49,103 @@ TOL = 1e-8
 FIDELITY_TOL = 1e-9
 # how far short of 1 the half-time fidelity must fall
 MID_SLACK = 1e-3
-# rows per block of the exact eigendecomposition drift check, so that the
-# check holds no n x n temporary
-DRIFT_BLOCK_ROWS = 128
+# rows per slice of the symmetry, pairing and eigendecomposition drift
+# checks, so that none of them holds an n x n temporary
+CHECK_ROWS = 128
 
 
 class NonIntegralSpectrumError(ValueError):
     """The numeric spectrum is not integral, so no time can be derived."""
 
 
+class PairingError(ValueError):
+    """The pairing is not a fixed-point-free involutive automorphism of A."""
+
+
+def _row_slices(n: int):
+    return (slice(i, i + CHECK_ROWS) for i in range(0, n, CHECK_ROWS))
+
+
+def _checked_pairing(a: np.ndarray, pairing) -> np.ndarray:
+    """``pairing`` as an index array, or :class:`PairingError` at the first bad vertex.
+
+    The automorphism test A[P][:, P] == A is exact.
+    """
+    n = len(a)
+    p = np.asarray(pairing)
+    if p.shape != (n,) or not np.issubdtype(p.dtype, np.integer) or ((p < 0) | (p >= n)).any():
+        raise PairingError(f"the pairing must map each of the {n} vertices to a vertex")
+    vertices = np.arange(n)
+    for what, bad in (("fixes", p == vertices), ("is not an involution at", p[p] != vertices)):
+        if bad.any():
+            raise PairingError(f"the pairing {what} vertex {int(bad.argmax())}")
+    for rows in _row_slices(n):
+        bad = (a[np.ix_(p[rows], p)] != a[rows]).any(axis=1)
+        if bad.any():
+            vertex = rows.start + int(bad.argmax())
+            raise PairingError(f"the pairing is not an automorphism: it moves the edges of vertex {vertex}")
+    return p
+
+
+def _drift(blocks: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """Largest entry of V diag(w) V^T - A in the vertex basis.
+
+    With two blocks a vertex-basis entry is (R+ +- R-)/2 for the block
+    residuals R+ and R-, so its largest size is (|R+| + |R-|)/2.
+    """
+    vt = v.transpose(0, 2, 1)
+    return max(
+        (np.abs((v[:, rows] * w[:, None]) @ vt - blocks[:, rows]).sum(axis=0) / len(blocks)).max()
+        for rows in _row_slices(blocks.shape[1])
+    )
+
+
 @dataclass
 class WalkSystem:
-    """Eigendecomposition of a real symmetric adjacency matrix."""
+    """Eigendecomposition of a real symmetric adjacency matrix, block by block.
 
-    adjacency: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    There is one block, A, or two, A+ and A- on the +1 and -1 eigenspaces of
+    a pairing.  Vertex y enters row ``rows[y]`` of block j with coefficient
+    ``signs[j, y] / sqrt(blocks)``.
+    """
+
+    eigenvalues: np.ndarray  # the sorted union of the blocks' eigenvalues
+    block_eigenvalues: np.ndarray  # (blocks, m), each row ascending
+    block_vectors: np.ndarray  # (blocks, m, m), eigenvectors as columns
+    rows: np.ndarray  # (n,)
+    signs: np.ndarray  # (blocks, n) of +-1
 
     @classmethod
-    def from_adjacency(cls, adjacency) -> "WalkSystem":
+    def from_adjacency(cls, adjacency, pairing=None) -> "WalkSystem":
+        """Diagonalise A, or A+ and A- for a pairing P, with one ``eigh`` call.
+
+        Raises :class:`PairingError` when ``pairing`` is given and is not a
+        fixed-point-free involutive automorphism of A.
+        """
         a = np.asarray(adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if np.abs(a - a.T).max() > TOL:
+        n = len(a)
+        if any(np.abs(a[rows] - a[:, rows].T).max() > TOL for rows in _row_slices(n)):
             raise ValueError("adjacency must be symmetric")
-        w, v = np.linalg.eigh(a)
-        drift = max(
-            np.abs((v[i : i + DRIFT_BLOCK_ROWS] * w) @ v.T - a[i : i + DRIFT_BLOCK_ROWS]).max()
-            for i in range(0, len(a), DRIFT_BLOCK_ROWS)
-        )
+        if pairing is None:
+            blocks, rows, signs = a[None], np.arange(n), np.ones((1, n))
+        else:
+            p = _checked_pairing(a, pairing)
+            lo = np.flatnonzero(np.arange(n) < p)
+            rows = np.empty(n, dtype=int)
+            rows[lo] = rows[p[lo]] = np.arange(len(lo))
+            signs = np.ones((2, n))
+            signs[1, p[lo]] = -1
+            near, far = a[np.ix_(lo, lo)], a[np.ix_(lo, p[lo])]
+            blocks = np.stack((near + far, near - far))
+            # the walk keeps only the blocks' eigensystems: free A before eigh
+            del a, near, far
+        w, v = np.linalg.eigh(blocks)
+        drift = _drift(blocks, w, v)
         if drift > TOL:
             raise ValueError(f"eigendecomposition drift {drift:.3e} exceeds {TOL:.0e}")
-        return cls(a, w, v)
+        return cls(np.sort(w, axis=None), w, v, rows, signs)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -77,15 +153,20 @@ class WalkSystem:
     def fidelities(self, t: float, pairs: Sequence[tuple[int, int]]) -> list[float]:
         """|exp(-i t A)[y, x]| for each pair (x, y), read off the eigenvector rows.
 
-        The entry is sum_k v[y, k] v[x, k] exp(-i t lambda_k); its cosine and
-        sine parts are two real sums, so no n x n unitary is formed. Each row is
-        summed on its own, so a pair reads the same value in any batch.
+        The entry is sum_j signs[j, y] signs[j, x] / blocks times
+        sum_k v_j[rows[y], k] v_j[rows[x], k] exp(-i t lambda_jk); its cosine
+        and sine parts are real sums, so no n x n unitary is formed. Each row
+        is summed on its own, so a pair reads the same value in any batch.
         """
         xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-        weights = self.eigenvectors[ys] * self.eigenvectors[xs]
-        phases = t * self.eigenvalues
-        re = (weights * np.cos(phases)).sum(axis=1)
-        im = (weights * np.sin(phases)).sum(axis=1)
+        ry, rx = self.rows[ys], self.rows[xs]
+        blocks = len(self.block_vectors)
+        re = im = 0.0
+        for v, lam, sign in zip(self.block_vectors, self.block_eigenvalues, self.signs):
+            weights = v[ry] * v[rx]
+            weights *= (sign[ys] * sign[xs] / blocks)[:, None]
+            re = re + (weights * np.cos(t * lam)).sum(axis=1)
+            im = im + (weights * np.sin(t * lam)).sum(axis=1)
         return np.hypot(re, im).tolist()
 
 

@@ -603,11 +603,27 @@ class GUGroup(_LinearOrUnitary):
 
     # -- classes ---------------------------------------------------------------
 
-    def _isotropic_params(self) -> list[int]:
-        """Encodings a with Nm(a) = -1, smallest discrete logs first."""
+    # built once per group: class_rep runs for every label a connection set checks
+    @cached_property
+    def _isotropic_pair(self) -> tuple[int, int]:
+        """The two encodings a with Nm(a) = -1 of smallest discrete log."""
         tw = self.tower
         fiber = tw.norm_fiber(tw.base.neg(1))
-        return sorted(fiber, key=lambda z: tw.ext.log[z])
+        f1, f2 = sorted(fiber, key=lambda z: tw.ext.log[z])[:2]
+        return f1, f2
+
+    @cached_property
+    def _unipotent(self) -> Mat2:
+        """I + c v v* with v = (a0, 1) isotropic and c + c^q = 0."""
+        F, tw = self.field, self.tower
+        a0 = self._isotropic_pair[0]
+        c = next(c for c in range(1, F.q) if F.add(tw.conj(c), c) == 0)
+        return Mat2(
+            F.add(1, F.mul(c, F.mul(a0, tw.conj(a0)))),
+            F.mul(c, a0),
+            F.mul(c, tw.conj(a0)),
+            F.add(1, c),
+        )
 
     def class_rep(self, label: ClassLabel) -> Mat2:
         F, tw = self.field, self.tower
@@ -619,22 +635,13 @@ class GUGroup(_LinearOrUnitary):
             x, y = params
             return Mat2(x, 0, 0, y)
         if kind == "jordan":
-            # x * (I + c v v*) with v = (a0, 1) isotropic and c + c^q = 0
             x = params[0]
-            a0 = self._isotropic_params()[0]
-            c = next(c for c in range(1, F.q) if F.add(tw.conj(c), c) == 0)
-            u = Mat2(
-                F.add(1, F.mul(c, F.mul(a0, tw.conj(a0)))),
-                F.mul(c, a0),
-                F.mul(c, tw.conj(a0)),
-                F.add(1, c),
-            )
-            rep = self.mul(Mat2(x, 0, 0, x), u)
+            rep = self.mul(Mat2(x, 0, 0, x), self._unipotent)
         else:
             # conjugate diag(z, z^(-q)) into the group via an isotropic basis
             z = params[0]
             w = F.inv(tw.conj(z))
-            f1, f2 = self._isotropic_params()[:2]
+            f1, f2 = self._isotropic_pair
             den = F.inv(F.sub(f1, f2))
             rep = Mat2(
                 F.mul(den, F.sub(F.mul(f1, z), F.mul(f2, w))),

@@ -420,6 +420,14 @@ def spectrum_trace(rows: Sequence) -> int:
     return sum(r.theta * r.multiplicity for r in rows)
 
 
+def eigenvectors(walk: WalkSystem) -> np.ndarray:
+    """The walk's n x n eigenvectors in the vertex basis, columns in ``eigenvalues`` order."""
+    blocks, m = walk.block_eigenvalues.shape
+    full = walk.signs[:, :, None] * walk.block_vectors[:, walk.rows] / np.sqrt(blocks)
+    order = np.argsort(walk.block_eigenvalues, axis=None, kind="stable")
+    return full.transpose(1, 0, 2).reshape(len(walk.rows), blocks * m)[:, order]
+
+
 def integer_rows_with_signs(adjacency, permutation: Sequence[int]) -> list[EigenRow]:
     """Numeric eigenvalue rows (theta, sign, multiplicity) for an involution.
 
@@ -429,17 +437,17 @@ def integer_rows_with_signs(adjacency, permutation: Sequence[int]) -> list[Eigen
     eigenvalue whose eigenspace carries both signs produces two rows.
     """
     walk = WalkSystem.from_adjacency(adjacency)
-    perm, a = np.asarray(permutation, dtype=int), walk.adjacency
+    perm, a = np.asarray(permutation, dtype=int), np.asarray(adjacency, dtype=float)
     if sorted(perm.tolist()) != list(range(len(walk))):
         raise ValueError("permutation must be a bijection on the vertices")
     if not np.array_equal(perm[perm], np.arange(len(walk))):
         raise ValueError("permutation must have order at most 2")
     if np.abs(a[np.ix_(perm, perm)] - a).max() > 1e-12:
         raise ValueError("permutation is not an automorphism of the graph")
-    ints = integer_eigenvalues(walk)
+    ints, vectors = integer_eigenvalues(walk), eigenvectors(walk)
     rows: list[EigenRow] = []
     for theta in sorted(set(ints.tolist()), reverse=True):
-        cols = walk.eigenvectors[:, ints == theta]
+        cols = vectors[:, ints == theta]
         mult = cols.shape[1]
         # trace of T P for P the eigenprojector: sum_i P[perm(i), i]
         t_trace = float(np.einsum("ij,ij->", cols[perm], cols))

@@ -357,6 +357,39 @@ def test_spectrum_mismatch_exits_3(monkeypatch, capsys):
     assert "verdict: cross-check mismatch" in out
 
 
+def flip_sign(rows):
+    rows[1] = rows[1]._replace(sign=-rows[1].sign)
+
+
+def swap_signs(rows):
+    # cuspidal(1), theta 0 on the -1 side, and cuspidal(2), theta -2 on the
+    # +1 side, both of multiplicity 4: each side keeps its size
+    rows[5], rows[6] = rows[5]._replace(sign=rows[6].sign), rows[6]._replace(sign=rows[5].sign)
+
+
+@pytest.mark.parametrize(
+    "doctor, deviation", [(flip_sign, "inf"), (swap_signs, "2.000000000000e+00")]
+)
+def test_sign_mismatch_exits_3(monkeypatch, capsys, doctor, deviation):
+    """The numeric +1 and -1 sides of the pairing are compared with the rows of
+    that sign, so a wrong sign fails even where the union spectrum agrees."""
+    real = cli.analyze
+
+    def doctored(tag, q, variant):
+        analysis = real(tag, q, variant)
+        rows = list(analysis.rows)
+        doctor(rows)
+        return analysis._replace(rows=rows)
+
+    monkeypatch.setattr(cli, "analyze", doctored)
+    assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
+    out = capsys.readouterr().out
+    assert "certificate: valid" in out
+    assert f"cross-check spectrum_deviation: {deviation}\n" in out
+    assert "cross-check spectrum_matches: False" in out
+    assert "cross-check walk_ok: True" in out
+
+
 def test_walk_failure_exits_3(monkeypatch):
     def failing_scan(adjacency, pairs, **kw):
         return TransferReport(

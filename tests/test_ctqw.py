@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pstwalk.cli import ENUMERATION_BOUND, build_target
 from pstwalk.ctqw import (
+    TOL,
     NonIntegralSpectrumError,
+    PairingError,
     TransferReport,
     WalkSystem,
     derive_transfer_time,
     integer_eigenvalues,
     pst_scan,
 )
-from oracles import EigenRow, integer_rows_with_signs, pst_test
+from oracles import EigenRow, eigenvectors, integer_rows_with_signs, pst_test
 
 K2 = np.array([[0, 1], [1, 0]], dtype=float)
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -58,7 +61,8 @@ def test_c4_antipodal_matches_closed_form(t):
 
 def eigen_unitary(walk, t):
     """exp(-i t A) rebuilt from the eigendecomposition the walk stores."""
-    return (walk.eigenvectors * np.exp(-1j * t * walk.eigenvalues)) @ walk.eigenvectors.T
+    v = eigenvectors(walk)
+    return (v * np.exp(-1j * t * walk.eigenvalues)) @ v.T
 
 
 @settings(max_examples=20)
@@ -267,6 +271,20 @@ def test_scan_memory_stays_below_five_dense_arrays():
     assert peak < 3.5 * n * n * 8
 
 
+def test_paired_scan_memory_stays_below_the_same_bound():
+    """The 9-cube split by its antipodal pairing fits the unpaired scan's bound."""
+    a, pairs = hypercube(9)
+    n = len(a)
+    tracemalloc.start()
+    try:
+        report = pst_scan(WalkSystem.from_adjacency(a, antipodes(n)), pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.time == pytest.approx(pi / 2)
+    assert peak < 3.5 * n * n * 8
+
+
 def test_report_is_frozen():
     report = pst_scan(K2, [(0, 1)])
     assert isinstance(report, TransferReport)
@@ -295,3 +313,108 @@ def test_certificate_agrees_with_simulation(name, adj, perm):
     assert cert.ok == report.ok
     if cert.ok:
         assert cert.time == pytest.approx(report.time)
+
+
+# ---------------------------------------------------------------------------
+# the walk split by a pairing: A+ and A- on the two sides of P
+
+
+def antipodes(n):
+    return np.arange(n) ^ (n - 1)
+
+
+def explicit(family, q):
+    graph = build_target(family, q).graph(ENUMERATION_BOUND)
+    return graph.adjacency, graph.partner
+
+
+PAIRED_CASES = {
+    "9-cube": lambda: (hypercube(9)[0], antipodes(512)),
+    "C4": lambda: (cycle(4), np.array([2, 3, 0, 1])),
+    "gl 3": lambda: explicit("gl", 3),
+    "sl 5": lambda: explicit("sl", 5),
+    "orbital 3": lambda: explicit("orbital", 3),
+}
+
+
+@pytest.mark.parametrize("name", PAIRED_CASES)
+def test_paired_walk_matches_the_unpaired_walk(name):
+    a, partner = PAIRED_CASES[name]()
+    n = len(a)
+    paired, plain = WalkSystem.from_adjacency(a, partner), WalkSystem.from_adjacency(a)
+    assert paired.block_eigenvalues.shape == (2, n // 2)
+    assert np.abs(paired.eigenvalues - plain.eigenvalues).max() < TOL
+    rng = np.random.default_rng(7)
+    others = [(int(x), int(y)) for x, y in rng.integers(0, n, size=(64, 2))]
+    partners = [(x, int(partner[x])) for x in range(n)]
+    for t in (0.3, pi / 2, 2.1):
+        for pairs in (partners, others):
+            assert np.allclose(paired.fidelities(t, pairs), plain.fidelities(t, pairs), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", PAIRED_CASES)
+def test_each_side_holds_the_rows_of_its_sign(name):
+    a, partner = PAIRED_CASES[name]()
+    walk = WalkSystem.from_adjacency(a, partner)
+    rows = integer_rows_with_signs(a, partner)
+    for values, sign in zip(walk.block_eigenvalues, (1, -1)):
+        exact = sorted(r.theta for r in rows if r.sign == sign for _ in range(r.multiplicity))
+        assert np.rint(values).astype(int).tolist() == exact
+        assert np.abs(values - exact).max() < TOL
+
+
+def paired_graphs(m):
+    """Graphs on 2m vertices that a random fixed-point-free involution preserves.
+
+    [[B, C], [C, B]] for symmetric 0/1 blocks B (no loops) and C is preserved
+    by i <-> i + m; a random relabelling then scatters the pairs.
+    """
+    cells = m * m
+
+    def build(args):
+        bits, order = args
+        b = np.zeros((m, m))
+        b[np.triu_indices(m, 1)] = bits[: m * (m - 1) // 2]
+        c = np.zeros((m, m))
+        c[np.triu_indices(m)] = bits[m * (m - 1) // 2 : m * (m - 1) // 2 + m * (m + 1) // 2]
+        b, c = b + b.T, c + np.triu(c, 1).T
+        a = np.block([[b, c], [c, b]])
+        swap = np.concatenate((np.arange(m, 2 * m), np.arange(m)))
+        order = np.asarray(order)
+        inverse = np.argsort(order)
+        return a[np.ix_(order, order)], inverse[swap[order]]
+
+    return st.tuples(
+        st.lists(st.booleans(), min_size=cells, max_size=cells),
+        st.permutations(range(2 * m)),
+    ).map(build)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(paired_graphs), st.floats(0, 8, allow_nan=False))
+def test_paired_fidelities_match_dense_unitary(graph, t):
+    a, partner = graph
+    n = len(a)
+    walk = WalkSystem.from_adjacency(a, partner)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    fids = np.array(walk.fidelities(t, pairs)).reshape(n, n)
+    assert np.abs(fids - np.abs(dense_unitary(a, t)).T).max() < 1e-10
+    assert np.abs(eigen_unitary(walk, t) - dense_unitary(a, t)).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "partner, message",
+    [
+        ([2, 1, 0, 3], "fixes vertex 1"),
+        ([1, 2, 3, 0], "not an involution at vertex 0"),
+        ([2, 3, 0, 1], "not an automorphism: it moves the edges of vertex 0"),
+        ([2, 3, 0], "each of the 4 vertices"),
+        ([2, 3, 0, 4], "each of the 4 vertices"),
+    ],
+)
+def test_a_pairing_that_is_not_an_involutive_automorphism_is_refused(partner, message):
+    a = cycle(4)
+    a[0, 1] = a[1, 0] = 2  # the antipodal pairing of C4 would now move an edge weight
+    with pytest.raises(PairingError, match=message):
+        WalkSystem.from_adjacency(a, partner)
+    assert issubclass(PairingError, ValueError)
