@@ -20,7 +20,8 @@ import math
 import sys
 
 from pstwalk.cayley import FAMILY_TAGS, STANDARD
-from pstwalk.cli import ENUMERATION_BOUND, build_target, graph_walk
+from pstwalk.cli import ENUMERATION_BOUND, build_target
+from pstwalk.ctqw import WalkSystem
 
 WIDTH = 60
 
@@ -39,7 +40,8 @@ def traced_pair(family: str, q: int, variant: str):
         caption = f"orbital q={q}, cosets H and zH (vertices {a}, {b})"
     else:
         caption = f"{family}(2,{q}) {variant}, pair x, -x (vertices {a}, {b})"
-    return graph_walk(graph), (a, b), cert.time, caption
+    walk = WalkSystem.from_adjacency(graph.adjacency, graph.partner)
+    return walk, (a, b), cert.time, caption
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,8 +20,9 @@ the reason it is skipped.  :func:`cross_checks` runs the explicit checks
 on any target (row sums against the top exact eigenvalue, components,
 numeric spectrum, walk), and one report assembly serves both families.
 The walk is one :class:`~pstwalk.ctqw.WalkSystem`, split by the partner
-permutation into its +1 and -1 sides (:func:`graph_walk`); each side's
-numeric spectrum is compared with the exact rows of that sign.
+permutation into its +1 and -1 sides; each side's numeric spectrum is
+compared with the exact rows of that sign.  A partner that is not a
+fixed-point-free involutive automorphism of the graph fails the cross-check.
 The pipeline is public: the scripts in ``scripts/`` build their rows,
 traces and audits through it rather than by hand.
 
@@ -63,7 +64,7 @@ from .ctqw import PairingError, WalkSystem, pst_scan
 from .scheme import Graph, TransferCertificate
 
 __all__ = [
-    "main", "build_parser", "build_target", "cross_checks", "graph_walk", "Target",
+    "main", "build_parser", "build_target", "cross_checks", "Target",
     "SCHEMA", "SIMULATION_BOUND", "ENUMERATION_BOUND",
 ]
 
@@ -378,25 +379,15 @@ def _orbital_target(q: int) -> Target:
     )
 
 
-def graph_walk(graph: Graph) -> WalkSystem:
-    """The walk on an explicit graph, split into the sides of its partner
-    permutation whenever that is a pairing of the adjacency matrix."""
-    try:
-        return WalkSystem.from_adjacency(graph.adjacency, graph.partner)
-    except PairingError:
-        return WalkSystem.from_adjacency(graph.adjacency)
-
-
 def _spectrum_deviation(walk: WalkSystem, rows) -> float:
     """Largest distance between the numeric and the exact sorted spectra.
 
-    A paired walk compares its +1 block with the rows of sign +1 and its -1
-    block with the rows of sign -1, so a wrong sign shows as well as a wrong
-    eigenvalue; a side with the wrong number of eigenvalues is infinitely far.
+    Each block is compared with the rows of its sign, all rows for an
+    unpaired block, so a wrong sign shows as well as a wrong eigenvalue; a
+    side with the wrong number of eigenvalues is infinitely far.
     """
-    sides = (1, -1) if len(walk.block_eigenvalues) == 2 else (None,)
     deviation = 0.0
-    for values, sign in zip(walk.block_eigenvalues, sides):
+    for values, sign in zip(walk.block_eigenvalues, walk.block_signs):
         thetas = sorted(
             r.theta for r in rows if sign in (None, r.sign) for _ in range(r.multiplicity)
         )
@@ -447,7 +438,11 @@ def cross_checks(
             f"skipped: {n} vertices exceed the simulation bound {sim_bound}"
         )
         return checks, notes, adjacency, ok
-    walk = graph_walk(graph)
+    try:
+        walk = WalkSystem.from_adjacency(adjacency, graph.partner)
+    except PairingError as err:
+        checks["simulation"] = f"skipped: {err}"
+        return checks, notes, adjacency, False
     deviation = _spectrum_deviation(walk, target.rows)
     checks["spectrum_deviation"] = _fmt(deviation)
     spectrum_ok = deviation <= SPECTRUM_TOL

@@ -105,13 +105,15 @@ class WalkSystem:
     """Eigendecomposition of a real symmetric adjacency matrix, block by block.
 
     There is one block, A, or two, A+ and A- on the +1 and -1 eigenspaces of
-    a pairing.  Vertex y enters row ``rows[y]`` of block j with coefficient
+    a pairing; ``block_signs`` names the side of each block, ``(None,)`` or
+    ``(1, -1)``.  Vertex y enters row ``rows[y]`` of block j with coefficient
     ``signs[j, y] / sqrt(blocks)``.
     """
 
     eigenvalues: np.ndarray  # the sorted union of the blocks' eigenvalues
     block_eigenvalues: np.ndarray  # (blocks, m), each row ascending
     block_vectors: np.ndarray  # (blocks, m, m), eigenvectors as columns
+    block_signs: tuple  # the pairing's eigenvalue on each block, None unpaired
     rows: np.ndarray  # (n,)
     signs: np.ndarray  # (blocks, n) of +-1
 
@@ -122,14 +124,17 @@ class WalkSystem:
         Raises :class:`PairingError` when ``pairing`` is given and is not a
         fixed-point-free involutive automorphism of A.
         """
-        a = np.asarray(adjacency, dtype=float)
+        a = np.asarray(adjacency)
+        if a.dtype.kind not in "if":
+            a = a.astype(float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         n = len(a)
         if any(np.abs(a[rows] - a[:, rows].T).max() > TOL for rows in _row_slices(n)):
             raise ValueError("adjacency must be symmetric")
         if pairing is None:
-            blocks, rows, signs = a[None], np.arange(n), np.ones((1, n))
+            blocks, sides = a.astype(float, copy=False)[None], (None,)
+            rows, signs = np.arange(n), np.ones((1, n))
         else:
             p = _checked_pairing(a, pairing)
             lo = np.flatnonzero(np.arange(n) < p)
@@ -137,15 +142,17 @@ class WalkSystem:
             rows[lo] = rows[p[lo]] = np.arange(len(lo))
             signs = np.ones((2, n))
             signs[1, p[lo]] = -1
+            # the two halves are read from A as it is; only the stack is float
             near, far = a[np.ix_(lo, lo)], a[np.ix_(lo, p[lo])]
-            blocks = np.stack((near + far, near - far))
-            # the walk keeps only the blocks' eigensystems: free A before eigh
-            del a, near, far
+            blocks, sides = np.empty((2, len(lo), len(lo))), (1, -1)
+            np.add(near, far, out=blocks[0])
+            np.subtract(near, far, out=blocks[1])
+            del near, far
         w, v = np.linalg.eigh(blocks)
         drift = _drift(blocks, w, v)
         if drift > TOL:
             raise ValueError(f"eigendecomposition drift {drift:.3e} exceeds {TOL:.0e}")
-        return cls(np.sort(w, axis=None), w, v, rows, signs)
+        return cls(np.sort(w, axis=None), w, v, sides, rows, signs)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)

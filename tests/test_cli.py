@@ -317,7 +317,8 @@ def test_certificate_failure_still_runs_the_walk(monkeypatch, capsys):
 
 def test_orbital_structure_checks_can_fail(monkeypatch, capsys):
     """A coset graph without its HzH edges, paired by a permutation that is
-    not an involution, reads false on the degree and matching checks."""
+    not an involution, reads false on the degree and matching checks, and
+    the walk is not split by that permutation."""
     connection, partner = orbital._connection, orbital.translation_partner
 
     def without_z(space):
@@ -334,6 +335,7 @@ def test_orbital_structure_checks_can_fail(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "cross-check degree_row_sums_match: False" in out
     assert "cross-check involution_is_perfect_matching: False" in out
+    assert "cross-check simulation: skipped: the pairing is not an involution at vertex" in out
 
 
 def test_spectrum_mismatch_exits_3(monkeypatch, capsys):

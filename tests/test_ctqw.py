@@ -343,6 +343,7 @@ def test_paired_walk_matches_the_unpaired_walk(name):
     n = len(a)
     paired, plain = WalkSystem.from_adjacency(a, partner), WalkSystem.from_adjacency(a)
     assert paired.block_eigenvalues.shape == (2, n // 2)
+    assert paired.block_signs == (1, -1) and plain.block_signs == (None,)
     assert np.abs(paired.eigenvalues - plain.eigenvalues).max() < TOL
     rng = np.random.default_rng(7)
     others = [(int(x), int(y)) for x, y in rng.integers(0, n, size=(64, 2))]
@@ -357,7 +358,7 @@ def test_each_side_holds_the_rows_of_its_sign(name):
     a, partner = PAIRED_CASES[name]()
     walk = WalkSystem.from_adjacency(a, partner)
     rows = integer_rows_with_signs(a, partner)
-    for values, sign in zip(walk.block_eigenvalues, (1, -1)):
+    for values, sign in zip(walk.block_eigenvalues, walk.block_signs):
         exact = sorted(r.theta for r in rows if r.sign == sign for _ in range(r.multiplicity))
         assert np.rint(values).astype(int).tolist() == exact
         assert np.abs(values - exact).max() < TOL
