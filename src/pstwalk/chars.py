@@ -5,18 +5,16 @@ unity, and the certificates need them *exactly*.  :class:`CycSum` is a
 sparse element of Z[zeta_n] (exponent -> integer coefficient);
 :meth:`CycSum.reduced` rewrites it in a fixed basis, one prime of n at a
 time, so zero and integer sums are recognized exactly, with no floating
-point and no cyclotomic polynomial.  :func:`reduced_rows` is the same
-rewrite on int64 arrays, many sums at once, each term keyed by its row and
-exponent; the Cayley spectra are reduced that way.  Both read the prime
-powers of n from one cache.  :func:`cyclotomic_polynomial` stays as the
-dense reference the tests compare the reduction against.
+point and no cyclotomic polynomial; it reads the prime powers of n from
+one cache.  :func:`integer_part` reads an integer sum off that form.
+:func:`cyclotomic_polynomial` stays as the dense reference the tests
+compare the reduction against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import cos, lcm, pi, sin
-import numpy as np
 
 from .gf import _prime_factors
 
@@ -25,7 +23,6 @@ __all__ = [
     "NonIntegralError",
     "InexactDivisionError",
     "integer_part",
-    "reduced_rows",
     "cyclotomic_polynomial",
     "residue_periods",
 ]
@@ -249,44 +246,6 @@ class CycSum:
             return f"CycSum({self.n}, 0)"
         terms = " + ".join(f"{v}*z{self.n}^{e}" for e, v in sorted(self.c.items()))
         return f"CycSum({self.n}, {terms})"
-
-
-def _merged(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys, each with the sum of its coefficients; zero sums dropped."""
-    if not len(keys):
-        return keys, coeffs
-    order = np.argsort(keys, kind="stable")
-    keys, coeffs = keys[order], coeffs[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(coeffs, starts)
-    keep = sums != 0
-    return keys[starts][keep], sums[keep]
-
-
-def reduced_rows(n: int, keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`CycSum.reduced` of many sums at once, on int64 arrays.
-
-    Term i adds ``coeffs[i] * zeta_n^e`` to row r, where ``keys[i] = r n + e``
-    and 0 <= e < n.  Returns the reduced terms of every row the same way,
-    keys sorted and distinct, coefficients nonzero: for each prime power
-    p^a exactly dividing n, the terms whose digit is p-1 become minus their
-    p-1 partners e + k n/p, and equal keys merge again.  A row is the
-    integer c exactly when its only surviving key is r n (c its
-    coefficient) or it has none (c = 0).  Coefficients stay int64 and must
-    fit in it.
-    """
-    keys, coeffs = _merged(np.asarray(keys, dtype=np.int64), np.asarray(coeffs, dtype=np.int64))
-    for p, pa in _prime_powers(n):
-        e = keys % n
-        hit = e % pa >= pa - pa // p
-        if not hit.any():
-            continue
-        partners = keys[hit, None] - e[hit, None] + (e[hit, None] + np.arange(1, p) * (n // p)) % n
-        keys, coeffs = _merged(
-            np.concatenate((keys[~hit], partners.ravel())),
-            np.concatenate((coeffs[~hit], np.repeat(-coeffs[hit], p - 1))),
-        )
-    return keys, coeffs
 
 
 def integer_part(v: CycSum) -> int:

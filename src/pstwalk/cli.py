@@ -79,6 +79,8 @@ EXIT_CERTIFICATE = 2
 EXIT_CROSS_CHECK = 3
 
 _FORMATS = ("json", "csv", "edges")
+# Rows of the adjacency per block of graph.edges text.
+_EDGE_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +191,18 @@ def _spectrum_csv(entries: list[dict]) -> str:
 
 
 def _edges_text(adjacency: np.ndarray) -> str:
-    rows, cols = np.nonzero(adjacency)
-    upper = rows < cols
-    pairs = np.column_stack((rows[upper], cols[upper])).ravel().tolist()
-    return ("%d %d\n" * (len(pairs) // 2)) % tuple(pairs) or "\n"
+    """One line ``i j`` per edge with i < j, in row order; a lone newline if there is none.
+
+    The endpoints become Python ints a block of rows at a time.
+    """
+    parts = []
+    for start in range(0, len(adjacency), _EDGE_BLOCK_ROWS):
+        rows, cols = np.nonzero(adjacency[start : start + _EDGE_BLOCK_ROWS])
+        rows += start
+        upper = rows < cols
+        pairs = np.column_stack((rows[upper], cols[upper])).ravel().tolist()
+        parts.append(("%d %d\n" * (len(pairs) // 2)) % tuple(pairs))
+    return "".join(parts) or "\n"
 
 
 def _formats(text: str) -> set[str] | None:
@@ -351,11 +361,11 @@ def _orbital_target(q: int) -> Target:
     rows = orb.orbital_spectrum(q)
     cert = orb.certify_orbital(rows)
     audit = orb.linear_energy_display_audit(q, rows)
-    mode = "explicit" if space.explicit else "character-sum"
+    mode = "explicit" if space.explicit else "period-sum"
 
     def graph(bound: int) -> Graph | str:
         if not space.explicit:
-            return f"q = {space.q} runs in character-sum-only mode"
+            return f"q = {space.q} runs in period-sum-only mode"
         if space.n_cosets > bound:
             return f"coset count {space.n_cosets} exceeds the enumeration bound {bound}"
         return orb.build_gamma(space)

@@ -18,12 +18,12 @@ SL), so spectra assembled from them never leave exact arithmetic.
 
 Every family exposes the same surface: ``classes()``, ``class_size``,
 ``class_rep``, ``classify``, ``irreducibles()``, ``degree``,
-``char_value``, ``class_sum_blocks``, ``enumerate_group``,
-``class_partition``, ``central_involution`` and ``central_sign``.
-``class_sum_blocks`` yields the terms of the class sums ``sum |C| chi(C)``
-as int64 arrays, through ``char_value``.  GL and GU add ``standard_theta``,
-each row of the standard set as closed period sums, and read
-``central_sign`` off one form of their table: neither builds a CycSum.
+``char_value``, ``enumerate_group``, ``class_partition``,
+``central_involution`` and ``central_sign``; a class sum reads
+``char_value`` once per character and label.  GL and GU add
+``standard_theta``, each row of the standard set as closed period sums,
+and read ``central_sign`` off one form of their table: neither builds a
+CycSum.
 
 Class kinds
 -----------
@@ -103,9 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import Mapping, NamedTuple, Sequence
 
 from .chars import CycSum, NonIntegralError, residue_periods
 from .gf import FieldTower, FiniteField, make_field, make_tower
@@ -181,8 +179,6 @@ class _Family:
     field: FiniteField
     tower: FieldTower
     root_order: int
-    # the class sums of the last label list, kept by scheme.class_sum_eigenvalue
-    _class_sums = None
 
     # -- matrix arithmetic on encodings in the family's coefficient field ----
 
@@ -260,28 +256,6 @@ class _Family:
     def central_involution_class(self) -> ClassLabel:
         """The class of -I, labelled directly (scalars are their own class)."""
         return ClassLabel(self.family, "central", (self.field.neg(1),))
-
-    def class_sum_blocks(
-        self, blocks: Iterable[Sequence[IrrLabel]], labels: Sequence[ClassLabel]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The terms of ``sum_C |C| chi(C)`` over ``labels``, one block of characters at a time.
-
-        For each block of characters yields int64 arrays (row, exponent,
-        coefficient): each term adds coefficient * zeta^exponent, with
-        0 <= exponent < ``root_order``, to the sum of the character
-        ``block[row]``.  Equal (row, exponent) pairs may repeat.  It reads
-        :meth:`char_value` once per character and label.
-        """
-        sizes = [self.class_size(lab) for lab in labels]
-        for block in blocks:
-            rows, exps, coeffs = [], [], []
-            for row, irr in enumerate(block):
-                for lab, size in zip(labels, sizes):
-                    for e, c in self.char_value(irr, lab).c.items():
-                        rows.append(row)
-                        exps.append(e)
-                        coeffs.append(c * size)
-            yield tuple(np.array(x, dtype=np.int64) for x in (rows, exps, coeffs))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(q={self.q})"

@@ -365,7 +365,7 @@ def build_gamma(space: CosetSpace) -> Graph:
     if not space.explicit:
         raise ValueError(
             "explicit adjacency needs the enumerated coset space; "
-            f"q = {space.q} runs in character-sum-only mode (limit q <= {EXPLICIT_LIMIT})"
+            f"q = {space.q} runs in period-sum-only mode (limit q <= {EXPLICIT_LIMIT})"
         )
     group = space.group
     minus_one = group.central_involution()

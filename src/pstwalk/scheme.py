@@ -6,11 +6,10 @@ The relations commute, the primitive idempotents are indexed by the
 irreducible characters, and an inverse-closed union of classes yields
 a normal Cayley graph whose eigenvalue on the chi-isotypic part is the
 exact character sum ``sum |C| chi(C) / chi(1)``, with chi read at each
-class label.  :func:`class_sum_eigenvalue` builds those sums for every
-character of one label set together (SL's, GL(2, 3)'s small-orders set,
-any set but the standard GL/GU one, whose rows are closed period sums):
-the family emits int64 terms ``|C| c zeta^e`` a block of characters at a
-time, and :func:`~pstwalk.chars.reduced_rows` reduces each block exactly.
+class label.  :func:`class_sum_eigenvalue` builds that sum for one
+character as one sparse sum of the terms ``|C| chi(C)`` over Z[zeta_n],
+reduced once; SL and GL(2, 3)'s small-orders set read it, while the
+standard GL/GU rows are closed period sums.
 
 Perfect state transfer in such a graph, relative to a relation T that
 is a fixed-point-free permutation of order 2, is governed purely by the
@@ -47,7 +46,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chars import CycSum, NonIntegralError, integer_part, reduced_rows
+from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, IrrLabel, Mat2
 
 __all__ = [
@@ -141,53 +140,6 @@ def transfer_certificate(rows: Sequence, transfer_rule: str) -> TransferCertific
 # conjugacy-class schemes
 
 
-# Characters per block of a batched class sum: one block's terms are a few
-# arrays of (rows x labels) int64 entries, so the peak stays flat as q grows.
-CLASS_SUM_BLOCK_ROWS = 16
-
-
-class _ClassSums:
-    """The exact sums ``sum_C |C| chi(C)`` over one label list, a block of characters at a time.
-
-    The family emits a block's terms as int64 arrays
-    (:meth:`~pstwalk.groups._Family.class_sum_blocks`), and
-    :func:`~pstwalk.chars.reduced_rows` reduces the whole block at once.
-    Reading the characters in ``irreducibles()`` order builds every block
-    once; reading another block restarts the family's blocks there.
-    """
-
-    def __init__(self, family, labels: Sequence[ClassLabel]):
-        self.family, self.labels = family, labels
-        self.irreducibles = family.irreducibles()
-        self.index = {irr: i for i, irr in enumerate(self.irreducibles)}
-        self.blocks = self.start = self.next_start = None
-
-    def total(self, irr: IrrLabel) -> int:
-        """The sum of ``irr``, or :class:`NonIntegralError` if it is no integer."""
-        size, n = CLASS_SUM_BLOCK_ROWS, self.family.root_order
-        i = self.index[irr]
-        start = i - i % size
-        if start != self.start:
-            if start != self.next_start:
-                irrs = self.irreducibles
-                self.blocks = self.family.class_sum_blocks(
-                    (irrs[s : s + size] for s in range(start, len(irrs), size)), self.labels
-                )
-            self.start = self.next_start = None  # until the block below is built
-            rows, exps, coeffs = next(self.blocks)
-            self.keys, self.coeffs = reduced_rows(n, rows * n + exps, coeffs)
-            self.bounds = np.searchsorted(self.keys, np.arange(size + 1) * n)
-            self.start, self.next_start = start, start + size
-        lo, hi = self.bounds[i - start], self.bounds[i - start + 1]
-        if lo == hi:
-            return 0
-        if hi - lo == 1 and self.keys[lo] % n == 0:
-            return int(self.coeffs[lo])
-        # more than the constant term survives: integer_part names the terms
-        terms = zip((self.keys[lo:hi] % n).tolist(), self.coeffs[lo:hi].tolist())
-        return integer_part(CycSum(n, dict(terms)))
-
-
 def class_sum_eigenvalue(family, irr: IrrLabel, labels: Sequence[ClassLabel]) -> int:
     """Exact integer eigenvalue of a class-union Cayley graph on one character.
 
@@ -198,20 +150,18 @@ def class_sum_eigenvalue(family, irr: IrrLabel, labels: Sequence[ClassLabel]) ->
     conjugate, so the sum is taken with chi read at each label itself, for
     any label set: no group element is built.
 
-    The sums of every character are built together (:class:`_ClassSums`), as
-    int64 terms reduced exactly in Z[zeta_n], once per label list: the
-    family keeps the batch of its last label list, and a call with that same
-    ``labels`` object reads a row of it, so a list changed in place between
-    calls is not seen; pass a tuple.  ``irr`` must be one of
-    ``family.irreducibles()``.
+    The terms ``|C| chi(C)`` of every label go into one sparse sum over
+    Z[zeta_n], read once by :func:`~pstwalk.chars.integer_part`.
 
     Raises :class:`~pstwalk.chars.NonIntegralError` if the character sum is
     not a rational integer or is not divisible by the character degree.
     """
-    sums = family._class_sums
-    if sums is None or sums.labels is not labels:
-        sums = family._class_sums = _ClassSums(family, labels)
-    total = sums.total(irr)
+    terms: dict[int, int] = {}
+    for lab in labels:
+        size = family.class_size(lab)
+        for e, c in family.char_value(irr, lab).c.items():
+            terms[e] = terms.get(e, 0) + c * size
+    total = integer_part(CycSum(family.root_order, terms))
     d = family.degree(irr)
     if total % d:
         raise NonIntegralError(

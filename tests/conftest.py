@@ -34,7 +34,7 @@ CRITERIA = {
         "detected display discrepancy (< 120 s)"
     ),
     "test_criterion_7_orbital_q7": (
-        "7: orbital q=7 -- character-sum-only certificate, energies 0 mod 4 "
+        "7: orbital q=7 -- period-sum-only certificate, energies 0 mod 4 "
         "(< 60 s)"
     ),
     "test_criterion_8_scheme_core": (

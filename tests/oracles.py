@@ -747,13 +747,15 @@ def _total(n: int, values: Iterable[CycSum]) -> CycSum:
 
 
 def class_sum_eigenvalue_loop(family, irr: IrrLabel, labels) -> int:
-    """``scheme.class_sum_eigenvalue`` one (character, label) pair at a time.
+    """``scheme.class_sum_eigenvalue`` from the branching character tables.
 
-    Sums ``char_value(irr, C) * |C|`` over the labels as cyclotomic sums,
-    reads the total with ``integer_part`` and divides it by the degree,
-    raising what the batched path raises.
+    Sums ``chi(C) * |C|`` over the labels as cyclotomic sums, with chi read
+    from :func:`sl_char_value` or :func:`linear_or_unitary_char_value`
+    rather than ``family.char_value``, reads the total with ``integer_part``
+    and divides it by the degree, raising what the production path raises.
     """
-    terms = (family.char_value(irr, lab) * family.class_size(lab) for lab in labels)
+    value = sl_char_value if family.family == "sl" else linear_or_unitary_char_value
+    terms = (value(family, irr, lab) * family.class_size(lab) for lab in labels)
     total = integer_part(_total(family.root_order, terms))
     d = family.degree(irr)
     if total % d:
@@ -764,13 +766,16 @@ def class_sum_eigenvalue_loop(family, irr: IrrLabel, labels) -> int:
 def linear_or_unitary_class_sum_blocks(
     fam, blocks: Iterable[Sequence[IrrLabel]], labels: Sequence[ClassLabel]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """GL/GU ``class_sum_blocks`` on arrays, from the form table ``char_value`` reads.
+    """GL/GU class-sum terms on arrays, from the form table ``char_value`` reads.
 
-    The terms of ``sum_C |C| chi(C)`` that ``_Family.class_sum_blocks`` yields,
-    one block of characters at a time: each form of ``fam._forms`` becomes one
-    (characters x labels) block of exponents, with each class log read once per
-    label, and coefficient c * |C|.  Reduced by ``chars.reduced_rows``, it is the
-    batch reference for the period sums of ``standard_theta``.
+    The terms of ``sum_C |C| chi(C)`` over ``labels``, one block of characters
+    at a time, as int64 arrays (row, exponent, coefficient): each term adds
+    coefficient * zeta^exponent to the sum of the character ``block[row]``,
+    and equal (row, exponent) pairs may repeat.  Each form of ``fam._forms``
+    becomes one (characters x labels) block of exponents, with each class log
+    read once per label, and coefficient c * |C|.  Reduced by
+    :func:`reduced_rows`, it is the batch reference for the period sums of
+    ``standard_theta``.
     """
     n, forms, log = fam.root_order, fam._forms, fam._label_log
     kinds = ("central", "jordan", "split", "nonsplit")
@@ -797,6 +802,59 @@ def linear_or_unitary_class_sum_blocks(
                     np.repeat(rows, len(size)), exps.ravel(), np.tile(c * size, len(rows))
                 )))
         yield tuple(np.concatenate(pieces, axis=1))
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, p^a), one per prime power p^a exactly dividing n, by trial division."""
+    out, p = [], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            pa = 1
+            while n % p == 0:
+                n, pa = n // p, pa * p
+            out.append((p, pa))
+        p += 1
+    return out
+
+
+def _merged(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys, each with the sum of its coefficients; zero sums dropped."""
+    if not len(keys):
+        return keys, coeffs
+    order = np.argsort(keys, kind="stable")
+    keys, coeffs = keys[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(coeffs, starts)
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
+
+
+def reduced_rows(n: int, keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`CycSum.reduced` of many sums at once, on int64 arrays.
+
+    Term i adds ``coeffs[i] * zeta_n^e`` to row r, where ``keys[i] = r n + e``
+    and 0 <= e < n.  Returns the reduced terms of every row the same way,
+    keys sorted and distinct, coefficients nonzero: for each prime power
+    p^a exactly dividing n, the terms whose digit is p-1 become minus their
+    p-1 partners e + k n/p, and equal keys merge again.  A row is the
+    integer c exactly when its only surviving key is r n (c its
+    coefficient) or it has none (c = 0).  Coefficients stay int64 and must
+    fit in it.
+    """
+    keys, coeffs = _merged(np.asarray(keys, dtype=np.int64), np.asarray(coeffs, dtype=np.int64))
+    for p, pa in _prime_powers(n):
+        e = keys % n
+        hit = e % pa >= pa - pa // p
+        if not hit.any():
+            continue
+        partners = keys[hit, None] - e[hit, None] + (e[hit, None] + np.arange(1, p) * (n // p)) % n
+        keys, coeffs = _merged(
+            np.concatenate((keys[~hit], partners.ravel())),
+            np.concatenate((coeffs[~hit], np.repeat(-coeffs[hit], p - 1))),
+        )
+    return keys, coeffs
 
 
 def central_sign_via_char_value(family, irr: IrrLabel, x: int) -> int:

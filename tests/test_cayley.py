@@ -27,12 +27,13 @@ from oracles import (
     class_sum_eigenvalue_loop,
     linear_or_unitary_class_sum_blocks,
     pst_test,
+    reduced_rows,
     sl_order_based_elements,
     spectrum_trace,
     trivial_character,
 )
 from pstwalk import scheme
-from pstwalk.chars import NonIntegralError, reduced_rows
+from pstwalk.chars import CycSum, NonIntegralError
 from pstwalk.ctqw import pst_scan
 
 
@@ -673,7 +674,7 @@ def test_random_class_union_spectrum_and_walk(data):
 
 
 # ---------------------------------------------------------------------------
-# batched class sums against the per-pair loop
+# class sums against the loop over the branching character tables
 
 BATCH_CASES = [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9, 11, 13)]
 BATCH_CASES += [("sl", q) for q in (3, 5, 7, 11, 13)]
@@ -700,7 +701,7 @@ def test_batched_spectrum_matches_the_pair_loop(tag, q):
 
 @pytest.mark.parametrize("tag,q", [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9)])
 def test_array_terms_match_the_char_value_terms(tag, q):
-    """Guards the batch oracle: its GL/GU array terms reduce as the char_value loop does.
+    """Guards the batch oracle: its GL/GU array terms reduce as the char_value sums do.
 
     Both read the one form table; test_groups compares the table itself with a branching copy.
     """
@@ -708,10 +709,14 @@ def test_array_terms_match_the_char_value_terms(tag, q):
     irrs, labels, n = fam.irreducibles(), fam.classes(), fam.root_order
     blocks = [irrs[s : s + 5] for s in range(0, len(irrs), 5)]
     arrays = linear_or_unitary_class_sum_blocks(fam, blocks, labels)
-    loops = fam.class_sum_blocks(blocks, labels)
-    for got, want in zip(arrays, loops, strict=True):
-        got, want = (reduced_rows(n, rows * n + exps, coeffs) for rows, exps, coeffs in (got, want))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for block, (rows, exps, coeffs) in zip(blocks, arrays, strict=True):
+        keys, values = reduced_rows(n, rows * n + exps, coeffs)
+        got = {}
+        for key, c in zip(keys.tolist(), values.tolist()):
+            got.setdefault(key // n, {})[key % n] = c
+        for row, irr in enumerate(block):
+            terms = (fam.char_value(irr, lab) * fam.class_size(lab) for lab in labels)
+            assert got.get(row, {}) == sum(terms, CycSum(n)).reduced(), irr
 
 
 @settings(max_examples=60, deadline=None)
@@ -754,14 +759,13 @@ def test_period_rows_match_the_batched_class_sums(tag, q, size):
 
 @pytest.mark.parametrize("tag,q", [(tag, q) for tag in ("gl", "gu") for q in (3, 13, 25)])
 def test_standard_spectrum_sums_no_character_values(tag, q, monkeypatch):
-    """Standard GL/GU rows are period sums: they read no class-sum term and no character value."""
+    """Standard GL/GU rows are period sums: they read no character value."""
     fam = make_family(tag, q)
     want = spectrum(fam, build_connection_set(fam))
 
     def refuse(*args):
         raise AssertionError("the standard GL/GU spectrum read a character value")
 
-    monkeypatch.setattr(fam, "class_sum_blocks", refuse)
     monkeypatch.setattr(fam, "char_value", refuse)
     assert spectrum(fam, build_connection_set(fam)) == want
 
@@ -771,31 +775,30 @@ def test_standard_spectrum_sums_no_character_values(tag, q, monkeypatch):
     [("sl", 13, STANDARD), ("gl", 3, SMALL_ORDERS)],
     ids=["sl", "gl-3-small-orders"],
 )
-def test_spectrum_builds_each_block_once(tag, q, variant, monkeypatch):
-    """The callers of the batched class sums: SL, and GL(2, 3)'s small-orders set."""
+def test_spectrum_reads_each_value_once(tag, q, variant, monkeypatch):
+    """The callers of the class sums, SL and GL(2, 3)'s small-orders set, read each value once."""
     fam = make_family(tag, q)
     conn = build_connection_set(fam, variant)
     want = spectrum(fam, conn)
-    conn = build_connection_set(fam, variant)  # a new label tuple: no batch of it is cached
-    blocks, reads = [], []
-    produce, value = fam.class_sum_blocks, fam.char_value
-
-    def counted_blocks(irr_blocks, labels):
-        def pulled():
-            for block in irr_blocks:
-                blocks.append(block)
-                yield block
-
-        return produce(pulled(), labels)
+    reads, value = [], fam.char_value
 
     def counted_value(irr, cls):
-        reads.append(irr)
+        reads.append((irr, cls))
         return value(irr, cls)
 
-    monkeypatch.setattr(fam, "class_sum_blocks", counted_blocks)
     monkeypatch.setattr(fam, "char_value", counted_value)
     assert spectrum(fam, conn) == want
-    size, irrs = scheme.CLASS_SUM_BLOCK_ROWS, fam.irreducibles()
-    assert blocks == [irrs[s : s + size] for s in range(0, len(irrs), size)]
     # one value per character and label; central_sign reads the form table, not char_value
-    assert len(reads) == len(conn.labels) * len(irrs)
+    pairs = [(irr, lab) for irr in fam.irreducibles() for lab in conn.labels]
+    assert Counter(reads) == Counter(pairs)
+
+
+def test_class_sum_reads_the_labels_of_each_call():
+    """A label list that grows between two calls is summed afresh: no earlier sum is kept."""
+    fam = make_family("sl", 13)
+    labels = list(build_connection_set(fam).labels)
+    irr = trivial_character(fam)
+    before = scheme.class_sum_eigenvalue(fam, irr, labels)
+    extra = next(lab for lab in fam.classes() if lab not in labels)
+    labels.append(extra)
+    assert scheme.class_sum_eigenvalue(fam, irr, labels) == before + fam.class_size(extra)

@@ -13,11 +13,16 @@ from pstwalk.chars import (
     _exact_div,
     cyclotomic_polynomial,
     integer_part,
-    reduced_rows,
     residue_periods,
 )
 
-from oracles import MultChar, char_sum, dense_cyclotomic_reduction, quadratic_gauss_sum
+from oracles import (
+    MultChar,
+    char_sum,
+    dense_cyclotomic_reduction,
+    quadratic_gauss_sum,
+    reduced_rows,
+)
 
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),
@@ -212,6 +217,7 @@ def sparse_rows(draw):
 @given(case=sparse_rows())
 @settings(max_examples=200, deadline=None)
 def test_array_reduction_matches_reduced(case):
+    """Guards the array oracle the period-sum tests reduce with: it agrees with CycSum.reduced."""
     n, rows = case
     keys = np.array([r * n + e for r, terms in enumerate(rows) for e, _ in terms], dtype=np.int64)
     coeffs = np.array([c for terms in rows for _, c in terms], dtype=np.int64)

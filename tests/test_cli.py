@@ -194,7 +194,7 @@ def test_orbital_q3_passes_with_display_notices(capsys):
 def test_orbital_q7_character_sum_only(capsys):
     assert main(["orbital", "--q", "7"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "character-sum-only mode" in out
+    assert "period-sum-only mode" in out
     assert "verdict: ok" in out
 
 
@@ -228,6 +228,17 @@ def test_export_gl3_artifacts(tmp_path):
     assert pairs == sorted(pairs)
 
 
+def test_edges_text_formats_row_blocks_as_one_list():
+    """An edgeless graph writes one newline; a graph of several row blocks reads as one list."""
+    assert cli._edges_text(np.zeros((3, 3), dtype=np.int64)) == "\n"
+    n = 2 * cli._EDGE_BLOCK_ROWS + 5
+    upper = np.triu(np.random.default_rng(7).random((n, n)) < 0.05, 1)
+    adjacency = (upper | upper.T).astype(np.int64)
+    rows, cols = np.nonzero(upper)
+    assert rows.max() >= 2 * cli._EDGE_BLOCK_ROWS  # the last, partial block has edges
+    assert cli._edges_text(adjacency) == "".join(f"{i} {j}\n" for i, j in zip(rows, cols))
+
+
 def test_export_orbital_q3_artifacts(tmp_path):
     run_ok(["export", "--family", "orbital", "--q", "3", "--out-dir", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text())
@@ -253,7 +264,7 @@ def test_export_orbital_q7_skips_edges(tmp_path):
     assert (tmp_path / "spectrum.csv").exists()
     assert not (tmp_path / "graph.edges").exists()
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["certificate"]["mode"] == "character-sum"
+    assert report["certificate"]["mode"] == "period-sum"
     assert "fidelity_deviation" not in report["certificate"]
     assert len(report["spectrum"]) == 64
 

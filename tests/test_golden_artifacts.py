@@ -46,7 +46,7 @@ TARGETS = [
     ("gl-3-small-orders", ["--family", "gl", "--q", "3", "--variant", "small-orders"]),
     ("orbital-3", ["--family", "orbital", "--q", "3"]),
     ("orbital-7", ["--family", "orbital", "--q", "7"]),
-    # no explicit graph: the spectrum rests on the character-sum path alone
+    # no explicit graph: the spectrum rests on the period sums alone
     ("orbital-11", ["--family", "orbital", "--q", "11"]),
     ("orbital-23", ["--family", "orbital", "--q", "23"]),
     # both "exceeds the enumeration bound" skip paths

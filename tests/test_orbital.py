@@ -250,7 +250,7 @@ def test_larger_q_runs_character_sum_only():
     assert not sp.explicit
     assert sp.reps is None and sp.elements is None
     assert sp.n_cosets == Q7_COSETS
-    with pytest.raises(ValueError, match="character-sum-only"):
+    with pytest.raises(ValueError, match="period-sum-only"):
         build_gamma(sp)
 
 

@@ -73,7 +73,7 @@ def test_fidelity_trace_refuses_what_it_cannot_trace(monkeypatch, capsys):
     trace = load("fidelity_trace")
     assert trace.main(["--family", "orbital", "--q", "7"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: q = 7 runs in character-sum-only mode")
+    assert err.startswith("error: q = 7 runs in period-sum-only mode")
     assert err.count("\n") == 1
 
     real = cli.analyze
