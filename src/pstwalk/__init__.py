@@ -27,7 +27,6 @@ from pstwalk.cayley import (
     STANDARD,
     CayleyAnalysis,
     ConnectionSet,
-    SpectrumRow,
     analyze,
     build_connection_set,
     certify,
@@ -44,14 +43,20 @@ from pstwalk.gf import FiniteField, FieldTower, make_field, make_tower
 from pstwalk.groups import ClassLabel, GLGroup, GUGroup, IrrLabel, Mat2, SLGroup
 from pstwalk.orbital import (
     CosetSpace,
-    OrbitalRow,
     build_coset_space,
     build_gamma,
     certify_orbital,
     linear_energy_display_audit,
     orbital_spectrum,
 )
-from pstwalk.scheme import ConjugacyScheme, Graph, TransferCertificate, transfer_certificate
+from pstwalk.scheme import (
+    ConjugacyScheme,
+    FormulaCheck,
+    Graph,
+    SpectrumRow,
+    TransferCertificate,
+    transfer_certificate,
+)
 
 __version__ = "0.1.0"
 
@@ -78,7 +83,6 @@ __all__ = [
     "variants_for",
     "ConnectionSet",
     "build_connection_set",
-    "SpectrumRow",
     "spectrum",
     "certify",
     "closed_form_audit",
@@ -88,13 +92,14 @@ __all__ = [
     "component_count",
     # double-coset pipeline
     "CosetSpace",
-    "OrbitalRow",
     "build_coset_space",
     "build_gamma",
     "orbital_spectrum",
     "certify_orbital",
     "linear_energy_display_audit",
     # scheme layer and walk checks
+    "SpectrumRow",
+    "FormulaCheck",
     "ConjugacyScheme",
     "Graph",
     "TransferCertificate",

@@ -23,7 +23,8 @@ Because the connection set is a union of classes, the adjacency matrix
 lives in the group's conjugacy-class association scheme: each
 irreducible character contributes one exact integer eigenvalue (a
 character sum, multiplicity the squared degree; on the standard GL and GU
-sets a closed period sum of a cyclic group).  Perfect state
+sets a closed period sum of a cyclic group), one
+:class:`~pstwalk.scheme.SpectrumRow` each.  Perfect state
 transfer between every vertex ``x`` and its antipode ``-x`` at time
 ``pi/g`` is certified by the mod-4 congruence of
 :func:`~pstwalk.scheme.transfer_certificate` on that spectrum, split by
@@ -34,8 +35,8 @@ enumerates the group and returns the graph as a
 Closed-form eigenvalue expressions that were derived by hand while
 designing these sets are retained as audit oracles:
 :func:`closed_form_audit` recomputes them next to the exact character
-sums and reports every disagreement instead of silently preferring
-either side.
+sums as :class:`~pstwalk.scheme.FormulaCheck` records and reports every
+disagreement instead of silently preferring either side.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, SLGroup
 from .scheme import (
     ConjugacyScheme,
+    FormulaCheck,
     Graph,
+    SpectrumRow,
     TransferCertificate,
     class_sum_eigenvalue,
     render_irr,
@@ -66,10 +69,8 @@ __all__ = [
     "variants_for",
     "ConnectionSet",
     "build_connection_set",
-    "SpectrumRow",
     "spectrum",
     "certify",
-    "FormulaCheck",
     "closed_form_audit",
     "CayleyAnalysis",
     "analyze",
@@ -186,25 +187,13 @@ def build_connection_set(family, variant: str = STANDARD) -> ConnectionSet:
 # exact spectra
 
 
-class SpectrumRow(NamedTuple):
-    """One eigenvalue of a class-union Cayley graph.
-
-    ``sign`` is the character's value on the central involution divided
-    by its degree (the side of the transfer congruence the eigenvalue
-    must land on); ``multiplicity`` is the squared character degree.
-    """
-
-    irr: IrrLabel
-    theta: int
-    sign: int
-    multiplicity: int
-
-
 def spectrum(family, conn: ConnectionSet) -> list[SpectrumRow]:
-    """Exact integer spectrum, one row per irreducible character.
+    """Exact integer spectrum, one :class:`~pstwalk.scheme.SpectrumRow` per irreducible.
 
-    GL/GU rows of the standard labels are period sums (``standard_theta``), the
-    trivial one checked against the degree; other rows are class sums.
+    A row's sign is the character's value on the central involution divided
+    by its degree, and its multiplicity the squared degree.  GL/GU rows of
+    the standard labels are period sums (``standard_theta``), the trivial one
+    checked against the degree; other rows are class sums.
     """
     minus_one = family.field.neg(1)
     periods = family.family != "sl" and conn.labels == tuple(_standard_labels(family))
@@ -239,18 +228,6 @@ def certify(rows: Sequence[SpectrumRow]) -> TransferCertificate:
 
 # ---------------------------------------------------------------------------
 # hand-derived closed forms, kept as audit oracles
-
-
-class FormulaCheck(NamedTuple):
-    """One comparison between a hand-derived closed form and the exact value."""
-
-    family: str
-    q: int
-    formula: str
-    row: str
-    hand_value: int
-    exact_value: int
-    agrees: bool
 
 
 def _hand_value(q: int, eps: int, irr: IrrLabel) -> int:

@@ -22,7 +22,8 @@ numeric spectrum, walk), and one report assembly serves both families.
 The walk is one :class:`~pstwalk.ctqw.WalkSystem`, split by the partner
 permutation into its +1 and -1 sides; each side's numeric spectrum is
 compared with the exact rows of that sign.  A partner that is not a
-fixed-point-free involutive automorphism of the graph fails the cross-check.
+fixed-point-free involutive automorphism of the graph fails the cross-check,
+as does any other error the walk raises on the explicit graph.
 The pipeline is public: the scripts in ``scripts/`` build their rows,
 traces and audits through it rather than by hand.
 
@@ -60,7 +61,7 @@ from .cayley import (
     component_count,
     explicit_graph,
 )
-from .ctqw import PairingError, WalkSystem, pst_scan
+from .ctqw import WalkSystem, pst_scan
 from .scheme import Graph, TransferCertificate
 
 __all__ = [
@@ -156,16 +157,8 @@ def _notices(audit) -> list[str]:
 # report assembly and artifact writing
 
 
-def _json_default(o):
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.bool_):
-        return bool(o)
-    raise TypeError(f"not JSON-serializable: {o!r} of type {type(o).__name__}")
-
-
 def _report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _spectrum_csv(entries: list[dict]) -> str:
@@ -418,7 +411,9 @@ def cross_checks(
     one with more than ``sim_bound`` vertices is built but not simulated.
     The walk runs even when the certificate fails, since the mod-4
     certificate is sufficient but not necessary; it counts toward the
-    verdict only when the certificate holds.
+    verdict only when the certificate holds.  A ``ValueError`` from the walk
+    (a bad pairing, an asymmetric adjacency, an eigendecomposition drift)
+    skips the simulation and fails the checks.
     """
     checks: dict = {}
     notes: list[str] = []
@@ -448,9 +443,11 @@ def cross_checks(
             f"skipped: {n} vertices exceed the simulation bound {sim_bound}"
         )
         return checks, notes, adjacency, ok
+    pairs = [(i, int(j)) for i, j in enumerate(graph.partner) if i < j]
     try:
         walk = WalkSystem.from_adjacency(adjacency, graph.partner)
-    except PairingError as err:
+        scan = pst_scan(walk, pairs)
+    except ValueError as err:
         checks["simulation"] = f"skipped: {err}"
         return checks, notes, adjacency, False
     deviation = _spectrum_deviation(walk, target.rows)
@@ -458,8 +455,6 @@ def cross_checks(
     spectrum_ok = deviation <= SPECTRUM_TOL
     checks["spectrum_matches"] = bool(spectrum_ok)
     ok &= spectrum_ok
-    pairs = [(i, int(j)) for i, j in enumerate(graph.partner) if i < j]
-    scan = pst_scan(walk, pairs)
     checks["walk_pairs"] = scan.pairs_checked
     checks["walk_min_fidelity"] = _fmt(scan.min_fidelity)
     checks["walk_ok"] = scan.ok
@@ -515,12 +510,6 @@ def cmd_run(args) -> int:
     else:
         code = EXIT_OK
     return _finish(report, csv_entries, adjacency, args, code)
-
-
-def cmd_export(args) -> int:
-    if args.out_dir is None:
-        args.out_dir = Path(".")
-    return cmd_run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", default=STANDARD, choices=(STANDARD, SMALL_ORDERS)
     )
     _add_common(export)
-    export.set_defaults(run=cmd_export)
+    export.set_defaults(run=cmd_run, out_dir=Path("."))
 
     return parser
 

@@ -18,9 +18,11 @@ the chi-component, and the diagonal relations contribute an integer
 ``energy``.  It is a period sum S(u) S(v) - S(u + v), S(w) = (q+1) [(q+1) | w],
 over the cyclic group F_{q^2}^x / F_q^x (character orthogonality: Lidl and
 Niederreiter, *Finite Fields*, ch. 5), derived at :func:`orbital_spectrum`.
-Every energy is divisible by 4, so the mod-4 congruence of
-:func:`~pstwalk.scheme.transfer_certificate` certifies perfect state
-transfer between ``rH`` and ``(z r)H`` for every coset at time pi/2.
+The rows are the Cayley graphs' :class:`~pstwalk.scheme.SpectrumRow`, so a
+row's energy is ``theta - sign``.  Every energy is divisible by 4, so the
+mod-4 congruence of :func:`~pstwalk.scheme.transfer_certificate` certifies
+perfect state transfer between ``rH`` and ``(z r)H`` for every coset at
+time pi/2.
 
 At q = 3 the whole 5760-element group is small enough to enumerate, so
 the graph and the energies can be cross-validated literally; larger q
@@ -33,23 +35,28 @@ pairing is the permutation rH -> (z r)H, carried as a
 :class:`~pstwalk.scheme.Graph`.
 
 The module also retains the hand-derived closed form printed for the
-linear-character energies as an audit oracle; it disagrees with the exact
-values by a normalization factor and is reported, never trusted.
+linear-character energies as an audit oracle, one
+:class:`~pstwalk.scheme.FormulaCheck` per linear character; it disagrees
+with the exact values by a normalization factor and is reported, never
+trusted.  G and H are built as :class:`~pstwalk.groups.GLGroup` instances
+here, so the module stands on :mod:`pstwalk.scheme` beside
+:mod:`pstwalk.cayley` and imports nothing from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cayley import FormulaCheck, make_family
 from .chars import NonIntegralError
-from .groups import IrrLabel, Mat2, _prime_power
+from .groups import GLGroup, IrrLabel, Mat2, _prime_power
 from .scheme import (
+    FormulaCheck,
     Graph,
+    SpectrumRow,
     TransferCertificate,
     transfer_certificate,
     translation_adjacency,
@@ -59,7 +66,6 @@ from .scheme import (
 __all__ = [
     "EXPLICIT_LIMIT",
     "CosetSpace",
-    "OrbitalRow",
     "build_coset_space",
     "build_gamma",
     "coset_irreducibles",
@@ -118,7 +124,7 @@ def build_coset_space(q: int) -> CosetSpace:
             f"the double-coset construction needs q = 3 (mod 4); got q = {q}"
         )
     _prime_power(q)
-    group = make_family("gl", q * q)
+    group = GLGroup(q * q)
     field = group.field
     zeta = field.exp[(q * q - 1) // 4]
     z = Mat2(zeta, 0, 0, zeta)
@@ -136,7 +142,7 @@ def build_coset_space(q: int) -> CosetSpace:
         return CosetSpace(explicit=False, **base)
 
     # H is GL(2, q), carried into G by the embedding of F_q into F_{q^2}
-    sub = make_family("gl", q)
+    sub = GLGroup(q)
     embed = sub.tower.embed
     h_elements = tuple(Mat2(*map(embed, h)) for h in sub.enumerate_group())
     if len(h_elements) != hsize:
@@ -250,28 +256,22 @@ def _energy_total(space: CosetSpace, irr: IrrLabel) -> int:
 # the spectrum
 
 
-class OrbitalRow(NamedTuple):
-    """One eigenvalue of the coset graph, tied to its character."""
-
-    irr: IrrLabel
-    energy: int  # contribution of the diagonal double cosets; always 0 mod 4
-    sign: int  # eigenvalue of the involution relation: +1 or -1
-    theta: int  # sign + energy
-    multiplicity: int  # dimension of the eigenspace (the character degree)
-
-
-def orbital_spectrum(q: int) -> list[OrbitalRow]:
+def orbital_spectrum(q: int) -> list[SpectrumRow]:
     """Exact eigenvalue rows of the coset graph, one per irreducible.
 
-    The energy of a row is the half-sum of coset character sums chi(mH)
-    over ordered pairs of distinct transversal elements, divided by the
-    intersection size (q-1)^2.  A nonzero term needs characters trivial on
-    F_q^x; they factor through the cyclic group F_{q^2}^x / F_q^x of order
-    q + 1, which the transversal gen^0 .. gen^q meets once per coset.  By
-    orthogonality on that group (Lidl and Niederreiter, *Finite Fields*,
-    ch. 5) the sum over a != b of omega^(u a + v b), omega of order q + 1,
-    is S(u) S(v) - S(u + v) with S(w) = (q+1) [(q+1) | w]: an integer.  The
-    division must be exact; the certificate checks each energy mod 4.
+    Each is a :class:`~pstwalk.scheme.SpectrumRow`: its sign is the
+    eigenvalue of the involution relation, +1 or -1, its theta is sign +
+    energy and its multiplicity the character degree.  The energy,
+    theta - sign, is the contribution of the diagonal double cosets: the
+    half-sum of coset character sums chi(mH) over ordered pairs of distinct
+    transversal elements, divided by the intersection size (q-1)^2.  A
+    nonzero term needs characters trivial on F_q^x; they factor through the
+    cyclic group F_{q^2}^x / F_q^x of order q + 1, which the transversal
+    gen^0 .. gen^q meets once per coset.  By orthogonality on that group
+    (Lidl and Niederreiter, *Finite Fields*, ch. 5) the sum over a != b of
+    omega^(u a + v b), omega of order q + 1, is S(u) S(v) - S(u + v) with
+    S(w) = (q+1) [(q+1) | w]: an integer.  The division must be exact; the
+    certificate checks each energy mod 4.
     """
     space = build_coset_space(q)
     denom = 2 * (q - 1) ** 2
@@ -285,13 +285,11 @@ def orbital_spectrum(q: int) -> list[OrbitalRow]:
             )
         energy = whole // denom
         sign = space.group.central_sign(irr, space.zeta)
-        rows.append(
-            OrbitalRow(irr, energy, sign, sign + energy, space.group.degree(irr))
-        )
+        rows.append(SpectrumRow(irr, sign + energy, sign, space.group.degree(irr)))
     return rows
 
 
-def linear_energy_display_audit(q: int, rows: Sequence[OrbitalRow]) -> list[FormulaCheck]:
+def linear_energy_display_audit(q: int, rows: Sequence[SpectrumRow]) -> list[FormulaCheck]:
     """Compare the printed linear-energy closed form against exact values.
 
     The printed form replaces the transversal pair sum by a full-group
@@ -304,7 +302,7 @@ def linear_energy_display_audit(q: int, rows: Sequence[OrbitalRow]) -> list[Form
     """
     n = q * q - 1
     out = []
-    energies = {r.irr: r.energy for r in rows}
+    energies = {r.irr: r.theta - r.sign for r in rows}
     for a in range(q + 1):
         j = (q - 1) * a
         full = n if j % n == 0 else 0
@@ -394,6 +392,6 @@ def build_gamma(space: CosetSpace) -> Graph:
 # the certificate
 
 
-def certify_orbital(rows: Sequence[OrbitalRow]) -> TransferCertificate:
+def certify_orbital(rows: Sequence[SpectrumRow]) -> TransferCertificate:
     """Run the mod-4 transfer test for the pairing ``rH <-> (z r)H``."""
     return transfer_certificate(rows, "rH <-> (z r)H for every coset rH")

@@ -20,7 +20,10 @@ on every +1 eigenspace and odd on every -1 eigenspace.  That parity
 test, validated against direct simulation, is a reference in
 ``tests/oracles.py``.
 
-Both graph families are certified by :func:`transfer_certificate`, the
+Both graph families hand their exact spectra over as one row type,
+:class:`SpectrumRow` (character, eigenvalue, sign, multiplicity), and
+their hand-derived closed forms as one audit record, :class:`FormulaCheck`.
+Both are certified by :func:`transfer_certificate`, the
 mod-4 form of that criterion: every eigenvalue is congruent to theta0
 mod 4 on the +1 side and to theta0 + 2 on the -1 side, and the -1 side
 is not empty.  It accepts exactly what the parity test accepts with
@@ -50,6 +53,8 @@ from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, IrrLabel, Mat2
 
 __all__ = [
+    "SpectrumRow",
+    "FormulaCheck",
     "TransferCertificate",
     "transfer_certificate",
     "render_irr",
@@ -66,6 +71,32 @@ def render_irr(irr: IrrLabel | None) -> str:
     if irr is None:
         return "unlabeled character"
     return f"{irr.kind}({', '.join(map(str, irr.params))})"
+
+
+class SpectrumRow(NamedTuple):
+    """One eigenvalue of a graph with a transfer pairing, tied to its character.
+
+    ``sign`` is the pairing involution's eigenvalue on the eigenspace (the
+    side of the transfer congruence the eigenvalue must land on) and
+    ``multiplicity`` the dimension of the eigenspace.
+    """
+
+    irr: IrrLabel
+    theta: int
+    sign: int
+    multiplicity: int
+
+
+class FormulaCheck(NamedTuple):
+    """One comparison between a hand-derived closed form and the exact value."""
+
+    family: str
+    q: int
+    formula: str
+    row: str
+    hand_value: int
+    exact_value: int
+    agrees: bool
 
 
 @dataclass(frozen=True)
@@ -92,12 +123,10 @@ class TransferCertificate:
     connected: bool | None = None
 
 
-def transfer_certificate(rows: Sequence, transfer_rule: str) -> TransferCertificate:
-    """Run the mod-4 transfer test on an exact spectrum.
-
-    ``rows`` carry ``irr``, ``theta``, ``sign`` (the involution's sign on
-    the eigenspace) and ``multiplicity``, one row per eigenspace part.
-    """
+def transfer_certificate(
+    rows: Sequence[SpectrumRow], transfer_rule: str
+) -> TransferCertificate:
+    """Run the mod-4 transfer test on an exact spectrum, one row per eigenspace part."""
     theta0 = max(r.theta for r in rows)
     top_mult = sum(r.multiplicity for r in rows if r.theta == theta0)
     base = dict(degree=theta0, transfer_rule=transfer_rule, connected=top_mult == 1)

@@ -220,7 +220,7 @@ def test_criterion_6_orbital_q3():
     assert np.array_equal(involution @ involution, np.eye(n, dtype=np.int64))
 
     rows = orbital.orbital_spectrum(3)
-    assert all(isinstance(r.energy, int) and r.energy % 4 == 0 for r in rows)
+    assert all(isinstance(r.theta - r.sign, int) and (r.theta - r.sign) % 4 == 0 for r in rows)
 
     deviation = spectrum_deviation(graph.adjacency, [(r.theta, r.multiplicity) for r in rows])
     assert deviation <= SPECTRUM_TOL
@@ -240,7 +240,7 @@ def test_criterion_7_orbital_q7():
     start = time.perf_counter()
     rows = orbital.orbital_spectrum(7)
     assert len(rows) == 64
-    assert all(isinstance(r.energy, int) and r.energy % 4 == 0 for r in rows)
+    assert all(isinstance(r.theta - r.sign, int) and (r.theta - r.sign) % 4 == 0 for r in rows)
     cert = orbital.certify_orbital(rows)
     assert cert.ok, cert.reason
     assert not orbital.build_coset_space(7).explicit

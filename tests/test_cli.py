@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,6 +419,33 @@ def test_walk_failure_exits_3(monkeypatch):
     monkeypatch.setattr(cli, "pst_scan", failing_scan)
     assert main(["verify", "--family", "sl", "--q", "3"]) == EXIT_CROSS_CHECK
     assert main(["orbital", "--q", "3"]) == EXIT_CROSS_CHECK
+
+
+def test_walk_errors_fail_the_cross_check(monkeypatch, capsys):
+    """An error the walk raises on the explicit graph, here an asymmetric
+    adjacency, is a cross-check failure with exit 3, not a traceback."""
+    real = cli.explicit_graph
+
+    def one_way(family, conn, bound):
+        graph = real(family, conn, bound=bound)
+        adjacency = graph.adjacency.copy()
+        i, j = np.argwhere(adjacency)[0]
+        adjacency[i, j] = 0
+        return graph._replace(adjacency=adjacency)
+
+    monkeypatch.setattr(cli, "explicit_graph", one_way)
+    assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
+    out = capsys.readouterr().out
+    assert "cross-check simulation: skipped: adjacency must be symmetric\n" in out
+    assert "verdict: cross-check mismatch" in out
+
+
+def test_export_alone_defaults_to_the_working_directory():
+    parser = cli.build_parser()
+    export = ["export", "--family", "gl", "--q", "3"]
+    assert parser.parse_args(export).out_dir == Path(".")
+    assert parser.parse_args(export + ["--out-dir", "x"]).out_dir == Path("x")
+    assert parser.parse_args(["verify", "--family", "gl", "--q", "3"]).out_dir is None
 
 
 def test_erratum_notices_leave_exit_zero(tmp_path):

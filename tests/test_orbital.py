@@ -153,7 +153,10 @@ def diag(sp, a, b):
 
 
 def rows_by_label(rows):
-    return {(r.irr.kind, r.irr.params): (r.energy, r.sign, r.theta, r.multiplicity) for r in rows}
+    return {
+        (r.irr.kind, r.irr.params): (r.theta - r.sign, r.sign, r.theta, r.multiplicity)
+        for r in rows
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +615,8 @@ def test_spectrum_rows_internally_consistent():
     for q in (3, 7):
         rows = rows_for(q)
         for r in rows:
-            assert r.theta == r.sign + r.energy
             assert r.sign in (-1, 1)
-            assert r.energy % 4 == 0
+            assert (r.theta - r.sign) % 4 == 0
         assert spectrum_trace(rows) == 0
 
 
@@ -653,7 +655,7 @@ def test_energies_match_kernel_form_closed_expressions():
                 value = induced_energy_closed(q, (j, j)) - linear_energy_closed(q, j)
             else:
                 value = induced_energy_closed(q, params)
-            assert value == r.energy, r.irr
+            assert value == r.theta - r.sign, r.irr
 
 
 def test_trivial_energy_is_diagonal_part_degree():
@@ -735,7 +737,7 @@ def test_numeric_spectrum_matches_character_rows():
 def test_numeric_diagonal_part_matches_energies():
     """The graph minus its matching has the energies as its spectrum."""
     g = graph3()
-    exact = sorted(r.energy for r in rows_for(3) for _ in range(r.multiplicity))
+    exact = sorted(r.theta - r.sign for r in rows_for(3) for _ in range(r.multiplicity))
     numeric = np.linalg.eigvalsh((g.adjacency - matching(g)).astype(float))
     assert np.abs(numeric - np.array(exact, dtype=float)).max() < 1e-8
 
@@ -765,7 +767,7 @@ def test_certificate_q3():
 @pytest.mark.parametrize("q", ADMISSIBLE)
 def test_certificate_every_admissible_q_to_31(q, release_tables):
     rows = orbital_spectrum(q)
-    assert all(r.energy % 4 == 0 for r in rows)
+    assert all((r.theta - r.sign) % 4 == 0 for r in rows)
     assert certify_orbital(rows).ok
 
 

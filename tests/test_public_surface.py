@@ -6,8 +6,10 @@ imported, or named in the tracer's ``TARGETS``.  ``__all__`` lists, the
 package's ``__init__.py`` re-exports, docstrings and comments do not count.
 A name that only the tests reach is a reference, and references live in
 ``tests/oracles.py``.  Every name a module of ``src/``, ``scripts/`` or
-``tests/`` imports is used in that module.  The files are parsed; nothing
-is imported.
+``tests/`` imports is used in that module.  The modules form layers:
+``scheme`` imports neither graph family, the walk nor the CLI, and the two
+families do not import each other.  The files are parsed; nothing is
+imported.
 """
 
 from __future__ import annotations
@@ -103,3 +105,38 @@ def test_every_import_is_used():
         for entry in _unused_imports(path)
     ]
     assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The ``pstwalk`` modules ``path`` imports, by their short names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level == 1:
+                out.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("pstwalk."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("pstwalk.")
+            )
+    return out
+
+
+def test_modules_form_layers():
+    """gf -> chars -> groups -> scheme -> {cayley, orbital} -> cli."""
+    above = {
+        "scheme": {"cayley", "orbital", "ctqw", "cli"},
+        "cayley": {"orbital"},
+        "orbital": {"cayley"},
+    }
+    crossings = [
+        f"{module} imports {', '.join(sorted(found))}"
+        for module, banned in above.items()
+        if (found := _package_imports(PACKAGE / f"{module}.py") & banned)
+    ]
+    assert not crossings, f"layering broken: {'; '.join(crossings)}"

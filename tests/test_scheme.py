@@ -20,10 +20,15 @@ from oracles import (
     scheme_axiom_witness,
 )
 from pstwalk import cayley
-from pstwalk.cayley import STANDARD, ConnectionSet, SpectrumRow
+from pstwalk.cayley import STANDARD, ConnectionSet
 from pstwalk.chars import CycSum, NonIntegralError
 from pstwalk.groups import GLGroup
-from pstwalk.scheme import ConjugacyScheme, class_sum_eigenvalue, transfer_certificate
+from pstwalk.scheme import (
+    ConjugacyScheme,
+    SpectrumRow,
+    class_sum_eigenvalue,
+    transfer_certificate,
+)
 
 K2_ROWS = [(1, 1, 1), (-1, -1, 1)]
 C4_ROWS = [(2, 1, 1), (0, -1, 2), (-2, 1, 1)]
