@@ -43,9 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, SLGroup
@@ -368,6 +369,8 @@ def component_count(adjacency: np.ndarray) -> int:
     reaches; a component ends with an empty level, and the next one starts
     at the first unseen vertex.
     """
+    import numpy as np
+
     a = np.asarray(adjacency)
     n = a.shape[0]
     seen = np.zeros(n, dtype=bool)

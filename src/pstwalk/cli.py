@@ -47,9 +47,10 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from . import __version__
 from . import orbital as orb
@@ -188,6 +189,8 @@ def _edges_text(adjacency: np.ndarray) -> str:
 
     The endpoints become Python ints a block of rows at a time.
     """
+    import numpy as np
+
     parts = []
     for start in range(0, len(adjacency), _EDGE_BLOCK_ROWS):
         rows, cols = np.nonzero(adjacency[start : start + _EDGE_BLOCK_ROWS])
@@ -396,7 +399,7 @@ def _spectrum_deviation(walk: WalkSystem, rows) -> float:
         )
         if len(thetas) != len(values):
             return float("inf")
-        deviation = max(deviation, float(np.abs(values - thetas).max()))
+        deviation = max(deviation, float(abs(values - thetas).max()))
     return deviation
 
 
@@ -436,7 +439,7 @@ def cross_checks(
         checks["connectivity_agrees"] = bool(agrees)
         ok &= agrees
     # the complement of a perfect matching: every row sums to n - 2, no loops
-    if (row_sums == n - 2).all() and np.trace(adjacency) == 0:
+    if (row_sums == n - 2).all() and adjacency.trace() == 0:
         notes.append(f"the graph is the complement of {n // 2} disjoint edges")
     if n > sim_bound:
         checks["simulation"] = (

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, pi
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NonIntegralSpectrumError",
@@ -71,6 +72,8 @@ def _checked_pairing(a: np.ndarray, pairing) -> np.ndarray:
 
     The automorphism test A[P][:, P] == A is exact.
     """
+    import numpy as np
+
     n = len(a)
     p = np.asarray(pairing)
     if p.shape != (n,) or not np.issubdtype(p.dtype, np.integer) or ((p < 0) | (p >= n)).any():
@@ -95,7 +98,7 @@ def _drift(blocks: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     """
     vt = v.transpose(0, 2, 1)
     return max(
-        (np.abs((v[:, rows] * w[:, None]) @ vt - blocks[:, rows]).sum(axis=0) / len(blocks)).max()
+        (abs((v[:, rows] * w[:, None]) @ vt - blocks[:, rows]).sum(axis=0) / len(blocks)).max()
         for rows in _row_slices(blocks.shape[1])
     )
 
@@ -124,6 +127,8 @@ class WalkSystem:
         Raises :class:`PairingError` when ``pairing`` is given and is not a
         fixed-point-free involutive automorphism of A.
         """
+        import numpy as np
+
         a = np.asarray(adjacency)
         if a.dtype.kind not in "if":
             a = a.astype(float)
@@ -165,6 +170,8 @@ class WalkSystem:
         and sine parts are real sums, so no n x n unitary is formed. Each row
         is summed on its own, so a pair reads the same value in any batch.
         """
+        import numpy as np
+
         xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
         ry, rx = self.rows[ys], self.rows[xs]
         blocks = len(self.block_vectors)
@@ -185,6 +192,8 @@ def _as_walk(adjacency) -> WalkSystem:
 
 def integer_eigenvalues(walk: WalkSystem) -> np.ndarray:
     """Rounded spectrum, or :class:`NonIntegralSpectrumError` if off by > TOL."""
+    import numpy as np
+
     rounded = np.rint(walk.eigenvalues)
     drift = np.abs(walk.eigenvalues - rounded).max()
     if drift > TOL:

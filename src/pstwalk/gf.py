@@ -19,8 +19,15 @@ The tables are built the same way for every k.  The generator is the
 first candidate g with g^((q-1)/l) != 1 for every prime l dividing q-1,
 each power taken by square-and-multiply mod the modulus, so no table is
 built for a rejected candidate.  Multiplying by g is a k x k matrix M over
-F_p, so the digit rows of g^0 ... g^(q-2) double in number with each
-product by M^(2^m), and ``exp``/``log`` are plain lists of Python ints.
+F_p, and one of two builders makes ``exp``, ``log`` and ``zech`` from it,
+both as plain lists of Python ints.  A field of at most
+``PURE_TABLE_LIMIT`` elements multiplies the digit vector of g^i by M one
+power at a time in pure Python; a larger one lets the digit rows of
+g^0 ... g^(q-2) double in number with each numpy product by M^(2^m).  The
+pure loop costs less than importing numpy on every field a character-sum
+target reads and far more on the frontier's large fields, so numpy is
+loaded only by those fields, by :meth:`FiniteField.tables` and by the array
+layers above (explicit graphs, components, the walk).
 A sum in F_p is one reduction mod p, cheaper than any table read.  In an
 extension field a digit loop would cost k divisions per sum, so a sum
 reads the Zech list, g^zech[d] = 1 + g^d (-1 where that is 0), made from
@@ -34,8 +41,11 @@ subgroup -- the data every construction downstream consumes.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FiniteField",
@@ -147,22 +157,47 @@ def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _powers(g: int, p: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """Encodings of g^0 ... g^(q-2).
+def _times_g(g: int, p: int, modulus: tuple[int, ...]) -> list[list[int]]:
+    """The k x k matrix M over F_p of multiplication by g: row i holds the digits of x^i g."""
+    k = len(modulus) - 1
+    rows = [list(_digits(g, p, k))]
+    for _ in range(1, k):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append([(lo - top * t) % p for lo, t in zip([0] + prev[:-1], modulus)])
+    return rows
 
-    Multiplying by g is the k x k matrix M over F_p whose row i holds the
-    digits of x^i * g, so the digit rows of g^(2^m) ... g^(2^(m+1)-1) are
-    those of g^0 ... g^(2^m - 1) times M^(2^m): log2(q) array products.
+
+def _pure_tables(g: int, p: int, modulus: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """``(exp, log, zech)`` by multiplying the digit vector of g^i by M, one power at a time."""
+    k = len(modulus) - 1
+    q = p**k
+    cols = list(zip(*_times_g(g, p, modulus)))
+    place = [p**j for j in range(k)]
+    exp, digits = [], [1] + [0] * (k - 1)
+    for _ in range(q - 1):
+        exp.append(sum(map(mul, digits, place)))
+        digits = [sum(map(mul, digits, col)) % p for col in cols]
+    log = [-1] * q
+    for d, e in enumerate(exp):
+        log[e] = d
+    # adding 1 bumps the constant digit, which wraps without a carry
+    zech = [log[e + 1 - p if e % p == p - 1 else e + 1] for e in exp]
+    return exp, log, zech
+
+
+def _numpy_tables(g: int, p: int, modulus: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """``(exp, log, zech)`` with the digit rows of g^0 ... g^(q-2) doubling in number.
+
+    The rows of g^(2^m) ... g^(2^(m+1)-1) are those of g^0 ... g^(2^m - 1)
+    times M^(2^m): log2(q) array products.
     """
+    import numpy as np
+
     k = len(modulus) - 1
     n = p**k - 1
-    tail = np.array(modulus[:k], dtype=np.int64)
     place = p ** np.arange(k, dtype=np.int64)
-    step = np.zeros((k, k), dtype=np.int64)
-    step[0] = _digits(g, p, k)
-    for i in range(1, k):
-        step[i, 1:] = step[i - 1, :-1]
-        step[i] = (step[i] - step[i - 1, -1] * tail) % p
+    step = np.array(_times_g(g, p, modulus), dtype=np.int64)
     rows = np.zeros((n, k), dtype=np.int64)
     rows[0, 0] = 1
     size = 1
@@ -171,7 +206,23 @@ def _powers(g: int, p: int, modulus: tuple[int, ...]) -> np.ndarray:
         rows[size : size + m] = rows[:m] @ step % p
         step = step @ step % p
         size += m
-    return rows @ place
+    exp = rows @ place
+    del rows  # n x k int64s, freed before log and zech are built
+    log = np.full(n + 1, -1, dtype=np.int64)
+    log[exp] = np.arange(n)
+    zech = log[exp + np.where(exp % p == p - 1, 1 - p, 1)]
+    return exp.tolist(), log.tolist(), zech.tolist()
+
+
+# Fields up to this order build their tables in pure Python, larger ones with
+# numpy, whose import alone takes 0.1-0.15 s.  The pure loop costs k^2 steps
+# per power (2-vCPU x86 host, Python 3.11, numpy 2.4): F_{23^2} 1.5 ms,
+# F_{5^4} 2.7 ms, F_{3^6} 4.3 ms, F_{31^2} 2.6 ms, but F_{7^4} 8.3 ms,
+# F_{3^8} 48 ms, F_{211^2} 120 ms and F_{1019^2} 3.1 s against 0.9, 2.3, 10
+# and 270 ms for the doubling.  Every field of the benchmark's character-sum
+# targets (q <= 625) lies below, and every field a frontier target reads
+# beyond its base field (F_{7^4} for gl/gu 49 upwards) stays above.
+PURE_TABLE_LIMIT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +251,12 @@ class FiniteField:
             for g in range(2, self.q)
             if all(_poly_trim(_poly_powmod(_digits(g, p, k), e, mod, p)) != [1] for e in cofactors)
         )
-        exp = _powers(g, p, self.modulus)
-        log = np.full(self.q, -1, dtype=np.int64)
-        log[exp] = np.arange(n)
-        if (log[1:] < 0).any():  # pragma: no cover - g was tested primitive
+        build = _pure_tables if self.q <= PURE_TABLE_LIMIT else _numpy_tables
+        # g^zech[d] = 1 + g^d, or -1 where that sum is 0 (read by add when k > 1)
+        self.exp, self.log, self._zech = build(g, p, self.modulus)
+        if min(self.log[1:]) < 0:  # pragma: no cover - g was tested primitive
             raise RuntimeError(f"the powers of {g} miss a unit of F_{self.q}")
-        self.exp: list[int] = exp.tolist()
-        self.log: list[int] = log.tolist()
         self.generator: int = g
-        # g^zech[d] = 1 + g^d, or -1 where that sum is 0 (read by add when
-        # k > 1); adding 1 bumps the constant digit, which wraps without a carry
-        self._zech: list[int] = log[exp + np.where(exp % p == p - 1, 1 - p, 1)].tolist()
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- arithmetic on integer encodings ----------------------------------
@@ -282,6 +328,8 @@ class FiniteField:
         never pays for them.
         """
         if self._tables is None:
+            import numpy as np
+
             q, n = self.q, self.q - 1
             exp = np.asarray(self.exp, dtype=np.int64)
             log = np.asarray(self.log, dtype=np.int64)

@@ -321,11 +321,13 @@ class _LinearOrUnitary(_Family):
             "nonsplit": q * (q - eps),
         }[label.kind]
 
-    def degree(self, irr: IrrLabel) -> int:
+    @cached_property
+    def _degrees(self) -> dict[str, int]:
         q, eps = self.q, self.eps
-        return {"linear": 1, "steinberg": q, "principal": q + eps, "cuspidal": q - eps}[
-            irr.kind
-        ]
+        return {"linear": 1, "steinberg": q, "principal": q + eps, "cuspidal": q - eps}
+
+    def degree(self, irr: IrrLabel) -> int:
+        return self._degrees[irr.kind]
 
     @cached_property
     def _forms(self) -> dict[str, tuple[tuple[str, tuple[tuple[int, str], ...], int], ...]]:
@@ -387,16 +389,33 @@ class _LinearOrUnitary(_Family):
                 value[e] = value.get(e, 0) + c
         return CycSum(n, value)
 
+    @cached_property
+    def _central_forms(self) -> dict[str, tuple[tuple[tuple[int, str], ...], int, int]]:
+        """kind -> (parts, c, degree): the kind's one central form and its degree."""
+        return {
+            kind: next((parts, c, self._degrees[kind]) for k, parts, c in forms if k == "central")
+            for kind, forms in self._forms.items()
+        }
+
+    # (log name, scalar) -> _label_log, filled by central_sign as scalars arrive
+    @cached_property
+    def _scalar_logs(self) -> dict[tuple[str, int], int]:
+        return {}
+
     def central_sign(self, irr: IrrLabel, x: int) -> int:
         """chi(x I)/chi(1) for the scalar of field encoding x; +1 or -1, else NonIntegralError.
 
         The Cayley pairing g <-> -g reads it at x = -1, the coset graph's pairing at the
         order-4 scalar zeta.  chi(x I) is c * zeta^e for the one central form of the kind.
         """
-        n = self.root_order
-        _, parts, c = next(form for form in self._forms[irr.kind] if form[0] == "central")
-        e = sum(irr.params[i] * self._label_log(name, (x,)) for i, name in parts) % n
-        d = self.degree(irr)
+        n, logs = self.root_order, self._scalar_logs
+        parts, c, d = self._central_forms[irr.kind]
+        e = 0
+        for i, name in parts:
+            if (name, x) not in logs:
+                logs[name, x] = self._label_log(name, (x,))
+            e += irr.params[i] * logs[name, x]
+        e %= n
         if c != d or e not in (0, n // 2):
             raise NonIntegralError(
                 f"character {irr.kind}{irr.params} of {self.family}(2,{self.q}) takes "

@@ -47,9 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .chars import NonIntegralError
 from .groups import GLGroup, IrrLabel, Mat2, _prime_power
@@ -372,6 +373,8 @@ def build_gamma(space: CosetSpace) -> Graph:
         raise RuntimeError(
             f"build_gamma: z = {space.z} squares to {z_squared}, expected -I = {minus_one}"
         )
+    import numpy as np
+
     adjacency = translation_adjacency(
         space.reps, space.coset_index, group.field, _connection(space)
     )

@@ -45,9 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, pi
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, IrrLabel, Mat2
@@ -250,6 +251,8 @@ _BLOCK_ENTRIES = 1 << 17
 
 def _as_array(elements: Sequence) -> np.ndarray:
     """Matrices as an (n, 4) int64 array of their entries a, b, c, d."""
+    import numpy as np
+
     return np.array(elements, dtype=np.int64).reshape(-1, 4)
 
 
@@ -277,12 +280,16 @@ class _VertexLookup:
     """``vertex_of`` as sorted matrix keys, searched a whole array at a time."""
 
     def __init__(self, vertex_of, q: int):
+        import numpy as np
+
         keys = _key(*_as_array(list(vertex_of)).T, q)
         values = np.fromiter(vertex_of.values(), dtype=np.int64, count=len(vertex_of))
         order = np.argsort(keys)
         self.q, self.keys, self.values = q, keys[order], values[order]
 
     def __call__(self, keys: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         missing = self.keys[pos] != keys
         if missing.any():
@@ -305,6 +312,8 @@ def translation_adjacency(reps: Sequence, vertex_of, field, connection: Sequence
     connection list that reaches one vertex twice marks it once, so the row
     falls short of ``len(connection)``.
     """
+    import numpy as np
+
     lookup = _VertexLookup(vertex_of, field.q)
     left, right = _as_array(reps), _as_array(connection)
     out = np.zeros((len(left), len(left)), dtype=np.int64)

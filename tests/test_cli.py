@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from pstwalk.ctqw import TransferReport
 from pstwalk.groups import GLGroup, GUGroup, SLGroup
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_ok(argv):
@@ -455,3 +459,49 @@ def test_erratum_notices_leave_exit_zero(tmp_path):
     assert report["verdict"] == "ok"
     assert len(report["notices"]) == 6
     assert any("linear" in n for n in report["notices"])
+
+
+# ---------------------------------------------------------------------------
+# cold start: the exact path loads no numpy
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import pstwalk.cli
+seen = [("import pstwalk.cli", None, "numpy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pstwalk.cli.main(argv)
+    seen.append((" ".join(argv[1:5]), code, "numpy" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def numpy_loaded_after(tmp_path, *targets):
+    """(step, exit code, numpy loaded) after importing the CLI and after each export.
+
+    A fresh interpreter runs them one after another: this one has numpy loaded.
+    """
+    runs = [
+        ["export", "--family", family, "--q", str(q), *extra, "--out-dir", str(tmp_path / f"{family}-{q}")]
+        for family, q, *extra in targets
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return [tuple(step) for step in json.loads(done.stdout)]
+
+
+def test_the_exact_path_loads_no_numpy(tmp_path):
+    """Tables, characters, period sums, certificate and report run on Python ints alone."""
+    seen = numpy_loaded_after(tmp_path, ("gl", 19), ("gu", 23), ("sl", 23), ("orbital", 7))
+    assert [(code, loaded) for _, code, loaded in seen] == [(None, False)] + [(EXIT_OK, False)] * 4, seen
+
+
+def test_an_explicit_graph_loads_numpy(tmp_path):
+    seen = numpy_loaded_after(tmp_path, ("gl", 3, "--brute-force-bound", "100"))
+    assert [(code, loaded) for _, code, loaded in seen] == [(None, False), (EXIT_OK, True)], seen

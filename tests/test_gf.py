@@ -175,3 +175,31 @@ def test_field_cache_identity():
 def test_characteristic_two_is_refused(k):
     with pytest.raises(ValueError, match="only odd characteristic is supported"):
         gf.FiniteField(2, k)
+
+
+def _odd_prime_powers(limit: int) -> list[tuple[int, int]]:
+    primes = [p for p in range(3, limit + 1, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2))]
+    return [(p, k) for p in primes for k in range(1, limit.bit_length()) if p**k <= limit]
+
+
+def test_table_builders_agree_up_to_the_limit():
+    """The pure-Python and the numpy builder give the same exp, log and zech lists.
+
+    Every field of at most ``PURE_TABLE_LIMIT`` elements builds its tables in
+    pure Python, so the numpy doubling is the reference there.
+    """
+    shapes = _odd_prime_powers(gf.PURE_TABLE_LIMIT)
+    assert (3, 6) in shapes and (31, 2) in shapes and (1021, 1) in shapes
+    for p, k in shapes:
+        f = gf.make_field(p, k)
+        pure = gf._pure_tables(f.generator, p, f.modulus)
+        assert pure == gf._numpy_tables(f.generator, p, f.modulus), (p, k)
+        assert (f.exp, f.log, f._zech) == pure, (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(3, 8), (13, 4), (211, 2)])
+def test_table_builders_agree_above_the_limit(p, k):
+    f = gf.make_field(p, k)
+    doubled = gf._numpy_tables(f.generator, p, f.modulus)
+    assert gf._pure_tables(f.generator, p, f.modulus) == doubled
+    assert (f.exp, f.log, f._zech) == doubled

@@ -8,8 +8,9 @@ A name that only the tests reach is a reference, and references live in
 ``tests/oracles.py``.  Every name a module of ``src/``, ``scripts/`` or
 ``tests/`` imports is used in that module.  The modules form layers:
 ``scheme`` imports neither graph family, the walk nor the CLI, and the two
-families do not import each other.  The files are parsed; nothing is
-imported.
+families do not import each other.  No module imports numpy when it is
+itself imported: only the functions that build or read arrays do.  The
+files are parsed; nothing is imported.
 """
 
 from __future__ import annotations
@@ -140,3 +141,38 @@ def test_modules_form_layers():
         if (found := _package_imports(PACKAGE / f"{module}.py") & banned)
     ]
     assert not crossings, f"layering broken: {'; '.join(crossings)}"
+
+
+def _import_time_imports(nodes) -> list[ast.stmt]:
+    """The import statements that run when a module is imported.
+
+    Function bodies run later, and ``if TYPE_CHECKING:`` blocks never run.
+    """
+    found = []
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            found += _import_time_imports(node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        else:
+            found += _import_time_imports(ast.iter_child_nodes(node))
+    return found
+
+
+def _imported_roots(node) -> set[str]:
+    if isinstance(node, ast.ImportFrom):
+        return {node.module.split(".")[0]} if node.level == 0 and node.module else set()
+    return {alias.name.split(".")[0] for alias in node.names}
+
+
+def test_no_module_imports_numpy_when_imported():
+    """The exact path (tables, characters, period sums, certificate, report) loads no numpy."""
+    eager = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _import_time_imports(ast.parse(path.read_text()).body)
+        if "numpy" in _imported_roots(node)
+    ]
+    assert not eager, f"numpy imported at module level: {', '.join(eager)}"
