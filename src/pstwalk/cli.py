@@ -184,21 +184,33 @@ def _spectrum_csv(entries: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _edges_text(adjacency: np.ndarray) -> str:
-    """One line ``i j`` per edge with i < j, in row order; a lone newline if there is none.
+def _edge_blocks(adjacency: np.ndarray):
+    """graph.edges a block of rows at a time: a line ``i j`` per edge i < j, in row order.
 
-    The endpoints become Python ints a block of rows at a time.
+    The neighbours above the diagonal become ``"j\n"`` strings, and row i is
+    one ``"i ".join`` over its slice of them.  An edgeless graph is one newline.
     """
     import numpy as np
 
-    parts = []
+    ends = np.array([f"{j}\n" for j in range(len(adjacency))], dtype=object)
+    edges = 0
     for start in range(0, len(adjacency), _EDGE_BLOCK_ROWS):
-        rows, cols = np.nonzero(adjacency[start : start + _EDGE_BLOCK_ROWS])
-        rows += start
-        upper = rows < cols
-        pairs = np.column_stack((rows[upper], cols[upper])).ravel().tolist()
-        parts.append(("%d %d\n" * (len(pairs) // 2)) % tuple(pairs))
-    return "".join(parts) or "\n"
+        rows, cols = np.nonzero(adjacency[start : start + _EDGE_BLOCK_ROWS, start + 1 :])
+        upper = rows <= cols  # column start + 1 + c lies above row start + r
+        texts = ends[cols[upper] + (start + 1)].tolist()
+        edges += len(texts)
+        bounds = np.searchsorted(rows[upper], np.arange(_EDGE_BLOCK_ROWS + 1)).tolist()
+        yield "".join(
+            f"{i} " + f"{i} ".join(texts[lo:hi])
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start) if lo < hi
+        )
+    if not edges:
+        yield "\n"
+
+
+def _edges_text(adjacency: np.ndarray) -> str:
+    """The whole of graph.edges as one string."""
+    return "".join(_edge_blocks(adjacency))
 
 
 def _formats(text: str) -> set[str] | None:
@@ -243,7 +255,8 @@ def _write_outputs(
         written.append(path)
     if "edges" in wanted:
         path = out_dir / "graph.edges"
-        path.write_bytes(_edges_text(adjacency).encode("utf-8"))
+        with path.open("w", encoding="utf-8", newline="") as f:
+            f.writelines(_edge_blocks(adjacency))
         written.append(path)
     return written
 
@@ -333,6 +346,9 @@ def _cayley_target(tag: str, q: int, variant: str) -> Target:
     def graph(bound: int) -> Graph | str:
         if family.order > bound:
             return f"group order {family.order} exceeds the enumeration bound {bound}"
+        # loaded for its side effect before the group is enumerated, so that the
+        # garbage collections numpy's import triggers do not walk the elements
+        __import__("numpy")
         return explicit_graph(family, conn, bound=bound)
 
     keys = {"family": conn.family, "q": conn.q, "variant": conn.variant}

@@ -33,12 +33,15 @@ certifies.
 Where a group is small enough to enumerate, both families also build their
 graph explicitly through one builder, :func:`translation_adjacency`: row i
 marks the vertex of r_i s for every s in a connection list.  The products
-are array products: the matrices are (n, 4) int64 arrays of field
-encodings, every entry x u + y v is read through the field's q x q
-multiplication and addition tables, and each product's key
-((a q + b) q + c) q + d is found by binary search among the sorted keys of
-the vertex map.  :func:`translation_partner` takes the transfer pairing
-the same way.
+are array products.  Row 1 of r s is the vector (a, b) s and row 2 is
+(c, d) s, so the key ((a q + b) q + c) q + d of r s is the key of row 1
+times q^2 plus the key of row 2.  One table of the vector keys v s, for
+every vector v and every s, is read through the field's q x q
+multiplication and addition tables; each product key is then two gathers
+from it and a multiply-add, and its vertex is one index into a dense table
+of all q^4 matrix keys, -1 where a key is no vertex.  That table is smaller
+than the n x n adjacency for every family built here.
+:func:`translation_partner` takes the transfer pairing the same way.
 """
 
 from __future__ import annotations
@@ -256,47 +259,43 @@ def _as_array(elements: Sequence) -> np.ndarray:
     return np.array(elements, dtype=np.int64).reshape(-1, 4)
 
 
-def _key(a, b, c, d, q: int):
-    """The key ((a q + b) q + c) q + d of a matrix, elementwise on arrays."""
-    return ((a * q + b) * q + c) * q + d
+def _row_table(field, connection: Sequence) -> np.ndarray:
+    """Keys x q + y of the row vectors (x, y) = (u, v) s: row u q + v, column s."""
+    import numpy as np
 
-
-def _product_keys(left: np.ndarray, right: np.ndarray, field) -> np.ndarray:
-    """Keys of the products l r, one row per l in ``left`` and one column per r in ``right``."""
-    mul, add = (t.ravel() for t in field.tables())
     q = field.q
-    la, lb, lc, ld = (left[:, [i]] * q for i in range(4))
-    ra, rb, rc, rd = right.T
-
-    def dot(x, y, u, v):  # x u + y v, with x and y premultiplied by q
-        return add[mul[x + u] * q + mul[y + v]]
-
-    return _key(
-        dot(la, lb, ra, rc), dot(la, lb, rb, rd), dot(lc, ld, ra, rc), dot(lc, ld, rb, rd), q
-    )
+    mul, add = (t.astype(np.min_scalar_type(q * q)) for t in field.tables())
+    a, b, c, d = _as_array(connection).T
+    keys = np.empty((q, q, len(a)), dtype=mul.dtype)
+    for u in range(q):  # (u, v) s = (u a + v c, u b + v d), one v per row
+        keys[u] = add[mul[u, a], mul[:, c]] * q + add[mul[u, b], mul[:, d]]
+    return keys.reshape(q * q, -1)
 
 
-class _VertexLookup:
-    """``vertex_of`` as sorted matrix keys, searched a whole array at a time."""
+def _translate(reps: Sequence, vertex_of, field, connection: Sequence):
+    """The vertices of ``r s``: (start, a rows x |S| array) per block of ``reps``.
 
-    def __init__(self, vertex_of, q: int):
-        import numpy as np
+    The key ((a q + b) q + c) q + d of r s is the key of its row 1, (a, b) s,
+    times q^2 plus the key of its row 2, (c, d) s: two gathers from the
+    :func:`_row_table`.  Its vertex is read off a dense table of all q^4
+    keys, -1 at every key that is no vertex.
+    """
+    import numpy as np
 
-        keys = _key(*_as_array(list(vertex_of)).T, q)
-        values = np.fromiter(vertex_of.values(), dtype=np.int64, count=len(vertex_of))
-        order = np.argsort(keys)
-        self.q, self.keys, self.values = q, keys[order], values[order]
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        missing = self.keys[pos] != keys
-        if missing.any():
-            key, q = int(keys[missing][0]), self.q
-            entries = [key // q**3, key // q**2 % q, key // q % q, key % q]
+    q, shape = field.q, (field.q,) * 4
+    vertex = np.full(q**4, -1, dtype=np.min_scalar_type(-len(vertex_of)))
+    vertex[np.ravel_multi_index(_as_array(list(vertex_of)).T, shape)] = list(vertex_of.values())
+    products = _row_table(field, connection)
+    top, bottom = (_as_array(reps).reshape(-1, 2, 2) @ [q, 1]).T  # keys of rows 1 and 2
+    step = max(1, _BLOCK_ENTRIES // max(1, len(connection)))
+    for start in range(0, len(top), step):
+        keys = products[top[start : start + step]].astype(np.int64) * (q * q)
+        keys += products[bottom[start : start + step]]
+        cols = vertex[keys]
+        if (cols < 0).any():
+            entries = map(int, np.unravel_index(keys[cols < 0][0], shape))
             raise KeyError(f"the product {Mat2(*entries)} is not a vertex of the graph")
-        return self.values[pos]
+        yield start, cols
 
 
 def translation_adjacency(reps: Sequence, vertex_of, field, connection: Sequence) -> np.ndarray:
@@ -305,27 +304,22 @@ def translation_adjacency(reps: Sequence, vertex_of, field, connection: Sequence
     ``reps`` holds one group element per vertex and ``vertex_of`` maps every
     group element to its vertex: an element to its own index on a Cayley
     graph, to the index of its left coset on a coset graph.  The products
-    are taken a block of rows at a time on (n, 4) arrays of entries, through
-    the multiplication and addition tables of ``field``; each product is
-    keyed as ``((a q + b) q + c) q + d`` and found among the sorted keys of
-    ``vertex_of``.  A product that is no key raises ``KeyError``.  A
-    connection list that reaches one vertex twice marks it once, so the row
-    falls short of ``len(connection)``.
+    are taken a block of rows at a time by :func:`_translate`; a product
+    that is not a key of ``vertex_of`` raises ``KeyError``.  A connection
+    list that reaches one vertex twice marks it once, so the row falls short
+    of ``len(connection)``.
     """
     import numpy as np
 
-    lookup = _VertexLookup(vertex_of, field.q)
-    left, right = _as_array(reps), _as_array(connection)
-    out = np.zeros((len(left), len(left)), dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // max(1, len(right)))
-    for start in range(0, len(left), step):
-        block = left[start : start + step]
-        rows = np.arange(start, start + len(block))[:, None]
-        out[rows, lookup(_product_keys(block, right, field))] = 1
+    out = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    for start, cols in _translate(reps, vertex_of, field, connection):
+        out[np.arange(start, start + len(cols))[:, None], cols] = 1
     return out
 
 
 def translation_partner(reps: Sequence, vertex_of, field, t) -> np.ndarray:
-    """The vertex permutation i -> vertex of ``t reps[i]``, for a central t."""
-    lookup = _VertexLookup(vertex_of, field.q)
-    return lookup(_product_keys(_as_array([t]), _as_array(reps), field)[0])
+    """The permutation i -> vertex of ``t reps[i]``, which is ``reps[i] t`` for a central t."""
+    import numpy as np
+
+    blocks = [cols[:, 0] for _, cols in _translate(reps, vertex_of, field, [t])]
+    return np.concatenate(blocks).astype(np.int64)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pstwalk import cli, orbital
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
@@ -242,6 +244,27 @@ def test_edges_text_formats_row_blocks_as_one_list():
     rows, cols = np.nonzero(upper)
     assert rows.max() >= 2 * cli._EDGE_BLOCK_ROWS  # the last, partial block has edges
     assert cli._edges_text(adjacency) == "".join(f"{i} {j}\n" for i, j in zip(rows, cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 2 * cli._EDGE_BLOCK_ROWS + 5),
+    density=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    quiet=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, density=1.0, quiet=0.0, seed=0)
+@example(n=40, density=0.0, quiet=0.0, seed=0)
+@example(n=40, density=1.0, quiet=0.0, seed=0)
+@example(n=2 * cli._EDGE_BLOCK_ROWS + 5, density=0.3, quiet=0.99, seed=1)
+def test_edges_text_matches_a_literal_join(n, density, quiet, seed):
+    """Random symmetric 0/1 graphs; the rows above ``quiet * n`` have no edges to later rows."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    upper[: int(quiet * n)] = False
+    adjacency = (upper | upper.T).astype(np.int64)
+    rows = adjacency.tolist()
+    expected = "".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if rows[i][j])
+    assert cli._edges_text(adjacency) == (expected or "\n")
 
 
 def test_export_orbital_q3_artifacts(tmp_path):

@@ -23,7 +23,7 @@ from oracles import (
     translation_adjacency_reference,
     translation_partner_reference,
 )
-from pstwalk import orbital
+from pstwalk import orbital, scheme
 from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, explicit_graph, make_family
 from pstwalk.groups import Mat2
 from pstwalk.orbital import build_coset_space, build_gamma
@@ -107,3 +107,33 @@ def test_array_builder_refuses_a_product_outside_the_group():
         translation_adjacency(sch.elements, sch.index, family.field, [family.identity(), singular])
     with pytest.raises(KeyError, match="is not a vertex"):
         translation_partner(sch.elements, sch.index, family.field, singular)
+
+
+@pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 5), ("sl", 7), ("orbital", 3)])
+def test_row_table_holds_every_vector_times_every_connection_element(tag, q):
+    """Entry (u q + v, s) is the key x q + y of (x, y) = (u, v) s, taken one product at a time."""
+    _, _, family, connection, _ = builder_inputs(tag, q)
+    field = family.field
+    f = field.q
+
+    def key(u, v, s):
+        x = field.add(field.mul(u, s.a), field.mul(v, s.c))
+        y = field.add(field.mul(u, s.b), field.mul(v, s.d))
+        return x * f + y
+
+    expected = [[key(u, v, s) for s in connection] for u in range(f) for v in range(f)]
+    assert scheme._row_table(field, connection).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "tag,q", [(tag, q) for tag in ("gl", "gu", "sl") for q in (3, 5, 7)] + [("gl", 9), ("gu", 9)]
+)
+def test_the_vertex_table_is_smaller_than_the_adjacency(tag, q):
+    """The dense table has q_f^4 entries for the coefficient field F_{q_f}; n^2 is larger."""
+    family = make_family(tag, q)
+    assert family.field.q**4 < family.order**2
+
+
+def test_the_orbital_vertex_table_is_smaller_than_the_adjacency():
+    space = build_coset_space(3)
+    assert space.group.field.q**4 == 6561 < space.n_cosets**2 == 14_400
