@@ -18,6 +18,9 @@ A- = A[lo, lo] - A[lo, P lo] on P's +1 and -1 eigenspaces.  One stacked
 ``eigh`` diagonalises both half-size blocks, a quarter of the cubic work of
 the n x n matrix, and each side's eigenvalues can be compared with the
 exact rows of that sign.  Without a pairing the single block is A.
+An integer A, such as the one-byte 0/1 matrices of the explicit graphs, is
+read as it is: the sums and differences are taken in float, and only the
+stack of blocks is float.
 
 Everything here is floating point and deliberately independent of the
 character-sum route, so agreement between the two is evidence rather
@@ -124,19 +127,23 @@ class WalkSystem:
     def from_adjacency(cls, adjacency, pairing=None) -> "WalkSystem":
         """Diagonalise A, or A+ and A- for a pairing P, with one ``eigh`` call.
 
-        Raises :class:`PairingError` when ``pairing`` is given and is not a
-        fixed-point-free involutive automorphism of A.
+        Integer input, signed or unsigned, is read as it is, with no float
+        copy of A; the symmetry test and the half blocks subtract in float,
+        so a ``uint8`` 0 - 1 does not wrap.  Raises :class:`PairingError`
+        when ``pairing`` is given and is not a fixed-point-free involutive
+        automorphism of A.
         """
         import numpy as np
 
         a = np.asarray(adjacency)
-        if a.dtype.kind not in "if":
+        if a.dtype.kind not in "uif":
             a = a.astype(float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         n = len(a)
-        if any(np.abs(a[rows] - a[:, rows].T).max() > TOL for rows in _row_slices(n)):
-            raise ValueError("adjacency must be symmetric")
+        for rows in _row_slices(n):
+            if np.abs(np.subtract(a[rows], a[:, rows].T, dtype=float)).max() > TOL:
+                raise ValueError("adjacency must be symmetric")
         if pairing is None:
             blocks, sides = a.astype(float, copy=False)[None], (None,)
             rows, signs = np.arange(n), np.ones((1, n))
@@ -150,8 +157,8 @@ class WalkSystem:
             # the two halves are read from A as it is; only the stack is float
             near, far = a[np.ix_(lo, lo)], a[np.ix_(lo, p[lo])]
             blocks, sides = np.empty((2, len(lo), len(lo))), (1, -1)
-            np.add(near, far, out=blocks[0])
-            np.subtract(near, far, out=blocks[1])
+            np.add(near, far, out=blocks[0], dtype=float)
+            np.subtract(near, far, out=blocks[1], dtype=float)
             del near, far
         w, v = np.linalg.eigh(blocks)
         drift = _drift(blocks, w, v)

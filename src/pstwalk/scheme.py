@@ -39,8 +39,11 @@ times q^2 plus the key of row 2.  One table of the vector keys v s, for
 every vector v and every s, is read through the field's q x q
 multiplication and addition tables; each product key is then two gathers
 from it and a multiply-add, and its vertex is one index into a dense table
-of all q^4 matrix keys, -1 where a key is no vertex.  That table is smaller
-than the n x n adjacency for every family built here.
+of all q^4 matrix keys, -1 where a key is no vertex.  That table has fewer
+entries than the n x n adjacency for every family built here, but not
+always fewer bytes: the adjacency is ``uint8``, one byte per entry, and the
+table is as wide as the vertex count needs, so at gu 9 the int16 table
+takes 86 MB and the adjacency 52 MB.
 :func:`translation_partner` takes the transfer pairing the same way.
 """
 
@@ -237,6 +240,7 @@ class ConjugacyScheme:
 class Graph(NamedTuple):
     """An explicitly built graph and the vertex pairing its walk must exchange.
 
+    ``adjacency`` is the 0/1 ``uint8`` matrix, one byte per entry.
     ``partner[i]`` is the vertex paired with vertex i, so the transfer pairs
     are (i, partner[i]); ``checks`` holds structural checks only one family
     has.
@@ -299,7 +303,7 @@ def _translate(reps: Sequence, vertex_of, field, connection: Sequence):
 
 
 def translation_adjacency(reps: Sequence, vertex_of, field, connection: Sequence) -> np.ndarray:
-    """0/1 matrix whose row i marks the vertex of ``reps[i] s`` for every s.
+    """0/1 ``uint8`` matrix whose row i marks the vertex of ``reps[i] s`` for every s.
 
     ``reps`` holds one group element per vertex and ``vertex_of`` maps every
     group element to its vertex: an element to its own index on a Cayley
@@ -311,7 +315,7 @@ def translation_adjacency(reps: Sequence, vertex_of, field, connection: Sequence
     """
     import numpy as np
 
-    out = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    out = np.zeros((len(reps), len(reps)), dtype=np.uint8)
     for start, cols in _translate(reps, vertex_of, field, connection):
         out[np.arange(start, start + len(cols))[:, None], cols] = 1
     return out

@@ -615,6 +615,25 @@ def test_component_count_toy_graphs():
     assert component_count(np.zeros((0, 0), dtype=int)) == 0
 
 
+def test_component_count_reads_one_byte_entries():
+    """The explicit graphs are uint8; the toy graphs above count the same in that dtype."""
+    k2 = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    assert component_count(k2) == 1
+    assert component_count(np.kron(np.eye(3, dtype=np.uint8), k2)) == 3
+    assert component_count(np.zeros((3, 3), dtype=np.uint8)) == 3
+    order = np.random.default_rng(0).permutation(300)
+    long_path = np.zeros((300, 300), dtype=np.uint8)
+    long_path[order[:-1], order[1:]] = long_path[order[1:], order[:-1]] = 1
+    assert component_count(long_path) == 1
+    last_alone = np.ones((6, 6), dtype=np.uint8) - np.eye(6, dtype=np.uint8)
+    last_alone[5, :] = last_alone[:, 5] = 0
+    assert component_count(last_alone) == 2
+    assert component_count(np.zeros((0, 0), dtype=np.uint8)) == 0
+    adjacency = graph_of("gl", 3).adjacency
+    assert adjacency.dtype == np.uint8
+    assert component_count(np.kron(np.eye(2, dtype=np.uint8), adjacency)) == 2
+
+
 # ---------------------------------------------------------------------------
 # arbitrary inverse-closed class unions on GL(2,3)
 

@@ -258,13 +258,14 @@ def test_edges_text_formats_row_blocks_as_one_list():
 @example(n=40, density=1.0, quiet=0.0, seed=0)
 @example(n=2 * cli._EDGE_BLOCK_ROWS + 5, density=0.3, quiet=0.99, seed=1)
 def test_edges_text_matches_a_literal_join(n, density, quiet, seed):
-    """Random symmetric 0/1 graphs; the rows above ``quiet * n`` have no edges to later rows."""
+    """Random symmetric 0/1 graphs, uint8 and int64; rows above ``quiet * n`` have no later edges."""
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
     upper[: int(quiet * n)] = False
-    adjacency = (upper | upper.T).astype(np.int64)
+    adjacency = (upper | upper.T).astype(np.uint8)
     rows = adjacency.tolist()
     expected = "".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if rows[i][j])
-    assert cli._edges_text(adjacency) == (expected or "\n")
+    for a in (adjacency, adjacency.astype(np.int64)):
+        assert cli._edges_text(a) == (expected or "\n")
 
 
 def test_export_orbital_q3_artifacts(tmp_path):

@@ -285,6 +285,42 @@ def test_paired_scan_memory_stays_below_the_same_bound():
     assert peak < 3.5 * n * n * 8
 
 
+def test_paired_walk_reads_one_byte_entries_without_a_float_copy():
+    """A uint8 9-cube is split as it is: no n x n float copy of A, only the half blocks."""
+    a, _ = hypercube(9)
+    a = a.astype(np.uint8)
+    n = len(a)
+    tracemalloc.start()
+    try:
+        WalkSystem.from_adjacency(a, antipodes(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * n * n * 8
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_integer_and_float_inputs_give_the_same_decomposition(paired):
+    a, _ = hypercube(6)
+    pairing = antipodes(len(a)) if paired else None
+    walks = [WalkSystem.from_adjacency(a.astype(t), pairing) for t in (np.uint8, np.int64, float)]
+    for walk in walks[1:]:
+        assert np.array_equal(walk.block_eigenvalues, walks[0].block_eigenvalues)
+        assert np.array_equal(walk.block_vectors, walks[0].block_vectors)
+
+
+def test_asymmetric_uint8_adjacency_is_refused():
+    with pytest.raises(ValueError, match="adjacency must be symmetric"):
+        WalkSystem.from_adjacency(np.array([[0, 1], [0, 0]], dtype=np.uint8))
+
+
+def test_uint8_half_blocks_do_not_wrap():
+    """A- = A[lo, lo] - A[lo, P lo] is 0 - 1 on K2, which wraps to 255 in uint8 arithmetic."""
+    walk = WalkSystem.from_adjacency(K2.astype(np.uint8), [1, 0])
+    assert walk.block_signs == (1, -1)
+    assert walk.block_eigenvalues.tolist() == [[1.0], [-1.0]]
+
+
 def test_report_is_frozen():
     report = pst_scan(K2, [(0, 1)])
     assert isinstance(report, TransferReport)

@@ -76,6 +76,11 @@ def test_partner_is_a_fixed_point_free_automorphism_of_order_two(tag, q, variant
     assert np.array_equal(a[partner][:, partner], a)
 
 
+@pytest.mark.parametrize("tag,q,variant", TARGETS)
+def test_every_explicit_graph_holds_one_byte_per_entry(tag, q, variant):
+    a = graph_of(tag, q, variant).adjacency
+    assert a.dtype == np.uint8 and a.nbytes == len(a) ** 2
+
 
 def builder_inputs(tag, q):
     """reps, vertex_of, family, connection list and central involution."""
@@ -93,7 +98,7 @@ def test_array_builder_matches_python_products(tag, q):
     reps, vertex_of, family, connection, t = builder_inputs(tag, q)
     expected = translation_adjacency_reference(reps, vertex_of, family.mul, connection)
     got = translation_adjacency(reps, vertex_of, family.field, connection)
-    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert got.dtype == np.uint8 and np.array_equal(got, expected)
     expected = translation_partner_reference(reps, vertex_of, family.mul, t)
     got = translation_partner(reps, vertex_of, family.field, t)
     assert got.dtype == expected.dtype and np.array_equal(got, expected)
