@@ -7,15 +7,12 @@ conjugacy classes, closed under inversion and avoiding the identity:
 * ``gu`` -- the unitary group GU(2, q);
 * ``sl`` -- the special linear group SL(2, q), q an odd prime.
 
-The ``standard`` connection set of GL and GU is one rule: the split
+The ``standard`` connection set is the one each group family owns,
+:meth:`~pstwalk.groups.GLGroup.standard_labels`: for GL and GU the split
 class of ``diag(1, -1)``, every unipotent-type (Jordan) class, and the
-nonsplit classes whose determinant is 1 or a non-square in the torus,
-that is, whose determinant's torus log
-(:meth:`~pstwalk.groups.GLGroup.det_log`) is 0 or odd.  For GL the
-determinant of the eigenvalue pair {z, z^q} is the norm z^(q+1) in
-F_q^x; for GU the determinant of {z, z^(-q)} is z^(1-q) in the norm-one
-torus.  For SL it is the central involution together with every Jordan
-class.
+nonsplit classes whose determinant is 1 or a non-square in the torus;
+for SL the central involution together with every Jordan class.  The
+family builds that tuple once, and every stage here reads it.
 GL(2, 3) additionally supports the ``small-orders`` variant: all
 non-central classes of elements of order 2, 3, 4 or 6.
 
@@ -122,25 +119,6 @@ class ConnectionSet:
     degree: int
 
 
-def _standard_labels(fam) -> list[ClassLabel]:
-    labels = [ClassLabel(fam.family, "split", tuple(sorted((1, fam.field.neg(1)))))]
-    labels += [lab for lab in fam.classes() if lab.kind == "jordan"]
-    for lab in fam.classes():
-        if lab.kind != "nonsplit":
-            continue
-        # keep z when det is 1 or a non-square of the torus (of even order q - eps)
-        d = fam.det_log(lab.params[0])
-        if d == 0 or d % 2:
-            labels.append(lab)
-    return labels
-
-
-def _sl_standard_labels(fam: SLGroup) -> list[ClassLabel]:
-    labels = [fam.central_involution_class()]
-    labels += [lab for lab in fam.classes() if lab.kind == "jordan"]
-    return labels
-
-
 def _small_order_labels(fam) -> list[ClassLabel]:
     return [
         lab
@@ -163,12 +141,7 @@ def build_connection_set(family, variant: str = STANDARD) -> ConnectionSet:
             f"unsupported variant {variant!r} for {tag}(2,{family.q}); "
             f"available: {', '.join(variants_for(tag, family.q))}"
         )
-    if variant == SMALL_ORDERS:
-        labels = _small_order_labels(family)
-    elif tag == "sl":
-        labels = _sl_standard_labels(family)
-    else:
-        labels = _standard_labels(family)
+    labels = family.standard_labels() if variant == STANDARD else _small_order_labels(family)
 
     label_set = frozenset(labels)
     if len(label_set) != len(labels):
@@ -184,6 +157,12 @@ def build_connection_set(family, variant: str = STANDARD) -> ConnectionSet:
     return ConnectionSet(tag, family.q, variant, tuple(labels), degree)
 
 
+# by content, not conn.variant; a set from build_connection_set holds the family's own
+# tuple, so each item compares by identity
+def _is_standard(family, conn: ConnectionSet) -> bool:
+    return conn.labels == family.standard_labels()
+
+
 # ---------------------------------------------------------------------------
 # exact spectra
 
@@ -197,7 +176,7 @@ def spectrum(family, conn: ConnectionSet) -> list[SpectrumRow]:
     checked against the degree; other rows are class sums.
     """
     minus_one = family.field.neg(1)
-    periods = family.family != "sl" and conn.labels == tuple(_standard_labels(family))
+    periods = family.family != "sl" and _is_standard(family, conn)
     class_sum = partial(class_sum_eigenvalue, family, labels=conn.labels)
     rows = []
     for irr in family.irreducibles():
@@ -264,18 +243,17 @@ def _hand_value(q: int, eps: int, irr: IrrLabel) -> int:
     return base + eps * t * t if (i + j) % t == 0 else base
 
 
-def _sl_ratio_value(family: SLGroup, irr: IrrLabel) -> int:
+def _sl_ratio_value(family: SLGroup, irr: IrrLabel, jordan: Sequence[ClassLabel]) -> int:
     """Reconstruct the eigenvalue from the central-involution ratio.
 
     For the SL connection set the eigenvalue decomposes as
     ``chi(-I)/chi(1) + (q^2 - 1)/(2 chi(1)) * r`` where ``r`` sums the
-    character over the four Jordan classes.  The second term is always
+    character over the four ``jordan`` classes.  The second term is always
     divisible by 4, which is what forces the transfer congruence.
     """
     q = family.q
     d = family.degree(irr)
     ratio = family.central_sign(irr, family.field.neg(1))
-    jordan = [lab for lab in family.classes() if lab.kind == "jordan"]
     r = sum((family.char_value(irr, lab) for lab in jordan), CycSum.zero(family.root_order))
     r_int = integer_part(r)
     num = (q * q - 1) * r_int
@@ -289,18 +267,19 @@ def _sl_ratio_value(family: SLGroup, irr: IrrLabel) -> int:
 def closed_form_audit(family, conn: ConnectionSet, rows: Sequence[SpectrumRow]) -> list[FormulaCheck]:
     """Compare hand-derived closed forms against the exact spectrum.
 
-    Only the ``standard`` connection sets have closed forms.  Every row
+    Only the standard connection sets have closed forms.  Every row
     is reported, agreeing or not; disagreements mean the retained hand
     derivation is wrong for that case, never that the exact character
     sum is in doubt.
     """
-    if conn.variant != STANDARD:
+    if not _is_standard(family, conn):
         return []
     tag, q = family.family, family.q
+    jordan = [lab for lab in conn.labels if lab.kind == "jordan"]
     out = []
     for row in rows:
         if tag == "sl":
-            hand = _sl_ratio_value(family, row.irr)
+            hand = _sl_ratio_value(family, row.irr, jordan)
             formula = "involution-ratio"
         else:
             hand = _hand_value(q, family.eps, row.irr)

@@ -208,11 +208,6 @@ def _edge_blocks(adjacency: np.ndarray):
         yield "\n"
 
 
-def _edges_text(adjacency: np.ndarray) -> str:
-    """The whole of graph.edges as one string."""
-    return "".join(_edge_blocks(adjacency))
-
-
 def _formats(text: str) -> set[str] | None:
     """A comma-separated subset of json,csv,edges; 'all' means applicable ones."""
     parts = {p.strip() for p in text.split(",") if p.strip()}

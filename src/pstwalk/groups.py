@@ -19,11 +19,12 @@ SL), so spectra assembled from them never leave exact arithmetic.
 Every family exposes the same surface: ``classes()``, ``class_size``,
 ``class_rep``, ``classify``, ``irreducibles()``, ``degree``,
 ``char_value``, ``enumerate_group``, ``class_partition``,
-``central_involution`` and ``central_sign``; a class sum reads
-``char_value`` once per character and label.  GL and GU add
-``standard_theta``, each row of the standard set as closed period sums,
-and read ``central_sign`` off one form of their table: neither builds a
-CycSum.
+``central_involution``, ``central_sign`` and ``standard_labels()``; a
+class sum reads ``char_value`` once per character and label.  The family
+owns its standard connection set: ``standard_labels()`` states the rule
+and returns one tuple, built with the class labels.  GL and GU add
+``standard_theta``, each row of that set as closed period sums, and read
+``central_sign`` off one form of their table: neither builds a CycSum.
 
 Class kinds
 -----------
@@ -145,6 +146,10 @@ class IrrLabel:
     params: tuple[int, ...]
 
 
+# (classes, irreducibles, standard connection set), built once per family
+_Tables = tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...], tuple[ClassLabel, ...]]
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
@@ -168,9 +173,10 @@ def _prime_power(q: int) -> tuple[int, int]:
 class _Family:
     """Shared machinery; subclasses fill in the family-specific pieces.
 
-    They are ``_build_tables`` (the (classes, irreducibles) label tuples),
-    ``enumerate_group``, ``classify``, ``class_size``, ``class_rep``,
-    ``degree``, ``char_value`` and ``central_sign``.
+    They are ``_build_tables`` (the label tuples of the classes, the
+    irreducibles and the standard connection set), ``enumerate_group``,
+    ``classify``, ``class_size``, ``class_rep``, ``degree``, ``char_value``
+    and ``central_sign``.
     """
 
     family: str
@@ -225,7 +231,7 @@ class _Family:
 
     # built on first read: the coset space over GL(2, q^2) reads no label
     @cached_property
-    def _tables(self) -> tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...]]:
+    def _tables(self) -> _Tables:
         return self._build_tables()
 
     def classes(self) -> tuple[ClassLabel, ...]:
@@ -257,6 +263,17 @@ class _Family:
         """The class of -I, labelled directly (scalars are their own class)."""
         return ClassLabel(self.family, "central", (self.field.neg(1),))
 
+    def standard_labels(self) -> tuple[ClassLabel, ...]:
+        """The standard connection set, built with the class tables: the same tuple every call.
+
+        GL/GU: the split class of diag(1, -1), every jordan class, and the nonsplit classes
+        whose F_{q^2} log k has k mod (q - eps) equal to 0 or odd.  That residue is the torus
+        log of the determinant z^(q+1) (GL) or z^(1-q) (GU) up to a unit, so these are the
+        classes of determinant 1 or a non-square of the torus.  SL: the class of -I, then
+        the four jordan classes.  Each part is in ``classes()`` order.
+        """
+        return self._tables[2]
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(q={self.q})"
 
@@ -281,23 +298,26 @@ class _LinearOrUnitary(_Family):
         """Torus log of the determinant of the nonsplit class of z."""
         raise NotImplementedError
 
-    def _build_tables(self) -> tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...]]:
-        q, eps, fam, T = self.q, self.eps, self.family, self.torus
+    def _build_tables(self) -> _Tables:
+        q, eps, fam, T, s = self.q, self.eps, self.family, self.torus, self.q - self.eps
         n = self.root_order
         ext = self.tower.ext
-        classes = [ClassLabel(fam, "central", (x,)) for x in T]
-        classes += [ClassLabel(fam, "jordan", (x,)) for x in T]
+        jordan = [ClassLabel(fam, "jordan", (x,)) for x in T]
+        classes = [ClassLabel(fam, "central", (x,)) for x in T] + jordan
         classes += [
             ClassLabel(fam, "split", tuple(sorted((T[i], T[j]))))
-            for i in range(q - eps)
-            for j in range(i + 1, q - eps)
+            for i in range(s)
+            for j in range(i + 1, s)
         ]
         # z off the torus (q + eps does not divide dlog); orbit {z, z^(eps q)}
-        classes += [
-            ClassLabel(fam, "nonsplit", (ext.exp[dz],))
+        nonsplit = {
+            dz: ClassLabel(fam, "nonsplit", (ext.exp[dz],))
             for dz in range(n)
             if dz % (q + eps) and (eps * q * dz) % n >= dz
-        ]
+        }
+        classes += nonsplit.values()
+        standard = [ClassLabel(fam, "split", tuple(sorted((1, self.field.neg(1))))), *jordan]
+        standard += [lab for dz, lab in nonsplit.items() if dz % s == 0 or dz % s % 2]
         irr = [IrrLabel(fam, "linear", (j,)) for j in range(q - eps)]
         irr += [IrrLabel(fam, "steinberg", (j,)) for j in range(q - eps)]
         irr += [
@@ -310,7 +330,7 @@ class _LinearOrUnitary(_Family):
             for m in range(1, n)
             if m % (q + eps) and (eps * m * q) % n > m
         ]
-        return tuple(classes), tuple(irr)
+        return tuple(classes), tuple(irr), tuple(standard)
 
     def class_size(self, label: ClassLabel) -> int:
         q, eps = self.q, self.eps
@@ -426,14 +446,14 @@ class _LinearOrUnitary(_Family):
     def standard_theta(self, irr: IrrLabel) -> int:
         """The eigenvalue of ``irr`` on the standard connection set, as closed period sums.
 
-        With s = q - eps, r = q + eps and h = s/2, the set is the split class of diag(1, -1),
-        every jordan class, and the nonsplit classes of the F_{q^2} logs K = {k : k mod s is
-        0 or odd, r does not divide k}, one per pair {k, eps q k}.  Each form of :attr:`_forms`
-        sums to a period of a cyclic group (Lidl and Niederreiter, *Finite Fields*, ch. 5):
-        zeta_s^m over the torus to s [s | m]; zeta^(m k) over K to N(m) = r [r | m]
-        (1 + (-1)^(w/h) h [h | w]) - 1 - (-1)^m, w = (m/r) mod s, which linear and steinberg
-        rows read at m = a r once per pair and cuspidal rows whole (z and zq); and on
-        diag(1, -1), where dx = 0 and dy = n/2, to (-1)^a.  Raises
+        With s = q - eps, r = q + eps and h = s/2, the set (:meth:`standard_labels`) is the
+        split class of diag(1, -1), every jordan class, and the nonsplit classes of the F_{q^2}
+        logs K = {k : k mod s is 0 or odd, r does not divide k}, one per pair {k, eps q k}.
+        Each form of :attr:`_forms` sums to a period of a cyclic group (Lidl and Niederreiter,
+        *Finite Fields*, ch. 5): zeta_s^m over the torus to s [s | m]; zeta^(m k) over K to
+        N(m) = r [r | m] (1 + (-1)^(w/h) h [h | w]) - 1 - (-1)^m, w = (m/r) mod s, which
+        linear and steinberg rows read at m = a r once per pair and cuspidal rows whole (z and
+        zq); and on diag(1, -1), where dx = 0 and dy = n/2, to (-1)^a.  Raises
         :class:`~pstwalk.chars.NonIntegralError` if the sum is not divisible by the degree.
         """
         q, eps, n, kind, p = self.q, self.eps, self.root_order, irr.kind, irr.params
@@ -735,7 +755,7 @@ class SLGroup(_Family):
 
     # -- classes -----------------------------------------------------------------
 
-    def _build_tables(self) -> tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...]]:
+    def _build_tables(self) -> _Tables:
         q, F, tw = self.q, self.field, self.tower
         minus = F.neg(1)
         classes = [
@@ -754,7 +774,8 @@ class SLGroup(_Family):
         irr += [IrrLabel("sl", "cuspidal", (m,)) for m in range(1, (q + 1) // 2)]
         irr += [IrrLabel("sl", "principal_half", (s,)) for s in (1, -1)]
         irr += [IrrLabel("sl", "cuspidal_half", (s,)) for s in (1, -1)]
-        return tuple(classes), tuple(irr)
+        # the standard set: -I, then the four jordan classes
+        return tuple(classes), tuple(irr), tuple(classes[1:6])
 
     def class_size(self, label: ClassLabel) -> int:
         q = self.q

@@ -200,14 +200,12 @@ def coset_irreducibles(q: int) -> tuple[IrrLabel, ...]:
         for a in range(q + 1)
         for b in range(a + 1, q + 1)
     ]
-    seen = set()
-    for m in range(1, n):
-        if m % (q - 1) == 0:
-            continue
-        pair = tuple(sorted((m, (-q * m) % n)))
-        if pair not in seen:
-            seen.add(pair)
-            out.append(IrrLabel("gl", "principal", pair))
+    # the pairs {m, -q m} with (q - 1) not dividing m, each once, by its smaller member
+    out += [
+        IrrLabel("gl", "principal", (m, (-q * m) % n))
+        for m in range(1, n)
+        if m % (q - 1) and m < (-q * m) % n
+    ]
     return tuple(out)
 
 

@@ -10,7 +10,6 @@ holds the references no CLI run, script or benchmark reaches, so that
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, pi
@@ -157,15 +156,6 @@ def bmat_inv(bf: BruteField, m):
     return (bf.mul(d, di), bf.mul(bf.neg(b), di), bf.mul(bf.neg(c), di), bf.mul(a, di))
 
 
-def bmat_order(bf: BruteField, m) -> int:
-    ident = (1, 0, 0, 1)
-    x, n = m, 1
-    while x != ident:
-        x = bmat_mul(bf, x, m)
-        n += 1
-    return n
-
-
 def brute_gl2(bf: BruteField):
     """All invertible 2x2 matrices, in lexicographic entry order."""
     out = []
@@ -215,32 +205,28 @@ def brute_conjugacy_classes(elements, mul, inv):
     return classes
 
 
+def determinant_log_standard_labels(fam) -> list[ClassLabel]:
+    """The standard GL/GU set by its determinant rule, written against ``det_log``.
+
+    The split class of diag(1, -1), every jordan class, then each nonsplit class whose
+    determinant's torus log is 0 or odd: 1 or a non-square of the torus (of even order
+    q - eps).  ``groups`` keeps the nonsplit classes by their F_{q^2} log instead.
+    """
+    labels = [ClassLabel(fam.family, "split", tuple(sorted((1, fam.field.neg(1)))))]
+    labels += [lab for lab in fam.classes() if lab.kind == "jordan"]
+    for lab in fam.classes():
+        if lab.kind == "nonsplit":
+            d = fam.det_log(lab.params[0])
+            if d == 0 or d % 2:
+                labels.append(lab)
+    return labels
+
+
 def trivial_character(family) -> IrrLabel:
     """The trivial character: ``linear(0)`` for GL and GU, ``trivial`` for SL."""
     if family.family == "sl":
         return IrrLabel("sl", "trivial", ())
     return IrrLabel(family.family, "linear", (0,))
-
-
-# ---------------------------------------------------------------------------
-# numeric spectra
-
-
-def numeric_spectrum(adj: np.ndarray, decimals: int = 6) -> Counter:
-    """Eigenvalue multiset of a symmetric 0/1 matrix, rounded."""
-    vals = np.linalg.eigvalsh(adj.astype(float))
-    return Counter(round(float(v), decimals) for v in vals)
-
-
-def integer_spectrum(adj: np.ndarray) -> Counter:
-    """Eigenvalue multiset rounded to integers (asserting integrality)."""
-    vals = np.linalg.eigvalsh(adj.astype(float))
-    out: Counter = Counter()
-    for v in vals:
-        r = round(float(v))
-        assert abs(v - r) < 1e-8, f"non-integral eigenvalue {v}"
-        out[r] += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from pstwalk.cayley import (
     analyze,
     build_connection_set,
     certify,
+    closed_form_audit,
     component_count,
     explicit_graph,
     make_family,
@@ -25,6 +26,7 @@ from pstwalk.cayley import (
 )
 from oracles import (
     class_sum_eigenvalue_loop,
+    determinant_log_standard_labels,
     linear_or_unitary_class_sum_blocks,
     pst_test,
     reduced_rows,
@@ -35,6 +37,7 @@ from oracles import (
 from pstwalk import scheme
 from pstwalk.chars import CycSum, NonIntegralError
 from pstwalk.ctqw import pst_scan
+from pstwalk.groups import ClassLabel
 
 
 @lru_cache(maxsize=None)
@@ -293,6 +296,69 @@ def test_sl_order_description_matches_class_description(q):
     fam, conn, _, _, _ = run("sl", q)
     by_classes = {m for lab in conn.labels for m in fam.class_elements(lab)}
     assert sl_order_based_elements(fam) == by_classes
+
+
+@pytest.mark.parametrize("tag", ["gl", "gu", "sl"])
+def test_standard_labels_are_one_cached_tuple(tag):
+    fam = make_family(tag, 5)
+    labels = fam.standard_labels()
+    assert type(labels) is tuple
+    assert fam.standard_labels() is labels
+    assert build_connection_set(fam).labels is labels
+
+
+@pytest.mark.parametrize(
+    "tag,q", [(tag, q) for tag in ("gl", "gu") for q in (3, 5, 7, 9, 11, 13, 25, 27, 49)]
+)
+def test_standard_labels_follow_the_determinant_and_the_log_rule(tag, q):
+    """One set in two parametrizations: the determinant's torus log, and standard_theta's K."""
+    fam = make_family(tag, q)
+    labels = fam.standard_labels()
+    assert list(labels) == determinant_log_standard_labels(fam)
+    eps, n, exp = fam.eps, q * q - 1, fam.tower.ext.exp
+    s, r = q - eps, q + eps
+    K = {min(k, eps * q * k % n) for k in range(n) if k % r and (k % s == 0 or k % s % 2)}
+    nonsplit = [lab for lab in labels if lab.kind == "nonsplit"]
+    assert len(nonsplit) == len(K)
+    assert set(nonsplit) == {ClassLabel(tag, "nonsplit", (exp[k],)) for k in K}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_sl_standard_labels_are_the_classes_of_trace_plus_or_minus_two(q):
+    """-I, then the four jordan classes: every class of trace +-2 but the identity's."""
+    fam = make_family("sl", q)
+    F = fam.field
+    two = {F.add(1, 1), F.neg(F.add(1, 1))}
+    want = [
+        lab
+        for lab in fam.classes()
+        if fam.trace(fam.class_rep(lab)) in two and fam.class_rep(lab) != fam.identity()
+    ]
+    assert list(fam.standard_labels()) == want
+
+
+@pytest.mark.parametrize("tag", ["gl", "gu", "sl"])
+def test_built_sets_rebuild_no_label_list(tag, monkeypatch):
+    """After build_connection_set, the spectrum and the audit read the family's cached labels."""
+    fam = make_family(tag, 7)
+    conn = build_connection_set(fam)
+    rows = spectrum(fam, conn)
+    audit = closed_form_audit(fam, conn, rows)
+
+    def refuse():
+        raise AssertionError("a stage rebuilt a label list from classes()")
+
+    monkeypatch.setattr(fam, "classes", refuse)
+    assert spectrum(fam, conn) == rows
+    assert closed_form_audit(fam, conn, rows) == audit
+
+
+def test_a_set_labelled_standard_is_judged_by_its_labels():
+    """One class under the STANDARD variant name has no closed forms to audit."""
+    fam = make_family("gl", 3)
+    lone = next(lab for lab in fam.classes() if lab.kind == "nonsplit")
+    bogus = ConnectionSet("gl", 3, STANDARD, (lone,), fam.class_size(lone))
+    assert closed_form_audit(fam, bogus, run("gl", 3).rows) == []
 
 
 # ---------------------------------------------------------------------------

@@ -237,13 +237,13 @@ def test_export_gl3_artifacts(tmp_path):
 
 def test_edges_text_formats_row_blocks_as_one_list():
     """An edgeless graph writes one newline; a graph of several row blocks reads as one list."""
-    assert cli._edges_text(np.zeros((3, 3), dtype=np.int64)) == "\n"
+    assert "".join(cli._edge_blocks(np.zeros((3, 3), dtype=np.int64))) == "\n"
     n = 2 * cli._EDGE_BLOCK_ROWS + 5
     upper = np.triu(np.random.default_rng(7).random((n, n)) < 0.05, 1)
     adjacency = (upper | upper.T).astype(np.int64)
     rows, cols = np.nonzero(upper)
     assert rows.max() >= 2 * cli._EDGE_BLOCK_ROWS  # the last, partial block has edges
-    assert cli._edges_text(adjacency) == "".join(f"{i} {j}\n" for i, j in zip(rows, cols))
+    assert "".join(cli._edge_blocks(adjacency)) == "".join(f"{i} {j}\n" for i, j in zip(rows, cols))
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,7 +265,7 @@ def test_edges_text_matches_a_literal_join(n, density, quiet, seed):
     rows = adjacency.tolist()
     expected = "".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if rows[i][j])
     for a in (adjacency, adjacency.astype(np.int64)):
-        assert cli._edges_text(a) == (expected or "\n")
+        assert "".join(cli._edge_blocks(a)) == (expected or "\n")
 
 
 def test_export_orbital_q3_artifacts(tmp_path):
