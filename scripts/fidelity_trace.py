@@ -40,7 +40,7 @@ def traced_pair(family: str, q: int, variant: str):
         caption = f"orbital q={q}, cosets H and zH (vertices {a}, {b})"
     else:
         caption = f"{family}(2,{q}) {variant}, pair x, -x (vertices {a}, {b})"
-    walk = WalkSystem.from_adjacency(graph.adjacency, graph.partner)
+    walk = WalkSystem.from_adjacency(graph.adjacency, graph.symmetry)
     return walk, (a, b), cert.time, caption
 
 

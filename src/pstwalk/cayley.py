@@ -322,18 +322,21 @@ def explicit_graph(family, conn: ConnectionSet, bound: int = 10_000) -> Graph:
     """The Cayley graph over an explicit group enumeration, paired x <-> -x.
 
     Vertex i is the i-th element of ``family.enumerate_group()``, joined to
-    g x for every x in the connection set and paired with -g.  Refuses
-    groups larger than ``bound`` elements.
+    g x for every x in the connection set and paired with -g.  Its symmetry
+    is right translation by ``family.central_jordan()``, of order c = |Z| p,
+    whose power of c/2 is translation by -I.  Refuses groups larger than
+    ``bound`` elements.
     """
     if family.order > bound:
         raise ValueError(
             f"group order {family.order} exceeds the enumeration bound {bound}"
         )
     sch = ConjugacyScheme(family)
-    partner = translation_partner(
-        sch.elements, sch.index, family.field, family.central_involution()
+    partner, symmetry = (
+        translation_partner(sch.elements, sch.index, family.field, t)
+        for t in (family.central_involution(), family.central_jordan())
     )
-    return Graph(sch.adjacency(conn.labels), partner, {})
+    return Graph(sch.adjacency(conn.labels), partner, symmetry, {})
 
 
 # :func:`component_count` gathers at most this many frontier rows at once, so

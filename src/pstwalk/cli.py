@@ -19,11 +19,13 @@ families, its transfer pairs read off the ``partner`` permutation -- or
 the reason it is skipped.  :func:`cross_checks` runs the explicit checks
 on any target (row sums against the top exact eigenvalue, components,
 numeric spectrum, walk), and one report assembly serves both families.
-The walk is one :class:`~pstwalk.ctqw.WalkSystem`, split by the partner
-permutation into its +1 and -1 sides; each side's numeric spectrum is
-compared with the exact rows of that sign.  A partner that is not a
-fixed-point-free involutive automorphism of the graph fails the cross-check,
-as does any other error the walk raises on the explicit graph.
+The walk is one :class:`~pstwalk.ctqw.WalkSystem`, split into the Fourier
+blocks of the graph's ``symmetry``, a free cyclic automorphism of even order
+c whose power of c/2 must be the partner permutation; the blocks fall on the
+partner's +1 and -1 sides, and each side's numeric spectrum is compared with
+the exact rows of that sign.  A symmetry that is not such an automorphism,
+or whose half-way power is not the partner, fails the cross-check, as does
+any other error the walk raises on the explicit graph.
 The pipeline is public: the scripts in ``scripts/`` build their rows,
 traces and audits through it rather than by hand.
 
@@ -62,7 +64,7 @@ from .cayley import (
     component_count,
     explicit_graph,
 )
-from .ctqw import WalkSystem, pst_scan
+from .ctqw import PairingError, WalkSystem, pst_scan
 from .scheme import Graph, TransferCertificate
 
 __all__ = [
@@ -399,12 +401,13 @@ def _orbital_target(q: int) -> Target:
 def _spectrum_deviation(walk: WalkSystem, rows) -> float:
     """Largest distance between the numeric and the exact sorted spectra.
 
-    Each block is compared with the rows of its sign, all rows for an
-    unpaired block, so a wrong sign shows as well as a wrong eigenvalue; a
-    side with the wrong number of eigenvalues is infinitely far.
+    Each side of the pairing, the union of its Fourier blocks, is compared
+    with the rows of its sign, all rows without a pairing, so a wrong sign
+    shows as well as a wrong eigenvalue; a side with the wrong number of
+    eigenvalues is infinitely far.
     """
     deviation = 0.0
-    for values, sign in zip(walk.block_eigenvalues, walk.block_signs):
+    for sign, values in walk.sides().items():
         thetas = sorted(
             r.theta for r in rows if sign in (None, r.sign) for _ in range(r.multiplicity)
         )
@@ -425,9 +428,11 @@ def cross_checks(
     one with more than ``sim_bound`` vertices is built but not simulated.
     The walk runs even when the certificate fails, since the mod-4
     certificate is sufficient but not necessary; it counts toward the
-    verdict only when the certificate holds.  A ``ValueError`` from the walk
-    (a bad pairing, an asymmetric adjacency, an eigendecomposition drift)
-    skips the simulation and fails the checks.
+    verdict only when the certificate holds.  The walk is split along the
+    graph's symmetry.  A ``ValueError`` from the walk (a symmetry that is
+    not a free cyclic automorphism of even order, an asymmetric adjacency,
+    an eigendecomposition drift), or a symmetry whose half-way power is not
+    the partner, skips the simulation and fails the checks.
     """
     checks: dict = {}
     notes: list[str] = []
@@ -459,7 +464,13 @@ def cross_checks(
         return checks, notes, adjacency, ok
     pairs = [(i, int(j)) for i, j in enumerate(graph.partner) if i < j]
     try:
-        walk = WalkSystem.from_adjacency(adjacency, graph.partner)
+        walk = WalkSystem.from_adjacency(adjacency, graph.symmetry)
+        moved = walk.pairing != graph.partner
+        if moved.any():
+            raise PairingError(
+                f"the symmetry's power {walk.order // 2} is not the partner "
+                f"at vertex {int(moved.argmax())}"
+            )
         scan = pst_scan(walk, pairs)
     except ValueError as err:
         checks["simulation"] = f"skipped: {err}"

@@ -11,16 +11,23 @@ multiple 3 pi/g, and that it is *incomplete* at the half time).
 
 Every graph the certificates cover carries a pairing P: a fixed-point-free
 involutive automorphism (x -> -x on the Cayley graphs, rH -> zrH on the
-double-coset graph).  Given P, :meth:`WalkSystem.from_adjacency` writes A
-in the basis (e_x + e_Px)/sqrt 2, (e_x - e_Px)/sqrt 2 over the pairs x < Px,
-where it splits into the blocks A+ = A[lo, lo] + A[lo, P lo] and
-A- = A[lo, lo] - A[lo, P lo] on P's +1 and -1 eigenspaces.  One stacked
-``eigh`` diagonalises both half-size blocks, a quarter of the cubic work of
-the n x n matrix, and each side's eigenvalues can be compared with the
-exact rows of that sign.  Without a pairing the single block is A.
+double-coset graph).  The walk is split along a free cyclic symmetry sigma
+of even order c whose power sigma^(c/2) is P: right translation by an
+element of order c whose half power is -I on a Cayley graph, P itself
+(c = 2) on the double-coset graph.  :meth:`WalkSystem.from_adjacency` picks
+one vertex lo_r on each of the m = n/c orbits and reads the stack
+B[d] = A[lo, sigma^d lo].  In the basis sigma^p lo_r, A is block circulant,
+so the Fourier vectors along each orbit split it into the c blocks
+A_j = sum_d omega^(jd) B[d] of size m, omega = exp(2 pi i / c) (Babai,
+*Spectra of Cayley graphs*, 1979; Davis, *Circulant Matrices*, 1979).
+Block c - j is the conjugate of block j, so one stacked ``eigh`` of the
+blocks j = 0 ... c/2, complex Hermitian when c > 2, diagonalises A.  P acts
+as (-1)^j on block j, so each side's eigenvalues can be compared with the
+exact rows of that sign.  With c = 2 the blocks are the two real halves
+A[lo, lo] +- A[lo, P lo]; without a symmetry the single block is A.
 An integer A, such as the one-byte 0/1 matrices of the explicit graphs, is
-read as it is: the sums and differences are taken in float, and only the
-stack of blocks is float.
+read as it is: its symmetry and automorphism tests are exact, the stack B
+is gathered in its own type, and only the Fourier products are float.
 
 Everything here is floating point and deliberately independent of the
 character-sum route, so agreement between the two is evidence rather
@@ -53,7 +60,7 @@ TOL = 1e-8
 FIDELITY_TOL = 1e-9
 # how far short of 1 the half-time fidelity must fall
 MID_SLACK = 1e-3
-# rows per slice of the symmetry, pairing and eigendecomposition drift
+# rows per slice of the symmetry, automorphism and eigendecomposition drift
 # checks, so that none of them holds an n x n temporary
 CHECK_ROWS = 128
 
@@ -63,75 +70,156 @@ class NonIntegralSpectrumError(ValueError):
 
 
 class PairingError(ValueError):
-    """The pairing is not a fixed-point-free involutive automorphism of A."""
+    """The symmetry is not a free cyclic automorphism of A of even order."""
 
 
 def _row_slices(n: int):
     return (slice(i, i + CHECK_ROWS) for i in range(0, n, CHECK_ROWS))
 
 
-def _checked_pairing(a: np.ndarray, pairing) -> np.ndarray:
-    """``pairing`` as an index array, or :class:`PairingError` at the first bad vertex.
+def _check_symmetric(a: np.ndarray) -> None:
+    """Refuse an A that is not symmetric: exactly for integer A, within TOL for float.
 
-    The automorphism test A[P][:, P] == A is exact.
+    Each slice of rows is compared, from the diagonal on, with a contiguous
+    copy of the matching columns, so the upper triangle is read once.
+    """
+    import numpy as np
+
+    exact = a.dtype.kind in "ui"
+    for rows in _row_slices(len(a)):
+        upper = a[rows, rows.start :]
+        lower = np.ascontiguousarray(a[rows.start :, rows]).T
+        if (upper != lower).any() if exact else np.abs(upper - lower).max() > TOL:
+            raise ValueError("adjacency must be symmetric")
+
+
+def _orbits(a: np.ndarray, symmetry) -> np.ndarray:
+    """The orbits of ``symmetry`` as a (c, m) table, row d holding sigma^d of each orbit's least vertex.
+
+    The order c is the length of vertex 0's orbit.  Raises
+    :class:`PairingError` at the first bad vertex unless sigma is a map of
+    the vertices with sigma^c the identity, no sigma^k for 0 < k < c fixes a
+    vertex, c is even and A[sigma][:, sigma] == A exactly.  With c = 2 sigma
+    is the pairing; a sigma of any other order is not an involution at
+    vertex 0, and its refusal says so first.
     """
     import numpy as np
 
     n = len(a)
-    p = np.asarray(pairing)
-    if p.shape != (n,) or not np.issubdtype(p.dtype, np.integer) or ((p < 0) | (p >= n)).any():
+    s = np.asarray(symmetry)
+    if s.shape != (n,) or not np.issubdtype(s.dtype, np.integer) or ((s < 0) | (s >= n)).any():
         raise PairingError(f"the pairing must map each of the {n} vertices to a vertex")
     vertices = np.arange(n)
-    for what, bad in (("fixes", p == vertices), ("is not an involution at", p[p] != vertices)):
-        if bad.any():
-            raise PairingError(f"the pairing {what} vertex {int(bad.argmax())}")
+    if (s == vertices).any():
+        raise PairingError(f"the pairing fixes vertex {int((s == vertices).argmax())}")
+    c, x = 1, int(s[0])
+    while x != 0 and c <= n:
+        c, x = c + 1, int(s[x])
+
+    def refuse(reason: str):
+        if c == 2:
+            return PairingError(f"the pairing {reason}")
+        return PairingError(f"the pairing is not an involution at vertex 0, and the symmetry {reason}")
+
+    if c > n:
+        raise refuse("does not return vertex 0")
+    if c % 2:
+        raise refuse(f"has odd order {c}")
+    power, least = s, np.minimum(vertices, s)
+    for k in range(2, c + 1):
+        power = s[power]
+        returned = power == vertices
+        if k < c and returned.any():
+            raise refuse(f"of order {c} returns vertex {int(returned.argmax())} after {k} steps")
+        least = np.minimum(least, power)
+    if not returned.all():
+        if c == 2:
+            raise refuse(f"is not an involution at vertex {int(returned.argmin())}")
+        raise refuse(f"of order {c} does not return vertex {int(returned.argmin())} after {c} steps")
     for rows in _row_slices(n):
-        bad = (a[np.ix_(p[rows], p)] != a[rows]).any(axis=1)
+        bad = (a[s[rows]].take(s, axis=1) != a[rows]).any(axis=1)
         if bad.any():
             vertex = rows.start + int(bad.argmax())
-            raise PairingError(f"the pairing is not an automorphism: it moves the edges of vertex {vertex}")
-    return p
+            order = "" if c == 2 else f"of order {c} "
+            raise refuse(f"{order}is not an automorphism: it moves the edges of vertex {vertex}")
+    orbits = np.empty((c, n // c), dtype=np.int64)
+    orbits[0] = np.flatnonzero(least == vertices)
+    for d in range(1, c):
+        orbits[d] = s[orbits[d - 1]]
+    return orbits
+
+
+def _fourier_blocks(a: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+    """The blocks A_j = sum_d omega^(jd) A[lo, sigma^d lo] for j = 0 ... c/2.
+
+    The stack is gathered from A as it is; one (c/2 + 1) x c product with the
+    cosines, and one with the sines when c > 2, makes every block.  With
+    c = 2 the two rows of the DFT matrix are (1, 1) and (1, -1), exactly.
+    """
+    import numpy as np
+
+    c, m = orbits.shape
+    stack = a[orbits[0][None, :, None], orbits[:, None, :]].reshape(c, m * m)
+    angles = 2 * pi / c * (np.outer(np.arange(c // 2 + 1), np.arange(c)) % c)
+    if c <= 2:
+        return (np.cos(angles) @ stack).reshape(-1, m, m)
+    blocks = np.empty((len(angles), m, m), dtype=complex)
+    blocks.real = (np.cos(angles) @ stack).reshape(-1, m, m)
+    blocks.imag = (np.sin(angles) @ stack).reshape(-1, m, m)
+    return blocks
 
 
 def _drift(blocks: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
-    """Largest entry of V diag(w) V^T - A in the vertex basis.
+    """Largest entry of V_j diag(w_j) V_j^H - A_j over the blocks.
 
-    With two blocks a vertex-basis entry is (R+ +- R-)/2 for the block
-    residuals R+ and R-, so its largest size is (|R+| + |R-|)/2.
+    Each slice of rows is read as the conjugate, conj(V diag(w)) V^T -
+    conj(A_j), so V^T stays a view.  A vertex-basis entry of the residual is
+    an average of block entries, so it is no larger.
     """
     vt = v.transpose(0, 2, 1)
     return max(
-        (abs((v[:, rows] * w[:, None]) @ vt - blocks[:, rows]).sum(axis=0) / len(blocks)).max()
+        abs((v[:, rows] * w[:, None]).conj() @ vt - blocks[:, rows].conj()).max(initial=0.0)
         for rows in _row_slices(blocks.shape[1])
     )
+
+
+def _counts(order: int) -> list[int]:
+    """How many of the c Fourier blocks each block j = 0 ... c/2 stands for: itself and its conjugate."""
+    return [1 if 2 * j in (0, order) else 2 for j in range(order // 2 + 1)]
 
 
 @dataclass
 class WalkSystem:
     """Eigendecomposition of a real symmetric adjacency matrix, block by block.
 
-    There is one block, A, or two, A+ and A- on the +1 and -1 eigenspaces of
-    a pairing; ``block_signs`` names the side of each block, ``(None,)`` or
-    ``(1, -1)``.  Vertex y enters row ``rows[y]`` of block j with coefficient
-    ``signs[j, y] / sqrt(blocks)``.
+    Block j, for j = 0 ... c/2, is the Fourier block of a free cyclic
+    symmetry of order ``order`` = c, or the one block A with ``order`` 1;
+    ``block_signs`` names the pairing's eigenvalue (-1)^j on each, ``(None,)``
+    without a symmetry.  Vertex x is sigma^p lo_r for r = ``rows[x]`` and
+    p = ``offsets[x]``: it enters row r of block j with coefficient
+    omega^(jp) / sqrt(c), and block c - j with the conjugate.  ``pairing`` is
+    sigma^(c/2), ``None`` without a symmetry.
     """
 
-    eigenvalues: np.ndarray  # the sorted union of the blocks' eigenvalues
-    block_eigenvalues: np.ndarray  # (blocks, m), each row ascending
-    block_vectors: np.ndarray  # (blocks, m, m), eigenvectors as columns
-    block_signs: tuple  # the pairing's eigenvalue on each block, None unpaired
-    rows: np.ndarray  # (n,)
-    signs: np.ndarray  # (blocks, n) of +-1
+    eigenvalues: np.ndarray  # the sorted union of all c blocks' eigenvalues, length n
+    block_eigenvalues: np.ndarray  # (c/2 + 1, m), each row ascending
+    block_vectors: np.ndarray  # (c/2 + 1, m, m), eigenvectors as columns
+    block_signs: tuple  # the pairing's eigenvalue on each block, None without a symmetry
+    order: int  # c
+    rows: np.ndarray  # (n,) the orbit of each vertex
+    offsets: np.ndarray  # (n,) its place on that orbit
+    pairing: np.ndarray | None  # (n,) sigma^(c/2)
 
     @classmethod
-    def from_adjacency(cls, adjacency, pairing=None) -> "WalkSystem":
-        """Diagonalise A, or A+ and A- for a pairing P, with one ``eigh`` call.
+    def from_adjacency(cls, adjacency, symmetry=None) -> "WalkSystem":
+        """Diagonalise A, or its Fourier blocks along ``symmetry``, with one ``eigh`` call.
 
+        ``symmetry`` is sigma, a free cyclic automorphism of even order c; a
+        pairing P is the case c = 2 and gives the two real blocks A+ and A-.
         Integer input, signed or unsigned, is read as it is, with no float
-        copy of A; the symmetry test and the half blocks subtract in float,
-        so a ``uint8`` 0 - 1 does not wrap.  Raises :class:`PairingError`
-        when ``pairing`` is given and is not a fixed-point-free involutive
-        automorphism of A.
+        copy of A.  Raises :class:`PairingError` when ``symmetry`` is given
+        and is not such an automorphism, and ``ValueError`` when A is not
+        symmetric or the decomposition drifts by more than ``TOL``.
         """
         import numpy as np
 
@@ -141,54 +229,76 @@ class WalkSystem:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         n = len(a)
-        for rows in _row_slices(n):
-            if np.abs(np.subtract(a[rows], a[:, rows].T, dtype=float)).max() > TOL:
-                raise ValueError("adjacency must be symmetric")
-        if pairing is None:
+        _check_symmetric(a)
+        if symmetry is None:
+            orbits, pairing = np.arange(n)[None], None
             blocks, sides = a.astype(float, copy=False)[None], (None,)
-            rows, signs = np.arange(n), np.ones((1, n))
         else:
-            p = _checked_pairing(a, pairing)
-            lo = np.flatnonzero(np.arange(n) < p)
-            rows = np.empty(n, dtype=int)
-            rows[lo] = rows[p[lo]] = np.arange(len(lo))
-            signs = np.ones((2, n))
-            signs[1, p[lo]] = -1
-            # the two halves are read from A as it is; only the stack is float
-            near, far = a[np.ix_(lo, lo)], a[np.ix_(lo, p[lo])]
-            blocks, sides = np.empty((2, len(lo), len(lo))), (1, -1)
-            np.add(near, far, out=blocks[0], dtype=float)
-            np.subtract(near, far, out=blocks[1], dtype=float)
-            del near, far
+            orbits = _orbits(a, symmetry)
+            pairing = np.empty(n, dtype=np.int64)
+            pairing[orbits] = np.roll(orbits, -(len(orbits) // 2), axis=0)
+            blocks = _fourier_blocks(a, orbits)
+            sides = tuple((-1) ** j for j in range(len(blocks)))
+        c, m = orbits.shape
+        rows, offsets = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        rows[orbits], offsets[orbits] = np.arange(m), np.arange(c)[:, None]
         w, v = np.linalg.eigh(blocks)
         drift = _drift(blocks, w, v)
         if drift > TOL:
             raise ValueError(f"eigendecomposition drift {drift:.3e} exceeds {TOL:.0e}")
-        return cls(np.sort(w, axis=None), w, v, sides, rows, signs)
+        union = np.sort(np.repeat(w, _counts(c), axis=0), axis=None)
+        return cls(union, w, v, sides, c, rows, offsets, pairing)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
+    def sides(self) -> dict:
+        """Sorted eigenvalues on each side of the pairing, keyed by its sign (``None`` without one).
+
+        A block that stands for itself and its conjugate counts twice.
+        """
+        import numpy as np
+
+        parts: dict = {}
+        for w, k, sign in zip(self.block_eigenvalues, _counts(self.order), self.block_signs):
+            parts.setdefault(sign, []).append(np.repeat(w, k))
+        return {sign: np.sort(np.concatenate(side)) for sign, side in parts.items()}
+
     def fidelities(self, t: float, pairs: Sequence[tuple[int, int]]) -> list[float]:
         """|exp(-i t A)[y, x]| for each pair (x, y), read off the eigenvector rows.
 
-        The entry is sum_j signs[j, y] signs[j, x] / blocks times
-        sum_k v_j[rows[y], k] v_j[rows[x], k] exp(-i t lambda_jk); its cosine
-        and sine parts are real sums, so no n x n unitary is formed. Each row
-        is summed on its own, so a pair reads the same value in any batch.
+        The entry is (1/c) sum_j omega^(j (p_y - p_x)) sum_k v_j[r_y, k]
+        conj(v_j[r_x, k]) exp(-i t lambda_jk) over all c blocks, r and p the
+        ``rows`` and ``offsets``.  Blocks j and c - j are conjugate, so
+        together they weigh each exp(-i t lambda_jk) with twice the real part
+        of block j's term: every weight is real, and the cosine and sine
+        parts are real sums.  No n x n unitary is formed, and each row is
+        summed on its own, so a pair reads the same value in any batch.
+        The entry depends only on (r_x, r_y, p_y - p_x mod c), so it is
+        summed once per distinct triple: once per orbit for the pairs
+        (x, sigma^(c/2) x).
         """
         import numpy as np
 
         xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-        ry, rx = self.rows[ys], self.rows[xs]
-        blocks = len(self.block_vectors)
+        c, m = self.order, self.block_vectors.shape[1]
+        keys = (self.rows[xs] * m + self.rows[ys]) * c + (self.offsets[ys] - self.offsets[xs]) % c
+        keys, back = np.unique(keys, return_inverse=True)
+        rx, ry, shift = keys // (m * c), keys // c % m, keys % c
         re = im = 0.0
-        for v, lam, sign in zip(self.block_vectors, self.block_eigenvalues, self.signs):
-            weights = v[ry] * v[rx]
-            weights *= (sign[ys] * sign[xs] / blocks)[:, None]
+        for j, (v, lam, count) in enumerate(
+            zip(self.block_vectors, self.block_eigenvalues, _counts(c))
+        ):
+            # omega^(j shift), read at an angle below 2 pi
+            angle = 2 * pi / c * (j * shift % c)
+            if np.iscomplexobj(v):
+                weights = (v[ry] * v[rx].conj() * np.exp(1j * angle)[:, None]).real
+            else:
+                weights = v[ry] * v[rx] * np.cos(angle)[:, None]
+            weights *= count / c
             re = re + (weights * np.cos(t * lam)).sum(axis=1)
             im = im + (weights * np.sin(t * lam)).sum(axis=1)
-        return np.hypot(re, im).tolist()
+        return np.hypot(re, im)[back.reshape(-1)].tolist()
 
 
 def _as_walk(adjacency) -> WalkSystem:

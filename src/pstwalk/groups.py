@@ -263,6 +263,16 @@ class _Family:
         """The class of -I, labelled directly (scalars are their own class)."""
         return ClassLabel(self.family, "central", (self.field.neg(1),))
 
+    def central_jordan(self) -> Mat2:  # pragma: no cover - abstract
+        """The jordan class rep eps u, for eps a generator of the centre Z and u unipotent.
+
+        Its order is |Z| p, and its power of half that order is
+        eps^(|Z| p / 2) = (-1)^p = -I, since p divides |Z| p / 2.  Right
+        translation by it is a free cyclic symmetry of every class-union
+        Cayley graph whose half-way power is x -> -x.
+        """
+        raise NotImplementedError
+
     def standard_labels(self) -> tuple[ClassLabel, ...]:
         """The standard connection set, built with the class tables: the same tuple every call.
 
@@ -532,6 +542,9 @@ class GLGroup(_LinearOrUnitary):
         tr = tw.project(tw.ext.add(z, tw.conj(z)))
         return Mat2(0, F.neg(tw.norm(z)), 1, tr)
 
+    def central_jordan(self) -> Mat2:
+        return self.class_rep(ClassLabel("gl", "jordan", (self.field.exp[1],)))
+
     def classify(self, m: Mat2) -> ClassLabel:
         F = self.field
         if m.b == 0 and m.c == 0 and m.a == m.d:
@@ -665,6 +678,9 @@ class GUGroup(_LinearOrUnitary):
         if not self.is_member(rep):  # pragma: no cover - construction invariant
             raise RuntimeError(f"constructed representative for {label} is not unitary")
         return rep
+
+    def central_jordan(self) -> Mat2:
+        return self.class_rep(ClassLabel("gu", "jordan", (self.torus[1],)))
 
     def classify(self, m: Mat2) -> ClassLabel:
         F, tw = self.field, self.tower
@@ -805,6 +821,9 @@ class SLGroup(_Family):
         x = tw.project(ext.div(ext.add(z, zq), two))
         y = tw.project(ext.div(ext.sub(z, zq), ext.mul(two, tw.sqrt_delta)))
         return Mat2(x, F.mul(tw.delta, y), y, x)
+
+    def central_jordan(self) -> Mat2:
+        return self.class_rep(ClassLabel("sl", "jordan", (self.field.neg(1), 1)))
 
     def classify(self, m: Mat2) -> ClassLabel:
         F, tw = self.field, self.tower

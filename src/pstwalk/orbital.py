@@ -354,7 +354,8 @@ def build_gamma(space: CosetSpace) -> Graph:
 
     The edge cosets are HzH together with H m H for the C(q+1, 2) diagonal
     double cosets, so the neighbours of rH are the cosets rdH for d in one
-    element per left coset of that union; the pairing sends rH to (z r)H.
+    element per left coset of that union; the pairing sends rH to (z r)H,
+and it is also the symmetry the walk is split along (order c = 2).
     Every coset is read literally off the enumerated group, with no reliance
     on the Frobenius invariant.  The degree is left to the cross-checks,
     which compare it with the top eigenvalue.
@@ -386,7 +387,7 @@ def build_gamma(space: CosetSpace) -> Graph:
     partner = translation_partner(space.reps, space.coset_index, group.field, space.z)
     vertices = np.arange(len(partner))
     matching = bool((partner[partner] == vertices).all() and (partner != vertices).all())
-    return Graph(adjacency, partner, {"involution_is_perfect_matching": matching})
+    return Graph(adjacency, partner, partner, {"involution_is_perfect_matching": matching})
 
 
 # ---------------------------------------------------------------------------

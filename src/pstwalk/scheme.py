@@ -44,7 +44,8 @@ entries than the n x n adjacency for every family built here, but not
 always fewer bytes: the adjacency is ``uint8``, one byte per entry, and the
 table is as wide as the vertex count needs, so at gu 9 the int16 table
 takes 86 MB and the adjacency 52 MB.
-:func:`translation_partner` takes the transfer pairing the same way.
+:func:`translation_partner` takes the transfer pairing, and the symmetry the
+walk is split along, the same way: one right translate per vertex.
 """
 
 from __future__ import annotations
@@ -238,16 +239,20 @@ class ConjugacyScheme:
 
 
 class Graph(NamedTuple):
-    """An explicitly built graph and the vertex pairing its walk must exchange.
+    """An explicitly built graph, the vertex pairing its walk must exchange and a symmetry.
 
     ``adjacency`` is the 0/1 ``uint8`` matrix, one byte per entry.
     ``partner[i]`` is the vertex paired with vertex i, so the transfer pairs
-    are (i, partner[i]); ``checks`` holds structural checks only one family
-    has.
+    are (i, partner[i]).  ``symmetry`` is a free cyclic automorphism of even
+    order c whose power of c/2 should be ``partner``; the walk is split
+    along it (right translation by a jordan element of order |Z| p on a
+    Cayley graph, the partner itself on the coset graph).  ``checks`` holds
+    structural checks only one family has.
     """
 
     adjacency: np.ndarray
     partner: np.ndarray
+    symmetry: np.ndarray
     checks: dict[str, bool]
 
 
@@ -322,7 +327,12 @@ def translation_adjacency(reps: Sequence, vertex_of, field, connection: Sequence
 
 
 def translation_partner(reps: Sequence, vertex_of, field, t) -> np.ndarray:
-    """The permutation i -> vertex of ``t reps[i]``, which is ``reps[i] t`` for a central t."""
+    """The map i -> vertex of ``reps[i] t``, right translation by t.
+
+    For a central t it is also left translation, the transfer pairing; for
+    any t it is an automorphism of a Cayley graph on a class union, since
+    conjugation by t keeps the union.
+    """
     import numpy as np
 
     blocks = [cols[:, 0] for _, cols in _translate(reps, vertex_of, field, [t])]

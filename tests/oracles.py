@@ -407,11 +407,23 @@ def spectrum_trace(rows: Sequence) -> int:
 
 
 def eigenvectors(walk: WalkSystem) -> np.ndarray:
-    """The walk's n x n eigenvectors in the vertex basis, columns in ``eigenvalues`` order."""
-    blocks, m = walk.block_eigenvalues.shape
-    full = walk.signs[:, :, None] * walk.block_vectors[:, walk.rows] / np.sqrt(blocks)
-    order = np.argsort(walk.block_eigenvalues, axis=None, kind="stable")
-    return full.transpose(1, 0, 2).reshape(len(walk.rows), blocks * m)[:, order]
+    """The walk's n x n eigenvectors in the vertex basis, columns in ``eigenvalues`` order.
+
+    All c Fourier blocks are written out: block c - j is the conjugate of
+    block j, and vertex x enters row ``rows[x]`` of block j with coefficient
+    omega^(j offsets[x]) / sqrt(c).  Real when c <= 2, complex otherwise.
+    """
+    c = walk.order
+    columns, values = [], []
+    for j in range(c):
+        v, lam = walk.block_vectors[min(j, c - j)], walk.block_eigenvalues[min(j, c - j)]
+        phase = np.exp(2j * np.pi * (j * walk.offsets % c) / c)
+        if c <= 2:
+            phase = phase.real
+        columns.append((v if 2 * j <= c else v.conj())[walk.rows] * phase[:, None] / np.sqrt(c))
+        values.append(lam)
+    order = np.argsort(np.concatenate(values), kind="stable")
+    return np.concatenate(columns, axis=1)[:, order]
 
 
 def integer_rows_with_signs(adjacency, permutation: Sequence[int]) -> list[EigenRow]:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from pstwalk import cli, orbital
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
 from pstwalk.ctqw import TransferReport
-from pstwalk.groups import GLGroup, GUGroup, SLGroup
+from pstwalk.groups import GLGroup, GUGroup, Mat2, SLGroup
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 ROOT = Path(__file__).resolve().parent.parent
@@ -465,6 +465,67 @@ def test_walk_errors_fail_the_cross_check(monkeypatch, capsys):
     assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
     out = capsys.readouterr().out
     assert "cross-check simulation: skipped: adjacency must be symmetric\n" in out
+    assert "verdict: cross-check mismatch" in out
+
+
+def short_orbit(graph):
+    """An orbit of sigma (c = 6 at gl 3) other than vertex 0's, closed into two 3-cycles."""
+    sigma = graph.symmetry
+
+    def orbit(x):
+        out = [x]
+        while len(out) < 6:
+            out.append(int(sigma[out[-1]]))
+        return out
+
+    o = orbit(min(set(range(len(sigma))) - set(orbit(0))))
+    doctored = sigma.copy()
+    doctored[o[2]], doctored[o[5]] = o[0], o[3]
+    return doctored
+
+
+def relabelled(graph):
+    """sigma conjugated by a transposition of two vertices on different orbits."""
+    sigma = graph.symmetry.copy()
+    swap = np.arange(len(sigma))
+    swap[[0, 1]] = [1, 0]
+    return swap[sigma[swap]]
+
+
+def translation_by_diag_one_minus_one(graph):
+    """Right translation by diag(1, -1): a free automorphism of order 2 that is not x -> -x."""
+    family = GLGroup(3)
+    elements = family.enumerate_group()
+    index = {m: i for i, m in enumerate(elements)}
+    g = Mat2(1, 0, 0, family.field.neg(1))
+    return np.array([index[family.mul(x, g)] for x in elements])
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (relabelled, "is not an automorphism: it moves the edges of vertex"),
+        (short_orbit, "the symmetry of order 6 returns vertex"),
+        (lambda graph: graph.symmetry[graph.symmetry], "the symmetry has odd order 3"),
+        (translation_by_diag_one_minus_one, "the symmetry's power 1 is not the partner at vertex 0"),
+    ],
+    ids=["not-an-automorphism", "short-orbit", "odd-order", "half-power-is-not-the-partner"],
+)
+def test_a_bad_symmetry_fails_the_cross_check(monkeypatch, capsys, doctor, message):
+    """The walk is split along the graph's symmetry; one that is not a free cyclic
+    automorphism of even order, or whose half-way power is not the partner, exits 3."""
+    real = cli.explicit_graph
+
+    def doctored(family, conn, bound):
+        graph = real(family, conn, bound=bound)
+        return graph._replace(symmetry=doctor(graph))
+
+    monkeypatch.setattr(cli, "explicit_graph", doctored)
+    assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
+    out = capsys.readouterr().out
+    assert "certificate: valid" in out
+    line = next(l for l in out.splitlines() if l.startswith("cross-check simulation: skipped: "))
+    assert message in line
     assert "verdict: cross-check mismatch" in out
 
 

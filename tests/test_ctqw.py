@@ -455,3 +455,178 @@ def test_a_pairing_that_is_not_an_involutive_automorphism_is_refused(partner, me
     with pytest.raises(PairingError, match=message):
         WalkSystem.from_adjacency(a, partner)
     assert issubclass(PairingError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the walk split along a free cyclic symmetry: the Fourier blocks of sigma
+
+
+def explicit_graph_of(family, q, variant="standard"):
+    return build_target(family, q, variant).graph(ENUMERATION_BOUND)
+
+
+SPLIT_CASES = [
+    ("gl", 3, "standard"),
+    ("gl", 3, "small-orders"),
+    ("gl", 5, "standard"),
+    ("gu", 3, "standard"),
+    ("gu", 5, "standard"),
+    ("sl", 3, "standard"),
+    ("sl", 5, "standard"),
+    ("sl", 7, "standard"),
+    ("orbital", 3, "standard"),
+]
+
+
+def split_pairs(walk, partner, rng):
+    """Partner pairs, pairs on one orbit at every other offset, and pairs across orbits."""
+    n = len(partner)
+    partners = [(x, int(partner[x])) for x in range(n)]
+    same_orbit = [
+        (int(x), int(y))
+        for x in rng.integers(0, n, size=8)
+        for y in np.flatnonzero(walk.rows == walk.rows[x])
+        if y != x and y != partner[x]
+    ]
+    across = [(int(x), int(y)) for x, y in rng.integers(0, n, size=(64, 2))]
+    return partners, same_orbit, across
+
+
+@pytest.mark.parametrize("family,q,variant", SPLIT_CASES, ids=lambda v: str(v))
+def test_split_walk_matches_the_unsplit_walk(family, q, variant):
+    graph = explicit_graph_of(family, q, variant)
+    a, partner = graph.adjacency, graph.partner
+    n = len(a)
+    split, plain = WalkSystem.from_adjacency(a, graph.symmetry), WalkSystem.from_adjacency(a)
+    c = split.order
+    assert c % 2 == 0 and np.array_equal(split.pairing, partner)
+    assert split.block_eigenvalues.shape == (c // 2 + 1, n // c)
+    assert split.block_signs == tuple((-1) ** j for j in range(c // 2 + 1))
+    assert len(split) == n and np.abs(split.eigenvalues - plain.eigenvalues).max() < 1e-9
+    rows = integer_rows_with_signs(a, partner)
+    for sign, values in split.sides().items():
+        exact = sorted(r.theta for r in rows if r.sign == sign for _ in range(r.multiplicity))
+        assert len(values) == len(exact) and np.abs(values - exact).max() < 1e-9
+    partners, same_orbit, across = split_pairs(split, partner, np.random.default_rng(11))
+    assert same_orbit or c == 2
+    for t in (0.3, pi / 2, 2.1):
+        for pairs in (partners, same_orbit, across):
+            if pairs:
+                got, want = split.fidelities(t, pairs), plain.fidelities(t, pairs)
+                assert np.abs(np.subtract(got, want)).max() < 1e-9
+
+
+def test_cayley_graphs_split_into_blocks_of_the_centre_times_p():
+    """c = |Z| p: (q - 1) p for GL, (q + 1) p for GU, 2p for SL."""
+    orders = {(f, q): WalkSystem.from_adjacency(g.adjacency, g.symmetry).order
+              for f, q in [("gl", 3), ("gl", 5), ("gu", 3), ("sl", 5), ("sl", 7)]
+              for g in [explicit_graph_of(f, q)]}
+    assert orders == {("gl", 3): 6, ("gl", 5): 20, ("gu", 3): 12, ("sl", 5): 10, ("sl", 7): 14}
+
+
+def full_unitary(walk, t):
+    """exp(-i t A) from the eigenvectors of every Fourier block, conjugates included."""
+    v = eigenvectors(walk)
+    return (v * np.exp(-1j * t * walk.eigenvalues)) @ v.conj().T
+
+
+def circulant_graphs(c, m):
+    """Graphs on c m vertices that sigma: (p, r) -> (p + 1 mod c, r) preserves.
+
+    A[(p, r), (p', s)] = B[p' - p][r, s] with B[-d] = B[d]^T, 0/1 entries
+    and no loops; a random relabelling then scatters the orbits.
+    """
+    pairs = [(d, r, s) for d in range(c) for r in range(m) for s in range(m)
+             if (d, r, s) < ((-d) % c, s, r)]
+
+    def build(args):
+        bits, order = args
+        b = np.zeros((c, m, m))
+        for (d, r, s), bit in zip(pairs, bits):
+            b[d, r, s] = b[(-d) % c, s, r] = bit
+        p, r = np.divmod(np.arange(c * m), m)
+        a = b[(p[None, :] - p[:, None]) % c, r[:, None], r[None, :]]
+        sigma = ((p + 1) % c) * m + r
+        order = np.asarray(order)
+        inverse = np.argsort(order)
+        return a[np.ix_(order, order)], inverse[sigma[order]]
+
+    return st.tuples(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+        st.permutations(range(c * m)),
+    ).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.sampled_from([2, 4, 6, 8]), st.integers(1, 3)).flatmap(lambda cm: circulant_graphs(*cm)),
+    st.floats(0, 8, allow_nan=False),
+)
+def test_split_fidelities_match_dense_unitary(graph, t):
+    a, sigma = graph
+    n = len(a)
+    walk = WalkSystem.from_adjacency(a, sigma)
+    assert walk.order * walk.block_vectors.shape[1] == n
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    fids = np.array(walk.fidelities(t, pairs)).reshape(n, n)
+    exact = dense_unitary(a, t)
+    assert np.abs(fids - np.abs(exact).T).max() < 1e-10
+    assert np.abs(full_unitary(walk, t) - exact).max() < 1e-10
+
+
+def test_the_rotation_of_a_cycle_splits_it_into_its_fourier_modes():
+    """C8 under i -> i + 1: eight 1 x 1 blocks 2 cos(2 pi j / 8), five of them stored."""
+    walk = WalkSystem.from_adjacency(cycle(8).astype(np.uint8), (np.arange(8) + 1) % 8)
+    assert walk.order == 8 and walk.block_vectors.dtype == complex
+    modes = 2 * np.cos(2 * pi * np.arange(5) / 8)
+    assert np.abs(walk.block_eigenvalues[:, 0] - modes).max() < 1e-12
+    assert np.array_equal(walk.pairing, (np.arange(8) + 4) % 8)
+    assert pst_scan(walk, [(0, 4)], time=pi / 2).min_fidelity < 1  # C8 has no antipodal transfer
+
+
+@pytest.mark.parametrize(
+    "a, symmetry, message",
+    [
+        (cycle(3), [1, 2, 0], "not an involution at vertex 0, and the symmetry has odd order 3"),
+        (np.zeros((6, 6)), [1, 2, 3, 0, 5, 4],
+         "not an involution at vertex 0, and the symmetry of order 4 returns vertex 4 after 2 steps"),
+        (np.zeros((10, 10)), [1, 2, 3, 0, 5, 6, 7, 8, 9, 4],
+         "the symmetry of order 4 does not return vertex 4 after 4 steps"),
+        (np.zeros((3, 3)), [1, 2, 1], "the symmetry does not return vertex 0"),
+        (cycle(8), [2, 3, 4, 5, 6, 7, 1, 0],
+         "not an involution at vertex 0, and the symmetry of order 8 is not an automorphism: "
+         "it moves the edges of vertex 0"),
+    ],
+)
+def test_a_symmetry_that_is_not_a_free_cyclic_automorphism_of_even_order_is_refused(a, symmetry, message):
+    with pytest.raises(PairingError, match=message):
+        WalkSystem.from_adjacency(a, symmetry)
+
+
+def test_the_split_walk_at_gl_7_holds_no_half_size_block():
+    """n = 2016, c = 42: 22 blocks of 48 x 48, far below one n/2 x n/2 float block (7.8 MiB)."""
+    graph = explicit_graph_of("gl", 7)
+    tracemalloc.start()
+    try:
+        walk = WalkSystem.from_adjacency(graph.adjacency, graph.symmetry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk.order == 42 and len(walk) == 2016
+    assert peak < 8 * 2**20
+
+
+def test_integer_symmetry_is_exact():
+    """2^60 and 2^60 + 1 are one float apart: only an exact test tells them apart."""
+    a = np.array([[0, 2**60], [2**60 + 1, 0]], dtype=np.int64)
+    with pytest.raises(ValueError, match="adjacency must be symmetric"):
+        WalkSystem.from_adjacency(a)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, float])
+@pytest.mark.parametrize("i, j", [(0, 299), (299, 0), (127, 128), (128, 127), (200, 250), (250, 200)])
+def test_an_asymmetric_entry_in_any_row_slice_is_refused(dtype, i, j):
+    a = np.zeros((300, 300), dtype=dtype)
+    a[i, j] = 1
+    with pytest.raises(ValueError, match="adjacency must be symmetric"):
+        WalkSystem.from_adjacency(a)

@@ -77,6 +77,32 @@ def test_partner_is_a_fixed_point_free_automorphism_of_order_two(tag, q, variant
 
 
 @pytest.mark.parametrize("tag,q,variant", TARGETS)
+def test_symmetry_is_a_free_cyclic_automorphism_whose_half_power_is_the_partner(tag, q, variant):
+    """Right translation by the central jordan element on a Cayley graph, of order
+    |Z| p; the pairing itself, of order 2, on the coset graph."""
+    graph = graph_of(tag, q, variant)
+    a, sigma = graph.adjacency, graph.symmetry
+    if tag == "orbital":
+        assert np.array_equal(sigma, graph.partner)
+        order = 2
+    else:
+        family = make_family(tag, q)
+        elements = family.enumerate_group()
+        index = {m: i for i, m in enumerate(elements)}
+        g = family.central_jordan()
+        assert np.array_equal(sigma, [index[family.mul(x, g)] for x in elements])
+        centre = {"gl": q - 1, "gu": q + 1, "sl": 2}[tag]
+        order = centre * family.p
+    assert np.array_equal(a[sigma][:, sigma], a)
+    vertices, power = np.arange(len(a)), np.arange(len(a))
+    for k in range(1, order + 1):
+        power = sigma[power]
+        if k == order // 2:
+            assert np.array_equal(power, graph.partner)
+        assert (power == vertices).all() == (k == order) and (power == vertices).any() == (k == order)
+
+
+@pytest.mark.parametrize("tag,q,variant", TARGETS)
 def test_every_explicit_graph_holds_one_byte_per_entry(tag, q, variant):
     a = graph_of(tag, q, variant).adjacency
     assert a.dtype == np.uint8 and a.nbytes == len(a) ** 2
