@@ -1,11 +1,12 @@
 """Cayley graphs with certified perfect state transfer on matrix groups.
 
-Three families are built, with connection sets that are unions of
-conjugacy classes, closed under inversion and avoiding the identity:
+Three families are built at every odd prime power q, with connection
+sets that are unions of conjugacy classes, closed under inversion and
+avoiding the identity:
 
 * ``gl`` -- the general linear group GL(2, q);
 * ``gu`` -- the unitary group GU(2, q);
-* ``sl`` -- the special linear group SL(2, q), q an odd prime.
+* ``sl`` -- the special linear group SL(2, q).
 
 The ``standard`` connection set is the one each group family owns,
 :meth:`~pstwalk.groups.GLGroup.standard_labels`: for GL and GU the split

@@ -24,7 +24,6 @@ __all__ = [
     "InexactDivisionError",
     "integer_part",
     "cyclotomic_polynomial",
-    "residue_periods",
 ]
 
 
@@ -266,16 +265,3 @@ def integer_part(v: CycSum) -> int:
         f"sum over Z[zeta_{v.n}] is not an integer: its reduced form keeps "
         f"{terms}{more}, value about {v.evaluate():.6g}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Gaussian periods (exact, used for the half-discrete-series values)
-
-
-@lru_cache(maxsize=None)
-def residue_periods(p: int) -> tuple[CycSum, CycSum]:
-    """The two Gaussian periods: sums of zeta_p over squares / non-squares."""
-    squares = {pow(a, 2, p) for a in range(1, p)}
-    eta0 = CycSum(p, {e: 1 for e in squares})
-    eta1 = CycSum(p, {e: 1 for e in range(1, p) if e not in squares})
-    return eta0, eta1

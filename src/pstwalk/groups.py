@@ -3,7 +3,7 @@
 Three families over odd finite fields:
 
 * :class:`GLGroup` -- invertible matrices over F_q;
-* :class:`SLGroup` -- determinant-one matrices over F_q, q an odd prime;
+* :class:`SLGroup` -- determinant-one matrices over F_q;
 * :class:`GUGroup` -- unitary matrices over F_{q^2}: matrices M with
   ``M* M = I``, where ``M*`` is the transpose with every entry raised
   to the q-th power.
@@ -65,7 +65,8 @@ and cuspidal (m,); the half pairs to principal (0, (q-1)/2) and cuspidal
 parameters.  Conjugation by GL swaps the two halves of a pair and the two
 jordan classes of each eigenvalue and fixes every other SL class, so off
 the jordan classes each half is half the restricted value.  Only the eight
-half values on the jordan classes, Gauss periods, are SL's own.
+half values on the jordan classes are SL's own: (c +- G_q)/2 for the
+quadratic Gauss sum G_q of F_q, read off its two trace periods.
 
 GL and GU: one table, q -> -q
 -----------------------------
@@ -92,7 +93,8 @@ when ``class_partition()`` is.  GL reads only F_q at construction: it
 builds its tower F_q < F_{q^2} and ``torus_ext_log`` on first use, since
 only nonsplit classes and cuspidal characters read them, so the coset
 space over GL(2, q^2) never builds F_{q^4}.  GU's matrix entries already
-live in F_{q^2}, so it takes its tower up front.  SL builds the GL(2, q)
+live in F_{q^2}, so it takes its tower up front, and so does SL, whose
+nonsplit labels are elements of F_{q^2}.  SL builds the GL(2, q)
 whose table it reads on first use; that GL builds no labels and gets SL's
 tower from the ``make_tower`` cache.
 
@@ -106,8 +108,8 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .chars import CycSum, NonIntegralError, residue_periods
-from .gf import FieldTower, FiniteField, make_field, make_tower
+from .chars import CycSum, NonIntegralError
+from .gf import FieldTower, FiniteField, _prime_factors, make_field, make_tower
 
 __all__ = [
     "Mat2",
@@ -151,19 +153,15 @@ _Tables = tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...], tuple[ClassLabel, 
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-    k, m = 0, q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
+    p = primes[0]
     if p == 2:
         raise ValueError(f"{q} is even; only odd characteristic is supported")
+    k = 1
+    while p**k < q:
+        k += 1
     return p, k
 
 
@@ -735,32 +733,40 @@ class GUGroup(_LinearOrUnitary):
 # ---------------------------------------------------------------------------
 
 
+def _trace_periods(F: FiniteField) -> tuple[CycSum, CycSum]:
+    """The Gauss periods of F_q: zeta_p^(Tr x) summed over the nonzero squares, then the non-squares.
+
+    Tr x = x + x^p + ... + x^(p^(k-1)) lies in F_p, and g^d is a square iff d
+    is even.  Their difference G_q has -G_q = (-G_p)^k (Davenport-Hasse; Lidl
+    & Niederreiter, *Finite Fields*, 5.2); at q = p they are the residue periods.
+    """
+    periods: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for d, x in enumerate(F.exp):
+        t = 0
+        for _ in range(F.k):
+            t, x = F.add(t, x), F.frobenius(x)
+        periods[d % 2][t] = periods[d % 2].get(t, 0) + 1
+    return CycSum(F.p, periods[0]), CycSum(F.p, periods[1])
+
+
 class SLGroup(_Family):
-    """SL(2, q): determinant-one matrices over F_q, q an odd prime.
+    """SL(2, q): determinant-one matrices over F_q, q an odd prime power.
 
     Its characters are read from GL(2, q)'s table by restriction (see the
-    module docstring).  The restriction to prime q keeps the half-degree
-    values on the jordan classes exact: they are built from the quadratic
-    residue periods of F_p.
+    module docstring).  The half-degree values on the jordan classes are
+    built from the two Gauss periods of F_q (:func:`_trace_periods`).
     """
 
     family = "sl"
 
     def __init__(self, q: int):
         p, k = _prime_power(q)
-        if k != 1:
-            raise ValueError(
-                "SL is supported for odd prime q only: the half-degree "
-                "character values are built from quadratic residue periods "
-                "of the prime field"
-            )
         self.q, self.p, self.k = q, p, k
-        self.tower = make_tower(p, 1)
+        self.tower = make_tower(p, k)
         self.field = self.tower.base
         self.root_order = lcm(q * q - 1, p)
         self.order = q * (q * q - 1)
-        eta0, eta1 = residue_periods(p)
-        self._eta = (eta0.rescale_to(self.root_order), eta1.rescale_to(self.root_order))
+        self._eta = tuple(eta.rescale_to(self.root_order) for eta in _trace_periods(self.field))
         # the quadratic character of F_q^x evaluated at -1
         self._sign_m1 = 1 if ((q - 1) // 2) % 2 == 0 else -1
 

@@ -22,7 +22,6 @@ from pstwalk.chars import (
     NonIntegralError,
     cyclotomic_polynomial,
     integer_part,
-    residue_periods,
 )
 from pstwalk.ctqw import WalkSystem, integer_eigenvalues
 from pstwalk.groups import ClassLabel, IrrLabel, Mat2
@@ -1119,6 +1118,14 @@ def sl_order_based_elements(family) -> frozenset:
         if o == p or o == 2 * p:
             out.add(m)
     return frozenset(out)
+
+
+def residue_periods(p: int) -> tuple[CycSum, CycSum]:
+    """The two Gaussian periods of F_p: sums of zeta_p over the squares / non-squares."""
+    squares = {pow(a, 2, p) for a in range(1, p)}
+    eta0 = CycSum(p, {e: 1 for e in squares})
+    eta1 = CycSum(p, {e: 1 for e in range(1, p) if e not in squares})
+    return eta0, eta1
 
 
 def quadratic_gauss_sum(p: int) -> CycSum:

@@ -587,7 +587,7 @@ def test_gu5_cuspidal_kernel_case():
     assert table[("cuspidal", (6,))] == (14, 1, 36)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 81])
 def test_sl_ratio_identity_audit(q):
     _, _, _, _, audit = run("sl", q)
     assert audit and all(c.formula == "involution-ratio" for c in audit)

@@ -13,7 +13,6 @@ from pstwalk.chars import (
     _exact_div,
     cyclotomic_polynomial,
     integer_part,
-    residue_periods,
 )
 
 from oracles import (
@@ -22,6 +21,7 @@ from oracles import (
     dense_cyclotomic_reduction,
     quadratic_gauss_sum,
     reduced_rows,
+    residue_periods,
 )
 
 KNOWN_CYCLOTOMICS = {

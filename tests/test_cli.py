@@ -56,6 +56,17 @@ def test_verify_other_families_pass(family, q):
     run_ok(["verify", "--family", family, "--q", str(q)])
 
 
+def test_verify_sl9_walks_its_720_vertices_over_f9(capsys):
+    """SL at a prime power: the trace periods of F_9 give a table the walk confirms."""
+    assert main(["verify", "--family", "sl", "--q", "9", "--brute-force-bound", "1000"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "verdict: ok" in out
+    assert "cross-check vertices: 720" in out
+    assert "cross-check spectrum_matches: True" in out
+    assert "cross-check walk_ok: True" in out
+    assert "cross-check walk_pairs: 360" in out
+
+
 def test_verify_gl5_skips_simulation_but_builds_graph(capsys):
     assert main(["verify", "--family", "gl", "--q", "5"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -102,7 +113,7 @@ def test_missing_subcommand_is_usage_error():
     [
         ["verify", "--family", "gl", "--q", "4"],
         ["verify", "--family", "gl", "--q", "15"],
-        ["verify", "--family", "sl", "--q", "9"],
+        ["verify", "--family", "sl", "--q", "21"],
         ["verify", "--family", "gu", "--q", "3", "--variant", "small-orders"],
         ["orbital", "--q", "5"],
         ["orbital", "--q", "9"],

@@ -474,6 +474,7 @@ SPLIT_CASES = [
     ("sl", 3, "standard"),
     ("sl", 5, "standard"),
     ("sl", 7, "standard"),
+    ("sl", 9, "standard"),
     ("orbital", 3, "standard"),
 ]
 

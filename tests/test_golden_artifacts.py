@@ -43,6 +43,8 @@ TARGETS = [
     ("gu-5", ["--family", "gu", "--q", "5"]),
     ("sl-3", ["--family", "sl", "--q", "3"]),
     ("sl-5", ["--family", "sl", "--q", "5"]),
+    # a prime power: the half values come from the trace periods of F_9
+    ("sl-9", ["--family", "sl", "--q", "9"]),
     ("gl-3-small-orders", ["--family", "gl", "--q", "3", "--variant", "small-orders"]),
     ("orbital-3", ["--family", "orbital", "--q", "3"]),
     ("orbital-7", ["--family", "orbital", "--q", "7"]),

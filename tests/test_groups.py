@@ -17,18 +17,21 @@ from oracles import (
     brute_sl2,
     central_sign_via_char_value,
     linear_or_unitary_char_value,
+    quadratic_gauss_sum,
+    residue_periods,
     sl_char_value,
     trivial_character,
 )
 from pstwalk.cayley import analyze
 from pstwalk.chars import CycSum, NonIntegralError, integer_part
-from pstwalk.gf import make_field
+from pstwalk.gf import _prime_factors, make_field
 from pstwalk.groups import (
     GLGroup,
     GUGroup,
     IrrLabel,
     Mat2,
     SLGroup,
+    _trace_periods,
 )
 
 FAMILY_CLS = {"gl": GLGroup, "gu": GUGroup, "sl": SLGroup}
@@ -211,12 +214,45 @@ def test_row_orthogonality_exact(tag, q):
     assert _orthogonality_defect(fam, fam.char_value, pairs) == []
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
 def test_sl_full_table_orthogonality_exact(q):
     fam = family("sl", q)
     irr = fam.irreducibles()
     pairs = [(x, y) for i, x in enumerate(irr) for y in irr[i:]]
     assert _orthogonality_defect(fam, fam.char_value, pairs) == []
+
+
+# (p, k) for every odd prime power p^k <= 3^7
+ODD_PRIME_POWERS = [
+    (p, k) for p in range(3, 3**7 + 1, 2) if _prime_factors(p) == [p] for k in range(1, 8) if p**k <= 3**7
+]
+
+
+def test_trace_periods_obey_davenport_hasse():
+    """-G_q = (-G_p)^k and G_q^2 = (-1)^((q-1)/2) q for G_q = eta0 - eta1, every odd q <= 3^7.
+
+    Orthogonality holds with eta0 and eta1 swapped (that relabels each half
+    pair), so this is what pins the period of the squares.  The square is
+    taken for p < 400 only: a product in Z[zeta_p] costs p^2 terms, and at
+    k = 1 Davenport-Hasse already equates G_q with the oracle's G_p.
+    """
+    assert len(ODD_PRIME_POWERS) == 348 and (3, 7) in ODD_PRIME_POWERS and (11, 3) in ODD_PRIME_POWERS
+    for p, k in ODD_PRIME_POWERS:
+        q = p**k
+        eta0, eta1 = _trace_periods(make_field(p, k))
+        assert integer_part(eta0 + eta1) == -1, q
+        g, minus_gp = eta0 - eta1, -quadratic_gauss_sum(p)
+        power = minus_gp
+        for _ in range(k - 1):
+            power = power * minus_gp
+        assert -g == power, q
+        if p < 400:
+            assert g * g == (-1) ** ((q - 1) // 2) * q, q
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_trace_periods_of_a_prime_field_are_the_residue_periods(p):
+    assert [eta.c for eta in _trace_periods(make_field(p, 1))] == [eta.c for eta in residue_periods(p)]
 
 
 @pytest.mark.parametrize("tag", ["gl", "gu"])
@@ -233,7 +269,7 @@ def test_gl9_table_sanity(tag):
     assert _orthogonality_defect(fam, fam.char_value, pairs) == []
 
 
-@pytest.mark.parametrize("tag,q", ALL_SMALL + [("gl", 7), ("gu", 7)])
+@pytest.mark.parametrize("tag,q", ALL_SMALL + [("gl", 7), ("gu", 7), ("sl", 9), ("sl", 25), ("sl", 27)])
 def test_degrees_match_central_value_and_sum(tag, q):
     fam = family(tag, q)
     one = fam.classify(fam.identity())
@@ -340,7 +376,7 @@ def test_sl_reads_an_inner_gl_without_label_tables(q):
 SL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
-@pytest.mark.parametrize("q", SL_PRIMES)
+@pytest.mark.parametrize("q", SL_PRIMES + [9, 25, 27])
 def test_sl_char_value_matches_the_branching_table(q):
     """The restricted GL table against SL's table written one branch per value.
 
