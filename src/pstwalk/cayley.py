@@ -333,11 +333,12 @@ def explicit_graph(family, conn: ConnectionSet, bound: int = 10_000) -> Graph:
             f"group order {family.order} exceeds the enumeration bound {bound}"
         )
     sch = ConjugacyScheme(family)
+    adjacency = sch.adjacency(conn.labels)  # builds the scheme's vertex lookup
     partner, symmetry = (
-        translation_partner(sch.elements, sch.index, family.field, t)
+        translation_partner(sch.lookup, t)
         for t in (family.central_involution(), family.central_jordan())
     )
-    return Graph(sch.adjacency(conn.labels), partner, symmetry, {})
+    return Graph(adjacency, partner, symmetry, {})
 
 
 # :func:`component_count` gathers at most this many frontier rows at once, so

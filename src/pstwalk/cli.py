@@ -48,6 +48,7 @@ import dataclasses
 import io
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -83,8 +84,10 @@ EXIT_CERTIFICATE = 2
 EXIT_CROSS_CHECK = 3
 
 _FORMATS = ("json", "csv", "edges")
-# Rows of the adjacency per block of graph.edges text.
-_EDGE_BLOCK_ROWS = 256
+# Encoder chunks per write of report.json.
+_JSON_BATCH = 4096
+# Adjacency entries per block of graph.edges text, 64 KB of a uint8 matrix.
+_EDGE_BLOCK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +163,17 @@ def _notices(audit) -> list[str]:
 # report assembly and artifact writing
 
 
-def _report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _write_report(path: Path, report: dict) -> None:
+    """report.json: ``json.dumps(report, sort_keys=True, indent=2)`` and a newline.
+
+    The encoder's chunks are joined and written ``_JSON_BATCH`` at a time, so
+    a report of a large spectrum is never one string in memory.
+    """
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    with path.open("wb") as f:
+        while batch := "".join(islice(chunks, _JSON_BATCH)):
+            f.write(batch.encode("utf-8"))
+        f.write(b"\n")
 
 
 def _spectrum_csv(entries: list[dict]) -> str:
@@ -187,27 +199,32 @@ def _spectrum_csv(entries: list[dict]) -> str:
 
 
 def _edge_blocks(adjacency: np.ndarray):
-    """graph.edges a block of rows at a time: a line ``i j`` per edge i < j, in row order.
+    """graph.edges as bytes, a block of rows at a time: a line ``i j`` per edge i < j, in row order.
 
-    The neighbours above the diagonal become ``"j\n"`` strings, and row i is
-    one ``"i ".join`` over its slice of them.  An edgeless graph is one newline.
+    A block spans about ``_EDGE_BLOCK_ENTRIES`` adjacency entries, at least
+    one row, so its index arrays and text stay bounded however large the
+    graph.  The neighbours above the diagonal become ``b"j\\n"`` strings,
+    and row i is one ``b"i ".join`` over its slice of them.  An edgeless
+    graph is one newline.
     """
     import numpy as np
 
-    ends = np.array([f"{j}\n" for j in range(len(adjacency))], dtype=object)
+    n = len(adjacency)
+    ends = np.array([b"%d\n" % j for j in range(n)], dtype=object)
+    step = max(1, _EDGE_BLOCK_ENTRIES // max(1, n))
     edges = 0
-    for start in range(0, len(adjacency), _EDGE_BLOCK_ROWS):
-        rows, cols = np.nonzero(adjacency[start : start + _EDGE_BLOCK_ROWS, start + 1 :])
+    for start in range(0, n, step):
+        rows, cols = np.nonzero(adjacency[start : start + step, start + 1 :])
         upper = rows <= cols  # column start + 1 + c lies above row start + r
         texts = ends[cols[upper] + (start + 1)].tolist()
         edges += len(texts)
-        bounds = np.searchsorted(rows[upper], np.arange(_EDGE_BLOCK_ROWS + 1)).tolist()
-        yield "".join(
-            f"{i} " + f"{i} ".join(texts[lo:hi])
+        bounds = np.searchsorted(rows[upper], np.arange(step + 1)).tolist()
+        yield b"".join(
+            b"%d " % i + (b"%d " % i).join(texts[lo:hi])
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start) if lo < hi
         )
     if not edges:
-        yield "\n"
+        yield b"\n"
 
 
 def _formats(text: str) -> set[str] | None:
@@ -244,7 +261,7 @@ def _write_outputs(
     written = []
     if "json" in wanted:
         path = out_dir / "report.json"
-        path.write_bytes(_report_json(report).encode("utf-8"))
+        _write_report(path, report)
         written.append(path)
     if "csv" in wanted:
         path = out_dir / "spectrum.csv"
@@ -252,7 +269,7 @@ def _write_outputs(
         written.append(path)
     if "edges" in wanted:
         path = out_dir / "graph.edges"
-        with path.open("w", encoding="utf-8", newline="") as f:
+        with path.open("wb") as f:
             f.writelines(_edge_blocks(adjacency))
         written.append(path)
     return written

@@ -59,6 +59,7 @@ from .scheme import (
     Graph,
     SpectrumRow,
     TransferCertificate,
+    VertexLookup,
     transfer_certificate,
     translation_adjacency,
     translation_partner,
@@ -374,9 +375,8 @@ and it is also the symmetry the walk is split along (order c = 2).
         )
     import numpy as np
 
-    adjacency = translation_adjacency(
-        space.reps, space.coset_index, group.field, _connection(space)
-    )
+    lookup = VertexLookup(space.reps, space.coset_index, group.field)
+    adjacency = translation_adjacency(lookup, _connection(space))
     asymmetric = np.argwhere(adjacency != adjacency.T)
     if len(asymmetric):
         i, j = asymmetric[0]
@@ -384,7 +384,7 @@ and it is also the symmetry the walk is split along (order c = 2).
             f"build_gamma: adjacency is not symmetric: entry ({i}, {j}) is "
             f"{adjacency[i, j]} but ({j}, {i}) is {adjacency[j, i]}"
         )
-    partner = translation_partner(space.reps, space.coset_index, group.field, space.z)
+    partner = translation_partner(lookup, space.z)
     vertices = np.arange(len(partner))
     matching = bool((partner[partner] == vertices).all() and (partner != vertices).all())
     return Graph(adjacency, partner, partner, {"involution_is_perfect_matching": matching})

@@ -34,16 +34,18 @@ Where a group is small enough to enumerate, both families also build their
 graph explicitly through one builder, :func:`translation_adjacency`: row i
 marks the vertex of r_i s for every s in a connection list.  The products
 are array products.  Row 1 of r s is the vector (a, b) s and row 2 is
-(c, d) s, so the key ((a q + b) q + c) q + d of r s is the key of row 1
-times q^2 plus the key of row 2.  One table of the vector keys v s, for
-every vector v and every s, is read through the field's q x q
-multiplication and addition tables; each product key is then two gathers
-from it and a multiply-add, and its vertex is one index into a dense table
-of all q^4 matrix keys, -1 where a key is no vertex.  That table has fewer
-entries than the n x n adjacency for every family built here, but not
-always fewer bytes: the adjacency is ``uint8``, one byte per entry, and the
-table is as wide as the vertex count needs, so at gu 9 the int16 table
-takes 86 MB and the adjacency 52 MB.
+(c, d) s, so each product is found from its two rows.  A
+:class:`VertexLookup`, built once per graph, numbers the R distinct rows
+of the group's elements and holds the vertex of every element in an
+(R + 1) x (R + 1) table of row-id pairs, -1 where a pair is no vertex.  One
+table of the row ids of v s, for every row v of a representative and every
+s, is read through the field's q x q multiplication and addition tables;
+each product is then two gathers from it, a multiply-add and one index into
+the vertex table.  R is at most q_f^2 - 1 for the coefficient field
+F_{q_f}, so both tables scale with the vectors of F_{q_f}^2 rather than
+with q_f^4 matrix keys: at gu 9 (over F_81) R = 720, and the vertex table
+takes 1 MB and the row table about 4 MB against the 52 MB ``uint8``
+adjacency.
 :func:`translation_partner` takes the transfer pairing, and the symmetry the
 walk is split along, the same way: one right translate per vertex.
 """
@@ -51,6 +53,7 @@ walk is split along, the same way: one right translate per vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, pi
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -69,6 +72,7 @@ __all__ = [
     "class_sum_eigenvalue",
     "ConjugacyScheme",
     "Graph",
+    "VertexLookup",
     "translation_adjacency",
     "translation_partner",
 ]
@@ -223,6 +227,11 @@ class ConjugacyScheme:
         self.elements: list = list(family.enumerate_group())
         self.index = {m: i for i, m in enumerate(self.elements)}
 
+    @cached_property
+    def lookup(self) -> VertexLookup:
+        """The vertex of every product of elements, built on first use."""
+        return VertexLookup(self.elements, self.index, self.family.field)
+
     def adjacency(self, labels: Sequence[ClassLabel]) -> np.ndarray:
         """Adjacency matrix of the Cayley graph on the class union.
 
@@ -231,7 +240,7 @@ class ConjugacyScheme:
         """
         fam = self.family
         members = [x for lab in labels for x in fam.class_elements(lab)]
-        return translation_adjacency(self.elements, self.index, fam.field, members)
+        return translation_adjacency(self.lookup, members)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +266,7 @@ class Graph(NamedTuple):
 
 
 # Products per row block: each of the block's temporaries is a (rows x |S|)
-# int64 array of at most this many entries, 1 MB.
+# array of at most this many entries, 1 MB at int64.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -268,65 +277,113 @@ def _as_array(elements: Sequence) -> np.ndarray:
     return np.array(elements, dtype=np.int64).reshape(-1, 4)
 
 
-def _row_table(field, connection: Sequence) -> np.ndarray:
-    """Keys x q + y of the row vectors (x, y) = (u, v) s: row u q + v, column s."""
+def _row_keys(elements: Sequence, q: int) -> np.ndarray:
+    """Keys x q + y of the rows (x, y) of matrices: an (n, 2) int64 array, row 1 then row 2."""
+    return _as_array(elements).reshape(-1, 2, 2) @ [q, 1]
+
+
+class VertexLookup:
+    """The vertex of every group element of a graph, and the rows of its representatives.
+
+    ``reps`` holds one group element per vertex and ``vertex_of`` maps every
+    group element to its vertex: an element to its own index on a Cayley
+    graph, to the index of its left coset on a coset graph.  The R distinct
+    rows of the elements, first or second, are numbered 0 .. R - 1 in the
+    order of their keys x q + y (``rows``), and an element's vertex is entry
+    (i, j) of an (R + 1) x (R + 1) table for the ids i, j of its two rows.
+    A row that no element has reads as id R, whose table row and column are
+    all -1, as is every pair of rows that is no element.  ``vectors`` holds
+    the keys of the rows that occur among the representatives, and ``top``
+    and ``bottom`` the position in it of each representative's two rows.
+    Built once per graph and read by :func:`translation_adjacency` and
+    :func:`translation_partner`.
+    """
+
+    def __init__(self, reps: Sequence, vertex_of, field):
+        import numpy as np
+
+        self.field, self.size = field, len(reps)
+        q = field.q
+        self.rows, ids = np.unique(_row_keys(list(vertex_of), q), return_inverse=True)
+        self.width = width = len(self.rows) + 1
+        ids = ids.reshape(-1, 2)
+        self.table = np.full(width * width, -1, np.min_scalar_type(-len(vertex_of)))
+        self.table[ids[:, 0] * width + ids[:, 1]] = list(vertex_of.values())
+        self.row_id = np.full(q * q, len(self.rows), np.min_scalar_type(len(self.rows)))
+        self.row_id[self.rows] = np.arange(len(self.rows))
+        self.vectors, ids = np.unique(_row_keys(reps, q), return_inverse=True)
+        self.top, self.bottom = ids.reshape(-1, 2).T
+
+
+def _row_products(field, vectors: np.ndarray, connection: Sequence) -> np.ndarray:
+    """Keys x q + y of (x, y) = (u, v) s: row i for ``vectors[i]`` = u q + v, column s.
+
+    Read through the field's q x q multiplication and addition tables.
+    """
     import numpy as np
 
     q = field.q
     mul, add = (t.astype(np.min_scalar_type(q * q)) for t in field.tables())
     a, b, c, d = _as_array(connection).T
-    keys = np.empty((q, q, len(a)), dtype=mul.dtype)
-    for u in range(q):  # (u, v) s = (u a + v c, u b + v d), one v per row
-        keys[u] = add[mul[u, a], mul[:, c]] * q + add[mul[u, b], mul[:, d]]
-    return keys.reshape(q * q, -1)
+    u, v = np.divmod(vectors[:, None], q)
+    return add[mul[u, a], mul[v, c]] * q + add[mul[u, b], mul[v, d]]
 
 
-def _translate(reps: Sequence, vertex_of, field, connection: Sequence):
-    """The vertices of ``r s``: (start, a rows x |S| array) per block of ``reps``.
+def _row_table(lookup: VertexLookup, connection: Sequence) -> np.ndarray:
+    """Row ids of v s: row i for v = ``lookup.vectors[i]``, column s, a block of rows at a time."""
+    import numpy as np
 
-    The key ((a q + b) q + c) q + d of r s is the key of its row 1, (a, b) s,
-    times q^2 plus the key of its row 2, (c, d) s: two gathers from the
-    :func:`_row_table`.  Its vertex is read off a dense table of all q^4
-    keys, -1 at every key that is no vertex.
+    ids = np.empty((len(lookup.vectors), len(connection)), dtype=lookup.row_id.dtype)
+    step = max(1, _BLOCK_ENTRIES // max(1, len(connection)))
+    for start in range(0, len(ids), step):
+        keys = _row_products(lookup.field, lookup.vectors[start : start + step], connection)
+        ids[start : start + step] = lookup.row_id[keys]
+    return ids
+
+
+def _translate(lookup: VertexLookup, connection: Sequence):
+    """The vertices of ``r s``: (start, a rows x |S| array) per block of representatives.
+
+    Row 1 of r s is (row 1 of r) s and row 2 is (row 2 of r) s: two gathers
+    from the :func:`_row_table` of the representatives' rows give the ids i,
+    j of the product's rows, and its vertex is entry i (R + 1) + j of the
+    lookup's table.
     """
     import numpy as np
 
-    q, shape = field.q, (field.q,) * 4
-    vertex = np.full(q**4, -1, dtype=np.min_scalar_type(-len(vertex_of)))
-    vertex[np.ravel_multi_index(_as_array(list(vertex_of)).T, shape)] = list(vertex_of.values())
-    products = _row_table(field, connection)
-    top, bottom = (_as_array(reps).reshape(-1, 2, 2) @ [q, 1]).T  # keys of rows 1 and 2
+    products = _row_table(lookup, connection)
     step = max(1, _BLOCK_ENTRIES // max(1, len(connection)))
-    for start in range(0, len(top), step):
-        keys = products[top[start : start + step]].astype(np.int64) * (q * q)
-        keys += products[bottom[start : start + step]]
-        cols = vertex[keys]
+    for start in range(0, lookup.size, step):
+        at = products[lookup.top[start : start + step]].astype(np.intp)
+        at *= lookup.width
+        at += products[lookup.bottom[start : start + step]]
+        cols = lookup.table[at]
         if (cols < 0).any():
-            entries = map(int, np.unravel_index(keys[cols < 0][0], shape))
-            raise KeyError(f"the product {Mat2(*entries)} is not a vertex of the graph")
+            r, k = divmod(int((cols < 0).argmax()), cols.shape[1])
+            rows = lookup.vectors[[lookup.top[start + r], lookup.bottom[start + r]]]
+            keys = _row_products(lookup.field, rows, [connection[k]])[:, 0].tolist()
+            product = Mat2(*(x for key in keys for x in divmod(key, lookup.field.q)))
+            raise KeyError(f"the product {product} is not a vertex of the graph")
         yield start, cols
 
 
-def translation_adjacency(reps: Sequence, vertex_of, field, connection: Sequence) -> np.ndarray:
+def translation_adjacency(lookup: VertexLookup, connection: Sequence) -> np.ndarray:
     """0/1 ``uint8`` matrix whose row i marks the vertex of ``reps[i] s`` for every s.
 
-    ``reps`` holds one group element per vertex and ``vertex_of`` maps every
-    group element to its vertex: an element to its own index on a Cayley
-    graph, to the index of its left coset on a coset graph.  The products
-    are taken a block of rows at a time by :func:`_translate`; a product
-    that is not a key of ``vertex_of`` raises ``KeyError``.  A connection
-    list that reaches one vertex twice marks it once, so the row falls short
-    of ``len(connection)``.
+    The products are taken a block of rows at a time by :func:`_translate`;
+    a product that is not a key of the lookup's ``vertex_of`` raises
+    ``KeyError``.  A connection list that reaches one vertex twice marks it
+    once, so the row falls short of ``len(connection)``.
     """
     import numpy as np
 
-    out = np.zeros((len(reps), len(reps)), dtype=np.uint8)
-    for start, cols in _translate(reps, vertex_of, field, connection):
+    out = np.zeros((lookup.size, lookup.size), dtype=np.uint8)
+    for start, cols in _translate(lookup, connection):
         out[np.arange(start, start + len(cols))[:, None], cols] = 1
     return out
 
 
-def translation_partner(reps: Sequence, vertex_of, field, t) -> np.ndarray:
+def translation_partner(lookup: VertexLookup, t) -> np.ndarray:
     """The map i -> vertex of ``reps[i] t``, right translation by t.
 
     For a central t it is also left translation, the transfer pairing; for
@@ -335,5 +392,5 @@ def translation_partner(reps: Sequence, vertex_of, field, t) -> np.ndarray:
     """
     import numpy as np
 
-    blocks = [cols[:, 0] for _, cols in _translate(reps, vertex_of, field, [t])]
+    blocks = [cols[:, 0] for _, cols in _translate(lookup, [t])]
     return np.concatenate(blocks).astype(np.int64)

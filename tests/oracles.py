@@ -11,6 +11,7 @@ holds the references no CLI run, script or benchmark reaches, so that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd, pi
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -625,6 +626,28 @@ def linear_or_unitary_char_value(fam, irr: IrrLabel, cls: ClassLabel) -> CycSum:
 # the SL character table, one branch per (character kind, class kind)
 
 
+@lru_cache(maxsize=None)
+def davenport_hasse_periods(p: int, k: int) -> tuple[CycSum, CycSum]:
+    """The Gauss periods of F_{p^k}, squares then non-squares, lifted from F_p's.
+
+    With G = eta0 - eta1 and eta0 + eta1 = -1 in either field, Davenport-Hasse
+    gives -G_q = (-G_p)^k for G_p from :func:`residue_periods`; then
+    eta0 = (G_q - 1)/2 and eta1 = (-G_q - 1)/2, halved in the basis
+    zeta_p, ..., zeta_p^(p-1) of Z[zeta_p], where -1 is the sum of the basis.
+    """
+    eta0, eta1 = residue_periods(p)
+    power = eta1 - eta0
+    for _ in range(k - 1):
+        power = power * (eta1 - eta0)
+    out = []
+    for twice in (-power - 1, power - 1):
+        c0 = twice.c.get(0, 0)
+        coeffs = [twice.c.get(e, 0) - c0 for e in range(1, p)]
+        assert all(v % 2 == 0 for v in coeffs), (p, k)
+        out.append(CycSum(p, {e: v // 2 for e, v in enumerate(coeffs, 1)}))
+    return out[0], out[1]
+
+
 def sl_char_value(fam, irr: IrrLabel, cls: ClassLabel) -> CycSum:
     """SL(2, q) character values written kind by kind, one branch per value.
 
@@ -632,11 +655,18 @@ def sl_char_value(fam, irr: IrrLabel, cls: ClassLabel) -> CycSum:
     by restriction; ``fam`` is an SL family.  The half-degree values on
     split/nonsplit classes (zero, the quadratic character, or the order-2
     torus character) are forced by orthogonality against the other rows;
-    the test suite verifies that the resulting table is orthonormal.
+    the test suite verifies that the resulting table is orthonormal.  The
+    values (const + sgn G_q)/2 on the jordan classes are built from
+    :func:`davenport_hasse_periods`, not from the family's own periods.
     """
     q, n = fam.q, fam.root_order
     F, tw = fam.field, fam.tower
     kind, ck = irr.kind, cls.kind
+
+    def half(const: int, sgn: int) -> CycSum:
+        """(const + sgn G_q)/2 for const, sgn in {1, -1}."""
+        eta = davenport_hasse_periods(fam.p, fam.k)[0 if sgn == 1 else 1].rescale_to(n)
+        return eta + 1 if const == 1 else eta
 
     if kind == "trivial":
         return CycSum.from_int(n, 1)
@@ -686,7 +716,7 @@ def sl_char_value(fam, irr: IrrLabel, cls: ClassLabel) -> CycSum:
         if ck == "jordan":
             eps, c = cls.params
             const = 1 if eps == 1 else fam._sign_m1
-            return fam._half(const, s if c == 1 else -s)
+            return half(const, s if c == 1 else -s)
         if ck == "split":
             # derived: the quadratic character of the eigenvalue
             return CycSum.from_int(n, 1 if F.dlog(cls.params[0]) % 2 == 0 else -1)
@@ -699,8 +729,8 @@ def sl_char_value(fam, irr: IrrLabel, cls: ClassLabel) -> CycSum:
     if ck == "jordan":
         eps, c = cls.params
         if eps == 1:
-            return fam._half(-1, s if c == 1 else -s)
-        return fam._half(fam._sign_m1, -s if c == 1 else s)
+            return half(-1, s if c == 1 else -s)
+        return half(fam._sign_m1, -s if c == 1 else s)
     if ck == "split":
         return CycSum.zero(n)
     # derived: minus the order-2 character of the norm-one torus

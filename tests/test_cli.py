@@ -246,37 +246,88 @@ def test_export_gl3_artifacts(tmp_path):
     assert pairs == sorted(pairs)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+def test_report_json_is_written_in_batches_as_one_dump(monkeypatch, tmp_path, batch):
+    """The streamed report.json is ``json.dumps(sort_keys=True, indent=2)`` and a newline."""
+    report = {
+        "b": [1, 2.5, None, True, "\u00e9"],
+        "a": {"z": [], "y": {}, "x": [{"k": "v"}] * 3},
+        "c": "\n",
+    }
+    monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+    cli._write_report(tmp_path / "report.json", report)
+    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "report.json").read_bytes() == expected.encode("utf-8")
+
+
+def literal_edges(adjacency) -> bytes:
+    rows = adjacency.tolist()
+    n = len(rows)
+    text = "".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if rows[i][j])
+    return (text or "\n").encode()
+
+
 def test_edges_text_formats_row_blocks_as_one_list():
     """An edgeless graph writes one newline; a graph of several row blocks reads as one list."""
-    assert "".join(cli._edge_blocks(np.zeros((3, 3), dtype=np.int64))) == "\n"
-    n = 2 * cli._EDGE_BLOCK_ROWS + 5
+    assert b"".join(cli._edge_blocks(np.zeros((3, 3), dtype=np.int64))) == b"\n"
+    n = 400
+    step = cli._EDGE_BLOCK_ENTRIES // n
+    assert 1 < step < n and n % step
     upper = np.triu(np.random.default_rng(7).random((n, n)) < 0.05, 1)
     adjacency = (upper | upper.T).astype(np.int64)
     rows, cols = np.nonzero(upper)
-    assert rows.max() >= 2 * cli._EDGE_BLOCK_ROWS  # the last, partial block has edges
-    assert "".join(cli._edge_blocks(adjacency)) == "".join(f"{i} {j}\n" for i, j in zip(rows, cols))
+    assert rows.max() >= n - n % step  # the last, partial block has edges
+    expected = "".join(f"{i} {j}\n" for i, j in zip(rows, cols)).encode()
+    assert b"".join(cli._edge_blocks(adjacency)) == expected
+
+
+@pytest.mark.parametrize("entries", [1, 7 * 50 + 3, 50 * 50 + 1])
+@pytest.mark.parametrize("graph", ["edgeless", "quiet", "complete"])
+def test_edges_text_does_not_depend_on_the_block_size(monkeypatch, entries, graph):
+    """One row per block, 7 rows per block (not a divisor of n = 50) and one
+    block for the whole matrix; rows 20 and up of the quiet graph have no later neighbour."""
+    n = 50
+    upper = np.triu(np.random.default_rng(3).random((n, n)) < 0.2, 1)
+    upper[20:] = False
+    adjacency = {
+        "edgeless": np.zeros((n, n), dtype=np.uint8),
+        "quiet": (upper | upper.T).astype(np.uint8),
+        "complete": 1 - np.eye(n, dtype=np.uint8),
+    }[graph]
+    monkeypatch.setattr(cli, "_EDGE_BLOCK_ENTRIES", entries)
+    blocks = list(cli._edge_blocks(adjacency))
+    assert all(type(b) is bytes for b in blocks)
+    assert len(blocks) == {1: n, 353: -(-n // 7), 2501: 1}[entries] + (graph == "edgeless")
+    assert b"".join(blocks) == literal_edges(adjacency)
+    if graph == "edgeless":
+        assert b"".join(blocks) == b"\n"
+
+
+# Two blocks of rows at the default block size: 217 rows, then 84.
+EDGE_N = 301
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(1, 2 * cli._EDGE_BLOCK_ROWS + 5),
+    n=st.integers(1, EDGE_N),
     density=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
     quiet=st.floats(0, 1),
     seed=st.integers(0, 2**32 - 1),
+    entries=st.sampled_from([1, 97, cli._EDGE_BLOCK_ENTRIES]),
 )
-@example(n=1, density=1.0, quiet=0.0, seed=0)
-@example(n=40, density=0.0, quiet=0.0, seed=0)
-@example(n=40, density=1.0, quiet=0.0, seed=0)
-@example(n=2 * cli._EDGE_BLOCK_ROWS + 5, density=0.3, quiet=0.99, seed=1)
-def test_edges_text_matches_a_literal_join(n, density, quiet, seed):
+@example(n=1, density=1.0, quiet=0.0, seed=0, entries=cli._EDGE_BLOCK_ENTRIES)
+@example(n=40, density=0.0, quiet=0.0, seed=0, entries=cli._EDGE_BLOCK_ENTRIES)
+@example(n=40, density=1.0, quiet=0.0, seed=0, entries=cli._EDGE_BLOCK_ENTRIES)
+@example(n=EDGE_N, density=0.3, quiet=0.99, seed=1, entries=cli._EDGE_BLOCK_ENTRIES)
+def test_edges_text_matches_a_literal_join(n, density, quiet, seed, entries):
     """Random symmetric 0/1 graphs, uint8 and int64; rows above ``quiet * n`` have no later edges."""
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
     upper[: int(quiet * n)] = False
     adjacency = (upper | upper.T).astype(np.uint8)
-    rows = adjacency.tolist()
-    expected = "".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if rows[i][j])
-    for a in (adjacency, adjacency.astype(np.int64)):
-        assert "".join(cli._edge_blocks(a)) == (expected or "\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_EDGE_BLOCK_ENTRIES", entries)
+        for a in (adjacency, adjacency.astype(np.int64)):
+            assert b"".join(cli._edge_blocks(a)) == literal_edges(adjacency)
 
 
 def test_export_orbital_q3_artifacts(tmp_path):

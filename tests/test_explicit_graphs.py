@@ -12,6 +12,8 @@ is checked to be a fixed-point-free automorphism of order two.
 
 from __future__ import annotations
 
+import re
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +29,12 @@ from pstwalk import orbital, scheme
 from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, explicit_graph, make_family
 from pstwalk.groups import Mat2
 from pstwalk.orbital import build_coset_space, build_gamma
-from pstwalk.scheme import ConjugacyScheme, translation_adjacency, translation_partner
+from pstwalk.scheme import (
+    ConjugacyScheme,
+    VertexLookup,
+    translation_adjacency,
+    translation_partner,
+)
 
 CAYLEY = [
     ("gl", 3, STANDARD),
@@ -122,49 +129,103 @@ def builder_inputs(tag, q):
 @pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 5), ("sl", 7), ("sl", 11), ("orbital", 3)])
 def test_array_builder_matches_python_products(tag, q):
     reps, vertex_of, family, connection, t = builder_inputs(tag, q)
+    lookup = VertexLookup(reps, vertex_of, family.field)
     expected = translation_adjacency_reference(reps, vertex_of, family.mul, connection)
-    got = translation_adjacency(reps, vertex_of, family.field, connection)
+    got = translation_adjacency(lookup, connection)
     assert got.dtype == np.uint8 and np.array_equal(got, expected)
     expected = translation_partner_reference(reps, vertex_of, family.mul, t)
-    got = translation_partner(reps, vertex_of, family.field, t)
+    got = translation_partner(lookup, t)
     assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_array_builder_refuses_a_product_outside_the_group():
+    """The first singular product is named, whether both its rows are rows of
+    group elements, as in (1, 1; 1, 1), or one is the zero row that no element has."""
     family = make_family("gl", 3)
     sch = ConjugacyScheme(family)
-    singular = Mat2(1, 1, 1, 1)
-    with pytest.raises(KeyError, match=r"Mat2\(a=1, b=1, c=1, d=1\) is not a vertex"):
-        translation_adjacency(sch.elements, sch.index, family.field, [family.identity(), singular])
-    with pytest.raises(KeyError, match="is not a vertex"):
-        translation_partner(sch.elements, sch.index, family.field, singular)
+    cases = [(Mat2(1, 1, 1, 1), Mat2(1, 1, 1, 1)), (Mat2(0, 0, 1, 1), Mat2(1, 1, 0, 0))]
+    for singular, product in cases:
+        assert family.mul(sch.elements[0], singular) == product
+        message = rf"the product {re.escape(repr(product))} is not a vertex"
+        with pytest.raises(KeyError, match=message):
+            translation_adjacency(sch.lookup, [family.identity(), singular])
+        with pytest.raises(KeyError, match=message):
+            translation_partner(sch.lookup, singular)
+
+
+def row_keys(elements, f):
+    """The keys x f + y of the rows (x, y), first or second, of the elements, sorted."""
+    return sorted({m.a * f + m.b for m in elements} | {m.c * f + m.d for m in elements})
 
 
 @pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 5), ("sl", 7), ("orbital", 3)])
 def test_row_table_holds_every_vector_times_every_connection_element(tag, q):
-    """Entry (u q + v, s) is the key x q + y of (x, y) = (u, v) s, taken one product at a time."""
-    _, _, family, connection, _ = builder_inputs(tag, q)
+    """Entry (i, s) is the id of the key x q + y of (x, y) = (u, v) s, for the
+    i-th row (u, v) of the representatives, taken one product at a time."""
+    reps, vertex_of, family, connection, _ = builder_inputs(tag, q)
     field = family.field
     f = field.q
+    lookup = VertexLookup(reps, vertex_of, field)
+    assert lookup.vectors.tolist() == row_keys(reps, f)
+    assert lookup.rows.tolist() == row_keys(vertex_of, f)
 
     def key(u, v, s):
         x = field.add(field.mul(u, s.a), field.mul(v, s.c))
         y = field.add(field.mul(u, s.b), field.mul(v, s.d))
         return x * f + y
 
-    expected = [[key(u, v, s) for s in connection] for u in range(f) for v in range(f)]
-    assert scheme._row_table(field, connection).tolist() == expected
+    expected = [[key(*divmod(k, f), s) for s in connection] for k in row_keys(reps, f)]
+    assert lookup.rows[scheme._row_table(lookup, connection)].tolist() == expected
 
 
 @pytest.mark.parametrize(
     "tag,q", [(tag, q) for tag in ("gl", "gu", "sl") for q in (3, 5, 7)] + [("gl", 9), ("gu", 9)]
 )
 def test_the_vertex_table_is_smaller_than_the_adjacency(tag, q):
-    """The dense table has q_f^4 entries for the coefficient field F_{q_f}; n^2 is larger."""
+    """The table has (R + 1)^2 entries for the R distinct rows of the group's
+    elements, at most q_f^2 - 1 of them; n^2 is larger, in bytes too."""
     family = make_family(tag, q)
-    assert family.field.q**4 < family.order**2
+    elements = family.enumerate_group()
+    lookup = VertexLookup(elements, {m: i for i, m in enumerate(elements)}, family.field)
+    rows = len(row_keys(elements, family.field.q))
+    assert rows < family.field.q**2
+    assert lookup.table.size == (rows + 1) ** 2 < family.order**2
+    assert lookup.table.nbytes < family.order**2
 
 
 def test_the_orbital_vertex_table_is_smaller_than_the_adjacency():
     space = build_coset_space(3)
-    assert space.group.field.q**4 == 6561 < space.n_cosets**2 == 14_400
+    lookup = VertexLookup(space.reps, space.coset_index, space.group.field)
+    assert len(row_keys(space.coset_index, 9)) == 80
+    assert lookup.table.size == 81**2 < space.n_cosets**2 == 14_400
+    assert lookup.table.nbytes < 14_400
+
+
+def test_a_cayley_graph_builds_its_vertex_lookup_once(monkeypatch):
+    """The adjacency, the pairing and the symmetry all read one lookup."""
+    built = []
+
+    class Counted(VertexLookup):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(scheme, "VertexLookup", Counted)
+    family, conn, *_ = analyze("gl", 3, STANDARD)
+    explicit_graph(family, conn)
+    assert len(built) == 1
+
+
+def test_the_explicit_build_holds_little_beyond_the_adjacency():
+    """At gu 7 (2688 vertices over F_49) the build peaks below n^2 bytes plus
+    6 MB; a dense table of all 49^4 matrix keys would take 11.5 MB alone."""
+    family, conn, *_ = analyze("gu", 7, STANDARD)
+    explicit_graph(family, conn)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        n = len(explicit_graph(family, conn).adjacency)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 2688
+    assert peak < n * n + 6_000_000
