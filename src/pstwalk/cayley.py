@@ -57,7 +57,7 @@ from .scheme import (
     class_sum_eigenvalue,
     render_irr,
     transfer_certificate,
-    translation_partner,
+    translation_map,
 )
 
 __all__ = [
@@ -324,9 +324,9 @@ def explicit_graph(family, conn: ConnectionSet, bound: int = 10_000) -> Graph:
 
     Vertex i is the i-th element of ``family.enumerate_group()``, joined to
     g x for every x in the connection set and paired with -g.  Its symmetry
-    is right translation by ``family.central_jordan()``, of order c = |Z| p,
-    whose power of c/2 is translation by -I.  Refuses groups larger than
-    ``bound`` elements.
+    is x -> s x u^-1 for ``family.walk_symmetry()``, of order c = p |s| and
+    with power c/2 x -> -x, so its Fourier blocks have size n/c = (q -+ 1) q/p.
+    Refuses groups larger than ``bound`` elements.
     """
     if family.order > bound:
         raise ValueError(
@@ -334,11 +334,9 @@ def explicit_graph(family, conn: ConnectionSet, bound: int = 10_000) -> Graph:
         )
     sch = ConjugacyScheme(family)
     adjacency = sch.adjacency(conn.labels)  # builds the scheme's vertex lookup
-    partner, symmetry = (
-        translation_partner(sch.lookup, t)
-        for t in (family.central_involution(), family.central_jordan())
-    )
-    return Graph(adjacency, partner, symmetry, {})
+    s, u = family.walk_symmetry()
+    partner = translation_map(sch.lookup, family.identity(), family.central_involution())
+    return Graph(adjacency, partner, translation_map(sch.lookup, s, family.inv(u)), {})
 
 
 # :func:`component_count` gathers at most this many frontier rows at once, so

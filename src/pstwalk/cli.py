@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import sys
 from itertools import islice
@@ -176,26 +175,15 @@ def _write_report(path: Path, report: dict) -> None:
         f.write(b"\n")
 
 
-def _spectrum_csv(entries: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["family", "q", "char-kind", "char-params", "degree", "theta", "multiplicity", "phi-sign"]
-    )
-    for e in entries:
-        writer.writerow(
-            [
-                e["family"],
-                e["q"],
-                e["kind"],
-                _params_text(e["params"]),
-                e["degree"],
-                e["theta"],
-                e["multiplicity"],
-                e["sign"],
-            ]
+def _write_spectrum(path: Path, entries: list[dict]) -> None:
+    """spectrum.csv, one row per entry, written through ``csv.writer`` on the open file."""
+    with path.open("w", encoding="utf-8", newline="") as f:
+        f.write("family,q,char-kind,char-params,degree,theta,multiplicity,phi-sign\n")
+        csv.writer(f, lineterminator="\n").writerows(
+            [e["family"], e["q"], e["kind"], _params_text(e["params"]), e["degree"], e["theta"],
+             e["multiplicity"], e["sign"]]
+            for e in entries
         )
-    return buf.getvalue()
 
 
 def _edge_blocks(adjacency: np.ndarray):
@@ -265,7 +253,7 @@ def _write_outputs(
         written.append(path)
     if "csv" in wanted:
         path = out_dir / "spectrum.csv"
-        path.write_bytes(_spectrum_csv(csv_entries).encode("utf-8"))
+        _write_spectrum(path, csv_entries)
         written.append(path)
     if "edges" in wanted:
         path = out_dir / "graph.edges"

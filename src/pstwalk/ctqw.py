@@ -12,10 +12,12 @@ multiple 3 pi/g, and that it is *incomplete* at the half time).
 Every graph the certificates cover carries a pairing P: a fixed-point-free
 involutive automorphism (x -> -x on the Cayley graphs, rH -> zrH on the
 double-coset graph).  The walk is split along a free cyclic symmetry sigma
-of even order c whose power sigma^(c/2) is P: right translation by an
-element of order c whose half power is -I on a Cayley graph, P itself
-(c = 2) on the double-coset graph.  :meth:`WalkSystem.from_adjacency` picks
-one vertex lo_r on each of the m = n/c orbits and reads the stack
+of even order c whose power sigma^(c/2) is P: x -> s x u^-1 on a Cayley
+graph, for a torus generator s with s^(|s|/2) = -I and a unipotent u
+(c = p |s|), and rH -> s rH for a Singer element s of GL(2, q^2) on the
+double-coset graph (c = (q + 1)(q^2 + 1)).  :meth:`WalkSystem.from_adjacency`
+picks one vertex lo_r on each of the m = n/c orbits, q -+ 1 at a prime q,
+(q -+ 1) q/p at a power of p and q on the coset graph, and reads the stack
 B[d] = A[lo, sigma^d lo].  In the basis sigma^p lo_r, A is block circulant,
 so the Fourier vectors along each orbit split it into the c blocks
 A_j = sum_d omega^(jd) B[d] of size m, omega = exp(2 pi i / c) (Babai,
@@ -63,6 +65,8 @@ MID_SLACK = 1e-3
 # rows per slice of the symmetry, automorphism and eigendecomposition drift
 # checks, so that none of them holds an n x n temporary
 CHECK_ROWS = 128
+# Fourier blocks per step of the fidelity sums, a fixed run so that a pair sums alike in any batch
+FIDELITY_BLOCKS = 16
 
 
 class NonIntegralSpectrumError(ValueError):
@@ -275,29 +279,27 @@ class WalkSystem:
         parts are real sums.  No n x n unitary is formed, and each row is
         summed on its own, so a pair reads the same value in any batch.
         The entry depends only on (r_x, r_y, p_y - p_x mod c), so it is
-        summed once per distinct triple: once per orbit for the pairs
-        (x, sigma^(c/2) x).
+        summed once per distinct triple, ``FIDELITY_BLOCKS`` blocks at a
+        time: once per orbit for the pairs (x, sigma^(c/2) x).
         """
         import numpy as np
 
         xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-        c, m = self.order, self.block_vectors.shape[1]
+        c, (blocks, m, _) = self.order, self.block_vectors.shape
         keys = (self.rows[xs] * m + self.rows[ys]) * c + (self.offsets[ys] - self.offsets[xs]) % c
         keys, back = np.unique(keys, return_inverse=True)
-        rx, ry, shift = keys // (m * c), keys // c % m, keys % c
+        rx, ry, shift = np.unravel_index(keys, (m, m, c))
+        # vectors[r, j] is row r of block j: a key's weights over a run of blocks are one row
+        vectors, counts = self.block_vectors.transpose(1, 0, 2), np.array(_counts(c)) / c
         re = im = 0.0
-        for j, (v, lam, count) in enumerate(
-            zip(self.block_vectors, self.block_eigenvalues, _counts(c))
-        ):
-            # omega^(j shift), read at an angle below 2 pi
-            angle = 2 * pi / c * (j * shift % c)
-            if np.iscomplexobj(v):
-                weights = (v[ry] * v[rx].conj() * np.exp(1j * angle)[:, None]).real
-            else:
-                weights = v[ry] * v[rx] * np.cos(angle)[:, None]
-            weights *= count / c
-            re = re + (weights * np.cos(t * lam)).sum(axis=1)
-            im = im + (weights * np.sin(t * lam)).sum(axis=1)
+        for start in range(0, blocks, FIDELITY_BLOCKS):
+            run = slice(start, start + FIDELITY_BLOCKS)
+            # omega^(j shift) for each block j of the run, read at an angle below 2 pi
+            phase = np.exp(2j * pi / c * (shift[:, None] * np.arange(blocks)[run] % c)) * counts[run]
+            weights = (vectors[ry, run] * vectors[rx, run].conj() * phase[..., None]).real
+            lam = t * self.block_eigenvalues[run]
+            re = re + (weights * np.cos(lam)).reshape(len(keys), -1).sum(axis=1)
+            im = im + (weights * np.sin(lam)).reshape(len(keys), -1).sum(axis=1)
         return np.hypot(re, im)[back.reshape(-1)].tolist()
 
 

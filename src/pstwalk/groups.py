@@ -261,15 +261,20 @@ class _Family:
         """The class of -I, labelled directly (scalars are their own class)."""
         return ClassLabel(self.family, "central", (self.field.neg(1),))
 
-    def central_jordan(self) -> Mat2:  # pragma: no cover - abstract
-        """The jordan class rep eps u, for eps a generator of the centre Z and u unipotent.
+    def walk_symmetry(self) -> tuple[Mat2, Mat2]:
+        """(s, u) for the walk symmetry x -> s x u^-1 of every class-union Cayley graph.
 
-        Its order is |Z| p, and its power of half that order is
-        eps^(|Z| p / 2) = (-1)^p = -I, since p divides |Z| p / 2.  Right
-        translation by it is a free cyclic symmetry of every class-union
-        Cayley graph whose half-way power is x -> -x.
+        s is the nonsplit class rep whose parameter generates the torus
+        (F_{q^2}^x for GL and GU, the norm-one E for SL), so s^(|s|/2) = -I;
+        u is the jordan rep of eigenvalue 1, of order p.  Conjugation by u
+        keeps a class union, so the map is an automorphism; s^k x = x u^k only
+        when s^k = u^k = I, so it is free of order c = p |s|, and its power c/2
+        is x -> (-I)^p x = -x.
         """
-        raise NotImplementedError
+        tw, fam = self.tower, self.family
+        z, unipotent = (tw.E[1], (1, 1)) if fam == "sl" else (tw.ext.exp[1], (1,))
+        s = self.class_rep(ClassLabel(fam, "nonsplit", (z,)))
+        return s, self.class_rep(ClassLabel(fam, "jordan", unipotent))
 
     def standard_labels(self) -> tuple[ClassLabel, ...]:
         """The standard connection set, built with the class tables: the same tuple every call.
@@ -540,9 +545,6 @@ class GLGroup(_LinearOrUnitary):
         tr = tw.project(tw.ext.add(z, tw.conj(z)))
         return Mat2(0, F.neg(tw.norm(z)), 1, tr)
 
-    def central_jordan(self) -> Mat2:
-        return self.class_rep(ClassLabel("gl", "jordan", (self.field.exp[1],)))
-
     def classify(self, m: Mat2) -> ClassLabel:
         F = self.field
         if m.b == 0 and m.c == 0 and m.a == m.d:
@@ -676,9 +678,6 @@ class GUGroup(_LinearOrUnitary):
         if not self.is_member(rep):  # pragma: no cover - construction invariant
             raise RuntimeError(f"constructed representative for {label} is not unitary")
         return rep
-
-    def central_jordan(self) -> Mat2:
-        return self.class_rep(ClassLabel("gu", "jordan", (self.torus[1],)))
 
     def classify(self, m: Mat2) -> ClassLabel:
         F, tw = self.field, self.tower
@@ -827,9 +826,6 @@ class SLGroup(_Family):
         x = tw.project(ext.div(ext.add(z, zq), two))
         y = tw.project(ext.div(ext.sub(z, zq), ext.mul(two, tw.sqrt_delta)))
         return Mat2(x, F.mul(tw.delta, y), y, x)
-
-    def central_jordan(self) -> Mat2:
-        return self.class_rep(ClassLabel("sl", "jordan", (self.field.neg(1), 1)))
 
     def classify(self, m: Mat2) -> ClassLabel:
         F, tw = self.field, self.tower

@@ -62,7 +62,7 @@ from .scheme import (
     VertexLookup,
     transfer_certificate,
     translation_adjacency,
-    translation_partner,
+    translation_map,
 )
 
 __all__ = [
@@ -355,8 +355,11 @@ def build_gamma(space: CosetSpace) -> Graph:
 
     The edge cosets are HzH together with H m H for the C(q+1, 2) diagonal
     double cosets, so the neighbours of rH are the cosets rdH for d in one
-    element per left coset of that union; the pairing sends rH to (z r)H,
-and it is also the symmetry the walk is split along (order c = 2).
+    element per left coset of that union; the pairing sends rH to (z r)H.
+    The walk is split along rH -> s rH for s of ``group.walk_symmetry()``,
+    whose eigenvalues generate F_{q^4}^x: s^k r is in rH only for a scalar
+    s^k in F_q^x, so the symmetry is free of order c = (q + 1)(q^2 + 1), its
+    power c/2 is the pairing, and its Fourier blocks have size q.
     Every coset is read literally off the enumerated group, with no reliance
     on the Frobenius invariant.  The degree is left to the cross-checks,
     which compare it with the top eigenvalue.
@@ -384,10 +387,11 @@ and it is also the symmetry the walk is split along (order c = 2).
             f"build_gamma: adjacency is not symmetric: entry ({i}, {j}) is "
             f"{adjacency[i, j]} but ({j}, {i}) is {adjacency[j, i]}"
         )
-    partner = translation_partner(lookup, space.z)
+    partner = translation_map(lookup, group.identity(), space.z)
+    symmetry = translation_map(lookup, group.walk_symmetry()[0], group.identity())
     vertices = np.arange(len(partner))
     matching = bool((partner[partner] == vertices).all() and (partner != vertices).all())
-    return Graph(adjacency, partner, partner, {"involution_is_perfect_matching": matching})
+    return Graph(adjacency, partner, symmetry, {"involution_is_perfect_matching": matching})
 
 
 # ---------------------------------------------------------------------------

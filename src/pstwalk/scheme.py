@@ -46,8 +46,8 @@ F_{q_f}, so both tables scale with the vectors of F_{q_f}^2 rather than
 with q_f^4 matrix keys: at gu 9 (over F_81) R = 720, and the vertex table
 takes 1 MB and the row table about 4 MB against the 52 MB ``uint8``
 adjacency.
-:func:`translation_partner` takes the transfer pairing, and the symmetry the
-walk is split along, the same way: one right translate per vertex.
+:func:`translation_map` gives the transfer pairing and the walk's symmetry as
+maps i -> vertex of left r_i right, by O(n) gathers through the same tables.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ __all__ = [
     "Graph",
     "VertexLookup",
     "translation_adjacency",
-    "translation_partner",
+    "translation_map",
 ]
 
 
@@ -254,9 +254,9 @@ class Graph(NamedTuple):
     ``partner[i]`` is the vertex paired with vertex i, so the transfer pairs
     are (i, partner[i]).  ``symmetry`` is a free cyclic automorphism of even
     order c whose power of c/2 should be ``partner``; the walk is split
-    along it (right translation by a jordan element of order |Z| p on a
-    Cayley graph, the partner itself on the coset graph).  ``checks`` holds
-    structural checks only one family has.
+    along it into blocks of n/c: x -> s x u^-1 of order p |s| on a Cayley
+    graph, rH -> s rH of order (q + 1)(q^2 + 1) on the coset graph.
+    ``checks`` holds structural checks only one family has.
     """
 
     adjacency: np.ndarray
@@ -296,7 +296,7 @@ class VertexLookup:
     the keys of the rows that occur among the representatives, and ``top``
     and ``bottom`` the position in it of each representative's two rows.
     Built once per graph and read by :func:`translation_adjacency` and
-    :func:`translation_partner`.
+    :func:`translation_map`.
     """
 
     def __init__(self, reps: Sequence, vertex_of, field):
@@ -358,12 +358,9 @@ def _translate(lookup: VertexLookup, connection: Sequence):
         at *= lookup.width
         at += products[lookup.bottom[start : start + step]]
         cols = lookup.table[at]
-        if (cols < 0).any():
-            r, k = divmod(int((cols < 0).argmax()), cols.shape[1])
-            rows = lookup.vectors[[lookup.top[start + r], lookup.bottom[start + r]]]
-            keys = _row_products(lookup.field, rows, [connection[k]])[:, 0].tolist()
-            product = Mat2(*(x for key in keys for x in divmod(key, lookup.field.q)))
-            raise KeyError(f"the product {product} is not a vertex of the graph")
+        if (cols < 0).any():  # each earlier r s is a vertex: this raises, naming r s
+            k = int((cols < 0).argmax()) % cols.shape[1]
+            translation_map(lookup, Mat2(1, 0, 0, 1), connection[k])
         yield start, cols
 
 
@@ -383,14 +380,27 @@ def translation_adjacency(lookup: VertexLookup, connection: Sequence) -> np.ndar
     return out
 
 
-def translation_partner(lookup: VertexLookup, t) -> np.ndarray:
-    """The map i -> vertex of ``reps[i] t``, right translation by t.
+def translation_map(lookup: VertexLookup, left, right) -> np.ndarray:
+    """The map i -> vertex of ``left reps[i] right``, by O(n) gathers.
 
-    For a central t it is also left translation, the transfer pairing; for
-    any t it is an automorphism of a Cayley graph on a class union, since
-    conjugation by t keeps the union.
+    The rows of r right are :func:`_row_products` of r's rows; row k of
+    left (r right) is left[k, 0] times its row 1 plus left[k, 1] times its
+    row 2, read through the field's tables.  A product that is no vertex
+    raises ``KeyError`` naming it.
     """
     import numpy as np
 
-    blocks = [cols[:, 0] for _, cols in _translate(lookup, [t])]
-    return np.concatenate(blocks).astype(np.int64)
+    field, q = lookup.field, lookup.field.q
+    mul, add = (t.astype(np.min_scalar_type(q * q)) for t in field.tables())
+    x, y = np.divmod(_row_products(field, lookup.vectors, [right])[:, 0], q)
+    (x1, x2), (y1, y2) = x[[lookup.top, lookup.bottom]], y[[lookup.top, lookup.bottom]]
+    keys = np.array(
+        [add[mul[e, x1], mul[f, x2]] * q + add[mul[e, y1], mul[f, y2]] for e, f in (left[:2], left[2:])]
+    )
+    ids = lookup.row_id[keys]
+    vertices = lookup.table[ids[0].astype(np.intp) * lookup.width + ids[1]]
+    if (vertices < 0).any():
+        keys = keys[:, int((vertices < 0).argmax())].tolist()
+        product = Mat2(*(v for key in keys for v in divmod(key, q)))
+        raise KeyError(f"the product {product} is not a vertex of the graph")
+    return vertices.astype(np.int64)

@@ -317,9 +317,30 @@ def translation_adjacency_reference(reps, vertex_of, mul, connection) -> np.ndar
     return out
 
 
-def translation_partner_reference(reps, vertex_of, mul, t) -> np.ndarray:
-    """The vertex permutation i -> ``vertex_of[mul(t, reps[i])]``."""
-    return np.array([vertex_of[mul(t, r)] for r in reps], dtype=np.int64)
+def translation_map_reference(reps, vertex_of, mul, left, right) -> np.ndarray:
+    """The vertex map i -> ``vertex_of[mul(mul(left, reps[i]), right)]``."""
+    return np.array([vertex_of[mul(mul(left, r), right)] for r in reps], dtype=np.int64)
+
+
+def central_jordan(family) -> Mat2:
+    """eps u: the jordan class rep whose eigenvalue eps generates the centre Z, of order |Z| p."""
+    tag = family.family
+    if tag == "sl":
+        return family.class_rep(ClassLabel(tag, "jordan", (family.field.neg(1), 1)))
+    eps = family.field.exp[1] if tag == "gl" else family.torus[1]
+    return family.class_rep(ClassLabel(tag, "jordan", (eps,)))
+
+
+def central_jordan_symmetry(family) -> np.ndarray:
+    """Right translation by :func:`central_jordan` on the enumerated group, one product per vertex.
+
+    The walk symmetry of the Cayley graphs before x -> s x u^-1: free of order
+    c = |Z| p, with power c/2 the pairing x -> -x, so its Fourier blocks have
+    size n/c (48 at gl 7, 240 at gl 9).
+    """
+    elements = family.enumerate_group()
+    index = {m: i for i, m in enumerate(elements)}
+    return translation_map_reference(elements, index, family.mul, family.identity(), central_jordan(family))
 
 
 # ---------------------------------------------------------------------------

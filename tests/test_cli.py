@@ -420,15 +420,19 @@ def test_certificate_failure_still_runs_the_walk(monkeypatch, capsys):
 def test_orbital_structure_checks_can_fail(monkeypatch, capsys):
     """A coset graph without its HzH edges, paired by a permutation that is
     not an involution, reads false on the degree and matching checks, and
-    the walk is not split by that permutation."""
-    connection, partner = orbital._connection, orbital.translation_partner
+    the walk is not split: the symmetry's half power is not that permutation."""
+    connection, translate = orbital._connection, orbital.translation_map
 
     def without_z(space):
         z_vertex = space.coset_index[space.z]
         return [d for d in connection(space) if space.coset_index[d] != z_vertex]
 
     monkeypatch.setattr(orbital, "_connection", without_z)
-    monkeypatch.setattr(orbital, "translation_partner", lambda *a: np.roll(partner(*a), 1))
+    def rolled_pairing(lookup, left, right):
+        vertices = translate(lookup, left, right)
+        return np.roll(vertices, 1) if left == Mat2(1, 0, 0, 1) else vertices
+
+    monkeypatch.setattr(orbital, "translation_map", rolled_pairing)
     orbital.build_gamma.cache_clear()
     try:
         assert main(["orbital", "--q", "3"]) == EXIT_CROSS_CHECK
@@ -437,7 +441,7 @@ def test_orbital_structure_checks_can_fail(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "cross-check degree_row_sums_match: False" in out
     assert "cross-check involution_is_perfect_matching: False" in out
-    assert "cross-check simulation: skipped: the pairing is not an involution at vertex" in out
+    assert "cross-check simulation: skipped: the symmetry's power 20 is not the partner at vertex" in out
 
 
 def test_spectrum_mismatch_exits_3(monkeypatch, capsys):
@@ -531,19 +535,27 @@ def test_walk_errors_fail_the_cross_check(monkeypatch, capsys):
 
 
 def short_orbit(graph):
-    """An orbit of sigma (c = 6 at gl 3) other than vertex 0's, closed into two 3-cycles."""
+    """An orbit of sigma (c = 24 at gl 3) other than vertex 0's, closed into two 12-cycles."""
     sigma = graph.symmetry
 
     def orbit(x):
         out = [x]
-        while len(out) < 6:
+        while len(out) < 24:
             out.append(int(sigma[out[-1]]))
         return out
 
     o = orbit(min(set(range(len(sigma))) - set(orbit(0))))
     doctored = sigma.copy()
-    doctored[o[2]], doctored[o[5]] = o[0], o[3]
+    doctored[o[11]], doctored[o[23]] = o[0], o[12]
     return doctored
+
+
+def third_of_the_order(graph):
+    """sigma^(c/3) = sigma^8 at gl 3 (c = 24): a free automorphism of odd order 3."""
+    power = np.arange(len(graph.symmetry))
+    for _ in range(8):
+        power = graph.symmetry[power]
+    return power
 
 
 def relabelled(graph):
@@ -567,8 +579,8 @@ def translation_by_diag_one_minus_one(graph):
     "doctor, message",
     [
         (relabelled, "is not an automorphism: it moves the edges of vertex"),
-        (short_orbit, "the symmetry of order 6 returns vertex"),
-        (lambda graph: graph.symmetry[graph.symmetry], "the symmetry has odd order 3"),
+        (short_orbit, "the symmetry of order 24 returns vertex"),
+        (third_of_the_order, "the symmetry has odd order 3"),
         (translation_by_diag_one_minus_one, "the symmetry's power 1 is not the partner at vertex 0"),
     ],
     ids=["not-an-automorphism", "short-orbit", "odd-order", "half-power-is-not-the-partner"],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pstwalk.cayley import make_family
 from pstwalk.cli import ENUMERATION_BOUND, build_target
 from pstwalk.ctqw import (
     TOL,
@@ -19,7 +20,13 @@ from pstwalk.ctqw import (
     integer_eigenvalues,
     pst_scan,
 )
-from oracles import EigenRow, eigenvectors, integer_rows_with_signs, pst_test
+from oracles import (
+    EigenRow,
+    central_jordan_symmetry,
+    eigenvectors,
+    integer_rows_with_signs,
+    pst_test,
+)
 
 K2 = np.array([[0, 1], [1, 0]], dtype=float)
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -518,11 +525,50 @@ def test_split_walk_matches_the_unsplit_walk(family, q, variant):
 
 
 def test_cayley_graphs_split_into_blocks_of_the_centre_times_p():
-    """c = |Z| p: (q - 1) p for GL, (q + 1) p for GU, 2p for SL."""
+    """c = p |s|: p (q^2 - 1) for GL and GU, p (q + 1) for SL; (q + 1)(q^2 + 1) on the coset graph."""
     orders = {(f, q): WalkSystem.from_adjacency(g.adjacency, g.symmetry).order
-              for f, q in [("gl", 3), ("gl", 5), ("gu", 3), ("sl", 5), ("sl", 7)]
+              for f, q in [("gl", 3), ("gl", 5), ("gu", 3), ("sl", 5), ("sl", 7), ("orbital", 3)]
               for g in [explicit_graph_of(f, q)]}
-    assert orders == {("gl", 3): 6, ("gl", 5): 20, ("gu", 3): 12, ("sl", 5): 10, ("sl", 7): 14}
+    assert orders == {("gl", 3): 24, ("gl", 5): 120, ("gu", 3): 24, ("sl", 5): 30, ("sl", 7): 56,
+                      ("orbital", 3): 40}
+
+
+DIFFERENTIAL_CASES = [
+    ("gl", 3), ("gl", 5), ("gl", 7), ("gl", 9),
+    ("gu", 3), ("gu", 5), ("gu", 7), ("gu", 9),
+    ("sl", 5), ("sl", 9), ("sl", 11),
+    ("orbital", 3),
+]
+
+
+@pytest.mark.parametrize("family,q", DIFFERENTIAL_CASES, ids=lambda v: str(v))
+def test_the_walk_split_by_the_torus_symmetry_matches_the_central_jordan_walk(family, q):
+    """Against the walk split along the earlier symmetry: right translation by the
+    central jordan element on a Cayley graph (c = |Z| p), the pairing itself (c = 2) on
+    the coset graph.  The blocks have size (q -+ 1) q/p, q on the coset graph, and both
+    sides and the fidelities of partner and random pairs agree."""
+    graph = explicit_graph_of(family, q)
+    a, partner = graph.adjacency, graph.partner
+    if family == "orbital":
+        earlier, order, size = partner, 2, q
+    else:
+        group = make_family(family, q)
+        earlier = central_jordan_symmetry(group)
+        order = {"gl": q - 1, "gu": q + 1, "sl": 2}[family] * group.p
+        size = (q + 1 if family == "gu" else q - 1) * q // group.p
+    walk, reference = WalkSystem.from_adjacency(a, graph.symmetry), WalkSystem.from_adjacency(a, earlier)
+    assert reference.order == order < walk.order and np.array_equal(walk.pairing, reference.pairing)
+    assert walk.block_vectors.shape[1] == size == len(a) // walk.order
+    sides, expected = walk.sides(), reference.sides()
+    assert sides.keys() == expected.keys() == {1, -1}
+    for sign, values in expected.items():
+        assert np.abs(sides[sign] - values).max() < 1e-9
+    rng = np.random.default_rng(q)
+    pairs = [(x, int(partner[x])) for x in range(len(a))]
+    pairs += [(int(x), int(y)) for x, y in rng.integers(0, len(a), size=(256, 2))]
+    for t in (0.3, pi / 2, 2.1):
+        assert np.abs(np.subtract(walk.fidelities(t, pairs), reference.fidelities(t, pairs))).max() < 1e-9
+    assert walk.fidelities(0.3, pairs[-5:]) == walk.fidelities(0.3, pairs)[-5:]  # alike in any batch
 
 
 def full_unitary(walk, t):
@@ -605,7 +651,9 @@ def test_a_symmetry_that_is_not_a_free_cyclic_automorphism_of_even_order_is_refu
 
 
 def test_the_split_walk_at_gl_7_holds_no_half_size_block():
-    """n = 2016, c = 42: 22 blocks of 48 x 48, far below one n/2 x n/2 float block (7.8 MiB)."""
+    """n = 2016, c = 336: 169 blocks of 6 x 6.  The walk peaks at 1.1 MiB under
+    tracemalloc (3.2 MiB split along right translation by the central jordan
+    element, in 22 blocks of 48 x 48); one n/2 x n/2 float block takes 7.8 MiB."""
     graph = explicit_graph_of("gl", 7)
     tracemalloc.start()
     try:
@@ -613,8 +661,8 @@ def test_the_split_walk_at_gl_7_holds_no_half_size_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert walk.order == 42 and len(walk) == 2016
-    assert peak < 8 * 2**20
+    assert walk.order == 336 and len(walk) == 2016
+    assert peak < 1.5 * 2**20
 
 
 def test_integer_symmetry_is_exact():

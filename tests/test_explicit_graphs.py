@@ -23,7 +23,7 @@ from oracles import (
     literal_cayley_adjacency,
     literal_orbital_adjacency,
     translation_adjacency_reference,
-    translation_partner_reference,
+    translation_map_reference,
 )
 from pstwalk import orbital, scheme
 from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, explicit_graph, make_family
@@ -33,7 +33,7 @@ from pstwalk.scheme import (
     ConjugacyScheme,
     VertexLookup,
     translation_adjacency,
-    translation_partner,
+    translation_map,
 )
 
 CAYLEY = [
@@ -85,21 +85,26 @@ def test_partner_is_a_fixed_point_free_automorphism_of_order_two(tag, q, variant
 
 @pytest.mark.parametrize("tag,q,variant", TARGETS)
 def test_symmetry_is_a_free_cyclic_automorphism_whose_half_power_is_the_partner(tag, q, variant):
-    """Right translation by the central jordan element on a Cayley graph, of order
-    |Z| p; the pairing itself, of order 2, on the coset graph."""
+    """x -> s x u^-1 on a Cayley graph, of order p |s| with |s| = q^2 - 1 (GL, GU)
+    or q + 1 (SL); rH -> s rH on the coset graph, of order (q + 1)(q^2 + 1)."""
     graph = graph_of(tag, q, variant)
     a, sigma = graph.adjacency, graph.symmetry
     if tag == "orbital":
-        assert np.array_equal(sigma, graph.partner)
-        order = 2
+        space = build_coset_space(q)
+        group, s = space.group, space.group.walk_symmetry()[0]
+        assert group.element_order(s) == q**4 - 1
+        assert np.array_equal(sigma, [space.coset_index[group.mul(s, r)] for r in space.reps])
+        order = (q + 1) * (q * q + 1)
     else:
         family = make_family(tag, q)
         elements = family.enumerate_group()
         index = {m: i for i, m in enumerate(elements)}
-        g = family.central_jordan()
-        assert np.array_equal(sigma, [index[family.mul(x, g)] for x in elements])
-        centre = {"gl": q - 1, "gu": q + 1, "sl": 2}[tag]
-        order = centre * family.p
+        s, u = family.walk_symmetry()
+        u_inv = family.inv(u)
+        assert np.array_equal(sigma, [index[family.mul(family.mul(s, x), u_inv)] for x in elements])
+        assert family.element_order(s) == (q + 1 if tag == "sl" else q * q - 1)
+        assert family.element_order(u) == family.p
+        order = family.p * family.element_order(s)
     assert np.array_equal(a[sigma][:, sigma], a)
     vertices, power = np.arange(len(a)), np.arange(len(a))
     for k in range(1, order + 1):
@@ -116,41 +121,52 @@ def test_every_explicit_graph_holds_one_byte_per_entry(tag, q, variant):
 
 
 def builder_inputs(tag, q):
-    """reps, vertex_of, family, connection list and central involution."""
+    """reps, vertex_of, family, connection list, central involution and walk symmetry (s, u^-1)."""
     if tag == "orbital":
         space = build_coset_space(q)
-        return space.reps, space.coset_index, space.group, orbital._connection(space), space.z
+        group = space.group
+        symmetry = (group.walk_symmetry()[0], group.identity())
+        return space.reps, space.coset_index, group, orbital._connection(space), space.z, symmetry
     family, conn, *_ = analyze(tag, q, STANDARD)
     sch = ConjugacyScheme(family)
     members = [x for lab in conn.labels for x in family.class_elements(lab)]
-    return sch.elements, sch.index, family, members, family.central_involution()
+    s, u = family.walk_symmetry()
+    return sch.elements, sch.index, family, members, family.central_involution(), (s, family.inv(u))
 
 
 @pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 5), ("sl", 7), ("sl", 11), ("orbital", 3)])
 def test_array_builder_matches_python_products(tag, q):
-    reps, vertex_of, family, connection, t = builder_inputs(tag, q)
+    """The adjacency, the pairing (right translation by t) and the walk symmetry
+    (left by s, right by u^-1) against one Python product per entry."""
+    reps, vertex_of, family, connection, t, (left, right) = builder_inputs(tag, q)
     lookup = VertexLookup(reps, vertex_of, family.field)
     expected = translation_adjacency_reference(reps, vertex_of, family.mul, connection)
     got = translation_adjacency(lookup, connection)
     assert got.dtype == np.uint8 and np.array_equal(got, expected)
-    expected = translation_partner_reference(reps, vertex_of, family.mul, t)
-    got = translation_partner(lookup, t)
-    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    for left, right in [(family.identity(), t), (t, family.identity()), (left, right)]:
+        expected = translation_map_reference(reps, vertex_of, family.mul, left, right)
+        got = translation_map(lookup, left, right)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_array_builder_refuses_a_product_outside_the_group():
     """The first singular product is named, whether both its rows are rows of
-    group elements, as in (1, 1; 1, 1), or one is the zero row that no element has."""
+    group elements, as in (1, 1; 1, 1), or one is the zero row that no element has,
+    and whether the singular factor stands on the right or on the left."""
     family = make_family("gl", 3)
     sch = ConjugacyScheme(family)
+    one, first = family.identity(), sch.elements[0]
     cases = [(Mat2(1, 1, 1, 1), Mat2(1, 1, 1, 1)), (Mat2(0, 0, 1, 1), Mat2(1, 1, 0, 0))]
     for singular, product in cases:
-        assert family.mul(sch.elements[0], singular) == product
+        assert family.mul(first, singular) == product
         message = rf"the product {re.escape(repr(product))} is not a vertex"
         with pytest.raises(KeyError, match=message):
             translation_adjacency(sch.lookup, [family.identity(), singular])
         with pytest.raises(KeyError, match=message):
-            translation_partner(sch.lookup, singular)
+            translation_map(sch.lookup, one, singular)
+        message = rf"the product {re.escape(repr(family.mul(singular, first)))} is not a vertex"
+        with pytest.raises(KeyError, match=message):
+            translation_map(sch.lookup, singular, one)
 
 
 def row_keys(elements, f):
@@ -162,7 +178,7 @@ def row_keys(elements, f):
 def test_row_table_holds_every_vector_times_every_connection_element(tag, q):
     """Entry (i, s) is the id of the key x q + y of (x, y) = (u, v) s, for the
     i-th row (u, v) of the representatives, taken one product at a time."""
-    reps, vertex_of, family, connection, _ = builder_inputs(tag, q)
+    reps, vertex_of, family, connection, *_ = builder_inputs(tag, q)
     field = family.field
     f = field.q
     lookup = VertexLookup(reps, vertex_of, field)
