@@ -39,7 +39,6 @@ disagreement instead of silently preferring either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -48,6 +47,7 @@ if TYPE_CHECKING:
 
 from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, SLGroup
+from .record import Record
 from .scheme import (
     ConjugacyScheme,
     FormulaCheck,
@@ -109,15 +109,13 @@ def variants_for(tag: str, q: int) -> tuple[str, ...]:
 # connection sets
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
+class ConnectionSet(Record):
     """A union of conjugacy classes used as a Cayley connection set."""
 
-    family: str
-    q: int
-    variant: str
-    labels: tuple[ClassLabel, ...]
-    degree: int
+    __slots__ = _fields = ("family", "q", "variant", "labels", "degree")
+
+    def __init__(self, family: str, q: int, variant: str, labels: tuple[ClassLabel, ...], degree: int):
+        self._fill(family, q, variant, labels, degree)
 
 
 def _small_order_labels(fam) -> list[ClassLabel]:

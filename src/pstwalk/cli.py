@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from itertools import islice
@@ -139,7 +138,7 @@ def _field_provenance(field) -> dict:
 
 
 def _certificate_json(cert, keys: dict) -> dict:
-    out = {**keys, **dataclasses.asdict(cert)}
+    out = {**keys, **cert._asdict()}
     if out["time"] is not None:
         out["time"] = _fmt(out["time"])
     return out

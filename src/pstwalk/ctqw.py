@@ -38,9 +38,10 @@ than tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, pi
 from typing import TYPE_CHECKING, Sequence
+
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -192,7 +193,6 @@ def _counts(order: int) -> list[int]:
     return [1 if 2 * j in (0, order) else 2 for j in range(order // 2 + 1)]
 
 
-@dataclass
 class WalkSystem:
     """Eigendecomposition of a real symmetric adjacency matrix, block by block.
 
@@ -205,14 +205,30 @@ class WalkSystem:
     sigma^(c/2), ``None`` without a symmetry.
     """
 
-    eigenvalues: np.ndarray  # the sorted union of all c blocks' eigenvalues, length n
-    block_eigenvalues: np.ndarray  # (c/2 + 1, m), each row ascending
-    block_vectors: np.ndarray  # (c/2 + 1, m, m), eigenvectors as columns
-    block_signs: tuple  # the pairing's eigenvalue on each block, None without a symmetry
-    order: int  # c
-    rows: np.ndarray  # (n,) the orbit of each vertex
-    offsets: np.ndarray  # (n,) its place on that orbit
-    pairing: np.ndarray | None  # (n,) sigma^(c/2)
+    __slots__ = (
+        "eigenvalues", "block_eigenvalues", "block_vectors", "block_signs",
+        "order", "rows", "offsets", "pairing",
+    )
+
+    def __init__(
+        self,
+        eigenvalues: np.ndarray,  # the sorted union of all c blocks' eigenvalues, length n
+        block_eigenvalues: np.ndarray,  # (c/2 + 1, m), each row ascending
+        block_vectors: np.ndarray,  # (c/2 + 1, m, m), eigenvectors as columns
+        block_signs: tuple,  # the pairing's eigenvalue on each block, None without a symmetry
+        order: int,  # c
+        rows: np.ndarray,  # (n,) the orbit of each vertex
+        offsets: np.ndarray,  # (n,) its place on that orbit
+        pairing: np.ndarray | None,  # (n,) sigma^(c/2)
+    ):
+        self.eigenvalues = eigenvalues
+        self.block_eigenvalues = block_eigenvalues
+        self.block_vectors = block_vectors
+        self.block_signs = block_signs
+        self.order = order
+        self.rows = rows
+        self.offsets = offsets
+        self.pairing = pairing
 
     @classmethod
     def from_adjacency(cls, adjacency, symmetry=None) -> "WalkSystem":
@@ -335,17 +351,24 @@ def derive_transfer_time(walk: WalkSystem) -> tuple[int, float]:
     return g, pi / g
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(Record):
     """Numeric verdict of a transfer scan."""
 
-    ok: bool
-    time: float
-    times_checked: tuple[float, ...]
-    min_fidelity: float
-    mid_fidelity: float
-    pairs_checked: int
-    reason: str = ""
+    __slots__ = _fields = (
+        "ok", "time", "times_checked", "min_fidelity", "mid_fidelity", "pairs_checked", "reason"
+    )
+
+    def __init__(
+        self,
+        ok: bool,
+        time: float,
+        times_checked: tuple[float, ...],
+        min_fidelity: float,
+        mid_fidelity: float,
+        pairs_checked: int,
+        reason: str = "",
+    ):
+        self._fill(ok, time, times_checked, min_fidelity, mid_fidelity, pairs_checked, reason)
 
 
 def pst_scan(

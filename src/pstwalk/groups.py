@@ -103,13 +103,14 @@ Every constructor refuses a q that is not an odd prime power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
+from operator import ge, gt, le, lt
 from typing import Mapping, NamedTuple, Sequence
 
 from .chars import CycSum, NonIntegralError
 from .gf import FieldTower, FiniteField, _prime_factors, make_field, make_tower
+from .record import Record
 
 __all__ = [
     "Mat2",
@@ -130,38 +131,129 @@ class Mat2(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True, order=True)
-class ClassLabel:
+_set = object.__setattr__
+
+
+def _ordered(op):
+    """A comparison of two labels of one type by ``op`` on their fields."""
+
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op((self.family, self.kind, self.params), (other.family, other.kind, other.params))
+        return NotImplemented
+
+    return compare
+
+
+class _Label(Record):
+    """Family tag, kind and canonical parameters; ordered as that tuple.
+
+    ``==``, ``hash`` and the order read ``(family, kind, params)`` within
+    one label type: a class label never equals a character label, and
+    ordering the two raises ``TypeError``.  The labels are the keys of
+    every class and character table, so these are written out for speed.
+    """
+
+    __slots__ = _fields = ("family", "kind", "params")
+
+    family: str
+    kind: str
+    params: tuple[int, ...]
+
+    def __init__(self, family: str, kind: str, params: tuple[int, ...]):
+        _set(self, "family", family)
+        _set(self, "kind", kind)
+        _set(self, "params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.kind, self.params) == (other.family, other.kind, other.params)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.kind, self.params))
+
+    __lt__, __le__, __gt__, __ge__ = map(_ordered, (lt, le, gt, ge))
+
+
+class ClassLabel(_Label):
     """A conjugacy class: family tag, kind, and canonical parameters."""
 
-    family: str
-    kind: str
-    params: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class IrrLabel:
+class IrrLabel(_Label):
     """An irreducible character: family tag, kind, canonical parameters."""
 
-    family: str
-    kind: str
-    params: tuple[int, ...]
+    __slots__ = ()
 
 
 # (classes, irreducibles, standard connection set), built once per family
 _Tables = tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...], tuple[ClassLabel, ...]]
 
 
+# Miller-Rabin with these 13 bases decides primality for every n below
+# MILLER_RABIN_BOUND (Sorenson and Webster, *Strong pseudoprimes to twelve
+# prime bases*, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 1 < n < ``MILLER_RABIN_BOUND``."""
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _exact_root(n: int, k: int) -> int | None:
+    """The integer r >= 2 with r^k = n, or None, for k >= 2 and 0 < n < ``MILLER_RABIN_BOUND``.
+
+    There n^(1/k) < 1.5e8 for k >= 3, so the float root is within 1e-6 of r.
+    """
+    r = isqrt(n) if k == 2 else round(n ** (1 / k))
+    return r if r >= 2 and r**k == n else None
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p = primes[0]
+    """(p, k) with q = p^k for an odd prime p, or ``ValueError``.
+
+    Below ``MILLER_RABIN_BOUND`` the largest k with an exact k-th root r
+    gives the only candidate, and r is tested by Miller-Rabin; larger q
+    are trial-divided.
+    """
+    if q < MILLER_RABIN_BOUND:
+        p, k = q, 1
+        for j in range(max(q, 1).bit_length() - 1, 1, -1):
+            r = _exact_root(q, j)
+            if r is not None:
+                p, k = r, j
+                break
+        if p < 2 or not _is_prime(p):
+            raise ValueError(f"{q} is not a prime power")
+    else:
+        primes = _prime_factors(q)
+        if len(primes) != 1:
+            raise ValueError(f"{q} is not a prime power")
+        p, k = primes[0], 1
+        while p**k < q:
+            k += 1
     if p == 2:
         raise ValueError(f"{q} is even; only odd characteristic is supported")
-    k = 1
-    while p**k < q:
-        k += 1
     return p, k
 
 

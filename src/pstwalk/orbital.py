@@ -45,7 +45,6 @@ here, so the module stands on :mod:`pstwalk.scheme` beside
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -54,6 +53,7 @@ if TYPE_CHECKING:
 
 from .chars import NonIntegralError
 from .groups import GLGroup, IrrLabel, Mat2, _prime_power
+from .record import Record
 from .scheme import (
     FormulaCheck,
     Graph,
@@ -85,8 +85,7 @@ EXPLICIT_LIMIT = 3
 # coset space
 
 
-@dataclass(frozen=True, eq=False)
-class CosetSpace:
+class CosetSpace(Record):
     """The pair H = GL(2, q) inside G = GL(2, q^2) with its coset data.
 
     In explicit mode (q <= EXPLICIT_LIMIT) every group element is labeled
@@ -94,17 +93,29 @@ class CosetSpace:
     recorded; otherwise only the field-level data of the spectrum is kept.
     """
 
-    q: int
-    group: object  # the GL(2, q^2) family
-    hsize: int
-    zeta: int  # encoding of the chosen order-4 scalar
-    z: Mat2
-    rep_set: tuple[int, ...]  # transversal of F_q^x in F_{q^2}^x: gen^0 .. gen^q
-    explicit: bool
-    elements: tuple[Mat2, ...] | None = None
-    h_elements: tuple[Mat2, ...] | None = None
-    reps: tuple[Mat2, ...] | None = None
-    coset_index: dict | None = None
+    __slots__ = _fields = (
+        "q", "group", "hsize", "zeta", "z", "rep_set", "explicit",
+        "elements", "h_elements", "reps", "coset_index",
+    )
+    # one space per q, cached: equal only to itself
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        q: int,
+        group: object,  # the GL(2, q^2) family
+        hsize: int,
+        zeta: int,  # encoding of the chosen order-4 scalar
+        z: Mat2,
+        rep_set: tuple[int, ...],  # transversal of F_q^x in F_{q^2}^x: gen^0 .. gen^q
+        explicit: bool,
+        elements: tuple[Mat2, ...] | None = None,
+        h_elements: tuple[Mat2, ...] | None = None,
+        reps: tuple[Mat2, ...] | None = None,
+        coset_index: dict | None = None,
+    ):
+        self._fill(q, group, hsize, zeta, z, rep_set, explicit, elements, h_elements, reps, coset_index)
 
     @property
     def n_cosets(self) -> int:

@@ -52,7 +52,6 @@ maps i -> vertex of left r_i right, by O(n) gathers through the same tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, pi
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -62,6 +61,7 @@ if TYPE_CHECKING:
 
 from .chars import CycSum, NonIntegralError, integer_part
 from .groups import ClassLabel, IrrLabel, Mat2
+from .record import Record
 
 __all__ = [
     "SpectrumRow",
@@ -111,8 +111,7 @@ class FormulaCheck(NamedTuple):
     agrees: bool
 
 
-@dataclass(frozen=True)
-class TransferCertificate:
+class TransferCertificate(Record):
     """Spectral certificate for perfect state transfer between paired vertices.
 
     ``ok`` records whether every eigenvalue is congruent mod 4 to
@@ -124,15 +123,23 @@ class TransferCertificate:
     graph, and ``connected`` reports whether that eigenvalue is simple.
     """
 
-    degree: int
-    ok: bool
-    reason: str
-    transfer_rule: str
-    integral: bool = True
-    residue: int | None = None
-    gap: int | None = None
-    time: float | None = None
-    connected: bool | None = None
+    __slots__ = _fields = (
+        "degree", "ok", "reason", "transfer_rule", "integral", "residue", "gap", "time", "connected"
+    )
+
+    def __init__(
+        self,
+        degree: int,
+        ok: bool,
+        reason: str,
+        transfer_rule: str,
+        integral: bool = True,
+        residue: int | None = None,
+        gap: int | None = None,
+        time: float | None = None,
+        connected: bool | None = None,
+    ):
+        self._fill(degree, ok, reason, transfer_rule, integral, residue, gap, time, connected)
 
 
 def transfer_certificate(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -19,6 +18,7 @@ from pstwalk import cli, orbital
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
 from pstwalk.ctqw import TransferReport
 from pstwalk.groups import GLGroup, GUGroup, Mat2, SLGroup
+from pstwalk.scheme import TransferCertificate
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 ROOT = Path(__file__).resolve().parent.parent
@@ -387,9 +387,8 @@ def test_certificate_failure_exits_2(monkeypatch, capsys):
 
     def doctored(tag, q, variant):
         analysis = real(tag, q, variant)
-        bad = dataclasses.replace(
-            analysis.certificate, ok=False, reason="forced failure for the test"
-        )
+        fields = analysis.certificate._asdict()
+        bad = TransferCertificate(**{**fields, "ok": False, "reason": "forced failure for the test"})
         return analysis._replace(certificate=bad)
 
     monkeypatch.setattr(cli, "analyze", doctored)
@@ -406,7 +405,8 @@ def test_certificate_failure_still_runs_the_walk(monkeypatch, capsys):
 
     def doctored(tag, q, variant):
         analysis = real(tag, q, variant)
-        bad = dataclasses.replace(analysis.certificate, ok=False, reason="forced failure")
+        fields = analysis.certificate._asdict()
+        bad = TransferCertificate(**{**fields, "ok": False, "reason": "forced failure"})
         return analysis._replace(certificate=bad)
 
     monkeypatch.setattr(cli, "analyze", doctored)
@@ -664,3 +664,31 @@ def test_the_exact_path_loads_no_numpy(tmp_path):
 def test_an_explicit_graph_loads_numpy(tmp_path):
     seen = numpy_loaded_after(tmp_path, ("gl", 3, "--brute-force-bound", "100"))
     assert [(code, loaded) for _, code, loaded in seen] == [(None, False), (EXIT_OK, True)], seen
+
+
+# ---------------------------------------------------------------------------
+# cold start: no generated classes
+
+_DATACLASSES_PROBE = """
+import contextlib, io, sys
+import pstwalk.cli
+imported = "dataclasses" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pstwalk.cli.main(sys.argv[1:])
+print(imported, code, "dataclasses" in sys.modules)
+"""
+
+
+def test_the_cli_loads_no_dataclasses(tmp_path):
+    """Neither ``import pstwalk.cli`` nor an export loads ``dataclasses`` in a fresh interpreter."""
+    argv = ["export", "--family", "gl", "--q", "19", "--out-dir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", _DATACLASSES_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", str(EXIT_OK), "False"]
+    assert (tmp_path / "report.json").exists()

@@ -8,7 +8,6 @@ the hand-derived closed form exactly as printed.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from functools import lru_cache
@@ -44,6 +43,7 @@ from pstwalk.ctqw import pst_scan
 from pstwalk.gf import make_field, make_tower
 from pstwalk.groups import GLGroup, IrrLabel, Mat2
 from pstwalk.orbital import (
+    CosetSpace,
     build_coset_space,
     build_gamma,
     certify_orbital,
@@ -207,7 +207,7 @@ def test_z_squared_lies_in_h():
 
 
 def test_gamma_names_a_z_that_does_not_square_to_minus_identity():
-    sp = dataclasses.replace(space3(), z=Mat2(1, 0, 0, 1))
+    sp = CosetSpace(**{**space3()._asdict(), "z": Mat2(1, 0, 0, 1)})
     with pytest.raises(RuntimeError) as err:
         build_gamma(sp)
     message = str(err.value)

@@ -1,6 +1,8 @@
 """Scheme axioms, exact eigenvalue identities, and the parity transfer test."""
 
+import copy
 import itertools
+import pickle
 from collections import Counter
 from functools import lru_cache
 from math import pi
@@ -22,10 +24,13 @@ from oracles import (
 from pstwalk import cayley
 from pstwalk.cayley import STANDARD, ConnectionSet
 from pstwalk.chars import CycSum, NonIntegralError
+from pstwalk.ctqw import TransferReport
 from pstwalk.groups import GLGroup
+from pstwalk.orbital import build_coset_space
 from pstwalk.scheme import (
     ConjugacyScheme,
     SpectrumRow,
+    TransferCertificate,
     class_sum_eigenvalue,
     transfer_certificate,
 )
@@ -416,3 +421,45 @@ def test_eigen_row_defaults():
     assert EigenRow(3, 1) == (3, 1, 1)
     cert = PSTCertificate(False, "why")
     assert cert.g is None and cert.time is None and cert.residue is None
+
+
+# ---------------------------------------------------------------------------
+# records: the semantics of frozen dataclasses, without generating them
+
+
+def test_records_keep_their_fields_defaults_and_frozen_equality():
+    cert = TransferCertificate(6, False, "why", "x -> -x")
+    assert TransferCertificate._fields == (
+        "degree", "ok", "reason", "transfer_rule", "integral", "residue", "gap", "time", "connected"
+    )
+    assert cert._asdict() == {
+        "degree": 6, "ok": False, "reason": "why", "transfer_rule": "x -> -x",
+        "integral": True, "residue": None, "gap": None, "time": None, "connected": None,
+    }
+    assert repr(cert) == (
+        "TransferCertificate(degree=6, ok=False, reason='why', transfer_rule='x -> -x', "
+        "integral=True, residue=None, gap=None, time=None, connected=None)"
+    )
+    twin = TransferCertificate(**cert._asdict())
+    assert twin == cert and hash(twin) == hash(cert) and twin != TransferCertificate(6, True, "why", "x -> -x")
+    assert copy.copy(cert) == cert and pickle.loads(pickle.dumps(cert)) == cert
+    for name in cert._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, None)
+    with pytest.raises(AttributeError):
+        del cert.ok
+    report = TransferReport(True, 1.0, (1.0,), 1.0, 0.5, 2)
+    assert report.reason == "" and report._fields[-1] == "reason"
+    conn = ConnectionSet("gl", 3, STANDARD, (), 0)
+    assert conn._fields == ("family", "q", "variant", "labels", "degree")
+    assert conn != ("gl", 3, STANDARD, (), 0)
+    assert report != TransferReport(True, 1.0, (1.0,), 1.0, 0.5, 3)
+
+
+def test_a_coset_space_equals_only_itself():
+    space = build_coset_space(3)
+    twin = type(space)(**space._asdict())
+    assert space == space and twin != space and hash(space) != hash(twin)
+    assert twin.n_cosets == space.n_cosets == 120
+    with pytest.raises(AttributeError):
+        space.q = 7

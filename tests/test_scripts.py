@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -10,6 +9,7 @@ import pytest
 
 from pstwalk import cli
 from pstwalk.cayley import STANDARD
+from pstwalk.scheme import TransferCertificate
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -80,7 +80,8 @@ def test_fidelity_trace_refuses_what_it_cannot_trace(monkeypatch, capsys):
 
     def failing(tag, q, variant):
         analysis = real(tag, q, variant)
-        bad = dataclasses.replace(analysis.certificate, ok=False, reason="forced failure")
+        fields = analysis.certificate._asdict()
+        bad = TransferCertificate(**{**fields, "ok": False, "reason": "forced failure"})
         return analysis._replace(certificate=bad)
 
     monkeypatch.setattr(cli, "analyze", failing)
