@@ -220,15 +220,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _exact_root(n: int, k: int) -> int | None:
-    """The integer r >= 2 with r^k = n, or None, for k >= 2 and 0 < n < ``MILLER_RABIN_BOUND``.
-
-    There n^(1/k) < 1.5e8 for k >= 3, so the float root is within 1e-6 of r.
-    """
-    r = isqrt(n) if k == 2 else round(n ** (1 / k))
-    return r if r >= 2 and r**k == n else None
-
-
 def _prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k for an odd prime p, or ``ValueError``.
 
@@ -239,8 +230,9 @@ def _prime_power(q: int) -> tuple[int, int]:
     if q < MILLER_RABIN_BOUND:
         p, k = q, 1
         for j in range(max(q, 1).bit_length() - 1, 1, -1):
-            r = _exact_root(q, j)
-            if r is not None:
+            # q^(1/j) < 1.5e8 for j >= 3, so the float root is within 1e-6 of an integer one
+            r = isqrt(q) if j == 2 else round(q ** (1 / j))
+            if r**j == q:
                 p, k = r, j
                 break
         if p < 2 or not _is_prime(p):
