@@ -104,13 +104,13 @@ Every constructor refuses a q that is not an odd prime power.
 from __future__ import annotations
 
 from functools import cached_property
-from math import isqrt, lcm
+from math import lcm
 from operator import ge, gt, le, lt
 from typing import Mapping, NamedTuple, Sequence
 
 from .chars import CycSum, NonIntegralError
 from .gf import FieldTower, FiniteField, _prime_factors, make_field, make_tower
-from .record import Record
+from .record import Record, _set
 
 __all__ = [
     "Mat2",
@@ -129,9 +129,6 @@ class Mat2(NamedTuple):
     b: int
     c: int
     d: int
-
-
-_set = object.__setattr__
 
 
 def _ordered(op):
@@ -192,60 +189,16 @@ class IrrLabel(_Label):
 _Tables = tuple[tuple[ClassLabel, ...], tuple[IrrLabel, ...], tuple[ClassLabel, ...]]
 
 
-# Miller-Rabin with these 13 bases decides primality for every n below
-# MILLER_RABIN_BOUND (Sorenson and Webster, *Strong pseudoprimes to twelve
-# prime bases*, Math. Comp. 86, 2017).
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 1 < n < ``MILLER_RABIN_BOUND``."""
-    for b in _MILLER_RABIN_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MILLER_RABIN_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k for an odd prime p, or ``ValueError``.
-
-    Below ``MILLER_RABIN_BOUND`` the largest k with an exact k-th root r
-    gives the only candidate, and r is tested by Miller-Rabin; larger q
-    are trial-divided.
-    """
-    if q < MILLER_RABIN_BOUND:
-        p, k = q, 1
-        for j in range(max(q, 1).bit_length() - 1, 1, -1):
-            # q^(1/j) < 1.5e8 for j >= 3, so the float root is within 1e-6 of an integer one
-            r = isqrt(q) if j == 2 else round(q ** (1 / j))
-            if r**j == q:
-                p, k = r, j
-                break
-        if p < 2 or not _is_prime(p):
-            raise ValueError(f"{q} is not a prime power")
-    else:
-        primes = _prime_factors(q)
-        if len(primes) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        p, k = primes[0], 1
-        while p**k < q:
-            k += 1
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = primes[0]
     if p == 2:
         raise ValueError(f"{q} is even; only odd characteristic is supported")
+    k = 1
+    while p**k < q:
+        k += 1
     return p, k
 
 

@@ -2,7 +2,8 @@
 
 A subclass of :class:`Record` names its fields once, as
 ``__slots__ = _fields = (...)``, and writes an ``__init__`` that passes
-them, in that order, to :meth:`Record._fill`.  It then behaves like a frozen
+them, in that order, to :meth:`Record._fill` (a wrong count raises
+``ValueError``).  It then behaves like a frozen
 dataclass: assigning or deleting a field raises ``AttributeError``,
 ``repr`` names every field, ``==`` and ``hash`` read the fields as one
 tuple and never equal an instance of another class, and ``copy`` and
@@ -25,7 +26,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def _fill(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self._fields, values, strict=True):
             _set(self, name, value)
 
     def _astuple(self) -> tuple:

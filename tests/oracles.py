@@ -25,7 +25,6 @@ from pstwalk.chars import (
     integer_part,
 )
 from pstwalk.ctqw import WalkSystem, integer_eigenvalues
-from pstwalk.gf import _prime_factors
 from pstwalk.groups import ClassLabel, IrrLabel, Mat2
 from pstwalk.orbital import CosetSpace, build_coset_space
 
@@ -866,35 +865,6 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
             out.append((p, pa))
         p += 1
     return out
-
-
-def prime_power_by_trial_division(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k for an odd prime p from ``gf._prime_factors``, else its ``ValueError``."""
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p = primes[0]
-    if p == 2:
-        raise ValueError(f"{q} is even; only odd characteristic is supported")
-    k = 1
-    while p**k < q:
-        k += 1
-    return p, k
-
-
-def strong_probable_prime(n: int, base: int) -> bool:
-    """Whether odd n > 2 passes one Miller-Rabin round to ``base``."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    x = pow(base, d, n)
-    if x == 1:
-        return True
-    for _ in range(s):
-        if x == n - 1:
-            return True
-        x = x * x % n
-    return False
 
 
 def _merged(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

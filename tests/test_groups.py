@@ -17,27 +17,21 @@ from oracles import (
     brute_sl2,
     central_sign_via_char_value,
     linear_or_unitary_char_value,
-    prime_power_by_trial_division,
     quadratic_gauss_sum,
     residue_periods,
     sl_char_value,
-    strong_probable_prime,
     trivial_character,
 )
 from pstwalk.cayley import analyze
 from pstwalk.chars import CycSum, NonIntegralError, integer_part
-from pstwalk import gf, groups
 from pstwalk.gf import _prime_factors, make_field
 from pstwalk.groups import (
-    MILLER_RABIN_BOUND,
     ClassLabel,
     GLGroup,
     GUGroup,
     IrrLabel,
     Mat2,
     SLGroup,
-    _is_prime,
-    _prime_power,
     _trace_periods,
 )
 
@@ -569,70 +563,3 @@ def test_labels_are_immutable():
     assert repr(lab) == "ClassLabel(family='gl', kind='central', params=(1,))"
     assert repr(IrrLabel("gu", "cuspidal", (3,))) == "IrrLabel(family='gu', kind='cuspidal', params=(3,))"
 
-
-# ---------------------------------------------------------------------------
-# prime powers: Miller-Rabin and exact roots below the bound, trial division above
-
-
-def outcome(fn, q):
-    try:
-        return fn(q)
-    except ValueError as err:
-        return str(err)
-
-
-def test_prime_power_matches_trial_division_up_to_2e5():
-    mismatched = [
-        q
-        for q in range(-2, 200_001)
-        if outcome(_prime_power, q) != outcome(prime_power_by_trial_division, q)
-    ]
-    assert not mismatched, mismatched[:10]
-
-
-@pytest.mark.parametrize(
-    "q, expected",
-    [
-        (3**20, (3, 20)),
-        (10007**2, (10007, 2)),
-        (7**15, (7, 15)),
-        (3**51, (3, 51)),
-        (3215031751, "3215031751 is not a prime power"),
-        (3825123056546413051, "3825123056546413051 is not a prime power"),
-        (2**81, f"{2**81} is even; only odd characteristic is supported"),
-    ],
-)
-def test_prime_power_below_the_bound(q, expected):
-    assert q < MILLER_RABIN_BOUND
-    assert outcome(_prime_power, q) == expected
-
-
-def test_strong_pseudoprimes_to_small_bases_are_composite():
-    """3215031751 passes bases 2, 3, 5, 7 and 3825123056546413051 every base up to 31."""
-    assert all(strong_probable_prime(3215031751, b) for b in (2, 3, 5, 7))
-    assert all(strong_probable_prime(3825123056546413051, b) for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
-    assert not _is_prime(3215031751)
-    assert not _is_prime(3825123056546413051)
-    assert _is_prime(10**14 + 31) and _is_prime(10007) and _is_prime(41) and _is_prime(43)
-
-
-def test_a_large_prime_is_not_trial_divided(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"trial division of {n}")
-
-    monkeypatch.setattr(gf, "_prime_factors", refuse)
-    monkeypatch.setattr(groups, "_prime_factors", refuse)
-    assert _prime_power(10**14 + 31) == (10**14 + 31, 1)
-
-
-@pytest.mark.parametrize(
-    "q, expected",
-    [
-        (3**52, (3, 52)),
-        (2 * 3**51, f"{2 * 3**51} is not a prime power"),
-        (2**82, f"{2**82} is even; only odd characteristic is supported"),
-    ],
-)
-def test_prime_power_above_the_bound_trial_divides(q, expected):
-    assert q >= MILLER_RABIN_BOUND
-    assert outcome(_prime_power, q) == expected == outcome(prime_power_by_trial_division, q)

@@ -27,6 +27,7 @@ from pstwalk.chars import CycSum, NonIntegralError
 from pstwalk.ctqw import TransferReport
 from pstwalk.groups import GLGroup
 from pstwalk.orbital import build_coset_space
+from pstwalk.record import Record
 from pstwalk.scheme import (
     ConjugacyScheme,
     SpectrumRow,
@@ -454,6 +455,19 @@ def test_records_keep_their_fields_defaults_and_frozen_equality():
     assert conn._fields == ("family", "q", "variant", "labels", "degree")
     assert conn != ("gl", 3, STANDARD, (), 0)
     assert report != TransferReport(True, 1.0, (1.0,), 1.0, 0.5, 3)
+
+
+def test_a_record_filled_with_the_wrong_count_raises():
+    class Pair(Record):
+        __slots__ = _fields = ("a", "b")
+
+        def __init__(self, *values):
+            self._fill(*values)
+
+    assert Pair(1, 2)._asdict() == {"a": 1, "b": 2}
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            Pair(*values)
 
 
 def test_a_coset_space_equals_only_itself():
