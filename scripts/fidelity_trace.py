@@ -21,13 +21,13 @@ import sys
 
 from pstwalk.cayley import FAMILY_TAGS, STANDARD
 from pstwalk.cli import ENUMERATION_BOUND, build_target
-from pstwalk.ctqw import WalkSystem
+from pstwalk.ctqw import WalkSystem, graph_stack
 
 WIDTH = 60
 
 
 def traced_pair(family: str, q: int, variant: str):
-    """The walk on the explicit graph, its first certified pair, tau and a caption."""
+    """The walk on the explicit graph's stack, as the cross-checks make it, its first certified pair, tau and a caption."""
     target = build_target(family, q, variant)
     cert = target.certificate
     if not cert.ok:
@@ -40,7 +40,7 @@ def traced_pair(family: str, q: int, variant: str):
         caption = f"orbital q={q}, cosets H and zH (vertices {a}, {b})"
     else:
         caption = f"{family}(2,{q}) {variant}, pair x, -x (vertices {a}, {b})"
-    walk = WalkSystem.from_adjacency(graph.adjacency, graph.symmetry)
+    walk = WalkSystem.from_stack(*graph_stack(graph))
     return walk, (a, b), cert.time, caption
 
 

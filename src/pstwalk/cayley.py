@@ -331,38 +331,47 @@ def explicit_graph(family, conn: ConnectionSet, bound: int = 10_000) -> Graph:
             f"group order {family.order} exceeds the enumeration bound {bound}"
         )
     sch = ConjugacyScheme(family)
-    adjacency = sch.adjacency(conn.labels)  # builds the scheme's vertex lookup
+    translates = sch.adjacency(conn.labels)  # builds the scheme's vertex lookup
     s, u = family.walk_symmetry()
     partner = translation_map(sch.lookup, family.identity(), family.central_involution())
-    return Graph(adjacency, partner, translation_map(sch.lookup, s, family.inv(u)), {})
+    v = family.inv(u)
+    return Graph(translates, partner, translation_map(sch.lookup, s, v), {}, (s, v))
 
 
-# :func:`component_count` gathers at most this many frontier rows at once, so
-# its temporary stays a thin slice of the adjacency matrix.
-_FRONTIER_ROWS = 128
+def component_count(stack: np.ndarray) -> int:
+    """Number of connected components of a graph, read from its stack B[d] = A[lo, sigma^d lo].
 
-
-def component_count(adjacency: np.ndarray) -> int:
-    """Number of connected components, by breadth-first search one level at a time.
-
-    Each level marks every unseen vertex that a frontier vertex's row
-    reaches; a component ends with an empty level, and the next one starts
-    at the first unseen vertex.
+    The graph is the Z_c-lift of a base graph on the m orbits, with an arc
+    i -> r of voltage d for every entry of B[d][i, r] (Gross and Tucker,
+    *Topological Graph Theory*, 1987, ch. 2).  The lift of a connected base
+    component has gcd(c, net voltages of its closed walks) components.  With
+    phi(i) the voltage from the component's root along a breadth-first tree,
+    those voltages are generated by phi(i) + d - phi(r) over its arcs.  A
+    one-block stack (c = 1) is the graph itself, one component per base
+    component.  O(c m^2) in all; no row of A is read.
     """
     import numpy as np
 
-    a = np.asarray(adjacency)
-    n = a.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    c, m = len(stack), stack.shape[1]
+    i, d, r = np.nonzero(stack.transpose(1, 0, 2))  # the arcs, in order of their tails i
+    phi = np.full(m, -1, dtype=np.int64)
     count = 0
-    while not seen.all():
-        count += 1
-        frontier = np.array([np.argmin(seen)])
-        seen[frontier] = True
-        while len(frontier):
-            reach = np.zeros(n, dtype=bool)
-            for start in range(0, len(frontier), _FRONTIER_ROWS):
-                reach |= a[frontier[start : start + _FRONTIER_ROWS]].any(axis=0)
-            frontier = np.flatnonzero(reach & ~seen)
-            seen[frontier] = True
+    for root in range(m):
+        if phi[root] >= 0:
+            continue
+        phi[root] = 0
+        frontier = np.zeros(m, dtype=bool)
+        frontier[root] = True
+        members = frontier.copy()
+        while frontier.any():
+            out = frontier[i]
+            heads, volts = r[out], phi[i[out]] + d[out]
+            heads, first = np.unique(heads, return_index=True)
+            new = phi[heads] < 0
+            phi[heads[new]] = volts[first[new]] % c
+            frontier[:] = False
+            frontier[heads[new]] = True
+            members |= frontier
+        arcs = members[i]
+        count += int(np.gcd.reduce((phi[i[arcs]] + d[arcs] - phi[r[arcs]]) % c, initial=c))
     return count

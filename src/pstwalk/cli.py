@@ -19,13 +19,14 @@ families, its transfer pairs read off the ``partner`` permutation -- or
 the reason it is skipped.  :func:`cross_checks` runs the explicit checks
 on any target (row sums against the top exact eigenvalue, components,
 numeric spectrum, walk), and one report assembly serves both families.
-The walk is one :class:`~pstwalk.ctqw.WalkSystem`, split into the Fourier
-blocks of the graph's ``symmetry``, a free cyclic automorphism of even order
-c whose power of c/2 must be the partner permutation; the blocks fall on the
-partner's +1 and -1 sides, and each side's numeric spectrum is compared with
-the exact rows of that sign.  A symmetry that is not such an automorphism,
-or whose half-way power is not the partner, fails the cross-check, as does
-any other error the walk raises on the explicit graph.
+They read the graph's stack B[d] = A[lo, sigma^d lo] along its ``symmetry``
+sigma, a free cyclic automorphism of even order c whose power of c/2 must be
+the partner permutation.  The walk is one :class:`~pstwalk.ctqw.WalkSystem`
+made from that stack; its Fourier blocks fall on the partner's +1 and -1
+sides, and each side's numeric spectrum is compared with the exact rows of
+that sign.  A symmetry that is not such an automorphism, or whose half-way
+power is not the partner, fails the cross-check, as does any other error
+the walk raises on the explicit graph.
 The pipeline is public: the scripts in ``scripts/`` build their rows,
 traces and audits through it rather than by hand.
 
@@ -48,10 +49,7 @@ import json
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from . import orbital as orb
@@ -63,8 +61,8 @@ from .cayley import (
     component_count,
     explicit_graph,
 )
-from .ctqw import PairingError, WalkSystem, pst_scan
-from .scheme import Graph, TransferCertificate
+from .ctqw import PairingError, WalkSystem, graph_stack, pst_scan
+from .scheme import Graph, TransferCertificate, Translates
 
 __all__ = [
     "main", "build_parser", "build_target", "cross_checks", "Target",
@@ -84,7 +82,7 @@ EXIT_CROSS_CHECK = 3
 _FORMATS = ("json", "csv", "edges")
 # Encoder chunks per write of report.json.
 _JSON_BATCH = 4096
-# Adjacency entries per block of graph.edges text, 64 KB of a uint8 matrix.
+# Adjacency entries per block of graph.edges text, 64 KB of uint8 rows.
 _EDGE_BLOCK_ENTRIES = 1 << 16
 
 
@@ -185,14 +183,15 @@ def _write_spectrum(path: Path, entries: list[dict]) -> None:
         )
 
 
-def _edge_blocks(adjacency: np.ndarray):
+def _edge_blocks(adjacency):
     """graph.edges as bytes, a block of rows at a time: a line ``i j`` per edge i < j, in row order.
 
-    A block spans about ``_EDGE_BLOCK_ENTRIES`` adjacency entries, at least
-    one row, so its index arrays and text stay bounded however large the
-    graph.  The neighbours above the diagonal become ``b"j\\n"`` strings,
-    and row i is one ``b"i ".join`` over its slice of them.  An edgeless
-    graph is one newline.
+    ``adjacency`` is a matrix or a :class:`~pstwalk.scheme.Translates`.  A
+    block spans about ``_EDGE_BLOCK_ENTRIES`` adjacency entries, at least
+    one row, so its rows, index arrays and text stay bounded however large
+    the graph.  The neighbours above the diagonal become ``b"j\\n"``
+    strings, and row i is one ``b"i ".join`` over its slice of them.  An
+    edgeless graph is one newline.
     """
     import numpy as np
 
@@ -201,7 +200,7 @@ def _edge_blocks(adjacency: np.ndarray):
     step = max(1, _EDGE_BLOCK_ENTRIES // max(1, n))
     edges = 0
     for start in range(0, n, step):
-        rows, cols = np.nonzero(adjacency[start : start + step, start + 1 :])
+        rows, cols = np.nonzero(adjacency[start : start + step][:, start + 1 :])
         upper = rows <= cols  # column start + 1 + c lies above row start + r
         texts = ends[cols[upper] + (start + 1)].tolist()
         edges += len(texts)
@@ -233,11 +232,11 @@ def _write_outputs(
     formats: set[str] | None,
     report: dict,
     csv_entries: list[dict],
-    adjacency: np.ndarray | None,
+    rows: Translates | None,
 ) -> list[Path]:
-    """Write the requested artifacts; 'edges' needs an explicit graph."""
+    """Write the requested artifacts; 'edges' needs an explicit graph's rows."""
     wanted = formats if formats is not None else set(_FORMATS)
-    if "edges" in wanted and adjacency is None:
+    if "edges" in wanted and rows is None:
         if formats is not None:
             raise ValueError(
                 "the edge-list format needs an explicit graph, which this "
@@ -257,7 +256,7 @@ def _write_outputs(
     if "edges" in wanted:
         path = out_dir / "graph.edges"
         with path.open("wb") as f:
-            f.writelines(_edge_blocks(adjacency))
+            f.writelines(_edge_blocks(rows))
         written.append(path)
     return written
 
@@ -288,7 +287,7 @@ def _print_summary(report: dict, written: list[Path]) -> None:
 def _finish(
     report: dict,
     csv_entries: list[dict],
-    adjacency: np.ndarray | None,
+    rows: Translates | None,
     args,
     code: int,
 ) -> int:
@@ -300,7 +299,7 @@ def _finish(
     written = []
     if args.out_dir is not None:
         try:
-            written = _write_outputs(args.out_dir, args.format, report, csv_entries, adjacency)
+            written = _write_outputs(args.out_dir, args.format, report, csv_entries, rows)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -423,19 +422,22 @@ def _spectrum_deviation(walk: WalkSystem, rows) -> float:
 
 def cross_checks(
     target: Target, sim_bound: int, enum_bound: int
-) -> tuple[dict, list[str], np.ndarray | None, bool]:
+) -> tuple[dict, list[str], Translates | None, bool]:
     """Check a target against its explicit graph, within the two bounds.
 
-    Returns the report's cross-check entries, its notes, the adjacency
-    matrix (``None`` when the graph is skipped) and whether every check
-    passed.  A graph with more than ``enum_bound`` elements is not built;
-    one with more than ``sim_bound`` vertices is built but not simulated.
+    Returns the report's cross-check entries, its notes, the graph's rows
+    (``None`` when the graph is skipped) and whether every check passed.  A
+    graph with more than ``enum_bound`` elements is not built; one with more
+    than ``sim_bound`` vertices is built but not simulated.  The checks
+    read the graph's stack B[d] = A[lo, sigma^d lo]: a stack that
+    :func:`~pstwalk.ctqw.graph_stack` refuses skips the simulation and fails
+    the checks at any size; the m stack rows sum to the certificate's
+    degree, loops lie on the diagonal of B[0], and the components are those
+    of the Z_c-lift (:func:`component_count`).
     The walk runs even when the certificate fails, since the mod-4
     certificate is sufficient but not necessary; it counts toward the
-    verdict only when the certificate holds.  The walk is split along the
-    graph's symmetry.  A ``ValueError`` from the walk (a symmetry that is
-    not a free cyclic automorphism of even order, an asymmetric adjacency,
-    an eigendecomposition drift), or a symmetry whose half-way power is not
+    verdict only when the certificate holds.  A ``ValueError`` from the walk
+    (an eigendecomposition drift), or a symmetry whose half-way power is not
     the partner, skips the simulation and fails the checks.
     """
     checks: dict = {}
@@ -444,31 +446,36 @@ def cross_checks(
     if isinstance(graph, str):
         checks["explicit_graph"] = f"skipped: {graph}"
         return checks, notes, None, True
-    adjacency, cert = graph.adjacency, target.certificate
-    n = adjacency.shape[0]
+    rows, cert = graph.translates, target.certificate
+    n = len(rows)
     checks["vertices"] = n
-    row_sums = adjacency.sum(axis=1)
+    checks.update(graph.checks)
+    try:
+        orbits, stack = graph_stack(graph)
+    except ValueError as err:
+        checks["simulation"] = f"skipped: {err}"
+        return checks, notes, rows, False
+    row_sums = stack.sum(axis=(0, 2))
     degree_ok = bool((row_sums == cert.degree).all())
     checks["degree_row_sums_match"] = degree_ok
-    checks.update(graph.checks)
     ok = degree_ok and all(graph.checks.values())
-    components = component_count(adjacency)
+    components = component_count(stack)
     checks["components"] = components
     if cert.connected is not None:
         agrees = (components == 1) == cert.connected
         checks["connectivity_agrees"] = bool(agrees)
         ok &= agrees
     # the complement of a perfect matching: every row sums to n - 2, no loops
-    if (row_sums == n - 2).all() and adjacency.trace() == 0:
+    if (row_sums == n - 2).all() and not stack[0].diagonal().any():
         notes.append(f"the graph is the complement of {n // 2} disjoint edges")
     if n > sim_bound:
         checks["simulation"] = (
             f"skipped: {n} vertices exceed the simulation bound {sim_bound}"
         )
-        return checks, notes, adjacency, ok
+        return checks, notes, rows, ok
     pairs = [(i, int(j)) for i, j in enumerate(graph.partner) if i < j]
     try:
-        walk = WalkSystem.from_adjacency(adjacency, graph.symmetry)
+        walk = WalkSystem.from_stack(orbits, stack)
         moved = walk.pairing != graph.partner
         if moved.any():
             raise PairingError(
@@ -478,7 +485,7 @@ def cross_checks(
         scan = pst_scan(walk, pairs)
     except ValueError as err:
         checks["simulation"] = f"skipped: {err}"
-        return checks, notes, adjacency, False
+        return checks, notes, rows, False
     deviation = _spectrum_deviation(walk, target.rows)
     checks["spectrum_deviation"] = _fmt(deviation)
     spectrum_ok = deviation <= SPECTRUM_TOL
@@ -494,7 +501,7 @@ def cross_checks(
         if scan.ok and abs(scan.time - cert.time) > 1e-12:
             checks["walk_time_agrees"] = False
             ok = False
-    return checks, notes, adjacency, ok
+    return checks, notes, rows, ok
 
 
 def cmd_run(args) -> int:
@@ -505,7 +512,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sim_bound, enum_bound = _bounds(args)
-    checks, notes, adjacency, cross_ok = cross_checks(target, sim_bound, enum_bound)
+    checks, notes, rows, cross_ok = cross_checks(target, sim_bound, enum_bound)
     cert = target.certificate
     csv_entries = [
         {
@@ -538,7 +545,7 @@ def cmd_run(args) -> int:
         code = EXIT_CROSS_CHECK
     else:
         code = EXIT_OK
-    return _finish(report, csv_entries, adjacency, args, code)
+    return _finish(report, csv_entries, rows, args, code)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ double-coset graph).  The walk is split along a free cyclic symmetry sigma
 of even order c whose power sigma^(c/2) is P: x -> s x u^-1 on a Cayley
 graph, for a torus generator s with s^(|s|/2) = -I and a unipotent u
 (c = p |s|), and rH -> s rH for a Singer element s of GL(2, q^2) on the
-double-coset graph (c = (q + 1)(q^2 + 1)).  :meth:`WalkSystem.from_adjacency`
-picks one vertex lo_r on each of the m = n/c orbits, q -+ 1 at a prime q,
-(q -+ 1) q/p at a power of p and q on the coset graph, and reads the stack
-B[d] = A[lo, sigma^d lo].  In the basis sigma^p lo_r, A is block circulant,
+double-coset graph (c = (q + 1)(q^2 + 1)).  The walk reads only the stack
+B[d] = A[lo, sigma^d lo] for one vertex lo_r on each of the m = n/c orbits,
+q -+ 1 at a prime q, (q -+ 1) q/p at a power of p and q on the coset graph,
+gathered by :func:`graph_stack` or :meth:`WalkSystem.from_adjacency`.  In
+the basis sigma^p lo_r, A is block circulant,
 so the Fourier vectors along each orbit split it into the c blocks
 A_j = sum_d omega^(jd) B[d] of size m, omega = exp(2 pi i / c) (Babai,
 *Spectra of Cayley graphs*, 1979; Davis, *Circulant Matrices*, 1979).
@@ -27,9 +28,9 @@ blocks j = 0 ... c/2, complex Hermitian when c > 2, diagonalises A.  P acts
 as (-1)^j on block j, so each side's eigenvalues can be compared with the
 exact rows of that sign.  With c = 2 the blocks are the two real halves
 A[lo, lo] +- A[lo, P lo]; without a symmetry the single block is A.
-An integer A, such as the one-byte 0/1 matrices of the explicit graphs, is
-read as it is: its symmetry and automorphism tests are exact, the stack B
-is gathered in its own type, and only the Fourier products are float.
+The checks are exact: sigma's orbits on the permutation, A = A^T as
+B[-d] = B[d]^T.  An integer stack, such as the one-byte 0/1 stacks of the
+explicit graphs, is read as it is; only the Fourier products are float.
 
 Everything here is floating point and deliberately independent of the
 character-sum route, so agreement between the two is evidence rather
@@ -42,6 +43,7 @@ from math import gcd, pi
 from typing import TYPE_CHECKING, Sequence
 
 from .record import Record
+from .scheme import translation_map
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,6 +52,8 @@ __all__ = [
     "NonIntegralSpectrumError",
     "PairingError",
     "WalkSystem",
+    "check_symmetric",
+    "graph_stack",
     "integer_eigenvalues",
     "derive_transfer_time",
     "TransferReport",
@@ -66,6 +70,8 @@ MID_SLACK = 1e-3
 # rows per slice of the symmetry, automorphism and eigendecomposition drift
 # checks, so that none of them holds an n x n temporary
 CHECK_ROWS = 128
+# cosine or sine entries per product of the Fourier blocks, 64 KB of float64
+FOURIER_ENTRIES = 1 << 13
 # Fourier blocks per step of the fidelity sums, a fixed run so that a pair sums alike in any batch
 FIDELITY_BLOCKS = 16
 
@@ -82,35 +88,45 @@ def _row_slices(n: int):
     return (slice(i, i + CHECK_ROWS) for i in range(0, n, CHECK_ROWS))
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    """Refuse an A that is not symmetric: exactly for integer A, within TOL for float.
+def check_symmetric(stack: np.ndarray) -> None:
+    """Refuse a stack with B[d][i, r] != B[-d][r, i] anywhere: exactly for integers, within TOL for floats.
 
-    Each slice of rows is compared, from the diagonal on, with a contiguous
-    copy of the matching columns, so the upper triangle is read once.
+    A[sigma^a lo_i, sigma^b lo_r] is B[b - a][i, r], so for an automorphism
+    sigma this is the test of A = A^T.  Each slice of rows i is compared
+    with a copy of the matching columns, so no temporary exceeds c slices.
     """
     import numpy as np
 
-    exact = a.dtype.kind in "ui"
-    for rows in _row_slices(len(a)):
-        upper = a[rows, rows.start :]
-        lower = np.ascontiguousarray(a[rows.start :, rows]).T
-        if (upper != lower).any() if exact else np.abs(upper - lower).max() > TOL:
+    back = -np.arange(len(stack)) % len(stack)
+    for rows in _row_slices(stack.shape[1]):
+        upper = stack[:, rows]
+        lower = stack[:, :, rows].take(back, axis=0).transpose(0, 2, 1)
+        if (upper != lower).any() if stack.dtype.kind in "ui" else np.abs(upper - lower).max() > TOL:
             raise ValueError("adjacency must be symmetric")
 
 
-def _orbits(a: np.ndarray, symmetry) -> np.ndarray:
+def _refusal(order: int, reason: str) -> PairingError:
+    if order == 2:
+        return PairingError(f"the pairing {reason}")
+    return PairingError(f"the pairing is not an involution at vertex 0, and the symmetry {reason}")
+
+
+def _not_an_automorphism(order: int, detail: str) -> PairingError:
+    return _refusal(order, f"{'' if order == 2 else f'of order {order} '}is not an automorphism: {detail}")
+
+
+def _orbits(symmetry, n: int) -> np.ndarray:
     """The orbits of ``symmetry`` as a (c, m) table, row d holding sigma^d of each orbit's least vertex.
 
     The order c is the length of vertex 0's orbit.  Raises
     :class:`PairingError` at the first bad vertex unless sigma is a map of
-    the vertices with sigma^c the identity, no sigma^k for 0 < k < c fixes a
-    vertex, c is even and A[sigma][:, sigma] == A exactly.  With c = 2 sigma
-    is the pairing; a sigma of any other order is not an involution at
-    vertex 0, and its refusal says so first.
+    the n vertices with sigma^c the identity, no sigma^k for 0 < k < c fixes
+    a vertex, and c is even: O(n c) gathers on the permutation alone.  With
+    c = 2 sigma is the pairing; a sigma of any other order is not an
+    involution at vertex 0, and its refusal says so first.
     """
     import numpy as np
 
-    n = len(a)
     s = np.asarray(symmetry)
     if s.shape != (n,) or not np.issubdtype(s.dtype, np.integer) or ((s < 0) | (s >= n)).any():
         raise PairingError(f"the pairing must map each of the {n} vertices to a vertex")
@@ -120,33 +136,21 @@ def _orbits(a: np.ndarray, symmetry) -> np.ndarray:
     c, x = 1, int(s[0])
     while x != 0 and c <= n:
         c, x = c + 1, int(s[x])
-
-    def refuse(reason: str):
-        if c == 2:
-            return PairingError(f"the pairing {reason}")
-        return PairingError(f"the pairing is not an involution at vertex 0, and the symmetry {reason}")
-
     if c > n:
-        raise refuse("does not return vertex 0")
+        raise _refusal(c, "does not return vertex 0")
     if c % 2:
-        raise refuse(f"has odd order {c}")
+        raise _refusal(c, f"has odd order {c}")
     power, least = s, np.minimum(vertices, s)
     for k in range(2, c + 1):
         power = s[power]
         returned = power == vertices
         if k < c and returned.any():
-            raise refuse(f"of order {c} returns vertex {int(returned.argmax())} after {k} steps")
+            raise _refusal(c, f"of order {c} returns vertex {int(returned.argmax())} after {k} steps")
         least = np.minimum(least, power)
     if not returned.all():
         if c == 2:
-            raise refuse(f"is not an involution at vertex {int(returned.argmin())}")
-        raise refuse(f"of order {c} does not return vertex {int(returned.argmin())} after {c} steps")
-    for rows in _row_slices(n):
-        bad = (a[s[rows]].take(s, axis=1) != a[rows]).any(axis=1)
-        if bad.any():
-            vertex = rows.start + int(bad.argmax())
-            order = "" if c == 2 else f"of order {c} "
-            raise refuse(f"{order}is not an automorphism: it moves the edges of vertex {vertex}")
+            raise _refusal(c, f"is not an involution at vertex {int(returned.argmin())}")
+        raise _refusal(c, f"of order {c} does not return vertex {int(returned.argmin())} after {c} steps")
     orbits = np.empty((c, n // c), dtype=np.int64)
     orbits[0] = np.flatnonzero(least == vertices)
     for d in range(1, c):
@@ -154,24 +158,81 @@ def _orbits(a: np.ndarray, symmetry) -> np.ndarray:
     return orbits
 
 
-def _fourier_blocks(a: np.ndarray, orbits: np.ndarray) -> np.ndarray:
-    """The blocks A_j = sum_d omega^(jd) A[lo, sigma^d lo] for j = 0 ... c/2.
+def _scan_automorphism(rows, symmetry: np.ndarray, order: int) -> None:
+    """Refuse a sigma with A[sigma x, sigma y] != A[x, y] anywhere: the exact scan.
 
-    The stack is gathered from A as it is; one (c/2 + 1) x c product with the
-    cosines, and one with the sines when c > 2, makes every block.  With
-    c = 2 the two rows of the DFT matrix are (1, 1) and (1, -1), exactly.
+    ``rows`` gives the rows of A for a slice or an index array of vertices,
+    as a matrix or a :class:`~pstwalk.scheme.Translates` does; it is read a
+    slice of ``CHECK_ROWS`` rows at a time.
+    """
+    for block in _row_slices(len(symmetry)):
+        bad = (rows[symmetry[block]].take(symmetry, axis=1) != rows[block]).any(axis=1)
+        if bad.any():
+            vertex = block.start + int(bad.argmax())
+            raise _not_an_automorphism(order, f"it moves the edges of vertex {vertex}")
+
+
+def _gather(rows: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+    """The stack B[d] = A[lo, sigma^d lo], shape (c, m, m), from the rows A[lo] of the orbits' least vertices."""
+    import numpy as np
+
+    return rows[np.arange(orbits.shape[1])[None, :, None], orbits[:, None, :]]
+
+
+def graph_stack(graph) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit table of a :class:`~pstwalk.scheme.Graph`'s symmetry and its checked stack.
+
+    sigma's structure is checked on the permutation (:func:`_orbits`).  When
+    sigma is the map x -> s x v of the graph's ``translation``, sigma(x S) is
+    s x S v and the neighbours of sigma(x) are s x v S, so one vertex's
+    neighbours decide that it is an automorphism (v S v^-1 = S; a class union
+    S always passes).  Otherwise every row is scanned.  The stack is gathered
+    from the rows of the orbits' least vertices and must satisfy
+    B[-d] = B[d]^T.  Raises :class:`PairingError` or ``ValueError``.
     """
     import numpy as np
 
-    c, m = orbits.shape
-    stack = a[orbits[0][None, :, None], orbits[:, None, :]].reshape(c, m * m)
-    angles = 2 * pi / c * (np.outer(np.arange(c // 2 + 1), np.arange(c)) % c)
-    if c <= 2:
-        return (np.cos(angles) @ stack).reshape(-1, m, m)
-    blocks = np.empty((len(angles), m, m), dtype=complex)
-    blocks.real = (np.cos(angles) @ stack).reshape(-1, m, m)
-    blocks.imag = (np.sin(angles) @ stack).reshape(-1, m, m)
-    return blocks
+    rows, sigma = graph.translates, graph.symmetry
+    orbits = _orbits(sigma, len(rows))
+    if graph.translation is None or not np.array_equal(sigma, translation_map(rows.lookup, *graph.translation)):
+        _scan_automorphism(rows, sigma, len(orbits))
+    else:  # sorted, since np.unique and np.setxor1d load numpy.ma (1.4 MB of RSS)
+        image, near = np.sort(sigma[rows.neighbours([0])], None), np.sort(rows.neighbours(sigma[:1]), None)
+        if not np.array_equal(image, near):
+            raise _not_an_automorphism(len(orbits), "it moves the edges of vertex 0")
+    stack = _gather(rows[orbits[0]], orbits)
+    check_symmetric(stack)
+    return orbits, stack
+
+
+def _fourier_blocks(stack: np.ndarray) -> np.ndarray:
+    """The blocks A_j = sum_d omega^(jd) B[d] for j = 0 ... c/2.
+
+    The stack is read as float once.  The cosine and sine rows are made
+    ``FOURIER_ENTRIES`` at a time, a run of j per product, so no temporary
+    grows with c^2.  With c = 2 the blocks are B[0] + B[1] and B[0] - B[1],
+    exactly, and with c = 1 the one block is B[0].
+    """
+    import numpy as np
+
+    c, m = len(stack), stack.shape[1]
+    if c == 1:
+        return stack.astype(float, copy=False)
+    if c == 2:
+        blocks = np.empty((2, m, m))
+        np.add(stack[0], stack[1], out=blocks[0], dtype=float)
+        np.subtract(stack[0], stack[1], out=blocks[1], dtype=float)
+        return blocks
+    flat = stack.reshape(c, m * m).astype(float)
+    half = c // 2 + 1
+    blocks = np.empty((half, m * m), dtype=complex)
+    step = max(1, FOURIER_ENTRIES // max(c, m * m))
+    for start in range(0, half, step):
+        j = np.arange(start, min(start + step, half))
+        angles = 2 * pi / c * (np.outer(j, np.arange(c)) % c)
+        blocks.real[start : start + len(j)] = np.cos(angles) @ flat
+        blocks.imag[start : start + len(j)] = np.sin(angles) @ flat
+    return blocks.reshape(half, m, m)
 
 
 def _drift(blocks: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
@@ -231,35 +292,25 @@ class WalkSystem:
         self.pairing = pairing
 
     @classmethod
-    def from_adjacency(cls, adjacency, symmetry=None) -> "WalkSystem":
-        """Diagonalise A, or its Fourier blocks along ``symmetry``, with one ``eigh`` call.
+    def from_stack(cls, orbits: np.ndarray, stack: np.ndarray) -> "WalkSystem":
+        """Diagonalise a graph from its checked stack B[d] = A[lo, sigma^d lo] with one ``eigh`` call.
 
-        ``symmetry`` is sigma, a free cyclic automorphism of even order c; a
-        pairing P is the case c = 2 and gives the two real blocks A+ and A-.
-        Integer input, signed or unsigned, is read as it is, with no float
-        copy of A.  Raises :class:`PairingError` when ``symmetry`` is given
-        and is not such an automorphism, and ``ValueError`` when A is not
-        symmetric or the decomposition drifts by more than ``TOL``.
+        ``orbits`` is sigma's (c, m) orbit table, row d holding sigma^d of
+        each orbit's least vertex; c = 1 is a graph without a symmetry.
+        Raises ``ValueError`` when the decomposition drifts by more than
+        ``TOL``.
         """
         import numpy as np
 
-        a = np.asarray(adjacency)
-        if a.dtype.kind not in "uif":
-            a = a.astype(float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        n = len(a)
-        _check_symmetric(a)
-        if symmetry is None:
-            orbits, pairing = np.arange(n)[None], None
-            blocks, sides = a.astype(float, copy=False)[None], (None,)
-        else:
-            orbits = _orbits(a, symmetry)
-            pairing = np.empty(n, dtype=np.int64)
-            pairing[orbits] = np.roll(orbits, -(len(orbits) // 2), axis=0)
-            blocks = _fourier_blocks(a, orbits)
-            sides = tuple((-1) ** j for j in range(len(blocks)))
         c, m = orbits.shape
+        n = c * m
+        blocks = _fourier_blocks(stack)
+        if c == 1:
+            pairing, sides = None, (None,)
+        else:
+            pairing = np.empty(n, dtype=np.int64)
+            pairing[orbits] = np.roll(orbits, -(c // 2), axis=0)
+            sides = tuple((-1) ** j for j in range(len(blocks)))
         rows, offsets = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         rows[orbits], offsets[orbits] = np.arange(m), np.arange(c)[:, None]
         w, v = np.linalg.eigh(blocks)
@@ -268,6 +319,34 @@ class WalkSystem:
             raise ValueError(f"eigendecomposition drift {drift:.3e} exceeds {TOL:.0e}")
         union = np.sort(np.repeat(w, _counts(c), axis=0), axis=None)
         return cls(union, w, v, sides, c, rows, offsets, pairing)
+
+    @classmethod
+    def from_adjacency(cls, adjacency, symmetry=None) -> "WalkSystem":
+        """The dense adapter of :meth:`from_stack`: gather the stack from a matrix A.
+
+        ``symmetry`` is sigma, a free cyclic automorphism of even order c; a
+        pairing P is the case c = 2 and gives the two real blocks A+ and A-.
+        Integer input, signed or unsigned, is read as it is, with no float
+        copy of A.  Raises :class:`PairingError` when ``symmetry`` is given
+        and is not such an automorphism (every row is scanned), and
+        ``ValueError`` when A is not symmetric or the decomposition drifts by
+        more than ``TOL``.
+        """
+        import numpy as np
+
+        a = np.asarray(adjacency)
+        if a.dtype.kind not in "uif":
+            a = a.astype(float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {a.shape}")
+        if symmetry is None:
+            orbits, stack = np.arange(len(a))[None], a[None]
+        else:
+            orbits = _orbits(symmetry, len(a))
+            _scan_automorphism(a, np.asarray(symmetry), len(orbits))
+            stack = _gather(a[orbits[0]], orbits)
+        check_symmetric(stack)
+        return cls.from_stack(orbits, stack)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)

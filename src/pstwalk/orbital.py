@@ -59,9 +59,9 @@ from .scheme import (
     Graph,
     SpectrumRow,
     TransferCertificate,
+    Translates,
     VertexLookup,
     transfer_certificate,
-    translation_adjacency,
     translation_map,
 )
 
@@ -372,8 +372,9 @@ def build_gamma(space: CosetSpace) -> Graph:
     s^k in F_q^x, so the symmetry is free of order c = (q + 1)(q^2 + 1), its
     power c/2 is the pairing, and its Fourier blocks have size q.
     Every coset is read literally off the enumerated group, with no reliance
-    on the Frobenius invariant.  The degree is left to the cross-checks,
-    which compare it with the top eigenvalue.
+    on the Frobenius invariant.  An arc (i, j) without its reverse raises,
+    naming the first asymmetric entry of A.  The symmetry and the degree
+    are left to the cross-checks.
     """
     if not space.explicit:
         raise ValueError(
@@ -390,19 +391,22 @@ def build_gamma(space: CosetSpace) -> Graph:
     import numpy as np
 
     lookup = VertexLookup(space.reps, space.coset_index, group.field)
-    adjacency = translation_adjacency(lookup, _connection(space))
-    asymmetric = np.argwhere(adjacency != adjacency.T)
-    if len(asymmetric):
-        i, j = asymmetric[0]
-        raise RuntimeError(
-            f"build_gamma: adjacency is not symmetric: entry ({i}, {j}) is "
-            f"{adjacency[i, j]} but ({j}, {i}) is {adjacency[j, i]}"
-        )
     partner = translation_map(lookup, group.identity(), space.z)
     symmetry = translation_map(lookup, group.walk_symmetry()[0], group.identity())
     vertices = np.arange(len(partner))
     matching = bool((partner[partner] == vertices).all() and (partner != vertices).all())
-    return Graph(adjacency, partner, symmetry, {"involution_is_perfect_matching": matching})
+    translates = Translates(lookup, _connection(space))
+    n = len(vertices)
+    arcs = np.sort(vertices[:, None] * n + translates.neighbours(vertices), None)  # keys i n + j
+    back = arcs % n * n + arcs // n
+    lone = ~np.isin(back, arcs)
+    if lone.any():
+        first = int(np.minimum(arcs[lone], back[lone]).min())
+        (i, j), a_ij = divmod(first, n), int(first in arcs[lone])
+        raise RuntimeError(
+            f"build_gamma: adjacency is not symmetric: entry ({i}, {j}) is {a_ij} but ({j}, {i}) is {1 - a_ij}"
+        )
+    return Graph(translates, partner, symmetry, {"involution_is_perfect_matching": matching})
 
 
 # ---------------------------------------------------------------------------

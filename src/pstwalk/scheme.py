@@ -31,21 +31,21 @@ g = 2 (mod 4); it rejects the odd-gap transfers the parity form also
 certifies.
 
 Where a group is small enough to enumerate, both families also build their
-graph explicitly through one builder, :func:`translation_adjacency`: row i
-marks the vertex of r_i s for every s in a connection list.  The products
-are array products.  Row 1 of r s is the vector (a, b) s and row 2 is
-(c, d) s, so each product is found from its two rows.  A
-:class:`VertexLookup`, built once per graph, numbers the R distinct rows
-of the group's elements and holds the vertex of every element in an
-(R + 1) x (R + 1) table of row-id pairs, -1 where a pair is no vertex.  One
-table of the row ids of v s, for every row v of a representative and every
-s, is read through the field's q x q multiplication and addition tables;
-each product is then two gathers from it, a multiply-add and one index into
-the vertex table.  R is at most q_f^2 - 1 for the coefficient field
-F_{q_f}, so both tables scale with the vectors of F_{q_f}^2 rather than
-with q_f^4 matrix keys: at gu 9 (over F_81) R = 720, and the vertex table
-takes 1 MB and the row table about 4 MB against the 52 MB ``uint8``
-adjacency.
+graph explicitly through one builder, :class:`Translates`: row i marks the
+vertex of r_i s for every s in a connection list.  No n x n array is held;
+the rows of any block of vertices are made on demand.  The products are
+array products.  Row 1 of r s is the vector (a, b) s and row 2 is (c, d) s,
+so each product is found from its two rows.  A :class:`VertexLookup`, built
+once per graph, numbers the R distinct rows of the group's elements and
+holds the vertex of every element in an (R + 1) x (R + 1) table of row-id
+pairs, -1 where a pair is no vertex.  One table of the row ids of v s, for
+every row v of a representative and every s, is read through the field's
+q x q multiplication and addition tables, once per graph; each product is
+then two gathers from it, a multiply-add and one index into the vertex
+table.  R is at most q_f^2 - 1 for the coefficient field F_{q_f}, so both
+tables scale with the vectors of F_{q_f}^2 rather than with q_f^4 matrix
+keys: at gu 9 (over F_81) R = 720, and the vertex table takes 1 MB and the
+row table about 4 MB, where an n x n ``uint8`` adjacency would take 52 MB.
 :func:`translation_map` gives the transfer pairing and the walk's symmetry as
 maps i -> vertex of left r_i right, by O(n) gathers through the same tables.
 """
@@ -73,7 +73,7 @@ __all__ = [
     "ConjugacyScheme",
     "Graph",
     "VertexLookup",
-    "translation_adjacency",
+    "Translates",
     "translation_map",
 ]
 
@@ -239,15 +239,15 @@ class ConjugacyScheme:
         """The vertex of every product of elements, built on first use."""
         return VertexLookup(self.elements, self.index, self.family.field)
 
-    def adjacency(self, labels: Sequence[ClassLabel]) -> np.ndarray:
-        """Adjacency matrix of the Cayley graph on the class union.
+    def adjacency(self, labels: Sequence[ClassLabel]) -> Translates:
+        """The rows of the Cayley graph on the class union, given on demand.
 
         Row g marks g x for x in the union, which is x' g for x' = g x g^{-1}
         in the same union.
         """
         fam = self.family
         members = [x for lab in labels for x in fam.class_elements(lab)]
-        return translation_adjacency(self.lookup, members)
+        return Translates(self.lookup, members)
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +257,28 @@ class ConjugacyScheme:
 class Graph(NamedTuple):
     """An explicitly built graph, the vertex pairing its walk must exchange and a symmetry.
 
-    ``adjacency`` is the 0/1 ``uint8`` matrix, one byte per entry.
-    ``partner[i]`` is the vertex paired with vertex i, so the transfer pairs
-    are (i, partner[i]).  ``symmetry`` is a free cyclic automorphism of even
-    order c whose power of c/2 should be ``partner``; the walk is split
-    along it into blocks of n/c: x -> s x u^-1 of order p |s| on a Cayley
-    graph, rH -> s rH of order (q + 1)(q^2 + 1) on the coset graph.
-    ``checks`` holds structural checks only one family has.
+    ``translates`` gives the 0/1 rows of any block of vertices on demand
+    (:class:`Translates`); no n x n array is held.  ``partner[i]`` is the
+    vertex paired with vertex i, so the transfer pairs are (i, partner[i]).
+    ``symmetry`` is a free cyclic automorphism of even order c whose power of
+    c/2 should be ``partner``; the walk is split along it into blocks of n/c:
+    x -> s x u^-1 of order p |s| on a Cayley graph, rH -> s rH of order
+    (q + 1)(q^2 + 1) on the coset graph.  ``checks`` holds structural checks
+    only one family has.  ``translation`` is (s, v) when ``symmetry`` is
+    meant as x -> s x v, ``None`` on the coset graph.
     """
 
-    adjacency: np.ndarray
+    translates: Translates
     partner: np.ndarray
     symmetry: np.ndarray
     checks: dict[str, bool]
+    translation: tuple[Mat2, Mat2] | None = None
 
 
 # Products per row block: each of the block's temporaries is a (rows x |S|)
 # array of at most this many entries, 1 MB at int64.
 _BLOCK_ENTRIES = 1 << 17
+_IDENTITY = Mat2(1, 0, 0, 1)
 
 
 def _as_array(elements: Sequence) -> np.ndarray:
@@ -302,7 +306,7 @@ class VertexLookup:
     all -1, as is every pair of rows that is no element.  ``vectors`` holds
     the keys of the rows that occur among the representatives, and ``top``
     and ``bottom`` the position in it of each representative's two rows.
-    Built once per graph and read by :func:`translation_adjacency` and
+    Built once per graph and read by :class:`Translates` and
     :func:`translation_map`.
     """
 
@@ -348,43 +352,57 @@ def _row_table(lookup: VertexLookup, connection: Sequence) -> np.ndarray:
     return ids
 
 
-def _translate(lookup: VertexLookup, connection: Sequence):
-    """The vertices of ``r s``: (start, a rows x |S| array) per block of representatives.
+class Translates:
+    """The 0/1 rows of a graph whose row i marks the vertex of r_i s for every s in a connection list.
 
-    Row 1 of r s is (row 1 of r) s and row 2 is (row 2 of r) s: two gathers
-    from the :func:`_row_table` of the representatives' rows give the ids i,
-    j of the product's rows, and its vertex is entry i (R + 1) + j of the
-    lookup's table.
+    ``lookup`` numbers the vertices and the rows of their representatives
+    r_i, and ``products`` is its :func:`_row_table` for ``connection``,
+    built once.  Row 1 of r s is (row 1 of r) s and row 2 is (row 2 of r) s,
+    so two gathers from ``products`` give the ids i, j of the product's rows
+    and its vertex is entry i (R + 1) + j of the lookup's table.  Indexing
+    with a slice or an array of vertices gives their rows as a ``uint8``
+    matrix, a block of about ``_BLOCK_ENTRIES`` products at a time; a
+    connection list that reaches one vertex twice marks it once.  Building
+    reads row 0: a group element r_0 s is in the group exactly when s is, so
+    a connection element outside it raises ``KeyError`` there, naming r_0 s.
     """
-    import numpy as np
 
-    products = _row_table(lookup, connection)
-    step = max(1, _BLOCK_ENTRIES // max(1, len(connection)))
-    for start in range(0, lookup.size, step):
-        at = products[lookup.top[start : start + step]].astype(np.intp)
+    __slots__ = ("lookup", "connection", "products")
+
+    def __init__(self, lookup: VertexLookup, connection: Sequence):
+        self.lookup, self.connection = lookup, connection
+        self.products = _row_table(lookup, connection)
+        self.neighbours([0])
+
+    def __len__(self) -> int:
+        return self.lookup.size
+
+    def neighbours(self, vertices) -> np.ndarray:
+        """The vertex of r s for each of ``vertices`` (rows) and each s (columns)."""
+        import numpy as np
+
+        lookup = self.lookup
+        at = self.products[lookup.top[vertices]].astype(np.intp)
         at *= lookup.width
-        at += products[lookup.bottom[start : start + step]]
+        at += self.products[lookup.bottom[vertices]]
         cols = lookup.table[at]
         if (cols < 0).any():  # each earlier r s is a vertex: this raises, naming r s
             k = int((cols < 0).argmax()) % cols.shape[1]
-            translation_map(lookup, Mat2(1, 0, 0, 1), connection[k])
-        yield start, cols
+            translation_map(lookup, _IDENTITY, self.connection[k])
+        return cols
 
+    def __getitem__(self, vertices) -> np.ndarray:
+        import numpy as np
 
-def translation_adjacency(lookup: VertexLookup, connection: Sequence) -> np.ndarray:
-    """0/1 ``uint8`` matrix whose row i marks the vertex of ``reps[i] s`` for every s.
-
-    The products are taken a block of rows at a time by :func:`_translate`;
-    a product that is not a key of the lookup's ``vertex_of`` raises
-    ``KeyError``.  A connection list that reaches one vertex twice marks it
-    once, so the row falls short of ``len(connection)``.
-    """
-    import numpy as np
-
-    out = np.zeros((lookup.size, lookup.size), dtype=np.uint8)
-    for start, cols in _translate(lookup, connection):
-        out[np.arange(start, start + len(cols))[:, None], cols] = 1
-    return out
+        n = self.lookup.size
+        if isinstance(vertices, slice):
+            vertices = np.arange(*vertices.indices(n))
+        out = np.zeros((len(vertices), n), dtype=np.uint8)
+        step = max(1, _BLOCK_ENTRIES // max(1, len(self.connection)))
+        for start in range(0, len(vertices), step):
+            cols = self.neighbours(vertices[start : start + step])
+            out[np.arange(start, start + len(cols))[:, None], cols] = 1
+        return out
 
 
 def translation_map(lookup: VertexLookup, left, right) -> np.ndarray:

@@ -24,6 +24,7 @@ from pstwalk.chars import (
     cyclotomic_polynomial,
     integer_part,
 )
+from pstwalk import scheme
 from pstwalk.ctqw import WalkSystem, integer_eigenvalues
 from pstwalk.groups import ClassLabel, IrrLabel, Mat2
 from pstwalk.orbital import CosetSpace, build_coset_space
@@ -317,6 +318,58 @@ def translation_adjacency_reference(reps, vertex_of, mul, connection) -> np.ndar
     return out
 
 
+def translation_adjacency(lookup, connection) -> np.ndarray:
+    """The dense reference of the row blocks: the n x n ``uint8`` matrix marking ``reps[i] s`` in row i.
+
+    The whole matrix at once, as the builder made it before it gave rows on
+    demand: each product's two row ids come from the lookup's row table and
+    its vertex from the vertex table, a block of rows at a time.  A product
+    that is no vertex raises ``KeyError`` naming it.
+    """
+    products = scheme._row_table(lookup, connection)
+    out = np.zeros((lookup.size, lookup.size), dtype=np.uint8)
+    step = max(1, (1 << 17) // max(1, len(connection)))
+    for start in range(0, lookup.size, step):
+        block = slice(start, start + step)
+        at = products[lookup.top[block]].astype(np.intp) * lookup.width + products[lookup.bottom[block]]
+        cols = lookup.table[at]
+        if (cols < 0).any():
+            k = int((cols < 0).argmax()) % cols.shape[1]
+            scheme.translation_map(lookup, Mat2(1, 0, 0, 1), connection[k])
+        out[np.arange(start, start + len(cols))[:, None], cols] = 1
+    return out
+
+
+def dense_adjacency(graph) -> np.ndarray:
+    """The n x n ``uint8`` adjacency of an explicit graph, or of its :class:`~pstwalk.scheme.Translates`:
+    every row, as the graph gives them."""
+    return getattr(graph, "translates", graph)[:]
+
+
+def dense_component_count(adjacency) -> int:
+    """Number of connected components, by breadth-first search one level at a time over a dense matrix.
+
+    Each level marks every unseen vertex that a frontier vertex's row
+    reaches, 128 frontier rows at a time; a component ends with an empty
+    level, and the next one starts at the first unseen vertex.
+    """
+    a = np.asarray(adjacency)
+    n = a.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    count = 0
+    while not seen.all():
+        count += 1
+        frontier = np.array([np.argmin(seen)])
+        seen[frontier] = True
+        while len(frontier):
+            reach = np.zeros(n, dtype=bool)
+            for start in range(0, len(frontier), 128):
+                reach |= a[frontier[start : start + 128]].any(axis=0)
+            frontier = np.flatnonzero(reach & ~seen)
+            seen[frontier] = True
+    return count
+
+
 def translation_map_reference(reps, vertex_of, mul, left, right) -> np.ndarray:
     """The vertex map i -> ``vertex_of[mul(mul(left, reps[i]), right)]``."""
     return np.array([vertex_of[mul(mul(left, r), right)] for r in reps], dtype=np.int64)
@@ -543,7 +596,7 @@ def label_of(scheme, element):
 
 def relation_matrices(scheme) -> list[np.ndarray]:
     """One relation per conjugacy class, in class order."""
-    return [scheme.adjacency([c]) for c in scheme.family.classes()]
+    return [dense_adjacency(scheme.adjacency([c])) for c in scheme.family.classes()]
 
 
 def idempotent(scheme, irr) -> np.ndarray:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from oracles import (
+    dense_adjacency,
     double_coset_of,
     idempotent,
     integer_rows_with_signs,
@@ -32,7 +33,7 @@ from pstwalk.cayley import (
     make_family,
 )
 from pstwalk.chars import CycSum
-from pstwalk.ctqw import FIDELITY_TOL, pst_scan
+from pstwalk.ctqw import FIDELITY_TOL, graph_stack, pst_scan
 from pstwalk.scheme import ConjugacyScheme
 
 SPECTRUM_TOL = 1e-8
@@ -80,7 +81,7 @@ def test_criterion_1_gl3_standard():
     assert math.isclose(cert.time, math.pi / 2)
 
     graph = explicit_graph(family, conn)
-    adjacency = graph.adjacency
+    adjacency = dense_adjacency(graph)
     assert spectrum_deviation(adjacency, [(r.theta, r.multiplicity) for r in rows]) <= SPECTRUM_TOL
 
     pairs = transfer_pairs(graph)
@@ -114,8 +115,8 @@ def test_criterion_2_gl3_small_orders():
         assert r.theta % 4 == want
 
     graph = explicit_graph(family, conn)
-    assert cert.connected and component_count(graph.adjacency) == 1
-    run_walk(graph.adjacency, transfer_pairs(graph))
+    assert cert.connected and component_count(graph_stack(graph)[1]) == 1
+    run_walk(dense_adjacency(graph), transfer_pairs(graph))
 
     assert time.perf_counter() - start < 5.0
 
@@ -125,7 +126,7 @@ def test_criterion_3_gl5():
     family, conn, rows, cert, audit = analyze("gl", 5)
 
     graph = explicit_graph(family, conn)
-    adjacency = graph.adjacency
+    adjacency = dense_adjacency(graph)
     assert len(adjacency) == 480
     members = set_members(family, conn)
     assert conn.degree == len(members) == 286
@@ -169,7 +170,7 @@ def test_criterion_4_sl():
         assert all(c.agrees for c in audit)
 
         graph = explicit_graph(family, conn)
-        run_walk(graph.adjacency, transfer_pairs(graph))
+        run_walk(dense_adjacency(graph), transfer_pairs(graph))
 
     assert time.perf_counter() - start < 30.0
 
@@ -196,7 +197,7 @@ def test_criterion_5_gu():
             assert bad_linear == {"linear(0)", "linear(2)"}
 
             graph = explicit_graph(family, conn)
-            run_walk(graph.adjacency, transfer_pairs(graph))
+            run_walk(dense_adjacency(graph), transfer_pairs(graph))
 
     assert time.perf_counter() - start < 60.0
 
@@ -222,12 +223,12 @@ def test_criterion_6_orbital_q3():
     rows = orbital.orbital_spectrum(3)
     assert all(isinstance(r.theta - r.sign, int) and (r.theta - r.sign) % 4 == 0 for r in rows)
 
-    deviation = spectrum_deviation(graph.adjacency, [(r.theta, r.multiplicity) for r in rows])
+    deviation = spectrum_deviation(dense_adjacency(graph), [(r.theta, r.multiplicity) for r in rows])
     assert deviation <= SPECTRUM_TOL
 
     h_vertex = space.coset_index[space.group.identity()]
     assert space.coset_index[space.z] == graph.partner[h_vertex]
-    run_walk(graph.adjacency, [(h_vertex, int(graph.partner[h_vertex]))])
+    run_walk(dense_adjacency(graph), [(h_vertex, int(graph.partner[h_vertex]))])
 
     disagreeing = {c.row for c in orbital.linear_energy_display_audit(3, rows) if not c.agrees}
     assert disagreeing == {"linear(0)", "linear(4)"}
@@ -291,9 +292,9 @@ def test_criterion_8_scheme_core():
     ]:
         fam, conn, *_ = analyze(tag, q, variant)
         graph = explicit_graph(fam, conn)
-        cases.append((graph.adjacency, graph.partner.tolist()))
+        cases.append((dense_adjacency(graph), graph.partner.tolist()))
     gamma = orbital.build_gamma(orbital.build_coset_space(3))
-    cases.append((gamma.adjacency, gamma.partner.tolist()))
+    cases.append((dense_adjacency(gamma), gamma.partner.tolist()))
 
     for adjacency, perm in cases:
         assert len(adjacency) <= 150

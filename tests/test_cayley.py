@@ -26,6 +26,8 @@ from pstwalk.cayley import (
 )
 from oracles import (
     class_sum_eigenvalue_loop,
+    dense_adjacency,
+    dense_component_count,
     determinant_log_standard_labels,
     linear_or_unitary_class_sum_blocks,
     pst_test,
@@ -36,7 +38,7 @@ from oracles import (
 )
 from pstwalk import scheme
 from pstwalk.chars import CycSum, NonIntegralError
-from pstwalk.ctqw import pst_scan
+from pstwalk.ctqw import graph_stack, pst_scan
 from pstwalk.groups import ClassLabel
 
 
@@ -402,7 +404,7 @@ def test_spectrum_invariants(tag, q, variant):
 @pytest.mark.parametrize("tag,q,variant", ALL_RUNS)
 def test_numeric_spectrum_matches_exact(tag, q, variant):
     _, conn, rows, _, _ = run(tag, q, variant)
-    adj = graph_of(tag, q, variant).adjacency
+    adj = dense_adjacency(graph_of(tag, q, variant))
     numeric = np.sort(np.linalg.eigvalsh(adj.astype(float)))
     exact = np.sort(
         np.concatenate([np.full(r.multiplicity, r.theta, dtype=float) for r in rows])
@@ -474,8 +476,7 @@ def test_certify_agrees_with_parity_test(tag, q, variant):
 @pytest.mark.parametrize("tag,q", [(t, 3) for t in ("gl", "gu", "sl")] + [("sl", 5)])
 def test_connectivity_flag_matches_component_search(tag, q):
     _, _, _, cert, _ = run(tag, q)
-    adj = graph_of(tag, q).adjacency
-    assert component_count(adj) == 1
+    assert component_count(graph_stack(graph_of(tag, q))[1]) == 1
     assert cert.connected is True
 
 
@@ -486,7 +487,7 @@ def test_connectivity_flag_matches_component_search(tag, q):
 def test_walk_simulation_confirms_certificate(tag, q, variant):
     _, _, _, cert, _ = run(tag, q, variant)
     graph = graph_of(tag, q, variant)
-    adj = graph.adjacency
+    adj = dense_adjacency(graph)
     pairs = transfer_pairs(graph)
     assert len(pairs) == len(adj) // 2
     report = pst_scan(adj, pairs)
@@ -632,7 +633,7 @@ def test_explicit_graph_bound():
 def test_explicit_graph_shape(tag, q, variant):
     fam, conn, _, _, _ = run(tag, q, variant)
     graph = graph_of(tag, q, variant)
-    adj = graph.adjacency
+    adj = dense_adjacency(graph)
     assert len(graph.partner) == fam.order
     assert adj.shape == (fam.order, fam.order)
     assert np.array_equal(adj, adj.T)
@@ -652,52 +653,105 @@ def test_transfer_pairs_are_the_antipodal_matching():
     assert len(seen) == fam.order
 
 
+def components(adjacency) -> int:
+    """:func:`component_count` of a graph read as its own one-block stack (c = 1)."""
+    return component_count(np.asarray(adjacency)[None])
+
+
 def test_component_count_toy_graphs():
     k2 = np.array([[0, 1], [1, 0]])
-    assert component_count(k2) == 1
+    assert components(k2) == 1
     two_k2 = np.kron(np.eye(2, dtype=int), k2)
-    assert component_count(two_k2) == 2
-    assert component_count(np.zeros((3, 3), dtype=int)) == 3
+    assert components(two_k2) == 2
+    assert components(np.zeros((3, 3), dtype=int)) == 3
     path = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
-    assert component_count(path) == 1
+    assert components(path) == 1
     # isolated vertices between edges
     sparse = np.zeros((5, 5), dtype=int)
     sparse[1, 3] = sparse[3, 1] = 1
-    assert component_count(sparse) == 4
+    assert components(sparse) == 4
     # a triangle and an edge, listed interleaved
     unequal = np.zeros((5, 5), dtype=int)
     for u, v in [(0, 2), (2, 4), (0, 4), (1, 3)]:
         unequal[u, v] = unequal[v, u] = 1
-    assert component_count(unequal) == 2
+    assert components(unequal) == 2
     # a long path, numbered out of order so that search levels cross the rows
     order = np.random.default_rng(0).permutation(300)
     long_path = np.zeros((300, 300), dtype=int)
     long_path[order[:-1], order[1:]] = long_path[order[1:], order[:-1]] = 1
-    assert component_count(long_path) == 1
+    assert components(long_path) == 1
     # the last vertex alone, after a component holding all the others
     last_alone = np.ones((6, 6), dtype=int) - np.eye(6, dtype=int)
     last_alone[5, :] = last_alone[:, 5] = 0
-    assert component_count(last_alone) == 2
-    assert component_count(np.zeros((0, 0), dtype=int)) == 0
+    assert components(last_alone) == 2
+    assert components(np.zeros((0, 0), dtype=int)) == 0
 
 
 def test_component_count_reads_one_byte_entries():
     """The explicit graphs are uint8; the toy graphs above count the same in that dtype."""
     k2 = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    assert component_count(k2) == 1
-    assert component_count(np.kron(np.eye(3, dtype=np.uint8), k2)) == 3
-    assert component_count(np.zeros((3, 3), dtype=np.uint8)) == 3
+    assert components(k2) == 1
+    assert components(np.kron(np.eye(3, dtype=np.uint8), k2)) == 3
+    assert components(np.zeros((3, 3), dtype=np.uint8)) == 3
     order = np.random.default_rng(0).permutation(300)
     long_path = np.zeros((300, 300), dtype=np.uint8)
     long_path[order[:-1], order[1:]] = long_path[order[1:], order[:-1]] = 1
-    assert component_count(long_path) == 1
+    assert components(long_path) == 1
     last_alone = np.ones((6, 6), dtype=np.uint8) - np.eye(6, dtype=np.uint8)
     last_alone[5, :] = last_alone[:, 5] = 0
-    assert component_count(last_alone) == 2
-    assert component_count(np.zeros((0, 0), dtype=np.uint8)) == 0
-    adjacency = graph_of("gl", 3).adjacency
+    assert components(last_alone) == 2
+    assert components(np.zeros((0, 0), dtype=np.uint8)) == 0
+    adjacency = dense_adjacency(graph_of("gl", 3))
     assert adjacency.dtype == np.uint8
-    assert component_count(np.kron(np.eye(2, dtype=np.uint8), adjacency)) == 2
+    assert components(np.kron(np.eye(2, dtype=np.uint8), adjacency)) == 2
+
+
+def lift(stack):
+    """The graph a voltage stack lifts to: A[(p, i), (p', r)] = B[p' - p][i, r], vertex p m + i."""
+    c, m = stack.shape[:2]
+    p, i = np.divmod(np.arange(c * m), m)
+    return stack[(p[None, :] - p[:, None]) % c, i[:, None], i[None, :]]
+
+
+def symmetric_stack(c, m, arcs):
+    """0/1 stack with B[d][i, r] = B[-d][r, i] = 1 for each arc (d, i, r)."""
+    stack = np.zeros((c, m, m), dtype=np.uint8)
+    for d, i, r in arcs:
+        stack[d % c, i, r] = stack[-d % c, r, i] = 1
+    return stack
+
+
+@pytest.mark.parametrize(
+    "c, m, arcs, count",
+    [
+        (4, 1, [(2, 0, 0)], 2),  # a loop of voltage 2 on one vertex: gcd(4, 2) two-cycles
+        (6, 1, [(2, 0, 0), (3, 0, 0)], 1),  # voltages 2 and 3 generate Z_6
+        (6, 2, [(0, 0, 1), (4, 0, 1)], 2),  # the closed walk through both arcs has voltage 4
+        (4, 2, [(1, 0, 0)], 5),  # base vertex 1 is alone: a 4-cycle and 4 lone vertices
+        (5, 3, [], 15),
+        (2, 2, [(0, 0, 1), (1, 0, 0)], 1),
+    ],
+)
+def test_lift_components_of_small_voltage_graphs(c, m, arcs, count):
+    stack = symmetric_stack(c, m, arcs)
+    assert component_count(stack) == count == dense_component_count(lift(stack))
+
+
+@st.composite
+def voltage_stacks(draw):
+    """Random symmetric 0/1 stacks, sparse enough that lifts and bases both fall apart."""
+    c, m = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return symmetric_stack(c, m, np.argwhere(rng.random((c, m, m)) < density))
+
+
+@settings(max_examples=200, deadline=None)
+@given(voltage_stacks())
+def test_lift_component_count_matches_a_dense_search(stack):
+    """gcd(c, net voltages of closed walks) per base component, against a breadth-first
+    search of the n = c m vertex graph."""
+    assert component_count(stack) == dense_component_count(lift(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +794,7 @@ def test_random_class_union_spectrum_and_walk(data):
     assert max(r.theta for r in rows) == degree
 
     graph = explicit_graph(fam, conn)
-    adj = graph.adjacency
+    adj = dense_adjacency(graph)
     numeric = np.sort(np.linalg.eigvalsh(adj.astype(float)))
     exact = np.sort(
         np.concatenate([np.full(r.multiplicity, r.theta, dtype=float) for r in rows])

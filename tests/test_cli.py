@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from pstwalk import cli, orbital
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
-from pstwalk.ctqw import TransferReport
+from pstwalk.ctqw import PairingError, TransferReport, graph_stack
 from pstwalk.groups import GLGroup, GUGroup, Mat2, SLGroup
-from pstwalk.scheme import TransferCertificate
+from pstwalk.scheme import TransferCertificate, Translates
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 ROOT = Path(__file__).resolve().parent.parent
@@ -444,6 +445,33 @@ def test_orbital_structure_checks_can_fail(monkeypatch, capsys):
     assert "cross-check simulation: skipped: the symmetry's power 20 is not the partner at vertex" in out
 
 
+def test_a_coset_symmetry_that_is_not_an_automorphism_fails_the_cross_check(monkeypatch, capsys):
+    """The coset graph has no translation, so its symmetry is scanned row by row:
+    rH -> s rH relabelled by swapping two cosets is refused, and build_gamma leaves
+    that to the cross-checks, which exit 3."""
+    translate = orbital.translation_map
+    one = Mat2(1, 0, 0, 1)
+
+    def relabelled_symmetry(lookup, left, right):
+        vertices = translate(lookup, left, right)
+        if left == one:
+            return vertices
+        swap = np.arange(len(vertices))
+        swap[[0, 1]] = [1, 0]
+        return swap[vertices[swap]]
+
+    monkeypatch.setattr(orbital, "translation_map", relabelled_symmetry)
+    orbital.build_gamma.cache_clear()
+    try:
+        assert main(["orbital", "--q", "3"]) == EXIT_CROSS_CHECK
+    finally:
+        orbital.build_gamma.cache_clear()
+    out = capsys.readouterr().out
+    line = next(l for l in out.splitlines() if l.startswith("cross-check simulation: skipped: "))
+    assert "of order 40 is not an automorphism: it moves the edges of vertex" in line
+    assert "verdict: cross-check mismatch" in out
+
+
 def test_spectrum_mismatch_exits_3(monkeypatch, capsys):
     real = cli.analyze
 
@@ -515,17 +543,33 @@ def test_walk_failure_exits_3(monkeypatch):
     assert main(["orbital", "--q", "3"]) == EXIT_CROSS_CHECK
 
 
+class OneWay:
+    """A graph's rows with the entry (i, j) of A cleared and (j, i) kept; the rest is the graph's construction."""
+
+    def __init__(self, rows, i, j):
+        self.rows, self.i, self.j = rows, i, j
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, vertices):
+        out = self.rows[vertices]
+        out[np.arange(len(self.rows))[vertices] == self.i, self.j] = 0
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rows, name)
+
+
 def test_walk_errors_fail_the_cross_check(monkeypatch, capsys):
-    """An error the walk raises on the explicit graph, here an asymmetric
+    """An error the checks raise on the explicit graph, here an asymmetric
     adjacency, is a cross-check failure with exit 3, not a traceback."""
     real = cli.explicit_graph
 
     def one_way(family, conn, bound):
         graph = real(family, conn, bound=bound)
-        adjacency = graph.adjacency.copy()
-        i, j = np.argwhere(adjacency)[0]
-        adjacency[i, j] = 0
-        return graph._replace(adjacency=adjacency)
+        i, j = np.argwhere(graph.translates[:])[0]
+        return graph._replace(translates=OneWay(graph.translates, i, j))
 
     monkeypatch.setattr(cli, "explicit_graph", one_way)
     assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
@@ -603,6 +647,98 @@ def test_a_bad_symmetry_fails_the_cross_check(monkeypatch, capsys, doctor, messa
     assert "verdict: cross-check mismatch" in out
 
 
+def test_a_symmetry_relabelled_away_from_vertex_0_is_scanned(monkeypatch, capsys):
+    """sigma conjugated by a transposition of two vertices outside vertex 0's and
+    sigma(0)'s neighbourhoods still maps N(0) onto N(sigma 0), but it is no longer
+    x -> s x v, so every row is scanned and a later vertex is named (gl 5, n = 480)."""
+    real = cli.explicit_graph
+
+    def doctored(family, conn, bound):
+        graph = real(family, conn, bound=bound)
+        sigma, near = graph.symmetry, graph.translates.neighbours([0])[0]
+        near = {0, int(sigma[0]), *near.tolist(), *sigma[near].tolist()}
+        a, b = [x for x in range(len(sigma)) if x not in near][:2]
+        swap = np.arange(len(sigma))
+        swap[[a, b]] = [b, a]
+        return graph._replace(symmetry=swap[sigma[swap]])
+
+    monkeypatch.setattr(cli, "explicit_graph", doctored)
+    assert main(["verify", "--family", "gl", "--q", "5"]) == EXIT_CROSS_CHECK
+    out = capsys.readouterr().out
+    line = next(l for l in out.splitlines() if l.startswith("cross-check simulation: skipped: "))
+    vertex = re.search(r"of order 120 is not an automorphism: it moves the edges of vertex (\d+)$", line)
+    assert vertex and int(vertex.group(1)) > 0
+
+
+def not_normalised_by_v(family, graph):
+    """{t, t^-1} for the first connection element t that v conjugates outside that pair,
+    for the graph's symmetry x -> s x v."""
+    v = graph.translation[1]
+    v_inv = family.inv(v)
+    for t in graph.translates.connection:
+        pair = [t, family.inv(t)]
+        if family.mul(family.mul(v, t), v_inv) not in pair:
+            return Translates(graph.translates.lookup, pair)
+    raise AssertionError("v normalises every pair of the connection list")
+
+
+def test_a_connection_that_v_does_not_normalise_is_refused(monkeypatch, capsys):
+    """sigma(x t) = sigma(x) v^-1 t v for sigma = x -> s x v, so on a connection list S
+    with v S v^-1 != S vertex 0's neighbours already show that sigma is no
+    automorphism: PairingError, and exit 3."""
+    real = cli.explicit_graph
+
+    def doctored(family, conn, bound):
+        graph = real(family, conn, bound=bound)
+        return graph._replace(translates=not_normalised_by_v(family, graph))
+
+    monkeypatch.setattr(cli, "explicit_graph", doctored)
+    family = GLGroup(3)
+    graph = doctored(family, cli.analyze("gl", 3, "standard").connection, 10_000)
+    refusal = "the symmetry of order 24 is not an automorphism: it moves the edges of vertex 0"
+    with pytest.raises(PairingError, match=refusal):
+        graph_stack(graph)
+    assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
+    out = capsys.readouterr().out
+    assert "certificate: valid" in out
+    assert f"cross-check simulation: skipped: the pairing is not an involution at vertex 0, and {refusal}\n" in out
+    assert "verdict: cross-check mismatch" in out
+
+
+def test_a_row_short_of_the_degree_fails_the_degree_check(monkeypatch, capsys):
+    """One edge {lo_i, sigma^d lo_r} cleared from the stack, both ways, so B stays
+    symmetric: rows i and r sum to one less than the degree."""
+    real = cli.graph_stack
+
+    def short(graph):
+        orbits, stack = real(graph)
+        stack = stack.copy()
+        d, i, r = (int(x) for x in np.argwhere(stack[1:])[0])
+        stack[d + 1, i, r] = stack[-(d + 1), r, i] = 0
+        return orbits, stack
+
+    monkeypatch.setattr(cli, "graph_stack", short)
+    assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
+    out = capsys.readouterr().out
+    assert "cross-check degree_row_sums_match: False" in out
+    assert "verdict: cross-check mismatch" in out
+
+
+def test_a_split_walk_above_five_thousand_vertices_holds_no_n_squared_array(capsys):
+    """verify gl 9 at bound 6000 (5760 vertices): the checks read the stack and the
+    walk its blocks, so the run peaks below 10 MB of traced memory; the n x n
+    uint8 adjacency alone would take 33 MB."""
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--family", "gl", "--q", "9", "--brute-force-bound", "6000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert "cross-check walk_ok: True" in capsys.readouterr().out
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_export_alone_defaults_to_the_working_directory():
     parser = cli.build_parser()
     export = ["export", "--family", "gl", "--q", "3"]
@@ -664,6 +800,33 @@ def test_the_exact_path_loads_no_numpy(tmp_path):
 def test_an_explicit_graph_loads_numpy(tmp_path):
     seen = numpy_loaded_after(tmp_path, ("gl", 3, "--brute-force-bound", "100"))
     assert [(code, loaded) for _, code, loaded in seen] == [(None, False), (EXIT_OK, True)], seen
+
+
+_MASKED_PROBE = """
+import contextlib, io, sys
+import pstwalk.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [pstwalk.cli.main(argv.split()) for argv in sys.argv[1:]]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_the_explicit_checks_load_no_masked_arrays(tmp_path):
+    """Exports of gl 3 and orbital 3 with their graphs, walks and edges leave numpy.ma
+    unloaded: np.unique without an index and np.setxor1d load it, 1.4 MB of RSS."""
+    runs = [
+        f"export --family {family} --q 3 --brute-force-bound 2100 --out-dir {tmp_path / family}"
+        for family in ("gl", "orbital")
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _MASKED_PROBE, *runs],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[0,", "0]", "False"], done.stdout
 
 
 # ---------------------------------------------------------------------------

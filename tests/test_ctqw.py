@@ -10,19 +10,23 @@ from hypothesis import strategies as st
 
 from pstwalk.cayley import make_family
 from pstwalk.cli import ENUMERATION_BOUND, build_target
+from pstwalk import ctqw
 from pstwalk.ctqw import (
     TOL,
     NonIntegralSpectrumError,
     PairingError,
     TransferReport,
     WalkSystem,
+    check_symmetric,
     derive_transfer_time,
+    graph_stack,
     integer_eigenvalues,
     pst_scan,
 )
 from oracles import (
     EigenRow,
     central_jordan_symmetry,
+    dense_adjacency,
     eigenvectors,
     integer_rows_with_signs,
     pst_test,
@@ -368,7 +372,7 @@ def antipodes(n):
 
 def explicit(family, q):
     graph = build_target(family, q).graph(ENUMERATION_BOUND)
-    return graph.adjacency, graph.partner
+    return dense_adjacency(graph), graph.partner
 
 
 PAIRED_CASES = {
@@ -503,7 +507,7 @@ def split_pairs(walk, partner, rng):
 @pytest.mark.parametrize("family,q,variant", SPLIT_CASES, ids=lambda v: str(v))
 def test_split_walk_matches_the_unsplit_walk(family, q, variant):
     graph = explicit_graph_of(family, q, variant)
-    a, partner = graph.adjacency, graph.partner
+    a, partner = dense_adjacency(graph), graph.partner
     n = len(a)
     split, plain = WalkSystem.from_adjacency(a, graph.symmetry), WalkSystem.from_adjacency(a)
     c = split.order
@@ -526,7 +530,7 @@ def test_split_walk_matches_the_unsplit_walk(family, q, variant):
 
 def test_cayley_graphs_split_into_blocks_of_the_centre_times_p():
     """c = p |s|: p (q^2 - 1) for GL and GU, p (q + 1) for SL; (q + 1)(q^2 + 1) on the coset graph."""
-    orders = {(f, q): WalkSystem.from_adjacency(g.adjacency, g.symmetry).order
+    orders = {(f, q): WalkSystem.from_adjacency(dense_adjacency(g), g.symmetry).order
               for f, q in [("gl", 3), ("gl", 5), ("gu", 3), ("sl", 5), ("sl", 7), ("orbital", 3)]
               for g in [explicit_graph_of(f, q)]}
     assert orders == {("gl", 3): 24, ("gl", 5): 120, ("gu", 3): 24, ("sl", 5): 30, ("sl", 7): 56,
@@ -548,7 +552,7 @@ def test_the_walk_split_by_the_torus_symmetry_matches_the_central_jordan_walk(fa
     the coset graph.  The blocks have size (q -+ 1) q/p, q on the coset graph, and both
     sides and the fidelities of partner and random pairs agree."""
     graph = explicit_graph_of(family, q)
-    a, partner = graph.adjacency, graph.partner
+    a, partner = dense_adjacency(graph), graph.partner
     if family == "orbital":
         earlier, order, size = partner, 2, q
     else:
@@ -651,13 +655,14 @@ def test_a_symmetry_that_is_not_a_free_cyclic_automorphism_of_even_order_is_refu
 
 
 def test_the_split_walk_at_gl_7_holds_no_half_size_block():
-    """n = 2016, c = 336: 169 blocks of 6 x 6.  The walk peaks at 1.1 MiB under
-    tracemalloc (3.2 MiB split along right translation by the central jordan
-    element, in 22 blocks of 48 x 48); one n/2 x n/2 float block takes 7.8 MiB."""
+    """n = 2016, c = 336: 169 blocks of 6 x 6.  The stack and the walk peak at
+    about 0.5 MiB under tracemalloc (3.2 MiB split along right translation by
+    the central jordan element, in 22 blocks of 48 x 48); one n/2 x n/2 float
+    block takes 7.8 MiB."""
     graph = explicit_graph_of("gl", 7)
     tracemalloc.start()
     try:
-        walk = WalkSystem.from_adjacency(graph.adjacency, graph.symmetry)
+        walk = WalkSystem.from_stack(*graph_stack(graph))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -679,3 +684,40 @@ def test_an_asymmetric_entry_in_any_row_slice_is_refused(dtype, i, j):
     a[i, j] = 1
     with pytest.raises(ValueError, match="adjacency must be symmetric"):
         WalkSystem.from_adjacency(a)
+
+
+def test_a_stack_with_one_doctored_entry_is_refused_as_asymmetric():
+    """B[-d] = B[d]^T is A = A^T for an automorphism sigma: one flipped entry of
+    the gl 3 stack is refused, in any slice of rows."""
+    orbits, stack = graph_stack(explicit_graph_of("gl", 3))
+    check_symmetric(stack)
+    for d, i, r in [(3, 1, 0), (21, 0, 1), (0, 0, 1)]:  # c = 24, m = 2
+        doctored = stack.copy()
+        doctored[d, i, r] ^= 1
+        with pytest.raises(ValueError, match="adjacency must be symmetric"):
+            check_symmetric(doctored)
+        with pytest.raises(ValueError, match="adjacency must be symmetric"):
+            check_symmetric(doctored.astype(float))
+
+
+@pytest.mark.parametrize("c, m", [(3, 2), (24, 2), (336, 6), (2000, 2)])
+def test_fourier_blocks_match_the_dft_along_the_orbit_axis(c, m):
+    """A_j = sum_d omega^(jd) B[d] is c times the inverse DFT of the stack along d."""
+    stack = np.random.default_rng(c).integers(0, 2, size=(c, m, m)).astype(np.uint8)
+    blocks = ctqw._fourier_blocks(stack)
+    assert blocks.shape == (c // 2 + 1, m, m)
+    assert np.abs(blocks - c * np.fft.ifft(stack, axis=0)[: c // 2 + 1]).max() < 1e-9 * c
+
+
+def test_fourier_blocks_hold_no_cosine_matrix():
+    """c = 4000, m = 2: the (c/2 + 1) x c cosine matrix alone would take 64 MB; the
+    blocks are made a run of j at a time, each temporary near ``FOURIER_ENTRIES``."""
+    c, m = 4000, 2
+    stack = np.random.default_rng(0).integers(0, 2, size=(c, m, m)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        blocks = ctqw._fourier_blocks(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks.nbytes + c * m * m * 8 + 8 * ctqw.FOURIER_ENTRIES * 8

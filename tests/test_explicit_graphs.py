@@ -15,24 +15,29 @@ from __future__ import annotations
 import re
 import tracemalloc
 from functools import lru_cache
+from math import pi
 
 import numpy as np
 import pytest
 
 from oracles import (
+    dense_adjacency,
+    dense_component_count,
     literal_cayley_adjacency,
     literal_orbital_adjacency,
+    translation_adjacency,
     translation_adjacency_reference,
     translation_map_reference,
 )
-from pstwalk import orbital, scheme
-from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, explicit_graph, make_family
+from pstwalk import cli, orbital, scheme
+from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, component_count, explicit_graph, make_family
+from pstwalk.ctqw import PairingError, WalkSystem, graph_stack
 from pstwalk.groups import Mat2
 from pstwalk.orbital import build_coset_space, build_gamma
 from pstwalk.scheme import (
     ConjugacyScheme,
+    Translates,
     VertexLookup,
-    translation_adjacency,
     translation_map,
 )
 
@@ -61,13 +66,13 @@ def test_cayley_adjacency_matches_literal_reference(tag, q, variant):
     family, conn, *_ = analyze(tag, q, variant)
     members = [x for lab in conn.labels for x in family.class_elements(lab)]
     literal = literal_cayley_adjacency(family, members)
-    assert np.array_equal(graph_of(tag, q, variant).adjacency, literal)
+    assert np.array_equal(dense_adjacency(graph_of(tag, q, variant)), literal)
 
 
 def test_orbital_adjacency_and_pairing_match_literal_reference():
     graph = graph_of("orbital", 3, STANDARD)
     adjacency, involution = literal_orbital_adjacency(build_coset_space(3))
-    assert np.array_equal(graph.adjacency, adjacency)
+    assert np.array_equal(dense_adjacency(graph), adjacency)
     n = len(graph.partner)
     assert np.array_equal(np.eye(n, dtype=np.int64)[graph.partner], involution)
 
@@ -75,7 +80,7 @@ def test_orbital_adjacency_and_pairing_match_literal_reference():
 @pytest.mark.parametrize("tag,q,variant", TARGETS)
 def test_partner_is_a_fixed_point_free_automorphism_of_order_two(tag, q, variant):
     graph = graph_of(tag, q, variant)
-    a, partner = graph.adjacency, graph.partner
+    a, partner = dense_adjacency(graph), graph.partner
     vertices = np.arange(len(a))
     assert np.array_equal(np.sort(partner), vertices)
     assert np.array_equal(partner[partner], vertices)
@@ -88,7 +93,7 @@ def test_symmetry_is_a_free_cyclic_automorphism_whose_half_power_is_the_partner(
     """x -> s x u^-1 on a Cayley graph, of order p |s| with |s| = q^2 - 1 (GL, GU)
     or q + 1 (SL); rH -> s rH on the coset graph, of order (q + 1)(q^2 + 1)."""
     graph = graph_of(tag, q, variant)
-    a, sigma = graph.adjacency, graph.symmetry
+    a, sigma = dense_adjacency(graph), graph.symmetry
     if tag == "orbital":
         space = build_coset_space(q)
         group, s = space.group, space.group.walk_symmetry()[0]
@@ -116,7 +121,7 @@ def test_symmetry_is_a_free_cyclic_automorphism_whose_half_power_is_the_partner(
 
 @pytest.mark.parametrize("tag,q,variant", TARGETS)
 def test_every_explicit_graph_holds_one_byte_per_entry(tag, q, variant):
-    a = graph_of(tag, q, variant).adjacency
+    a = graph_of(tag, q, variant).translates[:]
     assert a.dtype == np.uint8 and a.nbytes == len(a) ** 2
 
 
@@ -143,6 +148,7 @@ def test_array_builder_matches_python_products(tag, q):
     expected = translation_adjacency_reference(reps, vertex_of, family.mul, connection)
     got = translation_adjacency(lookup, connection)
     assert got.dtype == np.uint8 and np.array_equal(got, expected)
+    assert np.array_equal(Translates(lookup, connection)[:], expected)
     for left, right in [(family.identity(), t), (t, family.identity()), (left, right)]:
         expected = translation_map_reference(reps, vertex_of, family.mul, left, right)
         got = translation_map(lookup, left, right)
@@ -162,6 +168,8 @@ def test_array_builder_refuses_a_product_outside_the_group():
         message = rf"the product {re.escape(repr(product))} is not a vertex"
         with pytest.raises(KeyError, match=message):
             translation_adjacency(sch.lookup, [family.identity(), singular])
+        with pytest.raises(KeyError, match=message):
+            Translates(sch.lookup, [family.identity(), singular])
         with pytest.raises(KeyError, match=message):
             translation_map(sch.lookup, one, singular)
         message = rf"the product {re.escape(repr(family.mul(singular, first)))} is not a vertex"
@@ -239,9 +247,69 @@ def test_the_explicit_build_holds_little_beyond_the_adjacency():
     explicit_graph(family, conn)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
-        n = len(explicit_graph(family, conn).adjacency)
+        n = len(explicit_graph(family, conn).translates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert n == 2688
     assert peak < n * n + 6_000_000
+
+
+# ---------------------------------------------------------------------------
+# row blocks, stack, components, walk and edges against the dense reference
+
+DIFFERENTIAL = (
+    [(tag, q, STANDARD) for tag in ("gl", "gu") for q in (3, 5, 7, 9)]
+    + [("sl", q, STANDARD) for q in (5, 9, 11)]
+    + [("gl", 3, SMALL_ORDERS), ("orbital", 3, STANDARD)]
+)
+
+
+@pytest.mark.parametrize("tag,q,variant", DIFFERENTIAL, ids=lambda v: str(v))
+def test_the_rows_on_demand_match_the_dense_adjacency(tag, q, variant):
+    """Every row block, the stack gathered from the orbits' least rows, the lift's
+    component count, the walk's sides and fidelities, and the graph.edges bytes,
+    each against the same read of the n x n matrix, which matches the dense builder."""
+    graph = graph_of(tag, q, variant)
+    dense, rows = dense_adjacency(graph), graph.translates
+    assert np.array_equal(dense, translation_adjacency(rows.lookup, rows.connection))
+    n = len(dense)
+    for start in range(0, n, 700):
+        assert np.array_equal(rows[start : start + 700], dense[start : start + 700])
+    picks = np.random.default_rng(q).permutation(n)[:64]
+    assert np.array_equal(rows[picks], dense[picks])
+    orbits, stack = graph_stack(graph)
+    assert stack.dtype == np.uint8
+    assert np.array_equal(stack, dense[orbits[0][None, :, None], orbits[:, None, :]])
+    assert component_count(stack) == dense_component_count(dense) == 1
+    walk = WalkSystem.from_stack(orbits, stack)
+    reference = WalkSystem.from_adjacency(dense, graph.symmetry)
+    for sign, values in reference.sides().items():
+        assert np.abs(walk.sides()[sign] - values).max() < 1e-9
+    pairs = [(x, int(graph.partner[x])) for x in range(n)]
+    pairs += [(int(x), int(y)) for x, y in np.random.default_rng(n).integers(0, n, size=(256, 2))]
+    for t in (0.3, pi / 2):
+        assert np.abs(np.subtract(walk.fidelities(t, pairs), reference.fidelities(t, pairs))).max() < 1e-9
+    assert b"".join(cli._edge_blocks(rows)) == b"".join(cli._edge_blocks(dense))
+
+
+@pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 9), ("sl", 9)])
+def test_one_neighbourhood_proves_the_construction_symmetry(tag, q):
+    """sigma = x -> s x v is refused on a connection list S exactly when v S v^-1 != S,
+    on pairs {t, t^-1} and on the whole list, against one Python product per element."""
+    reps, vertex_of, family, connection, *_ = builder_inputs(tag, q)
+    graph = graph_of(tag, q, STANDARD)
+    v, v_inv = graph.translation[1], family.inv(graph.translation[1])
+    rng = np.random.default_rng(q)
+    subsets = [connection] + [[t, family.inv(t)] for t in (connection[int(i)] for i in rng.permutation(len(connection))[:8])]
+    found = set()
+    for subset in subsets:
+        normalised = {family.mul(family.mul(v, t), v_inv) for t in subset} == set(subset)
+        doctored = graph._replace(translates=Translates(graph.translates.lookup, subset))
+        if normalised:
+            graph_stack(doctored)
+        else:
+            with pytest.raises(PairingError, match="is not an automorphism: it moves the edges of vertex 0$"):
+                graph_stack(doctored)
+        found.add(normalised)
+    assert found == {True, False}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     cocycle_value,
     coset_action,
     coset_char_sum,
+    dense_adjacency,
     double_coset_of,
     in_h,
     in_subfield,
@@ -35,6 +37,7 @@ from oracles import (
     p_theta_trace,
     spectrum_trace,
     subfield_matrices,
+    translation_adjacency,
 )
 from pstwalk import orbital
 from pstwalk.cayley import make_family
@@ -51,6 +54,7 @@ from pstwalk.orbital import (
     linear_energy_display_audit,
     orbital_spectrum,
 )
+from pstwalk.scheme import VertexLookup
 
 # ---------------------------------------------------------------------------
 # frozen expectations
@@ -696,19 +700,44 @@ def test_linear_energy_display_disagrees_at_q7_too():
 
 def test_graph_shape_and_degree():
     g = graph3()
-    assert g.adjacency.shape == (Q3_COSETS, Q3_COSETS)
-    assert (g.adjacency.sum(axis=1) == Q3_DEGREE).all()
-    assert g.adjacency.sum() // 2 == Q3_EDGES
-    assert np.array_equal(g.adjacency, g.adjacency.T)
-    assert np.trace(g.adjacency) == 0
+    a = dense_adjacency(g)
+    assert a.shape == (Q3_COSETS, Q3_COSETS)
+    assert (a.sum(axis=1) == Q3_DEGREE).all()
+    assert a.sum() // 2 == Q3_EDGES
+    assert np.array_equal(a, a.T)
+    assert np.trace(a) == 0
 
 
 def test_graph_h_adjacent_to_zh():
     g = graph3()
     h_vertex, z_vertex = anchors(space3())
-    assert g.adjacency[h_vertex, z_vertex] == 1
+    assert dense_adjacency(g)[h_vertex, z_vertex] == 1
     assert g.partner[h_vertex] == z_vertex
     assert g.checks == {"involution_is_perfect_matching": True}
+
+
+def test_an_asymmetric_coset_graph_is_refused_naming_an_entry(monkeypatch):
+    """Without the double coset of diag(1, gen) (its inverse is that of diag(1, gen^3))
+    the connection is still a union of double cosets, so rH -> s rH stays an
+    automorphism, but A is not symmetric: build_gamma names the first entry (i, j)
+    at which the dense reference differs from its transpose."""
+    space = space3()
+    one, gen, gen3 = space.rep_set[0], space.rep_set[1], space.rep_set[3]
+    dropped = double_coset_of(space, Mat2(one, 0, 0, gen))
+    assert dropped != double_coset_of(space, Mat2(one, 0, 0, gen3))
+    kept = [d for d in orbital._connection(space) if double_coset_of(space, d) != dropped]
+    monkeypatch.setattr(orbital, "_connection", lambda _: kept)
+    orbital.build_gamma.cache_clear()
+    try:
+        with pytest.raises(RuntimeError) as refused:
+            build_gamma(space)
+    finally:
+        orbital.build_gamma.cache_clear()
+    entry = r"build_gamma: adjacency is not symmetric: entry \((\d+), (\d+)\) is (\d+) but \(\2, \1\) is (\d+)"
+    i, j, a_ij, a_ji = map(int, re.fullmatch(entry, str(refused.value)).groups())
+    dense = translation_adjacency(VertexLookup(space.reps, space.coset_index, space.group.field), kept)
+    assert [i, j] == np.argwhere(dense != dense.T)[0].tolist()
+    assert (dense[i, j], dense[j, i]) == (a_ij, a_ji)
 
 
 def test_involution_part_is_fixed_point_free_matching():
@@ -724,13 +753,13 @@ def test_involution_part_is_fixed_point_free_matching():
 
 def test_involution_edges_are_inside_the_graph():
     g = graph3()
-    assert ((g.adjacency - matching(g)) >= 0).all()
+    assert ((dense_adjacency(g) - matching(g)) >= 0).all()
 
 
 def test_numeric_spectrum_matches_character_rows():
     g = graph3()
     exact = sorted(r.theta for r in rows_for(3) for _ in range(r.multiplicity))
-    numeric = np.linalg.eigvalsh(g.adjacency.astype(float))
+    numeric = np.linalg.eigvalsh(dense_adjacency(g).astype(float))
     assert np.abs(numeric - np.array(exact, dtype=float)).max() < 1e-8
 
 
@@ -738,13 +767,13 @@ def test_numeric_diagonal_part_matches_energies():
     """The graph minus its matching has the energies as its spectrum."""
     g = graph3()
     exact = sorted(r.theta - r.sign for r in rows_for(3) for _ in range(r.multiplicity))
-    numeric = np.linalg.eigvalsh((g.adjacency - matching(g)).astype(float))
+    numeric = np.linalg.eigvalsh((dense_adjacency(g) - matching(g)).astype(float))
     assert np.abs(numeric - np.array(exact, dtype=float)).max() < 1e-8
 
 
 def test_diagonal_part_row_sum_is_trivial_energy():
     g = graph3()
-    d = g.adjacency - matching(g)
+    d = dense_adjacency(g) - matching(g)
     assert (d.sum(axis=1) == 72).all()
 
 
@@ -791,7 +820,7 @@ def test_certificate_q7_character_sum_mode():
 
 def test_walk_reaches_every_matched_pair():
     g = graph3()
-    report = pst_scan(g.adjacency, transfer_pairs(g))
+    report = pst_scan(dense_adjacency(g), transfer_pairs(g))
     assert report.ok
     assert math.isclose(report.time, math.pi / 2)
     assert report.min_fidelity >= 1 - 1e-9
