@@ -51,7 +51,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from . import __version__
+from . import __version__, scheme
 from . import orbital as orb
 from .cayley import (
     FAMILY_TAGS,
@@ -82,8 +82,6 @@ EXIT_CROSS_CHECK = 3
 _FORMATS = ("json", "csv", "edges")
 # Encoder chunks per write of report.json.
 _JSON_BATCH = 4096
-# Adjacency entries per block of graph.edges text, 64 KB of uint8 rows.
-_EDGE_BLOCK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +181,30 @@ def _write_spectrum(path: Path, entries: list[dict]) -> None:
         )
 
 
-def _edge_blocks(adjacency):
+def _edge_blocks(rows: Translates):
     """graph.edges as bytes, a block of rows at a time: a line ``i j`` per edge i < j, in row order.
 
-    ``adjacency`` is a matrix or a :class:`~pstwalk.scheme.Translates`.  A
-    block spans about ``_EDGE_BLOCK_ENTRIES`` adjacency entries, at least
-    one row, so its rows, index arrays and text stay bounded however large
-    the graph.  The neighbours above the diagonal become ``b"j\\n"``
-    strings, and row i is one ``b"i ".join`` over its slice of them.  An
-    edgeless graph is one newline.
+    Each row is read from ``rows.neighbours``, one column per element of
+    ``rows.connection``, in blocks of about ``scheme.BLOCK_ENTRIES`` of them,
+    at least one row, so no temporary grows with the graph.  A row's
+    neighbours are sorted, those above the diagonal kept and a repeated one
+    written once; they become ``b"j\\n"`` strings, and row i is one
+    ``b"i ".join`` over its slice of them.  An edgeless graph is one newline.
     """
     import numpy as np
 
-    n = len(adjacency)
+    n = len(rows)
     ends = np.array([b"%d\n" % j for j in range(n)], dtype=object)
-    step = max(1, _EDGE_BLOCK_ENTRIES // max(1, n))
+    step = max(1, scheme.BLOCK_ENTRIES // max(1, len(rows.connection)))
     edges = 0
     for start in range(0, n, step):
-        rows, cols = np.nonzero(adjacency[start : start + step][:, start + 1 :])
-        upper = rows <= cols  # column start + 1 + c lies above row start + r
-        texts = ends[cols[upper] + (start + 1)].tolist()
+        vertices = np.arange(start, min(start + step, n))
+        cols = np.sort(rows.neighbours(vertices), axis=1)
+        upper = cols > vertices[:, None]
+        upper[:, 1:] &= cols[:, 1:] != cols[:, :-1]
+        texts = ends[cols[upper]].tolist()
         edges += len(texts)
-        bounds = np.searchsorted(rows[upper], np.arange(step + 1)).tolist()
+        bounds = [0, *np.cumsum(upper.sum(axis=1)).tolist()]
         yield b"".join(
             b"%d " % i + (b"%d " % i).join(texts[lo:hi])
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start) if lo < hi

@@ -42,8 +42,8 @@ from __future__ import annotations
 from math import gcd, pi
 from typing import TYPE_CHECKING, Sequence
 
+from . import scheme
 from .record import Record
-from .scheme import translation_map
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,8 +70,6 @@ MID_SLACK = 1e-3
 # rows per slice of the symmetry, automorphism and eigendecomposition drift
 # checks, so that none of them holds an n x n temporary
 CHECK_ROWS = 128
-# cosine or sine entries per product of the Fourier blocks, 64 KB of float64
-FOURIER_ENTRIES = 1 << 13
 # Fourier blocks per step of the fidelity sums, a fixed run so that a pair sums alike in any batch
 FIDELITY_BLOCKS = 16
 
@@ -194,7 +192,7 @@ def graph_stack(graph) -> tuple[np.ndarray, np.ndarray]:
 
     rows, sigma = graph.translates, graph.symmetry
     orbits = _orbits(sigma, len(rows))
-    if graph.translation is None or not np.array_equal(sigma, translation_map(rows.lookup, *graph.translation)):
+    if graph.translation is None or not np.array_equal(sigma, scheme.translation_map(rows.lookup, *graph.translation)):
         _scan_automorphism(rows, sigma, len(orbits))
     else:  # sorted, since np.unique and np.setxor1d load numpy.ma (1.4 MB of RSS)
         image, near = np.sort(sigma[rows.neighbours([0])], None), np.sort(rows.neighbours(sigma[:1]), None)
@@ -209,7 +207,7 @@ def _fourier_blocks(stack: np.ndarray) -> np.ndarray:
     """The blocks A_j = sum_d omega^(jd) B[d] for j = 0 ... c/2.
 
     The stack is read as float once.  The cosine and sine rows are made
-    ``FOURIER_ENTRIES`` at a time, a run of j per product, so no temporary
+    ``scheme.BLOCK_ENTRIES`` at a time, a run of j per product, so no temporary
     grows with c^2.  With c = 2 the blocks are B[0] + B[1] and B[0] - B[1],
     exactly, and with c = 1 the one block is B[0].
     """
@@ -226,7 +224,7 @@ def _fourier_blocks(stack: np.ndarray) -> np.ndarray:
     flat = stack.reshape(c, m * m).astype(float)
     half = c // 2 + 1
     blocks = np.empty((half, m * m), dtype=complex)
-    step = max(1, FOURIER_ENTRIES // max(c, m * m))
+    step = max(1, scheme.BLOCK_ENTRIES // max(c, m * m))
     for start in range(0, half, step):
         j = np.arange(start, min(start + step, half))
         angles = 2 * pi / c * (np.outer(j, np.arange(c)) % c)

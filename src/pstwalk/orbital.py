@@ -55,12 +55,15 @@ from .chars import NonIntegralError
 from .groups import GLGroup, IrrLabel, Mat2, _prime_power
 from .record import Record
 from .scheme import (
+    BLOCK_ENTRIES,
     FormulaCheck,
     Graph,
     SpectrumRow,
     TransferCertificate,
     Translates,
     VertexLookup,
+    _row_keys,
+    _row_products,
     transfer_certificate,
     translation_map,
 )
@@ -86,17 +89,12 @@ EXPLICIT_LIMIT = 3
 
 
 class CosetSpace(Record):
-    """The pair H = GL(2, q) inside G = GL(2, q^2) with its coset data.
+    """The pair H = GL(2, q) inside G = GL(2, q^2): the field-level data of the spectrum.
 
-    In explicit mode (q <= EXPLICIT_LIMIT) every group element is labeled
-    with the index of its left coset and one representative per coset is
-    recorded; otherwise only the field-level data of the spectrum is kept.
+    ``explicit``: q <= EXPLICIT_LIMIT, so that :func:`build_gamma` may enumerate G.
     """
 
-    __slots__ = _fields = (
-        "q", "group", "hsize", "zeta", "z", "rep_set", "explicit",
-        "elements", "h_elements", "reps", "coset_index",
-    )
+    __slots__ = _fields = ("q", "group", "hsize", "zeta", "z", "rep_set", "explicit")
     # one space per q, cached: equal only to itself
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -110,12 +108,8 @@ class CosetSpace(Record):
         z: Mat2,
         rep_set: tuple[int, ...],  # transversal of F_q^x in F_{q^2}^x: gen^0 .. gen^q
         explicit: bool,
-        elements: tuple[Mat2, ...] | None = None,
-        h_elements: tuple[Mat2, ...] | None = None,
-        reps: tuple[Mat2, ...] | None = None,
-        coset_index: dict | None = None,
     ):
-        self._fill(q, group, hsize, zeta, z, rep_set, explicit, elements, h_elements, reps, coset_index)
+        self._fill(q, group, hsize, zeta, z, rep_set, explicit)
 
     @property
     def n_cosets(self) -> int:
@@ -126,11 +120,10 @@ class CosetSpace(Record):
 def build_coset_space(q: int) -> CosetSpace:
     """Assemble the coset space of GL(2, q) inside GL(2, q^2).
 
-    Explicit coset enumeration is performed for q <= EXPLICIT_LIMIT; larger
-    admissible q get a spectrum-only space.  Values q != 3 (mod 4) are
-    rejected: the order-4 scalar z with z^2 = -I in H needs 4 | q^2 - 1
-    with the eigenvalue congruences holding only in that residue class.  So
-    is a q that is not a prime power, before it is squared.
+    Values q != 3 (mod 4) are rejected: the order-4 scalar z with z^2 = -I
+    in H needs 4 | q^2 - 1 with the eigenvalue congruences holding only in
+    that residue class.  So is a q that is not a prime power, before it is
+    squared.
     """
     if q % 4 != 3:
         raise ValueError(
@@ -140,52 +133,61 @@ def build_coset_space(q: int) -> CosetSpace:
     group = GLGroup(q * q)
     field = group.field
     zeta = field.exp[(q * q - 1) // 4]
-    z = Mat2(zeta, 0, 0, zeta)
-    rep_set = tuple(field.exp[i] for i in range(q + 1))
-    hsize = (q * q - 1) * (q * q - q)
-    base = dict(
+    return CosetSpace(
         q=q,
         group=group,
-        hsize=hsize,
+        hsize=(q * q - 1) * (q * q - q),
         zeta=zeta,
-        z=z,
-        rep_set=rep_set,
+        z=Mat2(zeta, 0, 0, zeta),
+        rep_set=tuple(field.exp[i] for i in range(q + 1)),
+        explicit=q <= EXPLICIT_LIMIT,
     )
-    if q > EXPLICIT_LIMIT:
-        return CosetSpace(explicit=False, **base)
 
-    # H is GL(2, q), carried into G by the embedding of F_q into F_{q^2}
-    sub = GLGroup(q)
-    embed = sub.tower.embed
-    h_elements = tuple(Mat2(*map(embed, h)) for h in sub.enumerate_group())
-    if len(h_elements) != hsize:
+
+def _matrices(field, values: Sequence[int]) -> np.ndarray:
+    """The invertible matrices with entries in ``values`` (ascending), as an (n, 4) array in lex order."""
+    import numpy as np
+
+    mul = field.tables()[0]
+    grid = np.array(values, dtype=np.min_scalar_type(field.q))
+    a, b, c, d = (x.ravel() for x in np.meshgrid(grid, grid, grid, grid, indexing="ij"))
+    return np.stack((a, b, c, d), axis=1)[mul[a, d] != mul[b, c]]
+
+
+def _subgroup(space: CosetSpace) -> np.ndarray:
+    """H, the invertible matrices over F_q = {0, gen^((q + 1) i)}, in lex order."""
+    q, field = space.q, space.group.field
+    return _matrices(field, sorted({0} | {field.exp[(q + 1) * i] for i in range(q - 1)}))
+
+
+def _coset_lookup(space: CosetSpace) -> VertexLookup:
+    """The vertex lookup of G, enumerated in lex order, with the least element of each left coset gH.
+
+    The coset of g is keyed by its least product g h over H: with f = q^2,
+    the key (row 1) f^2 + (row 2) of g h is read from a table of the keys of
+    v h for every row v of G.  The cosets are numbered in the order of their
+    keys, the order in which G enumerated in lex order first meets them.
+    """
+    import numpy as np
+
+    field, f = space.group.field, space.group.field.q
+    elements, h = _matrices(field, range(f)), _subgroup(space)
+    vectors, ids = np.unique(_row_keys(elements, f), return_inverse=True)
+    top, bottom = ids.reshape(-1, 2).T
+    least = np.full(len(elements), f**4, dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // len(elements))
+    for start in range(0, len(h), step):
+        products = _row_products(field, vectors, h[start : start + step]).astype(np.int64)
+        keys = products[top] * (f * f) + products[bottom]
+        np.minimum(least, keys.min(axis=1), out=least)
+    keys, vertices = np.unique(least, return_inverse=True)
+    if len(h) != space.hsize or len(keys) * len(h) != len(elements):
         raise RuntimeError(
-            f"build_coset_space: the subfield subgroup H = GL(2, {q}) has "
-            f"{len(h_elements)} elements, expected {hsize}"
+            f"build_gamma: {len(keys)} cosets of H = GL(2, {space.q}), with {len(h)} elements where "
+            f"{space.hsize} were expected, do not partition the {len(elements)} elements of G"
         )
-    elements = tuple(group.enumerate_group())
-    coset_index: dict[Mat2, int] = {}
-    reps: list[Mat2] = []
-    for g in elements:
-        if g in coset_index:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in h_elements:
-            coset_index[group.mul(g, h)] = idx
-    if len(reps) * hsize != group.order:
-        raise RuntimeError(
-            f"build_coset_space: {len(reps)} cosets of {hsize} elements hold "
-            f"{len(reps) * hsize} elements, but the group has {group.order}"
-        )
-    return CosetSpace(
-        explicit=True,
-        elements=elements,
-        h_elements=h_elements,
-        reps=tuple(reps),
-        coset_index=coset_index,
-        **base,
-    )
+    reps = keys[:, None] // f ** np.arange(3, -1, -1) % f  # key a f^3 + b f^2 + c f + d
+    return VertexLookup(reps, elements, vertices, field)
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +340,24 @@ def linear_energy_display_audit(q: int, rows: Sequence[SpectrumRow]) -> list[For
 # the explicit graph
 
 
-def _connection(space: CosetSpace) -> list[Mat2]:
+def _connection(space: CosetSpace, lookup: VertexLookup) -> list[Mat2]:
     """One element of each left H-coset inside HzH and the diagonal HmH.
 
     A double coset HmH is the union of the left cosets hmH, so the |H|
-    products hm meet every one of them.
+    products hm meet every one of them; the first product in each coset,
+    with H in lex order, is kept, its coset read through ``lookup``.
     """
     group, q = space.group, space.q
     starts = [space.z] + [
-        Mat2(space.rep_set[a], 0, 0, space.rep_set[b])
-        for a in range(q + 1)
-        for b in range(a + 1, q + 1)
+        Mat2(space.rep_set[a], 0, 0, space.rep_set[b]) for a in range(q + 1) for b in range(a + 1, q + 1)
     ]
+    h = [Mat2(*x) for x in _subgroup(space).tolist()]
     out = []
     for m in starts:
-        cosets = {}
-        for h in space.h_elements:
-            hm = group.mul(h, m)
-            cosets.setdefault(space.coset_index[hm], hm)
+        products = [group.mul(x, m) for x in h]
+        cosets: dict[int, Mat2] = {}
+        for vertex, hm in zip(lookup.at(_row_keys(products, group.field.q).T).tolist(), products):
+            cosets.setdefault(vertex, hm)
         out += cosets.values()
     return out
 
@@ -371,10 +373,10 @@ def build_gamma(space: CosetSpace) -> Graph:
     whose eigenvalues generate F_{q^4}^x: s^k r is in rH only for a scalar
     s^k in F_q^x, so the symmetry is free of order c = (q + 1)(q^2 + 1), its
     power c/2 is the pairing, and its Fourier blocks have size q.
-    Every coset is read literally off the enumerated group, with no reliance
-    on the Frobenius invariant.  An arc (i, j) without its reverse raises,
-    naming the first asymmetric entry of A.  The symmetry and the degree
-    are left to the cross-checks.
+    Every coset is read literally off G, enumerated as an array
+    (:func:`_coset_lookup`), with no reliance on the Frobenius invariant.  An
+    arc (i, j) without its reverse raises, naming the first asymmetric entry
+    of A.  The symmetry and the degree are left to the cross-checks.
     """
     if not space.explicit:
         raise ValueError(
@@ -390,12 +392,12 @@ def build_gamma(space: CosetSpace) -> Graph:
         )
     import numpy as np
 
-    lookup = VertexLookup(space.reps, space.coset_index, group.field)
+    lookup = _coset_lookup(space)
     partner = translation_map(lookup, group.identity(), space.z)
     symmetry = translation_map(lookup, group.walk_symmetry()[0], group.identity())
     vertices = np.arange(len(partner))
     matching = bool((partner[partner] == vertices).all() and (partner != vertices).all())
-    translates = Translates(lookup, _connection(space))
+    translates = Translates(lookup, _connection(space, lookup))
     n = len(vertices)
     arcs = np.sort(vertices[:, None] * n + translates.neighbours(vertices), None)  # keys i n + j
     back = arcs % n * n + arcs // n

@@ -33,21 +33,14 @@ certifies.
 Where a group is small enough to enumerate, both families also build their
 graph explicitly through one builder, :class:`Translates`: row i marks the
 vertex of r_i s for every s in a connection list.  No n x n array is held;
-the rows of any block of vertices are made on demand.  The products are
-array products.  Row 1 of r s is the vector (a, b) s and row 2 is (c, d) s,
-so each product is found from its two rows.  A :class:`VertexLookup`, built
-once per graph, numbers the R distinct rows of the group's elements and
-holds the vertex of every element in an (R + 1) x (R + 1) table of row-id
-pairs, -1 where a pair is no vertex.  One table of the row ids of v s, for
-every row v of a representative and every s, is read through the field's
-q x q multiplication and addition tables, once per graph; each product is
-then two gathers from it, a multiply-add and one index into the vertex
-table.  R is at most q_f^2 - 1 for the coefficient field F_{q_f}, so both
-tables scale with the vectors of F_{q_f}^2 rather than with q_f^4 matrix
-keys: at gu 9 (over F_81) R = 720, and the vertex table takes 1 MB and the
-row table about 4 MB, where an n x n ``uint8`` adjacency would take 52 MB.
+the rows of any block of vertices are made on demand from array products.
+A :class:`VertexLookup`, built once per graph, holds the vertex of every
+element in a table of pairs of the R <= q_f^2 - 1 distinct rows of the
+group's elements over F_{q_f}: at gu 9 (over F_81) R = 720, and the table
+takes 1 MB where an n x n ``uint8`` adjacency would take 52 MB.
 :func:`translation_map` gives the transfer pairing and the walk's symmetry as
 maps i -> vertex of left r_i right, by O(n) gathers through the same tables.
+Each block of this path spans about ``BLOCK_ENTRIES`` entries, at least one row.
 """
 
 from __future__ import annotations
@@ -64,6 +57,7 @@ from .groups import ClassLabel, IrrLabel, Mat2
 from .record import Record
 
 __all__ = [
+    "BLOCK_ENTRIES",
     "SpectrumRow",
     "FormulaCheck",
     "TransferCertificate",
@@ -232,12 +226,11 @@ class ConjugacyScheme:
     def __init__(self, family):
         self.family = family
         self.elements: list = list(family.enumerate_group())
-        self.index = {m: i for i, m in enumerate(self.elements)}
 
     @cached_property
     def lookup(self) -> VertexLookup:
         """The vertex of every product of elements, built on first use."""
-        return VertexLookup(self.elements, self.index, self.family.field)
+        return VertexLookup(self.elements, self.elements, range(len(self.elements)), self.family.field)
 
     def adjacency(self, labels: Sequence[ClassLabel]) -> Translates:
         """The rows of the Cayley graph on the class union, given on demand.
@@ -275,9 +268,10 @@ class Graph(NamedTuple):
     translation: tuple[Mat2, Mat2] | None = None
 
 
-# Products per row block: each of the block's temporaries is a (rows x |S|)
-# array of at most this many entries, 1 MB at int64.
-_BLOCK_ENTRIES = 1 << 17
+# Entries per temporary of the explicit path: a row block of products or
+# neighbours, a run of Fourier rows, a block of graph.edges.  64 KB at 8 bytes,
+# half of glibc's default mmap threshold.
+BLOCK_ENTRIES = 1 << 13
 _IDENTITY = Mat2(1, 0, 0, 1)
 
 
@@ -285,7 +279,7 @@ def _as_array(elements: Sequence) -> np.ndarray:
     """Matrices as an (n, 4) int64 array of their entries a, b, c, d."""
     import numpy as np
 
-    return np.array(elements, dtype=np.int64).reshape(-1, 4)
+    return np.asarray(elements, dtype=np.int64).reshape(-1, 4)
 
 
 def _row_keys(elements: Sequence, q: int) -> np.ndarray:
@@ -296,12 +290,13 @@ def _row_keys(elements: Sequence, q: int) -> np.ndarray:
 class VertexLookup:
     """The vertex of every group element of a graph, and the rows of its representatives.
 
-    ``reps`` holds one group element per vertex and ``vertex_of`` maps every
-    group element to its vertex: an element to its own index on a Cayley
-    graph, to the index of its left coset on a coset graph.  The R distinct
-    rows of the elements, first or second, are numbered 0 .. R - 1 in the
-    order of their keys x q + y (``rows``), and an element's vertex is entry
-    (i, j) of an (R + 1) x (R + 1) table for the ids i, j of its two rows.
+    ``reps`` holds one group element per vertex and ``vertices[k]`` is the
+    vertex of ``elements[k]``, for every group element (matrices, or rows
+    a, b, c, d of an array): its own index on a Cayley graph, the index of
+    its left coset on a coset graph.  The R distinct rows of the elements,
+    first or second, are numbered 0 .. R - 1 in the order of their keys
+    x q + y (``rows``), and an element's vertex is entry (i, j) of an
+    (R + 1) x (R + 1) table for the ids i, j of its two rows (:meth:`at`).
     A row that no element has reads as id R, whose table row and column are
     all -1, as is every pair of rows that is no element.  ``vectors`` holds
     the keys of the rows that occur among the representatives, and ``top``
@@ -310,20 +305,25 @@ class VertexLookup:
     :func:`translation_map`.
     """
 
-    def __init__(self, reps: Sequence, vertex_of, field):
+    def __init__(self, reps: Sequence, elements: Sequence, vertices: Sequence[int], field):
         import numpy as np
 
         self.field, self.size = field, len(reps)
         q = field.q
-        self.rows, ids = np.unique(_row_keys(list(vertex_of), q), return_inverse=True)
+        self.rows, ids = np.unique(_row_keys(elements, q), return_inverse=True)
         self.width = width = len(self.rows) + 1
         ids = ids.reshape(-1, 2)
-        self.table = np.full(width * width, -1, np.min_scalar_type(-len(vertex_of)))
-        self.table[ids[:, 0] * width + ids[:, 1]] = list(vertex_of.values())
+        self.table = np.full(width * width, -1, np.min_scalar_type(-len(ids)))
+        self.table[ids[:, 0] * width + ids[:, 1]] = vertices
         self.row_id = np.full(q * q, len(self.rows), np.min_scalar_type(len(self.rows)))
         self.row_id[self.rows] = np.arange(len(self.rows))
         self.vectors, ids = np.unique(_row_keys(reps, q), return_inverse=True)
         self.top, self.bottom = ids.reshape(-1, 2).T
+
+    def at(self, keys: np.ndarray) -> np.ndarray:
+        """The vertex of each element whose rows have the keys ``keys[0]`` and ``keys[1]``, -1 for none."""
+        ids = self.row_id[keys]
+        return self.table[ids[0].astype(int) * self.width + ids[1]]
 
 
 def _row_products(field, vectors: np.ndarray, connection: Sequence) -> np.ndarray:
@@ -345,7 +345,8 @@ def _row_table(lookup: VertexLookup, connection: Sequence) -> np.ndarray:
     import numpy as np
 
     ids = np.empty((len(lookup.vectors), len(connection)), dtype=lookup.row_id.dtype)
-    step = max(1, _BLOCK_ENTRIES // max(1, len(connection)))
+    connection = _as_array(connection)  # once, not per block
+    step = max(1, BLOCK_ENTRIES // max(1, len(connection)))
     for start in range(0, len(ids), step):
         keys = _row_products(lookup.field, lookup.vectors[start : start + step], connection)
         ids[start : start + step] = lookup.row_id[keys]
@@ -361,7 +362,7 @@ class Translates:
     so two gathers from ``products`` give the ids i, j of the product's rows
     and its vertex is entry i (R + 1) + j of the lookup's table.  Indexing
     with a slice or an array of vertices gives their rows as a ``uint8``
-    matrix, a block of about ``_BLOCK_ENTRIES`` products at a time; a
+    matrix, a block of about ``BLOCK_ENTRIES`` products at a time; a
     connection list that reaches one vertex twice marks it once.  Building
     reads row 0: a group element r_0 s is in the group exactly when s is, so
     a connection element outside it raises ``KeyError`` there, naming r_0 s.
@@ -398,7 +399,7 @@ class Translates:
         if isinstance(vertices, slice):
             vertices = np.arange(*vertices.indices(n))
         out = np.zeros((len(vertices), n), dtype=np.uint8)
-        step = max(1, _BLOCK_ENTRIES // max(1, len(self.connection)))
+        step = max(1, BLOCK_ENTRIES // max(1, len(self.connection)))
         for start in range(0, len(vertices), step):
             cols = self.neighbours(vertices[start : start + step])
             out[np.arange(start, start + len(cols))[:, None], cols] = 1
@@ -422,8 +423,7 @@ def translation_map(lookup: VertexLookup, left, right) -> np.ndarray:
     keys = np.array(
         [add[mul[e, x1], mul[f, x2]] * q + add[mul[e, y1], mul[f, y2]] for e, f in (left[:2], left[2:])]
     )
-    ids = lookup.row_id[keys]
-    vertices = lookup.table[ids[0].astype(np.intp) * lookup.width + ids[1]]
+    vertices = lookup.at(keys)
     if (vertices < 0).any():
         keys = keys[:, int((vertices < 0).argmax())].tolist()
         product = Mat2(*(v for key in keys for v in divmod(key, q)))

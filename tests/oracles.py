@@ -26,7 +26,7 @@ from pstwalk.chars import (
 )
 from pstwalk import scheme
 from pstwalk.ctqw import WalkSystem, integer_eigenvalues
-from pstwalk.groups import ClassLabel, IrrLabel, Mat2
+from pstwalk.groups import ClassLabel, GLGroup, IrrLabel, Mat2
 from pstwalk.orbital import CosetSpace, build_coset_space
 
 
@@ -257,6 +257,79 @@ def dense_cyclotomic_reduction(n: int, coeffs: dict[int, int]) -> tuple[int, ...
 
 
 # ---------------------------------------------------------------------------
+# the coset space, one element at a time
+
+
+class LiteralCosetSpace(NamedTuple):
+    """A coset space with G and H enumerated, one representative per coset and every element's coset.
+
+    The first seven fields are :class:`~pstwalk.orbital.CosetSpace`'s; the
+    listed ones are ``None`` above ``EXPLICIT_LIMIT``.
+    """
+
+    q: int
+    group: object
+    hsize: int
+    zeta: int
+    z: Mat2
+    rep_set: tuple
+    explicit: bool
+    elements: tuple | None
+    h_elements: tuple | None
+    reps: tuple | None
+    coset_index: dict | None
+
+    @property
+    def n_cosets(self) -> int:
+        return self.group.order // self.hsize
+
+
+@lru_cache(maxsize=None)
+def literal_coset_space(q: int) -> LiteralCosetSpace:
+    """The coset space by the literal loop: G in enumeration order, a new coset
+    at each element not yet labelled, and its |H| products g h labelled with it.
+
+    H is GL(2, q) enumerated and carried into G by the tower's embedding.
+    """
+    space = build_coset_space(q)
+    if not space.explicit:
+        return LiteralCosetSpace(**space._asdict(), elements=None, h_elements=None, reps=None, coset_index=None)
+    group, sub = space.group, GLGroup(q)
+    h_elements = tuple(Mat2(*map(sub.tower.embed, h)) for h in sub.enumerate_group())
+    assert len(h_elements) == space.hsize
+    elements = tuple(group.enumerate_group())
+    coset_index: dict[Mat2, int] = {}
+    reps: list[Mat2] = []
+    for g in elements:
+        if g in coset_index:
+            continue
+        reps.append(g)
+        for h in h_elements:
+            coset_index[group.mul(g, h)] = len(reps) - 1
+    assert len(reps) * space.hsize == group.order
+    return LiteralCosetSpace(
+        **space._asdict(), elements=elements, h_elements=h_elements, reps=tuple(reps), coset_index=coset_index
+    )
+
+
+def literal_connection(space: LiteralCosetSpace) -> list[Mat2]:
+    """One element of each left H-coset inside HzH and the diagonal HmH: the
+    first of the products h m, H in enumeration order, in each coset."""
+    group, q = space.group, space.q
+    starts = [space.z] + [
+        Mat2(space.rep_set[a], 0, 0, space.rep_set[b]) for a in range(q + 1) for b in range(a + 1, q + 1)
+    ]
+    out = []
+    for m in starts:
+        cosets: dict[int, Mat2] = {}
+        for h in space.h_elements:
+            hm = group.mul(h, m)
+            cosets.setdefault(space.coset_index[hm], hm)
+        out += cosets.values()
+    return out
+
+
+# ---------------------------------------------------------------------------
 # literal explicit graphs, by membership over the enumerated group
 #
 # These take the matrix product from the library's group family, but none of
@@ -338,6 +411,25 @@ def translation_adjacency(lookup, connection) -> np.ndarray:
             scheme.translation_map(lookup, Mat2(1, 0, 0, 1), connection[k])
         out[np.arange(start, start + len(cols))[:, None], cols] = 1
     return out
+
+
+class RegularRows:
+    """A 0/1 matrix read as a graph's rows are read for graph.edges: ``neighbours``
+    gives each row's columns, padded to n with the row's own index."""
+
+    def __init__(self, adjacency):
+        a = np.asarray(adjacency)
+        self.connection = range(len(a))
+        self.cols = np.tile(np.arange(len(a))[:, None], (1, len(a)))
+        for i, row in enumerate(a):
+            found = np.flatnonzero(row)
+            self.cols[i, : len(found)] = found
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def neighbours(self, vertices) -> np.ndarray:
+        return self.cols[vertices]
 
 
 def dense_adjacency(graph) -> np.ndarray:

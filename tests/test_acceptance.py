@@ -17,6 +17,7 @@ from oracles import (
     double_coset_of,
     idempotent,
     integer_rows_with_signs,
+    literal_coset_space,
     literal_double_coset,
     pst_test,
     relation_matrices,
@@ -206,13 +207,14 @@ def test_criterion_6_orbital_q3():
     start = time.perf_counter()
     space = orbital.build_coset_space(3)
     assert space.n_cosets == 120
+    literal = literal_coset_space(3)
 
     fibers: dict = {}
-    for x in space.elements:
+    for x in literal.elements:
         fibers.setdefault(double_coset_of(space, x), []).append(x)
     assert sum(len(v) for v in fibers.values()) == 5760
     for group_members in fibers.values():
-        assert literal_double_coset(space, group_members[0]) == frozenset(group_members)
+        assert literal_double_coset(literal, group_members[0]) == frozenset(group_members)
 
     graph = orbital.build_gamma(space)
     n = len(graph.partner)
@@ -226,8 +228,8 @@ def test_criterion_6_orbital_q3():
     deviation = spectrum_deviation(dense_adjacency(graph), [(r.theta, r.multiplicity) for r in rows])
     assert deviation <= SPECTRUM_TOL
 
-    h_vertex = space.coset_index[space.group.identity()]
-    assert space.coset_index[space.z] == graph.partner[h_vertex]
+    h_vertex = literal.coset_index[space.group.identity()]
+    assert literal.coset_index[space.z] == graph.partner[h_vertex]
     run_walk(dense_adjacency(graph), [(h_vertex, int(graph.partner[h_vertex]))])
 
     disagreeing = {c.row for c in orbital.linear_energy_display_audit(3, rows) if not c.agrees}

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pstwalk import cli, orbital
+from oracles import RegularRows, literal_coset_space
+from pstwalk import cli, orbital, scheme
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
 from pstwalk.ctqw import PairingError, TransferReport, graph_stack
 from pstwalk.groups import GLGroup, GUGroup, Mat2, SLGroup
@@ -270,16 +271,16 @@ def literal_edges(adjacency) -> bytes:
 
 def test_edges_text_formats_row_blocks_as_one_list():
     """An edgeless graph writes one newline; a graph of several row blocks reads as one list."""
-    assert b"".join(cli._edge_blocks(np.zeros((3, 3), dtype=np.int64))) == b"\n"
-    n = 400
-    step = cli._EDGE_BLOCK_ENTRIES // n
+    assert b"".join(cli._edge_blocks(RegularRows(np.zeros((3, 3), dtype=np.int64)))) == b"\n"
+    n = 250
+    step = scheme.BLOCK_ENTRIES // n
     assert 1 < step < n and n % step
     upper = np.triu(np.random.default_rng(7).random((n, n)) < 0.05, 1)
     adjacency = (upper | upper.T).astype(np.int64)
     rows, cols = np.nonzero(upper)
     assert rows.max() >= n - n % step  # the last, partial block has edges
     expected = "".join(f"{i} {j}\n" for i, j in zip(rows, cols)).encode()
-    assert b"".join(cli._edge_blocks(adjacency)) == expected
+    assert b"".join(cli._edge_blocks(RegularRows(adjacency))) == expected
 
 
 @pytest.mark.parametrize("entries", [1, 7 * 50 + 3, 50 * 50 + 1])
@@ -295,8 +296,8 @@ def test_edges_text_does_not_depend_on_the_block_size(monkeypatch, entries, grap
         "quiet": (upper | upper.T).astype(np.uint8),
         "complete": 1 - np.eye(n, dtype=np.uint8),
     }[graph]
-    monkeypatch.setattr(cli, "_EDGE_BLOCK_ENTRIES", entries)
-    blocks = list(cli._edge_blocks(adjacency))
+    monkeypatch.setattr(scheme, "BLOCK_ENTRIES", entries)
+    blocks = list(cli._edge_blocks(RegularRows(adjacency)))
     assert all(type(b) is bytes for b in blocks)
     assert len(blocks) == {1: n, 353: -(-n // 7), 2501: 1}[entries] + (graph == "edgeless")
     assert b"".join(blocks) == literal_edges(adjacency)
@@ -304,7 +305,7 @@ def test_edges_text_does_not_depend_on_the_block_size(monkeypatch, entries, grap
         assert b"".join(blocks) == b"\n"
 
 
-# Two blocks of rows at the default block size: 217 rows, then 84.
+# Twelve blocks of rows at the default block size: eleven of 27 rows, then 4.
 EDGE_N = 301
 
 
@@ -314,21 +315,50 @@ EDGE_N = 301
     density=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
     quiet=st.floats(0, 1),
     seed=st.integers(0, 2**32 - 1),
-    entries=st.sampled_from([1, 97, cli._EDGE_BLOCK_ENTRIES]),
+    entries=st.sampled_from([1, 97, scheme.BLOCK_ENTRIES]),
 )
-@example(n=1, density=1.0, quiet=0.0, seed=0, entries=cli._EDGE_BLOCK_ENTRIES)
-@example(n=40, density=0.0, quiet=0.0, seed=0, entries=cli._EDGE_BLOCK_ENTRIES)
-@example(n=40, density=1.0, quiet=0.0, seed=0, entries=cli._EDGE_BLOCK_ENTRIES)
-@example(n=EDGE_N, density=0.3, quiet=0.99, seed=1, entries=cli._EDGE_BLOCK_ENTRIES)
+@example(n=1, density=1.0, quiet=0.0, seed=0, entries=scheme.BLOCK_ENTRIES)
+@example(n=40, density=0.0, quiet=0.0, seed=0, entries=scheme.BLOCK_ENTRIES)
+@example(n=40, density=1.0, quiet=0.0, seed=0, entries=scheme.BLOCK_ENTRIES)
+@example(n=EDGE_N, density=0.3, quiet=0.99, seed=1, entries=scheme.BLOCK_ENTRIES)
 def test_edges_text_matches_a_literal_join(n, density, quiet, seed, entries):
     """Random symmetric 0/1 graphs, uint8 and int64; rows above ``quiet * n`` have no later edges."""
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
     upper[: int(quiet * n)] = False
     adjacency = (upper | upper.T).astype(np.uint8)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_EDGE_BLOCK_ENTRIES", entries)
+        patch.setattr(scheme, "BLOCK_ENTRIES", entries)
         for a in (adjacency, adjacency.astype(np.int64)):
-            assert b"".join(cli._edge_blocks(a)) == literal_edges(adjacency)
+            assert b"".join(cli._edge_blocks(RegularRows(a))) == literal_edges(adjacency)
+
+
+def test_a_connection_that_reaches_a_vertex_twice_writes_each_edge_once(monkeypatch):
+    """gl 3's connection list with a third of it repeated: every row names some
+    vertices twice, and graph.edges is the same, at the default block size and at
+    one row per block."""
+    graph = cli.build_target("gl", 3).graph(100)
+    rows = graph.translates
+    doubled = Translates(rows.lookup, rows.connection + rows.connection[::3])
+    assert (np.sort(doubled.neighbours([0]))[0, 1:] == np.sort(doubled.neighbours([0]))[0, :-1]).any()
+    expected = literal_edges(rows[:])
+    assert b"".join(cli._edge_blocks(doubled)) == b"".join(cli._edge_blocks(rows)) == expected
+    monkeypatch.setattr(scheme, "BLOCK_ENTRIES", 1)
+    assert b"".join(cli._edge_blocks(doubled)) == expected
+
+
+def test_the_edges_pass_at_gl_7_holds_no_dense_row_block(tmp_path):
+    """gl 7 at bound 2100 (2016 vertices): writing graph.edges peaks below 512 KiB of
+    traced memory; a dense uint8 row block and its np.nonzero took 1.6 MiB."""
+    rows = cli.build_target("gl", 7).graph(2100).translates
+    cli._write_outputs(tmp_path, {"edges"}, {}, [], rows)  # imports outside the measurement
+    tracemalloc.start()
+    try:
+        cli._write_outputs(tmp_path, {"edges"}, {}, [], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2016
+    assert peak < 512 * 1024, peak
 
 
 def test_export_orbital_q3_artifacts(tmp_path):
@@ -423,10 +453,11 @@ def test_orbital_structure_checks_can_fail(monkeypatch, capsys):
     not an involution, reads false on the degree and matching checks, and
     the walk is not split: the symmetry's half power is not that permutation."""
     connection, translate = orbital._connection, orbital.translation_map
+    coset_index = literal_coset_space(3).coset_index
 
-    def without_z(space):
-        z_vertex = space.coset_index[space.z]
-        return [d for d in connection(space) if space.coset_index[d] != z_vertex]
+    def without_z(space, lookup):
+        z_vertex = coset_index[space.z]
+        return [d for d in connection(space, lookup) if coset_index[d] != z_vertex]
 
     monkeypatch.setattr(orbital, "_connection", without_z)
     def rolled_pairing(lookup, left, right):
@@ -795,6 +826,38 @@ def test_the_exact_path_loads_no_numpy(tmp_path):
     """Tables, characters, period sums, certificate and report run on Python ints alone."""
     seen = numpy_loaded_after(tmp_path, ("gl", 19), ("gu", 23), ("sl", 23), ("orbital", 7))
     assert [(code, loaded) for _, code, loaded in seen] == [(None, False)] + [(EXIT_OK, False)] * 4, seen
+
+
+_ENUMERATION_PROBE = """
+import contextlib, io, sys
+import pstwalk.cli
+from pstwalk import groups
+calls = []
+for family in (groups.GLGroup, groups.GUGroup, groups.SLGroup):
+    def counted(self, enumerate_group=family.enumerate_group):
+        calls.append(type(self).__name__)
+        return enumerate_group(self)
+    family.enumerate_group = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pstwalk.cli.main(sys.argv[1:])
+print(code, calls, "numpy" in sys.modules)
+"""
+
+
+def test_the_orbital_exact_path_enumerates_nothing(tmp_path):
+    """orbital 3 with no explicit graph: the coset space keeps the spectrum's fields
+    only, so a fresh interpreter lists no group and loads no numpy."""
+    argv = ["export", "--family", "orbital", "--q", "3", "--brute-force-bound", "0", "--out-dir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", _ENUMERATION_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(EXIT_OK), "[]", "False"], done.stdout
+    assert (tmp_path / "report.json").exists() and not (tmp_path / "graph.edges").exists()
 
 
 def test_an_explicit_graph_loads_numpy(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pstwalk.cayley import make_family
 from pstwalk.cli import ENUMERATION_BOUND, build_target
-from pstwalk import ctqw
+from pstwalk import ctqw, scheme
 from pstwalk.ctqw import (
     TOL,
     NonIntegralSpectrumError,
@@ -711,7 +711,7 @@ def test_fourier_blocks_match_the_dft_along_the_orbit_axis(c, m):
 
 def test_fourier_blocks_hold_no_cosine_matrix():
     """c = 4000, m = 2: the (c/2 + 1) x c cosine matrix alone would take 64 MB; the
-    blocks are made a run of j at a time, each temporary near ``FOURIER_ENTRIES``."""
+    blocks are made a run of j at a time, each temporary near ``scheme.BLOCK_ENTRIES``."""
     c, m = 4000, 2
     stack = np.random.default_rng(0).integers(0, 2, size=(c, m, m)).astype(np.uint8)
     tracemalloc.start()
@@ -720,4 +720,4 @@ def test_fourier_blocks_hold_no_cosine_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < blocks.nbytes + c * m * m * 8 + 8 * ctqw.FOURIER_ENTRIES * 8
+    assert peak < blocks.nbytes + c * m * m * 8 + 8 * scheme.BLOCK_ENTRIES * 8

@@ -21,15 +21,17 @@ import numpy as np
 import pytest
 
 from oracles import (
+    RegularRows,
     dense_adjacency,
     dense_component_count,
     literal_cayley_adjacency,
+    literal_coset_space,
     literal_orbital_adjacency,
     translation_adjacency,
     translation_adjacency_reference,
     translation_map_reference,
 )
-from pstwalk import cli, orbital, scheme
+from pstwalk import cli, scheme
 from pstwalk.cayley import SMALL_ORDERS, STANDARD, analyze, component_count, explicit_graph, make_family
 from pstwalk.ctqw import PairingError, WalkSystem, graph_stack
 from pstwalk.groups import Mat2
@@ -71,7 +73,7 @@ def test_cayley_adjacency_matches_literal_reference(tag, q, variant):
 
 def test_orbital_adjacency_and_pairing_match_literal_reference():
     graph = graph_of("orbital", 3, STANDARD)
-    adjacency, involution = literal_orbital_adjacency(build_coset_space(3))
+    adjacency, involution = literal_orbital_adjacency(literal_coset_space(3))
     assert np.array_equal(dense_adjacency(graph), adjacency)
     n = len(graph.partner)
     assert np.array_equal(np.eye(n, dtype=np.int64)[graph.partner], involution)
@@ -95,7 +97,7 @@ def test_symmetry_is_a_free_cyclic_automorphism_whose_half_power_is_the_partner(
     graph = graph_of(tag, q, variant)
     a, sigma = dense_adjacency(graph), graph.symmetry
     if tag == "orbital":
-        space = build_coset_space(q)
+        space = literal_coset_space(q)
         group, s = space.group, space.group.walk_symmetry()[0]
         assert group.element_order(s) == q**4 - 1
         assert np.array_equal(sigma, [space.coset_index[group.mul(s, r)] for r in space.reps])
@@ -125,18 +127,24 @@ def test_every_explicit_graph_holds_one_byte_per_entry(tag, q, variant):
     assert a.dtype == np.uint8 and a.nbytes == len(a) ** 2
 
 
+def lookup_of(reps, vertex_of, field):
+    """The vertex lookup of a dict from every group element to its vertex."""
+    return VertexLookup(reps, list(vertex_of), list(vertex_of.values()), field)
+
+
 def builder_inputs(tag, q):
     """reps, vertex_of, family, connection list, central involution and walk symmetry (s, u^-1)."""
     if tag == "orbital":
-        space = build_coset_space(q)
+        space = literal_coset_space(q)
         group = space.group
         symmetry = (group.walk_symmetry()[0], group.identity())
-        return space.reps, space.coset_index, group, orbital._connection(space), space.z, symmetry
+        connection = graph_of(tag, q, STANDARD).translates.connection
+        return space.reps, space.coset_index, group, connection, space.z, symmetry
     family, conn, *_ = analyze(tag, q, STANDARD)
     sch = ConjugacyScheme(family)
     members = [x for lab in conn.labels for x in family.class_elements(lab)]
     s, u = family.walk_symmetry()
-    return sch.elements, sch.index, family, members, family.central_involution(), (s, family.inv(u))
+    return sch.elements, {m: i for i, m in enumerate(sch.elements)}, family, members, family.central_involution(), (s, family.inv(u))
 
 
 @pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 5), ("sl", 7), ("sl", 11), ("orbital", 3)])
@@ -144,7 +152,7 @@ def test_array_builder_matches_python_products(tag, q):
     """The adjacency, the pairing (right translation by t) and the walk symmetry
     (left by s, right by u^-1) against one Python product per entry."""
     reps, vertex_of, family, connection, t, (left, right) = builder_inputs(tag, q)
-    lookup = VertexLookup(reps, vertex_of, family.field)
+    lookup = lookup_of(reps, vertex_of, family.field)
     expected = translation_adjacency_reference(reps, vertex_of, family.mul, connection)
     got = translation_adjacency(lookup, connection)
     assert got.dtype == np.uint8 and np.array_equal(got, expected)
@@ -189,7 +197,7 @@ def test_row_table_holds_every_vector_times_every_connection_element(tag, q):
     reps, vertex_of, family, connection, *_ = builder_inputs(tag, q)
     field = family.field
     f = field.q
-    lookup = VertexLookup(reps, vertex_of, field)
+    lookup = lookup_of(reps, vertex_of, field)
     assert lookup.vectors.tolist() == row_keys(reps, f)
     assert lookup.rows.tolist() == row_keys(vertex_of, f)
 
@@ -210,7 +218,7 @@ def test_the_vertex_table_is_smaller_than_the_adjacency(tag, q):
     elements, at most q_f^2 - 1 of them; n^2 is larger, in bytes too."""
     family = make_family(tag, q)
     elements = family.enumerate_group()
-    lookup = VertexLookup(elements, {m: i for i, m in enumerate(elements)}, family.field)
+    lookup = VertexLookup(elements, elements, range(len(elements)), family.field)
     rows = len(row_keys(elements, family.field.q))
     assert rows < family.field.q**2
     assert lookup.table.size == (rows + 1) ** 2 < family.order**2
@@ -218,8 +226,8 @@ def test_the_vertex_table_is_smaller_than_the_adjacency(tag, q):
 
 
 def test_the_orbital_vertex_table_is_smaller_than_the_adjacency():
-    space = build_coset_space(3)
-    lookup = VertexLookup(space.reps, space.coset_index, space.group.field)
+    space = literal_coset_space(3)
+    lookup = lookup_of(space.reps, space.coset_index, space.group.field)
     assert len(row_keys(space.coset_index, 9)) == 80
     assert lookup.table.size == 81**2 < space.n_cosets**2 == 14_400
     assert lookup.table.nbytes < 14_400
@@ -290,7 +298,7 @@ def test_the_rows_on_demand_match_the_dense_adjacency(tag, q, variant):
     pairs += [(int(x), int(y)) for x, y in np.random.default_rng(n).integers(0, n, size=(256, 2))]
     for t in (0.3, pi / 2):
         assert np.abs(np.subtract(walk.fidelities(t, pairs), reference.fidelities(t, pairs))).max() < 1e-9
-    assert b"".join(cli._edge_blocks(rows)) == b"".join(cli._edge_blocks(dense))
+    assert b"".join(cli._edge_blocks(rows)) == b"".join(cli._edge_blocks(RegularRows(dense)))
 
 
 @pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 9), ("sl", 9)])

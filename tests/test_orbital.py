@@ -8,6 +8,7 @@ the hand-derived closed form exactly as printed.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import re
@@ -32,14 +33,18 @@ from oracles import (
     in_subfield,
     induced_energy_closed,
     linear_energy_closed,
+    literal_connection,
+    literal_coset_space,
     literal_double_coset,
+    literal_orbital_adjacency,
     m_theta,
     p_theta_trace,
     spectrum_trace,
     subfield_matrices,
     translation_adjacency,
+    translation_map_reference,
 )
-from pstwalk import orbital
+from pstwalk import cli, orbital
 from pstwalk.cayley import make_family
 from pstwalk.chars import CycSum, NonIntegralError, integer_part
 from pstwalk.ctqw import pst_scan
@@ -54,7 +59,7 @@ from pstwalk.orbital import (
     linear_energy_display_audit,
     orbital_spectrum,
 )
-from pstwalk.scheme import VertexLookup
+from pstwalk.scheme import Translates, VertexLookup
 
 # ---------------------------------------------------------------------------
 # frozen expectations
@@ -106,6 +111,11 @@ def space3():
     return build_coset_space(3)
 
 
+def literal3():
+    """The q = 3 space with G, H, the representatives and every element's coset listed."""
+    return literal_coset_space(3)
+
+
 @lru_cache(maxsize=None)
 def graph3():
     return build_gamma(space3())
@@ -145,7 +155,7 @@ def release_tables():
 @lru_cache(maxsize=None)
 def invariant_fibers():
     """Group elements fibered by the Frobenius double-coset invariant."""
-    sp = space3()
+    sp = literal3()
     fibers = {}
     for x in sp.elements:
         fibers.setdefault(double_coset_of(sp, x), []).append(x)
@@ -168,7 +178,7 @@ def rows_by_label(rows):
 
 
 def test_coset_space_counts():
-    sp = space3()
+    sp = literal3()
     assert sp.explicit
     assert sp.n_cosets == Q3_COSETS
     assert len(sp.reps) == Q3_COSETS
@@ -179,13 +189,13 @@ def test_coset_space_counts():
 
 def test_h_is_the_subfield_subgroup():
     """H, the embedded GL(2, 3), is every matrix over the Frobenius-fixed F_3."""
-    sp = space3()
+    sp = literal3()
     assert set(sp.h_elements) == subfield_matrices(sp)
     assert len(set(sp.h_elements)) == sp.hsize
 
 
 def test_coset_space_vertex_anchors():
-    sp = space3()
+    sp = literal3()
     h_vertex, z_vertex = anchors(sp)
     assert h_vertex == 0  # the identity is enumerated first
     assert h_vertex != z_vertex
@@ -221,7 +231,7 @@ def test_gamma_names_a_z_that_does_not_square_to_minus_identity():
 
 
 def test_z_normalizes_h():
-    sp = space3()
+    sp = literal3()
     G = sp.group
     zinv = G.inv(sp.z)
     conjugated = {G.mul(G.mul(sp.z, h), zinv) for h in sp.h_elements}
@@ -229,7 +239,7 @@ def test_z_normalizes_h():
 
 
 def test_representatives_pairwise_distinct_cosets():
-    sp = space3()
+    sp = literal3()
     G = sp.group
     inverses = [G.inv(r) for r in sp.reps]
     for i, r_inv in enumerate(inverses):
@@ -255,7 +265,8 @@ def test_non_admissible_q_rejected(q):
 def test_larger_q_runs_character_sum_only():
     sp = build_coset_space(7)
     assert not sp.explicit
-    assert sp.reps is None and sp.elements is None
+    literal = literal_coset_space(7)
+    assert literal.reps is None and literal.elements is None
     assert sp.n_cosets == Q7_COSETS
     with pytest.raises(ValueError, match="period-sum-only"):
         build_gamma(sp)
@@ -266,7 +277,7 @@ def test_larger_q_runs_character_sum_only():
 
 
 def test_invariant_of_subgroup_elements_is_identity_class():
-    sp = space3()
+    sp = literal3()
     G = sp.group
     identity_class = G.classify(G.identity())
     for h in sp.h_elements[::7]:
@@ -294,7 +305,7 @@ def test_invariant_of_diagonal_reps():
 
 def test_invariant_partition_matches_literal_double_cosets():
     """Full 5760-element check: fibers of the invariant are literal HxH."""
-    sp = space3()
+    sp = literal3()
     fibers = invariant_fibers()
     assert sum(len(v) for v in fibers.values()) == 5760
     for members in fibers.values():
@@ -349,7 +360,7 @@ def test_h_multiplicity_matches_literal_inner_products():
     """All 80 irreducibles of GL(2,9): restriction to H is multiplicity free,
     the constituents are exactly the tabulated ones, and no cuspidal
     character appears."""
-    sp = space3()
+    sp = literal3()
     G = sp.group
     roster = set(coset_irreducibles(3))
     h_classes = [G.classify(h) for h in sp.h_elements]
@@ -421,7 +432,7 @@ def test_trace_of_m_theta_reproduces_inner_product_display():
 
 def test_trace_identity_against_literal_monomial_sums():
     """Tr(P(g) M_theta) equals the literal sum of Tr(P(gh)) over h in H."""
-    sp = space3()
+    sp = literal3()
     G = sp.group
     oo = G.field.q
     samples_g = [sp.reps[17], sp.reps[63], diag(sp, 1, 2), sp.z]
@@ -452,7 +463,7 @@ def test_coset_sums_match_literal_character_table_sums():
     every tabulated character and every supported coset at q = 3.  On the
     central coset zH the literal sum is the involution sign times |H| for
     the module's characters and 0 for every other irreducible."""
-    sp = space3()
+    sp = literal3()
     G = sp.group
     roster = set(coset_irreducibles(3))
 
@@ -710,10 +721,38 @@ def test_graph_shape_and_degree():
 
 def test_graph_h_adjacent_to_zh():
     g = graph3()
-    h_vertex, z_vertex = anchors(space3())
+    h_vertex, z_vertex = anchors(literal3())
     assert dense_adjacency(g)[h_vertex, z_vertex] == 1
     assert g.partner[h_vertex] == z_vertex
     assert g.checks == {"involution_is_perfect_matching": True}
+
+
+def test_the_array_coset_labels_match_the_literal_loop():
+    """G as a lex-ordered array, each coset keyed by its least product g h over H,
+    against the literal loop of ``oracles.literal_coset_space``: the same
+    representatives in the same order, the same vertex for all 5760 elements, the
+    same connection elements, partner and symmetry, and the same graph.edges bytes."""
+    space, literal = space3(), literal3()
+    G = space.group
+    elements = orbital._matrices(G.field, range(9))
+    assert [Mat2(*g) for g in elements.tolist()] == list(literal.elements)
+    graph = graph3()
+    lookup = graph.translates.lookup
+    reps = np.stack([lookup.vectors[lookup.top], lookup.vectors[lookup.bottom]], axis=1)
+    assert reps.tolist() == [[r.a * 9 + r.b, r.c * 9 + r.d] for r in literal.reps]
+    keys = np.array([[g.a * 9 + g.b for g in literal.elements], [g.c * 9 + g.d for g in literal.elements]])
+    assert lookup.at(keys).tolist() == [literal.coset_index[g] for g in literal.elements]
+    connection = literal_connection(literal)
+    assert graph.translates.connection == connection
+    one, s = G.identity(), G.walk_symmetry()[0]
+    for got, (left, right) in [(graph.partner, (one, space.z)), (graph.symmetry, (s, one))]:
+        assert np.array_equal(got, translation_map_reference(literal.reps, literal.coset_index, G.mul, left, right))
+    lookup = VertexLookup(literal.reps, list(literal.coset_index), list(literal.coset_index.values()), G.field)
+    edges = b"".join(cli._edge_blocks(graph.translates))
+    assert edges == b"".join(cli._edge_blocks(Translates(lookup, connection)))
+    upper = np.triu(literal_orbital_adjacency(literal)[0], 1)
+    assert edges == "".join(f"{i} {j}\n" for i, j in zip(*np.nonzero(upper))).encode()
+    assert hashlib.sha256(edges).hexdigest() == "28b13e96f52816c714f8f046ac8053fbd0879a5ffad1a9af6863237a84c7f36d"
 
 
 def test_an_asymmetric_coset_graph_is_refused_naming_an_entry(monkeypatch):
@@ -725,8 +764,8 @@ def test_an_asymmetric_coset_graph_is_refused_naming_an_entry(monkeypatch):
     one, gen, gen3 = space.rep_set[0], space.rep_set[1], space.rep_set[3]
     dropped = double_coset_of(space, Mat2(one, 0, 0, gen))
     assert dropped != double_coset_of(space, Mat2(one, 0, 0, gen3))
-    kept = [d for d in orbital._connection(space) if double_coset_of(space, d) != dropped]
-    monkeypatch.setattr(orbital, "_connection", lambda _: kept)
+    kept = [d for d in graph3().translates.connection if double_coset_of(space, d) != dropped]
+    monkeypatch.setattr(orbital, "_connection", lambda *_: kept)
     orbital.build_gamma.cache_clear()
     try:
         with pytest.raises(RuntimeError) as refused:
@@ -735,7 +774,9 @@ def test_an_asymmetric_coset_graph_is_refused_naming_an_entry(monkeypatch):
         orbital.build_gamma.cache_clear()
     entry = r"build_gamma: adjacency is not symmetric: entry \((\d+), (\d+)\) is (\d+) but \(\2, \1\) is (\d+)"
     i, j, a_ij, a_ji = map(int, re.fullmatch(entry, str(refused.value)).groups())
-    dense = translation_adjacency(VertexLookup(space.reps, space.coset_index, space.group.field), kept)
+    literal = literal3()
+    lookup = VertexLookup(literal.reps, list(literal.coset_index), list(literal.coset_index.values()), space.group.field)
+    dense = translation_adjacency(lookup, kept)
     assert [i, j] == np.argwhere(dense != dense.T)[0].tolist()
     assert (dense[i, j], dense[j, i]) == (a_ij, a_ji)
 
@@ -748,7 +789,7 @@ def test_involution_part_is_fixed_point_free_matching():
     assert np.array_equal(involution @ involution, np.eye(n, dtype=np.int64))
     pairs = transfer_pairs(g)
     assert len(pairs) == n // 2
-    assert anchors(space3()) in pairs
+    assert anchors(literal3()) in pairs
 
 
 def test_involution_edges_are_inside_the_graph():
