@@ -18,11 +18,11 @@ graph, for a torus generator s with s^(|s|/2) = -I and a unipotent u
 double-coset graph (c = (q + 1)(q^2 + 1)).  The walk reads only the stack
 B[d] = A[lo, sigma^d lo] for one vertex lo_r on each of the m = n/c orbits,
 q -+ 1 at a prime q, (q -+ 1) q/p at a power of p and q on the coset graph,
-gathered by :func:`graph_stack` or :meth:`WalkSystem.from_adjacency`.  In
-the basis sigma^p lo_r, A is block circulant,
-so the Fourier vectors along each orbit split it into the c blocks
-A_j = sum_d omega^(jd) B[d] of size m, omega = exp(2 pi i / c) (Babai,
-*Spectra of Cayley graphs*, 1979; Davis, *Circulant Matrices*, 1979).
+scattered from the graph's neighbour lists by :func:`graph_stack`.  In the
+basis sigma^p lo_r, A is block circulant, so the Fourier vectors along each
+orbit split it into the c blocks A_j = sum_d omega^(jd) B[d] of size m,
+omega = exp(2 pi i / c) (Babai, *Spectra of Cayley graphs*, 1979; Davis,
+*Circulant Matrices*, 1979).
 Block c - j is the conjugate of block j, so one stacked ``eigh`` of the
 blocks j = 0 ... c/2, complex Hermitian when c > 2, diagonalises A.  P acts
 as (-1)^j on block j, so each side's eigenvalues can be compared with the
@@ -67,8 +67,7 @@ TOL = 1e-8
 FIDELITY_TOL = 1e-9
 # how far short of 1 the half-time fidelity must fall
 MID_SLACK = 1e-3
-# rows per slice of the symmetry, automorphism and eigendecomposition drift
-# checks, so that none of them holds an n x n temporary
+# rows per slice of the symmetry and drift checks, so that neither holds an n x n temporary
 CHECK_ROWS = 128
 # Fourier blocks per step of the fidelity sums, a fixed run so that a pair sums alike in any batch
 FIDELITY_BLOCKS = 16
@@ -86,12 +85,14 @@ def _row_slices(n: int):
     return (slice(i, i + CHECK_ROWS) for i in range(0, n, CHECK_ROWS))
 
 
-def check_symmetric(stack: np.ndarray) -> None:
+def check_symmetric(orbits: np.ndarray, stack: np.ndarray) -> None:
     """Refuse a stack with B[d][i, r] != B[-d][r, i] anywhere: exactly for integers, within TOL for floats.
 
     A[sigma^a lo_i, sigma^b lo_r] is B[b - a][i, r], so for an automorphism
     sigma this is the test of A = A^T.  Each slice of rows i is compared
     with a copy of the matching columns, so no temporary exceeds c slices.
+    The refusal names the least asymmetric entry (x, y) of A in row-major order:
+    x the first lo_i with a bad cell (d, i, r), y the least sigma^d lo_r of its cells.
     """
     import numpy as np
 
@@ -99,8 +100,13 @@ def check_symmetric(stack: np.ndarray) -> None:
     for rows in _row_slices(stack.shape[1]):
         upper = stack[:, rows]
         lower = stack[:, :, rows].take(back, axis=0).transpose(0, 2, 1)
-        if (upper != lower).any() if stack.dtype.kind in "ui" else np.abs(upper - lower).max() > TOL:
-            raise ValueError("adjacency must be symmetric")
+        bad = upper != lower if stack.dtype.kind in "ui" else np.abs(upper - lower) > TOL
+        if bad.any():
+            d, i, r = np.nonzero(bad)
+            x, y = orbits[0, rows][i], orbits[d, r]
+            k = int(np.argmin(x * orbits.size + y))
+            a, b = upper[d[k], i[k], r[k]].item(), lower[d[k], i[k], r[k]].item()
+            raise ValueError(f"adjacency must be symmetric: entry ({x[k]}, {y[k]}) is {a} but ({y[k]}, {x[k]}) is {b}")
 
 
 def _refusal(order: int, reason: str) -> PairingError:
@@ -156,25 +162,33 @@ def _orbits(symmetry, n: int) -> np.ndarray:
     return orbits
 
 
-def _scan_automorphism(rows, symmetry: np.ndarray, order: int) -> None:
-    """Refuse a sigma with A[sigma x, sigma y] != A[x, y] anywhere: the exact scan.
-
-    ``rows`` gives the rows of A for a slice or an index array of vertices,
-    as a matrix or a :class:`~pstwalk.scheme.Translates` does; it is read a
-    slice of ``CHECK_ROWS`` rows at a time.
-    """
-    for block in _row_slices(len(symmetry)):
-        bad = (rows[symmetry[block]].take(symmetry, axis=1) != rows[block]).any(axis=1)
-        if bad.any():
-            vertex = block.start + int(bad.argmax())
-            raise _not_an_automorphism(order, f"it moves the edges of vertex {vertex}")
-
-
-def _gather(rows: np.ndarray, orbits: np.ndarray) -> np.ndarray:
-    """The stack B[d] = A[lo, sigma^d lo], shape (c, m, m), from the rows A[lo] of the orbits' least vertices."""
+def _row_sets(cols: np.ndarray) -> np.ndarray:
+    """Each row of ``cols`` sorted, a repeated entry read as -1, so equal rows are equal sets."""
     import numpy as np
 
-    return rows[np.arange(orbits.shape[1])[None, :, None], orbits[:, None, :]]
+    cols = np.sort(cols, axis=1)
+    cols[:, 1:][cols[:, 1:] == cols[:, :-1]] = -1
+    cols.sort(axis=1)
+    return cols
+
+
+def _scan_automorphism(rows, symmetry: np.ndarray, order: int, count: int) -> None:
+    """Refuse a sigma with sigma(N(x)) != N(sigma x) for one of the first ``count`` vertices x.
+
+    Both sets are read from ``rows.neighbours`` as sorted rows in the narrowest
+    signed type that holds n, about ``scheme.BLOCK_ENTRIES`` entries at a time
+    (sorted, since np.unique and np.setxor1d load numpy.ma, 1.4 MB of RSS).
+    """
+    import numpy as np
+
+    sigma = symmetry.astype(np.min_scalar_type(-len(symmetry)))
+    step = max(1, scheme.BLOCK_ENTRIES // max(1, len(rows.connection)))
+    for start in range(0, count, step):
+        block = np.arange(start, min(start + step, count))
+        image, near = sigma[rows.neighbours(block)], rows.neighbours(sigma[block])
+        bad = (_row_sets(image) != _row_sets(near)).any(axis=1)
+        if bad.any():
+            raise _not_an_automorphism(order, f"it moves the edges of vertex {start + int(bad.argmax())}")
 
 
 def graph_stack(graph) -> tuple[np.ndarray, np.ndarray]:
@@ -182,24 +196,30 @@ def graph_stack(graph) -> tuple[np.ndarray, np.ndarray]:
 
     sigma's structure is checked on the permutation (:func:`_orbits`).  When
     sigma is the map x -> s x v of the graph's ``translation``, sigma(x S) is
-    s x S v and the neighbours of sigma(x) are s x v S, so one vertex's
+    s x S v and the neighbours of sigma(x) are s x v S, so vertex 0's
     neighbours decide that it is an automorphism (v S v^-1 = S; a class union
-    S always passes).  Otherwise every row is scanned.  The stack is gathered
-    from the rows of the orbits' least vertices and must satisfy
+    S always passes); otherwise every vertex is scanned.  The stack is
+    scattered from the neighbour lists of the orbits' least vertices, each
+    neighbour sigma^d lo_r of lo_i marking B[d][i, r] once, and must satisfy
     B[-d] = B[d]^T.  Raises :class:`PairingError` or ``ValueError``.
     """
     import numpy as np
 
     rows, sigma = graph.translates, graph.symmetry
     orbits = _orbits(sigma, len(rows))
-    if graph.translation is None or not np.array_equal(sigma, scheme.translation_map(rows.lookup, *graph.translation)):
-        _scan_automorphism(rows, sigma, len(orbits))
-    else:  # sorted, since np.unique and np.setxor1d load numpy.ma (1.4 MB of RSS)
-        image, near = np.sort(sigma[rows.neighbours([0])], None), np.sort(rows.neighbours(sigma[:1]), None)
-        if not np.array_equal(image, near):
-            raise _not_an_automorphism(len(orbits), "it moves the edges of vertex 0")
-    stack = _gather(rows[orbits[0]], orbits)
-    check_symmetric(stack)
+    (c, m), n = orbits.shape, len(rows)
+    translated = graph.translation and np.array_equal(sigma, scheme.translation_map(rows.lookup, *graph.translation))
+    _scan_automorphism(rows, sigma, c, 1 if translated else n)
+    # vertex sigma^d lo_r is cell d m^2 + r of the flat stack, in the narrowest type that holds n m
+    cell = np.empty(n, dtype=np.min_scalar_type(n * m))
+    cell[orbits] = np.arange(0, n * m, m * m)[:, None] + np.arange(m)
+    stack = np.zeros((c, m, m), dtype=np.uint8)
+    step = max(1, scheme.BLOCK_ENTRIES // max(1, len(rows.connection)))
+    for start in range(0, m, step):
+        block = np.arange(start, min(start + step, m))
+        stack.reshape(-1)[cell[rows.neighbours(orbits[0, block])] + (block[:, None] * m).astype(cell.dtype)] = 1
+    del cell  # before the symmetry check, whose copies of the stack set the peak
+    check_symmetric(orbits, stack)
     return orbits, stack
 
 
@@ -318,34 +338,6 @@ class WalkSystem:
         union = np.sort(np.repeat(w, _counts(c), axis=0), axis=None)
         return cls(union, w, v, sides, c, rows, offsets, pairing)
 
-    @classmethod
-    def from_adjacency(cls, adjacency, symmetry=None) -> "WalkSystem":
-        """The dense adapter of :meth:`from_stack`: gather the stack from a matrix A.
-
-        ``symmetry`` is sigma, a free cyclic automorphism of even order c; a
-        pairing P is the case c = 2 and gives the two real blocks A+ and A-.
-        Integer input, signed or unsigned, is read as it is, with no float
-        copy of A.  Raises :class:`PairingError` when ``symmetry`` is given
-        and is not such an automorphism (every row is scanned), and
-        ``ValueError`` when A is not symmetric or the decomposition drifts by
-        more than ``TOL``.
-        """
-        import numpy as np
-
-        a = np.asarray(adjacency)
-        if a.dtype.kind not in "uif":
-            a = a.astype(float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if symmetry is None:
-            orbits, stack = np.arange(len(a))[None], a[None]
-        else:
-            orbits = _orbits(symmetry, len(a))
-            _scan_automorphism(a, np.asarray(symmetry), len(orbits))
-            stack = _gather(a[orbits[0]], orbits)
-        check_symmetric(stack)
-        return cls.from_stack(orbits, stack)
-
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
@@ -396,12 +388,6 @@ class WalkSystem:
         return np.hypot(re, im)[back.reshape(-1)].tolist()
 
 
-def _as_walk(adjacency) -> WalkSystem:
-    if isinstance(adjacency, WalkSystem):
-        return adjacency
-    return WalkSystem.from_adjacency(adjacency)
-
-
 def integer_eigenvalues(walk: WalkSystem) -> np.ndarray:
     """Rounded spectrum, or :class:`NonIntegralSpectrumError` if off by > TOL."""
     import numpy as np
@@ -449,11 +435,11 @@ class TransferReport(Record):
 
 
 def pst_scan(
-    adjacency,
+    walk: WalkSystem,
     pairs: Sequence[tuple[int, int]],
     time: float | None = None,
 ) -> TransferReport:
-    """Simulate the walk and check perfect state transfer on ``pairs``.
+    """Check perfect state transfer on ``pairs`` in a walk built by :meth:`WalkSystem.from_stack`.
 
     With ``time`` omitted the spectrum must be integral and the time is
     derived as pi/g; the transfer is then also required at the odd
@@ -464,7 +450,6 @@ def pst_scan(
     """
     if not pairs:
         raise ValueError("no vertex pairs given")
-    walk = _as_walk(adjacency)
     if time is None:
         _, tau = derive_transfer_time(walk)
         times = (tau, 3 * tau)

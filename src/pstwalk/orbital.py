@@ -374,9 +374,9 @@ def build_gamma(space: CosetSpace) -> Graph:
     s^k in F_q^x, so the symmetry is free of order c = (q + 1)(q^2 + 1), its
     power c/2 is the pairing, and its Fourier blocks have size q.
     Every coset is read literally off G, enumerated as an array
-    (:func:`_coset_lookup`), with no reliance on the Frobenius invariant.  An
-    arc (i, j) without its reverse raises, naming the first asymmetric entry
-    of A.  The symmetry and the degree are left to the cross-checks.
+    (:func:`_coset_lookup`), with no reliance on the Frobenius invariant.
+    A = A^T, sigma and the degree are left to the cross-checks
+    (:func:`~pstwalk.ctqw.graph_stack`).
     """
     if not space.explicit:
         raise ValueError(
@@ -398,16 +398,6 @@ def build_gamma(space: CosetSpace) -> Graph:
     vertices = np.arange(len(partner))
     matching = bool((partner[partner] == vertices).all() and (partner != vertices).all())
     translates = Translates(lookup, _connection(space, lookup))
-    n = len(vertices)
-    arcs = np.sort(vertices[:, None] * n + translates.neighbours(vertices), None)  # keys i n + j
-    back = arcs % n * n + arcs // n
-    lone = ~np.isin(back, arcs)
-    if lone.any():
-        first = int(np.minimum(arcs[lone], back[lone]).min())
-        (i, j), a_ij = divmod(first, n), int(first in arcs[lone])
-        raise RuntimeError(
-            f"build_gamma: adjacency is not symmetric: entry ({i}, {j}) is {a_ij} but ({j}, {i}) is {1 - a_ij}"
-        )
     return Graph(translates, partner, symmetry, {"involution_is_perfect_matching": matching})
 
 

@@ -33,7 +33,7 @@ certifies.
 Where a group is small enough to enumerate, both families also build their
 graph explicitly through one builder, :class:`Translates`: row i marks the
 vertex of r_i s for every s in a connection list.  No n x n array is held;
-the rows of any block of vertices are made on demand from array products.
+the neighbours of any block of vertices are made on demand from array products.
 A :class:`VertexLookup`, built once per graph, holds the vertex of every
 element in a table of pairs of the R <= q_f^2 - 1 distinct rows of the
 group's elements over F_{q_f}: at gu 9 (over F_81) R = 720, and the table
@@ -250,7 +250,7 @@ class ConjugacyScheme:
 class Graph(NamedTuple):
     """An explicitly built graph, the vertex pairing its walk must exchange and a symmetry.
 
-    ``translates`` gives the 0/1 rows of any block of vertices on demand
+    ``translates`` gives the neighbours of any block of vertices on demand
     (:class:`Translates`); no n x n array is held.  ``partner[i]`` is the
     vertex paired with vertex i, so the transfer pairs are (i, partner[i]).
     ``symmetry`` is a free cyclic automorphism of even order c whose power of
@@ -354,18 +354,17 @@ def _row_table(lookup: VertexLookup, connection: Sequence) -> np.ndarray:
 
 
 class Translates:
-    """The 0/1 rows of a graph whose row i marks the vertex of r_i s for every s in a connection list.
+    """A graph whose vertex i is joined to the vertex of r_i s for every s in a connection list.
 
     ``lookup`` numbers the vertices and the rows of their representatives
     r_i, and ``products`` is its :func:`_row_table` for ``connection``,
     built once.  Row 1 of r s is (row 1 of r) s and row 2 is (row 2 of r) s,
     so two gathers from ``products`` give the ids i, j of the product's rows
-    and its vertex is entry i (R + 1) + j of the lookup's table.  Indexing
-    with a slice or an array of vertices gives their rows as a ``uint8``
-    matrix, a block of about ``BLOCK_ENTRIES`` products at a time; a
-    connection list that reaches one vertex twice marks it once.  Building
-    reads row 0: a group element r_0 s is in the group exactly when s is, so
-    a connection element outside it raises ``KeyError`` there, naming r_0 s.
+    and its vertex is entry i (R + 1) + j of the lookup's table.
+    :meth:`neighbours` is the one way the graph is read; a vertex that the
+    connection list reaches twice is listed twice and counted once.  Building
+    reads row 0: r_0 s is in the group exactly when s is, so a connection
+    element outside it raises ``KeyError`` there, naming r_0 s.
     """
 
     __slots__ = ("lookup", "connection", "products")
@@ -391,19 +390,6 @@ class Translates:
             k = int((cols < 0).argmax()) % cols.shape[1]
             translation_map(lookup, _IDENTITY, self.connection[k])
         return cols
-
-    def __getitem__(self, vertices) -> np.ndarray:
-        import numpy as np
-
-        n = self.lookup.size
-        if isinstance(vertices, slice):
-            vertices = np.arange(*vertices.indices(n))
-        out = np.zeros((len(vertices), n), dtype=np.uint8)
-        step = max(1, BLOCK_ENTRIES // max(1, len(self.connection)))
-        for start in range(0, len(vertices), step):
-            cols = self.neighbours(vertices[start : start + step])
-            out[np.arange(start, start + len(cols))[:, None], cols] = 1
-        return out
 
 
 def translation_map(lookup: VertexLookup, left, right) -> np.ndarray:

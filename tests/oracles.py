@@ -24,7 +24,7 @@ from pstwalk.chars import (
     cyclotomic_polynomial,
     integer_part,
 )
-from pstwalk import scheme
+from pstwalk import ctqw, scheme
 from pstwalk.ctqw import WalkSystem, integer_eigenvalues
 from pstwalk.groups import ClassLabel, GLGroup, IrrLabel, Mat2
 from pstwalk.orbital import CosetSpace, build_coset_space
@@ -434,8 +434,52 @@ class RegularRows:
 
 def dense_adjacency(graph) -> np.ndarray:
     """The n x n ``uint8`` adjacency of an explicit graph, or of its :class:`~pstwalk.scheme.Translates`:
-    every row, as the graph gives them."""
-    return getattr(graph, "translates", graph)[:]
+    row x marks each of ``neighbours([x])``, once, a block of rows at a time."""
+    rows = getattr(graph, "translates", graph)
+    n = len(rows)
+    out = np.zeros((n, n), dtype=np.uint8)
+    step = max(1, (1 << 17) // max(1, len(rows.connection)))
+    for start in range(0, n, step):
+        vertices = np.arange(start, min(start + step, n))
+        out[vertices[:, None], rows.neighbours(vertices)] = 1
+    return out
+
+
+def dense_scan_automorphism(adjacency, symmetry, order: int) -> None:
+    """Refuse a sigma with A[sigma x, sigma y] != A[x, y], naming the first vertex x whose row
+    moves: the dense reference of the neighbour-list scan in ``graph_stack``."""
+    a, s = np.asarray(adjacency), np.asarray(symmetry)
+    for start in range(0, len(s), 128):
+        bad = (a[s[start : start + 128]][:, s] != a[start : start + 128]).any(axis=1)
+        if bad.any():
+            raise ctqw._not_an_automorphism(order, f"it moves the edges of vertex {start + int(bad.argmax())}")
+
+
+def dense_walk(adjacency, symmetry=None) -> WalkSystem:
+    """:meth:`~pstwalk.ctqw.WalkSystem.from_stack` on the stack B[d] = A[lo, sigma^d lo]
+    gathered from a matrix A: the dense reference of ``graph_stack``.
+
+    ``symmetry`` is sigma, a free cyclic automorphism of even order c, checked
+    on the permutation by ``ctqw._orbits`` and on every row of A; a pairing P
+    is the case c = 2 and gives the two real blocks A+ and A-.  Without it
+    the stack is A itself, with no copy.  Integer input, signed or unsigned,
+    is read as it is, with no float copy of A.  Raises
+    :class:`~pstwalk.ctqw.PairingError`, and ``ValueError`` when A is not
+    square or not symmetric or the decomposition drifts by more than ``TOL``.
+    """
+    a = np.asarray(adjacency)
+    if a.dtype.kind not in "uif":
+        a = a.astype(float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {a.shape}")
+    if symmetry is None:
+        orbits, stack = np.arange(len(a))[None], a[None]
+    else:
+        orbits = ctqw._orbits(symmetry, len(a))
+        dense_scan_automorphism(a, symmetry, len(orbits))
+        stack = a[orbits[0][None, :, None], orbits[:, None, :]]
+    ctqw.check_symmetric(orbits, stack)
+    return WalkSystem.from_stack(orbits, stack)
 
 
 def dense_component_count(adjacency) -> int:
@@ -600,7 +644,7 @@ def integer_rows_with_signs(adjacency, permutation: Sequence[int]) -> list[Eigen
     are read off the trace of T restricted to the eigenprojector.  An
     eigenvalue whose eigenspace carries both signs produces two rows.
     """
-    walk = WalkSystem.from_adjacency(adjacency)
+    walk = dense_walk(adjacency)
     perm, a = np.asarray(permutation, dtype=int), np.asarray(adjacency, dtype=float)
     if sorted(perm.tolist()) != list(range(len(walk))):
         raise ValueError("permutation must be a bijection on the vertices")

@@ -14,6 +14,7 @@ import numpy as np
 
 from oracles import (
     dense_adjacency,
+    dense_walk,
     double_coset_of,
     idempotent,
     integer_rows_with_signs,
@@ -57,7 +58,7 @@ def transfer_pairs(graph) -> list[tuple[int, int]]:
 
 
 def run_walk(adjacency, pairs):
-    scan = pst_scan(adjacency, pairs)
+    scan = pst_scan(dense_walk(adjacency), pairs)
     assert scan.ok, scan.reason
     assert scan.min_fidelity >= 1 - FIDELITY_TOL
     return scan
@@ -303,7 +304,7 @@ def test_criterion_8_scheme_core():
         rows = integer_rows_with_signs(adjacency, perm)
         spectral = pst_test(rows)
         pairs = sorted({(min(i, j), max(i, j)) for i, j in enumerate(perm)})
-        numeric = pst_scan(adjacency, pairs)
+        numeric = pst_scan(dense_walk(adjacency), pairs)
         assert spectral.ok and numeric.ok
         assert math.isclose(spectral.time, numeric.time)
 

@@ -28,6 +28,7 @@ from oracles import (
     class_sum_eigenvalue_loop,
     dense_adjacency,
     dense_component_count,
+    dense_walk,
     determinant_log_standard_labels,
     linear_or_unitary_class_sum_blocks,
     pst_test,
@@ -490,7 +491,7 @@ def test_walk_simulation_confirms_certificate(tag, q, variant):
     adj = dense_adjacency(graph)
     pairs = transfer_pairs(graph)
     assert len(pairs) == len(adj) // 2
-    report = pst_scan(adj, pairs)
+    report = pst_scan(dense_walk(adj), pairs)
     assert report.ok
     assert report.time == pytest.approx(cert.time)
     assert report.min_fidelity >= 1 - 1e-9
@@ -804,11 +805,11 @@ def test_random_class_union_spectrum_and_walk(data):
     cert = certify(rows)
     pairs = transfer_pairs(graph)
     if cert.ok:
-        report = pst_scan(adj, pairs, time=cert.time)
+        report = pst_scan(dense_walk(adj), pairs, time=cert.time)
         assert report.ok and report.min_fidelity >= 1 - 1e-9
     elif cert.gap is not None:
         # no perfect transfer at the candidate time either
-        report = pst_scan(adj, pairs, time=cert.time)
+        report = pst_scan(dense_walk(adj), pairs, time=cert.time)
         assert not report.ok
 
 

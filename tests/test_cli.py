@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import RegularRows, literal_coset_space
+from oracles import RegularRows, dense_adjacency, dense_scan_automorphism, literal_coset_space
 from pstwalk import cli, orbital, scheme
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
 from pstwalk.ctqw import PairingError, TransferReport, graph_stack
@@ -340,7 +340,7 @@ def test_a_connection_that_reaches_a_vertex_twice_writes_each_edge_once(monkeypa
     rows = graph.translates
     doubled = Translates(rows.lookup, rows.connection + rows.connection[::3])
     assert (np.sort(doubled.neighbours([0]))[0, 1:] == np.sort(doubled.neighbours([0]))[0, :-1]).any()
-    expected = literal_edges(rows[:])
+    expected = literal_edges(dense_adjacency(rows))
     assert b"".join(cli._edge_blocks(doubled)) == b"".join(cli._edge_blocks(rows)) == expected
     monkeypatch.setattr(scheme, "BLOCK_ENTRIES", 1)
     assert b"".join(cli._edge_blocks(doubled)) == expected
@@ -575,7 +575,8 @@ def test_walk_failure_exits_3(monkeypatch):
 
 
 class OneWay:
-    """A graph's rows with the entry (i, j) of A cleared and (j, i) kept; the rest is the graph's construction."""
+    """A graph's rows with the entry (i, j) of A cleared and (j, i) kept: row i lists
+    another of its neighbours where it listed j; the rest is the graph's construction."""
 
     def __init__(self, rows, i, j):
         self.rows, self.i, self.j = rows, i, j
@@ -583,10 +584,12 @@ class OneWay:
     def __len__(self):
         return len(self.rows)
 
-    def __getitem__(self, vertices):
-        out = self.rows[vertices]
-        out[np.arange(len(self.rows))[vertices] == self.i, self.j] = 0
-        return out
+    def neighbours(self, vertices):
+        cols = self.rows.neighbours(vertices)
+        for k in np.flatnonzero(np.asarray(vertices) == self.i):
+            row = cols[k]
+            row[row == self.j] = row[row != self.j][0]
+        return cols
 
     def __getattr__(self, name):
         return getattr(self.rows, name)
@@ -594,18 +597,32 @@ class OneWay:
 
 def test_walk_errors_fail_the_cross_check(monkeypatch, capsys):
     """An error the checks raise on the explicit graph, here an asymmetric
-    adjacency, is a cross-check failure with exit 3, not a traceback."""
+    adjacency, is a cross-check failure with exit 3, not a traceback.  The arc
+    (i, j) leaves lo_1, the least vertex of sigma's second orbit, for a j outside
+    that orbit: vertex 0's row proves sigma, and lo_1's row is read into the
+    stack.  The refusal names the least of the pairs sigma^k (i, j), where the
+    stack reads 0, and sigma^k (j, i), where it reads 1."""
     real = cli.explicit_graph
+    arc = {}
 
     def one_way(family, conn, bound):
         graph = real(family, conn, bound=bound)
-        i, j = np.argwhere(graph.translates[:])[0]
+        orbits, _ = graph_stack(graph)
+        i = int(orbits[0, 1])
+        j = next(int(y) for y in graph.translates.neighbours([i])[0] if y not in orbits[:, 1])
+        arc.update(i=i, j=j, sigma=graph.symmetry, order=len(orbits))
         return graph._replace(translates=OneWay(graph.translates, i, j))
 
     monkeypatch.setattr(cli, "explicit_graph", one_way)
     assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
     out = capsys.readouterr().out
-    assert "cross-check simulation: skipped: adjacency must be symmetric\n" in out
+    x, y, sigma, entries = arc["i"], arc["j"], arc["sigma"], []
+    for _ in range(arc["order"]):
+        entries += [(x, y, 0, 1), (y, x, 1, 0)]
+        x, y = int(sigma[x]), int(sigma[y])
+    x, y, a, b = min(entries)
+    named = f"entry ({x}, {y}) is {a} but ({y}, {x}) is {b}"
+    assert f"cross-check simulation: skipped: adjacency must be symmetric: {named}\n" in out
     assert "verdict: cross-check mismatch" in out
 
 
@@ -681,8 +698,10 @@ def test_a_bad_symmetry_fails_the_cross_check(monkeypatch, capsys, doctor, messa
 def test_a_symmetry_relabelled_away_from_vertex_0_is_scanned(monkeypatch, capsys):
     """sigma conjugated by a transposition of two vertices outside vertex 0's and
     sigma(0)'s neighbourhoods still maps N(0) onto N(sigma 0), but it is no longer
-    x -> s x v, so every row is scanned and a later vertex is named (gl 5, n = 480)."""
+    x -> s x v, so every row is scanned and a later vertex is named (gl 5, n = 480),
+    the vertex the dense reference scan names."""
     real = cli.explicit_graph
+    built = []
 
     def doctored(family, conn, bound):
         graph = real(family, conn, bound=bound)
@@ -691,7 +710,8 @@ def test_a_symmetry_relabelled_away_from_vertex_0_is_scanned(monkeypatch, capsys
         a, b = [x for x in range(len(sigma)) if x not in near][:2]
         swap = np.arange(len(sigma))
         swap[[a, b]] = [b, a]
-        return graph._replace(symmetry=swap[sigma[swap]])
+        built.append(graph._replace(symmetry=swap[sigma[swap]]))
+        return built[-1]
 
     monkeypatch.setattr(cli, "explicit_graph", doctored)
     assert main(["verify", "--family", "gl", "--q", "5"]) == EXIT_CROSS_CHECK
@@ -699,6 +719,9 @@ def test_a_symmetry_relabelled_away_from_vertex_0_is_scanned(monkeypatch, capsys
     line = next(l for l in out.splitlines() if l.startswith("cross-check simulation: skipped: "))
     vertex = re.search(r"of order 120 is not an automorphism: it moves the edges of vertex (\d+)$", line)
     assert vertex and int(vertex.group(1)) > 0
+    with pytest.raises(PairingError) as dense:
+        dense_scan_automorphism(dense_adjacency(built[0]), built[0].symmetry, 120)
+    assert str(dense.value).endswith(f"it moves the edges of vertex {vertex.group(1)}")
 
 
 def not_normalised_by_v(family, graph):

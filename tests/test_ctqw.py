@@ -27,6 +27,7 @@ from oracles import (
     EigenRow,
     central_jordan_symmetry,
     dense_adjacency,
+    dense_walk,
     eigenvectors,
     integer_rows_with_signs,
     pst_test,
@@ -49,15 +50,15 @@ def cycle(n):
 
 def test_walk_system_validates_input():
     with pytest.raises(ValueError):
-        WalkSystem.from_adjacency(np.zeros((2, 3)))
+        dense_walk(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        WalkSystem.from_adjacency(np.array([[0, 1], [0, 0]]))
+        dense_walk(np.array([[0, 1], [0, 0]]))
 
 
 @settings(max_examples=40)
 @given(st.floats(0, 12, allow_nan=False))
 def test_k2_matches_closed_form(t):
-    walk = WalkSystem.from_adjacency(K2)
+    walk = dense_walk(K2)
     across, stay = walk.fidelities(t, [(0, 1), (0, 0)])
     assert isclose(across, abs(sin(t)), abs_tol=1e-10)
     assert isclose(stay, abs(cos(t)), abs_tol=1e-10)
@@ -66,7 +67,7 @@ def test_k2_matches_closed_form(t):
 @settings(max_examples=40)
 @given(st.floats(0, 12, allow_nan=False))
 def test_c4_antipodal_matches_closed_form(t):
-    walk = WalkSystem.from_adjacency(cycle(4))
+    walk = dense_walk(cycle(4))
     assert isclose(walk.fidelities(t, [(0, 2)])[0], sin(t) ** 2, abs_tol=1e-10)
 
 
@@ -79,7 +80,7 @@ def eigen_unitary(walk, t):
 @settings(max_examples=20)
 @given(st.floats(0, 8, allow_nan=False), st.floats(0, 8, allow_nan=False))
 def test_unitarity_and_group_law(t, s):
-    walk = WalkSystem.from_adjacency(P3)
+    walk = dense_walk(P3)
     u, v = eigen_unitary(walk, t), eigen_unitary(walk, s)
     assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-10
     assert np.abs(u @ v - eigen_unitary(walk, t + s)).max() < 1e-10
@@ -88,7 +89,7 @@ def test_unitarity_and_group_law(t, s):
 
 
 def test_fidelities_match_fidelity():
-    walk = WalkSystem.from_adjacency(cycle(4))
+    walk = dense_walk(cycle(4))
     pairs = [(0, 2), (1, 3), (0, 1)]
     assert walk.fidelities(0.7, pairs) == [walk.fidelities(0.7, [p])[0] for p in pairs]
 
@@ -123,7 +124,7 @@ def graphs(n):
 @given(st.integers(2, 6).flatmap(graphs), st.floats(0, 8, allow_nan=False))
 def test_fidelities_match_dense_unitary(a, t):
     n = len(a)
-    walk = WalkSystem.from_adjacency(a)
+    walk = dense_walk(a)
     pairs = [(x, y) for x in range(n) for y in range(n)]
     fids = np.array(walk.fidelities(t, pairs)).reshape(n, n)
     assert np.abs(fids - np.abs(dense_unitary(a, t)).T).max() < 1e-10
@@ -136,19 +137,19 @@ def test_fidelities_match_dense_unitary(a, t):
 
 
 def test_integer_eigenvalues_k2():
-    walk = WalkSystem.from_adjacency(K2)
+    walk = dense_walk(K2)
     assert sorted(integer_eigenvalues(walk).tolist()) == [-1, 1]
     assert derive_transfer_time(walk) == (2, pytest.approx(pi / 2))
 
 
 def test_integer_eigenvalues_refuse_p3():
-    walk = WalkSystem.from_adjacency(P3)
+    walk = dense_walk(P3)
     with pytest.raises(NonIntegralSpectrumError, match="explicit"):
         integer_eigenvalues(walk)
 
 
 def test_derive_transfer_time_needs_gap():
-    walk = WalkSystem.from_adjacency(np.zeros((3, 3)))
+    walk = dense_walk(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="no walk"):
         derive_transfer_time(walk)
 
@@ -199,7 +200,7 @@ def test_rows_validate_permutation():
 
 
 def test_scan_k2():
-    report = pst_scan(K2, [(0, 1)])
+    report = pst_scan(dense_walk(K2), [(0, 1)])
     assert report.ok
     assert report.time == pytest.approx(pi / 2)
     assert report.times_checked == (report.time, 3 * report.time)
@@ -209,47 +210,47 @@ def test_scan_k2():
 
 
 def test_scan_c4_antipodal_passes_adjacent_fails():
-    assert pst_scan(cycle(4), [(0, 2), (1, 3)]).ok
-    report = pst_scan(cycle(4), [(0, 1)])
+    assert pst_scan(dense_walk(cycle(4)), [(0, 2), (1, 3)]).ok
+    report = pst_scan(dense_walk(cycle(4)), [(0, 1)])
     assert not report.ok and "fidelity" in report.reason
 
 
 def test_scan_explicit_time_path():
-    report = pst_scan(P3, [(0, 2)], time=pi / sqrt(2))
+    report = pst_scan(dense_walk(P3), [(0, 2)], time=pi / sqrt(2))
     assert report.ok
     assert report.times_checked == (pi / sqrt(2),)
 
 
 def test_scan_requires_explicit_time_for_irrational_spectrum():
     with pytest.raises(NonIntegralSpectrumError):
-        pst_scan(P3, [(0, 2)])
+        pst_scan(dense_walk(P3), [(0, 2)])
 
 
 def test_scan_weighted_integer_spectrum():
-    report = pst_scan(P3 * sqrt(2), [(0, 2)])
+    report = pst_scan(dense_walk(P3 * sqrt(2)), [(0, 2)])
     assert report.ok and report.time == pytest.approx(pi / 2)
 
 
 def test_scan_rejects_trivial_return():
     # a single vertex "transfers" to itself at every time; the half-time
     # guard refuses to certify that as transfer
-    report = pst_scan(np.zeros((1, 1)), [(0, 0)], time=1.0)
+    report = pst_scan(dense_walk(np.zeros((1, 1))), [(0, 0)], time=1.0)
     assert not report.ok and "already complete" in report.reason
 
 
 def test_scan_disjoint_union():
     a = np.zeros((4, 4))
     a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 1
-    assert pst_scan(a, [(0, 1), (2, 3)]).ok
+    assert pst_scan(dense_walk(a), [(0, 1), (2, 3)]).ok
 
 
 def test_scan_requires_pairs():
     with pytest.raises(ValueError, match="pairs"):
-        pst_scan(K2, [])
+        pst_scan(dense_walk(K2), [])
 
 
 def test_scan_accepts_walk_system():
-    walk = WalkSystem.from_adjacency(K2)
+    walk = dense_walk(K2)
     assert pst_scan(walk, [(0, 1)]).ok
 
 
@@ -273,7 +274,7 @@ def test_scan_memory_stays_below_five_dense_arrays():
     n = len(a)
     tracemalloc.start()
     try:
-        report = pst_scan(a, pairs)
+        report = pst_scan(dense_walk(a), pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -288,7 +289,7 @@ def test_paired_scan_memory_stays_below_the_same_bound():
     n = len(a)
     tracemalloc.start()
     try:
-        report = pst_scan(WalkSystem.from_adjacency(a, antipodes(n)), pairs)
+        report = pst_scan(dense_walk(a, antipodes(n)), pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,7 +304,7 @@ def test_paired_walk_reads_one_byte_entries_without_a_float_copy():
     n = len(a)
     tracemalloc.start()
     try:
-        WalkSystem.from_adjacency(a, antipodes(n))
+        dense_walk(a, antipodes(n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,7 +315,7 @@ def test_paired_walk_reads_one_byte_entries_without_a_float_copy():
 def test_integer_and_float_inputs_give_the_same_decomposition(paired):
     a, _ = hypercube(6)
     pairing = antipodes(len(a)) if paired else None
-    walks = [WalkSystem.from_adjacency(a.astype(t), pairing) for t in (np.uint8, np.int64, float)]
+    walks = [dense_walk(a.astype(t), pairing) for t in (np.uint8, np.int64, float)]
     for walk in walks[1:]:
         assert np.array_equal(walk.block_eigenvalues, walks[0].block_eigenvalues)
         assert np.array_equal(walk.block_vectors, walks[0].block_vectors)
@@ -322,18 +323,18 @@ def test_integer_and_float_inputs_give_the_same_decomposition(paired):
 
 def test_asymmetric_uint8_adjacency_is_refused():
     with pytest.raises(ValueError, match="adjacency must be symmetric"):
-        WalkSystem.from_adjacency(np.array([[0, 1], [0, 0]], dtype=np.uint8))
+        dense_walk(np.array([[0, 1], [0, 0]], dtype=np.uint8))
 
 
 def test_uint8_half_blocks_do_not_wrap():
     """A- = A[lo, lo] - A[lo, P lo] is 0 - 1 on K2, which wraps to 255 in uint8 arithmetic."""
-    walk = WalkSystem.from_adjacency(K2.astype(np.uint8), [1, 0])
+    walk = dense_walk(K2.astype(np.uint8), [1, 0])
     assert walk.block_signs == (1, -1)
     assert walk.block_eigenvalues.tolist() == [[1.0], [-1.0]]
 
 
 def test_report_is_frozen():
-    report = pst_scan(K2, [(0, 1)])
+    report = pst_scan(dense_walk(K2), [(0, 1)])
     assert isinstance(report, TransferReport)
     with pytest.raises(AttributeError):
         report.ok = False
@@ -356,7 +357,7 @@ def test_certificate_agrees_with_simulation(name, adj, perm):
     rows = integer_rows_with_signs(adj, perm)
     cert = pst_test(rows)
     pairs = [(i, p) for i, p in enumerate(perm) if i < p]
-    report = pst_scan(adj, pairs)
+    report = pst_scan(dense_walk(adj), pairs)
     assert cert.ok == report.ok
     if cert.ok:
         assert cert.time == pytest.approx(report.time)
@@ -388,7 +389,7 @@ PAIRED_CASES = {
 def test_paired_walk_matches_the_unpaired_walk(name):
     a, partner = PAIRED_CASES[name]()
     n = len(a)
-    paired, plain = WalkSystem.from_adjacency(a, partner), WalkSystem.from_adjacency(a)
+    paired, plain = dense_walk(a, partner), dense_walk(a)
     assert paired.block_eigenvalues.shape == (2, n // 2)
     assert paired.block_signs == (1, -1) and plain.block_signs == (None,)
     assert np.abs(paired.eigenvalues - plain.eigenvalues).max() < TOL
@@ -403,7 +404,7 @@ def test_paired_walk_matches_the_unpaired_walk(name):
 @pytest.mark.parametrize("name", PAIRED_CASES)
 def test_each_side_holds_the_rows_of_its_sign(name):
     a, partner = PAIRED_CASES[name]()
-    walk = WalkSystem.from_adjacency(a, partner)
+    walk = dense_walk(a, partner)
     rows = integer_rows_with_signs(a, partner)
     for values, sign in zip(walk.block_eigenvalues, walk.block_signs):
         exact = sorted(r.theta for r in rows if r.sign == sign for _ in range(r.multiplicity))
@@ -443,7 +444,7 @@ def paired_graphs(m):
 def test_paired_fidelities_match_dense_unitary(graph, t):
     a, partner = graph
     n = len(a)
-    walk = WalkSystem.from_adjacency(a, partner)
+    walk = dense_walk(a, partner)
     pairs = [(x, y) for x in range(n) for y in range(n)]
     fids = np.array(walk.fidelities(t, pairs)).reshape(n, n)
     assert np.abs(fids - np.abs(dense_unitary(a, t)).T).max() < 1e-10
@@ -464,7 +465,7 @@ def test_a_pairing_that_is_not_an_involutive_automorphism_is_refused(partner, me
     a = cycle(4)
     a[0, 1] = a[1, 0] = 2  # the antipodal pairing of C4 would now move an edge weight
     with pytest.raises(PairingError, match=message):
-        WalkSystem.from_adjacency(a, partner)
+        dense_walk(a, partner)
     assert issubclass(PairingError, ValueError)
 
 
@@ -509,7 +510,7 @@ def test_split_walk_matches_the_unsplit_walk(family, q, variant):
     graph = explicit_graph_of(family, q, variant)
     a, partner = dense_adjacency(graph), graph.partner
     n = len(a)
-    split, plain = WalkSystem.from_adjacency(a, graph.symmetry), WalkSystem.from_adjacency(a)
+    split, plain = dense_walk(a, graph.symmetry), dense_walk(a)
     c = split.order
     assert c % 2 == 0 and np.array_equal(split.pairing, partner)
     assert split.block_eigenvalues.shape == (c // 2 + 1, n // c)
@@ -530,7 +531,7 @@ def test_split_walk_matches_the_unsplit_walk(family, q, variant):
 
 def test_cayley_graphs_split_into_blocks_of_the_centre_times_p():
     """c = p |s|: p (q^2 - 1) for GL and GU, p (q + 1) for SL; (q + 1)(q^2 + 1) on the coset graph."""
-    orders = {(f, q): WalkSystem.from_adjacency(dense_adjacency(g), g.symmetry).order
+    orders = {(f, q): dense_walk(dense_adjacency(g), g.symmetry).order
               for f, q in [("gl", 3), ("gl", 5), ("gu", 3), ("sl", 5), ("sl", 7), ("orbital", 3)]
               for g in [explicit_graph_of(f, q)]}
     assert orders == {("gl", 3): 24, ("gl", 5): 120, ("gu", 3): 24, ("sl", 5): 30, ("sl", 7): 56,
@@ -560,7 +561,7 @@ def test_the_walk_split_by_the_torus_symmetry_matches_the_central_jordan_walk(fa
         earlier = central_jordan_symmetry(group)
         order = {"gl": q - 1, "gu": q + 1, "sl": 2}[family] * group.p
         size = (q + 1 if family == "gu" else q - 1) * q // group.p
-    walk, reference = WalkSystem.from_adjacency(a, graph.symmetry), WalkSystem.from_adjacency(a, earlier)
+    walk, reference = dense_walk(a, graph.symmetry), dense_walk(a, earlier)
     assert reference.order == order < walk.order and np.array_equal(walk.pairing, reference.pairing)
     assert walk.block_vectors.shape[1] == size == len(a) // walk.order
     sides, expected = walk.sides(), reference.sides()
@@ -616,7 +617,7 @@ def circulant_graphs(c, m):
 def test_split_fidelities_match_dense_unitary(graph, t):
     a, sigma = graph
     n = len(a)
-    walk = WalkSystem.from_adjacency(a, sigma)
+    walk = dense_walk(a, sigma)
     assert walk.order * walk.block_vectors.shape[1] == n
     pairs = [(x, y) for x in range(n) for y in range(n)]
     fids = np.array(walk.fidelities(t, pairs)).reshape(n, n)
@@ -627,7 +628,7 @@ def test_split_fidelities_match_dense_unitary(graph, t):
 
 def test_the_rotation_of_a_cycle_splits_it_into_its_fourier_modes():
     """C8 under i -> i + 1: eight 1 x 1 blocks 2 cos(2 pi j / 8), five of them stored."""
-    walk = WalkSystem.from_adjacency(cycle(8).astype(np.uint8), (np.arange(8) + 1) % 8)
+    walk = dense_walk(cycle(8).astype(np.uint8), (np.arange(8) + 1) % 8)
     assert walk.order == 8 and walk.block_vectors.dtype == complex
     modes = 2 * np.cos(2 * pi * np.arange(5) / 8)
     assert np.abs(walk.block_eigenvalues[:, 0] - modes).max() < 1e-12
@@ -651,7 +652,7 @@ def test_the_rotation_of_a_cycle_splits_it_into_its_fourier_modes():
 )
 def test_a_symmetry_that_is_not_a_free_cyclic_automorphism_of_even_order_is_refused(a, symmetry, message):
     with pytest.raises(PairingError, match=message):
-        WalkSystem.from_adjacency(a, symmetry)
+        dense_walk(a, symmetry)
 
 
 def test_the_split_walk_at_gl_7_holds_no_half_size_block():
@@ -674,7 +675,7 @@ def test_integer_symmetry_is_exact():
     """2^60 and 2^60 + 1 are one float apart: only an exact test tells them apart."""
     a = np.array([[0, 2**60], [2**60 + 1, 0]], dtype=np.int64)
     with pytest.raises(ValueError, match="adjacency must be symmetric"):
-        WalkSystem.from_adjacency(a)
+        dense_walk(a)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, float])
@@ -682,22 +683,36 @@ def test_integer_symmetry_is_exact():
 def test_an_asymmetric_entry_in_any_row_slice_is_refused(dtype, i, j):
     a = np.zeros((300, 300), dtype=dtype)
     a[i, j] = 1
-    with pytest.raises(ValueError, match="adjacency must be symmetric"):
-        WalkSystem.from_adjacency(a)
+    with pytest.raises(ValueError, match=rf"adjacency must be symmetric: entry \({min(i, j)}, {max(i, j)}\) "):
+        dense_walk(a)
+
+
+def stack_matrix(orbits, stack):
+    """The n x n matrix with A[sigma^s lo_i, sigma^(s + d) lo_r] = B[d][i, r]."""
+    c = len(orbits)
+    a = np.zeros((orbits.size, orbits.size), dtype=stack.dtype)
+    for s in range(c):
+        for d in range(c):
+            a[orbits[s][:, None], orbits[(s + d) % c]] = stack[d]
+    return a
 
 
 def test_a_stack_with_one_doctored_entry_is_refused_as_asymmetric():
     """B[-d] = B[d]^T is A = A^T for an automorphism sigma: one flipped entry of
-    the gl 3 stack is refused, in any slice of rows."""
+    the gl 3 stack is refused, in any slice of rows, naming the least entry at
+    which the matrix the stack stands for differs from its transpose."""
     orbits, stack = graph_stack(explicit_graph_of("gl", 3))
-    check_symmetric(stack)
+    check_symmetric(orbits, stack)
     for d, i, r in [(3, 1, 0), (21, 0, 1), (0, 0, 1)]:  # c = 24, m = 2
         doctored = stack.copy()
         doctored[d, i, r] ^= 1
-        with pytest.raises(ValueError, match="adjacency must be symmetric"):
-            check_symmetric(doctored)
-        with pytest.raises(ValueError, match="adjacency must be symmetric"):
-            check_symmetric(doctored.astype(float))
+        a = stack_matrix(orbits, doctored)
+        x, y = np.argwhere(a != a.T)[0]
+        entry = rf"adjacency must be symmetric: entry \({x}, {y}\) is {a[x, y]} but \({y}, {x}\) is {a[y, x]}$"
+        with pytest.raises(ValueError, match=entry):
+            check_symmetric(orbits, doctored)
+        with pytest.raises(ValueError, match=rf"adjacency must be symmetric: entry \({x}, {y}\) "):
+            check_symmetric(orbits, doctored.astype(float))
 
 
 @pytest.mark.parametrize("c, m", [(3, 2), (24, 2), (336, 6), (2000, 2)])

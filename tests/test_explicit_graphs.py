@@ -24,6 +24,7 @@ from oracles import (
     RegularRows,
     dense_adjacency,
     dense_component_count,
+    dense_walk,
     literal_cayley_adjacency,
     literal_coset_space,
     literal_orbital_adjacency,
@@ -123,8 +124,9 @@ def test_symmetry_is_a_free_cyclic_automorphism_whose_half_power_is_the_partner(
 
 @pytest.mark.parametrize("tag,q,variant", TARGETS)
 def test_every_explicit_graph_holds_one_byte_per_entry(tag, q, variant):
-    a = graph_of(tag, q, variant).translates[:]
-    assert a.dtype == np.uint8 and a.nbytes == len(a) ** 2
+    graph = graph_of(tag, q, variant)
+    orbits, stack = graph_stack(graph)
+    assert stack.dtype == np.uint8 and stack.nbytes == len(graph.translates) * orbits.shape[1]
 
 
 def lookup_of(reps, vertex_of, field):
@@ -156,7 +158,7 @@ def test_array_builder_matches_python_products(tag, q):
     expected = translation_adjacency_reference(reps, vertex_of, family.mul, connection)
     got = translation_adjacency(lookup, connection)
     assert got.dtype == np.uint8 and np.array_equal(got, expected)
-    assert np.array_equal(Translates(lookup, connection)[:], expected)
+    assert np.array_equal(dense_adjacency(Translates(lookup, connection)), expected)
     for left, right in [(family.identity(), t), (t, family.identity()), (left, right)]:
         expected = translation_map_reference(reps, vertex_of, family.mul, left, right)
         got = translation_map(lookup, left, right)
@@ -275,23 +277,28 @@ DIFFERENTIAL = (
 
 @pytest.mark.parametrize("tag,q,variant", DIFFERENTIAL, ids=lambda v: str(v))
 def test_the_rows_on_demand_match_the_dense_adjacency(tag, q, variant):
-    """Every row block, the stack gathered from the orbits' least rows, the lift's
-    component count, the walk's sides and fidelities, and the graph.edges bytes,
-    each against the same read of the n x n matrix, which matches the dense builder."""
+    """Every row block of neighbours, as a set per row, against the dense builder; then
+    the stack scattered from the orbits' least rows, the lift's component count, the
+    walk's sides and fidelities, and the graph.edges bytes, each against the same read
+    of the n x n matrix."""
     graph = graph_of(tag, q, variant)
-    dense, rows = dense_adjacency(graph), graph.translates
-    assert np.array_equal(dense, translation_adjacency(rows.lookup, rows.connection))
+    rows = graph.translates
+    dense = translation_adjacency(rows.lookup, rows.connection)
     n = len(dense)
-    for start in range(0, n, 700):
-        assert np.array_equal(rows[start : start + 700], dense[start : start + 700])
     picks = np.random.default_rng(q).permutation(n)[:64]
-    assert np.array_equal(rows[picks], dense[picks])
+    for block in [*np.array_split(np.arange(n), range(700, n, 700)), picks]:
+        cols = np.sort(rows.neighbours(block), axis=1)
+        first = np.ones(cols.shape, dtype=bool)
+        first[:, 1:] = cols[:, 1:] != cols[:, :-1]
+        assert np.array_equal(first.sum(axis=1), dense[block].sum(axis=1))
+        assert np.array_equal(cols[first], np.nonzero(dense[block])[1])
+    assert np.array_equal(dense_adjacency(graph), dense)
     orbits, stack = graph_stack(graph)
     assert stack.dtype == np.uint8
     assert np.array_equal(stack, dense[orbits[0][None, :, None], orbits[:, None, :]])
     assert component_count(stack) == dense_component_count(dense) == 1
     walk = WalkSystem.from_stack(orbits, stack)
-    reference = WalkSystem.from_adjacency(dense, graph.symmetry)
+    reference = dense_walk(dense, graph.symmetry)
     for sign, values in reference.sides().items():
         assert np.abs(walk.sides()[sign] - values).max() < 1e-9
     pairs = [(x, int(graph.partner[x])) for x in range(n)]
@@ -299,6 +306,23 @@ def test_the_rows_on_demand_match_the_dense_adjacency(tag, q, variant):
     for t in (0.3, pi / 2):
         assert np.abs(np.subtract(walk.fidelities(t, pairs), reference.fidelities(t, pairs))).max() < 1e-9
     assert b"".join(cli._edge_blocks(rows)) == b"".join(cli._edge_blocks(RegularRows(dense)))
+
+
+def test_a_connection_that_reaches_a_vertex_twice_scatters_a_zero_one_stack():
+    """gl 3's connection list with a third of it repeated names some vertices twice in
+    every row: the scattered stack still equals the dense gather, each entry 0 or 1,
+    whether vertex 0's neighbours prove sigma or every vertex is scanned."""
+    graph = graph_of("gl", 3, STANDARD)
+    rows = graph.translates
+    doubled = graph._replace(translates=Translates(rows.lookup, rows.connection + rows.connection[::3]))
+    cols = np.sort(doubled.translates.neighbours(np.arange(len(rows))), axis=1)
+    assert (cols[:, 1:] == cols[:, :-1]).any(axis=1).all()
+    dense = dense_adjacency(doubled)
+    assert np.array_equal(dense, dense_adjacency(graph))
+    for target in (doubled, doubled._replace(translation=None)):
+        orbits, stack = graph_stack(target)
+        assert np.array_equal(stack, dense[orbits[0][None, :, None], orbits[:, None, :]])
+        assert stack.max() == 1
 
 
 @pytest.mark.parametrize("tag,q", [("gl", 5), ("gu", 9), ("sl", 9)])

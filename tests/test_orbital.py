@@ -28,6 +28,7 @@ from oracles import (
     coset_action,
     coset_char_sum,
     dense_adjacency,
+    dense_walk,
     double_coset_of,
     in_h,
     in_subfield,
@@ -755,11 +756,12 @@ def test_the_array_coset_labels_match_the_literal_loop():
     assert hashlib.sha256(edges).hexdigest() == "28b13e96f52816c714f8f046ac8053fbd0879a5ffad1a9af6863237a84c7f36d"
 
 
-def test_an_asymmetric_coset_graph_is_refused_naming_an_entry(monkeypatch):
+def test_an_asymmetric_coset_graph_is_refused_naming_an_entry(monkeypatch, capsys):
     """Without the double coset of diag(1, gen) (its inverse is that of diag(1, gen^3))
     the connection is still a union of double cosets, so rH -> s rH stays an
-    automorphism, but A is not symmetric: build_gamma names the first entry (i, j)
-    at which the dense reference differs from its transpose."""
+    automorphism, but A is not symmetric: the cross-checks refuse the stack with
+    exit 3, not a traceback, naming the first entry (i, j) at which the dense
+    reference differs from its transpose."""
     space = space3()
     one, gen, gen3 = space.rep_set[0], space.rep_set[1], space.rep_set[3]
     dropped = double_coset_of(space, Mat2(one, 0, 0, gen))
@@ -768,12 +770,14 @@ def test_an_asymmetric_coset_graph_is_refused_naming_an_entry(monkeypatch):
     monkeypatch.setattr(orbital, "_connection", lambda *_: kept)
     orbital.build_gamma.cache_clear()
     try:
-        with pytest.raises(RuntimeError) as refused:
-            build_gamma(space)
+        assert cli.main(["orbital", "--q", "3"]) == cli.EXIT_CROSS_CHECK
     finally:
         orbital.build_gamma.cache_clear()
-    entry = r"build_gamma: adjacency is not symmetric: entry \((\d+), (\d+)\) is (\d+) but \(\2, \1\) is (\d+)"
-    i, j, a_ij, a_ji = map(int, re.fullmatch(entry, str(refused.value)).groups())
+    entry = (
+        r"cross-check simulation: skipped: adjacency must be symmetric: "
+        r"entry \((\d+), (\d+)\) is (\d+) but \(\2, \1\) is (\d+)"
+    )
+    i, j, a_ij, a_ji = map(int, re.search(rf"^{entry}$", capsys.readouterr().out, re.M).groups())
     literal = literal3()
     lookup = VertexLookup(literal.reps, list(literal.coset_index), list(literal.coset_index.values()), space.group.field)
     dense = translation_adjacency(lookup, kept)
@@ -861,7 +865,7 @@ def test_certificate_q7_character_sum_mode():
 
 def test_walk_reaches_every_matched_pair():
     g = graph3()
-    report = pst_scan(dense_adjacency(g), transfer_pairs(g))
+    report = pst_scan(dense_walk(dense_adjacency(g)), transfer_pairs(g))
     assert report.ok
     assert math.isclose(report.time, math.pi / 2)
     assert report.min_fidelity >= 1 - 1e-9
