@@ -36,9 +36,9 @@ irreducible character, and ``graph.edges`` with one ``u v`` line per edge
 (0-based, sorted) whenever the explicit graph is in range.
 
 Exit codes: 0 on a valid certificate with all cross-checks passing, 1 on a
-usage error, 2 on a certificate failure, 3 on a cross-check mismatch.  Hand-
-derived closed forms that disagree with the exact values are reported as
-notices and do not affect the exit code.
+usage error or a target that outgrows memory, 2 on a certificate failure,
+3 on a cross-check mismatch.  Hand-derived closed forms that disagree with
+the exact values are reported as notices and do not affect the exit code.
 """
 
 from __future__ import annotations
@@ -505,7 +505,15 @@ def cross_checks(
 
 
 def cmd_run(args) -> int:
-    """Run one target through the pipeline and report on it."""
+    """Run one target through the pipeline and report on it; refuse one that outgrows memory."""
+    try:
+        return _run_target(args)
+    except MemoryError:
+        print(f"error: {args.family} at q = {args.q} needs more memory than is available", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _run_target(args) -> int:
     try:
         target = build_target(args.family, args.q, args.variant)
     except ValueError as exc:

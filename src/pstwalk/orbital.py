@@ -52,7 +52,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .chars import NonIntegralError
-from .groups import GLGroup, IrrLabel, Mat2, _prime_power
+from .family import _prime_power
+from .groups import GLGroup, IrrLabel, Mat2
 from .record import Record
 from .scheme import (
     BLOCK_ENTRIES,

@@ -557,6 +557,27 @@ def test_sign_mismatch_exits_3(monkeypatch, capsys, doctor, deviation):
     assert "cross-check walk_ok: True" in out
 
 
+@pytest.mark.parametrize(
+    "owner,name,argv,target",
+    [
+        (cli, "build_target", ["verify", "--family", "gl", "--q", "100003"], "gl at q = 100003"),
+        (cli.WalkSystem, "from_stack", ["orbital", "--q", "3"], "orbital at q = 3"),
+    ],
+    ids=["tables", "walk"],
+)
+def test_running_out_of_memory_is_a_refusal(owner, name, argv, target, monkeypatch, capsys):
+    """A MemoryError from the tables or the walk is one error line and exit 1, not a traceback."""
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(owner, name, exhausted)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {target} needs more memory than is available\n"
+    assert "verdict" not in captured.out
+
+
 def test_walk_failure_exits_3(monkeypatch):
     def failing_scan(adjacency, pairs, **kw):
         return TransferReport(

@@ -1,7 +1,9 @@
 """Conjugacy data and character tables, checked against brute-force oracles."""
 
+import ast
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from oracles import (
     sl_char_value,
     trivial_character,
 )
+from pstwalk import groups
 from pstwalk.cayley import analyze
 from pstwalk.chars import CycSum, NonIntegralError, integer_part
 from pstwalk.gf import _prime_factors, make_field
@@ -32,8 +35,8 @@ from pstwalk.groups import (
     IrrLabel,
     Mat2,
     SLGroup,
-    _trace_periods,
 )
+from pstwalk.sl import _trace_periods
 
 FAMILY_CLS = {"gl": GLGroup, "gu": GUGroup, "sl": SLGroup}
 
@@ -563,3 +566,25 @@ def test_labels_are_immutable():
     assert repr(lab) == "ClassLabel(family='gl', kind='central', params=(1,))"
     assert repr(IrrLabel("gu", "cuspidal", (3,))) == "IrrLabel(family='gu', kind='cuspidal', params=(3,))"
 
+
+def test_every_traced_family_method_is_owned_by_its_class():
+    """perfbench/tracer.py wraps ``Class.__dict__[attr]`` for each groups target.
+
+    A method moved to a base class or renamed fails here, not only in a traced
+    benchmark run.
+    """
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    paths = [path for module, path, _ in ast.literal_eval(targets) if module == "groups"]
+    assert paths
+    unowned = [
+        path
+        for path in paths
+        if path.rpartition(".")[2] not in vars(getattr(groups, path.rpartition(".")[0]))
+    ]
+    assert not unowned, f"traced but not in the class's own __dict__: {', '.join(unowned)}"

@@ -7,15 +7,18 @@ package's ``__init__.py`` re-exports, docstrings and comments do not count.
 A name that only the tests reach is a reference, and references live in
 ``tests/oracles.py``.  Every name a module of ``src/``, ``scripts/`` or
 ``tests/`` imports is used in that module.  The modules form layers:
-``scheme`` imports neither graph family, the walk nor the CLI, and the two
-families do not import each other.  No module imports numpy when it is
-itself imported: only the functions that build or read arrays do.  The
-files are parsed; nothing is imported.
+the groups layer (``family``, then ``glgu``, then ``sl``, re-exported by
+``groups``) imports nothing above it, ``scheme`` imports neither graph
+family, the walk nor the CLI, and the two families do not import each
+other.  No module imports numpy when it is itself imported: only the
+functions that build or read arrays do.  Compiling any one module stays
+under 2 MiB.  The files are parsed and compiled; nothing is imported.
 """
 
 from __future__ import annotations
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,8 +132,13 @@ def _package_imports(path: Path) -> set[str]:
 
 
 def test_modules_form_layers():
-    """gf -> chars -> groups -> scheme -> {cayley, orbital} -> cli."""
+    """gf -> chars -> family -> glgu -> sl -> groups -> scheme -> {cayley, orbital} -> cli."""
+    upper = {"scheme", "cayley", "orbital", "ctqw", "cli"}
     above = {
+        "family": {"glgu", "sl", "groups"} | upper,
+        "glgu": {"sl", "groups"} | upper,
+        "sl": {"groups"} | upper,
+        "groups": upper,
         "scheme": {"cayley", "orbital", "ctqw", "cli"},
         "cayley": {"orbital"},
         "orbital": {"cayley"},
@@ -176,3 +184,22 @@ def test_no_module_imports_numpy_when_imported():
         if "numpy" in _imported_roots(node)
     ]
     assert not eager, f"numpy imported at module level: {', '.join(eager)}"
+
+
+def test_no_module_is_costly_to_compile():
+    """Without a bytecode cache every import compiles its module; keep each compile under 2 MiB.
+
+    The peak of ``compile()`` grows with a module's size, and a cold ``pstwalk``
+    process's peak RSS follows the largest one.
+    """
+    peaks = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec", dont_inherit=True)
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    costly = {name: f"{peak / 2**20:.2f} MiB" for name, peak in peaks.items() if peak >= 2 * 2**20}
+    assert not costly, f"compile() peaks at or above 2 MiB: {costly}"
