@@ -31,14 +31,16 @@ The pipeline is public: the scripts in ``scripts/`` build their rows,
 traces and audits through it rather than by hand.
 
 Artifacts (written when an output directory is given): ``report.json`` with
-a versioned schema and full provenance, ``spectrum.csv`` with one row per
-irreducible character, and ``graph.edges`` with one ``u v`` line per edge
-(0-based, sorted) whenever the explicit graph is in range.
+a versioned schema, full provenance and the spectrum as its distinct (kind,
+theta, sign) classes, ``spectrum.csv`` with one row per irreducible
+character, and ``graph.edges`` with one ``u v`` line per edge (0-based,
+sorted) whenever the explicit graph is in range.
 
 Exit codes: 0 on a valid certificate with all cross-checks passing, 1 on a
 usage error or a target that outgrows memory, 2 on a certificate failure,
 3 on a cross-check mismatch.  Hand-derived closed forms that disagree with
-the exact values are reported as notices and do not affect the exit code.
+the exact values are reported as notices, one per formula, and do not
+affect the exit code; an output directory that cannot be written exits 1.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ __all__ = [
     "SCHEMA", "SIMULATION_BOUND", "ENUMERATION_BOUND",
 ]
 
-SCHEMA = "pstwalk-report/2"
+SCHEMA = "pstwalk-report/3"
 SIMULATION_BOUND = 150
 ENUMERATION_BOUND = 10_000
 SPECTRUM_TOL = 1e-8
@@ -141,15 +143,34 @@ def _certificate_json(cert, keys: dict) -> dict:
 
 
 def _notices(audit) -> list[str]:
+    """One line per hand-derived formula that disagrees: its first such row and their count."""
+    first, count = {}, {}
+    for c in audit:
+        if not c.agrees:
+            first.setdefault(c.formula, c)
+            count[c.formula] = count.get(c.formula, 0) + 1
     return [
         (
-            f"hand-derived closed form '{c.formula}' for {c.row} gives "
-            f"{c.hand_value} where the exact value is {c.exact_value}; the "
-            "hand form is retained as an audit record and the congruence "
+            f"hand-derived closed form '{f}' for {c.row} gives {c.hand_value} where the exact "
+            f"value is {c.exact_value}, "
+            + ("the only disagreeing row" if count[f] == 1 else f"the first of {count[f]} disagreeing rows")
+            + "; the hand form is retained as an audit record and the congruence "
             "conclusion is unaffected"
         )
-        for c in audit
-        if not c.agrees
+        for f, c in first.items()
+    ]
+
+
+def _spectrum_classes(rows) -> list[dict]:
+    """One entry per distinct (kind, theta, sign), sorted: its rows and their total multiplicity."""
+    classes: dict[tuple, list[int]] = {}
+    for r in rows:
+        totals = classes.setdefault((r.irr.kind, r.theta, r.sign), [0, 0])
+        totals[0] += 1
+        totals[1] += r.multiplicity
+    return [
+        {"kind": kind, "theta": theta, "sign": sign, "characters": n, "multiplicity": m}
+        for (kind, theta, sign), (n, m) in sorted(classes.items())
     ]
 
 
@@ -170,14 +191,15 @@ def _write_report(path: Path, report: dict) -> None:
         f.write(b"\n")
 
 
-def _write_spectrum(path: Path, entries: list[dict]) -> None:
-    """spectrum.csv, one row per entry, written through ``csv.writer`` on the open file."""
+def _write_spectrum(path: Path, target: Target) -> None:
+    """spectrum.csv, one line per row of the target, written through ``csv.writer`` on the open file."""
+    family, q, degree = target.label["family"], target.label["q"], target.group.degree
     with path.open("w", encoding="utf-8", newline="") as f:
         f.write("family,q,char-kind,char-params,degree,theta,multiplicity,phi-sign\n")
         csv.writer(f, lineterminator="\n").writerows(
-            [e["family"], e["q"], e["kind"], _params_text(e["params"]), e["degree"], e["theta"],
-             e["multiplicity"], e["sign"]]
-            for e in entries
+            [family, q, r.irr.kind, _params_text(r.irr.params), degree(r.irr), r.theta,
+             r.multiplicity, r.sign]
+            for r in target.rows
         )
 
 
@@ -231,7 +253,7 @@ def _write_outputs(
     out_dir: Path,
     formats: set[str] | None,
     report: dict,
-    csv_entries: list[dict],
+    target: Target,
     rows: Translates | None,
 ) -> list[Path]:
     """Write the requested artifacts; 'edges' needs an explicit graph's rows."""
@@ -251,7 +273,7 @@ def _write_outputs(
         written.append(path)
     if "csv" in wanted:
         path = out_dir / "spectrum.csv"
-        _write_spectrum(path, csv_entries)
+        _write_spectrum(path, target)
         written.append(path)
     if "edges" in wanted:
         path = out_dir / "graph.edges"
@@ -286,7 +308,7 @@ def _print_summary(report: dict, written: list[Path]) -> None:
 
 def _finish(
     report: dict,
-    csv_entries: list[dict],
+    target: Target,
     rows: Translates | None,
     args,
     code: int,
@@ -299,9 +321,12 @@ def _finish(
     written = []
     if args.out_dir is not None:
         try:
-            written = _write_outputs(args.out_dir, args.format, report, csv_entries, rows)
+            written = _write_outputs(args.out_dir, args.format, report, target, rows)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as exc:
+            print(f"error: cannot write artifacts to {args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
     _print_summary(report, written)
     return code
@@ -522,26 +547,14 @@ def _run_target(args) -> int:
     sim_bound, enum_bound = _bounds(args)
     checks, notes, rows, cross_ok = cross_checks(target, sim_bound, enum_bound)
     cert = target.certificate
-    csv_entries = [
-        {
-            "family": target.label["family"],
-            "q": target.label["q"],
-            "kind": r.irr.kind,
-            "params": r.irr.params,
-            "degree": target.group.degree(r.irr),
-            "theta": r.theta,
-            "multiplicity": r.multiplicity,
-            "sign": r.sign,
-        }
-        for r in target.rows
-    ]
     report = {
         "schema": SCHEMA,
         "artifact": {"name": "pstwalk", "version": __version__},
         "target": target.label,
         "field": _field_provenance(target.group.field),
         "construction": target.construction,
-        "spectrum": csv_entries,
+        "spectrum_classes": _spectrum_classes(target.rows),
+        "spectrum_rows": len(target.rows),
         "certificate": _certificate_json(cert, target.certificate_keys),
         "cross_checks": checks,
         "notes": notes,
@@ -553,7 +566,7 @@ def _run_target(args) -> int:
         code = EXIT_CROSS_CHECK
     else:
         code = EXIT_OK
-    return _finish(report, csv_entries, rows, args, code)
+    return _finish(report, target, rows, args, code)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,12 @@ def test_verify_gl3_passes_and_notes_matching_complement(capsys):
     assert "verdict: ok" in out
     assert "complement of 24 disjoint edges" in out
     assert "transfer time pi/2" in out
-    assert out.count("notice:") == 2  # the two retained hand forms that disagree
+    assert out.count("notice:") == 1  # one line for the two steinberg rows that disagree
+    assert (
+        "notice: hand-derived closed form 'steinberg' for steinberg(0) gives 10 where the exact "
+        "value is -2, the first of 2 disagreeing rows; the hand form is retained as an audit "
+        "record and the congruence conclusion is unaffected\n"
+    ) in out
 
 
 def test_verify_gl3_small_orders_variant(capsys):
@@ -208,7 +213,11 @@ def test_orbital_q3_passes_with_display_notices(capsys):
     assert "verdict: ok" in out
     assert "cross-check walk_pairs: 60" in out
     assert "linear-energy-display" in out
-    assert out.count("notice:") == 2
+    assert out.count("notice:") == 1
+    assert (
+        "notice: hand-derived closed form 'linear-energy-display' for linear(0) gives 336 where "
+        "the exact value is 72, the first of 2 disagreeing rows;"
+    ) in out
 
 
 def test_orbital_q7_character_sum_only(capsys):
@@ -234,7 +243,20 @@ def test_export_gl3_artifacts(tmp_path):
     assert report["cross_checks"]["walk_pairs"] == 24
     assert FLOAT_FIELD.match(report["certificate"]["time"])
     assert FLOAT_FIELD.match(report["cross_checks"]["spectrum_deviation"])
-    assert len(report["notices"]) == 2
+    assert len(report["notices"]) == 1
+    assert report["notices"][0].startswith(
+        "hand-derived closed form 'steinberg' for steinberg(0) gives 10 where the exact value is -2, "
+        "the first of 2 disagreeing rows;"
+    )
+    assert report["spectrum_rows"] == 8
+    classes = [
+        (c["kind"], c["theta"], c["sign"], c["characters"], c["multiplicity"])
+        for c in report["spectrum_classes"]
+    ]
+    assert classes == [  # the spectrum {46^1, 0^24, -2^23}, sorted on (kind, theta, sign)
+        ("cuspidal", -2, 1, 1, 4), ("cuspidal", 0, -1, 2, 8), ("linear", -2, 1, 1, 1),
+        ("linear", 46, 1, 1, 1), ("principal", 0, -1, 1, 16), ("steinberg", -2, 1, 2, 18),
+    ]
 
     csv_lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert csv_lines[0] == "family,q,char-kind,char-params,degree,theta,multiplicity,phi-sign"
@@ -388,7 +410,7 @@ def test_export_orbital_q7_skips_edges(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["certificate"]["mode"] == "period-sum"
     assert "fidelity_deviation" not in report["certificate"]
-    assert len(report["spectrum"]) == 64
+    assert report["spectrum_rows"] == 64
 
 
 def test_reports_are_byte_deterministic(tmp_path):
@@ -397,6 +419,18 @@ def test_reports_are_byte_deterministic(tmp_path):
         run_ok(["verify", "--family", "gl", "--q", "3", "--out-dir", str(out)])
     for name in ("report.json", "spectrum.csv", "graph.edges"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_an_out_dir_that_cannot_be_written_is_refused(tmp_path, capsys):
+    """An existing file as ``--out-dir`` is one error line and exit 1, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["export", "--family", "gl", "--q", "3", "--out-dir", str(blocker)]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err == f"error: cannot write artifacts to {blocker}: File exists\n"
+    assert "verdict" not in out
+    assert blocker.read_text() == ""
 
 
 def test_format_selection_writes_single_file(tmp_path):
@@ -827,8 +861,13 @@ def test_erratum_notices_leave_exit_zero(tmp_path):
     run_ok(["verify", "--family", "gu", "--q", "3", "--out-dir", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "ok"
-    assert len(report["notices"]) == 6
+    assert len(report["notices"]) == 2  # linear on 2 rows, steinberg on 4
     assert any("linear" in n for n in report["notices"])
+    assert report["notices"][0].startswith(
+        "hand-derived closed form 'linear' for linear(0) gives 38 where the exact value is 62, "
+        "the first of 2 disagreeing rows;"
+    )
+    assert "'steinberg' for steinberg(0) gives 2 where the exact value is 6, the first of 4" in report["notices"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +973,32 @@ def test_the_explicit_checks_load_no_masked_arrays(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[0,", "0]", "False"], done.stdout
+
+
+_HASHLIB_PROBE = """
+import contextlib, io, sys
+import pstwalk.cli
+seen = [name in sys.modules for name in ("hashlib", "_hashlib")]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pstwalk.cli.main(sys.argv[1:])
+print(seen, code, [name in sys.modules for name in ("hashlib", "_hashlib")])
+"""
+
+
+def test_the_cli_loads_no_openssl(tmp_path):
+    """Neither ``import pstwalk.cli`` nor a json and csv export loads ``hashlib``, whose
+    OpenSSL backend raises the peak RSS by about 3.5 MB, in a fresh interpreter."""
+    argv = ["export", "--family", "gl", "--q", "19", "--format", "json,csv", "--out-dir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", _HASHLIB_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[False,", "False]", str(EXIT_OK), "[False,", "False]"], done.stdout
+    assert (tmp_path / "report.json").exists() and (tmp_path / "spectrum.csv").exists()
 
 
 # ---------------------------------------------------------------------------

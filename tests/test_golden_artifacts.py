@@ -20,6 +20,7 @@ Naming targets records only those, leaving the other goldens as they are:
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -98,6 +99,28 @@ def test_artifacts_match_golden(name, args, tmp_path, capsys):
     assert sorted(files) == sorted(recorded)
     for key, text in files.items():
         assert text == recorded[key], f"{name}/{key} differs from its golden"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in TARGETS])
+def test_the_report_classes_group_the_spectrum_csv(name):
+    """report.json's spectrum classes are spectrum.csv grouped by (kind, theta, sign), sorted,
+    and their multiplicities add up to the vertex count."""
+    report = json.loads((GOLDEN / name / "report.json").read_text())
+    with (GOLDEN / name / "spectrum.csv").open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    classes: dict[tuple, tuple[int, int]] = {}
+    for row in rows:
+        key = (row["char-kind"], int(row["theta"]), int(row["phi-sign"]))
+        n, m = classes.get(key, (0, 0))
+        classes[key] = (n + 1, m + int(row["multiplicity"]))
+    assert report["spectrum_classes"] == [
+        {"kind": kind, "theta": theta, "sign": sign, "characters": n, "multiplicity": m}
+        for (kind, theta, sign), (n, m) in sorted(classes.items())
+    ]
+    assert report["spectrum_rows"] == len(rows)
+    construction = report["construction"]
+    vertices = construction["cosets" if report["target"]["kind"] == "orbital" else "group_order"]
+    assert sum(c["multiplicity"] for c in report["spectrum_classes"]) == vertices
 
 
 def record(names: Sequence[str] = ()) -> None:
