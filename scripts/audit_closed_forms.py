@@ -5,7 +5,8 @@ Each standard connection set ships with hand-derived closed forms for
 its eigenvalues, retained as audit oracles.  The exact values always
 come from class character sums (Cayley graphs) or integer period sums
 over the coset characters (the double-coset graph); this script prints
-both side by side and flags every row where the retained hand form
+both side by side, every row of each target's full audit table
+(``Target.checks``), and flags every row where the retained hand form
 disagrees.  Disagreements are expected on a few rows (they document
 derivation slips) and never affect certificates, which are computed
 from the exact values alone.
@@ -53,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
                 title = f"orbital q={q} linear-row energies"
             else:
                 title = f"{tag}(2,{q}) standard connection set"
-            disagreements += print_table(title, target.audit)
+            disagreements += print_table(title, target.checks())
 
     print(f"\n{disagreements} disagreeing row(s); certificates use the exact column only")
     return 0

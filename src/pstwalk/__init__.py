@@ -31,6 +31,7 @@ from pstwalk.cayley import (
     build_connection_set,
     certify,
     closed_form_audit,
+    closed_form_checks,
     component_count,
     explicit_graph,
     make_family,
@@ -47,12 +48,15 @@ from pstwalk.orbital import (
     build_gamma,
     certify_orbital,
     linear_energy_display_audit,
+    linear_energy_display_checks,
     orbital_spectrum,
 )
 from pstwalk.scheme import (
     ConjugacyScheme,
+    Disagreement,
     FormulaCheck,
     Graph,
+    Spectrum,
     SpectrumRow,
     TransferCertificate,
     transfer_certificate,
@@ -86,6 +90,7 @@ __all__ = [
     "spectrum",
     "certify",
     "closed_form_audit",
+    "closed_form_checks",
     "CayleyAnalysis",
     "analyze",
     "explicit_graph",
@@ -97,9 +102,12 @@ __all__ = [
     "orbital_spectrum",
     "certify_orbital",
     "linear_energy_display_audit",
+    "linear_energy_display_checks",
     # scheme layer and walk checks
+    "Spectrum",
     "SpectrumRow",
     "FormulaCheck",
+    "Disagreement",
     "ConjugacyScheme",
     "Graph",
     "TransferCertificate",

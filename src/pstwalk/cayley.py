@@ -17,30 +17,38 @@ family builds that tuple once, and every stage here reads it.
 GL(2, 3) additionally supports the ``small-orders`` variant: all
 non-central classes of elements of order 2, 3, 4 or 6.
 
+:func:`build_connection_set` checks that a set is closed under inversion on
+the class labels' parameters (each family's ``inverse_label``), so no
+matrix is built for it.
+
 Because the connection set is a union of classes, the adjacency matrix
 lives in the group's conjugacy-class association scheme: each
 irreducible character contributes one exact integer eigenvalue (a
 character sum, multiplicity the squared degree; on the standard GL and GU
-sets a closed period sum of a cyclic group), one
-:class:`~pstwalk.scheme.SpectrumRow` each.  Perfect state
-transfer between every vertex ``x`` and its antipode ``-x`` at time
+sets a closed period sum of a cyclic group), one row each of a
+:class:`~pstwalk.scheme.Spectrum`, whose eigenvalue, sign and multiplicity
+are integer columns beside the family's own tuple of characters.  Perfect
+state transfer between every vertex ``x`` and its antipode ``-x`` at time
 ``pi/g`` is certified by the mod-4 congruence of
-:func:`~pstwalk.scheme.transfer_certificate` on that spectrum, split by
+:func:`~pstwalk.scheme.transfer_certificate` on those columns, split by
 the character's sign on ``-I``.  At small q, :func:`explicit_graph`
 enumerates the group and returns the graph as a
 :class:`~pstwalk.scheme.Graph` whose pairing is the permutation x -> -x.
 
 Closed-form eigenvalue expressions that were derived by hand while
-designing these sets are retained as audit oracles:
-:func:`closed_form_audit` recomputes them next to the exact character
-sums as :class:`~pstwalk.scheme.FormulaCheck` records and reports every
-disagreement instead of silently preferring either side.
+designing these sets are retained as audit oracles.
+:func:`closed_form_audit` evaluates them over the spectrum's columns and
+keeps, per formula, its first disagreeing row as a
+:class:`~pstwalk.scheme.FormulaCheck` and the number of disagreeing rows,
+so every disagreement is counted and none is silently preferred;
+:func:`closed_form_checks` yields the check of every row, for a full
+table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,12 +58,15 @@ from .groups import ClassLabel, GLGroup, GUGroup, IrrLabel, SLGroup
 from .record import Record
 from .scheme import (
     ConjugacyScheme,
+    Disagreement,
     FormulaCheck,
     Graph,
-    SpectrumRow,
+    Spectrum,
     TransferCertificate,
     class_sum_eigenvalue,
+    column,
     render_irr,
+    tally,
     transfer_certificate,
     translation_map,
 )
@@ -71,6 +82,7 @@ __all__ = [
     "spectrum",
     "certify",
     "closed_form_audit",
+    "closed_form_checks",
     "CayleyAnalysis",
     "analyze",
     "explicit_graph",
@@ -132,7 +144,8 @@ def build_connection_set(family, variant: str = STANDARD) -> ConnectionSet:
 
     Raises ``ValueError`` for a variant the family/q pair does not
     support.  The result is checked to be identity-free and closed
-    under inversion (a requirement for an undirected Cayley graph).
+    under inversion (a requirement for an undirected Cayley graph), the
+    latter on labels: the family's ``inverse_label`` of each must be in it.
     """
     tag = family.family
     if variant not in variants_for(tag, family.q):
@@ -148,8 +161,9 @@ def build_connection_set(family, variant: str = STANDARD) -> ConnectionSet:
     ident = family.classify(family.identity())
     if ident in label_set:
         raise RuntimeError("connection set contains the identity class")
+    inverse = family.inverse_label
     for lab in labels:
-        if family.classify(family.inv(family.class_rep(lab))) not in label_set:
+        if inverse(lab) not in label_set:
             raise RuntimeError(f"connection set is not inverse-closed at {lab}")
 
     degree = sum(family.class_size(lab) for lab in labels)
@@ -166,41 +180,43 @@ def _is_standard(family, conn: ConnectionSet) -> bool:
 # exact spectra
 
 
-def spectrum(family, conn: ConnectionSet) -> list[SpectrumRow]:
-    """Exact integer spectrum, one :class:`~pstwalk.scheme.SpectrumRow` per irreducible.
+def spectrum(family, conn: ConnectionSet) -> Spectrum:
+    """Exact integer spectrum, one row of a :class:`~pstwalk.scheme.Spectrum` per irreducible.
 
     A row's sign is the character's value on the central involution divided
     by its degree, and its multiplicity the squared degree.  GL/GU rows of
     the standard labels are period sums (``standard_theta``), the trivial one
-    checked against the degree; other rows are class sums.
+    checked against the degree; other rows are class sums.  The rows are
+    the family's ``irreducibles()`` tuple, in its order.
     """
     minus_one = family.field.neg(1)
     periods = family.family != "sl" and _is_standard(family, conn)
-    class_sum = partial(class_sum_eigenvalue, family, labels=conn.labels)
-    rows = []
-    for irr in family.irreducibles():
+    value = family.standard_theta if periods else partial(class_sum_eigenvalue, family, labels=conn.labels)
+    sign_of, degree = family.central_sign, family.degree
+    irrs = family.irreducibles()
+    theta, sign, multiplicity = column("q", len(irrs)), column("b", len(irrs)), column("q", len(irrs))
+    for i, irr in enumerate(irrs):
         try:
-            theta = family.standard_theta(irr) if periods else class_sum(irr)
+            theta[i] = value(irr)
         except NonIntegralError as exc:
             raise NonIntegralError(
                 f"character {render_irr(irr)} of {family.family}(2,{family.q}): {exc}"
             ) from exc
-        rows.append(
-            SpectrumRow(irr, theta, family.central_sign(irr, minus_one), family.degree(irr) ** 2)
-        )
-    if periods and rows[0].theta != conn.degree:
+        sign[i] = sign_of(irr, minus_one)
+        multiplicity[i] = degree(irr) ** 2
+    if periods and theta[0] != conn.degree:
         raise RuntimeError(
             f"{family.family}(2,{family.q}): the period sums give the trivial row "
-            f"{rows[0].theta}, not the degree {conn.degree}"
+            f"{theta[0]}, not the degree {conn.degree}"
         )
-    return rows
+    return Spectrum(irrs, theta, sign, multiplicity)
 
 
 # ---------------------------------------------------------------------------
 # certification
 
 
-def certify(rows: Sequence[SpectrumRow]) -> TransferCertificate:
+def certify(rows: Spectrum) -> TransferCertificate:
     """Run the mod-4 transfer test for the antipodal pairing ``x <-> -x``."""
     return transfer_certificate(rows, "x <-> -x for every vertex x")
 
@@ -263,32 +279,46 @@ def _sl_ratio_value(family: SLGroup, irr: IrrLabel, jordan: Sequence[ClassLabel]
     return ratio + num // (2 * d)
 
 
-def closed_form_audit(family, conn: ConnectionSet, rows: Sequence[SpectrumRow]) -> list[FormulaCheck]:
-    """Compare hand-derived closed forms against the exact spectrum.
-
-    Only the standard connection sets have closed forms.  Every row
-    is reported, agreeing or not; disagreements mean the retained hand
-    derivation is wrong for that case, never that the exact character
-    sum is in doubt.
-    """
+def _hand_values(family, conn: ConnectionSet, rows: Spectrum) -> Iterator[tuple[str, int]]:
+    """(formula, hand value) of each row in order; nothing off the standard sets."""
     if not _is_standard(family, conn):
-        return []
-    tag, q = family.family, family.q
-    jordan = [lab for lab in conn.labels if lab.kind == "jordan"]
-    out = []
-    for row in rows:
-        if tag == "sl":
-            hand = _sl_ratio_value(family, row.irr, jordan)
-            formula = "involution-ratio"
-        else:
-            hand = _hand_value(q, family.eps, row.irr)
-            formula = row.irr.kind
-        out.append(
-            FormulaCheck(
-                tag, q, formula, render_irr(row.irr), hand, row.theta, hand == row.theta
-            )
-        )
-    return out
+        return
+    if family.family == "sl":
+        jordan = [lab for lab in conn.labels if lab.kind == "jordan"]
+        for irr in rows.irreducibles:
+            yield "involution-ratio", _sl_ratio_value(family, irr, jordan)
+        return
+    q, eps = family.q, family.eps
+    for irr in rows.irreducibles:
+        yield irr.kind, _hand_value(q, eps, irr)
+
+
+def closed_form_checks(family, conn: ConnectionSet, rows: Spectrum) -> Iterator[FormulaCheck]:
+    """Every row's comparison of its hand-derived closed form with the exact value, in row order.
+
+    Only the standard connection sets have closed forms; any other set yields
+    nothing.  The full table of ``scripts/audit_closed_forms.py``.
+    """
+    tag, q, hands = family.family, family.q, _hand_values(family, conn, rows)
+    for irr, theta, (formula, hand) in zip(rows.irreducibles, rows.theta, hands):
+        yield FormulaCheck(tag, q, formula, render_irr(irr), hand, theta, hand == theta)
+
+
+def closed_form_audit(family, conn: ConnectionSet, rows: Spectrum) -> list[Disagreement]:
+    """Compare hand-derived closed forms against the exact spectrum, counting the disagreements.
+
+    The hand values are evaluated over the rows and compared with the theta
+    column; a :class:`~pstwalk.scheme.FormulaCheck` is made only for a row that
+    disagrees, and per formula only the first of them is kept, with their
+    count.  Disagreements mean the retained hand derivation is wrong for that
+    case, never that the exact character sum is in doubt.
+    """
+    tag, q, hands = family.family, family.q, _hand_values(family, conn, rows)
+    return tally(
+        FormulaCheck(tag, q, formula, render_irr(irr), hand, theta, False)
+        for irr, theta, (formula, hand) in zip(rows.irreducibles, rows.theta, hands)
+        if hand != theta
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +328,9 @@ def closed_form_audit(family, conn: ConnectionSet, rows: Sequence[SpectrumRow]) 
 class CayleyAnalysis(NamedTuple):
     family: object
     connection: ConnectionSet
-    rows: list[SpectrumRow]
+    rows: Spectrum
     certificate: TransferCertificate
-    audit: list[FormulaCheck]
+    audit: list[Disagreement]
 
 
 def analyze(tag: str, q: int, variant: str = STANDARD) -> CayleyAnalysis:

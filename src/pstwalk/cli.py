@@ -12,8 +12,10 @@ Subcommands
 
 Both graph families go through one pipeline: spectrum, certificate,
 cross-checks, report.  :func:`build_target` turns ``(family, q, variant)``
-into a :class:`Target`: the exact spectrum rows, the shared mod-4
-certificate, the closed-form audit, the provenance, and either the
+into a :class:`Target`: the exact spectrum (a :class:`~pstwalk.scheme.Spectrum`,
+whose columns every stage here reads), the shared mod-4 certificate, the
+closed-form audit as counted disagreements with its full per-row table on
+demand, the provenance, and either the
 explicit graph -- one :class:`~pstwalk.scheme.Graph` type for both
 families, its transfer pairs read off the ``partner`` permutation -- or
 the reason it is skipped.  :func:`cross_checks` runs the explicit checks
@@ -37,7 +39,9 @@ character, and ``graph.edges`` with one ``u v`` line per edge (0-based,
 sorted) whenever the explicit graph is in range.
 
 Exit codes: 0 on a valid certificate with all cross-checks passing, 1 on a
-usage error or a target that outgrows memory, 2 on a certificate failure,
+usage error (among them ``--format edges`` for a target whose graph the
+bounds rule out, refused before its spectrum is built) or a target that
+outgrows memory, 2 on a certificate failure,
 3 on a cross-check mismatch.  Hand-derived closed forms that disagree with
 the exact values are reported as notices, one per formula, and do not
 affect the exit code; an output directory that cannot be written exits 1.
@@ -46,12 +50,12 @@ affect the exit code; an output directory that cannot be written exits 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__, scheme
 from . import orbital as orb
@@ -60,11 +64,13 @@ from .cayley import (
     SMALL_ORDERS,
     STANDARD,
     analyze,
+    closed_form_checks,
     component_count,
     explicit_graph,
+    make_family,
 )
 from .ctqw import PairingError, WalkSystem, graph_stack, pst_scan
-from .scheme import Graph, TransferCertificate, Translates
+from .scheme import FormulaCheck, Graph, Spectrum, TransferCertificate, Translates
 
 __all__ = [
     "main", "build_parser", "build_target", "cross_checks", "Target",
@@ -122,7 +128,7 @@ def _bounds(args) -> tuple[int, int]:
 
 
 def _params_text(params: Sequence[int]) -> str:
-    return ":".join(str(p) for p in params)
+    return ":".join(map(str, params))
 
 
 def _field_provenance(field) -> dict:
@@ -144,30 +150,25 @@ def _certificate_json(cert, keys: dict) -> dict:
 
 def _notices(audit) -> list[str]:
     """One line per hand-derived formula that disagrees: its first such row and their count."""
-    first, count = {}, {}
-    for c in audit:
-        if not c.agrees:
-            first.setdefault(c.formula, c)
-            count[c.formula] = count.get(c.formula, 0) + 1
     return [
         (
-            f"hand-derived closed form '{f}' for {c.row} gives {c.hand_value} where the exact "
-            f"value is {c.exact_value}, "
-            + ("the only disagreeing row" if count[f] == 1 else f"the first of {count[f]} disagreeing rows")
+            f"hand-derived closed form '{d.first.formula}' for {d.first.row} gives "
+            f"{d.first.hand_value} where the exact value is {d.first.exact_value}, "
+            + ("the only disagreeing row" if d.count == 1 else f"the first of {d.count} disagreeing rows")
             + "; the hand form is retained as an audit record and the congruence "
             "conclusion is unaffected"
         )
-        for f, c in first.items()
+        for d in audit
     ]
 
 
-def _spectrum_classes(rows) -> list[dict]:
+def _spectrum_classes(rows: Spectrum) -> list[dict]:
     """One entry per distinct (kind, theta, sign), sorted: its rows and their total multiplicity."""
     classes: dict[tuple, list[int]] = {}
-    for r in rows:
-        totals = classes.setdefault((r.irr.kind, r.theta, r.sign), [0, 0])
+    for irr, theta, sign, multiplicity in zip(rows.irreducibles, rows.theta, rows.sign, rows.multiplicity):
+        totals = classes.setdefault((irr.kind, theta, sign), [0, 0])
         totals[0] += 1
-        totals[1] += r.multiplicity
+        totals[1] += multiplicity
     return [
         {"kind": kind, "theta": theta, "sign": sign, "characters": n, "multiplicity": m}
         for (kind, theta, sign), (n, m) in sorted(classes.items())
@@ -192,14 +193,19 @@ def _write_report(path: Path, report: dict) -> None:
 
 
 def _write_spectrum(path: Path, target: Target) -> None:
-    """spectrum.csv, one line per row of the target, written through ``csv.writer`` on the open file."""
-    family, q, degree = target.label["family"], target.label["q"], target.group.degree
+    """spectrum.csv, one line per row of the target's columns.
+
+    No field holds a comma, a quote or a line break, so a line is its fields
+    joined by commas, the bytes ``csv.writer`` would write; the csv module,
+    104 KB of a cold process's peak memory, is not loaded.
+    """
+    family, q, degree, rows = target.label["family"], target.label["q"], target.group.degree, target.rows
+    columns = zip(rows.irreducibles, rows.theta, rows.sign, rows.multiplicity)
     with path.open("w", encoding="utf-8", newline="") as f:
         f.write("family,q,char-kind,char-params,degree,theta,multiplicity,phi-sign\n")
-        csv.writer(f, lineterminator="\n").writerows(
-            [family, q, r.irr.kind, _params_text(r.irr.params), degree(r.irr), r.theta,
-             r.multiplicity, r.sign]
-            for r in target.rows
+        f.writelines(
+            f"{family},{q},{irr.kind},{_params_text(irr.params)},{degree(irr)},{theta},{multiplicity},{sign}\n"
+            for irr, theta, sign, multiplicity in columns
         )
 
 
@@ -236,15 +242,15 @@ def _edge_blocks(rows: Translates):
 
 
 def _formats(text: str) -> set[str] | None:
-    """A comma-separated subset of json,csv,edges; 'all' means applicable ones."""
+    """A comma-separated subset of json,csv,edges; 'all' means applicable ones.  An empty list is refused."""
     parts = {p.strip() for p in text.split(",") if p.strip()}
-    if not parts or parts == {"all"}:
+    if parts == {"all"}:
         return None
     unknown = parts - set(_FORMATS)
-    if unknown:
+    if unknown or not parts:
+        what = f"unknown format(s) {', '.join(sorted(unknown))}" if unknown else f"no format in {text!r}"
         raise argparse.ArgumentTypeError(
-            f"unknown format(s) {', '.join(sorted(unknown))}; expected a "
-            f"comma-separated subset of {', '.join(_FORMATS)} or 'all'"
+            f"{what}; expected a comma-separated subset of {', '.join(_FORMATS)} or 'all'"
         )
     return parts
 
@@ -256,14 +262,9 @@ def _write_outputs(
     target: Target,
     rows: Translates | None,
 ) -> list[Path]:
-    """Write the requested artifacts; 'edges' needs an explicit graph's rows."""
+    """Write the requested artifacts; 'edges' is written where the explicit graph's rows are."""
     wanted = formats if formats is not None else set(_FORMATS)
-    if "edges" in wanted and rows is None:
-        if formats is not None:
-            raise ValueError(
-                "the edge-list format needs an explicit graph, which this "
-                "target does not build within the current bounds"
-            )
+    if rows is None:
         wanted = wanted - {"edges"}
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -322,9 +323,6 @@ def _finish(
     if args.out_dir is not None:
         try:
             written = _write_outputs(args.out_dir, args.format, report, target, rows)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except OSError as exc:
             print(f"error: cannot write artifacts to {args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -343,10 +341,31 @@ class Target(NamedTuple):
     group: object  # the group family: field provenance and character degrees
     construction: dict
     certificate_keys: dict  # family-specific keys of the report's certificate
-    rows: list
+    rows: Spectrum
     certificate: TransferCertificate
-    audit: list
+    audit: list  # the closed forms' disagreements, counted per formula
+    checks: Callable[[], Iterator[FormulaCheck]]  # the audit's full table, one check per row
     graph: Callable[[int], Graph | str]  # enumeration bound -> graph, or why skipped
+
+
+def _graph_skipped(family: str, q: int, bound: int) -> str | None:
+    """Why the explicit graph of a target is not built within ``bound``, or ``None`` if it is.
+
+    Read from the group order or the coset count alone, so it can be decided
+    before any spectrum is built.  Raises ``ValueError`` for a q the family
+    cannot be built at.
+    """
+    if family == "orbital":
+        space = orb.build_coset_space(q)
+        if not space.explicit:
+            return f"q = {space.q} runs in period-sum-only mode"
+        if space.n_cosets > bound:
+            return f"coset count {space.n_cosets} exceeds the enumeration bound {bound}"
+        return None
+    order = make_family(family, q).order
+    if order > bound:
+        return f"group order {order} exceeds the enumeration bound {bound}"
+    return None
 
 
 def build_target(family: str, q: int, variant: str = STANDARD) -> Target:
@@ -369,8 +388,8 @@ def _cayley_target(tag: str, q: int, variant: str) -> Target:
     family, conn, rows, cert, audit = analyze(tag, q, variant)
 
     def graph(bound: int) -> Graph | str:
-        if family.order > bound:
-            return f"group order {family.order} exceeds the enumeration bound {bound}"
+        if skipped := _graph_skipped(tag, q, bound):
+            return skipped
         # loaded for its side effect before the group is enumerated, so that the
         # garbage collections numpy's import triggers do not walk the elements
         __import__("numpy")
@@ -389,6 +408,7 @@ def _cayley_target(tag: str, q: int, variant: str) -> Target:
         rows=rows,
         certificate=cert,
         audit=audit,
+        checks=partial(closed_form_checks, family, conn, rows),
         graph=graph,
     )
 
@@ -401,11 +421,7 @@ def _orbital_target(q: int) -> Target:
     mode = "explicit" if space.explicit else "period-sum"
 
     def graph(bound: int) -> Graph | str:
-        if not space.explicit:
-            return f"q = {space.q} runs in period-sum-only mode"
-        if space.n_cosets > bound:
-            return f"coset count {space.n_cosets} exceeds the enumeration bound {bound}"
-        return orb.build_gamma(space)
+        return _graph_skipped("orbital", q, bound) or orb.build_gamma(space)
 
     return Target(
         label={"kind": "orbital", "family": "orbital", "q": space.q},
@@ -422,11 +438,12 @@ def _orbital_target(q: int) -> Target:
         rows=rows,
         certificate=cert,
         audit=audit,
+        checks=partial(orb.linear_energy_display_checks, q, rows),
         graph=graph,
     )
 
 
-def _spectrum_deviation(walk: WalkSystem, rows) -> float:
+def _spectrum_deviation(walk: WalkSystem, rows: Spectrum) -> float:
     """Largest distance between the numeric and the exact sorted spectra.
 
     Each side of the pairing, the union of its Fourier blocks, is compared
@@ -435,9 +452,12 @@ def _spectrum_deviation(walk: WalkSystem, rows) -> float:
     eigenvalues is infinitely far.
     """
     deviation = 0.0
-    for sign, values in walk.sides().items():
+    for side, values in walk.sides().items():
         thetas = sorted(
-            r.theta for r in rows if sign in (None, r.sign) for _ in range(r.multiplicity)
+            theta
+            for theta, sign, multiplicity in zip(rows.theta, rows.sign, rows.multiplicity)
+            if side in (None, sign)
+            for _ in range(multiplicity)
         )
         if len(thetas) != len(values):
             return float("inf")
@@ -539,12 +559,18 @@ def cmd_run(args) -> int:
 
 
 def _run_target(args) -> int:
+    sim_bound, enum_bound = _bounds(args)
     try:
+        if args.out_dir is not None and "edges" in (args.format or ()):
+            if _graph_skipped(args.family, args.q, enum_bound):
+                raise ValueError(
+                    "the edge-list format needs an explicit graph, which this "
+                    "target does not build within the current bounds"
+                )
         target = build_target(args.family, args.q, args.variant)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sim_bound, enum_bound = _bounds(args)
     checks, notes, rows, cross_ok = cross_checks(target, sim_bound, enum_bound)
     cert = target.certificate
     report = {

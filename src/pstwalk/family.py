@@ -136,7 +136,8 @@ class _Family:
 
     They are ``_build_tables`` (the label tuples of the classes, the
     irreducibles and the standard connection set), ``enumerate_group``,
-    ``classify``, ``class_size``, ``class_rep``, ``degree``, ``char_value``
+    ``classify``, ``class_size``, ``class_rep``, ``inverse_label`` (the
+    class of the inverses, on parameters), ``degree``, ``char_value``
     and ``central_sign``.
     """
 

@@ -16,6 +16,9 @@ supplies only what really differs:
   z^(1-q) for GU);
 * its matrix code: ``classify``, ``class_rep``, ``enumerate_group`` and,
   for GU, ``is_member``.
+
+The inverse of a class is read off its parameters
+(:meth:`~_LinearOrUnitary.inverse_label`), with no matrix built.
 """
 
 from __future__ import annotations
@@ -80,6 +83,22 @@ class _LinearOrUnitary(_Family):
             if m % (q + eps) and (eps * m * q) % n > m
         ]
         return tuple(classes), tuple(irr), tuple(standard)
+
+    def inverse_label(self, label: ClassLabel) -> ClassLabel:
+        """The class of the inverses of the elements of class ``label``, from its parameters.
+
+        Central and jordan x -> 1/x, split (x, y) -> (1/x, 1/y) sorted, and a nonsplit
+        class of F_{q^2} log k -> -k, named by the member of its orbit {k, eps q k} of
+        smaller log, as :meth:`classify` names it.
+        """
+        kind, params = label.kind, label.params
+        if kind == "nonsplit":
+            ext, n = self.tower.ext, self.root_order
+            k = -ext.log[params[0]] % n
+            params = (ext.exp[min(k, self.eps * self.q * k % n)],)
+        else:
+            params = tuple(sorted(map(self.field.inv, params)))
+        return ClassLabel(self.family, kind, params)
 
     def class_size(self, label: ClassLabel) -> int:
         q, eps = self.q, self.eps

@@ -18,8 +18,9 @@ the chi-component, and the diagonal relations contribute an integer
 ``energy``.  It is a period sum S(u) S(v) - S(u + v), S(w) = (q+1) [(q+1) | w],
 over the cyclic group F_{q^2}^x / F_q^x (character orthogonality: Lidl and
 Niederreiter, *Finite Fields*, ch. 5), derived at :func:`orbital_spectrum`.
-The rows are the Cayley graphs' :class:`~pstwalk.scheme.SpectrumRow`, so a
-row's energy is ``theta - sign``.  Every energy is divisible by 4, so the
+The spectrum is the Cayley graphs' :class:`~pstwalk.scheme.Spectrum`,
+columns beside :func:`coset_irreducibles`, so a row's energy is
+``theta - sign``.  Every energy is divisible by 4, so the
 mod-4 congruence of :func:`~pstwalk.scheme.transfer_certificate` certifies
 perfect state transfer between ``rH`` and ``(z r)H`` for every coset at
 time pi/2.
@@ -35,18 +36,21 @@ pairing is the permutation rH -> (z r)H, carried as a
 :class:`~pstwalk.scheme.Graph`.
 
 The module also retains the hand-derived closed form printed for the
-linear-character energies as an audit oracle, one
-:class:`~pstwalk.scheme.FormulaCheck` per linear character; it disagrees
-with the exact values by a normalization factor and is reported, never
-trusted.  G and H are built as :class:`~pstwalk.groups.GLGroup` instances
-here, so the module stands on :mod:`pstwalk.scheme` beside
-:mod:`pstwalk.cayley` and imports nothing from it.
+linear-character energies as an audit oracle, read off the q + 1 linear
+rows: :func:`linear_energy_display_checks` yields one
+:class:`~pstwalk.scheme.FormulaCheck` per linear character, and
+:func:`linear_energy_display_audit` keeps the first disagreeing one and
+their count.  It disagrees with the exact values by a normalization
+factor and is reported, never trusted.  G and H are built as
+:class:`~pstwalk.groups.GLGroup` instances here, so the module stands on
+:mod:`pstwalk.scheme` beside :mod:`pstwalk.cayley` and imports nothing
+from it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,14 +61,18 @@ from .groups import GLGroup, IrrLabel, Mat2
 from .record import Record
 from .scheme import (
     BLOCK_ENTRIES,
+    Disagreement,
     FormulaCheck,
     Graph,
-    SpectrumRow,
+    Spectrum,
     TransferCertificate,
     Translates,
     VertexLookup,
     _row_keys,
     _row_products,
+    column,
+    render_irr,
+    tally,
     transfer_certificate,
     translation_map,
 )
@@ -77,6 +85,7 @@ __all__ = [
     "coset_irreducibles",
     "orbital_spectrum",
     "certify_orbital",
+    "linear_energy_display_checks",
     "linear_energy_display_audit",
 ]
 
@@ -270,10 +279,10 @@ def _energy_total(space: CosetSpace, irr: IrrLabel) -> int:
 # the spectrum
 
 
-def orbital_spectrum(q: int) -> list[SpectrumRow]:
-    """Exact eigenvalue rows of the coset graph, one per irreducible.
+def orbital_spectrum(q: int) -> Spectrum:
+    """Exact eigenvalues of the coset graph, one row per irreducible of :func:`coset_irreducibles`.
 
-    Each is a :class:`~pstwalk.scheme.SpectrumRow`: its sign is the
+    They are a :class:`~pstwalk.scheme.Spectrum`: a row's sign is the
     eigenvalue of the involution relation, +1 or -1, its theta is sign +
     energy and its multiplicity the character degree.  The energy,
     theta - sign, is the contribution of the diagonal double cosets: the
@@ -289,52 +298,57 @@ def orbital_spectrum(q: int) -> list[SpectrumRow]:
     """
     space = build_coset_space(q)
     denom = 2 * (q - 1) ** 2
-    rows = []
-    for irr in coset_irreducibles(q):
+    sign_of, degree = space.group.central_sign, space.group.degree
+    irrs = coset_irreducibles(q)
+    theta, sign, multiplicity = column("q", len(irrs)), column("b", len(irrs)), column("q", len(irrs))
+    for i, irr in enumerate(irrs):
         whole = _energy_total(space, irr)
         if whole % denom:
             raise NonIntegralError(
                 f"character {irr.kind}{irr.params} of gl(2,{q * q}): energy sum "
                 f"{whole} is not divisible by {denom}"
             )
-        energy = whole // denom
-        sign = space.group.central_sign(irr, space.zeta)
-        rows.append(SpectrumRow(irr, sign + energy, sign, space.group.degree(irr)))
-    return rows
+        sign[i] = s = sign_of(irr, space.zeta)
+        theta[i] = s + whole // denom
+        multiplicity[i] = degree(irr)
+    return Spectrum(irrs, theta, sign, multiplicity)
 
 
-def linear_energy_display_audit(q: int, rows: Sequence[SpectrumRow]) -> list[FormulaCheck]:
-    """Compare the printed linear-energy closed form against exact values.
+def linear_energy_display_checks(q: int, rows: Spectrum) -> Iterator[FormulaCheck]:
+    """Compare the printed linear-energy closed form against exact values, one linear row at a time.
 
     The printed form replaces the transversal pair sum by a full-group
     pair sum without the compensating normalization, so it overshoots the
     true energies whenever the sums do not vanish (at q = 3: 336 vs 72 for
     the trivial character).  Retained as an audit oracle only; the
     divisibility-by-4 conclusion holds either way.  ``rows`` is the exact
-    spectrum from :func:`orbital_spectrum`.  lambda = zeta_n^j (n = q^2 - 1)
-    sums to n [n | j] over F_{q^2}^x and to (n/2) [n | 2j] over its squares.
+    spectrum from :func:`orbital_spectrum`, whose first q + 1 rows are the
+    linear characters lambda = zeta_n^j, j = (q - 1) a (n = q^2 - 1); only
+    they are read.  lambda sums to n [n | j] over F_{q^2}^x and to (n/2)
+    [n | 2j] over its squares.
     """
     n = q * q - 1
-    out = []
-    energies = {r.irr: r.theta - r.sign for r in rows}
     for a in range(q + 1):
-        j = (q - 1) * a
+        irr = rows.irreducibles[a]
+        j = irr.params[0]
         full = n if j % n == 0 else 0
         squares = n // 2 if (2 * j) % n == 0 else 0
         printed = (q * (q + 1) // 2) * (full * full - 2 * squares)
-        exact = energies[IrrLabel("gl", "linear", (j,))]
-        out.append(
-            FormulaCheck(
-                family="orbital",
-                q=q,
-                formula="linear-energy-display",
-                row=f"linear({j})",
-                hand_value=printed,
-                exact_value=exact,
-                agrees=printed == exact,
-            )
+        exact = rows.theta[a] - rows.sign[a]
+        yield FormulaCheck(
+            family="orbital",
+            q=q,
+            formula="linear-energy-display",
+            row=render_irr(irr),
+            hand_value=printed,
+            exact_value=exact,
+            agrees=printed == exact,
         )
-    return out
+
+
+def linear_energy_display_audit(q: int, rows: Spectrum) -> list[Disagreement]:
+    """The first linear row that disagrees with the printed form, and their count."""
+    return tally(linear_energy_display_checks(q, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +420,6 @@ def build_gamma(space: CosetSpace) -> Graph:
 # the certificate
 
 
-def certify_orbital(rows: Sequence[SpectrumRow]) -> TransferCertificate:
+def certify_orbital(rows: Spectrum) -> TransferCertificate:
     """Run the mod-4 transfer test for the pairing ``rH <-> (z r)H``."""
     return transfer_certificate(rows, "rH <-> (z r)H for every coset rH")

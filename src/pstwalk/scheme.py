@@ -20,15 +20,20 @@ on every +1 eigenspace and odd on every -1 eigenspace.  That parity
 test, validated against direct simulation, is a reference in
 ``tests/oracles.py``.
 
-Both graph families hand their exact spectra over as one row type,
-:class:`SpectrumRow` (character, eigenvalue, sign, multiplicity), and
-their hand-derived closed forms as one audit record, :class:`FormulaCheck`.
-Both are certified by :func:`transfer_certificate`, the
-mod-4 form of that criterion: every eigenvalue is congruent to theta0
-mod 4 on the +1 side and to theta0 + 2 on the -1 side, and the -1 side
-is not empty.  It accepts exactly what the parity test accepts with
-g = 2 (mod 4); it rejects the odd-gap transfers the parity form also
-certifies.
+Both graph families hand their exact spectra over as one type,
+:class:`Spectrum`: the family's own tuple of irreducible characters beside
+three integer columns (eigenvalue, sign, multiplicity), one row per
+character, with no object per row; indexing or iterating it gives
+:class:`SpectrumRow` views.  Their hand-derived closed forms are compared
+row by row as :class:`FormulaCheck` records, and an audit keeps, per
+formula, only its first disagreeing row and the number of them
+(:func:`tally`, one :class:`Disagreement` each).
+Both families are certified by :func:`transfer_certificate`, the
+mod-4 form of that criterion, read off the columns: every eigenvalue is
+congruent to theta0 mod 4 on the +1 side and to theta0 + 2 on the -1
+side, and the -1 side is not empty.  It accepts exactly what the parity
+test accepts with g = 2 (mod 4); it rejects the odd-gap transfers the
+parity form also certifies.
 
 Where a group is small enough to enumerate, both families also build their
 graph explicitly through one builder, :class:`Translates`: row i marks the
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, pi
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,8 +63,12 @@ from .record import Record
 
 __all__ = [
     "BLOCK_ENTRIES",
+    "column",
+    "Spectrum",
     "SpectrumRow",
     "FormulaCheck",
+    "Disagreement",
+    "tally",
     "TransferCertificate",
     "transfer_certificate",
     "render_irr",
@@ -84,13 +93,55 @@ class SpectrumRow(NamedTuple):
 
     ``sign`` is the pairing involution's eigenvalue on the eigenspace (the
     side of the transfer congruence the eigenvalue must land on) and
-    ``multiplicity`` the dimension of the eigenspace.
+    ``multiplicity`` the dimension of the eigenspace.  A view of one row of
+    a :class:`Spectrum`, made when it is read.
     """
 
     irr: IrrLabel
     theta: int
     sign: int
     multiplicity: int
+
+
+# bytes per entry of a column's type code
+_WIDTHS = {"q": 8, "b": 1}
+
+
+def column(typecode: str, size: int) -> memoryview:
+    """``size`` zeroed signed integers of 64 bits (``"q"``) or 8 bits (``"b"``).
+
+    A bytearray cast to that type, which indexes, iterates and compares as
+    ints; the ``array`` module would cost the cold process 72 KB of peak
+    resident memory to load.
+    """
+    return memoryview(bytearray(size * _WIDTHS[typecode])).cast(typecode)
+
+
+class Spectrum(Record):
+    """An exact spectrum held as columns, one row per irreducible character.
+
+    ``irreducibles`` is the family's own tuple of character labels; row i
+    has eigenvalue ``theta[i]``, sign ``sign[i]`` and multiplicity
+    ``multiplicity[i]``, read from :func:`column` columns (64-bit, 8-bit and
+    64-bit).  ``len``, indexing and iteration give :class:`SpectrumRow`
+    views, made on demand; the pipeline reads the columns.
+    """
+
+    __slots__ = _fields = ("irreducibles", "theta", "sign", "multiplicity")
+
+    def __init__(
+        self, irreducibles: Sequence[IrrLabel], theta: memoryview, sign: memoryview, multiplicity: memoryview
+    ):
+        self._fill(irreducibles, theta, sign, multiplicity)
+
+    def __len__(self) -> int:
+        return len(self.irreducibles)
+
+    def __getitem__(self, i: int) -> SpectrumRow:
+        return SpectrumRow(self.irreducibles[i], self.theta[i], self.sign[i], self.multiplicity[i])
+
+    def __iter__(self) -> Iterator[SpectrumRow]:
+        return map(SpectrumRow, self.irreducibles, self.theta, self.sign, self.multiplicity)
 
 
 class FormulaCheck(NamedTuple):
@@ -103,6 +154,26 @@ class FormulaCheck(NamedTuple):
     hand_value: int
     exact_value: int
     agrees: bool
+
+
+class Disagreement(Record):
+    """A hand-derived formula's first disagreeing row and the number of rows it disagrees on."""
+
+    __slots__ = _fields = ("first", "count")
+
+    def __init__(self, first: FormulaCheck, count: int):
+        self._fill(first, count)
+
+
+def tally(checks: Iterable[FormulaCheck]) -> list[Disagreement]:
+    """One :class:`Disagreement` per formula that disagrees anywhere, in order of its first disagreement."""
+    first: dict[str, FormulaCheck] = {}
+    count: dict[str, int] = {}
+    for c in checks:
+        if not c.agrees:
+            first.setdefault(c.formula, c)
+            count[c.formula] = count.get(c.formula, 0) + 1
+    return [Disagreement(c, count[f]) for f, c in first.items()]
 
 
 class TransferCertificate(Record):
@@ -136,35 +207,37 @@ class TransferCertificate(Record):
         self._fill(degree, ok, reason, transfer_rule, integral, residue, gap, time, connected)
 
 
-def transfer_certificate(
-    rows: Sequence[SpectrumRow], transfer_rule: str
-) -> TransferCertificate:
-    """Run the mod-4 transfer test on an exact spectrum, one row per eigenspace part."""
-    theta0 = max(r.theta for r in rows)
-    top_mult = sum(r.multiplicity for r in rows if r.theta == theta0)
+def transfer_certificate(spectrum: Spectrum, transfer_rule: str) -> TransferCertificate:
+    """Run the mod-4 transfer test on an exact spectrum's columns, one row per eigenspace part.
+
+    A failure names the first row off its residue by its character.
+    """
+    theta, sign = spectrum.theta, spectrum.sign
+    theta0 = max(theta)
+    top_mult = sum(m for t, m in zip(theta, spectrum.multiplicity) if t == theta0)
     base = dict(degree=theta0, transfer_rule=transfer_rule, connected=top_mult == 1)
-    gap = gcd(*(theta0 - r.theta for r in rows))
+    gap = gcd(*{theta0 - t for t in theta})
     if gap == 0:
         return TransferCertificate(
             ok=False, reason="all eigenvalues are equal; there is no walk", **base
         )
     a = theta0 % 4
     base.update(residue=a, gap=gap, time=pi / gap)
-    if all(r.sign == 1 for r in rows):
+    if all(s == 1 for s in sign):
         return TransferCertificate(
             ok=False,
             reason="the pairing involution has no -1 eigenspace, so it fixes every vertex",
             **base,
         )
-    for r in rows:
-        want = a if r.sign == 1 else (a + 2) % 4
-        if r.theta % 4 != want:
-            side = "+1" if r.sign == 1 else "-1"
+    for i, (t, s) in enumerate(zip(theta, sign)):
+        want = a if s == 1 else (a + 2) % 4
+        if t % 4 != want:
+            side = "+1" if s == 1 else "-1"
             return TransferCertificate(
                 ok=False,
                 reason=(
-                    f"eigenvalue {r.theta} of {render_irr(r.irr)} on the {side} side "
-                    f"is {r.theta % 4} mod 4, expected {want}"
+                    f"eigenvalue {t} of {render_irr(spectrum.irreducibles[i])} on the {side} side "
+                    f"is {t % 4} mod 4, expected {want}"
                 ),
                 **base,
             )

@@ -102,6 +102,18 @@ class SLGroup(_Family):
             "nonsplit": q * (q - 1),
         }[label.kind]
 
+    def inverse_label(self, label: ClassLabel) -> ClassLabel:
+        """The class of the inverses of the elements of class ``label``, from its parameters.
+
+        The inverse of [[eps, c], [0, eps]] is [[eps, -c], [0, eps]], so a jordan class
+        (eps, c) goes to (eps, c times the square class of -1).  Every other class is its
+        own: +-I, and the eigenvalue pairs {x, 1/x} of split and nonsplit classes.
+        """
+        if label.kind != "jordan" or self._sign_m1 == 1:
+            return label
+        eps, c = label.params
+        return ClassLabel("sl", "jordan", (eps, self.tower.delta if c == 1 else 1))
+
     def class_rep(self, label: ClassLabel) -> Mat2:
         F, tw = self.field, self.tower
         kind, params = label.kind, label.params

@@ -611,6 +611,78 @@ def pst_test(rows: Iterable) -> PSTCertificate:
     return PSTCertificate(True, "", g=g, time=pi / g, residue=residue)
 
 
+def spectrum_of(rows: Sequence) -> scheme.Spectrum:
+    """A :class:`~pstwalk.scheme.Spectrum` holding ``rows`` (``SpectrumRow`` values) as columns."""
+    theta, sign, multiplicity = (scheme.column(code, len(rows)) for code in "qbq")
+    for i, r in enumerate(rows):
+        theta[i], sign[i], multiplicity[i] = r.theta, r.sign, r.multiplicity
+    return scheme.Spectrum(tuple(r.irr for r in rows), theta, sign, multiplicity)
+
+
+def transfer_certificate_rows(rows: Sequence, transfer_rule: str) -> scheme.TransferCertificate:
+    """The mod-4 certificate read row by row from ``SpectrumRow`` values, as it was before the columns."""
+    theta0 = max(r.theta for r in rows)
+    top_mult = sum(r.multiplicity for r in rows if r.theta == theta0)
+    base = dict(degree=theta0, transfer_rule=transfer_rule, connected=top_mult == 1)
+    gap = gcd(*(theta0 - r.theta for r in rows))
+    if gap == 0:
+        return scheme.TransferCertificate(
+            ok=False, reason="all eigenvalues are equal; there is no walk", **base
+        )
+    a = theta0 % 4
+    base.update(residue=a, gap=gap, time=pi / gap)
+    if all(r.sign == 1 for r in rows):
+        return scheme.TransferCertificate(
+            ok=False,
+            reason="the pairing involution has no -1 eigenspace, so it fixes every vertex",
+            **base,
+        )
+    for r in rows:
+        want = a if r.sign == 1 else (a + 2) % 4
+        if r.theta % 4 != want:
+            side = "+1" if r.sign == 1 else "-1"
+            return scheme.TransferCertificate(
+                ok=False,
+                reason=(
+                    f"eigenvalue {r.theta} of {scheme.render_irr(r.irr)} on the {side} side "
+                    f"is {r.theta % 4} mod 4, expected {want}"
+                ),
+                **base,
+            )
+    return scheme.TransferCertificate(
+        ok=True,
+        reason=(
+            f"all eigenvalues are congruent to {a} mod 4 on the +1 side and "
+            f"{(a + 2) % 4} on the -1 side; transfer time pi/{gap}"
+        ),
+        **base,
+    )
+
+
+def notices_rows(checks: Iterable) -> list[str]:
+    """The CLI's notice lines from every row's ``FormulaCheck``, as they were made before the counts."""
+    first, count = {}, {}
+    for c in checks:
+        if not c.agrees:
+            first.setdefault(c.formula, c)
+            count[c.formula] = count.get(c.formula, 0) + 1
+    return [
+        (
+            f"hand-derived closed form '{f}' for {c.row} gives {c.hand_value} where the exact "
+            f"value is {c.exact_value}, "
+            + ("the only disagreeing row" if count[f] == 1 else f"the first of {count[f]} disagreeing rows")
+            + "; the hand form is retained as an audit record and the congruence "
+            "conclusion is unaffected"
+        )
+        for f, c in first.items()
+    ]
+
+
+def inverse_label_by_matrix(family, label: ClassLabel) -> ClassLabel:
+    """The class of the inverse of the label's representative: ``classify(inv(class_rep(label)))``."""
+    return family.classify(family.inv(family.class_rep(label)))
+
+
 def spectrum_trace(rows: Sequence) -> int:
     """Sum of eigenvalues weighted by multiplicity (zero for a loopless graph)."""
     return sum(r.theta * r.multiplicity for r in rows)

@@ -30,6 +30,7 @@ from pstwalk.cayley import (
     SMALL_ORDERS,
     STANDARD,
     analyze,
+    closed_form_checks,
     component_count,
     explicit_graph,
     make_family,
@@ -125,7 +126,7 @@ def test_criterion_2_gl3_small_orders():
 
 def test_criterion_3_gl5():
     start = time.perf_counter()
-    family, conn, rows, cert, audit = analyze("gl", 5)
+    family, conn, rows, cert, _ = analyze("gl", 5)
 
     graph = explicit_graph(family, conn)
     adjacency = dense_adjacency(graph)
@@ -139,7 +140,7 @@ def test_criterion_3_gl5():
     for r in rows:
         assert r.theta % 4 == (2 if r.sign == 1 else 0)
 
-    linear = [c for c in audit if c.formula == "linear"]
+    linear = [c for c in closed_form_checks(family, conn, rows) if c.formula == "linear"]
     assert len(linear) == 4 and all(c.agrees for c in linear)
 
     assert spectrum_deviation(adjacency, [(r.theta, r.multiplicity) for r in rows]) <= SPECTRUM_TOL
@@ -156,7 +157,7 @@ def test_criterion_3_gl5():
 def test_criterion_4_sl():
     start = time.perf_counter()
     for q in (3, 5):
-        family, conn, rows, cert, audit = analyze("sl", q)
+        family, conn, rows, cert, _ = analyze("sl", q)
         assert conn.degree == 1 + 2 * (q * q - 1)
 
         members = frozenset(set_members(family, conn))
@@ -168,6 +169,7 @@ def test_criterion_4_sl():
         for r in rows:
             assert r.theta % 4 == (1 if r.sign == 1 else 3)
 
+        audit = list(closed_form_checks(family, conn, rows))
         assert audit and all(c.formula == "involution-ratio" for c in audit)
         assert all(c.agrees for c in audit)
 
@@ -181,7 +183,7 @@ def test_criterion_5_gu():
     start = time.perf_counter()
     expected_order = {3: 96, 5: 720}
     for q in (3, 5):
-        family, conn, rows, cert, audit = analyze("gu", q)
+        family, conn, rows, cert, _ = analyze("gu", q)
         assert len(list(family.enumerate_group())) == expected_order[q]
 
         kinds = {r.irr.kind for r in rows}
@@ -195,6 +197,7 @@ def test_criterion_5_gu():
             members = set_members(family, conn)
             assert conn.degree == len(members) == 62
 
+            audit = closed_form_checks(family, conn, rows)
             bad_linear = {c.row for c in audit if c.formula == "linear" and not c.agrees}
             assert bad_linear == {"linear(0)", "linear(2)"}
 
@@ -233,7 +236,7 @@ def test_criterion_6_orbital_q3():
     assert literal.coset_index[space.z] == graph.partner[h_vertex]
     run_walk(dense_adjacency(graph), [(h_vertex, int(graph.partner[h_vertex]))])
 
-    disagreeing = {c.row for c in orbital.linear_energy_display_audit(3, rows) if not c.agrees}
+    disagreeing = {c.row for c in orbital.linear_energy_display_checks(3, rows) if not c.agrees}
     assert disagreeing == {"linear(0)", "linear(4)"}
     assert orbital.certify_orbital(rows).ok
 

@@ -13,11 +13,11 @@ from pstwalk.cayley import (
     SMALL_ORDERS,
     STANDARD,
     ConnectionSet,
-    SpectrumRow,
     analyze,
     build_connection_set,
     certify,
     closed_form_audit,
+    closed_form_checks,
     component_count,
     explicit_graph,
     make_family,
@@ -34,6 +34,7 @@ from oracles import (
     pst_test,
     reduced_rows,
     sl_order_based_elements,
+    spectrum_of,
     spectrum_trace,
     trivial_character,
 )
@@ -41,6 +42,7 @@ from pstwalk import scheme
 from pstwalk.chars import CycSum, NonIntegralError
 from pstwalk.ctqw import graph_stack, pst_scan
 from pstwalk.groups import ClassLabel
+from pstwalk.scheme import SpectrumRow
 
 
 @lru_cache(maxsize=None)
@@ -504,7 +506,7 @@ def test_certify_rejects_wrong_congruence():
         SpectrumRow(None, 0, 1, 2),
         SpectrumRow(None, 1, -1, 1),
     ]
-    cert = certify(rows)
+    cert = certify(spectrum_of(rows))
     assert not cert.ok
     assert "-1 side" in cert.reason and "expected 2" in cert.reason
     assert cert.residue == 0 and cert.gap == 1
@@ -512,7 +514,7 @@ def test_certify_rejects_wrong_congruence():
 
 def test_certify_flat_spectrum():
     rows = [SpectrumRow(None, 3, 1, 1), SpectrumRow(None, 3, -1, 1)]
-    cert = certify(rows)
+    cert = certify(spectrum_of(rows))
     assert not cert.ok and "no walk" in cert.reason
     assert cert.gap is None and cert.time is None
 
@@ -527,9 +529,14 @@ def test_certificate_is_frozen():
 # hand-derived closed forms as audit oracles
 
 
+def audit_checks(tag, q, variant=STANDARD):
+    """Every row's check: the audit's full table."""
+    fam, conn, rows, _, _ = run(tag, q, variant)
+    return list(closed_form_checks(fam, conn, rows))
+
+
 def audit_table(tag, q, variant=STANDARD):
-    _, _, _, _, audit = run(tag, q, variant)
-    return {c.row: c for c in audit}
+    return {c.row: c for c in audit_checks(tag, q, variant)}
 
 
 def test_gl3_audit_disagreements_frozen():
@@ -554,7 +561,7 @@ def test_gu3_audit_disagreements_frozen():
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_gl_linear_closed_form_exact(q):
     """The degree-1 closed form reproduces the exact eigenvalues at q = 3,5,7,9."""
-    _, _, _, _, audit = run("gl", q)
+    audit = audit_checks("gl", q)
     linear = [c for c in audit if c.formula == "linear"]
     assert len(linear) == q - 1
     assert all(c.agrees for c in linear)
@@ -562,7 +569,7 @@ def test_gl_linear_closed_form_exact(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_gl_audit_pattern(q):
-    _, _, _, _, audit = run("gl", q)
+    audit = audit_checks("gl", q)
     by_formula = {}
     for c in audit:
         by_formula.setdefault(c.formula, []).append(c.agrees)
@@ -574,7 +581,7 @@ def test_gl_audit_pattern(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_gu_audit_pattern(q):
-    _, _, _, _, audit = run("gu", q)
+    audit = audit_checks("gu", q)
     bad_linear = {c.row for c in audit if c.formula == "linear" and not c.agrees}
     assert bad_linear == {"linear(0)", f"linear({(q + 1) // 2})"}
     assert not any(c.agrees for c in audit if c.formula == "steinberg")
@@ -591,7 +598,7 @@ def test_gu5_cuspidal_kernel_case():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 81])
 def test_sl_ratio_identity_audit(q):
-    _, _, _, _, audit = run("sl", q)
+    audit = audit_checks("sl", q)
     assert audit and all(c.formula == "involution-ratio" for c in audit)
     assert all(c.agrees for c in audit)
 

@@ -15,8 +15,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import RegularRows, dense_adjacency, dense_scan_automorphism, literal_coset_space
-from pstwalk import cli, orbital, scheme
+from oracles import (
+    RegularRows,
+    dense_adjacency,
+    dense_scan_automorphism,
+    literal_coset_space,
+    notices_rows,
+    spectrum_of,
+    transfer_certificate_rows,
+)
+from test_golden_artifacts import TARGETS as GOLDEN_TARGETS
+from pstwalk import cayley, cli, orbital, scheme
 from pstwalk.cli import EXIT_CERTIFICATE, EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
 from pstwalk.ctqw import PairingError, TransferReport, graph_stack
 from pstwalk.groups import GLGroup, GUGroup, Mat2, SLGroup
@@ -201,6 +210,81 @@ def test_edges_format_needs_explicit_graph(tmp_path, capsys):
     ]
     assert main(argv) == EXIT_USAGE
     assert "explicit graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", ",", ",,", " , "])
+def test_an_empty_format_list_is_a_usage_error(text, tmp_path, monkeypatch, capsys):
+    """An empty list names the accepted values; it meant every format, and wrote all three."""
+
+    def never(*args):
+        raise AssertionError("analyze ran on an empty --format")
+
+    monkeypatch.setattr(cli, "analyze", never)
+    argv = ["export", "--family", "gl", "--q", "3", "--format", text, "--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"--format: no format in {text!r}; expected a comma-separated subset of json, csv, edges or 'all'\n" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name",
+    [
+        (["export", "--family", "gl", "--q", "343", "--format", "edges"], cayley, "spectrum"),
+        (["export", "--family", "gu", "--q", "5", "--format", "json,edges", "--brute-force-bound", "100"], cayley, "spectrum"),
+        (["export", "--family", "orbital", "--q", "7", "--format", "csv,edges"], orbital, "orbital_spectrum"),
+        (["orbital", "--q", "3", "--format", "edges", "--brute-force-bound", "100"], orbital, "orbital_spectrum"),
+    ],
+    ids=["gl-343", "gu-5-bound-100", "orbital-7", "orbital-3-bound-100"],
+)
+def test_an_edge_list_the_bounds_rule_out_is_refused_before_the_spectrum(argv, owner, name, tmp_path, monkeypatch, capsys):
+    """Decided from the group order or the coset count: the spectrum is never built."""
+
+    def never(*args):
+        raise AssertionError("the spectrum was built before --format edges was refused")
+
+    monkeypatch.setattr(owner, name, never)
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: the edge-list format needs an explicit graph, which this target "
+        "does not build within the current bounds\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+# the 14 golden targets' export arguments, and gl/gu 81
+COLUMN_TARGETS = [args for _, args in GOLDEN_TARGETS] + [
+    ["--family", "gl", "--q", "81"],
+    ["--family", "gu", "--q", "81"],
+]
+
+
+@pytest.mark.parametrize(
+    "args", COLUMN_TARGETS, ids=[name for name, _ in GOLDEN_TARGETS] + ["gl-81", "gu-81"]
+)
+def test_the_columns_certify_and_notice_as_the_rows_did(args):
+    """The certificate and notices read from the columns equal the row-by-row references.
+
+    Every certificate field is compared, the reason too; so are the failures of
+    one row's sign flipped and, separately, of one row's theta + 2.
+    """
+    parsed = cli.build_parser().parse_args(["export", *args])
+    target = cli.build_target(parsed.family, parsed.q, parsed.variant)
+    rule = target.certificate.transfer_rule
+    rows = list(target.rows)
+    assert target.certificate == transfer_certificate_rows(rows, rule)
+    assert cli._notices(target.audit) == notices_rows(target.checks())
+    k = len(rows) // 2
+    for doctored in (rows[k]._replace(sign=-rows[k].sign), rows[k]._replace(theta=rows[k].theta + 2)):
+        wrong = [*rows[:k], doctored, *rows[k + 1 :]]
+        cert = scheme.transfer_certificate(spectrum_of(wrong), rule)
+        assert cert == transfer_certificate_rows(wrong, rule)
+        assert not cert.ok and cert.reason.startswith(f"eigenvalue {doctored.theta} of ")
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +630,7 @@ def test_spectrum_mismatch_exits_3(monkeypatch, capsys):
         analysis = real(tag, q, variant)
         rows = list(analysis.rows)
         rows[1] = rows[1]._replace(theta=rows[1].theta - 4)
-        return analysis._replace(rows=rows)
+        return analysis._replace(rows=spectrum_of(rows))
 
     monkeypatch.setattr(cli, "analyze", doctored)
     assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK
@@ -580,7 +664,7 @@ def test_sign_mismatch_exits_3(monkeypatch, capsys, doctor, deviation):
         analysis = real(tag, q, variant)
         rows = list(analysis.rows)
         doctor(rows)
-        return analysis._replace(rows=rows)
+        return analysis._replace(rows=spectrum_of(rows))
 
     monkeypatch.setattr(cli, "analyze", doctored)
     assert main(["verify", "--family", "gl", "--q", "3"]) == EXIT_CROSS_CHECK

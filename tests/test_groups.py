@@ -4,6 +4,7 @@ import ast
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from oracles import (
     brute_gu2,
     brute_sl2,
     central_sign_via_char_value,
+    inverse_label_by_matrix,
     linear_or_unitary_char_value,
     quadratic_gauss_sum,
     residue_periods,
@@ -588,3 +590,27 @@ def test_every_traced_family_method_is_owned_by_its_class():
         if path.rpartition(".")[2] not in vars(getattr(groups, path.rpartition(".")[0]))
     ]
     assert not unowned, f"traced but not in the class's own __dict__: {', '.join(unowned)}"
+
+
+# every odd prime power up to 49: the primes, 9, 25, 27 and 49
+INVERSE_QS = [q for q in range(3, 50, 2) if len(_prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", INVERSE_QS)
+@pytest.mark.parametrize("cls", [GLGroup, GUGroup, SLGroup])
+def test_inverse_label_is_the_class_of_the_inverse(cls, q):
+    """On parameters, the class of the inverses is classify(inv(class_rep)) on every class."""
+    fam = cls(q)
+    wrong = [lab for lab in fam.classes() if fam.inverse_label(lab) != inverse_label_by_matrix(fam, lab)]
+    assert not wrong, wrong[:3]
+
+
+@pytest.mark.parametrize("cls", [GLGroup, GUGroup, SLGroup])
+def test_inverse_label_at_a_large_prime_power(cls):
+    """500 sampled classes at q = 343 = 7^3 (every class of SL, which has fewer)."""
+    fam = cls(343)
+    classes = fam.classes()
+    sample = Random(343).sample(classes, min(500, len(classes)))
+    assert {lab.kind for lab in sample} >= {"jordan", "split", "nonsplit"}
+    for lab in sample:
+        assert fam.inverse_label(lab) == inverse_label_by_matrix(fam, lab), lab

@@ -21,6 +21,7 @@ from oracles import (
     pst_test,
     relation_matrices,
     scheme_axiom_witness,
+    spectrum_of,
 )
 from pstwalk import cayley
 from pstwalk.cayley import STANDARD, ConnectionSet
@@ -160,7 +161,7 @@ def test_transfer_certificate_against_parity_test(theta0, gval, parts):
     for k, mult, flip in parts:
         sign = (1 if k % 2 == 0 else -1) * (-1 if flip == 0 else 1)
         rows.append(SpectrumRow(None, theta0 - k * gval, sign, mult))
-    cert = transfer_certificate(rows, "test pairing")
+    cert = transfer_certificate(spectrum_of(rows), "test pairing")
     ref = pst_test([(r.theta, r.sign, r.multiplicity) for r in rows])
     if cert.ok:
         assert ref.ok
@@ -174,7 +175,7 @@ def test_transfer_certificate_against_parity_test(theta0, gval, parts):
 def test_transfer_certificate_refuses_rows_without_a_minus_side():
     # gap 4 and every row on the +1 side: the congruences alone would pass
     rows = [SpectrumRow(None, 4, 1, 1), SpectrumRow(None, 0, 1, 1)]
-    cert = cayley.certify(rows)
+    cert = cayley.certify(spectrum_of(rows))
     assert not cert.ok
     assert "no -1 eigenspace" in cert.reason
     assert not pst_test([(r.theta, r.sign, r.multiplicity) for r in rows]).ok

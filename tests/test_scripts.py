@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import spectrum_of
 from pstwalk import cli
 from pstwalk.cayley import STANDARD
 from pstwalk.scheme import TransferCertificate
@@ -50,7 +51,7 @@ def test_survey_runs_the_verify_cross_checks(monkeypatch, capsys):
             return analysis
         rows = list(analysis.rows)
         rows[1] = rows[1]._replace(theta=rows[1].theta - 4)
-        return analysis._replace(rows=rows)
+        return analysis._replace(rows=spectrum_of(rows))
 
     monkeypatch.setattr(cli, "analyze", doctored)
     assert load("survey").main(["--max-q", "3"]) == 1
